@@ -52,6 +52,7 @@ _LOG_LEVELS = {
 log = logging.getLogger("wcs")
 
 _DEFAULT_SERIES_TOL = 1e-8
+_DEFAULT_ALPHA = (0.0,)
 _DEFAULT_QUAD_TOL = 1e-6
 
 
@@ -348,12 +349,27 @@ def cmd_wavefunction(args) -> int:
     return 0
 
 
+def _family_triple(args, beta: float, nu: float) -> DeformationParams:
+    """The family's deformation triple; an --alpha given on the command line
+    must agree with the alpha that the family fixes."""
+    p = _family_params(args.family, beta, nu)
+    # identity, not equality: an explicit --alpha 0 parses to a new tuple
+    if args.alpha is not _DEFAULT_ALPHA and not (
+        len(args.alpha) == 1 and math.isclose(args.alpha[0], p.alpha, abs_tol=1e-12)
+    ):
+        raise ParameterError(
+            f"--alpha {','.join(f'{a:g}' for a in args.alpha)} contradicts --family "
+            f"{args.family}, which fixes alpha = {p.alpha:g} at beta = {beta:g}"
+        )
+    return p
+
+
 def cmd_weight(args) -> int:
     beta = _scalar(args.beta, "--beta")
     nu = _scalar(args.nu, "--nu")
     tol = args.tol if args.tol is not None else _DEFAULT_QUAD_TOL
     xs = _parse_grid(args.x)
-    p = _family_params(args.family, beta, nu)
+    p = _family_triple(args, beta, nu)
     rows = []
     for x in xs:
         if args.family == "wright":
@@ -375,6 +391,7 @@ def cmd_moments(args) -> int:
     nu = _scalar(args.nu, "--nu")
     if args.nmax > 12:
         raise ParameterError(f"--nmax is capped at 12, got {args.nmax}")
+    _family_triple(args, beta, nu)
     report = verify_moments(args.family, beta, nu, args.nmax)
     rows = [
         (n, q, t, r)
@@ -436,7 +453,7 @@ def cmd_hankel(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--alpha", type=_parse_float_list, default=(0.0,),
+    shared.add_argument("--alpha", type=_parse_float_list, default=_DEFAULT_ALPHA,
                         help="deformation alpha (comma list where a sweep is allowed)")
     shared.add_argument("--beta", type=_parse_float_list, default=(1.0,),
                         help="deformation beta")

@@ -8,7 +8,11 @@ finding a positive half-line measure with moments [n]!:
 This module classifies determinacy (Carleman, via the asymptotic moment
 growth), tests positivity (Hankel-Hadamard determinants), evaluates the
 known weight families from their real-integral representations, and
-verifies the moment equation by nested adaptive quadrature.
+verifies the moment equation by nested quadrature: an adaptive
+Gauss-Kronrod outer integral over x whose integrand gets the weight at a
+whole batch of abscissae from one double-exponential array call (see
+quadrature.integrate_zero_inf_de).  The scalar weight functions keep their
+own adaptive route and serve as the independent cross-check.
 
 Weight families
 ---------------
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,7 +44,7 @@ from .errors import NumericalRangeError, ParameterError
 from .factorials import log_gen_factorial
 from .gammafn import gamma_signed, log_gamma
 from .params import DeformationParams
-from .quadrature import integrate_zero_inf, integrate_zero_inf_exp
+from .quadrature import integrate_zero_inf, integrate_zero_inf_de, integrate_zero_inf_exp
 from .series import log_n_function
 
 __all__ = [
@@ -57,9 +62,6 @@ __all__ = [
     "verify_moments",
     "WEIGHT_FAMILIES",
 ]
-
-WEIGHT_FAMILIES = ("wright", "one-minus-beta", "ml-closed-form")
-
 
 @dataclass(frozen=True)
 class CarlemanVerdict:
@@ -148,6 +150,13 @@ def _check_x(x: float) -> float:
     return float(x)
 
 
+def _check_wright(beta: float, nu: float) -> None:
+    if not 0.0 < beta <= 1.0:
+        raise ParameterError(f"beta must lie in (0, 1], got {beta}")
+    if not nu > 0.0:
+        raise ParameterError(f"the alpha = 1 weight requires nu > 0, got {nu}")
+
+
 def weight_wright(
     x: float,
     beta: float,
@@ -164,10 +173,7 @@ def weight_wright(
     regularizes it for every x > 0; both substitution schemes place nodes
     strictly inside the domain."""
     x = _check_x(x)
-    if not 0.0 < beta <= 1.0:
-        raise ParameterError(f"beta must lie in (0, 1], got {beta}")
-    if not nu > 0.0:
-        raise ParameterError(f"the alpha = 1 weight requires nu > 0, got {nu}")
+    _check_wright(beta, nu)
     if scheme not in ("rational", "exp"):
         raise ParameterError(f"unknown quadrature scheme {scheme!r}")
     power = nu / beta - 2.0
@@ -189,6 +195,26 @@ def weight_wright(
     )
 
 
+def _one_minus_beta_prefactor(beta: float, nu: float) -> tuple[float, float]:
+    """(sign, log |.|) of Gamma(b) / (b Gamma(b+nu) Gamma(-nu)), after
+    checking (beta, nu) against the family's supported range."""
+    if not 0.0 < beta < 1.0:
+        raise ParameterError(
+            f"the alpha = 1 - beta family requires beta in (0, 1), got {beta}"
+        )
+    if nu == math.floor(nu) and nu >= 0.0:
+        raise ParameterError(f"nu = {nu} hits a Gamma(-nu) pole")
+    if beta + nu <= 0.0:
+        raise ParameterError(f"need beta + nu > 0, got {beta + nu}")
+    if nu >= 1.0:
+        raise ParameterError(
+            f"nu = {nu} outside the supported range (-beta, 1) of the "
+            "single-integration-by-parts continuation"
+        )
+    sign_gam, log_gam = gamma_signed(-nu)
+    return sign_gam, log_gamma(beta) - math.log(beta) - log_gamma(beta + nu) - log_gam
+
+
 def weight_one_minus_beta(
     x: float,
     beta: float,
@@ -207,21 +233,7 @@ def weight_one_minus_beta(
     cancel, as the n = 0 moment check confirms.  Any negatively computed
     weight value is surfaced through the sign-anomaly flag."""
     x = _check_x(x)
-    if not 0.0 < beta < 1.0:
-        raise ParameterError(
-            f"the alpha = 1 - beta family requires beta in (0, 1), got {beta}"
-        )
-    if nu == math.floor(nu) and nu >= 0.0:
-        raise ParameterError(f"nu = {nu} hits a Gamma(-nu) pole")
-    if beta + nu <= 0.0:
-        raise ParameterError(f"need beta + nu > 0, got {beta + nu}")
-    if nu >= 1.0:
-        raise ParameterError(
-            f"nu = {nu} outside the supported range (-beta, 1) of the "
-            "single-integration-by-parts continuation"
-        )
-    sign_gam, log_gam = gamma_signed(-nu)
-    log_pref = log_gamma(beta) - math.log(beta) - log_gamma(beta + nu) - log_gam
+    sign_gam, log_pref = _one_minus_beta_prefactor(beta, nu)
     pref = sign_gam * math.exp(log_pref)
 
     if nu < 0.0:
@@ -295,28 +307,98 @@ class MomentReport:
     rel_errors: tuple[float, ...]
     truncation_x: float
     family: str
+    panels: int = 0  # outer Gauss-Kronrod panels
+    inner_points: int = 0  # points at which the weight kernel was evaluated
+
+
+# Array weight evaluators for verify_moments.  Each factory checks (beta, nu)
+# and returns xs -> (u_tilde at every x, points evaluated); the integral
+# families hand their log-integrand, as a function of log t and a column of
+# x, to the double-exponential kernel in one call per batch.
+
+
+def _kernel_weights(log_f, sign: float, log_pref: float, rtol: float, atol: float):
+    # atol bounds u_tilde; the kernel integrates before the prefactor.  An
+    # atol beyond e^700 of the integral already accepts every row.
+    atol_inner = math.exp(min(math.log(atol) - log_pref, 700.0)) if atol > 0.0 else 0.0
+
+    def evaluate(xs: np.ndarray):
+        res = integrate_zero_inf_de(log_f, xs, rtol=rtol, atol=atol_inner)
+        return sign * np.exp(log_pref + res.log_value), res.points
+
+    return evaluate
+
+
+def _wright_weights(beta: float, nu: float, rtol: float, atol: float):
+    _check_wright(beta, nu)
+    power = nu / beta - 2.0
+
+    def log_f(log_t, x):
+        return power * log_t - np.exp(log_t / beta) - (x / beta) * np.exp(-log_t)
+
+    log_pref = -log_gamma(nu) - 2.0 * math.log(beta)
+    return _kernel_weights(log_f, 1.0, log_pref, rtol, atol)
+
+
+def _one_minus_beta_weights(beta: float, nu: float, rtol: float, atol: float):
+    """The w-integral of the module docstring with log w as the variable;
+    the double-exponential map absorbs the w -> 0 endpoint power."""
+    sign, log_pref = _one_minus_beta_prefactor(beta, nu)
+    if nu < 0.0:
+
+        def log_f(log_w, x):
+            return (-nu - 1.0) * log_w - (x / beta) * np.exp(beta * np.logaddexp(0.0, log_w))
+
+    else:
+        # finite part: -(1/nu) integral x w^(-nu) (1+w)^(beta-1) exp(-x (1+w)^beta / beta) dw
+        def log_f(log_w, x):
+            log_1pw = np.logaddexp(0.0, log_w)
+            return (
+                np.log(x) - nu * log_w + (beta - 1.0) * log_1pw
+                - (x / beta) * np.exp(beta * log_1pw)
+            )
+
+        sign, log_pref = -sign, log_pref - math.log(nu)
+    return _kernel_weights(log_f, sign, log_pref, rtol, atol)
+
+
+def _ml_weights(beta: float, nu: float, rtol: float, atol: float):
+    log_norm = log_gamma(1.0 + nu)
+    return lambda xs: (np.exp(nu * np.log(xs) - xs - log_norm), len(xs))
+
+
+def _ml_params(beta: float, nu: float) -> DeformationParams:
+    if beta != 1.0:
+        raise ParameterError(f"the closed-form family is defined at beta = 1, got {beta}")
+    return DeformationParams(0.0, 1.0, nu)
+
+
+class _Family(NamedTuple):
+    params: Callable  # (beta, nu) -> DeformationParams
+    weights: Callable  # (beta, nu, rtol, atol) -> array evaluator
+
+
+_FAMILIES = {
+    "wright": _Family(lambda beta, nu: DeformationParams(1.0, beta, nu), _wright_weights),
+    "one-minus-beta": _Family(
+        lambda beta, nu: DeformationParams(1.0 - beta, beta, nu), _one_minus_beta_weights
+    ),
+    "ml-closed-form": _Family(_ml_params, _ml_weights),
+}
+WEIGHT_FAMILIES = tuple(_FAMILIES)
+
+
+def _family(family: str) -> _Family:
+    try:
+        return _FAMILIES[family]
+    except KeyError:
+        raise ParameterError(
+            f"unknown weight family {family!r}; expected one of {WEIGHT_FAMILIES}"
+        ) from None
 
 
 def _family_params(family: str, beta: float, nu: float) -> DeformationParams:
-    if family == "wright":
-        return DeformationParams(1.0, beta, nu)
-    if family == "one-minus-beta":
-        return DeformationParams(1.0 - beta, beta, nu)
-    if family == "ml-closed-form":
-        if beta != 1.0:
-            raise ParameterError(
-                f"the closed-form family is defined at beta = 1, got {beta}"
-            )
-        return DeformationParams(0.0, 1.0, nu)
-    raise ParameterError(f"unknown weight family {family!r}; expected one of {WEIGHT_FAMILIES}")
-
-
-def _u_tilde_evaluator(family: str, beta: float, nu: float, inner_tol: float, inner_rtol: float):
-    if family == "wright":
-        return lambda x: weight_wright(x, beta, nu, tol=inner_tol, rtol=inner_rtol).u_tilde
-    if family == "one-minus-beta":
-        return lambda x: weight_one_minus_beta(x, beta, nu, tol=inner_tol, rtol=inner_rtol).u_tilde
-    return lambda x: weight_ml_closed_form(x, nu).u_tilde
+    return _family(family).params(beta, nu)
 
 
 def verify_moments(
@@ -332,33 +414,34 @@ def verify_moments(
     """Quadrature check of integral x^n Utilde(x) dx = [n]! for n <= n_max.
 
     All moment orders are integrated in a single adaptive pass (the outer
-    integrand returns one row per abscissa with n_max + 1 columns).  The
-    returned truncation_x is the point beyond which every order's
-    integrand falls below 1e-16 of its integral, probed on a doubling
-    grid; the outer map extends past it, so the recorded bound is
-    informational."""
+    integrand returns one row per abscissa with n_max + 1 columns), and each
+    outer batch of abscissae costs one array call of the weight kernel.  The
+    returned truncation_x is the first point of the doubling grid 1, 2, 4,
+    ..., 2^59 (evaluated in one kernel call) beyond which every order's
+    integrand falls below 1e-16 of its integral, or 2^60 if none; the outer
+    map extends past it, so the recorded bound is informational."""
     if not isinstance(n_max, int) or n_max < 0:
         raise ParameterError(f"n_max must be a non-negative integer, got {n_max!r}")
-    p = _family_params(family, beta, nu)
-    u_tilde = _u_tilde_evaluator(family, beta, nu, inner_tol, inner_rtol)
+    fam = _family(family)
+    p = fam.params(beta, nu)
+    u_tilde = fam.weights(beta, nu, inner_rtol, inner_tol)
     orders = np.arange(n_max + 1, dtype=float)
+    inner_points = 0
 
     def outer(xs: np.ndarray):
-        rows = np.empty((len(xs), n_max + 1))
-        for i, xv in enumerate(xs):
-            u = u_tilde(float(xv))
-            rows[i] = u * xv**orders
-        return rows
+        nonlocal inner_points
+        u, points = u_tilde(xs)
+        inner_points += points
+        return u[:, None] * xs[:, None] ** orders
 
     res = integrate_zero_inf(outer, atol=0.0, rtol=rtol_outer, max_panels=max_panels)
     moments = res.value
 
-    trunc = 1.0
-    while trunc < 2.0**60:
-        u = u_tilde(trunc)
-        if np.all(u * trunc**orders <= 1e-16 * np.abs(moments)):
-            break
-        trunc *= 2.0
+    grid = 2.0 ** np.arange(60)
+    u, points = u_tilde(grid)
+    inner_points += points
+    small = np.all(u[:, None] * grid[:, None] ** orders <= 1e-16 * np.abs(moments), axis=1)
+    trunc = float(grid[np.argmax(small)]) if small.any() else 2.0**60
 
     targets = [math.exp(log_gen_factorial(n, p)) for n in range(n_max + 1)]
     rels = [abs(m - t) / t for m, t in zip(moments, targets)]
@@ -369,4 +452,6 @@ def verify_moments(
         rel_errors=tuple(rels),
         truncation_x=trunc,
         family=family,
+        panels=res.panels,
+        inner_points=inner_points,
     )

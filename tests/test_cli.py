@@ -177,6 +177,29 @@ class TestWeight:
         code, _, _ = run_cli(["weight", "--family", "fox-h", "--x", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--family", "wright", "--alpha", "0.3", "--nu", "1"],
+            ["--family", "wright", "--nu", "1", "--alpha", "0"],
+            ["--family", "one-minus-beta", "--alpha", "0", "--beta", "0.3", "--nu", "-0.1"],
+            ["--family", "ml-closed-form", "--alpha", "0,1", "--nu", "0"],
+        ],
+    )
+    def test_contradicting_alpha_rejected(self, argv):
+        code, out, err = run_cli(["weight", "--x", "1"] + argv)
+        assert code == 2
+        assert out == ""
+        assert "contradicts --family" in err
+
+    def test_matching_alpha_accepted(self):
+        for argv in (
+            ["--family", "one-minus-beta", "--alpha", "0.7", "--beta", "0.3", "--nu", "-0.1"],
+            ["--family", "ml-closed-form", "--alpha", "0", "--nu", "0"],
+        ):
+            code, _, _ = run_cli(["weight", "--x", "1"] + argv)
+            assert code == 0
+
 
 class TestMoments:
     def test_classical_verification_passes(self):
@@ -197,6 +220,22 @@ class TestMoments:
             ]
         )
         assert code == 4
+
+    def test_contradicting_alpha_rejected(self):
+        code, out, err = run_cli(
+            ["moments", "--family", "wright", "--alpha", "0.3", "--beta", "0.5",
+             "--nu", "1", "--nmax", "2"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "contradicts --family wright" in err
+
+    def test_matching_alpha_accepted(self):
+        code, _, _ = run_cli(
+            ["moments", "--family", "wright", "--alpha", "1", "--beta", "0.5",
+             "--nu", "1", "--nmax", "2"]
+        )
+        assert code == 0
 
     def test_order_cap(self):
         code, _, _ = run_cli(

@@ -5,14 +5,18 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wcs.moments
 from wcs import (
     WEIGHT_FAMILIES,
     DeformationParams,
+    MomentReport,
     carleman_classify,
     carleman_partial_sums,
     classify_exponent,
@@ -317,3 +321,123 @@ class TestVerifyMoments:
     def test_invalid_order_cap(self):
         with pytest.raises(ParameterError):
             verify_moments("ml-closed-form", 1.0, 0.0, -1)
+
+
+def _array_weights(family, beta, nu):
+    """The array evaluator that verify_moments integrates."""
+    return wcs.moments._FAMILIES[family].weights(beta, nu, 1e-11, 0.0)
+
+
+def _mp_wright(x, beta, nu):
+    with mpmath.workdps(30):
+        b, v, x = mpmath.mpf(beta), mpmath.mpf(nu), mpmath.mpf(x)
+        f = lambda t: t ** (v / b - 2) * mpmath.exp(-t ** (1 / b) - x / (b * t))
+        return mpmath.quad(f, [0, x, 1, mpmath.inf]) / (b * b * mpmath.gamma(v))
+
+
+def _mp_one_minus_beta(x, beta, nu):
+    # e^(-x/b) is taken out of the w-integrand so that it stays O(1), and
+    # w = y^m turns the w -> 0 endpoint power into a non-negative power of y
+    with mpmath.workdps(30):
+        b, v, x = mpmath.mpf(beta), mpmath.mpf(nu), mpmath.mpf(x)
+        pref = mpmath.gamma(b) / (b * mpmath.gamma(b + v) * mpmath.gamma(-v)) * mpmath.exp(-x / b)
+        g = lambda w: mpmath.exp(-x * ((1 + w) ** b - 1) / b)
+        if nu < 0:
+            m, f = 4, lambda w: w ** (-v - 1) * g(w)
+        else:
+            # finite part after one integration by parts
+            m, f = 10, lambda w: w ** (-v) * (-x) * (1 + w) ** (b - 1) * g(w) / v
+        fy = lambda y: m * y ** (m - 1) * f(y ** m)
+        return pref * mpmath.quad(fy, [0, x ** (-mpmath.mpf(1) / m), mpmath.inf])
+
+
+class TestArrayWeights:
+    def test_wright_bessel_oracle(self):
+        xs = np.geomspace(1e-4, 200.0, 40)
+        u, points = _array_weights("wright", 1.0, 1.0)(xs)
+        ref = 2.0 * sp.k0(2.0 * np.sqrt(xs))
+        np.testing.assert_allclose(u, ref, rtol=1e-12, atol=0.0)
+        assert points > 0
+
+    @pytest.mark.parametrize(
+        "family, beta, nu",
+        [
+            ("wright", 0.5, 1.0),
+            ("wright", 0.5, 0.4),
+            ("one-minus-beta", 0.5, -0.25),
+            ("one-minus-beta", 0.5, 0.25),
+            ("one-minus-beta", 0.5, 0.9),
+        ],
+    )
+    def test_mpmath_and_scalar_oracles(self, family, beta, nu):
+        xs = np.array([1e-3, 0.1, 1.0, 7.0, 50.0])
+        u, _ = _array_weights(family, beta, nu)(xs)
+        if family == "wright":
+            mp_ref = [_mp_wright(x, beta, nu) for x in xs]
+            scalar = [weight_wright(x, beta, nu, tol=0.0, rtol=1e-12) for x in xs]
+        else:
+            mp_ref = [_mp_one_minus_beta(x, beta, nu) for x in xs]
+            scalar = [weight_one_minus_beta(x, beta, nu, tol=0.0, rtol=1e-12) for x in xs]
+        np.testing.assert_allclose(u, [float(r) for r in mp_ref], rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(u, [s.u_tilde for s in scalar], rtol=1e-10, atol=0.0)
+
+    def test_closed_form_matches_scalar(self):
+        xs = np.array([0.01, 1.0, 30.0])
+        u, points = _array_weights("ml-closed-form", 1.0, 0.5)(xs)
+        assert points == len(xs)
+        for x, v in zip(xs, u):
+            assert v == pytest.approx(weight_ml_closed_form(x, 0.5).u_tilde, rel=1e-14)
+
+    def test_invalid_parameters_rejected(self):
+        with pytest.raises(ParameterError):
+            _array_weights("one-minus-beta", 0.5, 0.0)
+        with pytest.raises(ParameterError):
+            _array_weights("one-minus-beta", 0.5, 1.5)
+        with pytest.raises(ParameterError):
+            _array_weights("wright", 1.5, 1.0)
+
+
+class TestMomentWork:
+    """Deterministic work gates for the Wright check at beta = 0.5, nu = 1,
+    n_max = 8.  Measured when the batched inner rule was introduced: 21
+    outer panels and 365 420 kernel points (~25k per outer batch of 30
+    abscissae, scan included)."""
+
+    PANELS_CEILING = 25
+    INNER_POINTS_CEILING = 420_000
+
+    def test_one_kernel_call_per_outer_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_moments must not use the scalar weights")
+
+        monkeypatch.setattr(wcs.moments, "weight_wright", refuse)
+        monkeypatch.setattr(wcs.moments, "weight_one_minus_beta", refuse)
+
+        counts = {"outer": 0, "kernel": 0}
+        kernel = wcs.moments.integrate_zero_inf_de
+        outer_quad = wcs.moments.integrate_zero_inf
+
+        def counting_kernel(*args, **kwargs):
+            counts["kernel"] += 1
+            return kernel(*args, **kwargs)
+
+        def counting_outer(f, *args, **kwargs):
+            def counted(points):
+                counts["outer"] += 1
+                return f(points)
+
+            return outer_quad(counted, *args, **kwargs)
+
+        monkeypatch.setattr(wcs.moments, "integrate_zero_inf_de", counting_kernel)
+        monkeypatch.setattr(wcs.moments, "integrate_zero_inf", counting_outer)
+        rep = verify_moments("wright", 0.5, 1.0, 8)
+        assert max(rep.rel_errors) <= 1e-9
+        # one call per outer batch plus one for the truncation probe
+        assert counts["kernel"] == counts["outer"] + 1
+        assert counts["outer"] == rep.panels  # the first call, then one per bisection
+        assert rep.panels <= self.PANELS_CEILING
+        assert 0 < rep.inner_points <= self.INNER_POINTS_CEILING
+
+    def test_counters_default_to_zero(self):
+        rep = MomentReport((0,), (1.0,), (1.0,), (0.0,), 1.0, "ml-closed-form")
+        assert rep.panels == 0 and rep.inner_points == 0

@@ -1,4 +1,5 @@
-"""Tests for the adaptive Gauss-Kronrod quadrature engine."""
+"""Tests for the adaptive Gauss-Kronrod quadrature engine and the
+double-exponential array rule."""
 
 import math
 
@@ -9,9 +10,14 @@ from numpy.testing import assert_allclose
 
 from wcs.errors import ConvergenceError, NumericalRangeError, ParameterError
 from wcs.quadrature import (
+    _NODES,
+    _W_GAUSS,
+    _W_KRON,
+    LogQuadResult,
     QuadResult,
     integrate_finite,
     integrate_zero_inf,
+    integrate_zero_inf_de,
     integrate_zero_inf_exp,
 )
 
@@ -85,3 +91,79 @@ class TestHalfLine:
         assert_allclose(res.value, sp.factorial(orders), rtol=1e-10)
         assert res.value.shape == (9,)
         assert res.error.shape == (9,)
+
+
+class TestKronrodConstants:
+    """The G7/K15 constants against 40-digit mpmath arithmetic.  Sums are
+    formed exactly from the stored doubles, so the only error left is the
+    rounding of each constant: at most a few ulp per monomial."""
+
+    @staticmethod
+    def _rule_error(weights, k):
+        import mpmath as mp
+
+        with mp.workdps(40):
+            terms = [mp.mpf(float(w)) * mp.mpf(float(x)) ** k for w, x in zip(weights, _NODES)]
+            exact = mp.mpf(2) / (k + 1) if k % 2 == 0 else mp.mpf(0)
+            err = abs(mp.fsum(terms) - exact)
+            scale = mp.fsum(abs(t) for t in terms)
+            return float(err / scale)
+
+    def test_kronrod_exact_to_degree_22(self):
+        for k in range(23):
+            assert self._rule_error(_W_KRON, k) <= (k + 2) * np.finfo(float).eps, k
+
+    def test_gauss_exact_to_degree_13(self):
+        for k in range(14):
+            assert self._rule_error(_W_GAUSS, k) <= (k + 2) * np.finfo(float).eps, k
+
+    def test_gauss_nodes_are_legendre_roots(self):
+        import mpmath as mp
+
+        with mp.workdps(40):
+            for node in _NODES[1:-1:2]:
+                root = mp.findroot(lambda t: mp.legendre(7, t), mp.mpf(float(node)))
+                assert float(root) == node
+
+
+def _log_gamma_integrand(log_t, a):
+    # log of t^(a-1) e^-t, one row per exponent a
+    return (a - 1.0) * log_t - np.exp(log_t)
+
+
+class TestDoubleExponential:
+    def test_gamma_integrals_in_one_call(self):
+        a = np.array([0.05, 0.5, 1.0, 3.0, 30.0])
+        res = integrate_zero_inf_de(_log_gamma_integrand, a, rtol=1e-12)
+        assert isinstance(res, LogQuadResult)
+        assert res.log_value.shape == res.rel_error.shape == (5,)
+        assert_allclose(res.log_value, [math.lgamma(v) for v in a], rtol=0, atol=1e-13)
+        assert np.all(res.rel_error <= 1e-12)
+        assert res.points > 0
+
+    def test_blocks_match_single_rows(self):
+        a = np.linspace(0.1, 8.0, 70)  # more rows than one block
+        whole = integrate_zero_inf_de(_log_gamma_integrand, a)
+        for i in (0, 31, 69):
+            one = integrate_zero_inf_de(_log_gamma_integrand, a[i:i + 1])
+            assert whole.log_value[i] == one.log_value[0]
+
+    def test_estimate_miss_raises(self):
+        # a jump at t = 1: the trapezoid error stays O(h) through every refinement
+        step = lambda log_t, x: np.where(log_t < 0.0, 0.0, -np.inf)
+        with pytest.raises(ConvergenceError):
+            integrate_zero_inf_de(step, [1.0])
+
+    def test_divergent_integral_raises(self):
+        with pytest.raises(ConvergenceError):
+            integrate_zero_inf_de(lambda log_t, x: np.zeros(np.shape(log_t)), [1.0])
+
+    def test_nan_integrand_raises(self):
+        with pytest.raises(NumericalRangeError):
+            integrate_zero_inf_de(lambda log_t, x: np.log(x - 2.0) - np.exp(log_t), [1.0])
+
+    def test_bad_arguments(self):
+        with pytest.raises(ParameterError):
+            integrate_zero_inf_de(_log_gamma_integrand, [1.0], rtol=0.0)
+        with pytest.raises(ParameterError):
+            integrate_zero_inf_de(_log_gamma_integrand, [])

@@ -31,14 +31,11 @@ from .errors import ConvergenceError, NumericalRangeError, ParameterError
 from .factorials import gen_factorial
 from .moments import (
     WEIGHT_FAMILIES,
-    _family_params,
     carleman_classify,
     hankel_hadamard,
     u_from_u_tilde,
     verify_moments,
-    weight_ml_closed_form,
-    weight_one_minus_beta,
-    weight_wright,
+    weight_family,
 )
 from .params import DeformationParams, PhysicalScales
 
@@ -352,7 +349,7 @@ def cmd_wavefunction(args) -> int:
 def _family_triple(args, beta: float, nu: float) -> DeformationParams:
     """The family's deformation triple; an --alpha given on the command line
     must agree with the alpha that the family fixes."""
-    p = _family_params(args.family, beta, nu)
+    p = weight_family(args.family).params(beta, nu)
     # identity, not equality: an explicit --alpha 0 parses to a new tuple
     if args.alpha is not _DEFAULT_ALPHA and not (
         len(args.alpha) == 1 and math.isclose(args.alpha[0], p.alpha, abs_tol=1e-12)
@@ -370,14 +367,10 @@ def cmd_weight(args) -> int:
     tol = args.tol if args.tol is not None else _DEFAULT_QUAD_TOL
     xs = _parse_grid(args.x)
     p = _family_triple(args, beta, nu)
+    sample_at = weight_family(args.family).sample
     rows = []
     for x in xs:
-        if args.family == "wright":
-            sample = weight_wright(x, beta, nu, tol=tol)
-        elif args.family == "one-minus-beta":
-            sample = weight_one_minus_beta(x, beta, nu, tol=tol)
-        else:
-            sample = weight_ml_closed_form(x, nu)
+        sample = sample_at(x, beta, nu, tol)
         rows.append((x, sample.u_tilde, u_from_u_tilde(sample, p), sample.abs_err_est))
     config = _base_config(args, "weight")
     config["family"] = args.family

@@ -6,20 +6,26 @@ exponential N: photon-number probabilities, overlaps, normally-ordered
 moments, the two Mandel parameters, quadrature variances in number states,
 and position wavefunctions built from the x^beta power lattice.
 
-Photon probabilities and moments are assembled from logs so large n and x
-never overflow; alternating wavefunction series go through compensated
-summation with an explicit cancellation flag.
+Every Fock-series sum here (photon distribution, Fock moments, Q_M, the
+continuity defect, the length of the ground-state lattice) is one call of
+series._log_series, with its single stopping rule: three consecutive terms
+|t_n| <= tol * max(1, |S_n|) while the term ratio is below 0.9.  Positive
+sums stay in log space so large n and x never overflow; the alternating
+wavefunction series is summed with compensation and a cancellation flag.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConvergenceError, ParameterError
+import numpy as np
+
+from .errors import ParameterError
 from .factorials import box, log_box, log_gen_factorial
 from .params import DeformationParams, PhysicalScales
-from .series import log_n_derivative, log_n_function, n_function
+from .series import _log_falling, _log_series, log_n_derivative, log_n_function, n_function
 
 __all__ = [
     "CoherentLabel",
@@ -104,36 +110,21 @@ def photon_distribution(
     max_n: int = 100000,
     tol: float = 1e-13,
 ) -> PhotonDistribution:
-    """All probabilities up to the first n where cumulative mass reaches
-    1 - tail_tol."""
+    """All probabilities up to the first n whose remaining mass, summed from
+    the tail, is at most tail_tol; normalised by the sum of the same terms."""
     if not 0.0 < tail_tol < 1.0:
         raise ParameterError(f"tail_tol must lie in (0, 1), got {tail_tol}")
     x = label.x
     if x == 0.0:
         return PhotonDistribution(probabilities=(1.0,), cutoff=0, tail_mass=0.0)
-    log_norm = log_n_function(x, p, tol=tol)
-    lx = math.log(x)
-    probs = []
-    log_p = -log_norm
-    cum = 0.0
-    n = 0
-    while True:
-        prob = math.exp(log_p)
-        probs.append(prob)
-        cum += prob
-        if cum >= 1.0 - tail_tol:
-            break
-        n += 1
-        if n > max_n:
-            raise ConvergenceError(
-                f"photon_distribution: cumulative mass below 1 - {tail_tol} "
-                f"after {max_n} terms"
-            )
-        log_p += lx - log_box(n, p)
+    s = _log_series(math.log(x), p, tol, max_n + 1, "photon_distribution")
+    probs = np.exp(s.log_terms - s.log_sum)
+    beyond = np.append(np.cumsum(probs[:0:-1])[::-1], 0.0)  # mass above each n
+    cutoff = int(np.argmax(beyond <= tail_tol))
     return PhotonDistribution(
-        probabilities=tuple(probs),
-        cutoff=len(probs) - 1,
-        tail_mass=max(0.0, 1.0 - cum),
+        probabilities=tuple(probs[: cutoff + 1].tolist()),
+        cutoff=cutoff,
+        tail_mass=float(beyond[cutoff]),
     )
 
 
@@ -180,30 +171,19 @@ def continuity_defect(
     so the returned defect measures numerical agreement of the two paths.
     """
     kernel = 2.0 * (1.0 - overlap(l2, l1, p, tol=tol).real)
-    a = complex(math.exp(-0.5 * log_n_function(l1.x, p, tol=tol)), 0.0)
-    b = complex(math.exp(-0.5 * log_n_function(l2.x, p, tol=tol)), 0.0)
-    parts = [abs(a - b) ** 2]
-    streak = 0
-    n = 0
-    while True:
-        n += 1
-        if n > max_terms:
-            raise ConvergenceError(
-                f"continuity_defect: amplitude tails above tol after {max_terms} terms"
-            )
-        w = math.exp(-0.5 * log_box(n, p))
-        a = a * l1.z * w
-        b = b * l2.z * w
-        parts.append(abs(a - b) ** 2)
-        mag = abs(a) + abs(b)
-        ratio = max(abs(l1.z), abs(l2.z)) * math.exp(-0.5 * log_box(n + 1, p))
-        if mag**2 <= tol and ratio < 0.9:
-            streak += 1
-            if streak >= 3:
-                break
-        else:
-            streak = 0
-    direct = math.fsum(parts)
+    # the weights of the larger intensity bound both amplitude tails
+    x_big = max(l1.x, l2.x)
+    lx_big = math.log(x_big) if x_big > 0.0 else -math.inf
+    log_w = _log_series(lx_big, p, tol, max_terms, "continuity_defect").log_terms
+    n = np.arange(len(log_w))
+
+    def amplitudes(label: CoherentLabel) -> np.ndarray:
+        if label.x == 0.0:
+            return (n == 0).astype(complex)
+        lw = log_w + n * (math.log(label.x) - lx_big)
+        return np.exp(0.5 * (lw - np.logaddexp.reduce(lw)) + 1j * cmath.phase(label.z) * n)
+
+    direct = math.fsum(np.abs(amplitudes(l1) - amplitudes(l2)) ** 2)
     return abs(direct - kernel)
 
 
@@ -240,35 +220,11 @@ def fock_moment_sum(
     x = label.x
     if x == 0.0:
         return 0.0
-    log_norm = log_n_function(x, p, tol=tol)
     lx = math.log(x)
-    log_p = -log_norm
-    acc: list[float] = []
-    total = 0.0
-    streak = 0
-    n = 0
-    while True:
-        if n >= r:
-            falling = 1.0
-            for j in range(r):
-                falling *= n - j
-            term = falling * math.exp(log_p)
-            acc.append(term)
-            total += term
-            ratio = x * math.exp(-log_box(n + 1, p))
-            if term <= tol * max(1.0, total) and ratio < 0.9:
-                streak += 1
-                if streak >= 3:
-                    break
-            else:
-                streak = 0
-        n += 1
-        if n > max_terms:
-            raise ConvergenceError(
-                f"fock_moment_sum: no convergence within {max_terms} terms"
-            )
-        log_p += lx - log_box(n, p)
-    return math.fsum(acc)
+    s = _log_series(lx, p, tol, max_terms, "fock_moment_sum", start=r, log_factor=_log_falling(r))
+    log_norm = log_n_function(x, p, tol=tol, max_terms=max_terms)
+    log_first = r * lx + math.lgamma(r + 1.0) - log_gen_factorial(r, p)  # r! p(r) N
+    return math.exp(log_first + s.log_sum - log_norm)
 
 
 def mandel_qz(
@@ -301,35 +257,15 @@ def mandel_qm(
     x = label.x
     if x < _SMALL_X_GUARD:
         return box(1, p) - 1.0
-    log_norm = log_n_function(x, p, tol=tol)
     lx = math.log(x)
-    log_p = -log_norm
-    e1_parts: list[float] = []
-    e2_parts: list[float] = []
-    e2_run = 0.0
-    streak = 0
-    n = 0
-    while True:
-        if n >= 1:
-            bn = math.exp(log_box(n, p))
-            prob = math.exp(log_p)
-            e1_parts.append(bn * prob)
-            term2 = bn * bn * prob
-            e2_parts.append(term2)
-            e2_run += term2
-            ratio = x * math.exp(-log_box(n + 1, p))
-            if term2 <= tol * max(1.0, e2_run) and ratio < 0.9:
-                streak += 1
-                if streak >= 3:
-                    break
-            else:
-                streak = 0
-        n += 1
-        if n > max_terms:
-            raise ConvergenceError(f"mandel_qm: no convergence within {max_terms} terms")
-        log_p += lx - log_box(n, p)
-    e1 = math.fsum(e1_parts)
-    e2 = math.fsum(e2_parts)
+    s = _log_series(
+        lx, p, tol, max_terms, "mandel_qm", start=1, log_factor=lambda n, log_b: 2.0 * log_b
+    )
+    log_norm = log_n_function(x, p, tol=tol, max_terms=max_terms)
+    # the first term is [1]^2 p(1) = x [1] / N
+    log_e2 = s.log_terms + (lx + s.log_brackets[0] - log_norm)
+    e1 = math.fsum(np.exp(log_e2 - s.log_brackets))
+    e2 = math.fsum(np.exp(log_e2))
     return (e2 - e1 * e1) / e1 - 1.0
 
 
@@ -361,10 +297,8 @@ def _ground_scale(p: DeformationParams, s: PhysicalScales) -> float:
     return (s.mass * s.omega / (math.pi * s.hbar)) ** 0.25
 
 
-def _ground_lattice_coeffs(
-    n_slots: int, p: DeformationParams, s: PhysicalScales
-) -> list[float]:
-    """Coefficients of the ground state on the x^beta lattice.
+def _ground_lattice_coeffs(n_slots: int, boxes: list[float], s: PhysicalScales) -> list[float]:
+    """Coefficients of the ground state on the x^beta lattice; boxes[j] = [j].
 
     Slot 2n holds (-m omega / hbar)^n / [2n]!!, odd slots are zero; the
     double factorial is the product of even brackets, which is exactly the
@@ -376,35 +310,10 @@ def _ground_lattice_coeffs(
     ratio = -s.mass * s.omega / s.hbar
     n = 0
     while 2 * n + 2 < n_slots:
-        val *= ratio / math.exp(log_box(2 * n + 2, p))
+        val *= ratio / boxes[2 * n + 2]
         coeffs[2 * n + 2] = val
         n += 1
     return coeffs
-
-
-def _ground_term_count(
-    x: float, p: DeformationParams, s: PhysicalScales, tol: float, max_terms: int
-) -> int:
-    """Number of even-lattice terms needed for the ground series at x."""
-    if x == 0.0:
-        return 1
-    y = (s.mass * s.omega / s.hbar) * x ** (2.0 * p.beta)
-    mag = 1.0
-    streak = 0
-    n = 0
-    while True:
-        n += 1
-        if n > max_terms:
-            raise ConvergenceError(
-                f"ground-state series: no convergence within {max_terms} terms"
-            )
-        mag *= y / math.exp(log_box(2 * n, p))
-        if mag <= tol and y / math.exp(log_box(2 * n + 2, p)) < 0.9:
-            streak += 1
-            if streak >= 3:
-                return n + 1
-        else:
-            streak = 0
 
 
 def wavefunction_sample(
@@ -433,12 +342,19 @@ def wavefunction_sample(
             f"wavefunctions are defined on the half-line x >= 0, got {x!r}"
         )
     x = float(x)
+    # the ground series sums (-y)^n / [2n]!!, y = (m omega / hbar) x^(2 beta)
+    log_y = -math.inf
+    if x > 0.0:
+        log_y = math.log(s.mass * s.omega / s.hbar) + 2.0 * p.beta * math.log(x)
     # size the lattice with a stricter threshold: the raising operator's
     # down-shift multiplies truncated slots by bracket values, so headroom
     # is needed for the stated tol to survive k applications
-    n_even = _ground_term_count(x, p, s, tol * 1e-4, max_terms)
+    ground = _log_series(log_y, p, tol * 1e-4, max_terms, "ground-state series", step=2, phase=-1.0)
+    n_even = len(ground.log_terms)
     n_slots = 2 * n_even + k + 4
-    coeffs = _ground_lattice_coeffs(n_slots, p, s)
+    # the brackets [j], read once for the lattice and all k raisings
+    boxes = [0.0] + [math.exp(log_box(j, p)) for j in range(1, n_slots + 1)]
+    coeffs = _ground_lattice_coeffs(n_slots, boxes, s)
 
     up = math.sqrt(0.5 * s.mass * s.omega / s.hbar)
     down = math.sqrt(0.5 * s.hbar / (s.mass * s.omega))
@@ -449,7 +365,7 @@ def wavefunction_sample(
             if j >= 1:
                 acc += up * coeffs[j - 1]
             if j + 1 < n_slots:
-                acc -= down * coeffs[j + 1] * math.exp(log_box(j + 1, p))
+                acc -= down * coeffs[j + 1] * boxes[j + 1]
             nxt[j] = acc
         coeffs = nxt
 

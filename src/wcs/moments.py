@@ -61,6 +61,7 @@ __all__ = [
     "u_from_u_tilde",
     "verify_moments",
     "WEIGHT_FAMILIES",
+    "weight_family",
 ]
 
 @dataclass(frozen=True)
@@ -376,29 +377,36 @@ def _ml_params(beta: float, nu: float) -> DeformationParams:
 class _Family(NamedTuple):
     params: Callable  # (beta, nu) -> DeformationParams
     weights: Callable  # (beta, nu, rtol, atol) -> array evaluator
+    sample: Callable  # (x, beta, nu, tol) -> WeightSample, the scalar route
 
 
 _FAMILIES = {
-    "wright": _Family(lambda beta, nu: DeformationParams(1.0, beta, nu), _wright_weights),
-    "one-minus-beta": _Family(
-        lambda beta, nu: DeformationParams(1.0 - beta, beta, nu), _one_minus_beta_weights
+    "wright": _Family(
+        lambda beta, nu: DeformationParams(1.0, beta, nu),
+        _wright_weights,
+        lambda x, beta, nu, tol: weight_wright(x, beta, nu, tol=tol),
     ),
-    "ml-closed-form": _Family(_ml_params, _ml_weights),
+    "one-minus-beta": _Family(
+        lambda beta, nu: DeformationParams(1.0 - beta, beta, nu),
+        _one_minus_beta_weights,
+        lambda x, beta, nu, tol: weight_one_minus_beta(x, beta, nu, tol=tol),
+    ),
+    "ml-closed-form": _Family(
+        _ml_params, _ml_weights, lambda x, beta, nu, tol: weight_ml_closed_form(x, nu)
+    ),
 }
 WEIGHT_FAMILIES = tuple(_FAMILIES)
 
 
-def _family(family: str) -> _Family:
+def weight_family(family: str) -> _Family:
+    """The registry entry of a weight family: its deformation triple, its
+    array weight evaluator and its scalar weight sampler."""
     try:
         return _FAMILIES[family]
     except KeyError:
         raise ParameterError(
             f"unknown weight family {family!r}; expected one of {WEIGHT_FAMILIES}"
         ) from None
-
-
-def _family_params(family: str, beta: float, nu: float) -> DeformationParams:
-    return _family(family).params(beta, nu)
 
 
 def verify_moments(
@@ -422,7 +430,7 @@ def verify_moments(
     map extends past it, so the recorded bound is informational."""
     if not isinstance(n_max, int) or n_max < 0:
         raise ParameterError(f"n_max must be a non-negative integer, got {n_max!r}")
-    fam = _family(family)
+    fam = weight_family(family)
     p = fam.params(beta, nu)
     u_tilde = fam.weights(beta, nu, inner_rtol, inner_tol)
     orders = np.arange(n_max + 1, dtype=float)

@@ -73,6 +73,9 @@ _W_GAUSS = np.zeros(15)
 _W_GAUSS[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 
+_TINY = np.finfo(float).tiny
+
+
 @dataclass
 class QuadResult:
     value: np.ndarray  # shape (m,)
@@ -124,12 +127,18 @@ def integrate_finite(
         raise ParameterError("need a positive atol or rtol")
 
     kron, _, err = _eval_panels(f, np.array([a]), np.array([b]))
-    m = kron.shape[1]
     totals = kron[0].copy()
     err_totals = err[0].copy()
+
+    def priority(err_row: np.ndarray) -> float:
+        # tolerance-scaled error; a zero target (atol = 0, total 0) is
+        # floored at the smallest positive double, so it is never NaN
+        target = np.maximum(np.maximum(atol, rtol * np.abs(totals)), _TINY)
+        return -float((err_row / target).max())
+
     # heap of (-scaled_error, seq, a, b, kron_row, err_row)
     seq = 0
-    heap = [(-float(err[0].max()), seq, a, b, kron[0], err[0])]
+    heap = [(priority(err[0]), seq, a, b, kron[0], err[0])]
     panels = 1
     while True:
         tol = np.maximum(atol, rtol * np.abs(totals))
@@ -149,7 +158,7 @@ def integrate_finite(
             seq += 1
             heapq.heappush(
                 heap,
-                (-float(err2[row].max()), seq, (pa, mid)[row], (mid, pb)[row],
+                (priority(err2[row]), seq, (pa, mid)[row], (mid, pb)[row],
                  kron2[row], err2[row]),
             )
         panels += 1

@@ -9,20 +9,37 @@ coherent states, its logarithmic derivatives give the photon moments, and
 it is an eigenfunction of the lattice derivative D defined by
 D x^(beta n) = [n] x^(beta (n-1)).
 
-Two evaluation routes are provided.  The linear route sums the terms with
-compensated addition and reports diagnostics (terms used, a geometric tail
-bound, a cancellation flag for alternating arguments).  The log route
-accumulates log-sum-exp style and never overflows, which matters because
-N(x) grows roughly like exp(x^(1/beta)) on the positive axis.
+Every Fock-series sum in the package (N and its derivatives here; the
+photon distribution, Fock moments, Mandel Q_M, continuity defect and
+ground-state lattice in coherent.py) goes through one private kernel,
+_log_series.  It builds the log-terms
+
+    log t_n = (n - start) log|x| - log(b_(start+1) ... b_n) + F(n) - F(start)
+
+in blocks of growing size, as a running sum over slices of the factorial
+table's brackets b_n = [step n] (step 2 gives the even double factorial),
+with an optional log factor F such as a falling factorial or 2 log [n].
+The first term is normalised to 1.  One stopping rule, written once: stop
+after three consecutive terms with |t_n| <= tol * max(1, |S_n|), S_n the
+partial sum, while the next-term ratio |t_(n+1) / t_n| is below 0.9.
+Positive series are summed in log space and never overflow; signed and
+complex series (a phase per term) raise NumericalRangeError once a partial
+sum overflows, and their values are taken with compensated summation,
+with a geometric tail bound and a cancellation flag as diagnostics.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .errors import ConvergenceError, NumericalRangeError, ParameterError
-from .factorials import log_box, log_gen_factorial
+from .factorials import _table, log_box, log_gen_factorial
 from .gammafn import log_gamma
 from .params import DeformationParams
 
@@ -38,10 +55,15 @@ __all__ = [
     "eigenfunction_residual",
 ]
 
-# terms below tol*|sum| must repeat this many times before we trust decay
+# terms below tol*max(1, |sum|) must repeat this many times before we trust decay
 _CONSECUTIVE_SMALL = 3
 # only stop once the term ratio is safely inside the geometric regime
-_RATIO_CEILING = 0.9
+_LOG_RATIO_CEILING = math.log(0.9)
+_LOG_MAX = math.log(sys.float_info.max)
+# block sizes: the first covers most small-x sums in one pass; doubling keeps
+# the number of numpy passes logarithmic and the cap bounds the working set
+_FIRST_BLOCK = 64
+_MAX_BLOCK = 4096
 
 _LOSS_THRESHOLD = 1e8  # |largest term| / |sum| beyond which float cancellation
 # has eaten more than half the significand
@@ -61,57 +83,149 @@ class SeriesResult:
         return self.value.real
 
 
-def _sum_terms(
-    first_term: complex,
-    ratio_at,  # n -> multiplier taking term n to term n+1
+class _LogSeries(NamedTuple):
+    log_terms: np.ndarray  # log|t_n| of the kept terms, n = start, start+1, ...
+    log_sum: float  # log|S| of the kept terms
+    log_ratio: float  # log|t_(n+1) / t_n| after the last kept term
+    log_brackets: np.ndarray  # log b_n of the kept terms
+
+
+def _phases(phase: complex, k: np.ndarray):
+    """phase**k for a unit phase; exact signs on the real axis."""
+    if phase == 1.0:
+        return 1.0
+    if phase == -1.0:
+        return np.where(k & 1, -1.0, 1.0)
+    return np.exp(1j * cmath.phase(phase) * k)
+
+
+def _overflow(what: str) -> NumericalRangeError:
+    return NumericalRangeError(
+        f"{what}: partial sums overflow double precision; use the log-scale variant"
+    )
+
+
+def _log_abs(v) -> float:
+    return math.log(abs(v)) if v else -math.inf
+
+
+def _log_falling(r: int) -> Callable:
+    """F(n) = log n!/(n-r)!, the factor of the r-th derivative term."""
+    return lambda n, log_b: np.log(n[:, None] - np.arange(r)).sum(axis=1)
+
+
+def _log_series(
+    lx: float,
+    p: DeformationParams,
     tol: float,
     max_terms: int,
     what: str,
-) -> SeriesResult:
-    """Generic compensated summation with the shared stopping rule.
+    start: int = 0,
+    step: int = 1,
+    log_factor: Callable | None = None,
+    phase: complex | None = None,
+) -> _LogSeries:
+    """Sum the terms t_n, n >= start, with t_start = 1 and
+    t_n / t_(n-1) = e^lx / b_n * exp(F(n) - F(n-1)) * phase, b_n = [step n].
 
-    ratio_at(n) must eventually have modulus < 1 and keep shrinking, which
-    holds for every series in this module because the brackets grow.
-    """
+    log_factor(n, log_b) gives F on arrays of n and log b_n.  phase None
+    marks a positive series; otherwise each term carries phase^(n - start)
+    and a partial sum beyond double range raises NumericalRangeError.
+    Raises ConvergenceError when max_terms terms do not meet the rule."""
     if tol <= 0.0:
         raise ParameterError(f"tol must be positive, got {tol}")
-    re_parts: list[float] = []
-    im_parts: list[float] = []
-    term = complex(first_term)
-    running = 0.0 + 0.0j
-    max_abs = 0.0
-    small_streak = 0
-    n = 0
-    while True:
-        re_parts.append(term.real)
-        im_parts.append(term.imag)
-        running += term
-        a = abs(term)
-        if a > max_abs:
-            max_abs = a
-        if not (math.isfinite(running.real) and math.isfinite(running.imag)):
-            raise NumericalRangeError(
-                f"{what}: partial sums overflow double precision; "
-                "use the log-scale variant"
+    if lx == -math.inf:  # x = 0: every term after the first vanishes
+        return _LogSeries(np.zeros(1), 0.0, -math.inf, np.array([log_box(step * start, p)]))
+    end = start + max_terms  # first index past the budget
+    kept: list[np.ndarray] = []
+    kept_b: list[np.ndarray] = []
+    base = 0.0  # running log weight at the block start, factor excluded
+    f_start = 0.0
+    # running sum S = e^scale * partial; scale >= 0 since the first term is 1
+    scale, partial = 0.0, 0.0
+    carry = np.zeros(_CONSECUTIVE_SMALL - 1, dtype=bool)  # last flags of the previous block
+    lo, size = start, _FIRST_BLOCK
+    while lo < end:
+        hi = min(lo + size, end)  # terms lo..hi-1, plus hi for the ratio
+        log_b = np.array(_table(p, step * hi).log_box[step * lo : step * hi + 1 : step])
+        logs = lx - log_b
+        logs[0] = base
+        np.add.accumulate(logs, out=logs)
+        base = logs[-1]
+        if log_factor is not None:
+            f = log_factor(np.arange(lo, hi + 1, dtype=float), log_b)
+            if lo == start:
+                f_start = f[0]
+            logs += f - f_start
+        log_t = logs[:-1]
+        top = max(scale, float(np.maximum.reduce(log_t)))
+        # terms and partial sums in units of e^top
+        terms = np.exp(log_t - top)
+        if phase is not None:
+            terms = terms * _phases(phase, np.arange(lo - start, hi - start))
+        sums = np.add.accumulate(terms)
+        sums += partial * math.exp(scale - top)
+        small = np.abs(terms) <= tol * np.maximum(np.abs(sums), math.exp(-top))
+        small &= logs[1:] - log_t < _LOG_RATIO_CEILING
+        flags = np.concatenate((carry, small))
+        run = small.copy()
+        for shift in range(1, _CONSECUTIVE_SMALL):
+            run &= flags[_CONSECUTIVE_SMALL - 1 - shift : len(flags) - shift]
+        k = int(run.argmax())
+        hit = bool(run[k])
+        k = k + 1 if hit else len(small)
+        # |S_n| <= n e^top, so only a top near the limit can overflow a sum
+        if (
+            phase is not None
+            and top + math.log(hi) > _LOG_MAX
+            and max(log_t[:k].max(), top + _log_abs(np.abs(sums[:k]).max())) > _LOG_MAX
+        ):
+            raise _overflow(what)
+        kept.append(log_t[:k])
+        kept_b.append(log_b[:k])
+        if hit:
+            return _LogSeries(
+                np.concatenate(kept),
+                top + _log_abs(sums[k - 1]),
+                float(logs[k] - logs[k - 1]),
+                np.concatenate(kept_b),
             )
-        r = ratio_at(n)
-        ra = abs(r)
-        if a <= tol * max(1.0, abs(running)) and ra < _RATIO_CEILING:
-            small_streak += 1
-            if small_streak >= _CONSECUTIVE_SMALL:
-                tail = a * ra / (1.0 - ra)
-                break
-        else:
-            small_streak = 0
-        n += 1
-        if n >= max_terms:
-            raise ConvergenceError(
-                f"{what}: no convergence to tol={tol} within {max_terms} terms"
-            )
-        term *= r
-    value = complex(math.fsum(re_parts), math.fsum(im_parts))
-    lost = abs(value) < max_abs / _LOSS_THRESHOLD
-    return SeriesResult(value=value, terms_used=n + 1, tail_bound=tail, cancellation=lost)
+        scale, partial = top, sums[-1]
+        carry = flags[-(_CONSECUTIVE_SMALL - 1):]
+        lo, size = hi, min(2 * size, _MAX_BLOCK)
+    raise ConvergenceError(f"{what}: no convergence to tol={tol} within {max_terms} terms")
+
+
+def _linear_sum(
+    x: complex,
+    p: DeformationParams,
+    tol: float,
+    max_terms: int,
+    what: str,
+    start: int = 0,
+    log_factor: Callable | None = None,
+    log_first: float = 0.0,
+) -> SeriesResult:
+    """Value and diagnostics of the series with first term e^log_first,
+    summed on linear scale with compensated addition."""
+    ax = abs(x)
+    lx = math.log(ax) if ax > 0.0 else -math.inf
+    phase = x / ax if ax > 0.0 else 1.0
+    s = _log_series(lx, p, tol, max_terms, what, start, log_factor=log_factor, phase=phase)
+    log_t = s.log_terms + log_first
+    with np.errstate(over="ignore"):
+        terms = np.exp(log_t) * _phases(phase, np.arange(len(log_t)))
+    if not np.all(np.isfinite(terms)):
+        raise _overflow(what)
+    terms = np.asarray(terms, dtype=complex)
+    value = complex(math.fsum(terms.real), math.fsum(terms.imag))
+    last, ratio = math.exp(log_t[-1]), math.exp(s.log_ratio)
+    return SeriesResult(
+        value=value,
+        terms_used=len(log_t),
+        tail_bound=last * ratio / (1.0 - ratio),
+        cancellation=abs(value) < math.exp(log_t.max()) / _LOSS_THRESHOLD,
+    )
 
 
 def n_function(
@@ -125,13 +239,7 @@ def n_function(
     Raises NumericalRangeError when the value itself overflows; use
     log_n_function for large positive arguments.
     """
-    return _sum_terms(
-        1.0 + 0.0j,
-        lambda n: x / math.exp(log_box(n + 1, p)),
-        tol,
-        max_terms,
-        "n_function",
-    )
+    return _linear_sum(complex(x), p, tol, max_terms, "n_function")
 
 
 def n_function_derivative(
@@ -144,12 +252,11 @@ def n_function_derivative(
     """r-th ordinary derivative of N: sum_{n>=r} n!/(n-r)! x^(n-r) / [n]!."""
     if not isinstance(r, int) or r < 0:
         raise ParameterError(f"derivative order must be a non-negative integer, got {r!r}")
-    first = math.exp(log_gamma(r + 1.0) - log_gen_factorial(r, p))
-
-    def ratio(m: int) -> complex:
-        return x * (m + r + 1) / ((m + 1) * math.exp(log_box(m + r + 1, p)))
-
-    return _sum_terms(first, ratio, tol, max_terms, f"n_function_derivative(r={r})")
+    return _linear_sum(
+        complex(x), p, tol, max_terms, f"n_function_derivative(r={r})",
+        start=r, log_factor=_log_falling(r),
+        log_first=log_gamma(r + 1.0) - log_gen_factorial(r, p),
+    )
 
 
 def wright_w(
@@ -173,41 +280,6 @@ def wright_w(
     )
 
 
-def _log_sum_stream(
-    log_first: float,
-    log_ratio_at,  # n -> log of multiplier from term n to n+1
-    tol: float,
-    max_terms: int,
-    what: str,
-) -> float:
-    """Streamed log-sum-exp for series with positive terms."""
-    if tol <= 0.0:
-        raise ParameterError(f"tol must be positive, got {tol}")
-    log_total = log_first
-    log_term = log_first
-    small_streak = 0
-    n = 0
-    log_ceiling = math.log(_RATIO_CEILING)
-    while True:
-        lr = log_ratio_at(n)
-        if log_term - log_total <= math.log(tol) and lr < log_ceiling:
-            small_streak += 1
-            if small_streak >= _CONSECUTIVE_SMALL:
-                return log_total
-        else:
-            small_streak = 0
-        n += 1
-        if n >= max_terms:
-            raise ConvergenceError(
-                f"{what}: no convergence to tol={tol} within {max_terms} terms"
-            )
-        log_term += lr
-        if log_term <= log_total:
-            log_total += math.log1p(math.exp(log_term - log_total))
-        else:
-            log_total = log_term + math.log1p(math.exp(log_total - log_term))
-
-
 def log_n_function(
     x: float,
     p: DeformationParams,
@@ -219,14 +291,7 @@ def log_n_function(
         raise ParameterError(f"log_n_function requires x >= 0, got {x}")
     if x == 0.0:
         return 0.0
-    lx = math.log(x)
-    return _log_sum_stream(
-        0.0,
-        lambda n: lx - log_box(n + 1, p),
-        tol,
-        max_terms,
-        "log_n_function",
-    )
+    return _log_series(math.log(x), p, tol, max_terms, "log_n_function").log_sum
 
 
 def log_n_derivative(
@@ -244,12 +309,11 @@ def log_n_derivative(
     log_first = log_gamma(r + 1.0) - log_gen_factorial(r, p)
     if x == 0.0:
         return log_first
-    lx = math.log(x)
-
-    def log_ratio(m: int) -> float:
-        return lx + math.log((m + r + 1) / (m + 1)) - log_box(m + r + 1, p)
-
-    return _log_sum_stream(log_first, log_ratio, tol, max_terms, f"log_n_derivative(r={r})")
+    s = _log_series(
+        math.log(x), p, tol, max_terms, f"log_n_derivative(r={r})",
+        start=r, log_factor=_log_falling(r),
+    )
+    return log_first + s.log_sum
 
 
 @dataclass(frozen=True)

@@ -357,6 +357,19 @@ class TestBadParameters:
         assert code == 2
 
 
+class TestImportHygiene:
+    def test_oracles_stay_out_of_the_runtime(self):
+        # scipy, mpmath and hypothesis are test oracles; importing the
+        # library and its CLI must not load them
+        code = (
+            "import sys, wcs, wcs.cli; "
+            "print(sorted(m for m in ('scipy', 'mpmath', 'hypothesis') if m in sys.modules))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 class TestConsoleEntry:
     def test_module_invocation(self):
         proc = subprocess.run(

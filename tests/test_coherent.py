@@ -33,7 +33,7 @@ from wcs import (
     vacuum_uncertainty,
     wavefunction_sample,
 )
-from wcs.errors import ParameterError
+from wcs.errors import ConvergenceError, ParameterError
 
 CLASSICAL = DeformationParams(0.0, 1.0, 0.0)
 P011 = DeformationParams(0.0, 1.0, 1.0)
@@ -131,6 +131,25 @@ class TestPhotonDistribution:
     def test_invalid_tail(self):
         with pytest.raises(ParameterError):
             photon_distribution(CoherentLabel.from_intensity(1.0), P011, tail_tol=2.0)
+
+    def test_mass_reaches_one_at_small_beta(self):
+        # a running cumulative mass never reached 1 - 1e-12 here and the call
+        # raised after 10^5 terms: the probabilities are now normalised by
+        # the sum of the same terms and the cutoff is read from the tail
+        d = photon_distribution(
+            CoherentLabel.from_intensity(16.0), DeformationParams(0, 0.5, 0)
+        )
+        assert abs(math.fsum(d.probabilities) - 1.0) <= 1e-12
+        assert d.tail_mass <= 1e-12
+        assert d.cutoff == len(d.probabilities) - 1
+
+    def test_cutoff_is_the_first_n_with_small_remaining_mass(self):
+        d = photon_distribution(
+            CoherentLabel.from_intensity(1.5), DeformationParams(0, 1, 0.5), tail_tol=1e-10
+        )
+        probs = d.probabilities
+        assert d.cutoff == 14
+        assert 1.0 - math.fsum(probs) <= 1e-10 < 1.0 - math.fsum(probs[:-1])
 
 
 class TestOverlap:
@@ -405,6 +424,38 @@ class TestWavefunctions:
             excited_wavefunction(-1, 1.0, CLASSICAL)
         with pytest.raises(ParameterError):
             excited_wavefunction(13, 1.0, CLASSICAL)
+
+
+class TestTermBudgets:
+    """Every Fock-series sum raises ConvergenceError when its term budget
+    runs out before the stopping rule is met."""
+
+    LABEL = CoherentLabel.from_intensity(20.0)
+
+    def test_photon_distribution(self):
+        with pytest.raises(ConvergenceError, match="photon_distribution"):
+            photon_distribution(self.LABEL, CLASSICAL, max_n=10)
+
+    def test_fock_moment_sum(self):
+        with pytest.raises(ConvergenceError, match="fock_moment_sum"):
+            fock_moment_sum(2, self.LABEL, CLASSICAL, max_terms=10)
+
+    def test_mandel_qm(self):
+        with pytest.raises(ConvergenceError, match="mandel_qm"):
+            mandel_qm(self.LABEL, CLASSICAL, max_terms=10)
+
+    def test_continuity_defect(self):
+        with pytest.raises(ConvergenceError, match="continuity_defect"):
+            continuity_defect(self.LABEL, CoherentLabel(1.0 + 0.0j), CLASSICAL, max_terms=10)
+
+
+class TestFockSumStart:
+    def test_sum_starts_at_the_order(self):
+        # classically <(A+)^r A^r> = x^r; the terms below n = r are zero and
+        # must not end the sum before it starts
+        for r in (1, 3, 5):
+            got = fock_moment_sum(r, CoherentLabel.from_intensity(1e-3), CLASSICAL)
+            assert got == pytest.approx(1e-3**r, rel=1e-12)
 
 
 class TestRandomizedTwoPath:

@@ -322,6 +322,14 @@ class TestVerifyMoments:
         with pytest.raises(ParameterError):
             verify_moments("ml-closed-form", 1.0, 0.0, -1)
 
+    def test_orders_of_very_different_size(self):
+        # [12]! = (12!)^2 ~ 2.3e17 against [0]! = 1: the outer heap must rank
+        # panels by tolerance-scaled error, or it keeps bisecting where the
+        # order-12 error is at rounding level and never refines order 0
+        rep = verify_moments("wright", 1.0, 1.0, 12)
+        assert max(rep.rel_errors) <= 1e-9
+        assert rep.panels <= 60
+
 
 def _array_weights(family, beta, nu):
     """The array evaluator that verify_moments integrates."""

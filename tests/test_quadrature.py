@@ -47,6 +47,17 @@ class TestFinite:
         with pytest.raises(ParameterError):
             integrate_finite(np.sin, 1.0, 1.0)
 
+    def test_zero_target_component_never_ranks_nan(self):
+        # atol = 0 and an identically zero component: its target is 0, and
+        # ranking panels by error / target must not divide 0 by 0
+        def f(x):
+            return np.stack([np.sqrt(x), np.zeros_like(x)], axis=1)
+
+        with np.errstate(all="raise"):
+            res = integrate_finite(f, 0.0, 1.0, atol=0.0, rtol=1e-10)
+        assert res.value[0] == pytest.approx(2.0 / 3.0, rel=1e-10)
+        assert res.value[1] == 0.0
+
     def test_panel_budget_exhaustion(self):
         with pytest.raises(ConvergenceError):
             integrate_finite(

@@ -10,6 +10,8 @@ from wcs import (
     DeformationParams,
     PowerSeries,
     box,
+    log_box,
+    log_gen_factorial,
     deformed_derivative,
     eigenfunction_residual,
     log_n_derivative,
@@ -19,6 +21,7 @@ from wcs import (
     wright_w,
 )
 from wcs.errors import ConvergenceError, NumericalRangeError, ParameterError
+from wcs.series import _log_falling, _log_series
 
 CLASSICAL = DeformationParams(0.0, 1.0, 0.0)
 P011 = DeformationParams(0.0, 1.0, 1.0)
@@ -64,6 +67,11 @@ class TestNFunction:
         with pytest.raises(ConvergenceError):
             n_function(50.0, CLASSICAL, max_terms=10)
 
+    @pytest.mark.parametrize("x, terms", [(1.0, 18), (-1.0, 18), (2.5 + 1j, 25), (-10.0, 50)])
+    def test_terms_used_pinned(self, x, terms):
+        # the stopping rule of the hand-written sum this kernel replaced
+        assert n_function(x, CLASSICAL).terms_used == terms
+
     @given(
         st.floats(min_value=-3.0, max_value=3.0),
         st.floats(min_value=-3.0, max_value=3.0),
@@ -106,6 +114,65 @@ class TestLogPaths:
     def test_negative_x_rejected(self):
         with pytest.raises(ParameterError):
             log_n_function(-1.0, CLASSICAL)
+
+
+def _reference_stop(x, p, tol, r=0):
+    """The stopping rule as a scalar loop over a positive series with first
+    term 1: term n (after the first) is t_(n-1) x/[n] * n/(n-r); stop after
+    three consecutive terms <= tol * max(1, S_n) with ratio < 0.9.  Returns
+    the number of terms kept and log S."""
+    lx = math.log(x)
+    log_t = log_s = 0.0
+    streak = 0
+    n = r
+    while True:
+        log_ratio = lx + math.log((n + 1) / (n + 1 - r)) - log_box(n + 1, p)
+        if log_t <= math.log(tol) + max(0.0, log_s) and log_ratio < math.log(0.9):
+            streak += 1
+            if streak == 3:
+                return n - r + 1, log_s
+        else:
+            streak = 0
+        n += 1
+        log_t += log_ratio
+        hi, lo = max(log_s, log_t), min(log_s, log_t)
+        log_s = hi + math.log1p(math.exp(lo - hi))
+
+
+class TestSeriesKernel:
+    TRIPLES = [CLASSICAL, P011, DeformationParams(1, 0.5, 1), DeformationParams(0, 0.5, 0),
+               DeformationParams(0.5, 0.7, 0.2), DeformationParams(1, 1, 0.5)]
+    XS = (0.05, 0.7, 3.0, 25.0)
+
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_stops_where_the_scalar_rule_stops(self, r):
+        for p in self.TRIPLES:
+            for x in self.XS:
+                want_terms, want_log = _reference_stop(x, p, 1e-12, r)
+                s = _log_series(
+                    math.log(x), p, 1e-12, 10000, "test", start=r, log_factor=_log_falling(r)
+                )
+                assert len(s.log_terms) == want_terms
+                assert s.log_sum == pytest.approx(want_log, rel=1e-12, abs=1e-12)
+                first = math.lgamma(r + 1.0) - log_gen_factorial(r, p)
+                got = log_n_function(x, p) if r == 0 else log_n_derivative(x, r, p)
+                assert got == pytest.approx(first + want_log, rel=1e-12, abs=1e-12)
+
+    def test_budget_is_exact(self):
+        p = DeformationParams(0.5, 0.7, 0.2)
+        terms, _ = _reference_stop(30.0, p, 1e-12)
+        log_n_function(30.0, p, max_terms=terms)
+        with pytest.raises(ConvergenceError, match="log_n_function"):
+            log_n_function(30.0, p, max_terms=terms - 1)
+        terms, _ = _reference_stop(30.0, p, 1e-12, r=2)
+        log_n_derivative(30.0, 2, p, max_terms=terms)
+        with pytest.raises(ConvergenceError, match="log_n_derivative"):
+            log_n_derivative(30.0, 2, p, max_terms=terms - 1)
+
+    def test_zero_argument_keeps_only_the_first_term(self):
+        s = _log_series(-math.inf, P011, 1e-12, 10, "test", start=2)
+        assert list(s.log_terms) == [0.0]
+        assert n_function(0.0, CLASSICAL).terms_used == 1
 
 
 class TestDerivativeSeries:

@@ -35,7 +35,6 @@ from .moments import (
     hankel_hadamard,
     u_from_u_tilde,
     verify_moments,
-    weight_family,
 )
 from .params import DeformationParams, PhysicalScales
 
@@ -349,7 +348,7 @@ def cmd_wavefunction(args) -> int:
 def _family_triple(args, beta: float, nu: float) -> DeformationParams:
     """The family's deformation triple; an --alpha given on the command line
     must agree with the alpha that the family fixes."""
-    p = weight_family(args.family).params(beta, nu)
+    p = WEIGHT_FAMILIES[args.family].params(beta, nu)
     # identity, not equality: an explicit --alpha 0 parses to a new tuple
     if args.alpha is not _DEFAULT_ALPHA and not (
         len(args.alpha) == 1 and math.isclose(args.alpha[0], p.alpha, abs_tol=1e-12)
@@ -367,7 +366,7 @@ def cmd_weight(args) -> int:
     tol = args.tol if args.tol is not None else _DEFAULT_QUAD_TOL
     xs = _parse_grid(args.x)
     p = _family_triple(args, beta, nu)
-    sample_at = weight_family(args.family).sample
+    sample_at = WEIGHT_FAMILIES[args.family].sample
     rows = []
     for x in xs:
         sample = sample_at(x, beta, nu, tol)

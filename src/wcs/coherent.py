@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ParameterError
 from .factorials import box, log_box, log_gen_factorial
 from .params import DeformationParams, PhysicalScales
-from .series import _log_falling, _log_series, log_n_derivative, log_n_function, n_function
+from .series import _log_series, log_n_derivative, log_n_function, n_function
 
 __all__ = [
     "CoherentLabel",
@@ -214,17 +214,27 @@ def fock_moment_sum(
     max_terms: int = 100000,
 ) -> float:
     """Same moment by brute force over the photon distribution:
-    sum_n n (n-1) ... (n-r+1) p(n).  Independent check path."""
+    sum_n n (n-1) ... (n-r+1) p(n).
+
+    A second route to normally_ordered_moment, which sums the log-scale
+    terms of the r-th derivative of N and divides by log N: here the plain
+    weights w_n, n >= r, stop on their own, the falling factorial is applied
+    on the linear scale, and p(n) is normalised by the sum of the weights
+    themselves, with the head n < r read from the factorial table."""
     if not isinstance(r, int) or r < 1:
         raise ParameterError(f"moment order must be a positive integer, got {r!r}")
     x = label.x
     if x == 0.0:
         return 0.0
     lx = math.log(x)
-    s = _log_series(lx, p, tol, max_terms, "fock_moment_sum", start=r, log_factor=_log_falling(r))
-    log_norm = log_n_function(x, p, tol=tol, max_terms=max_terms)
-    log_first = r * lx + math.lgamma(r + 1.0) - log_gen_factorial(r, p)  # r! p(r) N
-    return math.exp(log_first + s.log_sum - log_norm)
+    # w_n / w_r: n >= r from the kernel, n < r in closed form
+    tail = _log_series(lx, p, tol, max_terms, "fock_moment_sum", start=r)
+    log_fr = log_gen_factorial(r, p)
+    head = [(n - r) * lx + log_fr - log_gen_factorial(n, p) for n in range(r)]
+    log_norm = np.logaddexp.reduce(np.append(head, tail.log_sum))
+    n = np.arange(r, r + len(tail.log_terms), dtype=float)
+    falling = np.prod(n[:, None] - np.arange(r), axis=1)
+    return math.fsum(falling * np.exp(tail.log_terms - log_norm))
 
 
 def mandel_qz(

@@ -61,7 +61,6 @@ __all__ = [
     "u_from_u_tilde",
     "verify_moments",
     "WEIGHT_FAMILIES",
-    "weight_family",
 ]
 
 @dataclass(frozen=True)
@@ -380,32 +379,28 @@ class _Family(NamedTuple):
     sample: Callable  # (x, beta, nu, tol) -> WeightSample, the scalar route
 
 
-_FAMILIES = {
+# the registry of weight families, keyed by the names the CLI accepts
+WEIGHT_FAMILIES = {
     "wright": _Family(
-        lambda beta, nu: DeformationParams(1.0, beta, nu),
-        _wright_weights,
-        lambda x, beta, nu, tol: weight_wright(x, beta, nu, tol=tol),
+        lambda beta, nu: DeformationParams(1.0, beta, nu), _wright_weights, weight_wright
     ),
     "one-minus-beta": _Family(
         lambda beta, nu: DeformationParams(1.0 - beta, beta, nu),
         _one_minus_beta_weights,
-        lambda x, beta, nu, tol: weight_one_minus_beta(x, beta, nu, tol=tol),
+        weight_one_minus_beta,
     ),
     "ml-closed-form": _Family(
         _ml_params, _ml_weights, lambda x, beta, nu, tol: weight_ml_closed_form(x, nu)
     ),
 }
-WEIGHT_FAMILIES = tuple(_FAMILIES)
 
 
-def weight_family(family: str) -> _Family:
-    """The registry entry of a weight family: its deformation triple, its
-    array weight evaluator and its scalar weight sampler."""
+def _family(family: str) -> _Family:
     try:
-        return _FAMILIES[family]
+        return WEIGHT_FAMILIES[family]
     except KeyError:
         raise ParameterError(
-            f"unknown weight family {family!r}; expected one of {WEIGHT_FAMILIES}"
+            f"unknown weight family {family!r}; expected one of {tuple(WEIGHT_FAMILIES)}"
         ) from None
 
 
@@ -430,7 +425,7 @@ def verify_moments(
     map extends past it, so the recorded bound is informational."""
     if not isinstance(n_max, int) or n_max < 0:
         raise ParameterError(f"n_max must be a non-negative integer, got {n_max!r}")
-    fam = weight_family(family)
+    fam = _family(family)
     p = fam.params(beta, nu)
     u_tilde = fam.weights(beta, nu, inner_rtol, inner_tol)
     orders = np.arange(n_max + 1, dtype=float)

@@ -129,19 +129,14 @@ def integrate_finite(
     kron, _, err = _eval_panels(f, np.array([a]), np.array([b]))
     totals = kron[0].copy()
     err_totals = err[0].copy()
-
-    def priority(err_row: np.ndarray) -> float:
-        # tolerance-scaled error; a zero target (atol = 0, total 0) is
-        # floored at the smallest positive double, so it is never NaN
-        target = np.maximum(np.maximum(atol, rtol * np.abs(totals)), _TINY)
-        return -float((err_row / target).max())
-
-    # heap of (-scaled_error, seq, a, b, kron_row, err_row)
+    # heap of (-scaled_error, seq, a, b, kron_row, err_row); a panel's error is
+    # scaled by the tolerance target max(atol, rtol |total|), floored at the
+    # smallest positive double so a zero target never gives a NaN priority
+    tol = np.maximum(atol, rtol * np.abs(totals))
     seq = 0
-    heap = [(priority(err[0]), seq, a, b, kron[0], err[0])]
+    heap = [(0.0, seq, a, b, kron[0], err[0])]  # alone, it needs no rank
     panels = 1
     while True:
-        tol = np.maximum(atol, rtol * np.abs(totals))
         if np.all(err_totals <= tol):
             break
         if panels >= max_panels:
@@ -154,11 +149,13 @@ def integrate_finite(
         kron2, _, err2 = _eval_panels(f, np.array([pa, mid]), np.array([mid, pb]))
         totals += kron2[0] + kron2[1] - pk
         err_totals += err2[0] + err2[1] - pe
+        tol = np.maximum(atol, rtol * np.abs(totals))
+        scaled = (err2 / np.maximum(tol, _TINY)).max(axis=1)
         for row in range(2):
             seq += 1
             heapq.heappush(
                 heap,
-                (priority(err2[row]), seq, (pa, mid)[row], (mid, pb)[row],
+                (-float(scaled[row]), seq, (pa, mid)[row], (mid, pb)[row],
                  kron2[row], err2[row]),
             )
         panels += 1

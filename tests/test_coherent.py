@@ -5,6 +5,7 @@ import cmath
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -456,6 +457,58 @@ class TestFockSumStart:
         for r in (1, 3, 5):
             got = fock_moment_sum(r, CoherentLabel.from_intensity(1e-3), CLASSICAL)
             assert got == pytest.approx(1e-3**r, rel=1e-12)
+
+
+def _mp_weights(x, p, dps):
+    """x^n / [n]! for n = 0, 1, ... at dps digits, [n]! from its Gamma closed
+    form, until a term drops below 10^-(dps+5) of the running sum."""
+    with mpmath.workdps(dps):
+        a, b, v = (mpmath.mpf(t) for t in (p.alpha, p.beta, p.nu))
+        lg, lx = mpmath.loggamma, mpmath.log(x)
+        log_prod, ws, n = mpmath.mpf(0), [mpmath.mpf(1)], 0
+        while n <= 10 or ws[-1] >= mpmath.mpf(10) ** (-dps - 5) * sum(ws):
+            n += 1
+            log_prod += lg(b * n + 1) - lg(b * n + 1 - a)
+            log_fact = log_prod + lg(b * n + 1 - a + v) - lg(1 - a + v)
+            ws.append(mpmath.exp(n * lx - log_fact))
+        return ws
+
+
+class TestMpmathOracle:
+    """Moments and Q_M against brute-force Fock sums at 40-50 digits, so the
+    two moment routes are each checked against arithmetic they do not share."""
+
+    @pytest.mark.parametrize("p", [CLASSICAL, P011, P111, HALF, DeformationParams(0, 0.5, 0)])
+    def test_moments(self, p):
+        for x in (0.5, 2.0, 5.0):
+            ws = _mp_weights(x, p, 40)
+            lab = CoherentLabel.from_intensity(x)
+            for r in (1, 2, 3):
+                with mpmath.workdps(40):
+                    ref = float(sum(mpmath.ff(n, r) * w for n, w in enumerate(ws)) / sum(ws))
+                assert normally_ordered_moment(r, lab, p) == pytest.approx(ref, rel=1e-11)
+                assert fock_moment_sum(r, lab, p) == pytest.approx(ref, rel=1e-11)
+
+    def test_qm_on_the_readme_grid(self):
+        # Q_M = (<[N]^2> - <[N]>^2) / <[N]> - 1 cancels about five digits at
+        # x = 10 (Q_M ~ 1e-4 against <[N]^2> / <[N]> ~ 11), so its error is
+        # bounded absolutely, at a few hundred ulps of <[N]^2> / <[N]>
+        p = DeformationParams(0, 1, 0.5)
+        for i in range(20):
+            x = 0.1 + i * (10.0 - 0.1) / 19
+            ws = _mp_weights(x, p, 50)
+            with mpmath.workdps(50):
+                a, b, v = (mpmath.mpf(t) for t in (p.alpha, p.beta, p.nu))
+                lg = mpmath.loggamma
+                box_mp = [0] + [
+                    mpmath.exp(lg(b * n + 1) - lg(b * n + 1 - a) + lg(b * n + 1 - a + v)
+                               - lg(b * (n - 1) + 1 - a + v))
+                    for n in range(1, len(ws))
+                ]
+                e1 = sum(c * w for c, w in zip(box_mp, ws)) / sum(ws)
+                e2 = sum(c * c * w for c, w in zip(box_mp, ws)) / sum(ws)
+                ref = float((e2 - e1 * e1) / e1 - 1)
+            assert abs(mandel_qm(CoherentLabel.from_intensity(x), p) - ref) <= 1e-13
 
 
 class TestRandomizedTwoPath:

@@ -273,7 +273,7 @@ class TestResolutionWeight:
 
 class TestVerifyMoments:
     def test_family_registry(self):
-        assert WEIGHT_FAMILIES == ("wright", "one-minus-beta", "ml-closed-form")
+        assert tuple(WEIGHT_FAMILIES) == ("wright", "one-minus-beta", "ml-closed-form")
 
     def test_classical_moments(self):
         rep = verify_moments("ml-closed-form", 1.0, 0.0, 5)
@@ -333,7 +333,7 @@ class TestVerifyMoments:
 
 def _array_weights(family, beta, nu):
     """The array evaluator that verify_moments integrates."""
-    return wcs.moments._FAMILIES[family].weights(beta, nu, 1e-11, 0.0)
+    return wcs.WEIGHT_FAMILIES[family].weights(beta, nu, 1e-11, 0.0)
 
 
 def _mp_wright(x, beta, nu):

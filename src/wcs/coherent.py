@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
-from .factorials import box, log_box, log_gen_factorial
+from .errors import NumericalRangeError, ParameterError
+from .factorials import _table, box, log_box, log_gen_factorial
 from .params import DeformationParams, PhysicalScales
 from .series import _log_series, log_n_derivative, log_n_function, n_function
 
@@ -199,11 +199,12 @@ def normally_ordered_moment(
     x = label.x
     if x == 0.0:
         return 0.0
-    return math.exp(
-        r * math.log(x)
-        + log_n_derivative(x, r, p, tol=tol)
-        - log_n_function(x, p, tol=tol)
-    )
+    return _moment_over_n(r, x, log_n_function(x, p, tol=tol), p, tol)
+
+
+def _moment_over_n(r: int, x: float, log_n: float, p: DeformationParams, tol: float) -> float:
+    # x^r N^(r)(x) / N(x) for x > 0, with log N(x) given
+    return math.exp(r * math.log(x) + log_n_derivative(x, r, p, tol=tol) - log_n)
 
 
 def fock_moment_sum(
@@ -249,8 +250,9 @@ def mandel_qz(
     """
     if label.x < _SMALL_X_GUARD:
         return 0.0
-    m1 = normally_ordered_moment(1, label, p, tol=tol)
-    m2 = normally_ordered_moment(2, label, p, tol=tol)
+    log_n = log_n_function(label.x, p, tol=tol)
+    m1 = _moment_over_n(1, label.x, log_n, p, tol)
+    m2 = _moment_over_n(2, label.x, log_n, p, tol)
     return (m2 - m1 * m1) / m1
 
 
@@ -341,7 +343,8 @@ def wavefunction_sample(
     higher k apply the raising operator as exact coefficient algebra
     (multiplication by x^beta shifts slots up; the lattice derivative is
     the bracket-weighted down-shift), then divide by sqrt([k]!).  No
-    numerical differentiation anywhere.
+    numerical differentiation anywhere.  Raises NumericalRangeError when a
+    lattice term is not finite, as when x^(beta j) overflows at large x.
     """
     if not isinstance(k, int) or k < 0:
         raise ParameterError(f"level index must be a non-negative integer, got {k!r}")
@@ -363,33 +366,32 @@ def wavefunction_sample(
     n_even = len(ground.log_terms)
     n_slots = 2 * n_even + k + 4
     # the brackets [j], read once for the lattice and all k raisings
-    boxes = [0.0] + [math.exp(log_box(j, p)) for j in range(1, n_slots + 1)]
-    coeffs = _ground_lattice_coeffs(n_slots, boxes, s)
+    boxes = [0.0, *map(math.exp, _table(p, n_slots).log_box[1:n_slots])]
+    coeffs = np.array(_ground_lattice_coeffs(n_slots, boxes, s))
 
     up = math.sqrt(0.5 * s.mass * s.omega / s.hbar)
     down = math.sqrt(0.5 * s.hbar / (s.mass * s.omega))
+    b = np.array(boxes)
     for _ in range(k):
-        nxt = [0.0] * n_slots
-        for j in range(n_slots):
-            acc = 0.0
-            if j >= 1:
-                acc += up * coeffs[j - 1]
-            if j + 1 < n_slots:
-                acc -= down * coeffs[j + 1] * boxes[j + 1]
-            nxt[j] = acc
+        nxt = np.zeros(n_slots)
+        nxt[1:] += up * coeffs[:-1]
+        nxt[:-1] -= down * coeffs[1:] * b[1:]
         coeffs = nxt
 
     scale = _ground_scale(p, s) * math.exp(-0.5 * log_gen_factorial(k, p))
     y = x**p.beta
     terms = []
     yj = 1.0
-    max_abs = 0.0
-    for c in coeffs:
-        t = c * yj
-        terms.append(t)
-        max_abs = max(max_abs, abs(t))
+    for c in coeffs.tolist():
+        terms.append(c * yj)
         yj *= y
+    if not all(map(math.isfinite, terms)):
+        raise NumericalRangeError(
+            f"wavefunction_sample: lattice terms at x = {x} for {p} are not finite"
+            " in double precision"
+        )
     total = math.fsum(terms)
+    max_abs = max(map(abs, terms))
     cancel = abs(total) < max_abs * 1e-8 and max_abs > 0.0
     return scale * total, cancel
 

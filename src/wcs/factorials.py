@@ -19,14 +19,24 @@ family and (1, beta, nu) the beta^n n! Gamma(beta*n + nu)/Gamma(nu) family.
 
 All brackets are strictly positive for n >= 1 on the admissible parameter
 domain, so factorials carry sign +1 and a log magnitude.
+
+The logs are kept in one table per parameter triple.  A table grows on
+demand by at least 64 entries, in blocks of at most 4096: each block takes
+its three gamma columns in three calls of the array log-gamma, which equals
+the scalar one bit for bit, and sums log [n]! in the same order as an
+entry-by-entry build, so no entry depends on how the table was grown.  At
+most 64 tables are cached; a new triple beyond that evicts the
+oldest-inserted one.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import ParameterError
-from .gammafn import LogValue, log_gamma
+from .gammafn import LogValue, _log_gamma_array, log_gamma
 from .params import DeformationParams
 
 __all__ = [
@@ -39,6 +49,13 @@ __all__ = [
     "log_factorial_asymptotic",
     "clear_caches",
 ]
+
+
+_BLOCK = 4096  # entries per array extension; bounds the temporaries' memory
+# a table grows by at least this many entries: an array block of 64 costs
+# about as much as one of a single entry, and loops ask for n, n + 1, ...
+_MIN_GROWTH = 64
+_MAX_TABLES = 64
 
 
 class _Table:
@@ -54,13 +71,18 @@ class _Table:
 
     def extend(self, n: int, p: DeformationParams) -> None:
         a, b, v = p.alpha, p.beta, p.nu
-        for k in range(len(self.log_box), n + 1):
-            lg_top = log_gamma(b * k + 1.0)
-            lg_bot = log_gamma(b * k + 1.0 - a)
-            tail = log_gamma(b * k + 1.0 - a + v)
-            self.log_box.append(lg_top - lg_bot + tail - self.log_tail[k - 1])
-            self.log_prod.append(self.log_prod[k - 1] + lg_top - lg_bot)
-            self.log_tail.append(tail)
+        for lo in range(len(self.log_box), n + 1, _BLOCK):
+            bk = b * np.arange(lo, min(lo + _BLOCK, n + 1)) + 1.0
+            lg_top = _log_gamma_array(bk)
+            lg_bot = _log_gamma_array(bk - a)
+            tail = _log_gamma_array(bk - a + v)
+            prev_tail = np.concatenate(([self.log_tail[-1]], tail[:-1]))
+            self.log_box += (lg_top - lg_bot + tail - prev_tail).tolist()
+            acc = self.log_prod[-1]
+            for top, bot in zip(lg_top.tolist(), lg_bot.tolist()):
+                acc = acc + top - bot
+                self.log_prod.append(acc)
+            self.log_tail += tail.tolist()
 
 
 _TABLES: dict[DeformationParams, _Table] = {}
@@ -69,9 +91,11 @@ _TABLES: dict[DeformationParams, _Table] = {}
 def _table(p: DeformationParams, n: int) -> _Table:
     tab = _TABLES.get(p)
     if tab is None:
+        if len(_TABLES) >= _MAX_TABLES:
+            del _TABLES[next(iter(_TABLES))]  # dicts keep insertion order
         tab = _TABLES[p] = _Table(p)
     if n >= len(tab.log_box):
-        tab.extend(n, p)
+        tab.extend(max(n, len(tab.log_box) + _MIN_GROWTH - 1), p)
     return tab
 
 

@@ -1,8 +1,13 @@
-"""Scalar log-gamma and a tiny log-scale number type.
+"""Log-gamma and a tiny log-scale number type.
 
 Everything downstream (deformed factorials, series weights, photon
 statistics) is built from ratios of gamma functions whose linear values
 overflow early, so the base layer works in log space throughout.
+
+One Lanczos body serves both the public scalar `log_gamma` and the private
+array form `_log_gamma_array` that the factorial tables are built with; the
+array form takes its logs and sines with the same C-library calls, so it
+equals the scalar bit for bit.
 """
 
 from __future__ import annotations
@@ -10,6 +15,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NumericalRangeError, ParameterError
 
@@ -57,13 +64,41 @@ def log_gamma(x: float) -> float:
     return _lanczos_log_gamma(x)
 
 
-def _lanczos_log_gamma(x: float) -> float:
-    # valid for x >= 0.5
+def _lanczos_log_gamma(x, log=math.log):
+    # valid for x >= 0.5; x is a float, or an array with an elementwise log
     acc = _LANCZOS_COEFFS[0]
     for k in range(1, len(_LANCZOS_COEFFS)):
         acc += _LANCZOS_COEFFS[k] / (x - 1.0 + k)
     t = x + _LANCZOS_G - 0.5
-    return _LN_SQRT_TWO_PI + (x - 0.5) * math.log(t) - t + math.log(acc)
+    return _LN_SQRT_TWO_PI + (x - 0.5) * log(t) - t + log(acc)
+
+
+def _elementwise(fn):
+    # the C library's log, not numpy's: the two differ in the last bit on
+    # some arguments, which would move table entries
+    return lambda a: np.fromiter(map(fn, a.tolist()), float, len(a))
+
+
+_log_each = _elementwise(math.log)
+_sin_each = _elementwise(math.sin)
+
+
+def _log_gamma_array(x: np.ndarray) -> np.ndarray:
+    """log_gamma elementwise on a float array, equal to it bit for bit.
+
+    The caller guarantees finite arguments x > 0; nothing is checked.
+    """
+    out = np.empty_like(x)
+    big = x >= 0.5
+    out[big] = _lanczos_log_gamma(x[big], _log_each)
+    if not big.all():
+        small = x[~big]
+        out[~big] = (
+            _LN_PI
+            - _log_each(_sin_each(math.pi * small))
+            - _lanczos_log_gamma(1.0 - small, _log_each)
+        )
+    return out
 
 
 def gamma_signed(x: float) -> tuple[float, float]:

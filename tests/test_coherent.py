@@ -34,7 +34,10 @@ from wcs import (
     vacuum_uncertainty,
     wavefunction_sample,
 )
-from wcs.errors import ConvergenceError, ParameterError
+from wcs.coherent import _ground_lattice_coeffs, _ground_scale
+from wcs.errors import ConvergenceError, NumericalRangeError, ParameterError
+from wcs.factorials import log_box, log_gen_factorial
+from wcs.series import _log_series
 
 CLASSICAL = DeformationParams(0.0, 1.0, 0.0)
 P011 = DeformationParams(0.0, 1.0, 1.0)
@@ -305,6 +308,15 @@ class TestMandel:
                 ref, rel=1e-9
             )
 
+    def test_qz_equals_moment_ratio_bitwise(self):
+        # the README grid `wcs mandel --nu 0.5 --x 0.1:10:20` at the CLI's tol
+        p, tol = DeformationParams(0.0, 1.0, 0.5), 1e-8
+        for i in range(20):
+            lab = CoherentLabel.from_intensity(0.1 + (10.0 - 0.1) / 19 * i)
+            m1 = normally_ordered_moment(1, lab, p, tol=tol)
+            m2 = normally_ordered_moment(2, lab, p, tol=tol)
+            assert mandel_qz(lab, p, tol=tol) == (m2 - m1 * m1) / m1
+
     def test_qz_zero_intensity_guard(self):
         assert mandel_qz(CoherentLabel.from_intensity(0.0), P011) == 0.0
 
@@ -418,6 +430,20 @@ class TestWavefunctions:
         _, clean = wavefunction_sample(0, 1.0, CLASSICAL, S1)
         assert not clean
 
+    @pytest.mark.parametrize("x", [10.0, 12.0])
+    def test_overflowing_lattice_raises(self, x):
+        # x^j overflows on the lattice: NaN at x = 10, inf - inf at x = 12
+        with pytest.raises(NumericalRangeError, match="lattice"):
+            wavefunction_sample(0, x, CLASSICAL, S1)
+
+    @pytest.mark.parametrize(
+        "p", [CLASSICAL, HALF, DeformationParams(1.0, 0.1, 0.5), DeformationParams(0.0, 0.3, 0.5)]
+    )
+    def test_bitwise_equal_to_slot_loop(self, p):
+        for x in (0.0, 0.1, 0.5, 1.0, 1.7, 2.5, 3.0, 4.0):
+            for k in range(6):
+                assert wavefunction_sample(k, x, p) == _wavefunction_slot_loop(k, x, p)
+
     def test_invalid_arguments(self):
         with pytest.raises(ParameterError):
             ground_wavefunction(-1.0, CLASSICAL)
@@ -425,6 +451,43 @@ class TestWavefunctions:
             excited_wavefunction(-1, 1.0, CLASSICAL)
         with pytest.raises(ParameterError):
             excited_wavefunction(13, 1.0, CLASSICAL)
+
+
+def _wavefunction_slot_loop(k, x, p, s=S1, tol=1e-12, max_terms=20000):
+    """Reference for wavefunction_sample: one bracket lookup per slot and the
+    raising operator applied slot by slot."""
+    log_y = -math.inf
+    if x > 0.0:
+        log_y = math.log(s.mass * s.omega / s.hbar) + 2.0 * p.beta * math.log(x)
+    ground = _log_series(log_y, p, tol * 1e-4, max_terms, "ground", step=2, phase=-1.0)
+    n_slots = 2 * len(ground.log_terms) + k + 4
+    boxes = [0.0] + [math.exp(log_box(j, p)) for j in range(1, n_slots + 1)]
+    coeffs = _ground_lattice_coeffs(n_slots, boxes, s)
+    up = math.sqrt(0.5 * s.mass * s.omega / s.hbar)
+    down = math.sqrt(0.5 * s.hbar / (s.mass * s.omega))
+    for _ in range(k):
+        nxt = [0.0] * n_slots
+        for j in range(n_slots):
+            acc = 0.0
+            if j >= 1:
+                acc += up * coeffs[j - 1]
+            if j + 1 < n_slots:
+                acc -= down * coeffs[j + 1] * boxes[j + 1]
+            nxt[j] = acc
+        coeffs = nxt
+    scale = _ground_scale(p, s) * math.exp(-0.5 * log_gen_factorial(k, p))
+    y = x**p.beta
+    terms = []
+    yj = 1.0
+    max_abs = 0.0
+    for c in coeffs:
+        t = c * yj
+        terms.append(t)
+        max_abs = max(max_abs, abs(t))
+        yj *= y
+    total = math.fsum(terms)
+    cancel = abs(total) < max_abs * 1e-8 and max_abs > 0.0
+    return scale * total, cancel
 
 
 class TestTermBudgets:

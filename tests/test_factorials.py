@@ -1,5 +1,6 @@
 """Tests for the box function, generalized factorials, and asymptotics."""
 
+import functools
 import math
 
 import pytest
@@ -18,7 +19,10 @@ from wcs import (
     log_gen_double_factorial,
     log_gen_factorial,
 )
+from wcs import factorials
 from wcs.errors import ParameterError
+from wcs.factorials import _MAX_TABLES, _TABLES, _Table, _table
+from wcs.gammafn import log_gamma
 
 CLASSICAL = DeformationParams(0.0, 1.0, 0.0)
 
@@ -173,6 +177,86 @@ class TestGenFactorial:
         before = log_gen_factorial(12, GRID[4])
         clear_caches()
         assert log_gen_factorial(12, GRID[4]) == before
+
+
+@functools.cache
+def _scalar_table(p, n):
+    """Reference build: one scalar log_gamma per column and index, entry by entry."""
+    a, b, v = p.alpha, p.beta, p.nu
+    log_box_, log_prod, log_tail = [-math.inf], [0.0], [log_gamma(1.0 - a + v)]
+    for k in range(1, n + 1):
+        lg_top = log_gamma(b * k + 1.0)
+        lg_bot = log_gamma(b * k + 1.0 - a)
+        tail = log_gamma(b * k + 1.0 - a + v)
+        log_box_.append(lg_top - lg_bot + tail - log_tail[k - 1])
+        log_prod.append(log_prod[k - 1] + lg_top - lg_bot)
+        log_tail.append(tail)
+    return log_box_, log_prod, log_tail
+
+
+# alpha = 1 with beta = 0.1 and alpha = 0.9 with beta = 0.05 send the
+# b k + 1 - alpha arguments below 0.5, into the reflection branch
+TABLE_TRIPLES = [
+    DeformationParams(1.0, 0.1, 0.5),
+    DeformationParams(0.9, 0.05, 0.0),
+    CLASSICAL,
+    DeformationParams(0.5, 0.5, -0.3),
+]
+
+
+class TestArrayTable:
+    """Tables built in array blocks equal the entry-by-entry build bit for bit."""
+
+    @staticmethod
+    def _columns(tab):
+        return tab.log_box, tab.log_prod, tab.log_tail
+
+    @pytest.mark.parametrize("p", TABLE_TRIPLES)
+    def test_one_call(self, p):
+        tab = _Table(p)
+        tab.extend(10_000, p)
+        assert self._columns(tab) == _scalar_table(p, 10_000)
+
+    @pytest.mark.parametrize("p", TABLE_TRIPLES)
+    def test_extended_in_pieces(self, p):
+        tab = _Table(p)
+        for n in (37, 4096, 4097, 10_000):
+            tab.extend(n, p)
+        assert self._columns(tab) == _scalar_table(p, 10_000)
+
+    def test_one_scalar_log_gamma_per_cold_table(self, monkeypatch):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return log_gamma(x)
+
+        monkeypatch.setattr(factorials, "log_gamma", counted)
+        clear_caches()
+        log_gen_factorial(10_000, DeformationParams(0.3, 0.7, 0.2))
+        assert len(calls) <= 1  # log_tail[0]
+
+
+class TestTableCache:
+    def test_bounded(self):
+        clear_caches()
+        triples = [DeformationParams(0.5, 0.1 + 0.004 * i, 0.5) for i in range(200)]
+        for p in triples:
+            log_box(3, p)
+        assert _MAX_TABLES == 64
+        assert len(_TABLES) == 64
+        # the oldest-inserted tables went first
+        assert triples[0] not in _TABLES
+        assert triples[-1] in _TABLES
+
+    def test_rebuilt_table_is_bitwise_equal(self):
+        p = TABLE_TRIPLES[0]
+        clear_caches()
+        first = tuple(list(c) for c in TestArrayTable._columns(_table(p, 5000)))
+        for i in range(_MAX_TABLES):
+            log_box(3, DeformationParams(0.2, 0.1 + 0.01 * i, 1.0))
+        assert p not in _TABLES
+        assert TestArrayTable._columns(_table(p, 5000)) == first
 
 
 class TestDoubleFactorial:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from wcs import LogValue, log_gamma, gamma_signed
 from wcs.errors import NumericalRangeError, ParameterError
+from wcs.gammafn import _log_gamma_array
 
 
 class TestLogGamma:
@@ -43,6 +44,25 @@ class TestLogGamma:
         lhs = log_gamma(x + 1.0)
         rhs = log_gamma(x) + math.log(x)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
+class TestLogGammaArray:
+    """The array form the factorial tables use equals the scalar bit for bit."""
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.geomspace(1e-8, 0.4999, 400),  # reflection branch
+            np.linspace(0.5, 1e4, 4001),  # Lanczos branch up to 10^4
+            np.random.default_rng(7).uniform(1e-9, 2.0, 3000),  # both branches, mixed
+            # table arguments b k + 1 and b k + 1 - a; numpy's own log would
+            # miss the scalar's bits at one of the first
+            0.1 * np.arange(1, 10_001) + 1.0,
+            0.05 * np.arange(1, 2001) + 1.0 - 0.9,
+        ],
+    )
+    def test_bitwise_equal_to_scalar(self, x):
+        assert _log_gamma_array(x).tolist() == [log_gamma(v) for v in x.tolist()]
 
 
 class TestGammaSigned:

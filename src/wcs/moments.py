@@ -74,7 +74,7 @@ def classify_exponent(exponent: float) -> CarlemanVerdict:
     """Verdict for a given growth exponent e: moments grow like
     (n^e)^(2n), so sum m_n^(-1/(2n)) ~ sum n^(-e) diverges iff e <= 1,
     which is the sufficient condition for determinacy."""
-    if not (isinstance(exponent, (int, float)) and exponent == exponent):
+    if not (isinstance(exponent, (int, float)) and math.isfinite(exponent)):
         raise ParameterError(f"exponent must be a finite real, got {exponent!r}")
     diverges = exponent <= 1.0
     return CarlemanVerdict(
@@ -98,7 +98,7 @@ def carleman_partial_sums(
 
     Used to test the divergence dichotomy numerically at the given
     checkpoint lengths."""
-    if not checkpoints or any(c < 1 for c in checkpoints):
+    if not checkpoints or any(not isinstance(c, (int, np.integer)) or c < 1 for c in checkpoints):
         raise ParameterError("checkpoints must be positive integers")
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ParameterError("checkpoints must be strictly increasing")
@@ -317,19 +317,15 @@ class MomentReport:
 # x, to the double-exponential kernel in one call per batch.
 
 
-def _kernel_weights(log_f, sign: float, log_pref: float, rtol: float, atol: float):
-    # atol bounds u_tilde; the kernel integrates before the prefactor.  An
-    # atol beyond e^700 of the integral already accepts every row.
-    atol_inner = math.exp(min(math.log(atol) - log_pref, 700.0)) if atol > 0.0 else 0.0
-
+def _kernel_weights(log_f, sign: float, log_pref: float, rtol: float):
     def evaluate(xs: np.ndarray):
-        res = integrate_zero_inf_de(log_f, xs, rtol=rtol, atol=atol_inner)
+        res = integrate_zero_inf_de(log_f, xs, rtol=rtol)
         return sign * np.exp(log_pref + res.log_value), res.points
 
     return evaluate
 
 
-def _wright_weights(beta: float, nu: float, rtol: float, atol: float):
+def _wright_weights(beta: float, nu: float, rtol: float):
     _check_wright(beta, nu)
     power = nu / beta - 2.0
 
@@ -337,10 +333,10 @@ def _wright_weights(beta: float, nu: float, rtol: float, atol: float):
         return power * log_t - np.exp(log_t / beta) - (x / beta) * np.exp(-log_t)
 
     log_pref = -log_gamma(nu) - 2.0 * math.log(beta)
-    return _kernel_weights(log_f, 1.0, log_pref, rtol, atol)
+    return _kernel_weights(log_f, 1.0, log_pref, rtol)
 
 
-def _one_minus_beta_weights(beta: float, nu: float, rtol: float, atol: float):
+def _one_minus_beta_weights(beta: float, nu: float, rtol: float):
     """The w-integral of the module docstring with log w as the variable;
     the double-exponential map absorbs the w -> 0 endpoint power."""
     sign, log_pref = _one_minus_beta_prefactor(beta, nu)
@@ -359,10 +355,10 @@ def _one_minus_beta_weights(beta: float, nu: float, rtol: float, atol: float):
             )
 
         sign, log_pref = -sign, log_pref - math.log(nu)
-    return _kernel_weights(log_f, sign, log_pref, rtol, atol)
+    return _kernel_weights(log_f, sign, log_pref, rtol)
 
 
-def _ml_weights(beta: float, nu: float, rtol: float, atol: float):
+def _ml_weights(beta: float, nu: float, rtol: float):
     log_norm = log_gamma(1.0 + nu)
     return lambda xs: (np.exp(nu * np.log(xs) - xs - log_norm), len(xs))
 
@@ -375,7 +371,7 @@ def _ml_params(beta: float, nu: float) -> DeformationParams:
 
 class _Family(NamedTuple):
     params: Callable  # (beta, nu) -> DeformationParams
-    weights: Callable  # (beta, nu, rtol, atol) -> array evaluator
+    weights: Callable  # (beta, nu, rtol) -> array evaluator
     sample: Callable  # (x, beta, nu, tol) -> WeightSample, the scalar route
 
 
@@ -404,47 +400,46 @@ def _family(family: str) -> _Family:
         ) from None
 
 
-def verify_moments(
-    family: str,
-    beta: float,
-    nu: float,
-    n_max: int,
-    rtol_outer: float = 1e-9,
-    inner_tol: float = 0.0,
-    inner_rtol: float = 1e-11,
-    max_panels: int = 6000,
-) -> MomentReport:
+# verify_moments' targets: relative error of the outer integral and of each
+# weight value, and the outer panel budget
+_OUTER_RTOL = 1e-9
+_INNER_RTOL = 1e-11
+_MAX_PANELS = 6000
+
+
+def verify_moments(family: str, beta: float, nu: float, n_max: int) -> MomentReport:
     """Quadrature check of integral x^n Utilde(x) dx = [n]! for n <= n_max.
 
     All moment orders are integrated in a single adaptive pass (the outer
     integrand returns one row per abscissa with n_max + 1 columns), and each
     outer batch of abscissae costs one array call of the weight kernel.  The
-    returned truncation_x is the first point of the doubling grid 1, 2, 4,
-    ..., 2^59 (evaluated in one kernel call) beyond which every order's
-    integrand falls below 1e-16 of its integral, or 2^60 if none; the outer
-    map extends past it, so the recorded bound is informational."""
+    returned truncation_x is the largest outer abscissa at which some
+    order's integrand x^n Utilde(x) exceeds 1e-16 of its moment; it is read
+    from the abscissae already evaluated and is informational only."""
     if not isinstance(n_max, int) or n_max < 0:
         raise ParameterError(f"n_max must be a non-negative integer, got {n_max!r}")
     fam = _family(family)
     p = fam.params(beta, nu)
-    u_tilde = fam.weights(beta, nu, inner_rtol, inner_tol)
+    u_tilde = fam.weights(beta, nu, _INNER_RTOL)
     orders = np.arange(n_max + 1, dtype=float)
     inner_points = 0
+    batches = []  # (abscissae, integrand rows) of every outer call
 
     def outer(xs: np.ndarray):
         nonlocal inner_points
         u, points = u_tilde(xs)
         inner_points += points
-        return u[:, None] * xs[:, None] ** orders
+        rows = u[:, None] * xs[:, None] ** orders
+        batches.append((xs, rows))
+        return rows
 
-    res = integrate_zero_inf(outer, atol=0.0, rtol=rtol_outer, max_panels=max_panels)
+    res = integrate_zero_inf(outer, atol=0.0, rtol=_OUTER_RTOL, max_panels=_MAX_PANELS)
     moments = res.value
-
-    grid = 2.0 ** np.arange(60)
-    u, points = u_tilde(grid)
-    inner_points += points
-    small = np.all(u[:, None] * grid[:, None] ** orders <= 1e-16 * np.abs(moments), axis=1)
-    trunc = float(grid[np.argmax(small)]) if small.any() else 2.0**60
+    significant = 1e-16 * np.abs(moments)
+    trunc = max(
+        float(np.max(xs, where=(rows > significant).any(axis=1), initial=0.0))
+        for xs, rows in batches
+    )
 
     targets = [math.exp(log_gen_factorial(n, p)) for n in range(n_max + 1)]
     rels = [abs(m - t) / t for m, t in zip(moments, targets)]

@@ -7,6 +7,7 @@ usual oscillator prefactors and default to 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
@@ -26,7 +27,7 @@ class DeformationParams:
     def __post_init__(self) -> None:
         a, b, v = self.alpha, self.beta, self.nu
         for name, val in (("alpha", a), ("beta", b), ("nu", v)):
-            if not isinstance(val, (int, float)) or val != val:
+            if not (isinstance(val, (int, float)) and math.isfinite(val)):
                 raise ParameterError(f"{name} must be a finite real number, got {val!r}")
         if not 0.0 <= a <= 1.0:
             raise ParameterError(f"alpha must lie in [0, 1], got {a}")
@@ -63,8 +64,8 @@ class PhysicalScales:
     def __post_init__(self) -> None:
         for name in ("hbar", "mass", "omega"):
             val = getattr(self, name)
-            if not (isinstance(val, (int, float)) and val == val and val > 0.0):
-                raise ParameterError(f"{name} must be a positive real number, got {val!r}")
+            if not (isinstance(val, (int, float)) and math.isfinite(val) and val > 0.0):
+                raise ParameterError(f"{name} must be a positive finite real number, got {val!r}")
             object.__setattr__(self, name, float(val))
 
     @property

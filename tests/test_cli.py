@@ -11,6 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import wcs
 from wcs.cli import main
 
 
@@ -32,6 +33,13 @@ def run_cli(argv, env=None):
             else:
                 os.environ[k] = v
     return code, out.getvalue(), err.getvalue()
+
+
+def child_env():
+    """The environment for a child interpreter that imports this wcs."""
+    src = os.path.dirname(os.path.dirname(wcs.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 def rows_of(csv_text):
@@ -350,6 +358,9 @@ class TestBadParameters:
             ["spectrum", "--n", "0..2", "--hbar", "-1"],
             ["mandel", "--x", "1:0:3"],
             ["hankel", "--size", "0"],
+            # non-finite values are rejected, not carried through as nan/inf
+            ["factorial", "--nu", "inf", "--n", "0..2"],
+            ["uncertainty", "--hbar", "inf"],
         ],
     )
     def test_exit_code_two(self, argv):
@@ -365,7 +376,9 @@ class TestImportHygiene:
             "import sys, wcs, wcs.cli; "
             "print(sorted(m for m in ('scipy', 'mpmath', 'hypothesis') if m in sys.modules))"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
@@ -376,6 +389,7 @@ class TestConsoleEntry:
             [sys.executable, "-m", "wcs.cli", "factorial", "--n", "0..2"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "n,log_factorial,factorial_or_inf"

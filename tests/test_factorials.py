@@ -56,6 +56,11 @@ class TestParams:
         with pytest.raises(ParameterError):
             DeformationParams(a, b, v)
 
+    @pytest.mark.parametrize("a, b, v", [(0.0, 1.0, math.inf), (0.0, 1.0, math.nan), (-math.inf, 1.0, 0.0)])
+    def test_non_finite_rejected(self, a, b, v):
+        with pytest.raises(ParameterError, match="finite"):
+            DeformationParams(a, b, v)
+
     def test_flags(self):
         assert CLASSICAL.cs_valid
         assert CLASSICAL.complete
@@ -67,6 +72,9 @@ class TestParams:
             PhysicalScales(hbar=0.0)
         with pytest.raises(ParameterError):
             PhysicalScales(mass=-1.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ParameterError, match="finite"):
+                PhysicalScales(hbar=bad)
         s = PhysicalScales(2.0, 3.0, 0.7)
         assert s.length_sq == pytest.approx(2.0 / (3.0 * 0.7), rel=1e-14)
         assert s.momentum_sq == pytest.approx(2.0 * 3.0 * 0.7, rel=1e-14)

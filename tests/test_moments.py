@@ -70,6 +70,11 @@ class TestCarleman:
             assert not v.determinate
             assert not v.series_divergent
 
+    @pytest.mark.parametrize("e", [math.inf, -math.inf, math.nan])
+    def test_non_finite_exponent_rejected(self, e):
+        with pytest.raises(ParameterError):
+            classify_exponent(e)
+
     @given(st.floats(min_value=0.0, max_value=4.0))
     @settings(max_examples=100)
     def test_dichotomy(self, e):
@@ -108,6 +113,12 @@ class TestCarlemanPartialSums:
             carleman_partial_sums(0.5, [])
         with pytest.raises(ParameterError):
             carleman_partial_sums(0.5, [100, 10])
+
+    def test_non_integer_checkpoints_rejected(self):
+        for checkpoints in ([1.5], [10, 20.0]):
+            with pytest.raises(ParameterError):
+                carleman_partial_sums(1.0, checkpoints)
+        assert carleman_partial_sums(1.0, [np.int64(3)]) == carleman_partial_sums(1.0, [3])
 
 
 class TestHankel:
@@ -333,7 +344,7 @@ class TestVerifyMoments:
 
 def _array_weights(family, beta, nu):
     """The array evaluator that verify_moments integrates."""
-    return wcs.WEIGHT_FAMILIES[family].weights(beta, nu, 1e-11, 0.0)
+    return wcs.WEIGHT_FAMILIES[family].weights(beta, nu, 1e-11)
 
 
 def _mp_wright(x, beta, nu):
@@ -407,12 +418,12 @@ class TestArrayWeights:
 
 class TestMomentWork:
     """Deterministic work gates for the Wright check at beta = 0.5, nu = 1,
-    n_max = 8.  Measured when the batched inner rule was introduced: 21
-    outer panels and 365 420 kernel points (~25k per outer batch of 30
-    abscissae, scan included)."""
+    n_max = 8.  Measured with one kernel call per outer batch and no
+    truncation probe: 18 outer panels and 265 650 kernel points (~15k per
+    outer batch of 30 abscissae, scan included)."""
 
     PANELS_CEILING = 25
-    INNER_POINTS_CEILING = 420_000
+    INNER_POINTS_CEILING = 300_000
 
     def test_one_kernel_call_per_outer_call(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -440,11 +451,35 @@ class TestMomentWork:
         monkeypatch.setattr(wcs.moments, "integrate_zero_inf", counting_outer)
         rep = verify_moments("wright", 0.5, 1.0, 8)
         assert max(rep.rel_errors) <= 1e-9
-        # one call per outer batch plus one for the truncation probe
-        assert counts["kernel"] == counts["outer"] + 1
+        assert counts["kernel"] == counts["outer"]  # one call per outer batch
         assert counts["outer"] == rep.panels  # the first call, then one per bisection
         assert rep.panels <= self.PANELS_CEILING
         assert 0 < rep.inner_points <= self.INNER_POINTS_CEILING
+
+    def test_truncation_x_from_outer_abscissae(self, monkeypatch):
+        # Utilde = x^nu e^-x / Gamma(1 + nu) exactly, so the definition can be
+        # checked at every abscissa the outer integral evaluated: the largest
+        # one where some x^n Utilde(x) is above 1e-16 of its moment
+        seen = []
+        outer_quad = wcs.moments.integrate_zero_inf
+
+        def recording(f, *args, **kwargs):
+            def record(points):
+                seen.append(np.array(points))
+                return f(points)
+
+            return outer_quad(record, *args, **kwargs)
+
+        monkeypatch.setattr(wcs.moments, "integrate_zero_inf", recording)
+        nu, n_max = 0.5, 6
+        rep = verify_moments("ml-closed-form", 1.0, nu, n_max)
+        xs = np.concatenate(seen)[:, None]
+        n = np.arange(n_max + 1)
+        # x^n Utilde(x) / [n]! = x^(n + nu) e^-x / Gamma(n + 1 + nu)
+        log_ratio = (n + nu) * np.log(xs) - xs - sp.gammaln(n + 1 + nu)
+        above = (log_ratio > math.log(1e-16)).any(axis=1)
+        assert rep.truncation_x == xs[above, 0].max()
+        assert rep.truncation_x < xs.max()
 
     def test_counters_default_to_zero(self):
         rep = MomentReport((0,), (1.0,), (1.0,), (0.0,), 1.0, "ml-closed-form")

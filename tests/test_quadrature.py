@@ -165,6 +165,13 @@ class TestDoubleExponential:
         with pytest.raises(ConvergenceError):
             integrate_zero_inf_de(step, [1.0])
 
+    def test_peak_narrower_than_scan_step_raises(self):
+        # t^(a-1) e^-t at a = 1e8 peaks with width ~1e-4 in s, far below the
+        # coarse scan step: the refinements cannot resolve it, and the row
+        # fails with a typed error rather than returning a value
+        with pytest.raises(ConvergenceError):
+            integrate_zero_inf_de(_log_gamma_integrand, [1e8])
+
     def test_divergent_integral_raises(self):
         with pytest.raises(ConvergenceError):
             integrate_zero_inf_de(lambda log_t, x: np.zeros(np.shape(log_t)), [1.0])

@@ -49,7 +49,6 @@ log = logging.getLogger("wcs")
 
 _DEFAULT_SERIES_TOL = 1e-8
 _DEFAULT_ALPHA = (0.0,)
-_DEFAULT_QUAD_TOL = 1e-6
 
 
 def _setup_logging() -> None:
@@ -363,13 +362,15 @@ def _family_triple(args, beta: float, nu: float) -> DeformationParams:
 def cmd_weight(args) -> int:
     beta = _scalar(args.beta, "--beta")
     nu = _scalar(args.nu, "--nu")
-    tol = args.tol if args.tol is not None else _DEFAULT_QUAD_TOL
+    # --tol is the relative target of each weight value; without it the
+    # samplers' default, the target verify_moments holds its weights to
+    rtol = {} if args.tol is None else {"rtol": args.tol}
     xs = _parse_grid(args.x)
     p = _family_triple(args, beta, nu)
     sample_at = WEIGHT_FAMILIES[args.family].sample
     rows = []
     for x in xs:
-        sample = sample_at(x, beta, nu, tol)
+        sample = sample_at(x, beta, nu, **rtol)
         rows.append((x, sample.u_tilde, u_from_u_tilde(sample, p), sample.abs_err_est))
     config = _base_config(args, "weight")
     config["family"] = args.family
@@ -455,7 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--mass", type=float, default=1.0)
     shared.add_argument("--omega", type=float, default=1.0)
     shared.add_argument("--tol", type=float, default=None,
-                        help="tolerance override (default: 1e-8 series, 1e-6 quadrature)")
+                        help="tolerance override (default: 1e-8 series; for weight, the "
+                             "relative error of each value, default 1e-11)")
     shared.add_argument("--format", choices=("csv", "json"), default="csv")
     shared.add_argument("--out", default=None, help="output file (default stdout)")
     shared.add_argument("--gnuplot", action="store_true",

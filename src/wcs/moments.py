@@ -11,8 +11,8 @@ known weight families from their real-integral representations, and
 verifies the moment equation by nested quadrature: an adaptive
 Gauss-Kronrod outer integral over x whose integrand gets the weight at a
 whole batch of abscissae from one double-exponential array call (see
-quadrature.integrate_zero_inf_de).  The scalar weight functions keep their
-own adaptive route and serve as the independent cross-check.
+quadrature.integrate_zero_inf_de).  The scalar weight functions are
+one-row calls of the same array evaluators.
 
 Weight families
 ---------------
@@ -27,9 +27,9 @@ one-minus-beta   alpha = 1 - beta: after substituting w = t^(1/b) - 1,
 ml-closed-form   alpha = 0, beta = 1: Utilde(x) = x^nu e^(-x)/Gamma(1+nu),
                  exact; serves as the ground-truth family.
 
-The alpha = beta family has only a Fox-H closed form with no elementary
-integral representation, so it is documented here as out of scope and has
-no evaluator.
+The alpha = beta family has a Bessel-K weight: with c = 1 - b + nu and
+t = x^(1/b), Utilde(x) dx = 2 t^((c-1)/2) K_(1-c)(2 sqrt t) / Gamma(c) dt.
+No evaluator exists for it yet.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .errors import NumericalRangeError, ParameterError
 from .factorials import log_gen_factorial
 from .gammafn import gamma_signed, log_gamma
 from .params import DeformationParams
-from .quadrature import integrate_zero_inf, integrate_zero_inf_de, integrate_zero_inf_exp
+from .quadrature import integrate_zero_inf, integrate_zero_inf_de
 from .series import log_n_function
 
 __all__ = [
@@ -70,12 +70,20 @@ class CarlemanVerdict:
     series_divergent: bool
 
 
+def _finite_real(value) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
+def _check_exponent(exponent: float) -> None:
+    if not _finite_real(exponent):
+        raise ParameterError(f"exponent must be a finite real, got {exponent!r}")
+
+
 def classify_exponent(exponent: float) -> CarlemanVerdict:
     """Verdict for a given growth exponent e: moments grow like
     (n^e)^(2n), so sum m_n^(-1/(2n)) ~ sum n^(-e) diverges iff e <= 1,
     which is the sufficient condition for determinacy."""
-    if not (isinstance(exponent, (int, float)) and math.isfinite(exponent)):
-        raise ParameterError(f"exponent must be a finite real, got {exponent!r}")
+    _check_exponent(exponent)
     diverges = exponent <= 1.0
     return CarlemanVerdict(
         exponent=float(exponent), determinate=diverges, series_divergent=diverges
@@ -98,6 +106,9 @@ def carleman_partial_sums(
 
     Used to test the divergence dichotomy numerically at the given
     checkpoint lengths."""
+    _check_exponent(exponent)
+    if not (_finite_real(beta) and beta > 0.0):
+        raise ParameterError(f"beta must be a finite positive real, got {beta!r}")
     if not checkpoints or any(not isinstance(c, (int, np.integer)) or c < 1 for c in checkpoints):
         raise ParameterError("checkpoints must be positive integers")
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
@@ -145,8 +156,8 @@ class WeightSample:
 
 
 def _check_x(x: float) -> float:
-    if not (isinstance(x, (int, float)) and x == x and x > 0.0):
-        raise ParameterError(f"weight functions are defined for x > 0, got {x!r}")
+    if not (_finite_real(x) and x > 0.0):
+        raise ParameterError(f"weight functions are defined for finite x > 0, got {x!r}")
     return float(x)
 
 
@@ -155,44 +166,6 @@ def _check_wright(beta: float, nu: float) -> None:
         raise ParameterError(f"beta must lie in (0, 1], got {beta}")
     if not nu > 0.0:
         raise ParameterError(f"the alpha = 1 weight requires nu > 0, got {nu}")
-
-
-def weight_wright(
-    x: float,
-    beta: float,
-    nu: float,
-    tol: float = 1e-10,
-    rtol: float = 1e-8,
-    scheme: str = "rational",
-    max_panels: int = 4000,
-) -> WeightSample:
-    """Utilde for the alpha = 1 family by semi-infinite quadrature.
-
-    The t -> 0 endpoint power t^(nu/b - 2) is non-integrable on its own
-    when nu/b < 1 (flagged), but the essential damping exp(-x/(b t))
-    regularizes it for every x > 0; both substitution schemes place nodes
-    strictly inside the domain."""
-    x = _check_x(x)
-    _check_wright(beta, nu)
-    if scheme not in ("rational", "exp"):
-        raise ParameterError(f"unknown quadrature scheme {scheme!r}")
-    power = nu / beta - 2.0
-    inv_beta = 1.0 / beta
-
-    def integrand(t: np.ndarray):
-        with np.errstate(over="ignore", divide="ignore"):
-            expo = power * np.log(t) - t**inv_beta - x / (beta * t)
-        return np.exp(np.minimum(expo, 700.0))
-
-    integrate = integrate_zero_inf if scheme == "rational" else integrate_zero_inf_exp
-    pref = math.exp(-log_gamma(nu)) / (beta * beta)
-    res = integrate(integrand, atol=tol / max(pref, 1.0), rtol=rtol, max_panels=max_panels)
-    return WeightSample(
-        x=x,
-        u_tilde=pref * res.scalar,
-        abs_err_est=pref * res.scalar_error,
-        endpoint_singular=nu / beta < 1.0,
-    )
 
 
 def _one_minus_beta_prefactor(beta: float, nu: float) -> tuple[float, float]:
@@ -215,112 +188,16 @@ def _one_minus_beta_prefactor(beta: float, nu: float) -> tuple[float, float]:
     return sign_gam, log_gamma(beta) - math.log(beta) - log_gamma(beta + nu) - log_gam
 
 
-def weight_one_minus_beta(
-    x: float,
-    beta: float,
-    nu: float,
-    tol: float = 1e-10,
-    rtol: float = 1e-8,
-    max_panels: int = 4000,
-) -> WeightSample:
-    """Utilde for the alpha = 1 - beta family on t in (1, inf).
-
-    Implemented after the substitution w = t^(1/beta) - 1 (flattening the
-    t = 1 endpoint), followed by a power-law substitution w = y^m chosen
-    from the known endpoint exponent.  For nu in (0, 1) the w-integral
-    diverges at 0 and the finite part is taken by one integration by
-    parts; the 1/Gamma(-nu) prefactor is negative there and the two signs
-    cancel, as the n = 0 moment check confirms.  Any negatively computed
-    weight value is surfaced through the sign-anomaly flag."""
-    x = _check_x(x)
-    sign_gam, log_pref = _one_minus_beta_prefactor(beta, nu)
-    pref = sign_gam * math.exp(log_pref)
-
-    if nu < 0.0:
-        # integrand w^(-nu-1) g(w); endpoint exponent -nu-1 in (-1, 0)
-        m = min(32, max(1, math.ceil(2.0 / (-nu))))
-        y_pow = m * (-nu) - 1.0
-
-        def integrand(y: np.ndarray):
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                w = y**m
-                expo = -x * (1.0 + w) ** beta / beta
-                out = m * y**y_pow * np.exp(expo)
-            return np.where(np.isfinite(out), out, 0.0)
-
-        scale = pref
-    else:
-        # finite part: (1/nu) integral w^(-nu) g'(w) dw,
-        # g'(w) = -x (1+w)^(beta-1) exp(-x (1+w)^beta / beta)
-        m = min(32, max(1, math.ceil(2.0 / (1.0 - nu))))
-        y_pow = m * (1.0 - nu) - 1.0
-
-        def integrand(y: np.ndarray):
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                w = y**m
-                base = 1.0 + w
-                expo = -x * base**beta / beta
-                out = -x * m * y**y_pow * base ** (beta - 1.0) * np.exp(expo)
-            return np.where(np.isfinite(out), out, 0.0)
-
-        scale = pref / nu
-
-    res = integrate_zero_inf(
-        integrand, atol=tol / max(abs(scale), 1.0), rtol=rtol, max_panels=max_panels
-    )
-    value = scale * res.scalar
-    return WeightSample(
-        x=x,
-        u_tilde=value,
-        abs_err_est=abs(scale) * res.scalar_error,
-        endpoint_singular=True,
-        sign_anomaly=value < 0.0,
-    )
-
-
-def weight_ml_closed_form(x: float, nu: float) -> WeightSample:
-    """Exact weight x^nu e^(-x) / Gamma(1 + nu) of the alpha = 0, beta = 1
-    family; the classical coherent-state measure at nu = 0."""
-    x = _check_x(x)
-    if not nu > -1.0:
-        raise ParameterError(f"need nu > -1, got {nu}")
-    value = math.exp(nu * math.log(x) - x - log_gamma(1.0 + nu))
-    return WeightSample(x=x, u_tilde=value, abs_err_est=0.0)
-
-
-def u_from_u_tilde(sample: WeightSample, p: DeformationParams) -> float:
-    """Recover the completeness density U(x) = Utilde(x) N(x) / pi."""
-    if sample.u_tilde == 0.0:
-        return 0.0
-    log_n = log_n_function(sample.x, p)
-    return math.copysign(
-        math.exp(math.log(abs(sample.u_tilde)) + log_n - math.log(math.pi)),
-        sample.u_tilde,
-    )
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    orders: tuple[int, ...]
-    quadrature_moments: tuple[float, ...]
-    target_factorials: tuple[float, ...]
-    rel_errors: tuple[float, ...]
-    truncation_x: float
-    family: str
-    panels: int = 0  # outer Gauss-Kronrod panels
-    inner_points: int = 0  # points at which the weight kernel was evaluated
-
-
-# Array weight evaluators for verify_moments.  Each factory checks (beta, nu)
-# and returns xs -> (u_tilde at every x, points evaluated); the integral
-# families hand their log-integrand, as a function of log t and a column of
-# x, to the double-exponential kernel in one call per batch.
+# Array weight evaluators.  Each factory checks (beta, nu) and returns
+# xs -> (u_tilde at every x, points evaluated, relative error estimate per
+# x); the integral families hand their log-integrand, as a function of log t
+# and a column of x, to the double-exponential kernel in one call per batch.
 
 
 def _kernel_weights(log_f, sign: float, log_pref: float, rtol: float):
     def evaluate(xs: np.ndarray):
         res = integrate_zero_inf_de(log_f, xs, rtol=rtol)
-        return sign * np.exp(log_pref + res.log_value), res.points
+        return sign * np.exp(log_pref + res.log_value), res.points, res.rel_error
 
     return evaluate
 
@@ -358,9 +235,84 @@ def _one_minus_beta_weights(beta: float, nu: float, rtol: float):
     return _kernel_weights(log_f, sign, log_pref, rtol)
 
 
+# the relative target of each weight value, in verify_moments and by default
+# in the scalar weight functions
+_INNER_RTOL = 1e-11
+
+
+def _one_row(weights, x: float, beta: float, nu: float, rtol: float) -> tuple[float, float]:
+    """(Utilde(x), its absolute error estimate) from a one-row call of the
+    family's array evaluator."""
+    u, _, rel_error = weights(beta, nu, rtol)(np.array([x]))
+    return float(u[0]), abs(float(u[0])) * float(rel_error[0])
+
+
+def weight_wright(x: float, beta: float, nu: float, rtol: float = _INNER_RTOL) -> WeightSample:
+    """Utilde for the alpha = 1 family, to relative error rtol.
+
+    The t -> 0 endpoint power t^(nu/b - 2) is non-integrable on its own
+    when nu/b < 1 (flagged), but the essential damping exp(-x/(b t))
+    regularizes it for every x > 0."""
+    x = _check_x(x)
+    u, err = _one_row(_wright_weights, x, beta, nu, rtol)
+    return WeightSample(
+        x=x, u_tilde=u, abs_err_est=err, endpoint_singular=nu / beta < 1.0
+    )
+
+
+def weight_one_minus_beta(
+    x: float, beta: float, nu: float, rtol: float = _INNER_RTOL
+) -> WeightSample:
+    """Utilde for the alpha = 1 - beta family, to relative error rtol.
+
+    For nu in (0, 1) the w-integral diverges at 0 and the finite part is
+    taken by one integration by parts; the 1/Gamma(-nu) prefactor is
+    negative there and the two signs cancel, as the n = 0 moment check
+    confirms.  Any negatively computed weight value is surfaced through the
+    sign-anomaly flag."""
+    x = _check_x(x)
+    u, err = _one_row(_one_minus_beta_weights, x, beta, nu, rtol)
+    return WeightSample(
+        x=x, u_tilde=u, abs_err_est=err, endpoint_singular=True, sign_anomaly=u < 0.0
+    )
+
+
+def weight_ml_closed_form(x: float, nu: float) -> WeightSample:
+    """Exact weight x^nu e^(-x) / Gamma(1 + nu) of the alpha = 0, beta = 1
+    family; the classical coherent-state measure at nu = 0."""
+    x = _check_x(x)
+    if not nu > -1.0:
+        raise ParameterError(f"need nu > -1, got {nu}")
+    value = math.exp(nu * math.log(x) - x - log_gamma(1.0 + nu))
+    return WeightSample(x=x, u_tilde=value, abs_err_est=0.0)
+
+
+def u_from_u_tilde(sample: WeightSample, p: DeformationParams) -> float:
+    """Recover the completeness density U(x) = Utilde(x) N(x) / pi."""
+    if sample.u_tilde == 0.0:
+        return 0.0
+    log_n = log_n_function(sample.x, p)
+    return math.copysign(
+        math.exp(math.log(abs(sample.u_tilde)) + log_n - math.log(math.pi)),
+        sample.u_tilde,
+    )
+
+
+@dataclass(frozen=True)
+class MomentReport:
+    orders: tuple[int, ...]
+    quadrature_moments: tuple[float, ...]
+    target_factorials: tuple[float, ...]
+    rel_errors: tuple[float, ...]
+    truncation_x: float
+    family: str
+    panels: int = 0  # outer Gauss-Kronrod panels
+    inner_points: int = 0  # points at which the weight kernel was evaluated
+
+
 def _ml_weights(beta: float, nu: float, rtol: float):
     log_norm = log_gamma(1.0 + nu)
-    return lambda xs: (np.exp(nu * np.log(xs) - xs - log_norm), len(xs))
+    return lambda xs: (np.exp(nu * np.log(xs) - xs - log_norm), len(xs), np.zeros(len(xs)))
 
 
 def _ml_params(beta: float, nu: float) -> DeformationParams:
@@ -372,7 +324,7 @@ def _ml_params(beta: float, nu: float) -> DeformationParams:
 class _Family(NamedTuple):
     params: Callable  # (beta, nu) -> DeformationParams
     weights: Callable  # (beta, nu, rtol) -> array evaluator
-    sample: Callable  # (x, beta, nu, tol) -> WeightSample, the scalar route
+    sample: Callable  # (x, beta, nu, rtol) -> WeightSample, one row of weights
 
 
 # the registry of weight families, keyed by the names the CLI accepts
@@ -386,7 +338,9 @@ WEIGHT_FAMILIES = {
         weight_one_minus_beta,
     ),
     "ml-closed-form": _Family(
-        _ml_params, _ml_weights, lambda x, beta, nu, tol: weight_ml_closed_form(x, nu)
+        _ml_params,
+        _ml_weights,
+        lambda x, beta, nu, rtol=_INNER_RTOL: weight_ml_closed_form(x, nu),
     ),
 }
 
@@ -400,10 +354,8 @@ def _family(family: str) -> _Family:
         ) from None
 
 
-# verify_moments' targets: relative error of the outer integral and of each
-# weight value, and the outer panel budget
+# verify_moments' relative target of the outer integral, and its panel budget
 _OUTER_RTOL = 1e-9
-_INNER_RTOL = 1e-11
 _MAX_PANELS = 6000
 
 
@@ -427,7 +379,7 @@ def verify_moments(family: str, beta: float, nu: float, n_max: int) -> MomentRep
 
     def outer(xs: np.ndarray):
         nonlocal inner_points
-        u, points = u_tilde(xs)
+        u, points, _ = u_tilde(xs)
         inner_points += points
         rows = u[:, None] * xs[:, None] ** orders
         batches.append((xs, rows))

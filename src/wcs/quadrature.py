@@ -1,4 +1,5 @@
-"""Adaptive Gauss-Kronrod quadrature for the weight-function integrals.
+"""Adaptive Gauss-Kronrod quadrature, and a double-exponential array rule
+for the weight-function integrals.
 
 A 7-point Gauss rule embedded in a 15-point Kronrod rule gives a value and
 an error estimate per panel from one batch of integrand evaluations; the
@@ -7,8 +8,7 @@ estimate meets the target.  Integrands are vectorized: they receive an
 array of abscissae and may return one value per point or a row of values
 (several moment orders integrated in a single adaptive pass).
 
-Semi-infinite integrals use the rational map t = u/(1-u); an exponential
-map t = e^s is kept as an independent cross-check scheme.
+Semi-infinite integrals use the rational map t = u/(1-u).
 
 Families of half-line integrals with positive integrands, one per abscissa
 x, are integrated in a single array call by the double-exponential
@@ -31,7 +31,6 @@ __all__ = [
     "QuadResult",
     "integrate_finite",
     "integrate_zero_inf",
-    "integrate_zero_inf_exp",
     "LogQuadResult",
     "integrate_zero_inf_de",
 ]
@@ -171,9 +170,9 @@ def integrate_zero_inf(
     """Integrate f over (0, inf) via t = u/(1-u).
 
     The integrand must decay fast enough that f(t)/(1-u)^2 -> 0 as u -> 1;
-    every weight-function integrand here is exponentially damped, so the
-    mapped integrand vanishes at both endpoints (nodes are interior, the
-    endpoints are never evaluated)."""
+    the outer moment integrand x^n Utilde(x) of verify_moments is
+    exponentially damped, so the mapped integrand vanishes at both endpoints
+    (nodes are interior, the endpoints are never evaluated)."""
 
     def mapped(u: np.ndarray):
         t = u / (1.0 - u)
@@ -184,29 +183,6 @@ def integrate_zero_inf(
         return vals * jac[:, None]
 
     return integrate_finite(mapped, 0.0, 1.0, atol=atol, rtol=rtol, max_panels=max_panels)
-
-
-def integrate_zero_inf_exp(
-    f,
-    s_lo: float = -42.0,
-    s_hi: float = 42.0,
-    atol: float = 1e-10,
-    rtol: float = 1e-8,
-    max_panels: int = 4000,
-) -> QuadResult:
-    """Cross-check scheme: integrate f over (0, inf) via t = e^s.
-
-    The finite s-window spans t from ~1e-18 to ~1e18, far beyond where the
-    exponentially damped integrands contribute."""
-
-    def mapped(s: np.ndarray):
-        t = np.exp(s)
-        vals = np.asarray(f(t), dtype=float)
-        if vals.ndim == 1:
-            return vals * t
-        return vals * t[:, None]
-
-    return integrate_finite(mapped, s_lo, s_hi, atol=atol, rtol=rtol, max_panels=max_panels)
 
 
 # Double-exponential rule.  A coarse scan finds, per row, the s-window where

@@ -361,6 +361,10 @@ class TestBadParameters:
             # non-finite values are rejected, not carried through as nan/inf
             ["factorial", "--nu", "inf", "--n", "0..2"],
             ["uncertainty", "--hbar", "inf"],
+            ["weight", "--family", "wright", "--alpha", "1", "--nu", "1", "--x", "inf"],
+            ["weight", "--family", "ml-closed-form", "--nu", "0", "--x", "inf"],
+            ["weight", "--family", "one-minus-beta", "--beta", "0.5", "--nu", "-0.25",
+             "--x", "inf"],
         ],
     )
     def test_exit_code_two(self, argv):

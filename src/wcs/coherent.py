@@ -10,8 +10,13 @@ Every Fock-series sum here (photon distribution, Fock moments, Q_M, the
 continuity defect, the length of the ground-state lattice) is one call of
 series._log_series, with its single stopping rule: three consecutive terms
 |t_n| <= tol * max(1, |S_n|) while the term ratio is below 0.9.  Positive
-sums stay in log space so large n and x never overflow; the alternating
-wavefunction series is summed with compensation and a cancellation flag.
+sums stay in log space so large n and x never overflow, and the linear
+Fock sums (fock_moment_sum, both sums of Q_M) go through
+series._positive_fsum, which skips the terms too small to reach the sum.
+Bracket values are read as slices of the factorial table.  The alternating
+wavefunction series is summed with compensation and a cancellation flag;
+ground_wavefunction and excited_wavefunction raise NumericalRangeError
+where the flag is set.
 """
 
 from __future__ import annotations
@@ -23,9 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalRangeError, ParameterError
-from .factorials import _table, box, log_box, log_gen_factorial
+from .factorials import _table, box, log_gen_factorial
 from .params import DeformationParams, PhysicalScales
-from .series import _log_series, log_n_derivative, log_n_function, n_function
+from .series import _log_series, _positive_fsum, log_n_derivative, log_n_function, n_function
 
 __all__ = [
     "CoherentLabel",
@@ -151,8 +156,8 @@ def coherent_amplitudes(
         raise ParameterError(f"n_max must be a non-negative integer, got {n_max!r}")
     c = complex(math.exp(-0.5 * log_n_function(label.x, p, tol=tol)), 0.0)
     out = [c]
-    for n in range(1, n_max + 1):
-        c = c * label.z * math.exp(-0.5 * log_box(n, p))
+    for lb in _table(p, n_max).log_box[1 : n_max + 1].tolist():
+        c = c * label.z * math.exp(-0.5 * lb)
         out.append(c)
     return out
 
@@ -183,7 +188,7 @@ def continuity_defect(
         lw = log_w + n * (math.log(label.x) - lx_big)
         return np.exp(0.5 * (lw - np.logaddexp.reduce(lw)) + 1j * cmath.phase(label.z) * n)
 
-    direct = math.fsum(np.abs(amplitudes(l1) - amplitudes(l2)) ** 2)
+    direct = math.fsum((np.abs(amplitudes(l1) - amplitudes(l2)) ** 2).tolist())
     return abs(direct - kernel)
 
 
@@ -235,7 +240,7 @@ def fock_moment_sum(
     log_norm = np.logaddexp.reduce(np.append(head, tail.log_sum))
     n = np.arange(r, r + len(tail.log_terms), dtype=float)
     falling = np.prod(n[:, None] - np.arange(r), axis=1)
-    return math.fsum(falling * np.exp(tail.log_terms - log_norm))
+    return _positive_fsum(falling * np.exp(tail.log_terms - log_norm))
 
 
 def mandel_qz(
@@ -276,8 +281,8 @@ def mandel_qm(
     log_norm = log_n_function(x, p, tol=tol, max_terms=max_terms)
     # the first term is [1]^2 p(1) = x [1] / N
     log_e2 = s.log_terms + (lx + s.log_brackets[0] - log_norm)
-    e1 = math.fsum(np.exp(log_e2 - s.log_brackets))
-    e2 = math.fsum(np.exp(log_e2))
+    e1 = _positive_fsum(np.exp(log_e2 - s.log_brackets))
+    e2 = _positive_fsum(np.exp(log_e2))
     return (e2 - e1 * e1) / e1 - 1.0
 
 
@@ -366,7 +371,8 @@ def wavefunction_sample(
     n_even = len(ground.log_terms)
     n_slots = 2 * n_even + k + 4
     # the brackets [j], read once for the lattice and all k raisings
-    boxes = [0.0, *map(math.exp, _table(p, n_slots).log_box[1:n_slots])]
+    log_b = _table(p, n_slots).log_box[1:n_slots].tolist()
+    boxes = [0.0, *map(math.exp, log_b)]
     coeffs = np.array(_ground_lattice_coeffs(n_slots, boxes, s))
 
     up = math.sqrt(0.5 * s.mass * s.omega / s.hbar)
@@ -402,9 +408,11 @@ def ground_wavefunction(
     s: PhysicalScales = PhysicalScales(),
     tol: float = 1e-12,
 ) -> float:
-    """<x|0> = (m omega / pi hbar)^(1/4) sum (-m omega/hbar)^n x^(2 beta n) / [2n]!!."""
-    value, _ = wavefunction_sample(0, x, p, s, tol=tol)
-    return value
+    """<x|0> = (m omega / pi hbar)^(1/4) sum (-m omega/hbar)^n x^(2 beta n) / [2n]!!.
+
+    Raises NumericalRangeError where the series cancels past double
+    precision, as excited_wavefunction does."""
+    return excited_wavefunction(0, x, p, s, tol=tol)
 
 
 def excited_wavefunction(
@@ -415,6 +423,14 @@ def excited_wavefunction(
     tol: float = 1e-12,
     k_cap: int = _EXCITED_CAP_DEFAULT,
 ) -> float:
-    """<x|k> via k exact raising-operator applications to the ground state."""
-    value, _ = wavefunction_sample(k, x, p, s, tol=tol, k_cap=k_cap)
+    """<x|k> via k exact raising-operator applications to the ground state.
+
+    Raises NumericalRangeError where wavefunction_sample flags cancellation:
+    the lattice terms then dwarf their sum and its digits are rounding."""
+    value, cancel = wavefunction_sample(k, x, p, s, tol=tol, k_cap=k_cap)
+    if cancel:
+        raise NumericalRangeError(
+            f"wavefunction of level {k} at x = {x} for {p}: the lattice series"
+            " cancels past double precision"
+        )
     return value

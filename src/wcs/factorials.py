@@ -20,10 +20,14 @@ family and (1, beta, nu) the beta^n n! Gamma(beta*n + nu)/Gamma(nu) family.
 All brackets are strictly positive for n >= 1 on the admissible parameter
 domain, so factorials carry sign +1 and a log magnitude.
 
-The logs are kept in one table per parameter triple.  A table grows on
-demand by at least 64 entries, in blocks of at most 4096: each block takes
-its three gamma columns in three calls of the array log-gamma, which equals
-the scalar one bit for bit, and sums log [n]! in the same order as an
+The logs are kept in one table per parameter triple, as three float64
+numpy columns (log [n], the running sum of the alpha-ratio logs, and the
+nu-dependent log-gamma) that the series kernels slice directly; callers
+get read-only views, and the scalar accessors return Python floats.  A
+table grows on demand by at least 64 entries, in blocks of at most 4096,
+into buffers whose capacity doubles when full: each block takes its three
+gamma columns in three calls of the array log-gamma, which equals the
+scalar one bit for bit, and sums log [n]! in the same order as an
 entry-by-entry build, so no entry depends on how the table was grown.  At
 most 64 tables are cached; a new triple beyond that evicts the
 oldest-inserted one.
@@ -59,30 +63,51 @@ _MAX_TABLES = 64
 
 
 class _Table:
-    """Per-parameter incremental cache of bracket and factorial logs."""
+    """Per-parameter incremental cache of bracket and factorial logs.
 
-    __slots__ = ("log_box", "log_prod", "log_tail")
+    log_box, log_prod (the running sum of the alpha-ratio logs) and log_tail
+    are read-only float64 views of the filled part of the three rows of one
+    buffer, indexed by n; entry 0 is the defined-zero bracket / empty
+    product.  A full buffer is copied into one twice as large, so growth to
+    n entries copies O(log n) times."""
+
+    __slots__ = ("_bufs", "log_box", "log_prod", "log_tail")
 
     def __init__(self, p: DeformationParams) -> None:
-        # index n; entry 0 is the empty product / defined-zero bracket
-        self.log_box: list[float] = [-math.inf]
-        self.log_prod: list[float] = [0.0]  # cumulative sum of the alpha-ratio logs
-        self.log_tail: list[float] = [log_gamma(1.0 - p.alpha + p.nu)]
+        self._bufs = np.empty((3, _MIN_GROWTH + 1))
+        self._bufs[:, 0] = -math.inf, 0.0, log_gamma(1.0 - p.alpha + p.nu)
+        self._publish(1)
+
+    def _publish(self, size: int) -> None:
+        self.log_box, self.log_prod, self.log_tail = self._bufs[:, :size]
+        for col in (self.log_box, self.log_prod, self.log_tail):
+            col.flags.writeable = False
 
     def extend(self, n: int, p: DeformationParams) -> None:
+        size = len(self.log_box)
+        if n < size:
+            return
+        if n >= self._bufs.shape[1]:
+            bufs = np.empty((3, max(n + 1, 2 * self._bufs.shape[1])))
+            bufs[:, :size] = self._bufs[:, :size]
+            self._bufs = bufs
+        box, prod, tail = self._bufs
         a, b, v = p.alpha, p.beta, p.nu
-        for lo in range(len(self.log_box), n + 1, _BLOCK):
-            bk = b * np.arange(lo, min(lo + _BLOCK, n + 1)) + 1.0
+        for lo in range(size, n + 1, _BLOCK):
+            hi = min(lo + _BLOCK, n + 1)
+            bk = b * np.arange(lo, hi) + 1.0
             lg_top = _log_gamma_array(bk)
             lg_bot = _log_gamma_array(bk - a)
-            tail = _log_gamma_array(bk - a + v)
-            prev_tail = np.concatenate(([self.log_tail[-1]], tail[:-1]))
-            self.log_box += (lg_top - lg_bot + tail - prev_tail).tolist()
-            acc = self.log_prod[-1]
-            for top, bot in zip(lg_top.tolist(), lg_bot.tolist()):
-                acc = acc + top - bot
-                self.log_prod.append(acc)
-            self.log_tail += tail.tolist()
+            tail[lo:hi] = _log_gamma_array(bk - a + v)
+            box[lo:hi] = lg_top - lg_bot + tail[lo:hi] - tail[lo - 1 : hi - 1]
+            # log_prod[k] = (log_prod[k-1] + top_k) - bot_k, left to right:
+            # accumulate adds in order, and s + (-bot) rounds as s - bot
+            steps = np.empty(2 * (hi - lo) + 1)
+            steps[0] = prod[lo - 1]
+            steps[1::2] = lg_top
+            steps[2::2] = -lg_bot
+            prod[lo:hi] = np.add.accumulate(steps)[2::2]
+        self._publish(n + 1)
 
 
 _TABLES: dict[DeformationParams, _Table] = {}
@@ -114,7 +139,7 @@ def _check_index(n: int) -> int:
 def log_box(n: int, p: DeformationParams) -> float:
     """log [n]; -inf for n = 0."""
     n = _check_index(n)
-    return _table(p, n).log_box[n]
+    return _table(p, n).log_box.item(n)
 
 
 def box(n: int, p: DeformationParams) -> float:
@@ -122,14 +147,14 @@ def box(n: int, p: DeformationParams) -> float:
     n = _check_index(n)
     if n == 0:
         return 0.0
-    return math.exp(_table(p, n).log_box[n])
+    return math.exp(_table(p, n).log_box.item(n))
 
 
 def log_gen_factorial(n: int, p: DeformationParams) -> float:
     """log of [n]! via the telescoped closed form; 0 for n = 0."""
     n = _check_index(n)
     tab = _table(p, n)
-    return tab.log_prod[n] + tab.log_tail[n] - tab.log_tail[0]
+    return tab.log_prod.item(n) + tab.log_tail.item(n) - tab.log_tail.item(0)
 
 
 def gen_factorial(n: int, p: DeformationParams) -> LogValue:
@@ -144,12 +169,9 @@ def log_gen_double_factorial(m: int, p: DeformationParams) -> float:
     appears in the ground-state expansion; m = 0 gives the empty product.
     """
     m = _check_index(m)
-    tab = _table(p, m)
     acc = 0.0
-    k = m
-    while k >= 1:
-        acc += tab.log_box[k]
-        k -= 2
+    for lb in _table(p, m).log_box[m:0:-2].tolist():
+        acc += lb
     return acc
 
 

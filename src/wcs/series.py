@@ -22,10 +22,16 @@ with an optional log factor F such as a falling factorial or 2 log [n].
 The first term is normalised to 1.  One stopping rule, written once: stop
 after three consecutive terms with |t_n| <= tol * max(1, |S_n|), S_n the
 partial sum, while the next-term ratio |t_(n+1) / t_n| is below 0.9.
-Positive series are summed in log space and never overflow; signed and
-complex series (a phase per term) raise NumericalRangeError once a partial
-sum overflows, and their values are taken with compensated summation,
-with a geometric tail bound and a cancellation flag as diagnostics.
+The brackets are read as slices of the table's numpy column.  Positive
+series are summed in log space and never overflow; signed and complex
+series (a phase per term) raise NumericalRangeError once a partial sum
+overflows, and their values are taken with compensated summation
+(math.fsum), with a geometric tail bound and a cancellation flag as
+diagnostics.  Where a positive series is summed on the linear scale,
+_positive_fsum gives fsum only the terms of at least 2^-106 / len of the
+largest, plus the float sum of the rest: those weigh under 2^-106 of the
+total, so they can only decide a rounding tie, and that sum decides it
+as they would.
 """
 
 from __future__ import annotations
@@ -64,6 +70,10 @@ _LOG_MAX = math.log(sys.float_info.max)
 # the number of numpy passes logarithmic and the cap bounds the working set
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 4096
+
+# positive terms below 2^-106 / len of the largest weigh less than 2^-106
+# (the square of half an ulp) of their sum all together
+_NEGLIGIBLE = 2.0**-106
 
 _LOSS_THRESHOLD = 1e8  # |largest term| / |sum| beyond which float cancellation
 # has eaten more than half the significand
@@ -109,6 +119,17 @@ def _log_abs(v) -> float:
     return math.log(abs(v)) if v else -math.inf
 
 
+def _positive_fsum(terms: np.ndarray) -> float:
+    """math.fsum of non-negative terms, with the negligible ones passed as
+    one float sum.  A long decaying series spans hundreds of binary
+    exponents, so fsum would keep many partials for its small terms; their
+    rounded sum still decides a tie in the rounding of the rest."""
+    if len(terms) == 0:
+        return 0.0
+    big = terms >= terms.max() * _NEGLIGIBLE / len(terms)
+    return math.fsum([*terms[big].tolist(), float(terms[~big].sum())])
+
+
 def _log_falling(r: int) -> Callable:
     """F(n) = log n!/(n-r)!, the factor of the r-th derivative term."""
     return lambda n, log_b: np.log(n[:, None] - np.arange(r)).sum(axis=1)
@@ -147,7 +168,7 @@ def _log_series(
     lo, size = start, _FIRST_BLOCK
     while lo < end:
         hi = min(lo + size, end)  # terms lo..hi-1, plus hi for the ratio
-        log_b = np.array(_table(p, step * hi).log_box[step * lo : step * hi + 1 : step])
+        log_b = _table(p, step * hi).log_box[step * lo : step * hi + 1 : step]
         logs = lx - log_b
         logs[0] = base
         np.add.accumulate(logs, out=logs)
@@ -218,7 +239,7 @@ def _linear_sum(
     if not np.all(np.isfinite(terms)):
         raise _overflow(what)
     terms = np.asarray(terms, dtype=complex)
-    value = complex(math.fsum(terms.real), math.fsum(terms.imag))
+    value = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
     last, ratio = math.exp(log_t[-1]), math.exp(s.log_ratio)
     return SeriesResult(
         value=value,
@@ -346,10 +367,9 @@ def deformed_derivative(f: PowerSeries, p: DeformationParams) -> PowerSeries:
         raise ParameterError(
             f"series lattice beta={f.beta} does not match parameters beta={p.beta}"
         )
-    new = tuple(
-        f.coeffs[k + 1] * math.exp(log_box(k + 1, p)) for k in range(len(f.coeffs) - 1)
-    )
-    return PowerSeries(new, f.beta)
+    n = len(f.coeffs)
+    log_b = _table(p, n).log_box[1:n].tolist()
+    return PowerSeries(tuple(c * math.exp(lb) for c, lb in zip(f.coeffs[1:], log_b)), f.beta)
 
 
 def eigenfunction_residual(
@@ -371,8 +391,8 @@ def eigenfunction_residual(
     ref = probe.value.real
     n_coeffs = probe.terms_used + 4
     coeffs = [1.0]
-    for k in range(1, n_coeffs):
-        coeffs.append(coeffs[-1] * lam / math.exp(log_box(k, p)))
+    for lb in _table(p, n_coeffs).log_box[1:n_coeffs].tolist():
+        coeffs.append(coeffs[-1] * lam / math.exp(lb))
     f = PowerSeries(tuple(coeffs), p.beta)
     lhs = deformed_derivative(f, p)(x)
     return abs(lhs - lam * ref) / abs(lam * ref)

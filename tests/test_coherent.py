@@ -4,6 +4,7 @@ and oscillator wavefunctions."""
 import cmath
 import math
 import random
+import re
 
 import mpmath
 import pytest
@@ -34,6 +35,7 @@ from wcs import (
     vacuum_uncertainty,
     wavefunction_sample,
 )
+from wcs import coherent
 from wcs.coherent import _ground_lattice_coeffs, _ground_scale
 from wcs.errors import ConvergenceError, NumericalRangeError, ParameterError
 from wcs.factorials import log_box, log_gen_factorial
@@ -430,6 +432,19 @@ class TestWavefunctions:
         _, clean = wavefunction_sample(0, 1.0, CLASSICAL, S1)
         assert not clean
 
+    @pytest.mark.parametrize("x", [6.0, 8.0])
+    def test_cancelled_value_raises(self, x):
+        # the flagged sums were 1.6e-7 at x = 6 and 0.43 at x = 8, against
+        # a true pi^(-1/4) exp(-x^2/2) of 1.1e-8 and 9.5e-15
+        with pytest.raises(NumericalRangeError, match=re.escape(f"x = {x} for {CLASSICAL}")):
+            ground_wavefunction(x, CLASSICAL, S1)
+        with pytest.raises(NumericalRangeError, match=f"level 2 at x = {x}"):
+            excited_wavefunction(2, x, CLASSICAL, S1)
+
+    def test_clean_value_returns(self):
+        ref = math.pi**-0.25 * math.exp(-4.5)
+        assert ground_wavefunction(3.0, CLASSICAL, S1) == pytest.approx(ref, rel=1e-11)
+
     @pytest.mark.parametrize("x", [10.0, 12.0])
     def test_overflowing_lattice_raises(self, x):
         # x^j overflows on the lattice: NaN at x = 10, inf - inf at x = 12
@@ -520,6 +535,47 @@ class TestFockSumStart:
         for r in (1, 3, 5):
             got = fock_moment_sum(r, CoherentLabel.from_intensity(1e-3), CLASSICAL)
             assert got == pytest.approx(1e-3**r, rel=1e-12)
+
+
+# the photon-stats benchmark triples, on a log grid of x in [0.1, 100]
+PHOTON_TRIPLES = [
+    (0.0, 1.0, 0.0),
+    (0.0, 1.0, 0.5),
+    (1.0, 1.0, 0.5),
+    (1.0, 0.5, 1.0),
+    (0.0, 0.5, 0.0),
+    (0.5, 0.7, 0.2),
+    (0.3, 0.9, 1.5),
+    (0.0, 0.3, 0.5),
+]
+X_GRID = [0.1 * 1000.0 ** (j / 12) for j in range(13)]
+
+
+class TestPositiveSums:
+    """fock_moment_sum and mandel_qm hand math.fsum only the terms that can
+    reach the correctly rounded sum; the result equals, bit for bit, fsum
+    over every kept term of the series."""
+
+    @staticmethod
+    def _sums(p):
+        out = []
+        for x in X_GRID:
+            lab = CoherentLabel.from_intensity(x)
+            try:
+                out.append(
+                    (fock_moment_sum(1, lab, p), fock_moment_sum(2, lab, p), mandel_qm(lab, p))
+                )
+            except ConvergenceError:
+                out.append(None)
+        return out
+
+    @pytest.mark.parametrize("triple", PHOTON_TRIPLES)
+    def test_equal_to_fsum_over_every_term(self, triple, monkeypatch):
+        p = DeformationParams(*triple)
+        got = self._sums(p)
+        assert got[0] is not None
+        monkeypatch.setattr(coherent, "_positive_fsum", lambda t: math.fsum(t.tolist()))
+        assert self._sums(p) == got
 
 
 def _mp_weights(x, p, dps):

@@ -3,6 +3,7 @@
 import functools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -217,7 +218,7 @@ class TestArrayTable:
 
     @staticmethod
     def _columns(tab):
-        return tab.log_box, tab.log_prod, tab.log_tail
+        return tab.log_box.tolist(), tab.log_prod.tolist(), tab.log_tail.tolist()
 
     @pytest.mark.parametrize("p", TABLE_TRIPLES)
     def test_one_call(self, p):
@@ -243,6 +244,31 @@ class TestArrayTable:
         clear_caches()
         log_gen_factorial(10_000, DeformationParams(0.3, 0.7, 0.2))
         assert len(calls) <= 1  # log_tail[0]
+
+    def test_columns_are_read_only_float64(self):
+        tab = _table(TABLE_TRIPLES[3], 100)
+        for col in (tab.log_box, tab.log_prod, tab.log_tail):
+            assert type(col) is np.ndarray and col.dtype == np.float64
+            assert len(col) == len(tab.log_box) > 100
+            with pytest.raises(ValueError, match="read-only"):
+                col[1] = 0.0
+
+    def test_scalar_accessors_return_float(self):
+        p = TABLE_TRIPLES[3]
+        for n in (0, 1, 7):
+            for f in (log_box, box, log_gen_factorial, log_gen_double_factorial):
+                assert type(f(n, p)) is float
+
+    def test_growth_copies_logarithmically(self):
+        # grown 64 entries at a time, as a loop over n grows a cold table,
+        # the buffers are copied only when full, into twice the capacity
+        p = TABLE_TRIPLES[2]
+        tab, copies = _Table(p), 0
+        for n in range(64, 100_001, 64):
+            bufs = tab._bufs
+            tab.extend(n, p)
+            copies += tab._bufs is not bufs
+        assert copies <= math.ceil(math.log2(100_001 / 65))
 
 
 class TestTableCache:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from wcs import (
     wright_w,
 )
 from wcs.errors import ConvergenceError, NumericalRangeError, ParameterError
-from wcs.series import _log_falling, _log_series
+from wcs.series import _log_falling, _log_series, _positive_fsum
 
 CLASSICAL = DeformationParams(0.0, 1.0, 0.0)
 P011 = DeformationParams(0.0, 1.0, 1.0)
@@ -275,3 +276,12 @@ class TestEigenfunctionResidual:
             eigenfunction_residual(0.0, 1.0, CLASSICAL)
         with pytest.raises(ParameterError):
             eigenfunction_residual(1.0, -1.0, CLASSICAL)
+
+
+class TestPositiveFsum:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(min_value=-745.0, max_value=0.0), max_size=300))
+    def test_equal_to_fsum_over_every_term(self, logs):
+        # terms from 1 down to below the smallest subnormal
+        terms = np.exp(np.array(logs, dtype=float))
+        assert _positive_fsum(terms) == math.fsum(terms.tolist())

@@ -17,9 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError
 from .factorials import box
-from .params import DeformationParams, PhysicalScales
+from .params import DeformationParams, PhysicalScales, check_count
 
 __all__ = [
     "ladder_down_coeff",
@@ -39,16 +38,18 @@ def ladder_down_coeff(n: int, p: DeformationParams) -> float:
 
 def ladder_up_coeff(n: int, p: DeformationParams) -> float:
     """sqrt([n+1]), the amplitude of A+ |n> onto |n+1>."""
-    return math.sqrt(box(n + 1, p))
+    return math.sqrt(box(check_count(n, "n") + 1, p))
 
 
 def commutator_diagonal(n: int, p: DeformationParams) -> float:
     """<n| [A, A+] |n> = [n+1] - [n]."""
+    n = check_count(n, "n")
     return box(n + 1, p) - box(n, p)
 
 
 def energy_level(n: int, p: DeformationParams, s: PhysicalScales = PhysicalScales()) -> float:
     """E_n = (hbar omega / 2) ([n+1] + [n])."""
+    n = check_count(n, "n")
     return 0.5 * s.hbar * s.omega * (box(n + 1, p) + box(n, p))
 
 
@@ -72,8 +73,7 @@ def spectrum_table(
     s: PhysicalScales = PhysicalScales(),
 ) -> list[SpectrumRow]:
     """Rows n = 0 .. n_max of brackets and energies."""
-    if not isinstance(n_max, int) or n_max < 0:
-        raise ParameterError(f"n_max must be a non-negative integer, got {n_max!r}")
+    n_max = check_count(n_max, "n_max")
     rows = []
     upper = box(0, p)
     for n in range(n_max + 1):

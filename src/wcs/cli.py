@@ -456,8 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--mass", type=float, default=1.0)
     shared.add_argument("--omega", type=float, default=1.0)
     shared.add_argument("--tol", type=float, default=None,
-                        help="tolerance override (default: 1e-8 series; for weight, the "
-                             "relative error of each value, default 1e-11)")
+                        help="series tolerance of mandel (q_z only) and wavefunction "
+                             "(default 1e-8); for weight, the relative error of each "
+                             "value (default 1e-11); other subcommands ignore it")
     shared.add_argument("--format", choices=("csv", "json"), default="csv")
     shared.add_argument("--out", default=None, help="output file (default stdout)")
     shared.add_argument("--gnuplot", action="store_true",

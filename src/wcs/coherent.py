@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import NumericalRangeError, ParameterError
 from .factorials import _table, box, log_gen_factorial
-from .params import DeformationParams, PhysicalScales
+from .params import DeformationParams, PhysicalScales, check_complex, check_count, check_real
 from .series import _log_series, _positive_fsum, log_n_derivative, log_n_function, n_function
 
 __all__ = [
@@ -53,7 +53,8 @@ __all__ = [
 ]
 
 _SMALL_X_GUARD = 1e-12  # below this the Mandel ratios are replaced by their limits
-_EXCITED_CAP_DEFAULT = 12
+_LEVEL_CAP = 12  # the highest wavefunction level
+_LATTICE_BUDGET = 20000  # term budget of the ground-state lattice series
 
 
 @dataclass(frozen=True)
@@ -64,17 +65,12 @@ class CoherentLabel:
     x: float = field(init=False)
 
     def __post_init__(self) -> None:
-        zc = complex(self.z)
-        if not (math.isfinite(zc.real) and math.isfinite(zc.imag)):
-            raise ParameterError(f"coherent label must be finite, got {self.z!r}")
-        object.__setattr__(self, "z", zc)
-        object.__setattr__(self, "x", abs(zc) ** 2)
+        object.__setattr__(self, "z", check_complex(self.z, "z"))
+        object.__setattr__(self, "x", abs(self.z) ** 2)
 
     @classmethod
     def from_intensity(cls, x: float) -> "CoherentLabel":
-        if not (isinstance(x, (int, float)) and x == x and x >= 0.0):
-            raise ParameterError(f"intensity must be a non-negative real, got {x!r}")
-        return cls(complex(math.sqrt(x), 0.0))
+        return cls(complex(math.sqrt(check_real(x, "x", at_least=0.0)), 0.0))
 
 
 @dataclass(frozen=True)
@@ -99,8 +95,7 @@ def photon_pdf(
     tol: float = 1e-12,
 ) -> float:
     """Probability of n quanta in |z>: x^n / ([n]! N(x))."""
-    if not isinstance(n, int) or n < 0:
-        raise ParameterError(f"photon number must be a non-negative integer, got {n!r}")
+    n = check_count(n, "n")
     x = label.x
     if x == 0.0:
         return 1.0 if n == 0 else 0.0
@@ -117,8 +112,9 @@ def photon_distribution(
 ) -> PhotonDistribution:
     """All probabilities up to the first n whose remaining mass, summed from
     the tail, is at most tail_tol; normalised by the sum of the same terms."""
-    if not 0.0 < tail_tol < 1.0:
+    if not 0.0 < check_real(tail_tol, "tail_tol") < 1.0:
         raise ParameterError(f"tail_tol must lie in (0, 1), got {tail_tol}")
+    max_n = check_count(max_n, "max_n")
     x = label.x
     if x == 0.0:
         return PhotonDistribution(probabilities=(1.0,), cutoff=0, tail_mass=0.0)
@@ -152,8 +148,7 @@ def coherent_amplitudes(
     tol: float = 1e-13,
 ) -> list[complex]:
     """Normalized Fock amplitudes c_n = z^n / sqrt([n]! N(x)), n = 0..n_max."""
-    if not isinstance(n_max, int) or n_max < 0:
-        raise ParameterError(f"n_max must be a non-negative integer, got {n_max!r}")
+    n_max = check_count(n_max, "n_max")
     c = complex(math.exp(-0.5 * log_n_function(label.x, p, tol=tol)), 0.0)
     out = [c]
     for lb in _table(p, n_max).log_box[1 : n_max + 1].tolist():
@@ -175,6 +170,7 @@ def continuity_defect(
     the kernel route evaluates 2 (1 - Re <z2|z1>).  Mathematically equal,
     so the returned defect measures numerical agreement of the two paths.
     """
+    max_terms = check_count(max_terms, "max_terms", 1)
     kernel = 2.0 * (1.0 - overlap(l2, l1, p, tol=tol).real)
     # the weights of the larger intensity bound both amplitude tails
     x_big = max(l1.x, l2.x)
@@ -199,8 +195,7 @@ def normally_ordered_moment(
     tol: float = 1e-12,
 ) -> float:
     """<(A+)^r A^r> in |z>: x^r N^(r)(x) / N(x), assembled from logs."""
-    if not isinstance(r, int) or r < 1:
-        raise ParameterError(f"moment order must be a positive integer, got {r!r}")
+    r = check_count(r, "r", 1)
     x = label.x
     if x == 0.0:
         return 0.0
@@ -227,8 +222,7 @@ def fock_moment_sum(
     weights w_n, n >= r, stop on their own, the falling factorial is applied
     on the linear scale, and p(n) is normalised by the sum of the weights
     themselves, with the head n < r read from the factorial table."""
-    if not isinstance(r, int) or r < 1:
-        raise ParameterError(f"moment order must be a positive integer, got {r!r}")
+    r = check_count(r, "r", 1)
     x = label.x
     if x == 0.0:
         return 0.0
@@ -296,6 +290,7 @@ def quadrature_stats(
     Both variances carry the commutator diagonal [n+1] - [n]; the product
     is (hbar/2) ([n+1] - [n]) and reduces to hbar/2 classically.
     """
+    n = check_count(n, "n")
     c = box(n + 1, p) - box(n, p)
     return QuadratureStats(
         n=n,
@@ -310,37 +305,12 @@ def vacuum_uncertainty(p: DeformationParams, s: PhysicalScales = PhysicalScales(
     return 0.5 * s.hbar * box(1, p)
 
 
-def _ground_scale(p: DeformationParams, s: PhysicalScales) -> float:
-    return (s.mass * s.omega / (math.pi * s.hbar)) ** 0.25
-
-
-def _ground_lattice_coeffs(n_slots: int, boxes: list[float], s: PhysicalScales) -> list[float]:
-    """Coefficients of the ground state on the x^beta lattice; boxes[j] = [j].
-
-    Slot 2n holds (-m omega / hbar)^n / [2n]!!, odd slots are zero; the
-    double factorial is the product of even brackets, which is exactly the
-    normalization making the state annihilated by the lowering operator.
-    """
-    coeffs = [0.0] * n_slots
-    val = 1.0
-    coeffs[0] = 1.0
-    ratio = -s.mass * s.omega / s.hbar
-    n = 0
-    while 2 * n + 2 < n_slots:
-        val *= ratio / boxes[2 * n + 2]
-        coeffs[2 * n + 2] = val
-        n += 1
-    return coeffs
-
-
 def wavefunction_sample(
     k: int,
     x: float,
     p: DeformationParams,
     s: PhysicalScales = PhysicalScales(),
     tol: float = 1e-12,
-    k_cap: int = _EXCITED_CAP_DEFAULT,
-    max_terms: int = 20000,
 ) -> tuple[float, bool]:
     """Value of <x|k> and a cancellation flag.
 
@@ -348,18 +318,15 @@ def wavefunction_sample(
     higher k apply the raising operator as exact coefficient algebra
     (multiplication by x^beta shifts slots up; the lattice derivative is
     the bracket-weighted down-shift), then divide by sqrt([k]!).  No
-    numerical differentiation anywhere.  Raises NumericalRangeError when a
-    lattice term is not finite, as when x^(beta j) overflows at large x.
+    numerical differentiation anywhere.  Levels run up to 12.  Raises
+    NumericalRangeError when a lattice term is not finite, as when
+    x^(beta j) overflows at large x.
     """
-    if not isinstance(k, int) or k < 0:
-        raise ParameterError(f"level index must be a non-negative integer, got {k!r}")
-    if k > k_cap:
-        raise ParameterError(f"level index {k} exceeds the configured cap {k_cap}")
-    if not (isinstance(x, (int, float)) and x == x and x >= 0.0):
-        raise ParameterError(
-            f"wavefunctions are defined on the half-line x >= 0, got {x!r}"
-        )
-    x = float(x)
+    k = check_count(k, "k")
+    if k > _LEVEL_CAP:
+        raise ParameterError(f"level index k = {k} exceeds the cap {_LEVEL_CAP}")
+    x = check_real(x, "x", at_least=0.0)
+    tol = check_real(tol, "tol", above=0.0)
     # the ground series sums (-y)^n / [2n]!!, y = (m omega / hbar) x^(2 beta)
     log_y = -math.inf
     if x > 0.0:
@@ -367,13 +334,22 @@ def wavefunction_sample(
     # size the lattice with a stricter threshold: the raising operator's
     # down-shift multiplies truncated slots by bracket values, so headroom
     # is needed for the stated tol to survive k applications
-    ground = _log_series(log_y, p, tol * 1e-4, max_terms, "ground-state series", step=2, phase=-1.0)
+    ground = _log_series(
+        log_y, p, tol * 1e-4, _LATTICE_BUDGET, "ground-state series", step=2, phase=-1.0
+    )
     n_even = len(ground.log_terms)
     n_slots = 2 * n_even + k + 4
     # the brackets [j], read once for the lattice and all k raisings
     log_b = _table(p, n_slots).log_box[1:n_slots].tolist()
     boxes = [0.0, *map(math.exp, log_b)]
-    coeffs = np.array(_ground_lattice_coeffs(n_slots, boxes, s))
+    # the ground state: slot 2n holds (-m omega / hbar)^n / [2n]!!, the
+    # normalization under which the lowering operator annihilates it
+    coeffs = np.zeros(n_slots)
+    coeffs[0] = val = 1.0
+    ratio = -s.mass * s.omega / s.hbar
+    for j in range(2, n_slots, 2):
+        val *= ratio / boxes[j]
+        coeffs[j] = val
 
     up = math.sqrt(0.5 * s.mass * s.omega / s.hbar)
     down = math.sqrt(0.5 * s.hbar / (s.mass * s.omega))
@@ -384,7 +360,8 @@ def wavefunction_sample(
         nxt[:-1] -= down * coeffs[1:] * b[1:]
         coeffs = nxt
 
-    scale = _ground_scale(p, s) * math.exp(-0.5 * log_gen_factorial(k, p))
+    ground_scale = (s.mass * s.omega / (math.pi * s.hbar)) ** 0.25
+    scale = ground_scale * math.exp(-0.5 * log_gen_factorial(k, p))
     y = x**p.beta
     terms = []
     yj = 1.0
@@ -421,13 +398,12 @@ def excited_wavefunction(
     p: DeformationParams,
     s: PhysicalScales = PhysicalScales(),
     tol: float = 1e-12,
-    k_cap: int = _EXCITED_CAP_DEFAULT,
 ) -> float:
     """<x|k> via k exact raising-operator applications to the ground state.
 
     Raises NumericalRangeError where wavefunction_sample flags cancellation:
     the lattice terms then dwarf their sum and its digits are rounding."""
-    value, cancel = wavefunction_sample(k, x, p, s, tol=tol, k_cap=k_cap)
+    value, cancel = wavefunction_sample(k, x, p, s, tol=tol)
     if cancel:
         raise NumericalRangeError(
             f"wavefunction of level {k} at x = {x} for {p}: the lattice series"

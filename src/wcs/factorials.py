@@ -39,9 +39,8 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError
 from .gammafn import LogValue, _log_gamma_array, log_gamma
-from .params import DeformationParams
+from .params import DeformationParams, check_count
 
 __all__ = [
     "box",
@@ -128,23 +127,15 @@ def clear_caches() -> None:
     _TABLES.clear()
 
 
-def _check_index(n: int) -> int:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ParameterError(f"index must be an integer, got {n!r}")
-    if n < 0:
-        raise ParameterError(f"index must be non-negative, got {n}")
-    return n
-
-
 def log_box(n: int, p: DeformationParams) -> float:
     """log [n]; -inf for n = 0."""
-    n = _check_index(n)
+    n = check_count(n, "n")
     return _table(p, n).log_box.item(n)
 
 
 def box(n: int, p: DeformationParams) -> float:
     """The bracket [n] on linear scale.  [0] = 0."""
-    n = _check_index(n)
+    n = check_count(n, "n")
     if n == 0:
         return 0.0
     return math.exp(_table(p, n).log_box.item(n))
@@ -152,7 +143,7 @@ def box(n: int, p: DeformationParams) -> float:
 
 def log_gen_factorial(n: int, p: DeformationParams) -> float:
     """log of [n]! via the telescoped closed form; 0 for n = 0."""
-    n = _check_index(n)
+    n = check_count(n, "n")
     tab = _table(p, n)
     return tab.log_prod.item(n) + tab.log_tail.item(n) - tab.log_tail.item(0)
 
@@ -168,7 +159,7 @@ def log_gen_double_factorial(m: int, p: DeformationParams) -> float:
     The even case [2n]!! = [2n][2n-2]...[2] is the normalization that
     appears in the ground-state expansion; m = 0 gives the empty product.
     """
-    m = _check_index(m)
+    m = check_count(m, "m")
     acc = 0.0
     for lb in _table(p, m).log_box[m:0:-2].tolist():
         acc += lb
@@ -187,7 +178,7 @@ def log_factorial_asymptotic(n: int, p: DeformationParams) -> float:
     m_n ~ exp(-(alpha+beta) n) (beta n)^((alpha+beta) n) used by the
     moment-problem classification.
     """
-    n = _check_index(n)
+    n = check_count(n, "n")
     if n == 0:
         return 0.0
     e = p.alpha + p.beta

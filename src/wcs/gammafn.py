@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalRangeError, ParameterError
+from .params import check_real
 
 # Lanczos approximation, g = 7 with 9 coefficients.  This variant keeps the
 # relative error of exp(log_gamma) near 1e-15 across the positive axis,
@@ -46,18 +47,14 @@ _MAX_FINITE_LOG = math.log(sys.float_info.max)
 
 
 def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for real x > 0.
+    """Natural log of Gamma(x) for real x > 0, and +inf at x = +inf.
 
     Uses the Lanczos series directly for x >= 0.5 and the reflection
     formula below that, where the series alone degrades.
     """
-    if not (isinstance(x, (int, float)) and x == x):
-        raise ParameterError(f"log_gamma expects a finite real argument, got {x!r}")
-    x = float(x)
-    if x <= 0.0:
-        raise ParameterError(f"log_gamma requires x > 0, got {x}")
-    if math.isinf(x):
+    if isinstance(x, float) and x == math.inf:
         return math.inf
+    x = check_real(x, "x", above=0.0)
     if x < 0.5:
         # Gamma(x) Gamma(1-x) = pi / sin(pi x); both factors positive here
         return _LN_PI - math.log(math.sin(math.pi * x)) - _lanczos_log_gamma(1.0 - x)
@@ -105,11 +102,15 @@ def gamma_signed(x: float) -> tuple[float, float]:
     """(sign, log|Gamma(x)|) for real non-pole x, including x < 0.
 
     Negative arguments go through the reflection formula; integers <= 0 are
-    poles and raise ParameterError.
+    poles and raise ParameterError.  Above about 2.5e305, where log|Gamma|
+    itself overflows, raises NumericalRangeError.
     """
-    x = float(x)
+    x = check_real(x, "x")
     if x > 0.0:
-        return 1.0, log_gamma(x)
+        log_abs = log_gamma(x)
+        if log_abs == math.inf:
+            raise NumericalRangeError(f"log Gamma({x}) overflows double precision")
+        return 1.0, log_abs
     if x == math.floor(x):
         raise ParameterError(f"Gamma has a pole at non-positive integer {x}")
     s = math.sin(math.pi * x)
@@ -132,8 +133,7 @@ class LogValue:
 
     @classmethod
     def from_float(cls, value: float) -> "LogValue":
-        if value != value:
-            raise ParameterError("cannot represent NaN as a LogValue")
+        value = check_real(value, "value")
         if value == 0.0:
             return cls(0, -math.inf)
         return cls(1 if value > 0.0 else -1, math.log(abs(value)))

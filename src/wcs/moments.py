@@ -43,7 +43,7 @@ import numpy as np
 from .errors import NumericalRangeError, ParameterError
 from .factorials import log_gen_factorial
 from .gammafn import gamma_signed, log_gamma
-from .params import DeformationParams
+from .params import DeformationParams, check_count, check_real
 from .quadrature import integrate_zero_inf, integrate_zero_inf_de
 from .series import log_n_function
 
@@ -70,24 +70,13 @@ class CarlemanVerdict:
     series_divergent: bool
 
 
-def _finite_real(value) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value)
-
-
-def _check_exponent(exponent: float) -> None:
-    if not _finite_real(exponent):
-        raise ParameterError(f"exponent must be a finite real, got {exponent!r}")
-
-
 def classify_exponent(exponent: float) -> CarlemanVerdict:
     """Verdict for a given growth exponent e: moments grow like
     (n^e)^(2n), so sum m_n^(-1/(2n)) ~ sum n^(-e) diverges iff e <= 1,
     which is the sufficient condition for determinacy."""
-    _check_exponent(exponent)
+    exponent = check_real(exponent, "exponent")
     diverges = exponent <= 1.0
-    return CarlemanVerdict(
-        exponent=float(exponent), determinate=diverges, series_divergent=diverges
-    )
+    return CarlemanVerdict(exponent=exponent, determinate=diverges, series_divergent=diverges)
 
 
 def carleman_classify(p: DeformationParams) -> CarlemanVerdict:
@@ -106,11 +95,11 @@ def carleman_partial_sums(
 
     Used to test the divergence dichotomy numerically at the given
     checkpoint lengths."""
-    _check_exponent(exponent)
-    if not (_finite_real(beta) and beta > 0.0):
-        raise ParameterError(f"beta must be a finite positive real, got {beta!r}")
-    if not checkpoints or any(not isinstance(c, (int, np.integer)) or c < 1 for c in checkpoints):
-        raise ParameterError("checkpoints must be positive integers")
+    exponent = check_real(exponent, "exponent")
+    beta = check_real(beta, "beta", above=0.0)
+    checkpoints = [check_count(c, "checkpoints", 1) for c in checkpoints]
+    if not checkpoints:
+        raise ParameterError("checkpoints must not be empty")
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ParameterError("checkpoints must be strictly increasing")
     top = max(checkpoints)
@@ -129,9 +118,8 @@ def hankel_hadamard(p: DeformationParams, size: int, offset: int = 0) -> float:
     preserves the determinant's sign, and strict positivity of these
     determinants (offsets 0 and 1) is the positivity test for a
     representing measure."""
-    if not isinstance(size, int) or size < 1:
-        raise ParameterError(f"size must be a positive integer, got {size!r}")
-    if offset not in (0, 1):
+    size = check_count(size, "size", 1)
+    if check_count(offset, "offset") > 1:
         raise ParameterError(f"offset must be 0 or 1, got {offset!r}")
     lf = [log_gen_factorial(k + offset, p) for k in range(2 * size - 1)]
     mat = np.empty((size, size))
@@ -153,19 +141,6 @@ class WeightSample:
     abs_err_est: float
     endpoint_singular: bool = False
     sign_anomaly: bool = False
-
-
-def _check_x(x: float) -> float:
-    if not (_finite_real(x) and x > 0.0):
-        raise ParameterError(f"weight functions are defined for finite x > 0, got {x!r}")
-    return float(x)
-
-
-def _check_wright(beta: float, nu: float) -> None:
-    if not 0.0 < beta <= 1.0:
-        raise ParameterError(f"beta must lie in (0, 1], got {beta}")
-    if not nu > 0.0:
-        raise ParameterError(f"the alpha = 1 weight requires nu > 0, got {nu}")
 
 
 def _one_minus_beta_prefactor(beta: float, nu: float) -> tuple[float, float]:
@@ -203,7 +178,11 @@ def _kernel_weights(log_f, sign: float, log_pref: float, rtol: float):
 
 
 def _wright_weights(beta: float, nu: float, rtol: float):
-    _check_wright(beta, nu)
+    beta, nu = check_real(beta, "beta"), check_real(nu, "nu")
+    if not 0.0 < beta <= 1.0:
+        raise ParameterError(f"beta must lie in (0, 1], got {beta}")
+    if not nu > 0.0:
+        raise ParameterError(f"the alpha = 1 weight requires nu > 0, got {nu}")
     power = nu / beta - 2.0
 
     def log_f(log_t, x):
@@ -216,6 +195,7 @@ def _wright_weights(beta: float, nu: float, rtol: float):
 def _one_minus_beta_weights(beta: float, nu: float, rtol: float):
     """The w-integral of the module docstring with log w as the variable;
     the double-exponential map absorbs the w -> 0 endpoint power."""
+    beta, nu = check_real(beta, "beta"), check_real(nu, "nu")
     sign, log_pref = _one_minus_beta_prefactor(beta, nu)
     if nu < 0.0:
 
@@ -241,10 +221,11 @@ _INNER_RTOL = 1e-11
 
 
 def _one_row(weights, x: float, beta: float, nu: float, rtol: float) -> tuple[float, float]:
-    """(Utilde(x), its absolute error estimate) from a one-row call of the
-    family's array evaluator."""
+    """(Utilde(x), its absolute error estimate, at least one ulp of it) from
+    a one-row call of the family's array evaluator."""
     u, _, rel_error = weights(beta, nu, rtol)(np.array([x]))
-    return float(u[0]), abs(float(u[0])) * float(rel_error[0])
+    value = float(u[0])
+    return value, max(abs(value) * float(rel_error[0]), math.ulp(value))
 
 
 def weight_wright(x: float, beta: float, nu: float, rtol: float = _INNER_RTOL) -> WeightSample:
@@ -253,7 +234,7 @@ def weight_wright(x: float, beta: float, nu: float, rtol: float = _INNER_RTOL) -
     The t -> 0 endpoint power t^(nu/b - 2) is non-integrable on its own
     when nu/b < 1 (flagged), but the essential damping exp(-x/(b t))
     regularizes it for every x > 0."""
-    x = _check_x(x)
+    x = check_real(x, "x", above=0.0)
     u, err = _one_row(_wright_weights, x, beta, nu, rtol)
     return WeightSample(
         x=x, u_tilde=u, abs_err_est=err, endpoint_singular=nu / beta < 1.0
@@ -270,7 +251,7 @@ def weight_one_minus_beta(
     negative there and the two signs cancel, as the n = 0 moment check
     confirms.  Any negatively computed weight value is surfaced through the
     sign-anomaly flag."""
-    x = _check_x(x)
+    x = check_real(x, "x", above=0.0)
     u, err = _one_row(_one_minus_beta_weights, x, beta, nu, rtol)
     return WeightSample(
         x=x, u_tilde=u, abs_err_est=err, endpoint_singular=True, sign_anomaly=u < 0.0
@@ -280,9 +261,8 @@ def weight_one_minus_beta(
 def weight_ml_closed_form(x: float, nu: float) -> WeightSample:
     """Exact weight x^nu e^(-x) / Gamma(1 + nu) of the alpha = 0, beta = 1
     family; the classical coherent-state measure at nu = 0."""
-    x = _check_x(x)
-    if not nu > -1.0:
-        raise ParameterError(f"need nu > -1, got {nu}")
+    x = check_real(x, "x", above=0.0)
+    nu = check_real(nu, "nu", above=-1.0)
     value = math.exp(nu * math.log(x) - x - log_gamma(1.0 + nu))
     return WeightSample(x=x, u_tilde=value, abs_err_est=0.0)
 
@@ -368,8 +348,8 @@ def verify_moments(family: str, beta: float, nu: float, n_max: int) -> MomentRep
     returned truncation_x is the largest outer abscissa at which some
     order's integrand x^n Utilde(x) exceeds 1e-16 of its moment; it is read
     from the abscissae already evaluated and is informational only."""
-    if not isinstance(n_max, int) or n_max < 0:
-        raise ParameterError(f"n_max must be a non-negative integer, got {n_max!r}")
+    beta, nu = check_real(beta, "beta"), check_real(nu, "nu")
+    n_max = check_count(n_max, "n_max")
     fam = _family(family)
     p = fam.params(beta, nu)
     u_tilde = fam.weights(beta, nu, _INNER_RTOL)

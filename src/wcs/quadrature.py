@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, NumericalRangeError, ParameterError
+from .params import check_count, check_real
 
 __all__ = [
     "QuadResult",
@@ -120,10 +121,12 @@ def integrate_finite(
     max_panels: int = 4000,
 ) -> QuadResult:
     """Adaptively integrate the vector integrand f over [a, b]."""
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+    if not check_real(a, "a") < check_real(b, "b"):
         raise ParameterError(f"bad integration interval [{a}, {b}]")
+    atol, rtol = check_real(atol, "atol"), check_real(rtol, "rtol")
     if atol <= 0.0 and rtol <= 0.0:
         raise ParameterError("need a positive atol or rtol")
+    max_panels = check_count(max_panels, "max_panels", 1)
 
     kron, _, err = _eval_panels(f, np.array([a]), np.array([b]))
     totals = kron[0].copy()
@@ -286,13 +289,13 @@ def integrate_zero_inf_de(log_f, x, rtol: float = 1e-11) -> LogQuadResult:
     column of shape (m, 1), and returns the log of a positive integrand,
     broadcast to (m, k); -inf marks a zero.  Row i is accepted when its
     error estimate is at most rtol * I_i, with rtol floored at the rounding
-    error of a log-integrand of that row's size.  Raises ConvergenceError
-    when a row misses its tolerance after the last refinement (as a peak
-    much narrower than the coarse scan step does) or is not negligible at
-    the scan limits, and NumericalRangeError for a NaN or +inf
-    log-integrand."""
-    if not rtol > 0.0:
-        raise ParameterError("need rtol > 0")
+    error of a log-integrand of that row's size, and its rel_error is the
+    h vs h/2 estimate or that floor, whichever is larger.  Raises
+    ConvergenceError when a row misses its tolerance after the last
+    refinement (as a peak much narrower than the coarse scan step does) or
+    is not negligible at the scan limits, and NumericalRangeError for a NaN
+    or +inf log-integrand."""
+    rtol = check_real(rtol, "rtol", above=0.0)
     x = np.asarray(x, dtype=float).reshape(-1, 1)
     if not len(x):
         raise ParameterError("need at least one abscissa")
@@ -315,7 +318,8 @@ def _de_block(log_f, x: np.ndarray, rtol: float) -> LogQuadResult:
     ends = 0.5 * (f[:, 0] + f[:, -1])
     total = h * (f.sum(axis=1) - ends)
     err = np.abs(total - 2.0 * h * (f[:, ::2].sum(axis=1) - ends))
-    rtol_row = np.maximum(rtol, _DE_NOISE * (np.abs(top) + _DE_DROP))
+    floor = _DE_NOISE * (np.abs(top) + _DE_DROP)
+    rtol_row = np.maximum(rtol, floor)
     bad = err > rtol_row * total
     for level in range(_DE_LEVELS + 1):
         if not bad.any():
@@ -341,4 +345,6 @@ def _de_block(log_f, x: np.ndarray, rtol: float) -> LogQuadResult:
         total[rows] = refined
         top[rows] = new_top
         bad = err > rtol_row * total
-    return LogQuadResult(log_value=top + np.log(total), rel_error=err / total, points=points)
+    # the h vs h/2 difference alone understates a row whose error is rounding
+    rel_error = np.maximum(err / total, floor)
+    return LogQuadResult(log_value=top + np.log(total), rel_error=rel_error, points=points)

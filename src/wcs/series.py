@@ -47,7 +47,7 @@ import numpy as np
 from .errors import ConvergenceError, NumericalRangeError, ParameterError
 from .factorials import _table, log_box, log_gen_factorial
 from .gammafn import log_gamma
-from .params import DeformationParams
+from .params import DeformationParams, check_complex, check_count, check_real
 
 __all__ = [
     "SeriesResult",
@@ -153,8 +153,8 @@ def _log_series(
     marks a positive series; otherwise each term carries phase^(n - start)
     and a partial sum beyond double range raises NumericalRangeError.
     Raises ConvergenceError when max_terms terms do not meet the rule."""
-    if tol <= 0.0:
-        raise ParameterError(f"tol must be positive, got {tol}")
+    tol = check_real(tol, "tol", above=0.0)
+    max_terms = check_count(max_terms, "max_terms", 1)
     if lx == -math.inf:  # x = 0: every term after the first vanishes
         return _LogSeries(np.zeros(1), 0.0, -math.inf, np.array([log_box(step * start, p)]))
     end = start + max_terms  # first index past the budget
@@ -239,7 +239,10 @@ def _linear_sum(
     if not np.all(np.isfinite(terms)):
         raise _overflow(what)
     terms = np.asarray(terms, dtype=complex)
-    value = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+    try:  # finite terms can still sum past the range once scaled by e^log_first
+        value = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+    except OverflowError:
+        raise _overflow(what) from None
     last, ratio = math.exp(log_t[-1]), math.exp(s.log_ratio)
     return SeriesResult(
         value=value,
@@ -260,7 +263,7 @@ def n_function(
     Raises NumericalRangeError when the value itself overflows; use
     log_n_function for large positive arguments.
     """
-    return _linear_sum(complex(x), p, tol, max_terms, "n_function")
+    return _linear_sum(check_complex(x, "x"), p, tol, max_terms, "n_function")
 
 
 def n_function_derivative(
@@ -271,10 +274,10 @@ def n_function_derivative(
     max_terms: int = 10000,
 ) -> SeriesResult:
     """r-th ordinary derivative of N: sum_{n>=r} n!/(n-r)! x^(n-r) / [n]!."""
-    if not isinstance(r, int) or r < 0:
-        raise ParameterError(f"derivative order must be a non-negative integer, got {r!r}")
+    x = check_complex(x, "x")
+    r = check_count(r, "r")
     return _linear_sum(
-        complex(x), p, tol, max_terms, f"n_function_derivative(r={r})",
+        x, p, tol, max_terms, f"n_function_derivative(r={r})",
         start=r, log_factor=_log_falling(r),
         log_first=log_gamma(r + 1.0) - log_gen_factorial(r, p),
     )
@@ -293,8 +296,11 @@ def wright_w(
     """
     base = n_function(x, p, tol=tol, max_terms=max_terms)
     scale = math.exp(-log_gamma(1.0 - p.alpha + p.nu))
+    value = base.value * scale
+    if not cmath.isfinite(value):  # a scale above 1 can push N past the range
+        raise NumericalRangeError("wright_w: the value overflows double precision")
     return SeriesResult(
-        value=base.value * scale,
+        value=value,
         terms_used=base.terms_used,
         tail_bound=base.tail_bound * scale,
         cancellation=base.cancellation,
@@ -308,8 +314,7 @@ def log_n_function(
     max_terms: int = 10000,
 ) -> float:
     """log N(x) for real x >= 0, stable for arbitrarily large x."""
-    if x < 0.0:
-        raise ParameterError(f"log_n_function requires x >= 0, got {x}")
+    x = check_real(x, "x", at_least=0.0)
     if x == 0.0:
         return 0.0
     return _log_series(math.log(x), p, tol, max_terms, "log_n_function").log_sum
@@ -323,10 +328,8 @@ def log_n_derivative(
     max_terms: int = 10000,
 ) -> float:
     """log of the r-th derivative of N at real x >= 0 (all terms positive)."""
-    if not isinstance(r, int) or r < 0:
-        raise ParameterError(f"derivative order must be a non-negative integer, got {r!r}")
-    if x < 0.0:
-        raise ParameterError(f"log_n_derivative requires x >= 0, got {x}")
+    x = check_real(x, "x", at_least=0.0)
+    r = check_count(r, "r")
     log_first = log_gamma(r + 1.0) - log_gen_factorial(r, p)
     if x == 0.0:
         return log_first
@@ -346,9 +349,7 @@ class PowerSeries:
     beta: float
 
     def __call__(self, x: float) -> float:
-        if x < 0.0:
-            raise ParameterError(f"lattice series defined for x >= 0, got {x}")
-        y = x**self.beta
+        y = check_real(x, "x", at_least=0.0) ** self.beta
         acc = []
         yk = 1.0
         for c in self.coeffs:
@@ -384,8 +385,8 @@ def eigenfunction_residual(
     right through the direct series sum, so the residual measures how well
     the two independent evaluations realize the eigenfunction identity.
     """
-    if x < 0.0 or lam <= 0.0:
-        raise ParameterError("eigenfunction_residual expects lam > 0 and x >= 0")
+    lam = check_real(lam, "lam", above=0.0)
+    x = check_real(x, "x", at_least=0.0)
     y = lam * x**p.beta
     probe = n_function(y, p, tol=tol)
     ref = probe.value.real

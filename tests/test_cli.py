@@ -365,6 +365,7 @@ class TestBadParameters:
             ["weight", "--family", "ml-closed-form", "--nu", "0", "--x", "inf"],
             ["weight", "--family", "one-minus-beta", "--beta", "0.5", "--nu", "-0.25",
              "--x", "inf"],
+            ["wavefunction", "--k", "0", "--x", "inf"],
         ],
     )
     def test_exit_code_two(self, argv):

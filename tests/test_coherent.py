@@ -36,7 +36,6 @@ from wcs import (
     wavefunction_sample,
 )
 from wcs import coherent
-from wcs.coherent import _ground_lattice_coeffs, _ground_scale
 from wcs.errors import ConvergenceError, NumericalRangeError, ParameterError
 from wcs.factorials import log_box, log_gen_factorial
 from wcs.series import _log_series
@@ -469,15 +468,21 @@ class TestWavefunctions:
 
 
 def _wavefunction_slot_loop(k, x, p, s=S1, tol=1e-12, max_terms=20000):
-    """Reference for wavefunction_sample: one bracket lookup per slot and the
-    raising operator applied slot by slot."""
+    """Reference for wavefunction_sample: one bracket lookup per slot, its own
+    ground-state lattice loop, and the raising operator applied slot by slot."""
     log_y = -math.inf
     if x > 0.0:
         log_y = math.log(s.mass * s.omega / s.hbar) + 2.0 * p.beta * math.log(x)
     ground = _log_series(log_y, p, tol * 1e-4, max_terms, "ground", step=2, phase=-1.0)
     n_slots = 2 * len(ground.log_terms) + k + 4
     boxes = [0.0] + [math.exp(log_box(j, p)) for j in range(1, n_slots + 1)]
-    coeffs = _ground_lattice_coeffs(n_slots, boxes, s)
+    # slot 2n holds (-m omega / hbar)^n / [2n]!!, odd slots are zero
+    coeffs = [0.0] * n_slots
+    coeffs[0] = val = 1.0
+    ratio = -s.mass * s.omega / s.hbar
+    for j in range(2, n_slots, 2):
+        val *= ratio / boxes[j]
+        coeffs[j] = val
     up = math.sqrt(0.5 * s.mass * s.omega / s.hbar)
     down = math.sqrt(0.5 * s.hbar / (s.mass * s.omega))
     for _ in range(k):
@@ -490,7 +495,8 @@ def _wavefunction_slot_loop(k, x, p, s=S1, tol=1e-12, max_terms=20000):
                 acc -= down * coeffs[j + 1] * boxes[j + 1]
             nxt[j] = acc
         coeffs = nxt
-    scale = _ground_scale(p, s) * math.exp(-0.5 * log_gen_factorial(k, p))
+    ground_scale = (s.mass * s.omega / (math.pi * s.hbar)) ** 0.25
+    scale = ground_scale * math.exp(-0.5 * log_gen_factorial(k, p))
     y = x**p.beta
     terms = []
     yj = 1.0

@@ -515,3 +515,18 @@ class TestMomentWork:
     def test_counters_default_to_zero(self):
         rep = MomentReport((0,), (1.0,), (1.0,), (0.0,), 1.0, "ml-closed-form")
         assert rep.panels == 0 and rep.inner_points == 0
+
+
+class TestWeightErrorEstimate:
+    @pytest.mark.parametrize("x", [0.5 + 0.5 * i for i in range(8)])
+    def test_bounds_the_error_on_the_readme_rows(self, x):
+        # wcs weight --family wright --alpha 1 --nu 1 --x 0.5:4:8
+        got = weight_wright(x, 1.0, 1.0)
+        assert abs(got.u_tilde - 2.0 * sp.k0(2.0 * math.sqrt(x))) <= got.abs_err_est
+
+    def test_at_least_one_ulp_of_a_subnormal_value(self):
+        # 30-digit mpmath, integrated in log t around the peak
+        ref = mpmath.mpf("6.0124547738477188794669e-316")
+        got = weight_wright(100.0, 0.1, 0.05)
+        assert got.abs_err_est >= math.ulp(got.u_tilde)
+        assert abs(mpmath.mpf(got.u_tilde) - ref) <= got.abs_err_est

@@ -1,10 +1,14 @@
 """Command-line interface: every computation as a reproducible table.
 
 Subcommands mirror the library one to one; output is CSV (default) or a
-single JSON object {"config": ..., "rows": [...]}.  Identical invocations
-produce byte-identical output: floats are printed with 17 significant
-digits, row order follows grid order, and diagnostics go exclusively to
-stderr (controlled by the WCS_LOG environment variable).
+single JSON object {"config": ..., "rows": [...]}.  Each subcommand accepts
+only the options it reads, so any other flag is a usage error (exit 2).
+The JSON config is the parsed command line: the subcommand and every
+option it accepts, defaults included, plus what pdist computed (cutoff and
+tail mass).  Identical invocations produce byte-identical output: floats
+are printed with 17 significant digits, row order follows grid order, and
+diagnostics go exclusively to stderr (controlled by the WCS_LOG
+environment variable).
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure,
 4 verification failure (moment check above threshold).
@@ -46,10 +50,6 @@ _LOG_LEVELS = {
 }
 
 log = logging.getLogger("wcs")
-
-_DEFAULT_SERIES_TOL = 1e-8
-_DEFAULT_ALPHA = (0.0,)
-
 
 def _setup_logging() -> None:
     name = os.environ.get("WCS_LOG", "warn").lower()
@@ -110,12 +110,6 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return _parse_float_list(text)
 
 
-def _scalar(values: tuple, flag: str) -> float:
-    if len(values) != 1:
-        raise ParameterError(f"{flag} must be a single value for this command")
-    return values[0]
-
-
 # ------------------------------------------------------------- formatting
 
 
@@ -146,15 +140,9 @@ def _json_escape(s: str) -> str:
 def _json_value(v) -> str:
     if v is None:
         return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        if math.isinf(v) or math.isnan(v):
-            return f'"{_fmt(v)}"'
-        return format(v, ".17g")
-    return f'"{_json_escape(str(v))}"'
+    if isinstance(v, int) or isinstance(v, float) and math.isfinite(v):
+        return _fmt(v)
+    return f'"{_json_escape(_fmt(v))}"'
 
 
 def _render_csv(header: list[str], rows: list[tuple]) -> str:
@@ -174,16 +162,28 @@ def _render_json(config: dict, header: list[str], rows: list[tuple]) -> str:
     return '{"config":{' + cfg + '},"rows":[' + ",".join(row_objs) + "]}\n"
 
 
-def _emit(args, config: dict, header: list[str], rows: list[tuple]) -> None:
+def _config(args, computed: dict) -> dict:
+    """The run configuration as parsed: the subcommand, each option it
+    accepts, then the computed entries.  alpha, beta and nu are recorded as
+    text, the values of a sweep comma-joined."""
+    config = {key: v for key, v in vars(args).items() if key != "func"}
+    for key in ("alpha", "beta", "nu"):
+        v = config[key]
+        if v is not None:
+            config[key] = ",".join(map(_fmt, v if isinstance(v, tuple) else (v,)))
+    return config | computed
+
+
+def _emit(args, header: list[str], rows: list[tuple], **computed) -> None:
     log.debug(
         "command=%s rows=%d columns=%s format=%s",
-        config.get("command", "?"),
+        args.command,
         len(rows),
         ",".join(header),
         args.format,
     )
     if args.format == "json":
-        text = _render_json(config, header, rows)
+        text = _render_json(_config(args, computed), header, rows)
     else:
         text = _render_csv(header, rows)
     if args.out:
@@ -217,36 +217,12 @@ def _emit_gnuplot(out_path: str, header: list[str]) -> None:
 # ------------------------------------------------------------- commands
 
 
-def _base_config(args, command: str) -> dict:
-    return {
-        "command": command,
-        "alpha": ",".join(_fmt(a) for a in args.alpha),
-        "beta": ",".join(_fmt(b) for b in args.beta),
-        "nu": ",".join(_fmt(v) for v in args.nu),
-        "hbar": args.hbar,
-        "mass": args.mass,
-        "omega": args.omega,
-        "tol": args.tol,
-        "format": args.format,
-        "out": args.out,
-        "gnuplot": bool(args.gnuplot),
-    }
-
-
-def _params_scalar(args) -> DeformationParams:
-    return DeformationParams(
-        _scalar(args.alpha, "--alpha"),
-        _scalar(args.beta, "--beta"),
-        _scalar(args.nu, "--nu"),
-    )
-
-
-def _scales(args) -> PhysicalScales:
-    return PhysicalScales(hbar=args.hbar, mass=args.mass, omega=args.omega)
+def _triple(args) -> DeformationParams:
+    return DeformationParams(args.alpha, args.beta, args.nu)
 
 
 def cmd_factorial(args) -> int:
-    p = _params_scalar(args)
+    p = _triple(args)
     ns = _parse_int_range(args.n)
     rows = []
     for n in ns:
@@ -256,61 +232,45 @@ def cmd_factorial(args) -> int:
         except NumericalRangeError:
             linear = math.inf
         rows.append((n, lv.log_abs, linear))
-    config = _base_config(args, "factorial")
-    config["n"] = args.n
-    _emit(args, config, ["n", "log_factorial", "factorial_or_inf"], rows)
+    _emit(args, ["n", "log_factorial", "factorial_or_inf"], rows)
     return 0
 
 
 def cmd_spectrum(args) -> int:
-    beta = _scalar(args.beta, "--beta")
-    nu = _scalar(args.nu, "--nu")
-    s = _scales(args)
+    s = PhysicalScales(hbar=args.hbar, omega=args.omega)
     ns = _parse_int_range(args.n)
     rows = []
     for alpha in args.alpha:
-        p = DeformationParams(alpha, beta, nu)
+        p = DeformationParams(alpha, args.beta, args.nu)
         for n in ns:
-            rows.append((n, alpha, beta, nu, energy_level(n, p, s)))
-    config = _base_config(args, "spectrum")
-    config["n"] = args.n
-    _emit(args, config, ["n", "alpha", "beta", "nu", "energy"], rows)
+            rows.append((n, alpha, args.beta, args.nu, energy_level(n, p, s)))
+    _emit(args, ["n", "alpha", "beta", "nu", "energy"], rows)
     return 0
 
 
 def cmd_pdist(args) -> int:
-    p = _params_scalar(args)
     label = CoherentLabel.from_intensity(args.x)
-    tail = args.tail if args.tail is not None else 1e-10
-    dist = photon_distribution(label, p, tail_tol=tail)
+    dist = photon_distribution(label, _triple(args), tail_tol=args.tail)
     rows = [(n, prob) for n, prob in enumerate(dist.probabilities)]
-    config = _base_config(args, "pdist")
-    config["x"] = args.x
-    config["tail"] = tail
-    config["cutoff"] = dist.cutoff
-    config["tail_mass"] = dist.tail_mass
-    _emit(args, config, ["n", "probability"], rows)
+    _emit(args, ["n", "probability"], rows, cutoff=dist.cutoff, tail_mass=dist.tail_mass)
     return 0
 
 
 def cmd_mandel(args) -> int:
-    p = _params_scalar(args)
-    tol = args.tol if args.tol is not None else _DEFAULT_SERIES_TOL
+    p = _triple(args)
     xs = _parse_grid(args.x)
     if any(x <= 0 for x in xs):
         raise ParameterError("mandel requires x > 0 on the whole grid")
     rows = []
     for x in xs:
         label = CoherentLabel.from_intensity(x)
-        rows.append((x, mandel_qz(label, p, tol=tol), mandel_qm(label, p)))
-    config = _base_config(args, "mandel")
-    config["x"] = args.x
-    _emit(args, config, ["x", "q_z", "q_m"], rows)
+        rows.append((x, mandel_qz(label, p, tol=args.tol), mandel_qm(label, p)))
+    _emit(args, ["x", "q_z", "q_m"], rows)
     return 0
 
 
 def cmd_uncertainty(args) -> int:
-    s = _scales(args)
+    s = PhysicalScales(hbar=args.hbar)
     unit = 1.0
     if args.units == "half-hbar":
         unit = 0.5 * s.hbar
@@ -320,72 +280,58 @@ def cmd_uncertainty(args) -> int:
             for nu in args.nu:
                 p = DeformationParams(alpha, beta, nu)
                 rows.append((alpha, beta, nu, vacuum_uncertainty(p, s) / unit))
-    config = _base_config(args, "uncertainty")
-    config["units"] = args.units
-    _emit(args, config, ["alpha", "beta", "nu", "vacuum_product"], rows)
+    _emit(args, ["alpha", "beta", "nu", "vacuum_product"], rows)
     return 0
 
 
 def cmd_wavefunction(args) -> int:
-    p = _params_scalar(args)
-    s = _scales(args)
-    tol = args.tol if args.tol is not None else _DEFAULT_SERIES_TOL
+    p = _triple(args)
+    s = PhysicalScales(hbar=args.hbar, mass=args.mass, omega=args.omega)
     ks = _parse_int_range(args.k)
     xs = _parse_grid(args.x)
     rows = []
     for k in ks:
         for x in xs:
-            value, cancel = wavefunction_sample(k, x, p, s, tol=tol)
+            value, cancel = wavefunction_sample(k, x, p, s, tol=args.tol)
             rows.append((k, x, value, cancel))
-    config = _base_config(args, "wavefunction")
-    config["k"] = args.k
-    config["x"] = args.x
-    _emit(args, config, ["k", "x", "psi", "cancellation"], rows)
+    _emit(args, ["k", "x", "psi", "cancellation"], rows)
     return 0
 
 
-def _family_triple(args, beta: float, nu: float) -> DeformationParams:
+def _family_triple(args) -> DeformationParams:
     """The family's deformation triple; an --alpha given on the command line
     must agree with the alpha that the family fixes."""
-    p = WEIGHT_FAMILIES[args.family].params(beta, nu)
-    # identity, not equality: an explicit --alpha 0 parses to a new tuple
-    if args.alpha is not _DEFAULT_ALPHA and not (
+    p = WEIGHT_FAMILIES[args.family].params(args.beta, args.nu)
+    if args.alpha is not None and not (
         len(args.alpha) == 1 and math.isclose(args.alpha[0], p.alpha, abs_tol=1e-12)
     ):
         raise ParameterError(
             f"--alpha {','.join(f'{a:g}' for a in args.alpha)} contradicts --family "
-            f"{args.family}, which fixes alpha = {p.alpha:g} at beta = {beta:g}"
+            f"{args.family}, which fixes alpha = {p.alpha:g} at beta = {args.beta:g}"
         )
     return p
 
 
 def cmd_weight(args) -> int:
-    beta = _scalar(args.beta, "--beta")
-    nu = _scalar(args.nu, "--nu")
     # --tol is the relative target of each weight value; without it the
     # samplers' default, the target verify_moments holds its weights to
     rtol = {} if args.tol is None else {"rtol": args.tol}
     xs = _parse_grid(args.x)
-    p = _family_triple(args, beta, nu)
+    p = _family_triple(args)
     sample_at = WEIGHT_FAMILIES[args.family].sample
     rows = []
     for x in xs:
-        sample = sample_at(x, beta, nu, **rtol)
+        sample = sample_at(x, args.beta, args.nu, **rtol)
         rows.append((x, sample.u_tilde, u_from_u_tilde(sample, p), sample.abs_err_est))
-    config = _base_config(args, "weight")
-    config["family"] = args.family
-    config["x"] = args.x
-    _emit(args, config, ["x", "u_tilde", "u", "err_est"], rows)
+    _emit(args, ["x", "u_tilde", "u", "err_est"], rows)
     return 0
 
 
 def cmd_moments(args) -> int:
-    beta = _scalar(args.beta, "--beta")
-    nu = _scalar(args.nu, "--nu")
     if args.nmax > 12:
         raise ParameterError(f"--nmax is capped at 12, got {args.nmax}")
-    _family_triple(args, beta, nu)
-    report = verify_moments(args.family, beta, nu, args.nmax)
+    _family_triple(args)
+    report = verify_moments(args.family, args.beta, args.nu, args.nmax)
     rows = [
         (n, q, t, r)
         for n, q, t, r in zip(
@@ -395,11 +341,7 @@ def cmd_moments(args) -> int:
             report.rel_errors,
         )
     ]
-    config = _base_config(args, "moments")
-    config["family"] = args.family
-    config["nmax"] = args.nmax
-    config["threshold"] = args.threshold
-    _emit(args, config, ["n", "quadrature_moment", "target_factorial", "rel_error"], rows)
+    _emit(args, ["n", "quadrature_moment", "target_factorial", "rel_error"], rows)
     if max(report.rel_errors) > args.threshold:
         log.error(
             "moment verification failed: max rel error %.3g above threshold %.3g",
@@ -420,10 +362,8 @@ def cmd_carleman(args) -> int:
                 rows.append(
                     (alpha, beta, nu, v.exponent, v.determinate, v.series_divergent)
                 )
-    config = _base_config(args, "carleman")
     _emit(
         args,
-        config,
         ["alpha", "beta", "nu", "exponent", "determinate", "series_divergent"],
         rows,
     )
@@ -431,95 +371,104 @@ def cmd_carleman(args) -> int:
 
 
 def cmd_hankel(args) -> int:
-    p = _params_scalar(args)
-    det = hankel_hadamard(p, args.size, args.offset)
+    det = hankel_hadamard(_triple(args), args.size, args.offset)
     rows = [(args.size, args.offset, 1 if det > 0 else -1, det)]
-    config = _base_config(args, "hankel")
-    config["size"] = args.size
-    config["offset"] = args.offset
-    _emit(args, config, ["size", "offset", "sign", "scaled_det"], rows)
+    _emit(args, ["size", "offset", "sign", "scaled_det"], rows)
     return 0
 
 
 # ---------------------------------------------------------------- parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--alpha", type=_parse_float_list, default=_DEFAULT_ALPHA,
-                        help="deformation alpha (comma list where a sweep is allowed)")
-    shared.add_argument("--beta", type=_parse_float_list, default=(1.0,),
-                        help="deformation beta")
-    shared.add_argument("--nu", type=_parse_float_list, default=(0.0,),
-                        help="deformation nu")
-    shared.add_argument("--hbar", type=float, default=1.0)
-    shared.add_argument("--mass", type=float, default=1.0)
-    shared.add_argument("--omega", type=float, default=1.0)
-    shared.add_argument("--tol", type=float, default=None,
-                        help="series tolerance of mandel (q_z only) and wavefunction "
-                             "(default 1e-8); for weight, the relative error of each "
-                             "value (default 1e-11); other subcommands ignore it")
-    shared.add_argument("--format", choices=("csv", "json"), default="csv")
-    shared.add_argument("--out", default=None, help="output file (default stdout)")
-    shared.add_argument("--gnuplot", action="store_true",
-                        help="with --out and csv format, also write a .gp plot script")
+def _subcommand(sub, name: str, func, help: str, sweep=(), family=False,
+                scales=(), tol=None) -> argparse.ArgumentParser:
+    """A subcommand that accepts the deformation triple, the physical scales
+    named in scales, --tol where tol = (default, help) is given, and the
+    output options.  A name in sweep takes a comma list, the others one
+    value; with family set, --alpha is optional and checked against the
+    family's.  Abbreviated flags are refused: --n would otherwise be taken
+    as --nu where a subcommand has no --n."""
+    sp = sub.add_parser(name, help=help, allow_abbrev=False)
+    triple = (("alpha", 0.0), ("beta", 1.0), ("nu", 0.0))
+    if family:
+        sp.add_argument("--alpha", type=_parse_float_list, default=None,
+                        help="deformation alpha; the family fixes it, and a value "
+                             "given must agree")
+        triple = triple[1:]
+    for flag, default in triple:
+        if flag in sweep:
+            sp.add_argument(f"--{flag}", type=_parse_float_list, default=(default,),
+                            help=f"deformation {flag}, a comma list to sweep")
+        else:
+            sp.add_argument(f"--{flag}", type=float, default=default,
+                            help=f"deformation {flag}")
+    for flag in scales:
+        sp.add_argument(f"--{flag}", type=float, default=1.0)
+    if tol is not None:
+        sp.add_argument("--tol", type=float, default=tol[0], help=tol[1])
+    sp.add_argument("--format", choices=("csv", "json"), default="csv")
+    sp.add_argument("--out", default=None, help="output file (default stdout)")
+    sp.add_argument("--gnuplot", action="store_true",
+                    help="with --out and csv format, also write a .gp plot script")
+    sp.set_defaults(func=func)
+    return sp
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wcs",
         description="Deformed boson algebra and generalized coherent-state numerics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("factorial", parents=[shared],
-                        help="generalized factorial [n]!")
+    sp = _subcommand(sub, "factorial", cmd_factorial, "generalized factorial [n]!")
     sp.add_argument("--n", required=True, help="integer or range, e.g. 3 or 0..5")
-    sp.set_defaults(func=cmd_factorial)
 
-    sp = sub.add_parser("spectrum", parents=[shared],
-                        help="energy levels (hw/2)([n+1]+[n]); --alpha may sweep")
+    sp = _subcommand(sub, "spectrum", cmd_spectrum,
+                     "energy levels (hw/2)([n+1]+[n]); --alpha may sweep",
+                     sweep=("alpha",), scales=("hbar", "omega"))
     sp.add_argument("--n", required=True, help="integer or range, e.g. 0..10")
-    sp.set_defaults(func=cmd_spectrum)
 
-    sp = sub.add_parser("pdist", parents=[shared], help="photon-number distribution")
+    sp = _subcommand(sub, "pdist", cmd_pdist, "photon-number distribution")
     sp.add_argument("--x", type=float, required=True, help="intensity |z|^2")
-    sp.add_argument("--tail", type=float, default=None, help="tail mass tolerance")
-    sp.set_defaults(func=cmd_pdist)
+    sp.add_argument("--tail", type=float, default=1e-10, help="tail mass tolerance")
 
-    sp = sub.add_parser("mandel", parents=[shared], help="Mandel parameters on an x grid")
+    sp = _subcommand(sub, "mandel", cmd_mandel, "Mandel parameters on an x grid",
+                     tol=(1e-8, "series tolerance of q_z (default 1e-8; q_m sums to 1e-13)"))
     sp.add_argument("--x", required=True, help="grid: value, list, or lo:hi:count")
-    sp.set_defaults(func=cmd_mandel)
 
-    sp = sub.add_parser("uncertainty", parents=[shared],
-                        help="vacuum uncertainty product over a parameter grid")
+    sp = _subcommand(sub, "uncertainty", cmd_uncertainty,
+                     "vacuum uncertainty product over a parameter grid",
+                     sweep=("alpha", "beta", "nu"), scales=("hbar",))
     sp.add_argument("--units", choices=("action", "half-hbar"), default="action")
-    sp.set_defaults(func=cmd_uncertainty)
 
-    sp = sub.add_parser("wavefunction", parents=[shared],
-                        help="oscillator wavefunctions on an x grid")
+    sp = _subcommand(sub, "wavefunction", cmd_wavefunction,
+                     "oscillator wavefunctions on an x grid",
+                     scales=("hbar", "mass", "omega"),
+                     tol=(1e-8, "series tolerance of the ground-state lattice (default 1e-8)"))
     sp.add_argument("--k", required=True, help="level index or range, e.g. 0..2")
     sp.add_argument("--x", required=True, help="grid: value, list, or lo:hi:count")
-    sp.set_defaults(func=cmd_wavefunction)
 
-    sp = sub.add_parser("weight", parents=[shared], help="coherent-state weight samples")
+    sp = _subcommand(sub, "weight", cmd_weight, "coherent-state weight samples",
+                     family=True,
+                     tol=(None, "relative error target of each weight value (default "
+                                "1e-11, the target moments holds its weights to)"))
     sp.add_argument("--family", choices=WEIGHT_FAMILIES, required=True)
     sp.add_argument("--x", required=True, help="grid: value, list, or lo:hi:count")
-    sp.set_defaults(func=cmd_weight)
 
-    sp = sub.add_parser("moments", parents=[shared],
-                        help="verify the moment equation for a weight family")
+    sp = _subcommand(sub, "moments", cmd_moments,
+                     "verify the moment equation for a weight family", family=True)
     sp.add_argument("--family", choices=WEIGHT_FAMILIES, required=True)
     sp.add_argument("--nmax", type=int, required=True)
     sp.add_argument("--threshold", type=float, default=1e-5,
                     help="max allowed relative moment error (exit 4 above it)")
-    sp.set_defaults(func=cmd_moments)
 
-    sp = sub.add_parser("carleman", parents=[shared], help="moment-problem classification")
-    sp.set_defaults(func=cmd_carleman)
+    _subcommand(sub, "carleman", cmd_carleman, "moment-problem classification",
+                sweep=("alpha", "beta", "nu"))
 
-    sp = sub.add_parser("hankel", parents=[shared], help="rescaled Hankel determinant")
+    sp = _subcommand(sub, "hankel", cmd_hankel, "rescaled Hankel determinant")
     sp.add_argument("--size", type=int, default=3)
     sp.add_argument("--offset", type=int, default=0, choices=(0, 1))
-    sp.set_defaults(func=cmd_hankel)
 
     return parser
 

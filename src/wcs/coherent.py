@@ -30,7 +30,14 @@ import numpy as np
 from .errors import NumericalRangeError, ParameterError
 from .factorials import _table, box, log_gen_factorial
 from .params import DeformationParams, PhysicalScales, check_complex, check_count, check_real
-from .series import _log_series, _positive_fsum, log_n_derivative, log_n_function, n_function
+from .series import (
+    _log_abs,
+    _log_series,
+    _positive_fsum,
+    log_n_derivative,
+    log_n_function,
+    n_function,
+)
 
 __all__ = [
     "CoherentLabel",
@@ -96,6 +103,7 @@ def photon_pdf(
 ) -> float:
     """Probability of n quanta in |z>: x^n / ([n]! N(x))."""
     n = check_count(n, "n")
+    check_real(tol, "tol", above=0.0)
     x = label.x
     if x == 0.0:
         return 1.0 if n == 0 else 0.0
@@ -115,10 +123,7 @@ def photon_distribution(
     if not 0.0 < check_real(tail_tol, "tail_tol") < 1.0:
         raise ParameterError(f"tail_tol must lie in (0, 1), got {tail_tol}")
     max_n = check_count(max_n, "max_n")
-    x = label.x
-    if x == 0.0:
-        return PhotonDistribution(probabilities=(1.0,), cutoff=0, tail_mass=0.0)
-    s = _log_series(math.log(x), p, tol, max_n + 1, "photon_distribution")
+    s = _log_series(_log_abs(label.x), p, tol, max_n + 1, "photon_distribution")
     probs = np.exp(s.log_terms - s.log_sum)
     beyond = np.append(np.cumsum(probs[:0:-1])[::-1], 0.0)  # mass above each n
     cutoff = int(np.argmax(beyond <= tail_tol))
@@ -196,6 +201,7 @@ def normally_ordered_moment(
 ) -> float:
     """<(A+)^r A^r> in |z>: x^r N^(r)(x) / N(x), assembled from logs."""
     r = check_count(r, "r", 1)
+    check_real(tol, "tol", above=0.0)
     x = label.x
     if x == 0.0:
         return 0.0
@@ -223,6 +229,8 @@ def fock_moment_sum(
     on the linear scale, and p(n) is normalised by the sum of the weights
     themselves, with the head n < r read from the factorial table."""
     r = check_count(r, "r", 1)
+    check_real(tol, "tol", above=0.0)
+    check_count(max_terms, "max_terms", 1)
     x = label.x
     if x == 0.0:
         return 0.0
@@ -247,6 +255,7 @@ def mandel_qz(
     Vanishes identically in the classical limit; the x -> 0 limit is 0 and
     is returned directly below the guard threshold.
     """
+    check_real(tol, "tol", above=0.0)
     if label.x < _SMALL_X_GUARD:
         return 0.0
     log_n = log_n_function(label.x, p, tol=tol)
@@ -265,6 +274,8 @@ def mandel_qm(
 
     The x -> 0 limit is [1] - 1 and is returned below the guard threshold.
     """
+    check_real(tol, "tol", above=0.0)
+    check_count(max_terms, "max_terms", 1)
     x = label.x
     if x < _SMALL_X_GUARD:
         return box(1, p) - 1.0

@@ -50,7 +50,8 @@ def log_gamma(x: float) -> float:
     """Natural log of Gamma(x) for real x > 0, and +inf at x = +inf.
 
     Uses the Lanczos series directly for x >= 0.5 and the reflection
-    formula below that, where the series alone degrades.
+    formula below that, where the series alone degrades.  Above about
+    2.5e305, where log Gamma itself overflows, raises NumericalRangeError.
     """
     if isinstance(x, float) and x == math.inf:
         return math.inf
@@ -58,7 +59,10 @@ def log_gamma(x: float) -> float:
     if x < 0.5:
         # Gamma(x) Gamma(1-x) = pi / sin(pi x); both factors positive here
         return _LN_PI - math.log(math.sin(math.pi * x)) - _lanczos_log_gamma(1.0 - x)
-    return _lanczos_log_gamma(x)
+    log_abs = _lanczos_log_gamma(x)
+    if log_abs == math.inf:
+        raise NumericalRangeError(f"log Gamma({x}) overflows double precision")
+    return log_abs
 
 
 def _lanczos_log_gamma(x, log=math.log):
@@ -103,14 +107,11 @@ def gamma_signed(x: float) -> tuple[float, float]:
 
     Negative arguments go through the reflection formula; integers <= 0 are
     poles and raise ParameterError.  Above about 2.5e305, where log|Gamma|
-    itself overflows, raises NumericalRangeError.
+    itself overflows, raises NumericalRangeError, as log_gamma does.
     """
     x = check_real(x, "x")
     if x > 0.0:
-        log_abs = log_gamma(x)
-        if log_abs == math.inf:
-            raise NumericalRangeError(f"log Gamma({x}) overflows double precision")
-        return 1.0, log_abs
+        return 1.0, log_gamma(x)
     if x == math.floor(x):
         raise ParameterError(f"Gamma has a pole at non-positive integer {x}")
     s = math.sin(math.pi * x)

@@ -97,7 +97,12 @@ def carleman_partial_sums(
     checkpoint lengths."""
     exponent = check_real(exponent, "exponent")
     beta = check_real(beta, "beta", above=0.0)
-    checkpoints = [check_count(c, "checkpoints", 1) for c in checkpoints]
+    try:
+        checkpoints = [check_count(c, "checkpoints", 1) for c in checkpoints]
+    except TypeError:  # not iterable
+        raise ParameterError(
+            f"checkpoints must be a list of integers, got {checkpoints!r}"
+        ) from None
     if not checkpoints:
         raise ParameterError("checkpoints must not be empty")
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
@@ -325,15 +330,6 @@ WEIGHT_FAMILIES = {
 }
 
 
-def _family(family: str) -> _Family:
-    try:
-        return WEIGHT_FAMILIES[family]
-    except KeyError:
-        raise ParameterError(
-            f"unknown weight family {family!r}; expected one of {tuple(WEIGHT_FAMILIES)}"
-        ) from None
-
-
 # verify_moments' relative target of the outer integral, and its panel budget
 _OUTER_RTOL = 1e-9
 _MAX_PANELS = 6000
@@ -350,7 +346,9 @@ def verify_moments(family: str, beta: float, nu: float, n_max: int) -> MomentRep
     from the abscissae already evaluated and is informational only."""
     beta, nu = check_real(beta, "beta"), check_real(nu, "nu")
     n_max = check_count(n_max, "n_max")
-    fam = _family(family)
+    if not (isinstance(family, str) and family in WEIGHT_FAMILIES):
+        raise ParameterError(f"family must be one of {tuple(WEIGHT_FAMILIES)}, got {family!r}")
+    fam = WEIGHT_FAMILIES[family]
     p = fam.params(beta, nu)
     u_tilde = fam.weights(beta, nu, _INNER_RTOL)
     orders = np.arange(n_max + 1, dtype=float)

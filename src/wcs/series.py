@@ -315,9 +315,7 @@ def log_n_function(
 ) -> float:
     """log N(x) for real x >= 0, stable for arbitrarily large x."""
     x = check_real(x, "x", at_least=0.0)
-    if x == 0.0:
-        return 0.0
-    return _log_series(math.log(x), p, tol, max_terms, "log_n_function").log_sum
+    return _log_series(_log_abs(x), p, tol, max_terms, "log_n_function").log_sum
 
 
 def log_n_derivative(
@@ -331,10 +329,8 @@ def log_n_derivative(
     x = check_real(x, "x", at_least=0.0)
     r = check_count(r, "r")
     log_first = log_gamma(r + 1.0) - log_gen_factorial(r, p)
-    if x == 0.0:
-        return log_first
     s = _log_series(
-        math.log(x), p, tol, max_terms, f"log_n_derivative(r={r})",
+        _log_abs(x), p, tol, max_terms, f"log_n_derivative(r={r})",
         start=r, log_factor=_log_falling(r),
     )
     return log_first + s.log_sum

@@ -373,6 +373,68 @@ class TestBadParameters:
         assert code == 2
 
 
+# each subcommand: a valid command line, and the options it accepts beyond
+# the triple and the output options that every subcommand accepts
+COMMON = {"alpha", "beta", "nu", "format", "out", "gnuplot"}
+ACCEPTS = {
+    "factorial": (["--n", "1"], {"n"}),
+    "spectrum": (["--n", "0..1"], {"hbar", "omega", "n"}),
+    "pdist": (["--x", "1"], {"x", "tail"}),
+    "mandel": (["--x", "1"], {"tol", "x"}),
+    "uncertainty": ([], {"hbar", "units"}),
+    "wavefunction": (["--k", "0", "--x", "0"], {"hbar", "mass", "omega", "tol", "k", "x"}),
+    "weight": (["--family", "ml-closed-form", "--x", "1"], {"tol", "family", "x"}),
+    "moments": (["--family", "ml-closed-form", "--nmax", "2"], {"family", "nmax", "threshold"}),
+    "carleman": ([], set()),
+    "hankel": ([], {"size", "offset"}),
+}
+# a value each option would accept
+VALUES = {
+    "alpha": "0", "beta": "1", "nu": "0", "hbar": "1", "mass": "7", "omega": "1",
+    "tol": "1e-30", "n": "1", "x": "1", "tail": "1e-10", "units": "action", "k": "0",
+    "family": "wright", "nmax": "2", "threshold": "1e-5", "size": "2", "offset": "0",
+}
+UNREAD = [
+    (command, flag)
+    for command, (_, own) in ACCEPTS.items()
+    for flag in sorted(set(VALUES) - COMMON - own)
+]
+
+
+class TestOptionsPerSubcommand:
+    def test_settable_values(self):
+        assert sum(len(COMMON | own) for _, own in ACCEPTS.values()) == 84
+
+    @pytest.mark.parametrize("command, flag", UNREAD, ids=[f"{c}--{f}" for c, f in UNREAD])
+    def test_unread_flag_exits_two(self, command, flag):
+        argv = [command, *ACCEPTS[command][0]]
+        assert run_cli(argv)[0] == 0
+        code, out, err = run_cli(argv + [f"--{flag}", VALUES[flag]])
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: --{flag}" in err
+
+    @pytest.mark.parametrize("command", ACCEPTS)
+    def test_json_config_is_the_parsed_command_line(self, command):
+        argv, own = ACCEPTS[command]
+        code, out, _ = run_cli([command, *argv, "--format", "json"])
+        assert code == 0
+        config = json.loads(out)["config"]
+        computed = {"cutoff", "tail_mass"} if command == "pdist" else set()
+        assert set(config) == {"command"} | COMMON | own | computed
+        assert config["command"] == command
+
+    def test_defaults_are_recorded(self):
+        for command in ("mandel", "wavefunction"):
+            _, out, _ = run_cli([command, *ACCEPTS[command][0], "--format", "json"])
+            assert json.loads(out)["config"]["tol"] == 1e-8
+        _, out, _ = run_cli(["pdist", "--x", "1", "--format", "json"])
+        assert json.loads(out)["config"]["tail"] == 1e-10
+        # the family fixes alpha; none was given
+        _, out, _ = run_cli(["weight", *ACCEPTS["weight"][0], "--format", "json"])
+        assert json.loads(out)["config"]["alpha"] is None
+
+
 class TestImportHygiene:
     def test_oracles_stay_out_of_the_runtime(self):
         # scipy, mpmath and hypothesis are test oracles; importing the

@@ -71,6 +71,8 @@ from wcs.quadrature import integrate_finite, integrate_zero_inf, integrate_zero_
 
 P = DeformationParams(0.0, 1.0, 0.5)
 LABEL = CoherentLabel(1.0 + 0.5j)
+ZERO = CoherentLabel(0.0)
+TINY = CoherentLabel.from_intensity(1e-13)  # below the Mandel small-x guard
 
 
 def _log_exp(log_t, x):
@@ -157,6 +159,21 @@ ENTRIES = [
     ("integrate_finite", "max_panels", lambda v: integrate_finite(np.sin, 0.0, 1.0, max_panels=v)),
     ("integrate_zero_inf", "rtol", lambda v: integrate_zero_inf(np.exp, rtol=v)),
     ("integrate_zero_inf_de", "rtol", lambda v: integrate_zero_inf_de(_log_exp, [1.0], rtol=v)),
+    ("verify_moments", "family", lambda v: verify_moments(v, 1.0, 0.5, 4)),
+    ("carleman_partial_sums(checkpoints=v)", "checkpoints",
+     lambda v: carleman_partial_sums(1.0, v)),
+    # short cuts at x = 0 and below the Mandel guard check tol and max_terms too
+    ("log_n_function(x=0)", "tol", lambda v: log_n_function(0.0, P, tol=v)),
+    ("log_n_derivative(x=0)", "tol", lambda v: log_n_derivative(0.0, 1, P, tol=v)),
+    ("photon_pdf(x=0)", "tol", lambda v: photon_pdf(0, ZERO, P, tol=v)),
+    ("photon_distribution(x=0)", "tol", lambda v: photon_distribution(ZERO, P, tol=v)),
+    ("normally_ordered_moment(x=0)", "tol", lambda v: normally_ordered_moment(1, ZERO, P, tol=v)),
+    ("fock_moment_sum(x=0)", "tol", lambda v: fock_moment_sum(1, ZERO, P, tol=v)),
+    ("fock_moment_sum(x=0)", "max_terms", lambda v: fock_moment_sum(1, ZERO, P, max_terms=v)),
+    ("coherent_amplitudes(x=0)", "tol", lambda v: coherent_amplitudes(ZERO, P, 2, tol=v)),
+    ("mandel_qz(x<guard)", "tol", lambda v: mandel_qz(TINY, P, tol=v)),
+    ("mandel_qm(x<guard)", "tol", lambda v: mandel_qm(TINY, P, tol=v)),
+    ("mandel_qm(x<guard)", "max_terms", lambda v: mandel_qm(TINY, P, max_terms=v)),
 ]
 
 BAD = [True, math.nan, math.inf, -math.inf, "1"]
@@ -236,6 +253,22 @@ def test_log_gamma_checks_its_argument(value):
 
 def test_log_gamma_of_inf_is_still_inf():
     assert log_gamma(math.inf) == math.inf
+
+
+def test_log_gamma_overflow_is_typed():
+    # log Gamma(1e306) is about 7e308, past the largest double
+    with pytest.raises(NumericalRangeError, match="overflows"):
+        log_gamma(1e306)
+
+
+def test_unhashable_family_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="^family must"):
+        verify_moments(["wright"], 0.5, 1.0, 4)
+
+
+def test_zero_max_terms_below_the_mandel_guard():
+    with pytest.raises(ParameterError, match="^max_terms must"):
+        mandel_qm(TINY, P, max_terms=0)
 
 
 def test_gamma_signed_overflow_is_typed():

@@ -77,18 +77,29 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return vals
 
 
+# the most values a range or grid may expand to, checked before it is built
+_MAX_VALUES = 10**6
+
+
+def _check_values(count: int, text: str) -> None:
+    if count > _MAX_VALUES:
+        raise ParameterError(
+            f"{text!r} expands to {count} values, above the ceiling of {_MAX_VALUES}"
+        )
+
+
 def _parse_int_range(text: str) -> tuple[int, ...]:
     """Accept '3', '0..5', or '0,2,5'."""
     try:
-        if ".." in text:
-            lo_s, hi_s = text.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            if hi < lo:
-                raise ParameterError(f"descending range {text!r}")
-            return tuple(range(lo, hi + 1))
-        return tuple(int(tok) for tok in text.split(","))
+        if ".." not in text:
+            return tuple(int(tok) for tok in text.split(","))
+        lo, hi = (int(tok) for tok in text.split("..", 1))
     except ValueError as exc:
         raise ParameterError(f"cannot parse {text!r} as an integer range") from exc
+    if hi < lo:
+        raise ParameterError(f"descending range {text!r}")
+    _check_values(hi - lo + 1, text)
+    return tuple(range(lo, hi + 1))
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -103,6 +114,7 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             raise ParameterError(f"cannot parse grid expression {text!r}") from exc
         if count < 1:
             raise ParameterError(f"grid count must be >= 1, got {count}")
+        _check_values(count, text)
         if count == 1:
             return (lo,)
         step = (hi - lo) / (count - 1)

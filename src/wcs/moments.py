@@ -8,22 +8,26 @@ finding a positive half-line measure with moments [n]!:
 This module classifies determinacy (Carleman, via the asymptotic moment
 growth), tests positivity (Hankel-Hadamard determinants), evaluates the
 known weight families from their real-integral representations, and
-verifies the moment equation by nested quadrature: an adaptive
-Gauss-Kronrod outer integral over x whose integrand gets the weight at a
-whole batch of abscissae from one double-exponential array call (see
-quadrature.integrate_zero_inf_de).  The scalar weight functions are
-one-row calls of the same array evaluators.
+verifies the moment equation by nested double-exponential quadrature: the
+outer integral over x puts every order on one node lattice
+(quadrature.integrate_shared_de), and each level of that lattice gets the
+weight at all its new abscissae from one array call of the inner kernel
+(quadrature.integrate_zero_inf_de), whose per-row scale keeps the weight
+computable down to the smallest x the lattice reaches.  The scalar weight
+functions are one-row calls of the same array evaluators.
 
 Weight families
 ---------------
 wright           alpha = 1:        Utilde(x) = 1/(b^2 Gamma(nu)) *
                  integral_0^inf t^(nu/b - 2) exp(-t^(1/b) - x/(b t)) dt
-one-minus-beta   alpha = 1 - beta: after substituting w = t^(1/b) - 1,
-                 Utilde(x) = Gamma(b) / (b Gamma(b+nu) Gamma(-nu)) *
-                 integral_0^inf w^(-nu-1) exp(-x (1+w)^b / b) dw
-                 (direct for nu < 0; for nu in (0,1) the w-integral
-                 diverges at 0 and is continued by one integration by
-                 parts, dropping the boundary term -- the finite part)
+one-minus-beta   alpha = 1 - beta: with w = t^(1/b) - 1, Utilde(x) =
+                 Gamma(b) / (b Gamma(b+nu) Gamma(-nu)) *
+                 integral_0^inf w^(-nu-1) exp(-x (1+w)^b / b) dw, which
+                 diverges at w = 0 for nu in (0,1).  One integration by
+                 parts (its boundary term dropped there: the finite part)
+                 and y = x ((1+w)^b - 1) / b turn it, for every nu, into
+                 the same prefactor times (-1/nu) e^(-x/b) *
+                 integral_0^inf w^(-nu) e^(-y) dy, w = (1 + b y/x)^(1/b) - 1
 ml-closed-form   alpha = 0, beta = 1: Utilde(x) = x^nu e^(-x)/Gamma(1+nu),
                  exact; serves as the ground-truth family.
 
@@ -44,7 +48,7 @@ from .errors import NumericalRangeError, ParameterError
 from .factorials import log_gen_factorial
 from .gammafn import gamma_signed, log_gamma
 from .params import DeformationParams, check_count, check_real
-from .quadrature import integrate_zero_inf, integrate_zero_inf_de
+from .quadrature import _DE_DROP, _scratch, integrate_shared_de, integrate_zero_inf_de
 from .series import log_n_function
 
 __all__ = [
@@ -114,6 +118,11 @@ def carleman_partial_sums(
     return [float(sums[c - 1]) for c in checkpoints]
 
 
+# the largest Hankel matrix built, 8 MB; the rescaled determinant leaves
+# double range by size 80 on every triple tried
+_HANKEL_MAX_SIZE = 1000
+
+
 def hankel_hadamard(p: DeformationParams, size: int, offset: int = 0) -> float:
     """Determinant of the rescaled moment matrix M[i][j] = [i+j+offset]!.
 
@@ -124,6 +133,8 @@ def hankel_hadamard(p: DeformationParams, size: int, offset: int = 0) -> float:
     determinants (offsets 0 and 1) is the positivity test for a
     representing measure."""
     size = check_count(size, "size", 1)
+    if size > _HANKEL_MAX_SIZE:
+        raise ParameterError(f"size must be an integer <= {_HANKEL_MAX_SIZE}, got {size}")
     if check_count(offset, "offset") > 1:
         raise ParameterError(f"offset must be 0 or 1, got {offset!r}")
     lf = [log_gen_factorial(k + offset, p) for k in range(2 * size - 1)]
@@ -145,12 +156,13 @@ class WeightSample:
     u_tilde: float
     abs_err_est: float
     endpoint_singular: bool = False
-    sign_anomaly: bool = False
 
 
-def _one_minus_beta_prefactor(beta: float, nu: float) -> tuple[float, float]:
-    """(sign, log |.|) of Gamma(b) / (b Gamma(b+nu) Gamma(-nu)), after
-    checking (beta, nu) against the family's supported range."""
+def _one_minus_beta_prefactor(beta: float, nu: float) -> float:
+    """log |Gamma(b) / (b Gamma(b+nu) Gamma(-nu))|, after checking (beta, nu)
+    against the family's supported range.  Gamma(-nu) < 0 for nu in (0, 1),
+    where the finite part's factor -1/nu turns the sign back, so the weight
+    is positive on the whole range."""
     if not 0.0 < beta < 1.0:
         raise ParameterError(
             f"the alpha = 1 - beta family requires beta in (0, 1), got {beta}"
@@ -164,20 +176,28 @@ def _one_minus_beta_prefactor(beta: float, nu: float) -> tuple[float, float]:
             f"nu = {nu} outside the supported range (-beta, 1) of the "
             "single-integration-by-parts continuation"
         )
-    sign_gam, log_gam = gamma_signed(-nu)
-    return sign_gam, log_gamma(beta) - math.log(beta) - log_gamma(beta + nu) - log_gam
+    return log_gamma(beta) - math.log(beta) - log_gamma(beta + nu) - gamma_signed(-nu)[1]
 
 
 # Array weight evaluators.  Each factory checks (beta, nu) and returns
-# xs -> (u_tilde at every x, points evaluated, relative error estimate per
+# xs -> (log Utilde at every x, points evaluated, relative error estimate per
 # x); the integral families hand their log-integrand, as a function of log t
 # and a column of x, to the double-exponential kernel in one call per batch.
 
 
-def _kernel_weights(log_f, sign: float, log_pref: float, rtol: float):
+def _kernel_weights(log_f, log_pref: float, rtol: float, beta: float, power: float):
+    """Both integral families have a sharp edge in their integrand at
+    t = x/b (Wright's cut-off e^(-x/(b t)), the bend of one-minus-beta's
+    w(y)), and from there it runs like t^power in d(log t) up to a cut-off
+    near t = 1.  Each row is scaled so that this edge lies on the linear
+    side of the kernel's map, unless the power has already made the
+    integrand negligible there."""
+
     def evaluate(xs: np.ndarray):
-        res = integrate_zero_inf_de(log_f, xs, rtol=rtol)
-        return sign * np.exp(log_pref + res.log_value), res.points, res.rel_error
+        cut = np.log(xs / beta)
+        log_scale = np.where(power * cut > -_DE_DROP, np.minimum(cut + 1.0, 0.0), 0.0)
+        res = integrate_zero_inf_de(log_f, xs, rtol=rtol, log_scale=log_scale)
+        return log_pref + res.log_value, res.points, res.rel_error
 
     return evaluate
 
@@ -191,33 +211,47 @@ def _wright_weights(beta: float, nu: float, rtol: float):
     power = nu / beta - 2.0
 
     def log_f(log_t, x):
-        return power * log_t - np.exp(log_t / beta) - (x / beta) * np.exp(-log_t)
+        # power log t - e^(log t / b) - (x/b) e^(-log t), in the kernel's
+        # scratch slots
+        g, tmp = _scratch((len(x), log_t.shape[-1]), 2)
+        np.multiply(log_t, power, out=g)
+        g -= np.exp(np.divide(log_t, beta, out=tmp), out=tmp)
+        np.exp(np.negative(log_t, out=tmp), out=tmp)
+        g -= np.multiply(x / beta, tmp, out=tmp)
+        return g
 
     log_pref = -log_gamma(nu) - 2.0 * math.log(beta)
-    return _kernel_weights(log_f, 1.0, log_pref, rtol)
+    return _kernel_weights(log_f, log_pref, rtol, beta, power + 1.0)
 
 
 def _one_minus_beta_weights(beta: float, nu: float, rtol: float):
-    """The w-integral of the module docstring with log w as the variable;
-    the double-exponential map absorbs the w -> 0 endpoint power."""
+    """The y-integral of the module docstring with log y as the variable;
+    the double-exponential map absorbs the y -> 0 endpoint power."""
     beta, nu = check_real(beta, "beta"), check_real(nu, "nu")
-    sign, log_pref = _one_minus_beta_prefactor(beta, nu)
-    if nu < 0.0:
+    log_pref = _one_minus_beta_prefactor(beta, nu) - math.log(abs(nu))
 
-        def log_f(log_w, x):
-            return (-nu - 1.0) * log_w - (x / beta) * np.exp(beta * np.logaddexp(0.0, log_w))
+    def log_f(log_y, x):
+        # log w for w = (1 + b y/x)^(1/b) - 1 = expm1(l), l = log1p(e^z)/b,
+        # z = log(b y/x): l + log(-expm1(-l)) does not overflow at large y,
+        # and below z = -700, where l would underflow, log w = z - log b.
+        # In place, in two scratch slots and log_y, which ends as y
+        z, l = _scratch((len(x), log_y.shape[-1]), 2)
+        np.add(log_y, np.log(beta / x), out=z)
+        tiny = np.flatnonzero(z < -700.0)
+        tiny_log_w = z.flat[tiny] - math.log(beta)
+        y = np.exp(log_y, out=log_y)
+        np.logaddexp(0.0, z, out=l)
+        l /= beta
+        log_w = np.negative(l, out=z)
+        np.log(np.negative(np.expm1(log_w, out=log_w), out=log_w), out=log_w)
+        log_w += l
+        log_w.flat[tiny] = tiny_log_w
+        log_w *= -nu
+        log_w -= y
+        log_w -= x / beta
+        return log_w
 
-    else:
-        # finite part: -(1/nu) integral x w^(-nu) (1+w)^(beta-1) exp(-x (1+w)^beta / beta) dw
-        def log_f(log_w, x):
-            log_1pw = np.logaddexp(0.0, log_w)
-            return (
-                np.log(x) - nu * log_w + (beta - 1.0) * log_1pw
-                - (x / beta) * np.exp(beta * log_1pw)
-            )
-
-        sign, log_pref = -sign, log_pref - math.log(nu)
-    return _kernel_weights(log_f, sign, log_pref, rtol)
+    return _kernel_weights(log_f, log_pref, rtol, beta, 1.0 - nu / beta)
 
 
 # the relative target of each weight value, in verify_moments and by default
@@ -228,9 +262,9 @@ _INNER_RTOL = 1e-11
 def _one_row(weights, x: float, beta: float, nu: float, rtol: float) -> tuple[float, float]:
     """(Utilde(x), its absolute error estimate, at least one ulp of it) from
     a one-row call of the family's array evaluator."""
-    u, _, rel_error = weights(beta, nu, rtol)(np.array([x]))
-    value = float(u[0])
-    return value, max(abs(value) * float(rel_error[0]), math.ulp(value))
+    log_u, _, rel_error = weights(beta, nu, rtol)(np.array([x]))
+    value = float(np.exp(log_u[0]))
+    return value, max(value * float(rel_error[0]), math.ulp(value))
 
 
 def weight_wright(x: float, beta: float, nu: float, rtol: float = _INNER_RTOL) -> WeightSample:
@@ -254,13 +288,10 @@ def weight_one_minus_beta(
     For nu in (0, 1) the w-integral diverges at 0 and the finite part is
     taken by one integration by parts; the 1/Gamma(-nu) prefactor is
     negative there and the two signs cancel, as the n = 0 moment check
-    confirms.  Any negatively computed weight value is surfaced through the
-    sign-anomaly flag."""
+    confirms; the weight is computed as a logarithm and is positive."""
     x = check_real(x, "x", above=0.0)
     u, err = _one_row(_one_minus_beta_weights, x, beta, nu, rtol)
-    return WeightSample(
-        x=x, u_tilde=u, abs_err_est=err, endpoint_singular=True, sign_anomaly=u < 0.0
-    )
+    return WeightSample(x=x, u_tilde=u, abs_err_est=err, endpoint_singular=True)
 
 
 def weight_ml_closed_form(x: float, nu: float) -> WeightSample:
@@ -291,13 +322,13 @@ class MomentReport:
     rel_errors: tuple[float, ...]
     truncation_x: float
     family: str
-    panels: int = 0  # outer Gauss-Kronrod panels
+    outer_points: int = 0  # outer abscissae, each evaluated once for all orders
     inner_points: int = 0  # points at which the weight kernel was evaluated
 
 
 def _ml_weights(beta: float, nu: float, rtol: float):
     log_norm = log_gamma(1.0 + nu)
-    return lambda xs: (np.exp(nu * np.log(xs) - xs - log_norm), len(xs), np.zeros(len(xs)))
+    return lambda xs: (nu * np.log(xs) - xs - log_norm, len(xs), np.zeros(len(xs)))
 
 
 def _ml_params(beta: float, nu: float) -> DeformationParams:
@@ -310,67 +341,68 @@ class _Family(NamedTuple):
     params: Callable  # (beta, nu) -> DeformationParams
     weights: Callable  # (beta, nu, rtol) -> array evaluator
     sample: Callable  # (x, beta, nu, rtol) -> WeightSample, one row of weights
+    low_power: Callable  # (beta, nu) -> p, with x Utilde(x) ~ x^p as x -> 0
 
 
 # the registry of weight families, keyed by the names the CLI accepts
 WEIGHT_FAMILIES = {
     "wright": _Family(
-        lambda beta, nu: DeformationParams(1.0, beta, nu), _wright_weights, weight_wright
+        lambda beta, nu: DeformationParams(1.0, beta, nu), _wright_weights, weight_wright,
+        lambda beta, nu: min(nu / beta, 1.0),
     ),
     "one-minus-beta": _Family(
         lambda beta, nu: DeformationParams(1.0 - beta, beta, nu),
         _one_minus_beta_weights,
         weight_one_minus_beta,
+        lambda beta, nu: 1.0 + min(nu / beta, 0.0),
     ),
     "ml-closed-form": _Family(
         _ml_params,
         _ml_weights,
         lambda x, beta, nu, rtol=_INNER_RTOL: weight_ml_closed_form(x, nu),
+        lambda beta, nu: 1.0 + nu,
     ),
 }
-
-
-# verify_moments' relative target of the outer integral, and its panel budget
-_OUTER_RTOL = 1e-9
-_MAX_PANELS = 6000
 
 
 def verify_moments(family: str, beta: float, nu: float, n_max: int) -> MomentReport:
     """Quadrature check of integral x^n Utilde(x) dx = [n]! for n <= n_max.
 
-    All moment orders are integrated in a single adaptive pass (the outer
-    integrand returns one row per abscissa with n_max + 1 columns), and each
-    outer batch of abscissae costs one array call of the weight kernel.  The
-    returned truncation_x is the largest outer abscissa at which some
-    order's integrand x^n Utilde(x) exceeds 1e-16 of its moment; it is read
-    from the abscissae already evaluated and is informational only."""
+    All orders share one double-exponential lattice on x = exp(s - e^-s)
+    (quadrature.integrate_shared_de), held to 1e-9 relative; each of its
+    levels gets the weights at its new nodes from one call of the family's
+    array evaluator.  Where x Utilde(x) ~ x^p falls so slowly at 0 that more
+    than 1e-9 of a moment lies below x ~ 2e-292, the lowest node, it raises
+    NumericalRangeError before any quadrature.  truncation_x is the largest
+    outer abscissa at which some order's integrand x^n Utilde(x) exceeds
+    1e-16 of its moment; it is read from the abscissae already evaluated
+    and is informational only."""
     beta, nu = check_real(beta, "beta"), check_real(nu, "nu")
     n_max = check_count(n_max, "n_max")
     if not (isinstance(family, str) and family in WEIGHT_FAMILIES):
         raise ParameterError(f"family must be one of {tuple(WEIGHT_FAMILIES)}, got {family!r}")
     fam = WEIGHT_FAMILIES[family]
     p = fam.params(beta, nu)
-    u_tilde = fam.weights(beta, nu, _INNER_RTOL)
-    orders = np.arange(n_max + 1, dtype=float)
+    log_u_tilde = fam.weights(beta, nu, _INNER_RTOL)
+    orders = np.arange(n_max + 1, dtype=float)[:, None]
     inner_points = 0
-    batches = []  # (abscissae, integrand rows) of every outer call
+    levels = []  # (log x, log Utilde) of every outer call
 
-    def outer(xs: np.ndarray):
+    def log_f(log_x: np.ndarray) -> np.ndarray:
         nonlocal inner_points
-        u, points, _ = u_tilde(xs)
+        log_u, points, _ = log_u_tilde(np.exp(log_x))
         inner_points += points
-        rows = u[:, None] * xs[:, None] ** orders
-        batches.append((xs, rows))
-        return rows
+        levels.append((log_x, log_u))
+        return orders * log_x + log_u
 
-    res = integrate_zero_inf(outer, atol=0.0, rtol=_OUTER_RTOL, max_panels=_MAX_PANELS)
-    moments = res.value
-    significant = 1e-16 * np.abs(moments)
-    trunc = max(
-        float(np.max(xs, where=(rows > significant).any(axis=1), initial=0.0))
-        for xs, rows in batches
-    )
+    res = integrate_shared_de(log_f, low_power=fam.low_power(beta, nu))
+    significant = math.log(1e-16) + res.log_value[:, None]
+    trunc = 0.0
+    for log_x, log_u in levels:
+        above = (orders * log_x + log_u > significant).any(axis=0)
+        trunc = max(trunc, float(np.max(np.exp(log_x), where=above, initial=0.0)))
 
+    moments = np.exp(res.log_value)
     targets = [math.exp(log_gen_factorial(n, p)) for n in range(n_max + 1)]
     rels = [abs(m - t) / t for m, t in zip(moments, targets)]
     return MomentReport(
@@ -380,6 +412,6 @@ def verify_moments(family: str, beta: float, nu: float, n_max: int) -> MomentRep
         rel_errors=tuple(rels),
         truncation_x=trunc,
         family=family,
-        panels=res.panels,
+        outer_points=res.points,
         inner_points=inner_points,
     )

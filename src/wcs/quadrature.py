@@ -1,239 +1,145 @@
-"""Adaptive Gauss-Kronrod quadrature, and a double-exponential array rule
-for the weight-function integrals.
+"""Double-exponential (Takahasi-Mori) trapezoid rules for half-line
+integrals of positive integrands, supplied as their logarithms.
 
-A 7-point Gauss rule embedded in a 15-point Kronrod rule gives a value and
-an error estimate per panel from one batch of integrand evaluations; the
-worst panel (by tolerance-scaled error) is bisected until the summed error
-estimate meets the target.  Integrands are vectorized: they receive an
-array of abscissae and may return one value per point or a row of values
-(several moment orders integrated in a single adaptive pass).
+The map t = c exp(s - e^-s) makes both ends of the integral over (0, inf)
+decay double-exponentially in s; the sums run in log space, scaled by each
+row's maximum.  A coarse scan at step 1/4 in s finds where each integrand
+lies within e^-40 of its peak, the trapezoid rule covers that window, and
+the difference between steps h and 2h is the error estimate.
 
-Semi-infinite integrals use the rational map t = u/(1-u).
+integrate_zero_inf_de  one integral per abscissa x, a whole array of x per
+                       call, each row with its own scale c, window and step.
+integrate_shared_de    several integrands of one variable on one lattice of
+                       step 1/32 in s, each node evaluated once.
 
-Families of half-line integrals with positive integrands, one per abscissa
-x, are integrated in a single array call by the double-exponential
-(Takahasi-Mori) trapezoid rule: the integrand is supplied as its logarithm,
-the map t = exp(s - e^-s) makes both ends decay double-exponentially in s,
-and the trapezoid sums run in log space, scaled by each row's maximum.
+The kernel's arrays of a block's size live in per-thread scratch slots
+that every call reuses, and a log-integrand can take its temporaries from
+the same store (_scratch): a call allocates nothing of a block's size, so
+the C heap does not grow and shrink by the working set from call to call.
+With glibc's default trim threshold that churn cost a page fault per 4 kB
+given back and taken again, about a fifth of verify_moments' time, or
+none, depending on how the heap happened to be laid out.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, NumericalRangeError, ParameterError
-from .params import check_count, check_real
+from .params import check_real
 
 __all__ = [
-    "QuadResult",
-    "integrate_finite",
-    "integrate_zero_inf",
     "LogQuadResult",
     "integrate_zero_inf_de",
+    "integrate_shared_de",
 ]
 
-# 15-point Kronrod abscissae on [-1, 1] (positive half) with the embedded
-# 7-point Gauss rule on the odd-indexed nodes; published 33-digit values
-# (QUADPACK qk15).
-_XGK = np.array([
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-    0.0,
-])
-_WGK = np.array([
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-])
-_WG = np.array([
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-])
-
-# full 15-node layout: symmetric reflection, center once
-_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])  # ascending, 15 nodes
-_W_KRON = np.concatenate([_WGK[:-1], _WGK[::-1]])
-_W_GAUSS = np.zeros(15)
-_W_GAUSS[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
-
-
-_TINY = np.finfo(float).tiny
-
-
-@dataclass
-class QuadResult:
-    value: np.ndarray  # shape (m,)
-    error: np.ndarray  # shape (m,) summed panel error estimates
-    panels: int
-
-    @property
-    def scalar(self) -> float:
-        return float(self.value[0])
-
-    @property
-    def scalar_error(self) -> float:
-        return float(self.error[0])
-
-
-def _eval_panels(f, a: np.ndarray, b: np.ndarray):
-    """Evaluate K15 and G7 on a batch of panels.
-
-    a, b: arrays of panel endpoints, shape (k,).  Returns (kron, gauss,
-    err) each of shape (k, m)."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    pts = (mid[:, None] + half[:, None] * _NODES[None, :]).reshape(-1)
-    vals = np.asarray(f(pts), dtype=float)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    if not np.all(np.isfinite(vals)):
-        raise NumericalRangeError("integrand returned a non-finite value")
-    m = vals.shape[1]
-    vals = vals.reshape(len(a), 15, m)
-    kron = np.einsum("kij,i->kj", vals, _W_KRON) * half[:, None]
-    gauss = np.einsum("kij,i->kj", vals, _W_GAUSS) * half[:, None]
-    err = np.abs(kron - gauss)
-    return kron, gauss, err
-
-
-def integrate_finite(
-    f,
-    a: float,
-    b: float,
-    atol: float = 1e-10,
-    rtol: float = 1e-8,
-    max_panels: int = 4000,
-) -> QuadResult:
-    """Adaptively integrate the vector integrand f over [a, b]."""
-    if not check_real(a, "a") < check_real(b, "b"):
-        raise ParameterError(f"bad integration interval [{a}, {b}]")
-    atol, rtol = check_real(atol, "atol"), check_real(rtol, "rtol")
-    if atol <= 0.0 and rtol <= 0.0:
-        raise ParameterError("need a positive atol or rtol")
-    max_panels = check_count(max_panels, "max_panels", 1)
-
-    kron, _, err = _eval_panels(f, np.array([a]), np.array([b]))
-    totals = kron[0].copy()
-    err_totals = err[0].copy()
-    # heap of (-scaled_error, seq, a, b, kron_row, err_row); a panel's error is
-    # scaled by the tolerance target max(atol, rtol |total|), floored at the
-    # smallest positive double so a zero target never gives a NaN priority
-    tol = np.maximum(atol, rtol * np.abs(totals))
-    seq = 0
-    heap = [(0.0, seq, a, b, kron[0], err[0])]  # alone, it needs no rank
-    panels = 1
-    while True:
-        if np.all(err_totals <= tol):
-            break
-        if panels >= max_panels:
-            raise ConvergenceError(
-                f"quadrature: error target not met with {max_panels} panels "
-                f"(worst component error {float(np.max(err_totals / tol)):.3g}x target)"
-            )
-        neg_err, _, pa, pb, pk, pe = heapq.heappop(heap)
-        mid = 0.5 * (pa + pb)
-        kron2, _, err2 = _eval_panels(f, np.array([pa, mid]), np.array([mid, pb]))
-        totals += kron2[0] + kron2[1] - pk
-        err_totals += err2[0] + err2[1] - pe
-        tol = np.maximum(atol, rtol * np.abs(totals))
-        scaled = (err2 / np.maximum(tol, _TINY)).max(axis=1)
-        for row in range(2):
-            seq += 1
-            heapq.heappush(
-                heap,
-                (-float(scaled[row]), seq, (pa, mid)[row], (mid, pb)[row],
-                 kron2[row], err2[row]),
-            )
-        panels += 1
-    return QuadResult(value=totals, error=err_totals, panels=panels)
-
-
-def integrate_zero_inf(
-    f,
-    atol: float = 1e-10,
-    rtol: float = 1e-8,
-    max_panels: int = 4000,
-) -> QuadResult:
-    """Integrate f over (0, inf) via t = u/(1-u).
-
-    The integrand must decay fast enough that f(t)/(1-u)^2 -> 0 as u -> 1;
-    the outer moment integrand x^n Utilde(x) of verify_moments is
-    exponentially damped, so the mapped integrand vanishes at both endpoints
-    (nodes are interior, the endpoints are never evaluated)."""
-
-    def mapped(u: np.ndarray):
-        t = u / (1.0 - u)
-        vals = np.asarray(f(t), dtype=float)
-        jac = 1.0 / (1.0 - u) ** 2
-        if vals.ndim == 1:
-            return vals * jac
-        return vals * jac[:, None]
-
-    return integrate_finite(mapped, 0.0, 1.0, atol=atol, rtol=rtol, max_panels=max_panels)
-
-
-# Double-exponential rule.  A coarse scan finds, per row, the s-window where
-# the log-integrand lies within _DE_DROP of its maximum (e^-40 ~ 4e-18 of the
-# peak); _DE_POINTS trapezoid intervals then cover that window.  Rows whose
-# h vs 2h estimate misses the tolerance are refined by halving h, at most
-# _DE_LEVELS times.  A peak much narrower than the scan step _DE_STEP is left
-# under-resolved by that budget and raises ConvergenceError.  The scan widens
-# by doubling while a row is not negligible at its ends, up to _DE_LIMITS
-# (s = -24 is log t ~ -2.6e10; s = 720 is past every finite double t).
-_DE_SCAN = (-6.0, 24.0)
+# The coarse scan starts on _DE_SCAN and widens by doubling while a row is
+# not negligible at its ends, up to _DE_LIMITS in s for the kernel (s = -24
+# is log t ~ -2.6e10 below the scale c; s = 1536 holds a plateau 1150 long
+# on the linear side, as the one-minus-beta weight has at nu = beta and
+# x = 1e-250) and _SHARED_LIMITS for the unscaled shared lattice, which
+# stays where t is a normal double: from s = -6.5 (t ~ 2e-292) to
+# s = 709.75.  The window is where the log-integrand lies within
+# _DE_DROP of its maximum (e^-40 ~ 4e-18 of the peak); _DE_POINTS
+# trapezoid intervals then cover it.  Rows whose h vs 2h estimate misses
+# the tolerance are refined by halving h until it is _DE_FINEST, but at
+# least _DE_LEVELS[0] and at most _DE_LEVELS[1] times: a scaled row's
+# window can be far wider than an unscaled one and still hold an edge as
+# sharp, e^(-t^(1/b)) at beta ~ 0.01.  A peak much narrower than the scan
+# step _DE_STEP is left under-resolved by that budget and raises
+# ConvergenceError.
+_DE_SCAN = (-4.0, 4.0)
 _DE_STEP = 0.25
-_DE_LIMITS = (-24.0, 720.0)
+_DE_LIMITS = (-24.0, 1536.0)
+_SHARED_LIMITS = (-6.5, 709.75)
+# the relative target of every row of the shared lattice
+_SHARED_RTOL = 1e-9
 _DE_DROP = 40.0
 _DE_POINTS = 384
-_DE_LEVELS = 3
-# rows per block, as in one outer Gauss-Kronrod batch (2 panels x 15 nodes):
-# bounds the working set at a few hundred kB whatever the number of rows
+_DE_LEVELS = (3, 8)
+_DE_FINEST = 1.0 / 1024
+# rows per block: bounds the working set at a few hundred kB whatever the
+# number of rows
 _DE_ROWS = 30
 # a log-integrand of size G carries a rounding error of a few ulp of G, which
 # floors the relative accuracy any rule can reach on that row
 _DE_NOISE = 16.0 * 2.0**-52
+# scratch slots per thread, values per slot: 0 for the kernel's nodes, 1
+# for its Jacobian, then the log-integrand and its exponential, 2 and 3 for
+# a log-integrand's temporaries; a slot holds a block's trapezoid grid, the
+# most a kernel call evaluates at once
+_SLOTS = 4
+_SLOT_SIZE = _DE_ROWS * (_DE_POINTS + 1)
+
+
+class _Scratch(threading.local):
+    """This thread's scratch slots, allocated at its first kernel call and
+    kept for its life, so that calls do not allocate and free a working
+    set each time.  No value carries from one call to the next: every
+    element a call reads, it has written."""
+
+    def __init__(self) -> None:
+        self.slots = None
+        self.depth = 0  # kernel calls in progress on this thread
+
+    def take(self, shape: tuple[int, int], first: int, count: int) -> list[np.ndarray]:
+        """count arrays of shape from slot first on, inside the outermost
+        kernel call of this thread; fresh arrays elsewhere (a kernel call
+        nested in a log-integrand, a shape larger than a slot, slots
+        beyond the last)."""
+        m, k = shape
+        if self.depth != 1 or m * k > _SLOT_SIZE or first + count > _SLOTS:
+            return [np.empty(shape) for _ in range(count)]
+        if self.slots is None:
+            self.slots = [np.empty(_SLOT_SIZE) for _ in range(_SLOTS)]
+        return [slot[:m * k].reshape(m, k) for slot in self.slots[first:first + count]]
+
+
+_SCRATCH = _Scratch()
+
+
+def _scratch(shape: tuple[int, int], count: int) -> list[np.ndarray]:
+    """count float arrays of shape (m, k) for a log-integrand's
+    temporaries.  Inside a call of integrate_zero_inf_de they are views of
+    this thread's scratch slots, reused by every call and valid until the
+    log-integrand returns; the one it returns is read before the next
+    evaluation.  Elsewhere they are fresh arrays."""
+    return _SCRATCH.take(shape, 2, count)
 
 
 @dataclass
 class LogQuadResult:
     log_value: np.ndarray  # shape (m,) natural log of each row's integral
     rel_error: np.ndarray  # shape (m,) estimated relative error per row
-    points: int  # log-integrand evaluations over all rows
+    points: int  # log-integrand evaluations: over all rows, or shared nodes
 
 
-def _de_log_integrand(log_f, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """log of f(t) dt/ds at t = exp(s - e^-s), shape (len(x), s.shape[-1]).
+def _de_log_integrand(log_f, s: np.ndarray, x: np.ndarray, log_c, out=None) -> np.ndarray:
+    """log of f(t) dt/ds at log t = log_c + s - e^-s, shape (len(x), s.shape[-1]).
 
-    s is a fresh array of shape (k,) or (m, k); it is overwritten by log t
-    so that only two temporaries of its size live beside log_f's own."""
-    e = np.negative(s)
+    s is a fresh array of shape (k,) or (m, k); it is overwritten by s - e^-s
+    so that only two temporaries of its size live beside log_f's own.
+    log_c is None (c = 1) or a column of shape (m, 1).  out, None or an
+    array of s's shape, receives the result when log_f's fits it."""
+    e = np.negative(s, out=out)
     np.exp(e, out=e)
     log_t = np.subtract(s, e, out=s)
     jac = np.log1p(e, out=e)
-    jac += log_t
+    if log_c is not None:  # in place where s already has a row per x
+        log_t = np.add(log_t, log_c, out=log_t if log_t.ndim == 2 else None)
+    jac = np.add(jac, log_t, out=jac if jac.shape == log_t.shape else None)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         g = np.asarray(log_f(log_t, x), dtype=float)
     g = np.add(g, jac, out=jac) if g.shape == jac.shape else g + jac
     shape = (len(x), s.shape[-1])
     if g.shape != shape:
         g = np.broadcast_to(g, shape).copy()
-    if np.isnan(g).any() or np.isposinf(g).any():
+    if not (g < np.inf).all():  # NaN or +inf
         raise NumericalRangeError("log-integrand returned NaN or +inf")
     return g
 
@@ -252,46 +158,57 @@ def _de_window(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, last
 
 
-def _de_scan(log_f, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Coarse scan: each row's s-window (lo, hi) and the points spent."""
+def _de_scan(g_at, limits: tuple[float, float], open_below: bool = False):
+    """Coarse scan: g_at(s, rows) on the grid of step _DE_STEP over _DE_SCAN,
+    widened by doubling towards limits while some row is not negligible at
+    an end; only such rows are evaluated on the new nodes, and the others
+    read -inf there.  A row still not negligible at a limit raises
+    ConvergenceError, unless open_below lets it stay so at the lower one.
+    Returns the final grid, the values on it and the points evaluated."""
     lo, hi = _DE_SCAN
-    g = _de_log_integrand(log_f, _de_scan_grid(lo, hi), x)
+    g = g_at(_de_scan_grid(lo, hi), slice(None))
     points = g.size
     while True:
         top = g.max(axis=1)
         if not np.all(np.isfinite(top)):
             raise NumericalRangeError("log-integrand is -inf on the whole scan")
-        low_open = bool(np.any(g[:, 0] > top - _DE_DROP))
-        high_open = bool(np.any(g[:, -1] > top - _DE_DROP))
-        if not (low_open or high_open):
-            break
-        new_lo = max(2.0 * lo, _DE_LIMITS[0]) if low_open else lo
-        new_hi = min(2.0 * hi, _DE_LIMITS[1]) if high_open else hi
+        low = g[:, 0] > top - _DE_DROP
+        high = g[:, -1] > top - _DE_DROP
+        new_lo = max(2.0 * lo, limits[0]) if low.any() else lo
+        new_hi = min(2.0 * hi, limits[1]) if high.any() else hi
         if (new_lo, new_hi) == (lo, hi):
-            raise ConvergenceError(
-                "double-exponential quadrature: integrand not negligible at the "
-                f"scan limit s = {lo if low_open else hi:g}"
-            )
-        below = _de_log_integrand(log_f, _de_scan_grid(new_lo, lo)[:-1], x)
-        above = _de_log_integrand(log_f, _de_scan_grid(hi, new_hi)[1:], x)
-        points += below.size + above.size
-        g = np.concatenate([below, g, above], axis=1)
+            if high.any() or (low.any() and not open_below):
+                raise ConvergenceError(
+                    "double-exponential quadrature: integrand not negligible at the "
+                    f"scan limit s = {hi if high.any() else lo:g}"
+                )
+            return _de_scan_grid(lo, hi), g, points
+        # the new nodes at both ends in one call
+        below = _de_scan_grid(new_lo, lo)[:-1]
+        new = np.concatenate([below, _de_scan_grid(hi, new_hi)[1:]])
+        rows = np.flatnonzero(low | high)
+        g_new = np.full((len(g), len(new)), -np.inf)
+        g_new[rows] = g_at(new, rows)
+        points += len(rows) * len(new)
+        g = np.concatenate([g_new[:, :len(below)], g, g_new[:, len(below):]], axis=1)
         lo, hi = new_lo, new_hi
-    s = _de_scan_grid(lo, hi)
-    first, last = _de_window(g)
-    return s[first], s[last], points
 
 
-def integrate_zero_inf_de(log_f, x, rtol: float = 1e-11) -> LogQuadResult:
+def integrate_zero_inf_de(log_f, x, rtol: float = 1e-11, log_scale=None) -> LogQuadResult:
     """Integrate exp(log_f(log t, x)) over t in (0, inf) for every x at once.
 
     log_f receives log t as an array of shape (k,) or (m, k) and x as a
     column of shape (m, 1), and returns the log of a positive integrand,
-    broadcast to (m, k); -inf marks a zero.  Row i is accepted when its
-    error estimate is at most rtol * I_i, with rtol floored at the rounding
-    error of a log-integrand of that row's size, and its rel_error is the
-    h vs h/2 estimate or that floor, whichever is larger.  Raises
-    ConvergenceError when a row misses its tolerance after the last
+    broadcast to (m, k); -inf marks a zero.  It may overwrite log t, and
+    may build its result in the kernel's scratch slots (_scratch) rather
+    than allocate it.  log_scale, one value
+    per x, shifts each row's map to log t = log_scale + s - e^-s: a row
+    whose integrand has a sharp edge far below t = 1 puts it there, where
+    the map is linear, instead of on the compressed side.  Row i is accepted
+    when its error estimate is at most rtol * I_i, with rtol floored at
+    the rounding error of a log-integrand of that row's size, and its
+    rel_error is the h vs h/2 estimate or that floor, whichever is larger.
+    Raises ConvergenceError when a row misses its tolerance after the last
     refinement (as a peak much narrower than the coarse scan step does) or
     is not negligible at the scan limits, and NumericalRangeError for a NaN
     or +inf log-integrand."""
@@ -299,7 +216,18 @@ def integrate_zero_inf_de(log_f, x, rtol: float = 1e-11) -> LogQuadResult:
     x = np.asarray(x, dtype=float).reshape(-1, 1)
     if not len(x):
         raise ParameterError("need at least one abscissa")
-    blocks = [_de_block(log_f, x[i:i + _DE_ROWS], rtol) for i in range(0, len(x), _DE_ROWS)]
+    if log_scale is not None:
+        log_scale = np.asarray(log_scale, dtype=float).reshape(-1, 1)
+        if log_scale.shape != x.shape:
+            raise ParameterError(f"log_scale needs one value per abscissa, got {len(log_scale)}")
+    blocks = []
+    _SCRATCH.depth += 1
+    try:
+        for i in range(0, len(x), _DE_ROWS):
+            log_c = None if log_scale is None else log_scale[i:i + _DE_ROWS]
+            blocks.append(_de_block(log_f, x[i:i + _DE_ROWS], log_c, rtol))
+    finally:
+        _SCRATCH.depth -= 1
     return LogQuadResult(
         log_value=np.concatenate([blk.log_value for blk in blocks]),
         rel_error=np.concatenate([blk.rel_error for blk in blocks]),
@@ -307,25 +235,48 @@ def integrate_zero_inf_de(log_f, x, rtol: float = 1e-11) -> LogQuadResult:
     )
 
 
-def _de_block(log_f, x: np.ndarray, rtol: float) -> LogQuadResult:
-    a, b, points = _de_scan(log_f, x)
+def _halve(total, top, h, gm):
+    """The trapezoid sums at step h, from those at 2h (total, in units of
+    exp(top)) and the log-integrand gm at the new midpoints, which it
+    overwrites: (sums, their differences from the sums at 2h, the new top)."""
+    # rescale the rows whose midpoints rise above the previous maximum
+    new_top = np.maximum(top, gm.max(axis=1))
+    shrink = np.exp(top - new_top)
+    f = np.exp(np.subtract(gm, new_top[:, None], out=gm), out=gm)
+    refined = 0.5 * total * shrink + h * f.sum(axis=1)
+    return refined, np.abs(refined - total * shrink), new_top
+
+
+def _de_block(log_f, x: np.ndarray, log_c, rtol: float) -> LogQuadResult:
+    if log_c is not None and not log_c.any():
+        log_c = None  # c = 1 on every row: the unscaled map, bit for bit
+
+    def g_at(s, rows):
+        return _de_log_integrand(log_f, s, x[rows], None if log_c is None else log_c[rows])
+
+    s, g, points = _de_scan(g_at, _DE_LIMITS)
+    first, last = _de_window(g)
+    a, b = s[first], s[last]
+    del g  # the scan can be wider than the trapezoid grid: free it first
     h = (b - a) / _DE_POINTS
-    g = _de_log_integrand(log_f, a[:, None] + h[:, None] * np.arange(_DE_POINTS + 1), x)
+    nodes, out = _SCRATCH.take((len(x), _DE_POINTS + 1), 0, 2)
+    np.multiply(h[:, None], np.arange(_DE_POINTS + 1), out=nodes)
+    g = _de_log_integrand(log_f, np.add(a[:, None], nodes, out=nodes), x, log_c, out)
     points += g.size
 
     top = g.max(axis=1)
-    f = np.exp(g - top[:, None])
+    f = np.exp(np.subtract(g, top[:, None], out=g), out=g)
     ends = 0.5 * (f[:, 0] + f[:, -1])
     total = h * (f.sum(axis=1) - ends)
     err = np.abs(total - 2.0 * h * (f[:, ::2].sum(axis=1) - ends))
     floor = _DE_NOISE * (np.abs(top) + _DE_DROP)
     rtol_row = np.maximum(rtol, floor)
     bad = err > rtol_row * total
-    for level in range(_DE_LEVELS + 1):
-        if not bad.any():
-            break
-        if level == _DE_LEVELS:
-            i = int(np.argmax(bad))
+    levels = np.clip(np.ceil(np.log2(h / _DE_FINEST)), *_DE_LEVELS)
+    level = 0
+    while bad.any():
+        if (bad & (level >= levels)).any():
+            i = int(np.argmax(bad & (level >= levels)))
             raise ConvergenceError(
                 f"double-exponential quadrature: relative error {err[i] / total[i]:.3g} "
                 f"above target {rtol_row[i]:.3g} at x = {x[i, 0]:.6g} with "
@@ -334,17 +285,96 @@ def _de_block(log_f, x: np.ndarray, rtol: float) -> LogQuadResult:
         rows = np.flatnonzero(bad)
         h[rows] *= 0.5
         k = _DE_POINTS << level
-        mids = a[rows, None] + h[rows, None] * (2.0 * np.arange(k) + 1.0)
-        gm = _de_log_integrand(log_f, mids, x[rows])
-        points += gm.size
-        # rescale the rows whose midpoints rise above the previous maximum
-        new_top = np.maximum(top[rows], gm.max(axis=1))
-        shrink = np.exp(top[rows] - new_top)
-        refined = 0.5 * total[rows] * shrink + h[rows] * np.exp(gm - new_top[:, None]).sum(axis=1)
-        err[rows] = np.abs(refined - total[rows] * shrink)
-        total[rows] = refined
-        top[rows] = new_top
+        # a deep level takes the rows a few at a time, so that no call holds
+        # more points than a block's first trapezoid grid
+        for part in np.array_split(rows, -(-len(rows) * k // (_DE_ROWS * _DE_POINTS))):
+            mids, out = _SCRATCH.take((len(part), k), 0, 2)
+            np.multiply(h[part, None], 2.0 * np.arange(k) + 1.0, out=mids)
+            np.add(a[part, None], mids, out=mids)
+            gm = _de_log_integrand(
+                log_f, mids, x[part], None if log_c is None else log_c[part], out
+            )
+            points += gm.size
+            total[part], err[part], top[part] = _halve(total[part], top[part], h[part], gm)
         bad = err > rtol_row * total
+        level += 1
     # the h vs h/2 difference alone understates a row whose error is rounding
+    rel_error = np.maximum(err / total, floor)
+    return LogQuadResult(log_value=top + np.log(total), rel_error=rel_error, points=points)
+
+
+def integrate_shared_de(log_f, low_power: float) -> LogQuadResult:
+    """Integrate exp(log_f(log t)[i]) over t in (0, inf) for every row i,
+    all rows on one node lattice.
+
+    log_f receives the log t of new nodes only, shape (k,), and returns
+    each row's log-integrand there, shape (m, k); -inf marks a zero.  The
+    nodes are s = j/32 on t = exp(s - e^-s), which is a normal double for
+    s in [-6.5, 709.75].  The coarse scan takes every eighth node and finds
+    each row's window as the kernel does, but measures the drop in
+    d(log t), the measure in which a power-law tail's value and its mass
+    fall alike; the rows share the union of the windows.  The trapezoid sum
+    over it at the scan step, 1/4, is halved while some row's h vs 2h
+    difference is above _SHARED_RTOL * I_i (floored at the rounding error
+    of the row's size), at most _DE_LEVELS[0] times, to h = 1/32; each
+    halving evaluates only the new midpoints, so no node is evaluated
+    twice.  A row still above its target at h = 1/32 raises
+    ConvergenceError, and so does one not negligible at the top of the
+    lattice.
+
+    low_power is the smallest p with f_i(t) t ~ t^p as t -> 0.  The mass
+    below the window, bounded by that power law from the window's lowest
+    node, counts in the error estimate: it lets a row whose window would
+    end below the lattice stop at s = -6.5.  Where t^p does not fall below
+    _SHARED_RTOL there, NumericalRangeError is raised before any
+    evaluation.  points counts the nodes evaluated."""
+    low_power = check_real(low_power, "low_power")
+    lowest = _SHARED_LIMITS[0] - math.exp(-_SHARED_LIMITS[0])
+    if low_power * lowest > math.log(_SHARED_RTOL):
+        raise NumericalRangeError(
+            f"the integrand falls like t^{low_power:.4g} as t -> 0, too slowly to drop "
+            f"below {_SHARED_RTOL:g} of its mass above t = {math.exp(lowest):.3g}, the "
+            f"lowest node in double range; this needs an exponent of at least "
+            f"{math.log(_SHARED_RTOL) / lowest:.4g}"
+        )
+
+    def g_at(s: np.ndarray) -> np.ndarray:
+        # each row's log-integrand in d(log t)
+        log_t = s - np.exp(-s)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            g = np.asarray(log_f(log_t), dtype=float) + log_t
+        if not (g < np.inf).all():  # NaN or +inf
+            raise NumericalRangeError("log-integrand returned NaN or +inf")
+        return g
+
+    s, g, _ = _de_scan(lambda s, rows: g_at(s)[rows], _SHARED_LIMITS, open_below=True)
+    points = len(s)
+    first, last = _de_window(g)
+    s = s[first.min():last.max() + 1]
+    g = g[:, first.min():last.max() + 1]
+    below = g[:, 0] - math.log(low_power)  # log of the mass below the window
+    # the sums are in ds: d(log t) = (1 + e^-s) ds
+    g = g + np.log1p(np.exp(-s))
+    top = g.max(axis=1)
+    f = np.exp(g - top[:, None])
+    total = _DE_STEP * (f.sum(axis=1) - 0.5 * (f[:, 0] + f[:, -1]))
+    n = len(s) - 1
+    for level in range(1, _DE_LEVELS[0] + 1):
+        h = _DE_STEP / 2**level
+        mids = s[0] + h * (2.0 * np.arange(n) + 1.0)
+        total, err, top = _halve(total, top, h, g_at(mids) + np.log1p(np.exp(-mids)))
+        points += n
+        n *= 2
+        err += np.exp(below - top)
+        floor = _DE_NOISE * (np.abs(top) + _DE_DROP)
+        bad = err > np.maximum(_SHARED_RTOL, floor) * total
+        if not bad.any():
+            break
+    else:
+        i = int(np.argmax(bad))
+        raise ConvergenceError(
+            f"double-exponential quadrature: relative error {err[i] / total[i]:.3g} "
+            f"above target {max(_SHARED_RTOL, floor[i]):.3g} in row {i} at h = {h:g}"
+        )
     rel_error = np.maximum(err / total, floor)
     return LogQuadResult(log_value=top + np.log(total), rel_error=rel_error, points=points)

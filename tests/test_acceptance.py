@@ -124,7 +124,7 @@ def test_criterion_04_wright_moment_closure():
     rep = verify_moments("wright", 1.0, 1.0, 6)
     for n, target in zip(rep.orders, rep.target_factorials):
         assert target == pytest.approx(float(math.factorial(n) ** 2), rel=1e-10)
-    assert max(rep.rel_errors) <= 1e-6
+    assert max(rep.rel_errors) <= 1e-12
     got = weight_wright(1.0, 1.0, 1.0, rtol=1e-11).u_tilde
     assert got == pytest.approx(2.0 * sp.k0(2.0), rel=1e-7)
     for nu in (0.5, 1.0):
@@ -132,7 +132,7 @@ def test_criterion_04_wright_moment_closure():
         p = DeformationParams(1.0, 0.5, nu)
         for n, target in zip(rep.orders, rep.target_factorials):
             assert target == pytest.approx(gen_factorial(n, p).to_float(), rel=1e-10)
-        assert max(rep.rel_errors) <= 1e-5
+        assert max(rep.rel_errors) <= 1e-12
 
 
 def test_criterion_05_mittag_leffler_closed_form():
@@ -142,7 +142,7 @@ def test_criterion_05_mittag_leffler_closed_form():
         for n, target in zip(rep.orders, rep.target_factorials):
             ref = math.exp(math.lgamma(n + 1.0 + nu) - math.lgamma(1.0 + nu))
             assert target == pytest.approx(ref, rel=1e-10)
-        assert max(rep.rel_errors) <= 1e-8
+        assert max(rep.rel_errors) <= 1e-12
 
 
 def test_criterion_06_carleman_hankel_suite():

@@ -373,6 +373,27 @@ class TestBadParameters:
         assert code == 2
 
 
+class TestCountCeilings:
+    """A count past its ceiling exits 2 with the limit in the message, before
+    anything of its size is allocated."""
+
+    @pytest.mark.parametrize(
+        "argv, limit",
+        [
+            (["hankel", "--size", "100000"], "size must be an integer <= 1000,"),
+            (["factorial", "--n", "0..1000000000"], "ceiling of 1000000"),
+            (["spectrum", "--n", "0..1000000"], "ceiling of 1000000"),
+            (["wavefunction", "--k", "0..3", "--x", "0:3:1000001"], "ceiling of 1000000"),
+            (["mandel", "--x", "0.1:10:100000000"], "ceiling of 1000000"),
+        ],
+    )
+    def test_refused_with_the_limit(self, argv, limit):
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert limit in err
+
+
 # each subcommand: a valid command line, and the options it accepts beyond
 # the triple and the output options that every subcommand accepts
 COMMON = {"alpha", "beta", "nu", "format", "out", "gnuplot"}

@@ -67,7 +67,7 @@ from wcs import (
     wright_w,
 )
 from wcs.errors import ConvergenceError, NumericalRangeError, ParameterError
-from wcs.quadrature import integrate_finite, integrate_zero_inf, integrate_zero_inf_de
+from wcs.quadrature import integrate_shared_de, integrate_zero_inf_de
 
 P = DeformationParams(0.0, 1.0, 0.5)
 LABEL = CoherentLabel(1.0 + 0.5j)
@@ -77,6 +77,10 @@ TINY = CoherentLabel.from_intensity(1e-13)  # below the Mandel small-x guard
 
 def _log_exp(log_t, x):
     return -np.exp(log_t) - x * np.exp(-log_t)
+
+
+def _log_exp_rows(log_t):
+    return -np.exp(log_t)[None, :]
 
 
 # (entry point, argument name, call with the argument set to v)
@@ -152,13 +156,8 @@ ENTRIES = [
     ("verify_moments", "beta", lambda v: verify_moments("ml-closed-form", v, 0.5, 4)),
     ("verify_moments", "nu", lambda v: verify_moments("wright", 0.5, v, 4)),
     ("verify_moments", "n_max", lambda v: verify_moments("ml-closed-form", 1.0, 0.5, v)),
-    ("integrate_finite", "a", lambda v: integrate_finite(np.sin, v, 1.0)),
-    ("integrate_finite", "b", lambda v: integrate_finite(np.sin, 0.0, v)),
-    ("integrate_finite", "atol", lambda v: integrate_finite(np.sin, 0.0, 1.0, atol=v)),
-    ("integrate_finite", "rtol", lambda v: integrate_finite(np.sin, 0.0, 1.0, rtol=v)),
-    ("integrate_finite", "max_panels", lambda v: integrate_finite(np.sin, 0.0, 1.0, max_panels=v)),
-    ("integrate_zero_inf", "rtol", lambda v: integrate_zero_inf(np.exp, rtol=v)),
     ("integrate_zero_inf_de", "rtol", lambda v: integrate_zero_inf_de(_log_exp, [1.0], rtol=v)),
+    ("integrate_shared_de", "low_power", lambda v: integrate_shared_de(_log_exp_rows, v)),
     ("verify_moments", "family", lambda v: verify_moments(v, 1.0, 0.5, 4)),
     ("carleman_partial_sums(checkpoints=v)", "checkpoints",
      lambda v: carleman_partial_sums(1.0, v)),
@@ -186,11 +185,10 @@ def _no_work(*args, **kwargs):
 @pytest.fixture
 def no_work(monkeypatch):
     """Fail the test if a series reads its bracket table or a quadrature
-    evaluates a panel or a double-exponential block."""
+    starts a double-exponential scan."""
     monkeypatch.setattr(wcs.series, "_table", _no_work)
     monkeypatch.setattr(wcs.coherent, "_table", _no_work)
-    monkeypatch.setattr(wcs.quadrature, "_eval_panels", _no_work)
-    monkeypatch.setattr(wcs.quadrature, "_de_block", _no_work)
+    monkeypatch.setattr(wcs.quadrature, "_de_scan", _no_work)
 
 
 @pytest.mark.parametrize("value", BAD, ids=["true", "nan", "inf", "-inf", "str"])

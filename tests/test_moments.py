@@ -28,7 +28,7 @@ from wcs import (
     weight_one_minus_beta,
     weight_wright,
 )
-from wcs.errors import ParameterError
+from wcs.errors import NumericalRangeError, ParameterError
 
 CLASSICAL = DeformationParams(0.0, 1.0, 0.0)
 P011 = DeformationParams(0.0, 1.0, 1.0)
@@ -177,6 +177,10 @@ class TestHankel:
                 for off in (0, 1):
                     assert hankel_hadamard(p, size, off) > 0.0
 
+    def test_size_ceiling_before_any_allocation(self):
+        with pytest.raises(ParameterError, match="^size must be an integer <= 1000, got 100000$"):
+            hankel_hadamard(CLASSICAL, 100_000)
+
     def test_invalid_arguments(self):
         with pytest.raises(ParameterError):
             hankel_hadamard(CLASSICAL, 0, 0)
@@ -189,7 +193,6 @@ class TestWrightWeight:
         got = weight_wright(1.0, 1.0, 1.0, rtol=1e-11)
         assert got.u_tilde == pytest.approx(2.0 * sp.k0(2.0), rel=1e-9)
         assert got.abs_err_est <= 1e-8
-        assert not got.sign_anomaly
 
     def test_bessel_scaling_in_x(self):
         for x in (0.25, 2.0):
@@ -235,7 +238,6 @@ class TestOneMinusBetaWeight:
     def test_negative_nu_frozen_value(self):
         got = weight_one_minus_beta(1.0, 0.5, -0.25)
         assert got.u_tilde == pytest.approx(0.14111057931426005, rel=1e-8)
-        assert not got.sign_anomaly
 
     def test_exponential_damping_in_x(self):
         v1 = weight_one_minus_beta(1.0, 0.5, -0.25).u_tilde
@@ -245,7 +247,6 @@ class TestOneMinusBetaWeight:
     def test_positive_nu_continuation(self):
         got = weight_one_minus_beta(1.0, 0.5, 0.25)
         assert got.u_tilde == pytest.approx(0.3766172816436319, rel=1e-6)
-        assert not got.sign_anomaly
 
     def test_near_unit_nu_continuation(self):
         got = weight_one_minus_beta(1.0, 0.5, 0.9)
@@ -364,17 +365,63 @@ class TestVerifyMoments:
             verify_moments("ml-closed-form", 1.0, 0.0, -1)
 
     def test_orders_of_very_different_size(self):
-        # [12]! = (12!)^2 ~ 2.3e17 against [0]! = 1: the outer heap must rank
-        # panels by tolerance-scaled error, or it keeps bisecting where the
-        # order-12 error is at rounding level and never refines order 0
+        # [12]! = (12!)^2 ~ 2.3e17 against [0]! = 1: every order is held to
+        # its own relative target on the shared nodes, the window reaching
+        # from order 0's small-x tail to order 12's peak near x = 150
         rep = verify_moments("wright", 1.0, 1.0, 12)
-        assert max(rep.rel_errors) <= 1e-9
-        assert rep.panels <= 60
+        assert max(rep.rel_errors) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "family, beta, nu, n_max",
+        [
+            ("ml-closed-form", 1.0, -0.9, 6),
+            # x Utilde ~ x^0.06 at 0: the window ends near x = 1e-290
+            ("one-minus-beta", 0.5, -0.47, 4),
+            ("wright", 1.0, 1.0, 12),
+            ("wright", 0.5, 0.5, 8),
+            # small beta: Utilde ~ e^(-x/b) ends in a sharp edge near x = b
+            ("wright", 0.0505, 0.0656, 0),
+            ("one-minus-beta", 0.0238, 0.0425, 1),
+            ("one-minus-beta", 0.01, 0.5, 3),
+            ("one-minus-beta", 0.02, -0.01, 3),
+        ],
+    )
+    def test_edge_cases_close_to_rounding(self, family, beta, nu, n_max):
+        assert max(verify_moments(family, beta, nu, n_max).rel_errors) <= 1e-12
+
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("steps", [6, 7, 8, 10, 20])
+    def test_near_the_minus_beta_edge(self, beta, steps):
+        # one-minus-beta at nu = -beta + 0.005 steps: 1 + nu/beta down to
+        # 0.043, every point the adaptive Gauss-Kronrod outer rule passed
+        rep = verify_moments("one-minus-beta", beta, -beta + 0.005 * steps, 4)
+        assert max(rep.rel_errors) <= 1e-11
+
+    def test_window_below_the_lattice(self):
+        # x Utilde ~ x^0.04 at 0 keeps e^-27 of its mass below the lowest
+        # abscissa, x = 2e-292; the estimate counts it and the check passes
+        rep = verify_moments("one-minus-beta", 0.5, -0.48, 4)
+        assert max(rep.rel_errors) <= 1e-11
+
+    def test_window_beyond_double_range_refused_up_front(self, monkeypatch):
+        # x Utilde ~ x^0.02 at 0 keeps 1e-6 of its mass below x = 2e-292
+        def refuse(*args, **kwargs):
+            raise AssertionError("no weight may be evaluated")
+
+        monkeypatch.setattr(wcs.moments, "integrate_zero_inf_de", refuse)
+        with pytest.raises(NumericalRangeError, match="at least 0.03085"):
+            verify_moments("one-minus-beta", 0.5, -0.49, 4)
 
 
 def _array_weights(family, beta, nu):
-    """The array evaluator that verify_moments integrates."""
-    return wcs.WEIGHT_FAMILIES[family].weights(beta, nu, 1e-11)
+    """The array evaluator that verify_moments integrates, on the linear scale."""
+    log_weights = wcs.WEIGHT_FAMILIES[family].weights(beta, nu, 1e-11)
+
+    def evaluate(xs):
+        log_u, points, rel_error = log_weights(xs)
+        return np.exp(log_u), points, rel_error
+
+    return evaluate
 
 
 def _mp_wright(x, beta, nu):
@@ -385,19 +432,22 @@ def _mp_wright(x, beta, nu):
 
 
 def _mp_one_minus_beta(x, beta, nu):
-    # e^(-x/b) is taken out of the w-integrand so that it stays O(1), and
-    # w = y^m turns the w -> 0 endpoint power into a non-negative power of y
+    # in u = log w, with e^(-x/b) taken out so that the damping stays O(1),
+    # and breakpoints at w = 1 and at the cut-off x (1+w)^b / b = 1
     with mpmath.workdps(30):
         b, v, x = mpmath.mpf(beta), mpmath.mpf(nu), mpmath.mpf(x)
         pref = mpmath.gamma(b) / (b * mpmath.gamma(b + v) * mpmath.gamma(-v)) * mpmath.exp(-x / b)
-        g = lambda w: mpmath.exp(-x * ((1 + w) ** b - 1) / b)
+        damp = lambda u: -(x / b) * mpmath.expm1(b * mpmath.log1p(mpmath.exp(u)))
         if nu < 0:
-            m, f = 4, lambda w: w ** (-v - 1) * g(w)
+            f = lambda u: mpmath.exp(-v * u + damp(u))
         else:
             # finite part after one integration by parts
-            m, f = 10, lambda w: w ** (-v) * (-x) * (1 + w) ** (b - 1) * g(w) / v
-        fy = lambda y: m * y ** (m - 1) * f(y ** m)
-        return pref * mpmath.quad(fy, [0, x ** (-mpmath.mpf(1) / m), mpmath.inf])
+            pref = -pref * x / v
+            f = lambda u: mpmath.exp((1 - v) * u + (b - 1) * mpmath.log1p(mpmath.exp(u)) + damp(u))
+        cut = (mpmath.log(b) - mpmath.log(x)) / b
+        points = sorted({mpmath.mpf(0), cut - 3, cut + 3})
+        # past the last point the damping is below e^(-e^5)
+        return pref * mpmath.quad(f, [-mpmath.inf, *points, points[-1] + 5 / b])
 
 
 class TestArrayWeights:
@@ -431,6 +481,20 @@ class TestArrayWeights:
         # a scalar sample is one row of the array evaluator, bit for bit
         assert [s.u_tilde for s in scalar] == u.tolist()
 
+    @pytest.mark.parametrize("x", [1e-300, 1e-200, 1e-100, 1e-50])
+    def test_wright_bessel_at_tiny_x(self, x):
+        # the kernel's scale puts the exp(-x/t) edge on the linear side of the
+        # map: the plateau of t^-1 e^(-t - x/t) in log t is up to 690 long
+        got = weight_wright(x, 1.0, 1.0)
+        assert got.u_tilde == pytest.approx(2.0 * sp.k0(2.0 * math.sqrt(x)), rel=1e-12)
+
+    @pytest.mark.parametrize("nu", [-0.25, 0.5])
+    def test_one_minus_beta_at_tiny_x(self, nu):
+        # the cut-off sits at w = (b/x)^(1/b) ~ 1e500, past every double w
+        got = weight_one_minus_beta(1e-250, 0.5, nu)
+        ref = _mp_one_minus_beta(1e-250, 0.5, nu)
+        assert abs(mpmath.mpf(got.u_tilde) / ref - 1) <= 1e-12
+
     def test_closed_form_matches_scalar(self):
         xs = np.array([0.01, 1.0, 30.0])
         u, points, _ = _array_weights("ml-closed-form", 1.0, 0.5)(xs)
@@ -449,12 +513,26 @@ class TestArrayWeights:
 
 class TestMomentWork:
     """Deterministic work gates for the Wright check at beta = 0.5, nu = 1,
-    n_max = 8.  Measured with one kernel call per outer batch and no
-    truncation probe: 18 outer panels and 265 650 kernel points (~15k per
-    outer batch of 30 abscissae, scan included)."""
+    n_max = 8.  Measured with one kernel call per level of the shared outer
+    lattice: 84 outer nodes (the scan, then h = 1/8) and 37 032 kernel
+    points, about 440 per node, its own scan included."""
 
-    PANELS_CEILING = 25
-    INNER_POINTS_CEILING = 300_000
+    OUTER_POINTS_CEILING = 92
+    INNER_POINTS_CEILING = 40_700
+
+    @staticmethod
+    def _record(monkeypatch, calls):
+        """Record the log x nodes of every call the outer rule makes."""
+        outer_rule = wcs.moments.integrate_shared_de
+
+        def recording(log_f, *args, **kwargs):
+            def record(log_x):
+                calls.append(np.array(log_x))
+                return log_f(log_x)
+
+            return outer_rule(record, *args, **kwargs)
+
+        monkeypatch.setattr(wcs.moments, "integrate_shared_de", recording)
 
     def test_one_kernel_call_per_outer_call(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -463,48 +541,34 @@ class TestMomentWork:
         monkeypatch.setattr(wcs.moments, "weight_wright", refuse)
         monkeypatch.setattr(wcs.moments, "weight_one_minus_beta", refuse)
 
-        counts = {"outer": 0, "kernel": 0}
+        kernel_rows = []
         kernel = wcs.moments.integrate_zero_inf_de
-        outer_quad = wcs.moments.integrate_zero_inf
 
-        def counting_kernel(*args, **kwargs):
-            counts["kernel"] += 1
-            return kernel(*args, **kwargs)
-
-        def counting_outer(f, *args, **kwargs):
-            def counted(points):
-                counts["outer"] += 1
-                return f(points)
-
-            return outer_quad(counted, *args, **kwargs)
+        def counting_kernel(log_f, x, *args, **kwargs):
+            kernel_rows.append(len(x))
+            return kernel(log_f, x, *args, **kwargs)
 
         monkeypatch.setattr(wcs.moments, "integrate_zero_inf_de", counting_kernel)
-        monkeypatch.setattr(wcs.moments, "integrate_zero_inf", counting_outer)
+        calls = []
+        self._record(monkeypatch, calls)
         rep = verify_moments("wright", 0.5, 1.0, 8)
-        assert max(rep.rel_errors) <= 1e-9
-        assert counts["kernel"] == counts["outer"]  # one call per outer batch
-        assert counts["outer"] == rep.panels  # the first call, then one per bisection
-        assert rep.panels <= self.PANELS_CEILING
+        assert max(rep.rel_errors) <= 1e-12
+        # one kernel call per outer call, on exactly its new nodes
+        assert kernel_rows == [len(c) for c in calls]
+        nodes = np.concatenate(calls)
+        assert len(np.unique(nodes)) == len(nodes) == rep.outer_points
+        assert rep.outer_points <= self.OUTER_POINTS_CEILING
         assert 0 < rep.inner_points <= self.INNER_POINTS_CEILING
 
     def test_truncation_x_from_outer_abscissae(self, monkeypatch):
         # Utilde = x^nu e^-x / Gamma(1 + nu) exactly, so the definition can be
         # checked at every abscissa the outer integral evaluated: the largest
         # one where some x^n Utilde(x) is above 1e-16 of its moment
-        seen = []
-        outer_quad = wcs.moments.integrate_zero_inf
-
-        def recording(f, *args, **kwargs):
-            def record(points):
-                seen.append(np.array(points))
-                return f(points)
-
-            return outer_quad(record, *args, **kwargs)
-
-        monkeypatch.setattr(wcs.moments, "integrate_zero_inf", recording)
+        calls = []
+        self._record(monkeypatch, calls)
         nu, n_max = 0.5, 6
         rep = verify_moments("ml-closed-form", 1.0, nu, n_max)
-        xs = np.concatenate(seen)[:, None]
+        xs = np.exp(np.concatenate(calls))[:, None]
         n = np.arange(n_max + 1)
         # x^n Utilde(x) / [n]! = x^(n + nu) e^-x / Gamma(n + 1 + nu)
         log_ratio = (n + nu) * np.log(xs) - xs - sp.gammaln(n + 1 + nu)
@@ -514,7 +578,7 @@ class TestMomentWork:
 
     def test_counters_default_to_zero(self):
         rep = MomentReport((0,), (1.0,), (1.0,), (0.0,), 1.0, "ml-closed-form")
-        assert rep.panels == 0 and rep.inner_points == 0
+        assert rep.outer_points == 0 and rep.inner_points == 0
 
 
 class TestWeightErrorEstimate:

@@ -1,7 +1,10 @@
-"""Tests for the adaptive Gauss-Kronrod quadrature engine and the
-double-exponential array rule."""
+"""Tests for the double-exponential rules: one integral per abscissa, and
+several integrands on one shared node lattice."""
 
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,126 +13,13 @@ from numpy.testing import assert_allclose
 
 from wcs.errors import ConvergenceError, NumericalRangeError, ParameterError
 from wcs.quadrature import (
-    _NODES,
-    _W_GAUSS,
-    _W_KRON,
+    _DE_POINTS,
+    _DE_ROWS,
     LogQuadResult,
-    QuadResult,
-    integrate_finite,
-    integrate_zero_inf,
+    _scratch,
+    integrate_shared_de,
     integrate_zero_inf_de,
 )
-
-
-class TestFinite:
-    def test_sine_arch(self):
-        res = integrate_finite(np.sin, 0.0, math.pi, atol=1e-13, rtol=1e-13)
-        assert res.scalar == pytest.approx(2.0, rel=1e-13)
-
-    def test_rational(self):
-        res = integrate_finite(lambda x: 1.0 / (1.0 + x * x), -1.0, 1.0, atol=1e-13)
-        assert res.scalar == pytest.approx(math.pi / 2.0, rel=1e-12)
-
-    def test_polynomial_is_exact(self):
-        res = integrate_finite(lambda x: x ** 5, 0.0, 2.0)
-        assert res.scalar == pytest.approx(64.0 / 6.0, rel=1e-14)
-
-    def test_result_metadata(self):
-        res = integrate_finite(np.sin, 0.0, math.pi)
-        assert isinstance(res, QuadResult)
-        assert res.panels >= 1
-        assert res.scalar_error >= 0.0
-
-    def test_reversed_interval_rejected(self):
-        with pytest.raises(ParameterError):
-            integrate_finite(np.sin, 1.0, 0.0)
-        with pytest.raises(ParameterError):
-            integrate_finite(np.sin, 1.0, 1.0)
-
-    def test_zero_target_component_never_ranks_nan(self):
-        # atol = 0 and an identically zero component: its target is 0, and
-        # ranking panels by error / target must not divide 0 by 0
-        def f(x):
-            return np.stack([np.sqrt(x), np.zeros_like(x)], axis=1)
-
-        with np.errstate(all="raise"):
-            res = integrate_finite(f, 0.0, 1.0, atol=0.0, rtol=1e-10)
-        assert res.value[0] == pytest.approx(2.0 / 3.0, rel=1e-10)
-        assert res.value[1] == 0.0
-
-    def test_panel_budget_exhaustion(self):
-        with pytest.raises(ConvergenceError):
-            integrate_finite(
-                lambda x: np.sin(40.0 * x), 0.0, 1.0, atol=1e-14, rtol=1e-14,
-                max_panels=1,
-            )
-
-    def test_nonfinite_integrand_rejected(self):
-        with pytest.raises(NumericalRangeError):
-            integrate_finite(
-                lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0
-            )
-
-
-class TestHalfLine:
-    def test_unit_exponential(self):
-        res = integrate_zero_inf(lambda t: np.exp(-t), atol=1e-13, rtol=1e-12)
-        assert res.scalar == pytest.approx(1.0, rel=1e-12)
-
-    def test_gamma_integral(self):
-        res = integrate_zero_inf(
-            lambda t: t ** 1.5 * np.exp(-t), atol=1e-13, rtol=1e-12
-        )
-        assert res.scalar == pytest.approx(sp.gamma(2.5), rel=1e-12)
-
-    def test_bessel_k0_integral(self):
-        f = lambda t: np.exp(-t - 1.0 / t) / t
-        a = integrate_zero_inf(f, atol=1e-13, rtol=1e-12).scalar
-        assert a == pytest.approx(2.0 * sp.k0(2.0), rel=1e-12)
-
-    def test_vector_integrand_single_pass(self):
-        orders = np.arange(9)
-        res = integrate_zero_inf(
-            lambda t: t[:, None] ** orders[None, :] * np.exp(-t)[:, None],
-            atol=0.0,
-            rtol=1e-11,
-        )
-        assert_allclose(res.value, sp.factorial(orders), rtol=1e-10)
-        assert res.value.shape == (9,)
-        assert res.error.shape == (9,)
-
-
-class TestKronrodConstants:
-    """The G7/K15 constants against 40-digit mpmath arithmetic.  Sums are
-    formed exactly from the stored doubles, so the only error left is the
-    rounding of each constant: at most a few ulp per monomial."""
-
-    @staticmethod
-    def _rule_error(weights, k):
-        import mpmath as mp
-
-        with mp.workdps(40):
-            terms = [mp.mpf(float(w)) * mp.mpf(float(x)) ** k for w, x in zip(weights, _NODES)]
-            exact = mp.mpf(2) / (k + 1) if k % 2 == 0 else mp.mpf(0)
-            err = abs(mp.fsum(terms) - exact)
-            scale = mp.fsum(abs(t) for t in terms)
-            return float(err / scale)
-
-    def test_kronrod_exact_to_degree_22(self):
-        for k in range(23):
-            assert self._rule_error(_W_KRON, k) <= (k + 2) * np.finfo(float).eps, k
-
-    def test_gauss_exact_to_degree_13(self):
-        for k in range(14):
-            assert self._rule_error(_W_GAUSS, k) <= (k + 2) * np.finfo(float).eps, k
-
-    def test_gauss_nodes_are_legendre_roots(self):
-        import mpmath as mp
-
-        with mp.workdps(40):
-            for node in _NODES[1:-1:2]:
-                root = mp.findroot(lambda t: mp.legendre(7, t), mp.mpf(float(node)))
-                assert float(root) == node
 
 
 def _log_gamma_integrand(log_t, a):
@@ -180,3 +70,181 @@ class TestDoubleExponential:
             integrate_zero_inf_de(_log_gamma_integrand, [1.0], rtol=0.0)
         with pytest.raises(ParameterError):
             integrate_zero_inf_de(_log_gamma_integrand, [])
+        with pytest.raises(ParameterError, match="one value per abscissa"):
+            integrate_zero_inf_de(_log_gamma_integrand, [1.0, 2.0], log_scale=[0.0])
+
+    def test_scale_reaches_an_edge_far_below_one(self):
+        # t^-1 exp(-t - x/t) integrates to 2 K0(2 sqrt x): a plateau in log t
+        # from log x to 0 with a sharp edge at each end.  Scaled to the
+        # lower edge, both lie on the linear side of the map
+        x = np.array([1e-300, 1e-120, 1e-20])
+        log_bessel = lambda log_t, x: -np.exp(log_t) - x * np.exp(-log_t) - log_t
+        res = integrate_zero_inf_de(log_bessel, x, log_scale=np.log(x) + 1.0)
+        ref = np.log(2.0 * sp.k0(2.0 * np.sqrt(x)))
+        assert_allclose(res.log_value, ref, rtol=0, atol=1e-12)
+        assert np.all(res.rel_error <= 1e-11)
+
+    def test_unit_scale_is_the_unscaled_map(self):
+        a = np.array([0.5, 3.0])
+        plain = integrate_zero_inf_de(_log_gamma_integrand, a)
+        scaled = integrate_zero_inf_de(_log_gamma_integrand, a, log_scale=np.zeros(2))
+        assert plain.log_value.tolist() == scaled.log_value.tolist()
+        assert plain.points == scaled.points
+
+
+def _log_gamma_in_scratch(log_t, a):
+    # _log_gamma_integrand written into a scratch array
+    (g,) = _scratch((len(a), log_t.shape[-1]), 1)
+    np.multiply(a - 1.0, log_t, out=g)
+    g -= np.exp(log_t)
+    return g
+
+
+class TestScratch:
+    def test_a_repeated_call_allocates_less_than_a_block_at_once(self):
+        # a full block of rows, the second time: the kernel's arrays and the
+        # integrand's temporaries of a block's size all live in the slots.
+        # Holding them at once took about 520 kB, five or six block-sized
+        # arrays; this bounds the peak by three
+        a = np.linspace(0.5, 8.0, _DE_ROWS)
+        integrate_zero_inf_de(_log_gamma_in_scratch, a)
+        tracemalloc.start()
+        try:
+            res = integrate_zero_inf_de(_log_gamma_in_scratch, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_allclose(res.log_value, [math.lgamma(v) for v in a], rtol=0, atol=1e-13)
+        assert peak < 3 * 8 * _DE_ROWS * (_DE_POINTS + 1)
+
+    def test_slots_are_reused_from_call_to_call(self):
+        seen = []
+
+        def log_f(log_t, a):
+            seen.append(_log_gamma_in_scratch(log_t, a))
+            return seen[-1]
+
+        for _ in range(2):
+            integrate_zero_inf_de(log_f, [2.0, 3.0])
+        assert np.shares_memory(seen[0], seen[-1])
+
+    def test_log_integrand_may_overwrite_log_t(self):
+        def spoil(log_t, a):
+            g = _log_gamma_integrand(log_t, a)
+            log_t[...] = np.nan
+            return g
+
+        a = np.array([0.5, 3.0])
+        want = integrate_zero_inf_de(_log_gamma_integrand, a)
+        got = integrate_zero_inf_de(spoil, a)
+        assert got.log_value.tolist() == want.log_value.tolist()
+        assert got.points == want.points
+
+    def test_fresh_arrays_outside_a_kernel_call(self):
+        (a,) = _scratch((2, 3), 1)
+        (b,) = _scratch((2, 3), 1)
+        assert a.shape == b.shape == (2, 3)
+        assert not np.shares_memory(a, b)
+
+    def test_a_kernel_call_inside_a_log_integrand(self):
+        # the inner call takes fresh arrays, so the outer call's nodes and
+        # the temporaries its integrand holds survive it
+        def outer(log_t, x):
+            (g,) = _scratch((len(x), log_t.shape[-1]), 1)
+            np.subtract(np.log(x), np.exp(log_t), out=g)  # x e^-t
+            inner = integrate_zero_inf_de(_log_gamma_in_scratch, [2.0])  # Gamma(2) = 1
+            g += inner.log_value[0]
+            return g
+
+        res = integrate_zero_inf_de(outer, [0.5, 2.0])
+        assert_allclose(res.log_value, np.log([0.5, 2.0]), rtol=0, atol=1e-13)
+
+    def test_threads_keep_their_own_slots(self):
+        # more threads than cores, switching often: a slot shared between
+        # two threads would mix their rows
+        a = np.linspace(0.5, 8.0, 2 * _DE_ROWS)
+        want = integrate_zero_inf_de(_log_gamma_in_scratch, a).log_value
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [
+                    pool.submit(integrate_zero_inf_de, _log_gamma_in_scratch, a) for _ in range(8)
+                ]
+                runs = [f.result(timeout=60).log_value for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got in runs:
+            assert got.tolist() == want.tolist()
+
+
+def _gamma_moments(orders, calls=None):
+    """log_f of t^n e^-t, one row per order n, recording each call's nodes."""
+
+    def log_f(log_t):
+        if calls is not None:
+            calls.append(log_t.copy())
+        return orders[:, None] * log_t - np.exp(log_t)
+
+    return log_f
+
+
+class TestSharedNodes:
+    def test_factorials_in_one_pass(self):
+        orders = np.arange(13.0)
+        res = integrate_shared_de(_gamma_moments(orders), low_power=1.0)
+        assert_allclose(res.log_value, sp.gammaln(orders + 1.0), rtol=0, atol=1e-14)
+        assert np.all(res.rel_error <= 1e-9)
+        assert res.log_value.shape == res.rel_error.shape == (13,)
+
+    def test_each_node_evaluated_once(self):
+        calls = []
+        res = integrate_shared_de(_gamma_moments(np.arange(9.0), calls), low_power=1.0)
+        nodes = np.concatenate(calls)
+        assert len(np.unique(nodes)) == len(nodes) == res.points
+        # the scan, then h = 1/8 and h = 1/16 (1/32 is not needed here): the
+        # last two calls are the midpoints of the window at the step before
+        scan = np.concatenate(calls[:-2])
+        assert len(calls[-1]) == 2 * len(calls[-2])
+        s = lambda log_t: np.array([_inverse_map(v) for v in log_t])
+        assert_allclose(np.diff(s(calls[-1])), 0.125, atol=1e-9)
+        assert_allclose(np.diff(np.sort(s(scan))), 0.25, atol=1e-9)
+
+    def test_slow_power_law_at_zero_refused_up_front(self):
+        # t^0.02 e^-t in d(log t) keeps 1e-6 of its mass below t = 2e-292,
+        # the lowest node: refused before log_f is called
+        calls = []
+        with pytest.raises(NumericalRangeError, match="at least 0.03085"):
+            integrate_shared_de(_gamma_moments(np.array([-0.98]), calls), low_power=0.02)
+        assert calls == []
+
+    def test_power_law_inside_the_lattice(self):
+        # t^-0.9 e^-t: Gamma(0.1), with t^0.1 falling by e^-40 near t = e^-400
+        res = integrate_shared_de(_gamma_moments(np.array([-0.9])), low_power=0.1)
+        assert res.log_value[0] == pytest.approx(math.lgamma(0.1), rel=1e-14)
+
+    def test_power_law_tail_below_the_lattice_in_the_estimate(self):
+        # t^-0.96 e^-t: t^0.04 still holds e^-26.9 of Gamma(0.04) below the
+        # lowest node, which the error estimate bounds
+        res = integrate_shared_de(_gamma_moments(np.array([-0.96])), low_power=0.04)
+        error = abs(res.log_value[0] - math.lgamma(0.04))
+        assert 1e-13 < error <= res.rel_error[0] <= 1e-11
+
+    def test_missed_tolerance_raises(self):
+        # a jump at t = 1 keeps the h vs 2h difference at O(h)
+        step = lambda log_t: np.where(log_t < 0.0, 0.0, -np.inf)[None, :]
+        with pytest.raises(ConvergenceError):
+            integrate_shared_de(step, low_power=1.0)
+
+    def test_not_negligible_at_the_top_limit_raises(self):
+        flat = lambda log_t: np.where(log_t > 0.0, -log_t, log_t)[None, :] * 1e-3 - log_t
+        with pytest.raises(ConvergenceError, match="scan limit"):
+            integrate_shared_de(flat, low_power=1.0)
+
+
+def _inverse_map(log_t: float) -> float:
+    """s with s - e^-s = log t, by Newton's method."""
+    s = log_t if log_t > 0.0 else -math.log(-log_t + 1.0)
+    for _ in range(60):
+        s -= (s - math.exp(-s) - log_t) / (1.0 + math.exp(-s))
+    return s

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .factorials import box
+from .factorials import _brackets, box
 from .params import DeformationParams, PhysicalScales, check_count
 
 __all__ = [
@@ -73,18 +73,8 @@ def spectrum_table(
     s: PhysicalScales = PhysicalScales(),
 ) -> list[SpectrumRow]:
     """Rows n = 0 .. n_max of brackets and energies."""
-    n_max = check_count(n_max, "n_max")
-    rows = []
-    upper = box(0, p)
-    for n in range(n_max + 1):
-        lower = upper
-        upper = box(n + 1, p)
-        rows.append(
-            SpectrumRow(
-                n=n,
-                box_n=lower,
-                box_n_plus_1=upper,
-                energy=0.5 * s.hbar * s.omega * (upper + lower),
-            )
-        )
-    return rows
+    b = _brackets(p, check_count(n_max, "n_max") + 1).tolist()
+    return [
+        SpectrumRow(n, lower, upper, 0.5 * s.hbar * s.omega * (upper + lower))
+        for n, (lower, upper) in enumerate(zip(b, b[1:]))
+    ]

@@ -13,10 +13,10 @@ series._log_series, with its single stopping rule: three consecutive terms
 sums stay in log space so large n and x never overflow, and the linear
 Fock sums (fock_moment_sum, both sums of Q_M) go through
 series._positive_fsum, which skips the terms too small to reach the sum.
-Bracket values are read as slices of the factorial table.  The alternating
-wavefunction series is summed with compensation and a cancellation flag;
-ground_wavefunction and excited_wavefunction raise NumericalRangeError
-where the flag is set.
+Brackets and factorials are read as slices of the factorial table.  The
+alternating wavefunction series is summed on the x^beta lattice by
+series._lattice_sum, with its cancellation flag; ground_wavefunction and
+excited_wavefunction raise NumericalRangeError where the flag is set.
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalRangeError, ParameterError
-from .factorials import _table, box, log_gen_factorial
+from .factorials import _brackets, _log_factorials, _table, box, log_gen_factorial
 from .params import DeformationParams, PhysicalScales, check_complex, check_count, check_real
 from .series import (
+    _lattice_sum,
     _log_abs,
     _log_series,
     _positive_fsum,
@@ -237,8 +238,8 @@ def fock_moment_sum(
     lx = math.log(x)
     # w_n / w_r: n >= r from the kernel, n < r in closed form
     tail = _log_series(lx, p, tol, max_terms, "fock_moment_sum", start=r)
-    log_fr = log_gen_factorial(r, p)
-    head = [(n - r) * lx + log_fr - log_gen_factorial(n, p) for n in range(r)]
+    log_f = _log_factorials(p, r)
+    head = (np.arange(r) - r) * lx + log_f[r] - log_f[:r]
     log_norm = np.logaddexp.reduce(np.append(head, tail.log_sum))
     n = np.arange(r, r + len(tail.log_terms), dtype=float)
     falling = np.prod(n[:, None] - np.arange(r), axis=1)
@@ -284,9 +285,10 @@ def mandel_qm(
         lx, p, tol, max_terms, "mandel_qm", start=1, log_factor=lambda n, log_b: 2.0 * log_b
     )
     log_norm = log_n_function(x, p, tol=tol, max_terms=max_terms)
+    log_b = _table(p, len(s.log_terms)).log_box[1 : len(s.log_terms) + 1]
     # the first term is [1]^2 p(1) = x [1] / N
-    log_e2 = s.log_terms + (lx + s.log_brackets[0] - log_norm)
-    e1 = _positive_fsum(np.exp(log_e2 - s.log_brackets))
+    log_e2 = s.log_terms + (lx + log_b[0] - log_norm)
+    e1 = _positive_fsum(np.exp(log_e2 - log_b))
     e2 = _positive_fsum(np.exp(log_e2))
     return (e2 - e1 * e1) / e1 - 1.0
 
@@ -348,23 +350,18 @@ def wavefunction_sample(
     ground = _log_series(
         log_y, p, tol * 1e-4, _LATTICE_BUDGET, "ground-state series", step=2, phase=-1.0
     )
-    n_even = len(ground.log_terms)
-    n_slots = 2 * n_even + k + 4
+    n_slots = 2 * len(ground.log_terms) + k + 4
     # the brackets [j], read once for the lattice and all k raisings
-    log_b = _table(p, n_slots).log_box[1:n_slots].tolist()
-    boxes = [0.0, *map(math.exp, log_b)]
+    b = _brackets(p, n_slots - 1)
     # the ground state: slot 2n holds (-m omega / hbar)^n / [2n]!!, the
     # normalization under which the lowering operator annihilates it
     coeffs = np.zeros(n_slots)
-    coeffs[0] = val = 1.0
-    ratio = -s.mass * s.omega / s.hbar
-    for j in range(2, n_slots, 2):
-        val *= ratio / boxes[j]
-        coeffs[j] = val
+    coeffs[0] = 1.0
+    coeffs[2::2] = (-s.mass * s.omega / s.hbar) / b[2::2]
+    np.multiply.accumulate(coeffs[::2], out=coeffs[::2])
 
     up = math.sqrt(0.5 * s.mass * s.omega / s.hbar)
     down = math.sqrt(0.5 * s.hbar / (s.mass * s.omega))
-    b = np.array(boxes)
     for _ in range(k):
         nxt = np.zeros(n_slots)
         nxt[1:] += up * coeffs[:-1]
@@ -373,20 +370,8 @@ def wavefunction_sample(
 
     ground_scale = (s.mass * s.omega / (math.pi * s.hbar)) ** 0.25
     scale = ground_scale * math.exp(-0.5 * log_gen_factorial(k, p))
-    y = x**p.beta
-    terms = []
-    yj = 1.0
-    for c in coeffs.tolist():
-        terms.append(c * yj)
-        yj *= y
-    if not all(map(math.isfinite, terms)):
-        raise NumericalRangeError(
-            f"wavefunction_sample: lattice terms at x = {x} for {p} are not finite"
-            " in double precision"
-        )
-    total = math.fsum(terms)
-    max_abs = max(map(abs, terms))
-    cancel = abs(total) < max_abs * 1e-8 and max_abs > 0.0
+    what = f"wavefunction_sample: lattice series at x = {x} for {p}"
+    total, cancel = _lattice_sum(coeffs.tolist(), x**p.beta, what)
     return scale * total, cancel
 
 

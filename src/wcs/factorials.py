@@ -23,14 +23,16 @@ domain, so factorials carry sign +1 and a log magnitude.
 The logs are kept in one table per parameter triple, as three float64
 numpy columns (log [n], the running sum of the alpha-ratio logs, and the
 nu-dependent log-gamma) that the series kernels slice directly; callers
-get read-only views, and the scalar accessors return Python floats.  A
-table grows on demand by at least 64 entries, in blocks of at most 4096,
-into buffers whose capacity doubles when full: each block takes its three
-gamma columns in three calls of the array log-gamma, which equals the
-scalar one bit for bit, and sums log [n]! in the same order as an
-entry-by-entry build, so no entry depends on how the table was grown.  At
-most 64 tables are cached; a new triple beyond that evicts the
-oldest-inserted one.
+get read-only views, and the scalar accessors return Python floats; a
+whole sequence is one slice, _brackets ([0..n], the package's only linear
+brackets) or _log_factorials (log [0..n]!), bit-equal to box and
+log_gen_factorial.  A table grows on demand by at least 64 entries, in
+blocks of at most 4096, into buffers whose capacity doubles when full:
+each block takes its three gamma columns in three calls of the array
+log-gamma, which equals the scalar one bit for bit, and sums log [n]! in
+the same order as an entry-by-entry build, so no entry depends on how the
+table was grown.  At most 64 tables are cached; a new triple beyond that
+evicts the oldest-inserted one.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import math
 
 import numpy as np
 
-from .gammafn import LogValue, _log_gamma_array, log_gamma
+from .gammafn import LogValue, _exp_each, _log_gamma_array, log_gamma
 from .params import DeformationParams, check_count
 
 __all__ = [
@@ -136,9 +138,18 @@ def log_box(n: int, p: DeformationParams) -> float:
 def box(n: int, p: DeformationParams) -> float:
     """The bracket [n] on linear scale.  [0] = 0."""
     n = check_count(n, "n")
-    if n == 0:
-        return 0.0
     return math.exp(_table(p, n).log_box.item(n))
+
+
+def _brackets(p: DeformationParams, n: int) -> np.ndarray:
+    """[0], ..., [n] on the linear scale, through box's exp, not numpy's."""
+    return _exp_each(_table(p, n).log_box[: n + 1])
+
+
+def _log_factorials(p: DeformationParams, n: int) -> np.ndarray:
+    """log [0]!, ..., log [n]!, summed in log_gen_factorial's order."""
+    tab = _table(p, n)
+    return tab.log_prod[: n + 1] + tab.log_tail[: n + 1] - tab.log_tail[0]
 
 
 def log_gen_factorial(n: int, p: DeformationParams) -> float:
@@ -160,10 +171,9 @@ def log_gen_double_factorial(m: int, p: DeformationParams) -> float:
     appears in the ground-state expansion; m = 0 gives the empty product.
     """
     m = check_count(m, "m")
-    acc = 0.0
-    for lb in _table(p, m).log_box[m:0:-2].tolist():
-        acc += lb
-    return acc
+    # 0 + log [m] + log [m-2] + ... left to right: np.add.reduce sums
+    # pairwise, and the builtin sum compensates from Python 3.12
+    return np.add.accumulate(np.append(0.0, _table(p, m).log_box[m:0:-2])).item(-1)
 
 
 def gen_double_factorial(m: int, p: DeformationParams) -> LogValue:

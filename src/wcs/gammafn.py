@@ -75,13 +75,15 @@ def _lanczos_log_gamma(x, log=math.log):
 
 
 def _elementwise(fn):
-    # the C library's log, not numpy's: the two differ in the last bit on
-    # some arguments, which would move table entries
+    # the C library's function, not numpy's: the two differ in the last bit
+    # on some arguments (exp on about one in twenty), which would move table
+    # entries and part array reads from the scalar accessors
     return lambda a: np.fromiter(map(fn, a.tolist()), float, len(a))
 
 
 _log_each = _elementwise(math.log)
 _sin_each = _elementwise(math.sin)
+_exp_each = _elementwise(math.exp)
 
 
 def _log_gamma_array(x: np.ndarray) -> np.ndarray:

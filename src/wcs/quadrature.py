@@ -124,21 +124,17 @@ def _de_log_integrand(log_f, s: np.ndarray, x: np.ndarray, log_c, out=None) -> n
 
     s is a fresh array of shape (k,) or (m, k); it is overwritten by s - e^-s
     so that only two temporaries of its size live beside log_f's own.
-    log_c is None (c = 1) or a column of shape (m, 1).  out, None or an
-    array of s's shape, receives the result when log_f's fits it."""
+    log_c is a column of shape (m, 1).  out, None or an array of shape
+    (m, k), receives the result."""
     e = np.negative(s, out=out)
     np.exp(e, out=e)
     log_t = np.subtract(s, e, out=s)
     jac = np.log1p(e, out=e)
-    if log_c is not None:  # in place where s already has a row per x
-        log_t = np.add(log_t, log_c, out=log_t if log_t.ndim == 2 else None)
+    log_t = np.add(log_t, log_c, out=log_t if log_t.ndim == 2 else None)
     jac = np.add(jac, log_t, out=jac if jac.shape == log_t.shape else None)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         g = np.asarray(log_f(log_t, x), dtype=float)
-    g = np.add(g, jac, out=jac) if g.shape == jac.shape else g + jac
-    shape = (len(x), s.shape[-1])
-    if g.shape != shape:
-        g = np.broadcast_to(g, shape).copy()
+    g = np.add(g, jac, out=jac)  # log t has a row per x, so jac is (m, k)
     if not (g < np.inf).all():  # NaN or +inf
         raise NumericalRangeError("log-integrand returned NaN or +inf")
     return g
@@ -197,14 +193,14 @@ def _de_scan(g_at, limits: tuple[float, float], open_below: bool = False):
 def integrate_zero_inf_de(log_f, x, rtol: float = 1e-11, log_scale=None) -> LogQuadResult:
     """Integrate exp(log_f(log t, x)) over t in (0, inf) for every x at once.
 
-    log_f receives log t as an array of shape (k,) or (m, k) and x as a
-    column of shape (m, 1), and returns the log of a positive integrand,
-    broadcast to (m, k); -inf marks a zero.  It may overwrite log t, and
-    may build its result in the kernel's scratch slots (_scratch) rather
-    than allocate it.  log_scale, one value
-    per x, shifts each row's map to log t = log_scale + s - e^-s: a row
-    whose integrand has a sharp edge far below t = 1 puts it there, where
-    the map is linear, instead of on the compressed side.  Row i is accepted
+    log_f receives log t as an array of shape (m, k) and x as a column of
+    shape (m, 1), and returns the log of a positive integrand, broadcast to
+    (m, k); -inf marks a zero.  It may overwrite log t, and may build its
+    result in the kernel's scratch slots (_scratch) rather than allocate
+    it.  log_scale, one value per x (None: all 0), shifts each row's map to
+    log t = log_scale + s - e^-s: a row whose integrand has a sharp edge
+    far below t = 1 puts it there, where the map is linear, instead of on
+    the compressed side.  Row i is accepted
     when its error estimate is at most rtol * I_i, with rtol floored at
     the rounding error of a log-integrand of that row's size, and its
     rel_error is the h vs h/2 estimate or that floor, whichever is larger.
@@ -216,16 +212,15 @@ def integrate_zero_inf_de(log_f, x, rtol: float = 1e-11, log_scale=None) -> LogQ
     x = np.asarray(x, dtype=float).reshape(-1, 1)
     if not len(x):
         raise ParameterError("need at least one abscissa")
-    if log_scale is not None:
-        log_scale = np.asarray(log_scale, dtype=float).reshape(-1, 1)
-        if log_scale.shape != x.shape:
-            raise ParameterError(f"log_scale needs one value per abscissa, got {len(log_scale)}")
+    log_scale = np.zeros_like(x) if log_scale is None else log_scale
+    log_scale = np.asarray(log_scale, dtype=float).reshape(-1, 1)
+    if log_scale.shape != x.shape:
+        raise ParameterError(f"log_scale needs one value per abscissa, got {len(log_scale)}")
     blocks = []
     _SCRATCH.depth += 1
     try:
         for i in range(0, len(x), _DE_ROWS):
-            log_c = None if log_scale is None else log_scale[i:i + _DE_ROWS]
-            blocks.append(_de_block(log_f, x[i:i + _DE_ROWS], log_c, rtol))
+            blocks.append(_de_block(log_f, x[i:i + _DE_ROWS], log_scale[i:i + _DE_ROWS], rtol))
     finally:
         _SCRATCH.depth -= 1
     return LogQuadResult(
@@ -247,18 +242,15 @@ def _halve(total, top, h, gm):
     return refined, np.abs(refined - total * shrink), new_top
 
 
-def _de_block(log_f, x: np.ndarray, log_c, rtol: float) -> LogQuadResult:
-    if log_c is not None and not log_c.any():
-        log_c = None  # c = 1 on every row: the unscaled map, bit for bit
-
+def _de_block(log_f, x: np.ndarray, log_c: np.ndarray, rtol: float) -> LogQuadResult:
     def g_at(s, rows):
-        return _de_log_integrand(log_f, s, x[rows], None if log_c is None else log_c[rows])
+        return _de_log_integrand(log_f, s, x[rows], log_c[rows])
 
     s, g, points = _de_scan(g_at, _DE_LIMITS)
     first, last = _de_window(g)
-    a, b = s[first], s[last]
-    del g  # the scan can be wider than the trapezoid grid: free it first
-    h = (b - a) / _DE_POINTS
+    a = s[first]
+    h = (s[last] - a) / _DE_POINTS
+    del s, g, first, last  # the scan can be wider than the trapezoid grid
     nodes, out = _SCRATCH.take((len(x), _DE_POINTS + 1), 0, 2)
     np.multiply(h[:, None], np.arange(_DE_POINTS + 1), out=nodes)
     g = _de_log_integrand(log_f, np.add(a[:, None], nodes, out=nodes), x, log_c, out)
@@ -291,9 +283,7 @@ def _de_block(log_f, x: np.ndarray, log_c, rtol: float) -> LogQuadResult:
             mids, out = _SCRATCH.take((len(part), k), 0, 2)
             np.multiply(h[part, None], 2.0 * np.arange(k) + 1.0, out=mids)
             np.add(a[part, None], mids, out=mids)
-            gm = _de_log_integrand(
-                log_f, mids, x[part], None if log_c is None else log_c[part], out
-            )
+            gm = _de_log_integrand(log_f, mids, x[part], log_c[part], out)
             points += gm.size
             total[part], err[part], top[part] = _halve(total[part], top[part], h[part], gm)
         bad = err > rtol_row * total

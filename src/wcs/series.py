@@ -25,13 +25,13 @@ partial sum, while the next-term ratio |t_(n+1) / t_n| is below 0.9.
 The brackets are read as slices of the table's numpy column.  Positive
 series are summed in log space and never overflow; signed and complex
 series (a phase per term) raise NumericalRangeError once a partial sum
-overflows, and their values are taken with compensated summation
-(math.fsum), with a geometric tail bound and a cancellation flag as
-diagnostics.  Where a positive series is summed on the linear scale,
-_positive_fsum gives fsum only the terms of at least 2^-106 / len of the
-largest, plus the float sum of the rest: those weigh under 2^-106 of the
-total, so they can only decide a rounding tie, and that sum decides it
-as they would.
+overflows, and their values are taken with math.fsum (_fsum), with a
+geometric tail bound and the one cancellation rule (_cancels) as
+diagnostics, as are sums c_j y^j on the x^beta lattice (_lattice_sum).
+Where a positive series is summed on the linear scale, _positive_fsum
+gives fsum only the terms of at least 2^-106 / len of the largest, plus
+the float sum of the rest: those weigh under 2^-106 of the total, so they
+can only decide a rounding tie, and that sum decides it as they would.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, NumericalRangeError, ParameterError
-from .factorials import _table, log_box, log_gen_factorial
+from .factorials import _brackets, _table, log_gen_factorial
 from .gammafn import log_gamma
 from .params import DeformationParams, check_complex, check_count, check_real
 
@@ -97,7 +97,6 @@ class _LogSeries(NamedTuple):
     log_terms: np.ndarray  # log|t_n| of the kept terms, n = start, start+1, ...
     log_sum: float  # log|S| of the kept terms
     log_ratio: float  # log|t_(n+1) / t_n| after the last kept term
-    log_brackets: np.ndarray  # log b_n of the kept terms
 
 
 def _phases(phase: complex, k: np.ndarray):
@@ -130,6 +129,35 @@ def _positive_fsum(terms: np.ndarray) -> float:
     return math.fsum([*terms[big].tolist(), float(terms[~big].sum())])
 
 
+def _fsum(terms: list, what: str) -> float:
+    """math.fsum, raising NumericalRangeError where a term or the sum is
+    not finite: fsum then returns inf or NaN, or raises."""
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # finite terms past the range; inf - inf
+        total = math.nan
+    if not math.isfinite(total):
+        raise NumericalRangeError(f"{what}: terms or their sum beyond double range")
+    return total
+
+
+def _cancels(total: complex, largest: float) -> bool:
+    """The one cancellation rule: |sum| below 1e-8 of the largest |term|."""
+    return abs(total) < largest / _LOSS_THRESHOLD
+
+
+def _lattice_sum(coeffs, y: float, what: str) -> tuple[float, bool]:
+    """sum_j c_j y^j on the x^beta lattice (y = x^beta), y^j by repeated
+    multiplication, and whether it cancels."""
+    terms = []
+    yj = 1.0
+    for c in coeffs:
+        terms.append(c * yj)
+        yj *= y
+    total = _fsum(terms, what)
+    return total, _cancels(total, max(map(abs, terms), default=0.0))
+
+
 def _log_falling(r: int) -> Callable:
     """F(n) = log n!/(n-r)!, the factor of the r-th derivative term."""
     return lambda n, log_b: np.log(n[:, None] - np.arange(r)).sum(axis=1)
@@ -156,10 +184,9 @@ def _log_series(
     tol = check_real(tol, "tol", above=0.0)
     max_terms = check_count(max_terms, "max_terms", 1)
     if lx == -math.inf:  # x = 0: every term after the first vanishes
-        return _LogSeries(np.zeros(1), 0.0, -math.inf, np.array([log_box(step * start, p)]))
+        return _LogSeries(np.zeros(1), 0.0, -math.inf)
     end = start + max_terms  # first index past the budget
     kept: list[np.ndarray] = []
-    kept_b: list[np.ndarray] = []
     base = 0.0  # running log weight at the block start, factor excluded
     f_start = 0.0
     # running sum S = e^scale * partial; scale >= 0 since the first term is 1
@@ -203,13 +230,11 @@ def _log_series(
         ):
             raise _overflow(what)
         kept.append(log_t[:k])
-        kept_b.append(log_b[:k])
         if hit:
             return _LogSeries(
                 np.concatenate(kept),
                 top + _log_abs(sums[k - 1]),
                 float(logs[k] - logs[k - 1]),
-                np.concatenate(kept_b),
             )
         scale, partial = top, sums[-1]
         carry = flags[-(_CONSECUTIVE_SMALL - 1):]
@@ -234,21 +259,15 @@ def _linear_sum(
     phase = x / ax if ax > 0.0 else 1.0
     s = _log_series(lx, p, tol, max_terms, what, start, log_factor=log_factor, phase=phase)
     log_t = s.log_terms + log_first
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * (1 + 0j) is NaN
         terms = np.exp(log_t) * _phases(phase, np.arange(len(log_t)))
-    if not np.all(np.isfinite(terms)):
-        raise _overflow(what)
-    terms = np.asarray(terms, dtype=complex)
-    try:  # finite terms can still sum past the range once scaled by e^log_first
-        value = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
-    except OverflowError:
-        raise _overflow(what) from None
+    value = complex(_fsum(terms.real.tolist(), what), _fsum(terms.imag.tolist(), what))
     last, ratio = math.exp(log_t[-1]), math.exp(s.log_ratio)
     return SeriesResult(
         value=value,
         terms_used=len(log_t),
         tail_bound=last * ratio / (1.0 - ratio),
-        cancellation=abs(value) < math.exp(log_t.max()) / _LOSS_THRESHOLD,
+        cancellation=_cancels(value, math.exp(log_t.max())),
     )
 
 
@@ -345,13 +364,9 @@ class PowerSeries:
     beta: float
 
     def __call__(self, x: float) -> float:
+        """f(x); NumericalRangeError where a term or the sum leaves double range."""
         y = check_real(x, "x", at_least=0.0) ** self.beta
-        acc = []
-        yk = 1.0
-        for c in self.coeffs:
-            acc.append(c * yk)
-            yk *= y
-        return math.fsum(acc)
+        return _lattice_sum(self.coeffs, y, f"PowerSeries at x = {x}")[0]
 
     def shifted_up(self) -> "PowerSeries":
         """Multiply by x^beta: shift every coefficient up one lattice slot."""
@@ -364,9 +379,8 @@ def deformed_derivative(f: PowerSeries, p: DeformationParams) -> PowerSeries:
         raise ParameterError(
             f"series lattice beta={f.beta} does not match parameters beta={p.beta}"
         )
-    n = len(f.coeffs)
-    log_b = _table(p, n).log_box[1:n].tolist()
-    return PowerSeries(tuple(c * math.exp(lb) for c, lb in zip(f.coeffs[1:], log_b)), f.beta)
+    b = _brackets(p, len(f.coeffs) - 1)[1:].tolist()
+    return PowerSeries(tuple(c * bk for c, bk in zip(f.coeffs[1:], b)), f.beta)
 
 
 def eigenfunction_residual(
@@ -388,8 +402,8 @@ def eigenfunction_residual(
     ref = probe.value.real
     n_coeffs = probe.terms_used + 4
     coeffs = [1.0]
-    for lb in _table(p, n_coeffs).log_box[1:n_coeffs].tolist():
-        coeffs.append(coeffs[-1] * lam / math.exp(lb))
+    for b in _brackets(p, n_coeffs - 1)[1:].tolist():
+        coeffs.append(coeffs[-1] * lam / b)
     f = PowerSeries(tuple(coeffs), p.beta)
     lhs = deformed_derivative(f, p)(x)
     return abs(lhs - lam * ref) / abs(lam * ref)

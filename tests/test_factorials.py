@@ -22,7 +22,7 @@ from wcs import (
 )
 from wcs import factorials
 from wcs.errors import ParameterError
-from wcs.factorials import _MAX_TABLES, _TABLES, _Table, _table
+from wcs.factorials import _MAX_TABLES, _TABLES, _Table, _brackets, _log_factorials, _table
 from wcs.gammafn import log_gamma
 
 CLASSICAL = DeformationParams(0.0, 1.0, 0.0)
@@ -271,6 +271,23 @@ class TestArrayTable:
         assert copies <= math.ceil(math.log2(100_001 / 65))
 
 
+class TestSequenceReads:
+    """_brackets and _log_factorials read whole sequences off the table and
+    equal the scalar accessors element for element, bit for bit."""
+
+    @pytest.mark.parametrize("p", TABLE_TRIPLES)
+    def test_equal_to_scalar_accessors_on_a_table_grown_in_pieces(self, p):
+        clear_caches()
+        for n in (0, 1, 37, 4096, 4097, 10_000):  # each read grows the table
+            got_b, got_f = _brackets(p, n), _log_factorials(p, n)
+            assert got_b.dtype == got_f.dtype == np.float64
+            assert got_b.tobytes() == np.array([box(k, p) for k in range(n + 1)]).tobytes()
+            assert (
+                got_f.tobytes()
+                == np.array([log_gen_factorial(k, p) for k in range(n + 1)]).tobytes()
+            )
+
+
 class TestTableCache:
     def test_bounded(self):
         clear_caches()
@@ -294,6 +311,14 @@ class TestTableCache:
 
 
 class TestDoubleFactorial:
+    @pytest.mark.parametrize("p", TABLE_TRIPLES)
+    def test_bitwise_equal_to_left_to_right_sum(self, p):
+        for m in (1, 2, 3, 10, 333, 4000):
+            acc = 0.0
+            for k in range(m, 0, -2):
+                acc += log_box(k, p)
+            assert log_gen_double_factorial(m, p) == acc
+
     def test_empty_product(self):
         for p in GRID:
             assert gen_double_factorial(0, p).to_float() == pytest.approx(1.0)

@@ -177,6 +177,47 @@ class TestHankel:
                 for off in (0, 1):
                     assert hankel_hadamard(p, size, off) > 0.0
 
+    @pytest.mark.parametrize(
+        "triple", [(0.0, 1.0, 0.0), (0.0, 0.5, 0.5), (1.0, 0.5, 1.0), (0.3, 0.7, 0.2)]
+    )
+    def test_within_tolerance_or_raises(self, triple):
+        # against the 60-digit determinant of the exactly rescaled matrix:
+        # at (0, 1, 0) numpy's value was 8.6e-4 off at size 15, 17 times off
+        # at 20 and negative at 40, with no error
+        a, b, v = (mpmath.mpf(t) for t in triple)
+        p = DeformationParams(*triple)
+        with mpmath.workdps(60):
+            log_m = [mpmath.mpf(0)]
+            for i in range(1, 121):
+                log_m.append(
+                    log_m[-1] + mpmath.loggamma(b * i + 1) - mpmath.loggamma(b * i + 1 - a)
+                    + mpmath.loggamma(b * i + 1 - a + v) - mpmath.loggamma(b * i - b + 1 - a + v)
+                )
+            for off in (0, 1):
+                returned = []
+                for size in range(1, 61):
+                    try:
+                        det = hankel_hadamard(p, size, off)
+                    except NumericalRangeError as exc:
+                        assert f"size {size}: rounding bound" in str(exc)
+                        continue
+                    returned.append(size)
+                    lm = log_m[off:]
+                    rows = [
+                        [mpmath.exp(lm[i + j] - (lm[2 * i] + lm[2 * j]) / 2) for j in range(size)]
+                        for i in range(size)
+                    ]
+                    exact = mpmath.det(mpmath.matrix(rows))
+                    assert abs(det - exact) <= 1e-6 * exact
+                # the sizes the benchmark and criterion 6 use all return
+                assert returned[:5] == [1, 2, 3, 4, 5]
+
+    def test_cli_exits_3_past_the_tolerance(self, capsys):
+        from wcs.cli import main
+
+        assert main(["hankel", "--size", "40"]) == 3
+        assert "size 40: rounding bound" in capsys.readouterr().err
+
     def test_size_ceiling_before_any_allocation(self):
         with pytest.raises(ParameterError, match="^size must be an integer <= 1000, got 100000$"):
             hankel_hadamard(CLASSICAL, 100_000)

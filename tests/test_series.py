@@ -202,6 +202,13 @@ class TestDerivativeSeries:
         with pytest.raises(ParameterError):
             n_function_derivative(1.0, -1, CLASSICAL)
 
+    @pytest.mark.parametrize("x", [0.5, -0.5, 0.5j, 0.5 + 0.5j])
+    def test_first_term_beyond_double_range_is_typed(self, x):
+        # log(1000!/[1000]!) ~ 5550 at beta = 0.1: the first term overflows,
+        # and times a complex phase it made NaN with a RuntimeWarning
+        with pytest.raises(NumericalRangeError, match="double range"):
+            n_function_derivative(x, 1000, DeformationParams(0.0, 0.1, 0.0))
+
 
 class TestWrightW:
     def test_classical(self):
@@ -231,6 +238,18 @@ class TestPowerSeries:
     def test_fractional_lattice(self):
         f = PowerSeries((0.0, 1.0), 0.5)
         assert f(4.0) == pytest.approx(2.0, rel=1e-14)
+
+    def test_terms_beyond_double_range_raise(self):
+        # 100^j overflows from j = 155: inf - inf made fsum raise ValueError
+        with pytest.raises(NumericalRangeError, match="PowerSeries at x = 100.0"):
+            PowerSeries((1.0, -1.0) * 200, 1.0)(100.0)
+        # and an all-positive series returned inf
+        with pytest.raises(NumericalRangeError, match="double range"):
+            PowerSeries((1.0,) * 400, 1.0)(1e200)
+
+    def test_sum_beyond_double_range_raises(self):
+        with pytest.raises(NumericalRangeError, match="double range"):
+            PowerSeries((1e308, 1e308), 1.0)(1.0)
 
     def test_shifted_up_prepends_zero(self):
         f = PowerSeries((1.0, 2.0), 1.0)

@@ -9,10 +9,14 @@ and position wavefunctions built from the x^beta power lattice.
 Every Fock-series sum here (photon distribution, Fock moments, Q_M, the
 continuity defect, the length of the ground-state lattice) is one call of
 series._log_series, with its single stopping rule: three consecutive terms
-|t_n| <= tol * max(1, |S_n|) while the term ratio is below 0.9.  Positive
-sums stay in log space so large n and x never overflow, and the linear
-Fock sums (fock_moment_sum, both sums of Q_M) go through
-series._positive_fsum, which skips the terms too small to reach the sum.
+|t_n| <= tol * max(1, |S_n|) while the term ratio is below 0.9.  The sums
+that need no term array (log N, its derivatives, the lattice length) go
+through series._log_series_summary, so a (p, x) point sums each distinct
+series once and every later call reads the factorial table's memo, with
+the same bits.  Positive sums stay in log space so large n and x never
+overflow, and the linear Fock sums (fock_moment_sum, both sums of Q_M) go
+through series._positive_fsum, which skips the terms too small to reach
+the sum.
 Brackets and factorials are read as slices of the factorial table.  The
 alternating wavefunction series is summed on the x^beta lattice by
 series._lattice_sum, with its cancellation flag; ground_wavefunction and
@@ -34,6 +38,7 @@ from .series import (
     _lattice_sum,
     _log_abs,
     _log_series,
+    _log_series_summary,
     _positive_fsum,
     log_n_derivative,
     log_n_function,
@@ -347,10 +352,10 @@ def wavefunction_sample(
     # size the lattice with a stricter threshold: the raising operator's
     # down-shift multiplies truncated slots by bracket values, so headroom
     # is needed for the stated tol to survive k applications
-    ground = _log_series(
+    _, n_ground = _log_series_summary(
         log_y, p, tol * 1e-4, _LATTICE_BUDGET, "ground-state series", step=2, phase=-1.0
     )
-    n_slots = 2 * len(ground.log_terms) + k + 4
+    n_slots = 2 * n_ground + k + 4
     # the brackets [j], read once for the lattice and all k raisings
     b = _brackets(p, n_slots - 1)
     # the ground state: slot 2n holds (-m omega / hbar)^n / [2n]!!, the

@@ -26,18 +26,32 @@ nu-dependent log-gamma) that the series kernels slice directly; callers
 get read-only views, and the scalar accessors return Python floats; a
 whole sequence is one slice, _brackets ([0..n], the package's only linear
 brackets) or _log_factorials (log [0..n]!), bit-equal to box and
-log_gen_factorial.  A table grows on demand by at least 64 entries, in
-blocks of at most 4096, into buffers whose capacity doubles when full:
-each block takes its three gamma columns in three calls of the array
-log-gamma, which equals the scalar one bit for bit, and sums log [n]! in
-the same order as an entry-by-entry build, so no entry depends on how the
-table was grown.  At most 64 tables are cached; a new triple beyond that
-evicts the oldest-inserted one.
+log_gen_factorial.  A new table is built to the index asked for; an
+existing one grows on demand by at least 64 entries, in blocks of at most
+4096, into buffers whose capacity doubles when full: each block takes its
+three gamma columns in three calls of the array log-gamma, which equals
+the scalar one bit for bit, and sums log [n]! in the same order as an
+entry-by-entry build, so no entry depends on how the table was grown.
+
+A table also keeps what repeated calls at its triple would recompute:
+- the linear brackets [0..m], exp of the log column by box's exp, grown
+  lazily (at least doubling) to the longest _brackets read, which is a
+  slice of them;
+- at most 64 recalled values (the series module's (log-sum, term count)
+  summaries, a few floats each), keyed by the call's arguments, the
+  oldest-inserted dropped first; a call that raises stores nothing.  The
+  table counts recall hits and misses in _hits and _misses.
+Both hand back the bits a fresh computation would.  At most 64 tables are
+cached; a new triple beyond that evicts the oldest-inserted one, and
+clear_caches drops them all, with everything they keep.  Making, growing
+and evicting tables takes a lock, so threads may share them.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from typing import Callable
 
 import numpy as np
 
@@ -61,6 +75,7 @@ _BLOCK = 4096  # entries per array extension; bounds the temporaries' memory
 # about as much as one of a single entry, and loops ask for n, n + 1, ...
 _MIN_GROWTH = 64
 _MAX_TABLES = 64
+_MAX_RECALLED = 64  # values a table's recall keeps
 
 
 class _Table:
@@ -70,19 +85,27 @@ class _Table:
     are read-only float64 views of the filled part of the three rows of one
     buffer, indexed by n; entry 0 is the defined-zero bracket / empty
     product.  A full buffer is copied into one twice as large, so growth to
-    n entries copies O(log n) times."""
+    n entries copies O(log n) times.  brackets is a read-only prefix of
+    exp(log_box), replaced by a longer copy when a read passes its end.
+    recall remembers small per-triple results (the series summaries) under
+    their arguments; _hits and _misses count its lookups."""
 
-    __slots__ = ("_bufs", "log_box", "log_prod", "log_tail")
+    __slots__ = (
+        "_bufs", "_recalled", "_hits", "_misses", "log_box", "log_prod", "log_tail", "brackets",
+    )
 
-    def __init__(self, p: DeformationParams) -> None:
-        self._bufs = np.empty((3, _MIN_GROWTH + 1))
+    def __init__(self, p: DeformationParams, capacity: int = _MIN_GROWTH + 1) -> None:
+        self._bufs = np.empty((3, capacity))
         self._bufs[:, 0] = -math.inf, 0.0, log_gamma(1.0 - p.alpha + p.nu)
+        self._recalled: dict = {}
+        self._hits = self._misses = 0
+        self.brackets = _read_only(np.empty(0))
         self._publish(1)
 
     def _publish(self, size: int) -> None:
-        self.log_box, self.log_prod, self.log_tail = self._bufs[:, :size]
-        for col in (self.log_box, self.log_prod, self.log_tail):
-            col.flags.writeable = False
+        # log_box last: a reader that sees it long enough sees the others so
+        box, prod, tail = (_read_only(col) for col in self._bufs[:, :size])
+        self.log_prod, self.log_tail, self.log_box = prod, tail, box
 
     def extend(self, n: int, p: DeformationParams) -> None:
         size = len(self.log_box)
@@ -110,23 +133,65 @@ class _Table:
             prod[lo:hi] = np.add.accumulate(steps)[2::2]
         self._publish(n + 1)
 
+    def extend_brackets(self, n: int) -> None:
+        """Make brackets cover [n] (n < len(log_box)), at least doubling it
+        while log_box allows, by box's exp."""
+        size = len(self.brackets)
+        if n < size:
+            return
+        lin = np.empty(max(n + 1, min(2 * size, len(self.log_box))))
+        lin[:size] = self.brackets
+        lin[size:] = _exp_each(self.log_box[size : len(lin)])
+        self.brackets = _read_only(lin)
+
+    def recall(self, key: tuple, compute: Callable[[], tuple]) -> tuple:
+        """compute()'s value, remembered under key: a repeat call returns the
+        stored object.  At most _MAX_RECALLED values are kept, the
+        oldest-inserted dropped first; a call that raises stores nothing."""
+        value = self._recalled.get(key)
+        if value is not None:
+            self._hits += 1
+            return value
+        self._misses += 1
+        value = compute()
+        with _LOCK:
+            if len(self._recalled) >= _MAX_RECALLED:
+                del self._recalled[next(iter(self._recalled))]
+            self._recalled[key] = value
+        return value
+
+
+def _read_only(col: np.ndarray) -> np.ndarray:
+    col.flags.writeable = False
+    return col
+
 
 _TABLES: dict[DeformationParams, _Table] = {}
+# held while a table is made, grown or evicted and while a recalled value is
+# stored; lookups and reads of published columns take no lock
+_LOCK = threading.Lock()
 
 
 def _table(p: DeformationParams, n: int) -> _Table:
+    """p's table, holding entries 0..n at least.  A new table is built to n;
+    an existing one grows by at least _MIN_GROWTH entries."""
     tab = _TABLES.get(p)
-    if tab is None:
-        if len(_TABLES) >= _MAX_TABLES:
-            del _TABLES[next(iter(_TABLES))]  # dicts keep insertion order
-        tab = _TABLES[p] = _Table(p)
-    if n >= len(tab.log_box):
-        tab.extend(max(n, len(tab.log_box) + _MIN_GROWTH - 1), p)
+    if tab is None or n >= len(tab.log_box):
+        with _LOCK:
+            tab = _TABLES.get(p)
+            if tab is None:
+                if len(_TABLES) >= _MAX_TABLES:
+                    del _TABLES[next(iter(_TABLES))]  # dicts keep insertion order
+                tab = _TABLES[p] = _Table(p, n + 1)
+                tab.extend(n, p)
+            elif n >= len(tab.log_box):
+                tab.extend(max(n, len(tab.log_box) + _MIN_GROWTH - 1), p)
     return tab
 
 
 def clear_caches() -> None:
-    _TABLES.clear()
+    with _LOCK:
+        _TABLES.clear()
 
 
 def log_box(n: int, p: DeformationParams) -> float:
@@ -142,8 +207,13 @@ def box(n: int, p: DeformationParams) -> float:
 
 
 def _brackets(p: DeformationParams, n: int) -> np.ndarray:
-    """[0], ..., [n] on the linear scale, through box's exp, not numpy's."""
-    return _exp_each(_table(p, n).log_box[: n + 1])
+    """[0], ..., [n] on the linear scale, through box's exp, not numpy's:
+    a read-only slice of the table's linear prefix."""
+    tab = _table(p, n)
+    if n >= len(tab.brackets):
+        with _LOCK:
+            tab.extend_brackets(n)
+    return tab.brackets[: n + 1]
 
 
 def _log_factorials(p: DeformationParams, n: int) -> np.ndarray:

@@ -85,6 +85,11 @@ class DeformationParams:
             raise ParameterError(f"beta must lie in (0, 1], got {b}")
         if not v > a - 1.0:
             raise ParameterError(f"nu must exceed alpha - 1 = {a - 1.0}, got {v}")
+        # hashed once: every factorial-table lookup hashes the triple
+        object.__setattr__(self, "_hash", hash((a, b, v)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def cs_valid(self) -> bool:

@@ -32,6 +32,11 @@ Where a positive series is summed on the linear scale, _positive_fsum
 gives fsum only the terms of at least 2^-106 / len of the largest, plus
 the float sum of the rest: those weigh under 2^-106 of the total, so they
 can only decide a rounding tie, and that sum decides it as they would.
+Where a caller needs only log|S| and the number of terms (log N and its
+derivatives, the size of the ground-state lattice), _log_series_summary
+runs the kernel once per distinct argument tuple and triple: the
+factorial table remembers the pair (at most 64 per triple) and a repeat
+call returns the same bits; errors are raised again, never stored.
 """
 
 from __future__ import annotations
@@ -242,6 +247,32 @@ def _log_series(
     raise ConvergenceError(f"{what}: no convergence to tol={tol} within {max_terms} terms")
 
 
+def _log_series_summary(
+    lx: float,
+    p: DeformationParams,
+    tol: float,
+    max_terms: int,
+    what: str,
+    step: int = 1,
+    r: int | None = None,
+    phase: complex | None = None,
+) -> tuple[float, int]:
+    """(log_sum, number of kept terms) of _log_series from n = 0, or, for
+    an order r, of the r-th derivative's series (start r, the falling
+    factorial as log_factor), remembered by p's factorial table: a repeat
+    call with the same arguments returns the same bits without summing,
+    and a call that raises raises again."""
+    tol = check_real(tol, "tol", above=0.0)
+    max_terms = check_count(max_terms, "max_terms", 1)
+
+    def run() -> tuple[float, int]:
+        start, factor = (0, None) if r is None else (r, _log_falling(r))
+        s = _log_series(lx, p, tol, max_terms, what, start, step, factor, phase)
+        return s.log_sum, len(s.log_terms)
+
+    return _table(p, 0).recall((lx, tol, max_terms, step, r, phase), run)
+
+
 def _linear_sum(
     x: complex,
     p: DeformationParams,
@@ -334,7 +365,7 @@ def log_n_function(
 ) -> float:
     """log N(x) for real x >= 0, stable for arbitrarily large x."""
     x = check_real(x, "x", at_least=0.0)
-    return _log_series(_log_abs(x), p, tol, max_terms, "log_n_function").log_sum
+    return _log_series_summary(_log_abs(x), p, tol, max_terms, "log_n_function")[0]
 
 
 def log_n_derivative(
@@ -348,11 +379,10 @@ def log_n_derivative(
     x = check_real(x, "x", at_least=0.0)
     r = check_count(r, "r")
     log_first = log_gamma(r + 1.0) - log_gen_factorial(r, p)
-    s = _log_series(
-        _log_abs(x), p, tol, max_terms, f"log_n_derivative(r={r})",
-        start=r, log_factor=_log_falling(r),
+    log_sum, _ = _log_series_summary(
+        _log_abs(x), p, tol, max_terms, f"log_n_derivative(r={r})", r=r
     )
-    return log_first + s.log_sum
+    return log_first + log_sum
 
 
 @dataclass(frozen=True)

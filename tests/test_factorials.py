@@ -1,7 +1,11 @@
-"""Tests for the box function, generalized factorials, and asymptotics."""
+"""Tests for the box function, generalized factorials, asymptotics, and what
+the factorial tables cache: columns, linear brackets and series summaries."""
 
 import functools
 import math
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,20 +13,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wcs import (
+    CoherentLabel,
     DeformationParams,
     PhysicalScales,
     box,
     clear_caches,
+    fock_moment_sum,
     gen_double_factorial,
     gen_factorial,
     log_box,
     log_factorial_asymptotic,
     log_gen_double_factorial,
     log_gen_factorial,
+    log_n_derivative,
+    log_n_function,
+    mandel_qm,
+    mandel_qz,
+    normally_ordered_moment,
+    photon_distribution,
+    wavefunction_sample,
 )
-from wcs import factorials
-from wcs.errors import ParameterError
-from wcs.factorials import _MAX_TABLES, _TABLES, _Table, _brackets, _log_factorials, _table
+from wcs import coherent, factorials, series
+from wcs.cli import main
+from wcs.errors import ConvergenceError, ParameterError
+from wcs.factorials import (
+    _MAX_RECALLED,
+    _MAX_TABLES,
+    _MIN_GROWTH,
+    _TABLES,
+    _Table,
+    _brackets,
+    _log_factorials,
+    _table,
+)
 from wcs.gammafn import log_gamma
 
 CLASSICAL = DeformationParams(0.0, 1.0, 0.0)
@@ -281,6 +304,7 @@ class TestSequenceReads:
         for n in (0, 1, 37, 4096, 4097, 10_000):  # each read grows the table
             got_b, got_f = _brackets(p, n), _log_factorials(p, n)
             assert got_b.dtype == got_f.dtype == np.float64
+            assert not got_b.flags.writeable
             assert got_b.tobytes() == np.array([box(k, p) for k in range(n + 1)]).tobytes()
             assert (
                 got_f.tobytes()
@@ -308,6 +332,168 @@ class TestTableCache:
             log_box(3, DeformationParams(0.2, 0.1 + 0.01 * i, 1.0))
         assert p not in _TABLES
         assert TestArrayTable._columns(_table(p, 5000)) == first
+
+    def test_new_table_built_to_the_index_asked(self):
+        p = DeformationParams(0.25, 0.75, 0.5)
+        clear_caches()
+        log_gen_factorial(12, p)
+        assert len(_TABLES[p].log_box) == 13
+        log_box(13, p)  # an existing table grows by at least _MIN_GROWTH
+        assert len(_TABLES[p].log_box) == 13 + _MIN_GROWTH
+
+    def test_signed_zero_shares_one_table(self):
+        clear_caches()
+        log_box(3, DeformationParams(0.0, 1.0, 0.0))
+        log_box(3, DeformationParams(-0.0, 1.0, -0.0))
+        assert len(_TABLES) == 1
+        assert hash(DeformationParams(-0.0, 1.0, 0.0)) == hash(CLASSICAL)
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's float result as hex, so equal means equal bits, or its error."""
+    try:
+        return float(fn(*args, **kwargs)).hex()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _wave(k, x, p):
+    return wavefunction_sample(k, x, p)[0]
+
+
+def _count_kernel_calls(monkeypatch) -> list:
+    calls = []
+    kernel = series._log_series
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(series, "_log_series", counted)
+    monkeypatch.setattr(coherent, "_log_series", counted)
+    return calls
+
+
+class TestRecall:
+    """A table remembers the log-sum and length of the series it is asked
+    for again, and hands back the same bits as summing afresh."""
+
+    XS = (1e-3, 0.5, 7.0, 60.0)
+
+    @pytest.mark.parametrize("p", TABLE_TRIPLES)
+    def test_warm_equals_cold_bitwise(self, p):
+        calls = [(log_n_function, x) for x in self.XS]
+        calls += [(log_n_derivative, x, r) for x in self.XS for r in (0, 1, 2)]
+        calls += [(_wave, k, x**0.25) for x in self.XS for k in range(4)]
+        cold = []
+        for fn, *args in calls:
+            clear_caches()
+            cold.append(_outcome(fn, *args, p))
+        clear_caches()
+        for fn, *args in calls:  # fill the table's memo
+            _outcome(fn, *args, p)
+        hits = _TABLES[p]._hits
+        warm = [_outcome(fn, *args, p) for fn, *args in calls]
+        assert warm == cold
+        assert _TABLES[p]._hits - hits == len(calls)
+
+    @pytest.mark.parametrize("p", TABLE_TRIPLES)
+    @pytest.mark.parametrize("x", XS)
+    def test_summary_is_the_kernels(self, p, x):
+        clear_caches()
+        for r in (None, 0, 1, 2):
+            start = r or 0
+            factor = None if r is None else series._log_falling(r)
+            s = series._log_series(math.log(x), p, 1e-12, 10000, "", start, log_factor=factor)
+            got = series._log_series_summary(math.log(x), p, 1e-12, 10000, "", r=r)
+            assert got == (s.log_sum, len(s.log_terms))
+            assert series._log_series_summary(math.log(x), p, 1e-12, 10000, "", r=r) is got
+
+    def test_error_raised_again_and_not_stored(self):
+        p = TABLE_TRIPLES[0]
+        clear_caches()
+        for _ in range(2):
+            with pytest.raises(ConvergenceError, match="within 10 terms"):
+                log_n_function(60.0, p, max_terms=10)
+        tab = _TABLES[p]
+        assert (tab._hits, tab._misses, tab._recalled) == (0, 2, {})
+
+    def test_bounded_oldest_first(self):
+        p = TABLE_TRIPLES[2]
+        clear_caches()
+        xs = [0.01 * (i + 1) for i in range(3 * _MAX_RECALLED)]
+        first = log_n_function(xs[0], p)
+        for x in xs:
+            log_n_function(x, p)
+        tab = _TABLES[p]
+        assert len(tab._recalled) == _MAX_RECALLED == 64
+        hits, misses = tab._hits, tab._misses
+        log_n_function(xs[-1], p)
+        assert (tab._hits, tab._misses) == (hits + 1, misses)
+        assert log_n_function(xs[0], p) == first  # dropped, summed again
+        assert (tab._hits, tab._misses) == (hits + 1, misses + 1)
+
+    def test_dropped_with_the_table(self):
+        p = TABLE_TRIPLES[3]
+        log_n_function(2.0, p)
+        _brackets(p, 20)
+        clear_caches()
+        tab = _table(p, 0)
+        assert (tab._recalled, len(tab.brackets), tab._hits, tab._misses) == ({}, 0, 0, 0)
+
+    def test_photon_stats_op_sums_eight_series(self, monkeypatch):
+        p, x = DeformationParams(0.5, 0.7, 0.2), 3.7
+        label = CoherentLabel.from_intensity(x)
+        clear_caches()
+        calls = _count_kernel_calls(monkeypatch)
+        log_n_function(x, p)
+        photon_distribution(label, p)
+        mandel_qz(label, p)
+        mandel_qm(label, p)
+        for r in (1, 2):
+            normally_ordered_moment(r, label, p)
+            fock_moment_sum(r, label, p)
+        assert len(calls) == 8
+
+    def test_readme_wavefunction_grid_sizes_each_x_once(self, monkeypatch, capsys):
+        clear_caches()
+        calls = _count_kernel_calls(monkeypatch)
+        assert main(["wavefunction", "--k", "0..3", "--x", "0:3:31"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 4 * 31
+        assert len(calls) == 31
+
+    def test_threads_match_a_serial_run(self):
+        # the reads of log [n]! at growing n race table growth the most
+        work = [
+            (p, x)
+            for p in (*TABLE_TRIPLES, DeformationParams(0.5, 0.7, 0.2))
+            for x in (0.3, 2.5, 9.0, 40.0, 80.0)
+        ]
+
+        def run(order):
+            out = {}
+            for i in order:
+                p, x = work[i]
+                out[i] = (
+                    _outcome(log_n_function, x, p),
+                    _outcome(log_gen_factorial, int(50 * x), p),
+                    [_outcome(_wave, k, x**0.25, p) for k in range(4)],
+                )
+            return out
+
+        clear_caches()
+        serial = run(range(len(work)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, mid-growth too
+        try:
+            for rep in range(4):
+                rngs = [random.Random(4 * rep + t) for t in range(4)]
+                orders = [rng.sample(range(len(work)), len(work)) for rng in rngs]
+                clear_caches()
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    assert all(res == serial for res in pool.map(run, orders))
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestDoubleFactorial:

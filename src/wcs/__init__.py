@@ -6,138 +6,26 @@ wavefunctions, photon statistics of the coherent states, and the Stieltjes
 moment-problem machinery behind their completeness.
 """
 
-from .algebra import (
-    SpectrumRow,
-    commutator_diagonal,
-    energy_level,
-    heisenberg_coeff,
-    ladder_down_coeff,
-    ladder_up_coeff,
-    spectrum_table,
-)
-from .coherent import (
-    CoherentLabel,
-    PhotonDistribution,
-    QuadratureStats,
-    coherent_amplitudes,
-    continuity_defect,
-    excited_wavefunction,
-    fock_moment_sum,
-    ground_wavefunction,
-    mandel_qm,
-    mandel_qz,
-    normally_ordered_moment,
-    overlap,
-    photon_distribution,
-    photon_pdf,
-    quadrature_stats,
-    vacuum_uncertainty,
-    wavefunction_sample,
-)
-from .errors import ConvergenceError, NumericalRangeError, ParameterError
-from .factorials import (
-    box,
-    clear_caches,
-    gen_double_factorial,
-    gen_factorial,
-    log_box,
-    log_factorial_asymptotic,
-    log_gen_double_factorial,
-    log_gen_factorial,
-)
-from .gammafn import LogValue, gamma_signed, log_gamma
-from .moments import (
-    CarlemanVerdict,
-    MomentReport,
-    WeightSample,
-    WEIGHT_FAMILIES,
-    carleman_classify,
-    carleman_partial_sums,
-    classify_exponent,
-    hankel_hadamard,
-    u_from_u_tilde,
-    verify_moments,
-    weight_ml_closed_form,
-    weight_one_minus_beta,
-    weight_wright,
-)
-from .params import DeformationParams, PhysicalScales
-from .series import (
-    PowerSeries,
-    SeriesResult,
-    deformed_derivative,
-    eigenfunction_residual,
-    log_n_derivative,
-    log_n_function,
-    n_function,
-    n_function_derivative,
-    wright_w,
-)
+from . import algebra, coherent, errors, factorials, gammafn, moments, params, series
+from .algebra import *  # noqa: F403
+from .coherent import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .factorials import *  # noqa: F403
+from .gammafn import *  # noqa: F403
+from .moments import *  # noqa: F403
+from .params import *  # noqa: F403
+from .series import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DeformationParams",
-    "PhysicalScales",
-    "ParameterError",
-    "ConvergenceError",
-    "NumericalRangeError",
-    "LogValue",
-    "log_gamma",
-    "gamma_signed",
-    "box",
-    "log_box",
-    "gen_factorial",
-    "log_gen_factorial",
-    "gen_double_factorial",
-    "log_gen_double_factorial",
-    "log_factorial_asymptotic",
-    "clear_caches",
-    "ladder_down_coeff",
-    "ladder_up_coeff",
-    "commutator_diagonal",
-    "energy_level",
-    "heisenberg_coeff",
-    "SpectrumRow",
-    "spectrum_table",
-    "SeriesResult",
-    "n_function",
-    "log_n_function",
-    "n_function_derivative",
-    "log_n_derivative",
-    "wright_w",
-    "PowerSeries",
-    "deformed_derivative",
-    "eigenfunction_residual",
-    "CoherentLabel",
-    "PhotonDistribution",
-    "QuadratureStats",
-    "photon_pdf",
-    "photon_distribution",
-    "overlap",
-    "continuity_defect",
-    "coherent_amplitudes",
-    "normally_ordered_moment",
-    "fock_moment_sum",
-    "mandel_qz",
-    "mandel_qm",
-    "quadrature_stats",
-    "vacuum_uncertainty",
-    "ground_wavefunction",
-    "excited_wavefunction",
-    "wavefunction_sample",
-    "CarlemanVerdict",
-    "WeightSample",
-    "MomentReport",
-    "WEIGHT_FAMILIES",
-    "carleman_classify",
-    "classify_exponent",
-    "carleman_partial_sums",
-    "hankel_hadamard",
-    "weight_wright",
-    "weight_one_minus_beta",
-    "weight_ml_closed_form",
-    "u_from_u_tilde",
-    "verify_moments",
+    *params.__all__,
+    *errors.__all__,
+    *gammafn.__all__,
+    *factorials.__all__,
+    *algebra.__all__,
+    *series.__all__,
+    *coherent.__all__,
+    *moments.__all__,
     "__version__",
 ]

@@ -10,8 +10,9 @@ are printed with 17 significant digits, row order follows grid order, and
 diagnostics go exclusively to stderr (controlled by the WCS_LOG
 environment variable).
 
-Exit codes: 0 success, 2 invalid configuration, 3 numerical failure,
-4 verification failure (moment check above threshold).
+Exit codes: 0 success, 2 invalid configuration (an --out file that cannot
+be written included), 3 numerical failure, 4 verification failure (moment
+check above threshold).
 """
 
 from __future__ import annotations
@@ -199,11 +200,14 @@ def _emit(args, header: list[str], rows: list[tuple], **computed) -> None:
     else:
         text = _render_csv(header, rows)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-        log.info("wrote %d rows to %s", len(rows), args.out)
-        if args.gnuplot:
-            _emit_gnuplot(args.out, header)
+        try:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(text)
+            log.info("wrote %d rows to %s", len(rows), args.out)
+            if args.gnuplot:
+                _emit_gnuplot(args.out, header)
+        except OSError as exc:
+            raise ParameterError(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(text)
 

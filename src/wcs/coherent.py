@@ -12,7 +12,7 @@ series._log_series, with its single stopping rule: three consecutive terms
 |t_n| <= tol * max(1, |S_n|) while the term ratio is below 0.9.  The sums
 that need no term array (log N, its derivatives, the lattice length) go
 through series._log_series_summary, so a (p, x) point sums each distinct
-series once and every later call reads the factorial table's memo, with
+series once and every later call reads the series module's memo, with
 the same bits.  Positive sums stay in log space so large n and x never
 overflow, and the linear Fock sums (fock_moment_sum, both sums of Q_M) go
 through series._positive_fsum, which skips the terms too small to reach
@@ -375,8 +375,9 @@ def wavefunction_sample(
 
     ground_scale = (s.mass * s.omega / (math.pi * s.hbar)) ** 0.25
     scale = ground_scale * math.exp(-0.5 * log_gen_factorial(k, p))
-    what = f"wavefunction_sample: lattice series at x = {x} for {p}"
-    total, cancel = _lattice_sum(coeffs.tolist(), x**p.beta, what)
+    total, cancel = _lattice_sum(
+        coeffs.tolist(), x**p.beta, "wavefunction_sample: lattice series at x = {} for {}", x, p
+    )
     return scale * total, cancel
 
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ParameterError", "ConvergenceError", "NumericalRangeError"]
+
 
 class ParameterError(ValueError):
     """Raised when deformation parameters, physical scales, or function

@@ -33,25 +33,19 @@ three gamma columns in three calls of the array log-gamma, which equals
 the scalar one bit for bit, and sums log [n]! in the same order as an
 entry-by-entry build, so no entry depends on how the table was grown.
 
-A table also keeps what repeated calls at its triple would recompute:
-- the linear brackets [0..m], exp of the log column by box's exp, grown
-  lazily (at least doubling) to the longest _brackets read, which is a
-  slice of them;
-- at most 64 recalled values (the series module's (log-sum, term count)
-  summaries, a few floats each), keyed by the call's arguments, the
-  oldest-inserted dropped first; a call that raises stores nothing.  The
-  table counts recall hits and misses in _hits and _misses.
-Both hand back the bits a fresh computation would.  At most 64 tables are
-cached; a new triple beyond that evicts the oldest-inserted one, and
-clear_caches drops them all, with everything they keep.  Making, growing
-and evicting tables takes a lock, so threads may share them.
+A table also keeps the linear brackets [0..m], exp of the log column by
+box's exp, grown lazily (at least doubling) to the longest _brackets read,
+which is a slice of them, so it hands back the bits a fresh computation
+would.  At most 64 tables are cached; a new triple beyond that evicts the
+oldest-inserted one, and _clear_tables (behind series.clear_caches) drops
+them all.  Making, growing and evicting tables takes a lock, so threads may
+share them.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from typing import Callable
 
 import numpy as np
 
@@ -66,7 +60,6 @@ __all__ = [
     "gen_double_factorial",
     "log_gen_double_factorial",
     "log_factorial_asymptotic",
-    "clear_caches",
 ]
 
 
@@ -75,7 +68,6 @@ _BLOCK = 4096  # entries per array extension; bounds the temporaries' memory
 # about as much as one of a single entry, and loops ask for n, n + 1, ...
 _MIN_GROWTH = 64
 _MAX_TABLES = 64
-_MAX_RECALLED = 64  # values a table's recall keeps
 
 
 class _Table:
@@ -86,19 +78,13 @@ class _Table:
     buffer, indexed by n; entry 0 is the defined-zero bracket / empty
     product.  A full buffer is copied into one twice as large, so growth to
     n entries copies O(log n) times.  brackets is a read-only prefix of
-    exp(log_box), replaced by a longer copy when a read passes its end.
-    recall remembers small per-triple results (the series summaries) under
-    their arguments; _hits and _misses count its lookups."""
+    exp(log_box), replaced by a longer copy when a read passes its end."""
 
-    __slots__ = (
-        "_bufs", "_recalled", "_hits", "_misses", "log_box", "log_prod", "log_tail", "brackets",
-    )
+    __slots__ = ("_bufs", "log_box", "log_prod", "log_tail", "brackets")
 
     def __init__(self, p: DeformationParams, capacity: int = _MIN_GROWTH + 1) -> None:
         self._bufs = np.empty((3, capacity))
         self._bufs[:, 0] = -math.inf, 0.0, log_gamma(1.0 - p.alpha + p.nu)
-        self._recalled: dict = {}
-        self._hits = self._misses = 0
         self.brackets = _read_only(np.empty(0))
         self._publish(1)
 
@@ -144,22 +130,6 @@ class _Table:
         lin[size:] = _exp_each(self.log_box[size : len(lin)])
         self.brackets = _read_only(lin)
 
-    def recall(self, key: tuple, compute: Callable[[], tuple]) -> tuple:
-        """compute()'s value, remembered under key: a repeat call returns the
-        stored object.  At most _MAX_RECALLED values are kept, the
-        oldest-inserted dropped first; a call that raises stores nothing."""
-        value = self._recalled.get(key)
-        if value is not None:
-            self._hits += 1
-            return value
-        self._misses += 1
-        value = compute()
-        with _LOCK:
-            if len(self._recalled) >= _MAX_RECALLED:
-                del self._recalled[next(iter(self._recalled))]
-            self._recalled[key] = value
-        return value
-
 
 def _read_only(col: np.ndarray) -> np.ndarray:
     col.flags.writeable = False
@@ -167,8 +137,8 @@ def _read_only(col: np.ndarray) -> np.ndarray:
 
 
 _TABLES: dict[DeformationParams, _Table] = {}
-# held while a table is made, grown or evicted and while a recalled value is
-# stored; lookups and reads of published columns take no lock
+# held while a table is made, grown or evicted; lookups and reads of
+# published columns take no lock
 _LOCK = threading.Lock()
 
 
@@ -189,7 +159,7 @@ def _table(p: DeformationParams, n: int) -> _Table:
     return tab
 
 
-def clear_caches() -> None:
+def _clear_tables() -> None:
     with _LOCK:
         _TABLES.clear()
 

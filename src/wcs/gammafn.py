@@ -21,6 +21,8 @@ import numpy as np
 from .errors import NumericalRangeError, ParameterError
 from .params import check_real
 
+__all__ = ["LogValue", "log_gamma", "gamma_signed"]
+
 # Lanczos approximation, g = 7 with 9 coefficients.  This variant keeps the
 # relative error of exp(log_gamma) near 1e-15 across the positive axis,
 # which is what the factorial layer needs; see the tests for the measured

@@ -20,6 +20,8 @@ import numpy as np
 
 from .errors import ParameterError
 
+__all__ = ["DeformationParams", "PhysicalScales"]
+
 _REALS = (int, float, np.integer, np.floating)
 _COMPLEXES = (*_REALS, complex, np.complexfloating)
 

@@ -34,14 +34,16 @@ the float sum of the rest: those weigh under 2^-106 of the total, so they
 can only decide a rounding tie, and that sum decides it as they would.
 Where a caller needs only log|S| and the number of terms (log N and its
 derivatives, the size of the ground-state lattice), _log_series_summary
-runs the kernel once per distinct argument tuple and triple: the
-factorial table remembers the pair (at most 64 per triple) and a repeat
-call returns the same bits; errors are raised again, never stored.
+runs the kernel once per distinct argument tuple and triple: a bounded
+least-recently-used memo (_summary, functools.lru_cache) keeps the pair,
+a repeat call returns the same bits, and errors are raised again, never
+stored.  clear_caches drops the memo and the factorial tables beneath it.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -50,7 +52,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, NumericalRangeError, ParameterError
-from .factorials import _brackets, _table, log_gen_factorial
+from .factorials import _brackets, _clear_tables, _table, log_gen_factorial
 from .gammafn import log_gamma
 from .params import DeformationParams, check_complex, check_count, check_real
 
@@ -64,6 +66,7 @@ __all__ = [
     "PowerSeries",
     "deformed_derivative",
     "eigenfunction_residual",
+    "clear_caches",
 ]
 
 # terms below tol*max(1, |sum|) must repeat this many times before we trust decay
@@ -79,6 +82,14 @@ _MAX_BLOCK = 4096
 # positive terms below 2^-106 / len of the largest weigh less than 2^-106
 # (the square of half an ulp) of their sum all together
 _NEGLIGIBLE = 2.0**-106
+
+# series summaries the memo keeps.  They repeat within one computation, not
+# across computations: `wcs wavefunction` asks for one per grid point and
+# again for each level k, so a grid longer than the bound misses every time.
+# The README's grid (like each cold-sweep benchmark op) has 31 points and a
+# photon-stats op asks for a handful; 256 leaves room for finer grids, and a
+# bound of 4096 only raised peak RSS
+_MAX_SUMMARIES = 256
 
 _LOSS_THRESHOLD = 1e8  # |largest term| / |sum| beyond which float cancellation
 # has eaten more than half the significand
@@ -134,15 +145,18 @@ def _positive_fsum(terms: np.ndarray) -> float:
     return math.fsum([*terms[big].tolist(), float(terms[~big].sum())])
 
 
-def _fsum(terms: list, what: str) -> float:
+def _fsum(terms: list, what: str, *args) -> float:
     """math.fsum, raising NumericalRangeError where a term or the sum is
-    not finite: fsum then returns inf or NaN, or raises."""
+    not finite: fsum then returns inf or NaN, or raises.  The error names
+    what.format(*args), formatted only then."""
     try:
         total = math.fsum(terms)
     except (OverflowError, ValueError):  # finite terms past the range; inf - inf
         total = math.nan
     if not math.isfinite(total):
-        raise NumericalRangeError(f"{what}: terms or their sum beyond double range")
+        raise NumericalRangeError(
+            f"{what.format(*args)}: terms or their sum beyond double range"
+        )
     return total
 
 
@@ -151,15 +165,15 @@ def _cancels(total: complex, largest: float) -> bool:
     return abs(total) < largest / _LOSS_THRESHOLD
 
 
-def _lattice_sum(coeffs, y: float, what: str) -> tuple[float, bool]:
+def _lattice_sum(coeffs, y: float, what: str, *args) -> tuple[float, bool]:
     """sum_j c_j y^j on the x^beta lattice (y = x^beta), y^j by repeated
-    multiplication, and whether it cancels."""
+    multiplication, and whether it cancels; _fsum's label what, args."""
     terms = []
     yj = 1.0
     for c in coeffs:
         terms.append(c * yj)
         yj *= y
-    total = _fsum(terms, what)
+    total = _fsum(terms, what, *args)
     return total, _cancels(total, max(map(abs, terms), default=0.0))
 
 
@@ -259,18 +273,26 @@ def _log_series_summary(
 ) -> tuple[float, int]:
     """(log_sum, number of kept terms) of _log_series from n = 0, or, for
     an order r, of the r-th derivative's series (start r, the falling
-    factorial as log_factor), remembered by p's factorial table: a repeat
-    call with the same arguments returns the same bits without summing,
-    and a call that raises raises again."""
+    factorial as log_factor), remembered by _summary: a repeat call with
+    the same arguments returns the same bits without summing, and a call
+    that raises raises again."""
     tol = check_real(tol, "tol", above=0.0)
     max_terms = check_count(max_terms, "max_terms", 1)
+    return _summary(lx, p, tol, max_terms, what, step, r, phase)
 
-    def run() -> tuple[float, int]:
-        start, factor = (0, None) if r is None else (r, _log_falling(r))
-        s = _log_series(lx, p, tol, max_terms, what, start, step, factor, phase)
-        return s.log_sum, len(s.log_terms)
 
-    return _table(p, 0).recall((lx, tol, max_terms, step, r, phase), run)
+@functools.lru_cache(maxsize=_MAX_SUMMARIES)
+def _summary(lx, p, tol, max_terms, what, step, r, phase) -> tuple[float, int]:
+    # keyed by the label too: each caller's label follows from step, r, phase
+    start, factor = (0, None) if r is None else (r, _log_falling(r))
+    s = _log_series(lx, p, tol, max_terms, what, start, step, factor, phase)
+    return s.log_sum, len(s.log_terms)
+
+
+def clear_caches() -> None:
+    """Drop the series summaries and the factorial tables."""
+    _summary.cache_clear()
+    _clear_tables()
 
 
 def _linear_sum(
@@ -396,7 +418,7 @@ class PowerSeries:
     def __call__(self, x: float) -> float:
         """f(x); NumericalRangeError where a term or the sum leaves double range."""
         y = check_real(x, "x", at_least=0.0) ** self.beta
-        return _lattice_sum(self.coeffs, y, f"PowerSeries at x = {x}")[0]
+        return _lattice_sum(self.coeffs, y, "PowerSeries at x = {}", x)[0]
 
     def shifted_up(self) -> "PowerSeries":
         """Multiply by x^beta: shift every coefficient up one lattice slot."""

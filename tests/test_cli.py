@@ -327,6 +327,27 @@ class TestOutputFiles:
         )
         assert code == 2
 
+    def test_unwritable_out_is_a_configuration_error(self, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(["factorial", "--n", "0..2", "--out", str(target)])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"wcs: invalid configuration: cannot write output: [Errno 2]"
+            f" No such file or directory: {str(target)!r}"
+        ]
+
+    def test_unwritable_gnuplot_script_is_a_configuration_error(self, tmp_path):
+        target = tmp_path / "spec.csv"
+        (tmp_path / "spec.csv.gp").mkdir()  # a directory cannot be opened for writing
+        code, out, err = run_cli(
+            ["spectrum", "--n", "0..3", "--out", str(target), "--gnuplot"]
+        )
+        assert (code, out) == (2, "")
+        assert target.exists()
+        assert len(err.splitlines()) == 1
+        assert err.startswith("wcs: invalid configuration: cannot write output: ")
+        assert "spec.csv.gp" in err
+
 
 class TestDeterminismAndLogging:
     def test_repeat_runs_identical(self):

@@ -1,5 +1,6 @@
-"""Tests for the box function, generalized factorials, asymptotics, and what
-the factorial tables cache: columns, linear brackets and series summaries."""
+"""Tests for the box function, generalized factorials, asymptotics, what
+the factorial tables cache (columns and linear brackets), and the series
+module's memo of series summaries."""
 
 import functools
 import math
@@ -37,7 +38,6 @@ from wcs import coherent, factorials, series
 from wcs.cli import main
 from wcs.errors import ConvergenceError, ParameterError
 from wcs.factorials import (
-    _MAX_RECALLED,
     _MAX_TABLES,
     _MIN_GROWTH,
     _TABLES,
@@ -47,6 +47,7 @@ from wcs.factorials import (
     _table,
 )
 from wcs.gammafn import log_gamma
+from wcs.series import _MAX_SUMMARIES
 
 CLASSICAL = DeformationParams(0.0, 1.0, 0.0)
 
@@ -375,8 +376,8 @@ def _count_kernel_calls(monkeypatch) -> list:
 
 
 class TestRecall:
-    """A table remembers the log-sum and length of the series it is asked
-    for again, and hands back the same bits as summing afresh."""
+    """The series module remembers the log-sum and length of the series it
+    is asked for again, and hands back the same bits as summing afresh."""
 
     XS = (1e-3, 0.5, 7.0, 60.0)
 
@@ -390,12 +391,12 @@ class TestRecall:
             clear_caches()
             cold.append(_outcome(fn, *args, p))
         clear_caches()
-        for fn, *args in calls:  # fill the table's memo
+        for fn, *args in calls:  # fill the memo
             _outcome(fn, *args, p)
-        hits = _TABLES[p]._hits
+        hits = series._summary.cache_info().hits
         warm = [_outcome(fn, *args, p) for fn, *args in calls]
         assert warm == cold
-        assert _TABLES[p]._hits - hits == len(calls)
+        assert series._summary.cache_info().hits - hits == len(calls)
 
     @pytest.mark.parametrize("p", TABLE_TRIPLES)
     @pytest.mark.parametrize("x", XS)
@@ -415,31 +416,31 @@ class TestRecall:
         for _ in range(2):
             with pytest.raises(ConvergenceError, match="within 10 terms"):
                 log_n_function(60.0, p, max_terms=10)
-        tab = _TABLES[p]
-        assert (tab._hits, tab._misses, tab._recalled) == (0, 2, {})
+        info = series._summary.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
 
-    def test_bounded_oldest_first(self):
+    def test_bounded_least_recently_used_first(self):
         p = TABLE_TRIPLES[2]
         clear_caches()
-        xs = [0.01 * (i + 1) for i in range(3 * _MAX_RECALLED)]
-        first = log_n_function(xs[0], p)
-        for x in xs:
-            log_n_function(x, p)
-        tab = _TABLES[p]
-        assert len(tab._recalled) == _MAX_RECALLED == 64
-        hits, misses = tab._hits, tab._misses
-        log_n_function(xs[-1], p)
-        assert (tab._hits, tab._misses) == (hits + 1, misses)
-        assert log_n_function(xs[0], p) == first  # dropped, summed again
-        assert (tab._hits, tab._misses) == (hits + 1, misses + 1)
+        xs = [0.01 * (i + 1) for i in range(_MAX_SUMMARIES + 1)]
+        values = [log_n_function(x, p) for x in xs[:-1]]
+        log_n_function(xs[0], p)  # now the most recently used
+        log_n_function(xs[-1], p)  # one past the bound: drops xs[1]
+        info = series._summary.cache_info()
+        assert info.currsize == info.maxsize == _MAX_SUMMARIES == 256
+        assert (info.hits, info.misses) == (1, _MAX_SUMMARIES + 1)
+        assert log_n_function(xs[0], p) == values[0]  # kept
+        assert series._summary.cache_info().misses == _MAX_SUMMARIES + 1
+        assert log_n_function(xs[1], p) == values[1]  # dropped, summed again
+        assert series._summary.cache_info().misses == _MAX_SUMMARIES + 2
 
     def test_dropped_with_the_table(self):
         p = TABLE_TRIPLES[3]
         log_n_function(2.0, p)
         _brackets(p, 20)
         clear_caches()
-        tab = _table(p, 0)
-        assert (tab._recalled, len(tab.brackets), tab._hits, tab._misses) == ({}, 0, 0, 0)
+        info = series._summary.cache_info()
+        assert (info.hits, info.misses, info.currsize, len(_table(p, 0).brackets)) == (0, 0, 0, 0)
 
     def test_photon_stats_op_sums_eight_series(self, monkeypatch):
         p, x = DeformationParams(0.5, 0.7, 0.2), 3.7

@@ -17,11 +17,17 @@ cold-sweep      the factorial, spectrum, Hankel and wavefunction functions
                 the workload's size 4
 hankel          hankel_hadamard at sizes 1-15 on fixed triples: the sizes
                 whose rounding bound exceeds the tolerance raise
+api             each name in wcs.__all__ with its call signature (field
+                names for a dataclass, base names for another class, keys
+                for a mapping, else its repr), not the module that defines
+                it, so moving a name between modules keeps the group
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import inspect
 import math
 import os
 import pickle
@@ -115,6 +121,22 @@ def _hankel() -> list:
     ]
 
 
+def _shape(obj):
+    if dataclasses.is_dataclass(obj):
+        return [f.name for f in dataclasses.fields(obj)]
+    if inspect.isclass(obj):
+        return [base.__name__ for base in obj.__bases__]
+    if callable(obj):
+        return str(inspect.signature(obj))
+    if isinstance(obj, dict):
+        return sorted(obj)
+    return repr(obj)
+
+
+def _api() -> list:
+    return [(name, _shape(getattr(wcs, name))) for name in sorted(wcs.__all__)]
+
+
 def main() -> int:
     groups = {
         "readme": _readme,
@@ -122,6 +144,7 @@ def main() -> int:
         "photon-stats": lambda: pickle.dumps(_photon_stats(), protocol=4),
         "cold-sweep": lambda: pickle.dumps(_cold_sweep(), protocol=4),
         "hankel": lambda: pickle.dumps(_hankel(), protocol=4),
+        "api": lambda: pickle.dumps(_api(), protocol=4),
     }
     for name, make in groups.items():
         print(f"{name:16s} {hashlib.md5(make()).hexdigest()}")

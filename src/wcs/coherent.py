@@ -9,14 +9,16 @@ and position wavefunctions built from the x^beta power lattice.
 Every Fock-series sum here (photon distribution, Fock moments, Q_M, the
 continuity defect, the length of the ground-state lattice) is one call of
 series._log_series, with its single stopping rule: three consecutive terms
-|t_n| <= tol * max(1, |S_n|) while the term ratio is below 0.9.  The sums
-that need no term array (log N, its derivatives, the lattice length) go
-through series._log_series_summary, so a (p, x) point sums each distinct
-series once and every later call reads the series module's memo, with
-the same bits.  Positive sums stay in log space so large n and x never
-overflow, and the linear Fock sums (fock_moment_sum, both sums of Q_M) go
-through series._positive_fsum, which skips the terms too small to reach
-the sum.
+|t_n| <= tol * max(1, |S_n|) while the term ratio is below 0.9.  N's own
+series is read through series._log_n_series, so at one (p, x, tol) log N,
+the photon distribution, Q_M's normaliser, the Fock moments and the
+continuity defect share one pass and its kept terms; the sums that need no
+term array (N's derivatives, the lattice length) go through
+series._log_series_summary.  Every later call reads the series module's
+memos, with the same bits.  Positive sums stay in log space so large n and
+x never overflow, and the linear Fock sums (fock_moment_sum, both sums of
+Q_M) go through series._positive_fsum, which skips the terms too small to
+reach the sum.
 Brackets and factorials are read as slices of the factorial table.  The
 alternating wavefunction series is summed on the x^beta lattice by
 series._lattice_sum, with its cancellation flag; ground_wavefunction and
@@ -32,11 +34,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalRangeError, ParameterError
-from .factorials import _brackets, _log_factorials, _table, box, log_gen_factorial
+from .factorials import _brackets, _table, box, log_gen_factorial
 from .params import DeformationParams, PhysicalScales, check_complex, check_count, check_real
 from .series import (
     _lattice_sum,
     _log_abs,
+    _log_n_series,
     _log_series,
     _log_series_summary,
     _positive_fsum,
@@ -129,7 +132,7 @@ def photon_distribution(
     if not 0.0 < check_real(tail_tol, "tail_tol") < 1.0:
         raise ParameterError(f"tail_tol must lie in (0, 1), got {tail_tol}")
     max_n = check_count(max_n, "max_n")
-    s = _log_series(_log_abs(label.x), p, tol, max_n + 1, "photon_distribution")
+    s = _log_n_series(_log_abs(label.x), p, tol, max_n + 1, "photon_distribution")
     probs = np.exp(s.log_terms - s.log_sum)
     beyond = np.append(np.cumsum(probs[:0:-1])[::-1], 0.0)  # mass above each n
     cutoff = int(np.argmax(beyond <= tail_tol))
@@ -186,7 +189,7 @@ def continuity_defect(
     # the weights of the larger intensity bound both amplitude tails
     x_big = max(l1.x, l2.x)
     lx_big = math.log(x_big) if x_big > 0.0 else -math.inf
-    log_w = _log_series(lx_big, p, tol, max_terms, "continuity_defect").log_terms
+    log_w = _log_n_series(lx_big, p, tol, max_terms, "continuity_defect").log_terms
     n = np.arange(len(log_w))
 
     def amplitudes(label: CoherentLabel) -> np.ndarray:
@@ -230,10 +233,13 @@ def fock_moment_sum(
     sum_n n (n-1) ... (n-r+1) p(n).
 
     A second route to normally_ordered_moment, which sums the log-scale
-    terms of the r-th derivative of N and divides by log N: here the plain
-    weights w_n, n >= r, stop on their own, the falling factorial is applied
-    on the linear scale, and p(n) is normalised by the sum of the weights
-    themselves, with the head n < r read from the factorial table."""
+    terms of the r-th derivative of N and divides by log N: here p(n) are
+    the kept terms of N's own series, the memoised pass photon_distribution
+    reads at the same tol, and the falling factorial is applied on the
+    linear scale.  N's series stops on N's sum.  Where the weights from
+    n = r have not met the stopping rule on their own sum by then (small x,
+    large r), they are summed in a pass of their own from n = r instead, so
+    no weight that pass would keep is left out."""
     r = check_count(r, "r", 1)
     check_real(tol, "tol", above=0.0)
     check_count(max_terms, "max_terms", 1)
@@ -241,14 +247,15 @@ def fock_moment_sum(
     if x == 0.0:
         return 0.0
     lx = math.log(x)
-    # w_n / w_r: n >= r from the kernel, n < r in closed form
-    tail = _log_series(lx, p, tol, max_terms, "fock_moment_sum", start=r)
-    log_f = _log_factorials(p, r)
-    head = (np.arange(r) - r) * lx + log_f[r] - log_f[:r]
-    log_norm = np.logaddexp.reduce(np.append(head, tail.log_sum))
-    n = np.arange(r, r + len(tail.log_terms), dtype=float)
+    s = _log_n_series(lx, p, tol, max_terms, "fock_moment_sum")
+    w = np.exp(s.log_terms[r:] - s.log_sum)  # p(n), n >= r
+    # the rule holds for all of the last three once it holds for the largest
+    if len(w) < 3 or w[-3] > tol * w[:-2].sum():
+        tail = _log_series(lx, p, tol, max_terms, "fock_moment_sum", start=r)
+        w = np.exp(tail.log_terms + (r * lx - log_gen_factorial(r, p) - s.log_sum))
+    n = np.arange(r, r + len(w), dtype=float)
     falling = np.prod(n[:, None] - np.arange(r), axis=1)
-    return _positive_fsum(falling * np.exp(tail.log_terms - log_norm))
+    return _positive_fsum(falling * w)
 
 
 def mandel_qz(

@@ -32,12 +32,16 @@ Where a positive series is summed on the linear scale, _positive_fsum
 gives fsum only the terms of at least 2^-106 / len of the largest, plus
 the float sum of the rest: those weigh under 2^-106 of the total, so they
 can only decide a rounding tie, and that sum decides it as they would.
-Where a caller needs only log|S| and the number of terms (log N and its
-derivatives, the size of the ground-state lattice), _log_series_summary
-runs the kernel once per distinct argument tuple and triple: a bounded
-least-recently-used memo (_summary, functools.lru_cache) keeps the pair,
-a repeat call returns the same bits, and errors are raised again, never
-stored.  clear_caches drops the memo and the factorial tables beneath it.
+N's plain series is summed once per (log x, triple, tol): a small memo
+(_log_n_series) keeps its read-only log-terms and log-sum, which log N, the
+photon distribution, Q_M's normaliser and the Fock moments all read.
+Where a caller needs only log|S| and the number of terms (the derivatives
+of N, the size of the ground-state lattice), _log_series_summary keeps the
+pair for up to 256 series.  Both memos are functools.lru_cache, keyed by
+the series alone, not by the term budget or the error label, so a hit is
+the bits of a cold run or the caller's own ConvergenceError; errors are
+never stored.  clear_caches drops both memos and the factorial tables
+beneath them.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ import cmath
 import functools
 import math
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -82,6 +87,15 @@ _MAX_BLOCK = 4096
 # positive terms below 2^-106 / len of the largest weigh less than 2^-106
 # (the square of half an ulp) of their sum all together
 _NEGLIGIBLE = 2.0**-106
+
+# N's plain series the memo keeps whole.  A photon-stats op asks for it at
+# two tolerances (1e-12 for log N and the moments, 1e-13 for p(n), Q_M's
+# normaliser and the Fock moments), as `wcs mandel` does at each x, so a
+# few entries serve every repeat.  Each holds one float per term: at most
+# about 1.05e4 in the benchmark, whose longer series fail log_n_function's
+# 1e4 budget first, and up to max_n + 1 for a photon_distribution call, so
+# the bound also caps the memory
+_MAX_N_SERIES = 4
 
 # series summaries the memo keeps.  They repeat within one computation, not
 # across computations: `wcs wavefunction` asks for one per grid point and
@@ -127,6 +141,12 @@ def _phases(phase: complex, k: np.ndarray):
 def _overflow(what: str) -> NumericalRangeError:
     return NumericalRangeError(
         f"{what}: partial sums overflow double precision; use the log-scale variant"
+    )
+
+
+def _no_convergence(what: str, what_args: tuple, tol: float, max_terms: int) -> ConvergenceError:
+    return ConvergenceError(
+        f"{what.format(*what_args)}: no convergence to tol={tol} within {max_terms} terms"
     )
 
 
@@ -192,6 +212,7 @@ def _log_series(
     step: int = 1,
     log_factor: Callable | None = None,
     phase: complex | None = None,
+    what_args: tuple = (),
 ) -> _LogSeries:
     """Sum the terms t_n, n >= start, with t_start = 1 and
     t_n / t_(n-1) = e^lx / b_n * exp(F(n) - F(n-1)) * phase, b_n = [step n].
@@ -199,7 +220,8 @@ def _log_series(
     log_factor(n, log_b) gives F on arrays of n and log b_n.  phase None
     marks a positive series; otherwise each term carries phase^(n - start)
     and a partial sum beyond double range raises NumericalRangeError.
-    Raises ConvergenceError when max_terms terms do not meet the rule."""
+    Raises ConvergenceError when max_terms terms do not meet the rule.  The
+    errors name what.format(*what_args), formatted only then."""
     tol = check_real(tol, "tol", above=0.0)
     max_terms = check_count(max_terms, "max_terms", 1)
     if lx == -math.inf:  # x = 0: every term after the first vanishes
@@ -247,7 +269,7 @@ def _log_series(
             and top + math.log(hi) > _LOG_MAX
             and max(log_t[:k].max(), top + _log_abs(np.abs(sums[:k]).max())) > _LOG_MAX
         ):
-            raise _overflow(what)
+            raise _overflow(what.format(*what_args))
         kept.append(log_t[:k])
         if hit:
             return _LogSeries(
@@ -258,7 +280,55 @@ def _log_series(
         scale, partial = top, sums[-1]
         carry = flags[-(_CONSECUTIVE_SMALL - 1):]
         lo, size = hi, min(2 * size, _MAX_BLOCK)
-    raise ConvergenceError(f"{what}: no convergence to tol={tol} within {max_terms} terms")
+    raise _no_convergence(what, what_args, tol, max_terms)
+
+
+# Two bounded least-recently-used memos of kernel results: N's plain series
+# whole (log N, the photon distribution, Q_M's normaliser, the Fock moments
+# and the continuity defect read its terms), and (log_sum, number of kept
+# terms) of the derivative and ground-state series.  Each is keyed by the
+# series alone: log|x|, the triple, tol, and for the summaries step, r and
+# phase.  The term budget and the error label only matter when a call
+# fails, so the caller leaves them in a thread-local for a miss to run the
+# kernel with, and the memo stores what it returns, never an error.  The
+# kernel stops at the same index under every budget that reaches it, so a
+# hit whose term count fits the caller's budget has the bits of a cold run,
+# and one that does not raises the ConvergenceError the caller's own run
+# would raise.
+_caller = threading.local()
+
+
+def _sum_for_caller(lx, p, tol, step, r, phase) -> _LogSeries:
+    max_terms, what, what_args = _caller.budget_and_label
+    start, factor = (0, None) if r is None else (r, _log_falling(r))
+    s = _log_series(lx, p, tol, max_terms, what, start, step, factor, phase, what_args)
+    s.log_terms.flags.writeable = False
+    return s
+
+
+@functools.lru_cache(maxsize=_MAX_N_SERIES)
+def _n_series(lx, p, tol) -> _LogSeries:
+    return _sum_for_caller(lx, p, tol, 1, None, None)
+
+
+@functools.lru_cache(maxsize=_MAX_SUMMARIES)
+def _summaries(lx, p, tol, step, r, phase) -> tuple[float, int]:
+    s = _sum_for_caller(lx, p, tol, step, r, phase)
+    return s.log_sum, len(s.log_terms)
+
+
+def _log_n_series(
+    lx: float, p: DeformationParams, tol: float, max_terms: int, what: str
+) -> _LogSeries:
+    """_log_series of N's plain series (from n = 0), from the memo; its
+    log_terms are read-only."""
+    tol = check_real(tol, "tol", above=0.0)
+    max_terms = check_count(max_terms, "max_terms", 1)
+    _caller.budget_and_label = max_terms, what, ()
+    s = _n_series(lx, p, tol)
+    if len(s.log_terms) > max_terms:
+        raise _no_convergence(what, (), tol, max_terms)
+    return s
 
 
 def _log_series_summary(
@@ -267,31 +337,27 @@ def _log_series_summary(
     tol: float,
     max_terms: int,
     what: str,
+    what_args: tuple = (),
     step: int = 1,
     r: int | None = None,
     phase: complex | None = None,
 ) -> tuple[float, int]:
     """(log_sum, number of kept terms) of _log_series from n = 0, or, for
     an order r, of the r-th derivative's series (start r, the falling
-    factorial as log_factor), remembered by _summary: a repeat call with
-    the same arguments returns the same bits without summing, and a call
-    that raises raises again."""
+    factorial as log_factor), from the memo."""
     tol = check_real(tol, "tol", above=0.0)
     max_terms = check_count(max_terms, "max_terms", 1)
-    return _summary(lx, p, tol, max_terms, what, step, r, phase)
-
-
-@functools.lru_cache(maxsize=_MAX_SUMMARIES)
-def _summary(lx, p, tol, max_terms, what, step, r, phase) -> tuple[float, int]:
-    # keyed by the label too: each caller's label follows from step, r, phase
-    start, factor = (0, None) if r is None else (r, _log_falling(r))
-    s = _log_series(lx, p, tol, max_terms, what, start, step, factor, phase)
-    return s.log_sum, len(s.log_terms)
+    _caller.budget_and_label = max_terms, what, what_args
+    summary = _summaries(lx, p, tol, step, r, phase)
+    if summary[1] > max_terms:
+        raise _no_convergence(what, what_args, tol, max_terms)
+    return summary
 
 
 def clear_caches() -> None:
-    """Drop the series summaries and the factorial tables."""
-    _summary.cache_clear()
+    """Drop the series memos and the factorial tables."""
+    _n_series.cache_clear()
+    _summaries.cache_clear()
     _clear_tables()
 
 
@@ -387,7 +453,7 @@ def log_n_function(
 ) -> float:
     """log N(x) for real x >= 0, stable for arbitrarily large x."""
     x = check_real(x, "x", at_least=0.0)
-    return _log_series_summary(_log_abs(x), p, tol, max_terms, "log_n_function")[0]
+    return _log_n_series(_log_abs(x), p, tol, max_terms, "log_n_function").log_sum
 
 
 def log_n_derivative(
@@ -402,7 +468,7 @@ def log_n_derivative(
     r = check_count(r, "r")
     log_first = log_gamma(r + 1.0) - log_gen_factorial(r, p)
     log_sum, _ = _log_series_summary(
-        _log_abs(x), p, tol, max_terms, f"log_n_derivative(r={r})", r=r
+        _log_abs(x), p, tol, max_terms, "log_n_derivative(r={})", (r,), r=r
     )
     return log_first + log_sum
 
@@ -417,7 +483,10 @@ class PowerSeries:
 
     def __call__(self, x: float) -> float:
         """f(x); NumericalRangeError where a term or the sum leaves double range."""
-        y = check_real(x, "x", at_least=0.0) ** self.beta
+        try:
+            y = check_real(x, "x", at_least=0.0) ** self.beta
+        except OverflowError:  # x^beta beyond double range, so is every term past the first
+            y = math.inf
         return _lattice_sum(self.coeffs, y, "PowerSeries at x = {}", x)[0]
 
     def shifted_up(self) -> "PowerSeries":

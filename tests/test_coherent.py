@@ -25,6 +25,7 @@ from wcs import (
     ground_wavefunction,
     ladder_up_coeff,
     log_gen_double_factorial,
+    log_n_function,
     mandel_qm,
     mandel_qz,
     normally_ordered_moment,
@@ -634,6 +635,56 @@ class TestMpmathOracle:
                 e2 = sum(c * c * w for c, w in zip(box_mp, ws)) / sum(ws)
                 ref = float((e2 - e1 * e1) / e1 - 1)
             assert abs(mandel_qm(CoherentLabel.from_intensity(x), p) - ref) <= 1e-13
+
+
+def _mp_fock_moments(x, p, orders, dps=40):
+    """sum_n n!/(n-r)! w_n / sum_n w_n for each r in orders at dps digits,
+    w_n = x^n / [n]! with [n]! from its Gamma closed form, summed until a
+    term drops below 10^-(dps+5) of the running sum."""
+    with mpmath.workdps(dps):
+        a, b, v = (mpmath.mpf(t) for t in (p.alpha, p.beta, p.nu))
+        lg, lx = mpmath.loggamma, mpmath.log(x)
+        eps, log_w = mpmath.mpf(10) ** (-dps - 5), lg(1 - a + v)
+        n, w, total = 0, mpmath.mpf(1), mpmath.mpf(1)
+        sums = [mpmath.mpf(0)] * len(orders)
+        while n <= 10 or w >= eps * total:
+            n += 1
+            log_w += lx - lg(b * n + 1) + lg(b * n + 1 - a) if a else lx
+            w = mpmath.exp(log_w - lg(b * n + 1 - a + v))
+            total += w
+            sums = [acc + math.perm(n, r) * w for acc, r in zip(sums, orders)]
+        return [float(acc / total) for acc in sums]
+
+
+class TestFockRouteAccuracy:
+    """fock_moment_sum against 40-digit Fock sums at every photon-stats
+    triple and x on X_GRID where log N converges within its default 10^4
+    terms (98 points).  The bound is the largest error of the route that
+    summed the weights from n = r in a pass of its own (6.731e-12, at
+    (0, 0.3, 0.5), x = 1, r = 3), which reading N's kept terms must not
+    exceed."""
+
+    WORST = 6.74e-12
+
+    @pytest.mark.parametrize("triple", PHOTON_TRIPLES)
+    def test_against_mpmath(self, triple):
+        p = DeformationParams(*triple)
+        for x in X_GRID:
+            try:
+                log_n_function(x, p)
+            except ConvergenceError:
+                continue
+            lab = CoherentLabel.from_intensity(x)
+            for r, ref in zip((1, 2, 3), _mp_fock_moments(x, p, (1, 2, 3))):
+                assert fock_moment_sum(r, lab, p) == pytest.approx(ref, rel=self.WORST, abs=0)
+
+    def test_orders_beyond_the_bulk(self):
+        # classically <(A+)^r A^r> = x^r.  At x = 1e-3 N's series keeps
+        # n <= 6, so from r = 5 its terms alone miss a share x^2 / 2 of the
+        # moment; the weights from n = r then need a pass of their own
+        lab = CoherentLabel.from_intensity(1e-3)
+        for r in range(1, 9):
+            assert fock_moment_sum(r, lab, CLASSICAL) == pytest.approx(1e-3**r, rel=1e-12, abs=0)
 
 
 class TestRandomizedTwoPath:

@@ -6,6 +6,7 @@ import functools
 import math
 import random
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -47,7 +48,7 @@ from wcs.factorials import (
     _table,
 )
 from wcs.gammafn import log_gamma
-from wcs.series import _MAX_SUMMARIES
+from wcs.series import _MAX_N_SERIES, _MAX_SUMMARIES
 
 CLASSICAL = DeformationParams(0.0, 1.0, 0.0)
 
@@ -375,9 +376,18 @@ def _count_kernel_calls(monkeypatch) -> list:
     return calls
 
 
+def _memo_info():
+    """(hits, misses, size) of N's series memo and of the summary memo."""
+    return [
+        (info.hits, info.misses, info.currsize)
+        for info in (series._n_series.cache_info(), series._summaries.cache_info())
+    ]
+
+
 class TestRecall:
-    """The series module remembers the log-sum and length of the series it
-    is asked for again, and hands back the same bits as summing afresh."""
+    """The series module remembers the series it is asked for again (N's
+    whole, the others as log-sum and length), and hands back the same bits
+    as summing afresh."""
 
     XS = (1e-3, 0.5, 7.0, 60.0)
 
@@ -391,12 +401,15 @@ class TestRecall:
             clear_caches()
             cold.append(_outcome(fn, *args, p))
         clear_caches()
-        for fn, *args in calls:  # fill the memo
+        for fn, *args in calls:  # fill the memos
             _outcome(fn, *args, p)
-        hits = series._summary.cache_info().hits
+        hits = [h for h, _, _ in _memo_info()]
         warm = [_outcome(fn, *args, p) for fn, *args in calls]
         assert warm == cold
-        assert series._summary.cache_info().hits - hits == len(calls)
+        # log N from N's memo (its 4 entries all kept), the rest from the summaries
+        assert [h for h, _, _ in _memo_info()] == [
+            hits[0] + len(self.XS), hits[1] + len(calls) - len(self.XS)
+        ]
 
     @pytest.mark.parametrize("p", TABLE_TRIPLES)
     @pytest.mark.parametrize("x", XS)
@@ -409,6 +422,12 @@ class TestRecall:
             got = series._log_series_summary(math.log(x), p, 1e-12, 10000, "", r=r)
             assert got == (s.log_sum, len(s.log_terms))
             assert series._log_series_summary(math.log(x), p, 1e-12, 10000, "", r=r) is got
+        s = series._log_series(math.log(x), p, 1e-12, 10000, "")
+        got = series._log_n_series(math.log(x), p, 1e-12, 10000, "")
+        assert (got.log_terms.tobytes(), got.log_sum, got.log_ratio) == (
+            s.log_terms.tobytes(), s.log_sum, s.log_ratio
+        )
+        assert series._log_n_series(math.log(x), p, 1e-12, 10000, "") is got
 
     def test_error_raised_again_and_not_stored(self):
         p = TABLE_TRIPLES[0]
@@ -416,33 +435,43 @@ class TestRecall:
         for _ in range(2):
             with pytest.raises(ConvergenceError, match="within 10 terms"):
                 log_n_function(60.0, p, max_terms=10)
-        info = series._summary.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+        for _ in range(2):
+            with pytest.raises(ConvergenceError, match="within 10 terms"):
+                log_n_derivative(60.0, 1, p, max_terms=10)
+        assert _memo_info() == [(0, 2, 0), (0, 2, 0)]
 
     def test_bounded_least_recently_used_first(self):
         p = TABLE_TRIPLES[2]
-        clear_caches()
-        xs = [0.01 * (i + 1) for i in range(_MAX_SUMMARIES + 1)]
-        values = [log_n_function(x, p) for x in xs[:-1]]
-        log_n_function(xs[0], p)  # now the most recently used
-        log_n_function(xs[-1], p)  # one past the bound: drops xs[1]
-        info = series._summary.cache_info()
-        assert info.currsize == info.maxsize == _MAX_SUMMARIES == 256
-        assert (info.hits, info.misses) == (1, _MAX_SUMMARIES + 1)
-        assert log_n_function(xs[0], p) == values[0]  # kept
-        assert series._summary.cache_info().misses == _MAX_SUMMARIES + 1
-        assert log_n_function(xs[1], p) == values[1]  # dropped, summed again
-        assert series._summary.cache_info().misses == _MAX_SUMMARIES + 2
+        for memo, bound, call in [
+            (series._n_series, _MAX_N_SERIES, lambda x: log_n_function(x, p)),
+            (series._summaries, _MAX_SUMMARIES, lambda x: log_n_derivative(x, 1, p)),
+        ]:
+            clear_caches()
+            xs = [0.01 * (i + 1) for i in range(bound + 1)]
+            values = [call(x) for x in xs[:-1]]
+            call(xs[0])  # now the most recently used
+            call(xs[-1])  # one past the bound: drops xs[1]
+            info = memo.cache_info()
+            assert info.currsize == info.maxsize == bound
+            assert (info.hits, info.misses) == (1, bound + 1)
+            assert call(xs[0]) == values[0]  # kept
+            assert memo.cache_info().misses == bound + 1
+            assert call(xs[1]) == values[1]  # dropped, summed again
+            assert memo.cache_info().misses == bound + 2
+        assert (_MAX_N_SERIES, _MAX_SUMMARIES) == (4, 256)
 
     def test_dropped_with_the_table(self):
         p = TABLE_TRIPLES[3]
         log_n_function(2.0, p)
+        log_n_derivative(2.0, 1, p)
         _brackets(p, 20)
         clear_caches()
-        info = series._summary.cache_info()
-        assert (info.hits, info.misses, info.currsize, len(_table(p, 0).brackets)) == (0, 0, 0, 0)
+        assert _memo_info() == [(0, 0, 0), (0, 0, 0)]
+        assert len(_table(p, 0).brackets) == 0
 
-    def test_photon_stats_op_sums_eight_series(self, monkeypatch):
+    def test_photon_stats_op_sums_five_series(self, monkeypatch):
+        # log N at tol 1e-12 and at 1e-13 (p(n), Q_M's normaliser and the
+        # Fock moments), the derivatives r = 1, 2, and Q_M's [n]^2 series
         p, x = DeformationParams(0.5, 0.7, 0.2), 3.7
         label = CoherentLabel.from_intensity(x)
         clear_caches()
@@ -454,7 +483,7 @@ class TestRecall:
         for r in (1, 2):
             normally_ordered_moment(r, label, p)
             fock_moment_sum(r, label, p)
-        assert len(calls) == 8
+        assert len(calls) == 5
 
     def test_readme_wavefunction_grid_sizes_each_x_once(self, monkeypatch, capsys):
         clear_caches()
@@ -464,7 +493,8 @@ class TestRecall:
         assert len(calls) == 31
 
     def test_threads_match_a_serial_run(self):
-        # the reads of log [n]! at growing n race table growth the most
+        # the reads of log [n]! at growing n race table growth the most, and
+        # 30 values of x for N's memo of 4 race its drops
         work = [
             (p, x)
             for p in (*TABLE_TRIPLES, DeformationParams(0.5, 0.7, 0.2))
@@ -475,8 +505,11 @@ class TestRecall:
             out = {}
             for i in order:
                 p, x = work[i]
+                label = CoherentLabel.from_intensity(x)
                 out[i] = (
                     _outcome(log_n_function, x, p),
+                    _outcome(lambda: photon_distribution(label, p, max_n=10000).cutoff),
+                    _outcome(fock_moment_sum, 1, label, p, max_terms=10000),
                     _outcome(log_gen_factorial, int(50 * x), p),
                     [_outcome(_wave, k, x**0.25, p) for k in range(4)],
                 )
@@ -495,6 +528,132 @@ class TestRecall:
                     assert all(res == serial for res in pool.map(run, orders))
         finally:
             sys.setswitchinterval(interval)
+
+
+    def test_a_miss_runs_with_its_own_threads_budget_and_label(self, monkeypatch):
+        # the first thread stops inside its miss, after leaving its budget
+        # and label, while a second thread leaves and uses its own
+        p = DeformationParams(0.5, 0.7, 0.2)
+        paused, resume = threading.Event(), threading.Event()
+        kernel = series._sum_for_caller
+
+        def pausing(*key):
+            if threading.current_thread().name == "first":
+                paused.set()
+                resume.wait(5)
+            return kernel(*key)
+
+        monkeypatch.setattr(series, "_sum_for_caller", pausing)
+        clear_caches()
+        out = {}
+        first = threading.Thread(
+            target=lambda: out.setdefault("first", _outcome(log_n_function, 60.0, p, max_terms=10)),
+            name="first",
+        )
+        first.start()
+        assert paused.wait(5)
+        out["second"] = _outcome(log_n_derivative, 60.0, 2, p, max_terms=20)
+        resume.set()
+        first.join(5)
+        assert not first.is_alive()
+        assert out == {
+            "first": ("ConvergenceError",
+                      "log_n_function: no convergence to tol=1e-12 within 10 terms"),
+            "second": ("ConvergenceError",
+                       "log_n_derivative(r=2): no convergence to tol=1e-12 within 20 terms"),
+        }
+
+class TestNSeriesMemo:
+    """N's memo is keyed without the term budget and the error label: a hit
+    is the bits of the caller's own cold run, or its own error."""
+
+    POINTS = [
+        (DeformationParams(0.5, 0.7, 0.2), 3.7),
+        (CLASSICAL, 60.0),
+        (DeformationParams(0.0, 0.5, 0.0), 30.0),
+        (TABLE_TRIPLES[0], 7.0),
+    ]
+
+    @staticmethod
+    def _bits(s):
+        return s.log_terms.tobytes(), s.log_sum.hex(), s.log_ratio.hex()
+
+    @staticmethod
+    def _stopping_block_end(n: int) -> int:
+        # the kernel's blocks from n = 0: 64 terms, then doubling to 4096
+        end, size = 0, series._FIRST_BLOCK
+        while end < n:
+            end, size = end + size, min(2 * size, series._MAX_BLOCK)
+        return end
+
+    @pytest.mark.parametrize("p, x", POINTS)
+    def test_hit_equals_a_cold_run_for_every_budget_that_fits(self, p, x):
+        lx = math.log(x)
+        clear_caches()
+        warm = series._log_n_series(lx, p, 1e-13, 10**5, "")
+        n = len(warm.log_terms)
+        block_end = self._stopping_block_end(n)
+        assert n < block_end - 1  # a budget can end inside the stopping block
+        for budget in sorted({n, n + 1, (n + block_end) // 2, block_end, block_end + 1,
+                              10**4, 10**5}):
+            cold = series._log_series(lx, p, 1e-13, budget, "")
+            hit = series._log_n_series(lx, p, 1e-13, budget, "")
+            assert hit is warm
+            assert self._bits(hit) == self._bits(cold)
+            clear_caches()  # and a miss at this budget stores the same bits
+            assert self._bits(series._log_n_series(lx, p, 1e-13, budget, "")) == self._bits(cold)
+            assert self._bits(series._log_n_series(lx, p, 1e-13, 10**5, "")) == self._bits(cold)
+            warm = series._log_n_series(lx, p, 1e-13, 10**5, "")
+
+    @pytest.mark.parametrize("p, x", POINTS)
+    def test_hit_beyond_the_budget_raises_the_callers_own_error(self, p, x):
+        n = len(series._log_series(math.log(x), p, 1e-13, 10**5, "").log_terms)
+        label = CoherentLabel.from_intensity(x)
+        calls = [
+            lambda b: log_n_function(x, p, tol=1e-13, max_terms=b),
+            lambda b: photon_distribution(label, p, max_n=b - 1),
+            lambda b: fock_moment_sum(1, label, p, max_terms=b),
+            lambda b: mandel_qm(label, p, max_terms=b),
+        ]
+        for budget in (1, n // 2, n - 1):
+            for call in calls:
+                clear_caches()
+                cold = _outcome(call, budget)
+                assert cold[0] == "ConvergenceError"
+                log_n_function(x, p, tol=1e-13, max_terms=10**5)  # fill the memo
+                assert _outcome(call, budget) == cold
+
+    def test_one_entry_serves_every_label_and_budget(self):
+        p, x = self.POINTS[0]
+        clear_caches()
+        first = series._log_n_series(math.log(x), p, 1e-13, 10**5, "a")
+        assert series._log_n_series(math.log(x), p, 1e-13, 1000, "b") is first
+        assert _memo_info()[0] == (1, 1, 1)
+        summary = series._log_series_summary(math.log(x), p, 1e-12, 10**4, "c", r=2)
+        assert series._log_series_summary(math.log(x), p, 1e-12, 500, "d {}", (2,), r=2) is summary
+        assert _memo_info()[1] == (1, 1, 1)
+
+    def test_label_is_formatted_only_in_the_error(self):
+        p = DeformationParams(0.5, 0.7, 0.2)
+        with pytest.raises(ConvergenceError) as err:
+            log_n_derivative(60.0, 2, p, max_terms=10)
+        assert str(err.value) == "log_n_derivative(r=2): no convergence to tol=1e-12 within 10 terms"
+        # a warm hit beyond the budget raises the same text
+        log_n_derivative(60.0, 2, p)
+        with pytest.raises(ConvergenceError) as again:
+            log_n_derivative(60.0, 2, p, max_terms=10)
+        assert str(again.value) == str(err.value)
+
+    def test_log_terms_are_read_only(self):
+        p, x = self.POINTS[0]
+        clear_caches()
+        s = series._log_n_series(math.log(x), p, 1e-13, 10**5, "")
+        assert not s.log_terms.flags.writeable
+        with pytest.raises(ValueError):
+            s.log_terms[0] = 1.0
+        probs = photon_distribution(CoherentLabel.from_intensity(x), p).probabilities
+        assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
+        assert series._log_n_series(math.log(x), p, 1e-13, 10**5, "") is s
 
 
 class TestDoubleFactorial:

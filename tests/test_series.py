@@ -247,6 +247,16 @@ class TestPowerSeries:
         with pytest.raises(NumericalRangeError, match="double range"):
             PowerSeries((1.0,) * 400, 1.0)(1e200)
 
+    def test_lattice_point_beyond_double_range_raises(self):
+        # 1e200^2 overflows in x ** beta itself, which raised a builtin
+        # OverflowError; every term past the first is beyond range
+        with pytest.raises(NumericalRangeError, match=r"^PowerSeries at x = 1e\+200: terms"):
+            PowerSeries((1.0, 1.0), 2.0)(1e200)
+        with pytest.raises(NumericalRangeError, match=r"^PowerSeries at x = 1e\+200: terms"):
+            PowerSeries((1.0, 0.0), 2.0)(1e200)
+        # a constant needs no power of x
+        assert PowerSeries((1.0,), 2.0)(1e200) == 1.0
+
     def test_sum_beyond_double_range_raises(self):
         with pytest.raises(NumericalRangeError, match="double range"):
             PowerSeries((1e308, 1e308), 1.0)(1.0)

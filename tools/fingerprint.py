@@ -10,8 +10,11 @@ moves its group.
 readme          stdout of the `wcs` commands in README.md's sh blocks, in
                 README order, each run in a fresh interpreter
 verify_moments  fixed verify_moments calls over the three weight families
-photon-stats    the coherent-state and series functions the photon-stats
-                benchmark workload calls, on fixed triples and intensities
+log_n_function, n_function, photon_distribution, mandel_qz, mandel_qm,
+normally_ordered_moment, fock_moment_sum, coherent_amplitudes, overlap
+                one group per photon-statistics function, on fixed triples
+                and intensities, called in turn at each (triple, x) as the
+                photon-stats benchmark workload calls them
 cold-sweep      the factorial, spectrum, Hankel and wavefunction functions
                 the cold-sweep workload calls, on fixed triples, Hankel at
                 the workload's size 4
@@ -73,24 +76,26 @@ def _verify_moments() -> list:
     return [_call(wcs.verify_moments, *c) for c in calls]
 
 
-def _photon_stats() -> list:
+def _photon_stats() -> dict:
     triples = [(0.0, 1.0, 0.0), (0.0, 0.5, 0.5), (1.0, 0.5, 1.0), (0.3, 0.7, 0.2)]
-    out = []
+    out: dict = {}
     for triple in triples:
         p = wcs.DeformationParams(*triple)
         for x in (0.1, 1.0, 7.5, 40.0):
             lab = wcs.CoherentLabel.from_intensity(x)
-            out.append([
-                _call(wcs.log_n_function, x, p),
-                _call(lambda: wcs.n_function(-x, p)),
-                _call(wcs.photon_distribution, lab, p),
-                _call(wcs.mandel_qz, lab, p),
-                _call(wcs.mandel_qm, lab, p),
-                [_call(wcs.normally_ordered_moment, r, lab, p) for r in (1, 2, 3)],
-                [_call(wcs.fock_moment_sum, r, lab, p) for r in (1, 2, 3)],
-                _call(wcs.coherent_amplitudes, lab, p, 12),
-                _call(wcs.overlap, lab, wcs.CoherentLabel(complex(0.3, 0.4)), p),
-            ])
+            for name, result in [
+                ("log_n_function", _call(wcs.log_n_function, x, p)),
+                ("n_function", _call(lambda: wcs.n_function(-x, p))),
+                ("photon_distribution", _call(wcs.photon_distribution, lab, p)),
+                ("mandel_qz", _call(wcs.mandel_qz, lab, p)),
+                ("mandel_qm", _call(wcs.mandel_qm, lab, p)),
+                ("normally_ordered_moment",
+                 [_call(wcs.normally_ordered_moment, r, lab, p) for r in (1, 2, 3)]),
+                ("fock_moment_sum", [_call(wcs.fock_moment_sum, r, lab, p) for r in (1, 2, 3)]),
+                ("coherent_amplitudes", _call(wcs.coherent_amplitudes, lab, p, 12)),
+                ("overlap", _call(wcs.overlap, lab, wcs.CoherentLabel(complex(0.3, 0.4)), p)),
+            ]:
+                out.setdefault(name, []).append(result)
     return out
 
 
@@ -139,15 +144,15 @@ def _api() -> list:
 
 def main() -> int:
     groups = {
-        "readme": _readme,
-        "verify_moments": lambda: pickle.dumps(_verify_moments(), protocol=4),
-        "photon-stats": lambda: pickle.dumps(_photon_stats(), protocol=4),
-        "cold-sweep": lambda: pickle.dumps(_cold_sweep(), protocol=4),
-        "hankel": lambda: pickle.dumps(_hankel(), protocol=4),
-        "api": lambda: pickle.dumps(_api(), protocol=4),
+        "readme": _readme(),
+        "verify_moments": pickle.dumps(_verify_moments(), protocol=4),
+        **{name: pickle.dumps(results, protocol=4) for name, results in _photon_stats().items()},
+        "cold-sweep": pickle.dumps(_cold_sweep(), protocol=4),
+        "hankel": pickle.dumps(_hankel(), protocol=4),
+        "api": pickle.dumps(_api(), protocol=4),
     }
-    for name, make in groups.items():
-        print(f"{name:16s} {hashlib.md5(make()).hexdigest()}")
+    for name, data in groups.items():
+        print(f"{name:24s} {hashlib.md5(data).hexdigest()}")
     return 0
 
 

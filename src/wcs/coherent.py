@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .algebra import commutator_diagonal
 from .errors import NumericalRangeError, ParameterError
 from .factorials import _brackets, _table, box, log_gen_factorial
 from .params import DeformationParams, PhysicalScales, check_complex, check_count, check_real
@@ -316,7 +317,7 @@ def quadrature_stats(
     is (hbar/2) ([n+1] - [n]) and reduces to hbar/2 classically.
     """
     n = check_count(n, "n")
-    c = box(n + 1, p) - box(n, p)
+    c = commutator_diagonal(n, p)
     return QuadratureStats(
         n=n,
         var_q=0.5 * c * s.hbar / (s.mass * s.omega),
@@ -327,7 +328,7 @@ def quadrature_stats(
 
 def vacuum_uncertainty(p: DeformationParams, s: PhysicalScales = PhysicalScales()) -> float:
     """dq dp in the vacuum: (hbar/2) [1]."""
-    return 0.5 * s.hbar * box(1, p)
+    return 0.5 * s.hbar * commutator_diagonal(0, p)
 
 
 def wavefunction_sample(

@@ -16,6 +16,11 @@ weight at all its new abscissae from one array call of the inner kernel
 computable down to the smallest x the lattice reaches.  The scalar weight
 functions are one-row calls of the same array evaluators.
 
+A family in WEIGHT_FAMILIES declares only its triple as a function of
+(beta, nu), its array evaluator of that triple, and its one-row sampler;
+the range of (beta, nu) and the small-x power of x Utilde(x) that the
+outer rule needs are read off the triple.
+
 Weight families
 ---------------
 wright           alpha = 1:        Utilde(x) = 1/(b^2 Gamma(nu)) *
@@ -168,10 +173,11 @@ class WeightSample:
 
 def _one_minus_beta_prefactor(beta: float, nu: float) -> float:
     """log |Gamma(b) / (b Gamma(b+nu) Gamma(-nu))|, after checking (beta, nu)
-    against the family's supported range.  Gamma(-nu) < 0 for nu in (0, 1),
+    against the limits of the family's method, beta + nu > 0 among them
+    because alpha = 1 - beta rounds.  Gamma(-nu) < 0 for nu in (0, 1),
     where the finite part's factor -1/nu turns the sign back, so the weight
     is positive on the whole range."""
-    if not 0.0 < beta < 1.0:
+    if not beta < 1.0:
         raise ParameterError(
             f"the alpha = 1 - beta family requires beta in (0, 1), got {beta}"
         )
@@ -187,7 +193,7 @@ def _one_minus_beta_prefactor(beta: float, nu: float) -> float:
     return log_gamma(beta) - math.log(beta) - log_gamma(beta + nu) - gamma_signed(-nu)[1]
 
 
-# Array weight evaluators.  Each factory checks (beta, nu) and returns
+# Array weight evaluators.  Each factory, given the triple and rtol, returns
 # xs -> (log Utilde at every x, points evaluated, relative error estimate per
 # x); the integral families hand their log-integrand, as a function of log t
 # and a column of x, to the double-exponential kernel in one call per batch.
@@ -210,12 +216,8 @@ def _kernel_weights(log_f, log_pref: float, rtol: float, beta: float, power: flo
     return evaluate
 
 
-def _wright_weights(beta: float, nu: float, rtol: float):
-    beta, nu = check_real(beta, "beta"), check_real(nu, "nu")
-    if not 0.0 < beta <= 1.0:
-        raise ParameterError(f"beta must lie in (0, 1], got {beta}")
-    if not nu > 0.0:
-        raise ParameterError(f"the alpha = 1 weight requires nu > 0, got {nu}")
+def _wright_weights(p: DeformationParams, rtol: float):
+    beta, nu = p.beta, p.nu
     power = nu / beta - 2.0
 
     def log_f(log_t, x):
@@ -232,10 +234,10 @@ def _wright_weights(beta: float, nu: float, rtol: float):
     return _kernel_weights(log_f, log_pref, rtol, beta, power + 1.0)
 
 
-def _one_minus_beta_weights(beta: float, nu: float, rtol: float):
+def _one_minus_beta_weights(p: DeformationParams, rtol: float):
     """The y-integral of the module docstring with log y as the variable;
     the double-exponential map absorbs the y -> 0 endpoint power."""
-    beta, nu = check_real(beta, "beta"), check_real(nu, "nu")
+    beta, nu = p.beta, p.nu
     log_pref = _one_minus_beta_prefactor(beta, nu) - math.log(abs(nu))
 
     def log_f(log_y, x):
@@ -267,10 +269,11 @@ def _one_minus_beta_weights(beta: float, nu: float, rtol: float):
 _INNER_RTOL = 1e-11
 
 
-def _one_row(weights, x: float, beta: float, nu: float, rtol: float) -> tuple[float, float]:
+def _one_row(family: str, x: float, beta: float, nu: float, rtol: float) -> tuple[float, float]:
     """(Utilde(x), its absolute error estimate, at least one ulp of it) from
     a one-row call of the family's array evaluator."""
-    log_u, _, rel_error = weights(beta, nu, rtol)(np.array([x]))
+    fam = WEIGHT_FAMILIES[family]
+    log_u, _, rel_error = fam.weights(fam.params(beta, nu), rtol)(np.array([x]))
     value = float(np.exp(log_u[0]))
     return value, max(value * float(rel_error[0]), math.ulp(value))
 
@@ -282,7 +285,7 @@ def weight_wright(x: float, beta: float, nu: float, rtol: float = _INNER_RTOL) -
     when nu/b < 1 (flagged), but the essential damping exp(-x/(b t))
     regularizes it for every x > 0."""
     x = check_real(x, "x", above=0.0)
-    u, err = _one_row(_wright_weights, x, beta, nu, rtol)
+    u, err = _one_row("wright", x, beta, nu, rtol)
     return WeightSample(
         x=x, u_tilde=u, abs_err_est=err, endpoint_singular=nu / beta < 1.0
     )
@@ -298,7 +301,7 @@ def weight_one_minus_beta(
     negative there and the two signs cancel, as the n = 0 moment check
     confirms; the weight is computed as a logarithm and is positive."""
     x = check_real(x, "x", above=0.0)
-    u, err = _one_row(_one_minus_beta_weights, x, beta, nu, rtol)
+    u, err = _one_row("one-minus-beta", x, beta, nu, rtol)
     return WeightSample(x=x, u_tilde=u, abs_err_est=err, endpoint_singular=True)
 
 
@@ -306,7 +309,7 @@ def weight_ml_closed_form(x: float, nu: float) -> WeightSample:
     """Exact weight x^nu e^(-x) / Gamma(1 + nu) of the alpha = 0, beta = 1
     family; the classical coherent-state measure at nu = 0."""
     x = check_real(x, "x", above=0.0)
-    nu = check_real(nu, "nu", above=-1.0)
+    nu = _ml_params(1.0, nu).nu
     value = math.exp(nu * math.log(x) - x - log_gamma(1.0 + nu))
     return WeightSample(x=x, u_tilde=value, abs_err_est=0.0)
 
@@ -334,41 +337,37 @@ class MomentReport:
     inner_points: int = 0  # points at which the weight kernel was evaluated
 
 
-def _ml_weights(beta: float, nu: float, rtol: float):
-    log_norm = log_gamma(1.0 + nu)
-    return lambda xs: (nu * np.log(xs) - xs - log_norm, len(xs), np.zeros(len(xs)))
+def _ml_weights(p: DeformationParams, rtol: float):
+    log_norm = log_gamma(1.0 + p.nu)
+    return lambda xs: (p.nu * np.log(xs) - xs - log_norm, len(xs), np.zeros(len(xs)))
 
 
 def _ml_params(beta: float, nu: float) -> DeformationParams:
-    if beta != 1.0:
+    if check_real(beta, "beta") != 1.0:
         raise ParameterError(f"the closed-form family is defined at beta = 1, got {beta}")
     return DeformationParams(0.0, 1.0, nu)
 
 
 class _Family(NamedTuple):
-    params: Callable  # (beta, nu) -> DeformationParams
-    weights: Callable  # (beta, nu, rtol) -> array evaluator
-    sample: Callable  # (x, beta, nu, rtol) -> WeightSample, one row of weights
-    low_power: Callable  # (beta, nu) -> p, with x Utilde(x) ~ x^p as x -> 0
+    params: Callable  # (beta, nu) -> DeformationParams, checking both
+    weights: Callable  # (DeformationParams, rtol) -> array evaluator
+    sample: Callable  # (x, beta, nu, rtol) -> WeightSample
 
 
 # the registry of weight families, keyed by the names the CLI accepts
 WEIGHT_FAMILIES = {
     "wright": _Family(
-        lambda beta, nu: DeformationParams(1.0, beta, nu), _wright_weights, weight_wright,
-        lambda beta, nu: min(nu / beta, 1.0),
+        lambda beta, nu: DeformationParams(1.0, beta, nu), _wright_weights, weight_wright
     ),
     "one-minus-beta": _Family(
-        lambda beta, nu: DeformationParams(1.0 - beta, beta, nu),
+        lambda beta, nu: DeformationParams(1.0 - check_real(beta, "beta"), beta, nu),
         _one_minus_beta_weights,
         weight_one_minus_beta,
-        lambda beta, nu: 1.0 + min(nu / beta, 0.0),
     ),
     "ml-closed-form": _Family(
         _ml_params,
         _ml_weights,
         lambda x, beta, nu, rtol=_INNER_RTOL: weight_ml_closed_form(x, nu),
-        lambda beta, nu: 1.0 + nu,
     ),
 }
 
@@ -385,13 +384,12 @@ def verify_moments(family: str, beta: float, nu: float, n_max: int) -> MomentRep
     outer abscissa at which some order's integrand x^n Utilde(x) exceeds
     1e-16 of its moment; it is read from the abscissae already evaluated
     and is informational only."""
-    beta, nu = check_real(beta, "beta"), check_real(nu, "nu")
     n_max = check_count(n_max, "n_max")
     if not (isinstance(family, str) and family in WEIGHT_FAMILIES):
         raise ParameterError(f"family must be one of {tuple(WEIGHT_FAMILIES)}, got {family!r}")
     fam = WEIGHT_FAMILIES[family]
     p = fam.params(beta, nu)
-    log_u_tilde = fam.weights(beta, nu, _INNER_RTOL)
+    log_u_tilde = fam.weights(p, _INNER_RTOL)
     orders = np.arange(n_max + 1, dtype=float)[:, None]
     inner_points = 0
     levels = []  # (log x, log Utilde) of every outer call
@@ -403,7 +401,11 @@ def verify_moments(family: str, beta: float, nu: float, n_max: int) -> MomentRep
         levels.append((log_x, log_u))
         return orders * log_x + log_u
 
-    res = integrate_shared_de(log_f, low_power=fam.low_power(beta, nu))
+    # x Utilde(x) = O(x^p) as x -> 0, p read off the rightmost pole of the
+    # Mellin transform [s-1]! of Utilde: Gamma(beta (s-1) + 1 - alpha + nu)
+    # has it at s = 1 - p, and the alpha-ratio product has one at s = 0 only
+    # where alpha = 1, so where alpha < 1 a p of 1 is only a lower bound
+    res = integrate_shared_de(log_f, low_power=min(1.0, (1.0 - p.alpha + p.nu) / p.beta))
     significant = math.log(1e-16) + res.log_value[:, None]
     trunc = 0.0
     for log_x, log_u in levels:

@@ -99,12 +99,6 @@ class DeformationParams:
         states have positive weight in every inner product."""
         return self.nu >= 0.0
 
-    @property
-    def complete(self) -> bool:
-        """True when alpha + beta <= 2, the growth condition under which the
-        coherent-state family resolves the identity."""
-        return self.alpha + self.beta <= 2.0
-
 
 @dataclass(frozen=True)
 class PhysicalScales:

@@ -312,8 +312,9 @@ def integrate_shared_de(log_f, low_power: float) -> LogQuadResult:
     ConvergenceError, and so does one not negligible at the top of the
     lattice.
 
-    low_power is the smallest p with f_i(t) t ~ t^p as t -> 0.  The mass
-    below the window, bounded by that power law from the window's lowest
+    low_power is the smallest p with f_i(t) t ~ t^p as t -> 0, or a lower
+    bound on it, which can only enlarge the estimated mass below the
+    window.  That mass, bounded by the power law from the window's lowest
     node, counts in the error estimate: it lets a row whose window would
     end below the lattice stop at s = -6.5.  Where t^p does not fall below
     _SHARED_RTOL there, NumericalRangeError is raised before any

@@ -432,16 +432,9 @@ def wright_w(
     At alpha = 1 this is the classical Wright function of (beta, nu); the
     normalization makes the n = 0 coefficient equal 1/Gamma(1 - alpha + nu).
     """
-    base = n_function(x, p, tol=tol, max_terms=max_terms)
-    scale = math.exp(-log_gamma(1.0 - p.alpha + p.nu))
-    value = base.value * scale
-    if not cmath.isfinite(value):  # a scale above 1 can push N past the range
-        raise NumericalRangeError("wright_w: the value overflows double precision")
-    return SeriesResult(
-        value=value,
-        terms_used=base.terms_used,
-        tail_bound=base.tail_bound * scale,
-        cancellation=base.cancellation,
+    return _linear_sum(
+        check_complex(x, "x"), p, tol, max_terms, "wright_w",
+        log_first=-log_gamma(1.0 - p.alpha + p.nu),
     )
 
 

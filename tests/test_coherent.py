@@ -592,11 +592,13 @@ def _mp_weights(x, p, dps):
         a, b, v = (mpmath.mpf(t) for t in (p.alpha, p.beta, p.nu))
         lg, lx = mpmath.loggamma, mpmath.log(x)
         log_prod, ws, n = mpmath.mpf(0), [mpmath.mpf(1)], 0
-        while n <= 10 or ws[-1] >= mpmath.mpf(10) ** (-dps - 5) * sum(ws):
+        eps, total = mpmath.mpf(10) ** (-dps - 5), ws[0]
+        while n <= 10 or ws[-1] >= eps * total:
             n += 1
             log_prod += lg(b * n + 1) - lg(b * n + 1 - a)
             log_fact = log_prod + lg(b * n + 1 - a + v) - lg(1 - a + v)
             ws.append(mpmath.exp(n * lx - log_fact))
+            total += ws[-1]
         return ws
 
 

@@ -89,9 +89,7 @@ class TestParams:
 
     def test_flags(self):
         assert CLASSICAL.cs_valid
-        assert CLASSICAL.complete
         assert not DeformationParams(0.0, 1.0, -0.5).cs_valid
-        assert DeformationParams(1.0, 1.0, 2.0).complete  # alpha + beta == 2
 
     def test_scales_validation(self):
         with pytest.raises(ParameterError):

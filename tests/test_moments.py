@@ -453,10 +453,71 @@ class TestVerifyMoments:
         with pytest.raises(NumericalRangeError, match="at least 0.03085"):
             verify_moments("one-minus-beta", 0.5, -0.49, 4)
 
+    def test_closed_form_window_beyond_double_range_refused_up_front(self, monkeypatch):
+        # x Utilde = x^(1 + nu) e^-x / Gamma(1 + nu) ~ x^0.02 at 0
+        def refuse(xs):
+            raise AssertionError("no weight may be evaluated")
+
+        fam = WEIGHT_FAMILIES["ml-closed-form"]
+        monkeypatch.setitem(
+            wcs.moments.WEIGHT_FAMILIES, "ml-closed-form",
+            fam._replace(weights=lambda p, rtol: refuse),
+        )
+        with pytest.raises(NumericalRangeError, match="at least 0.03085"):
+            verify_moments("ml-closed-form", 1.0, -0.98, 4)
+
+
+class TestDerivedLowPower:
+    """verify_moments derives the small-x power p of x Utilde(x) from the
+    triple, min(1, (1 - alpha + nu) / beta); on each family's domain it is
+    the power that each family used to state by hand, or, for the closed
+    form at nu > 0, the lower bound 1 of its 1 + nu."""
+
+    @staticmethod
+    def _power(monkeypatch, family, beta, nu):
+        """The low_power verify_moments hands the outer rule."""
+        class Recorded(Exception):
+            pass
+
+        def record(log_f, low_power):
+            raise Recorded(low_power)
+
+        monkeypatch.setattr(wcs.moments, "integrate_shared_de", record)
+        with pytest.raises(Recorded) as info:
+            verify_moments(family, beta, nu, 0)
+        return info.value.args[0]
+
+    def test_wright_exactly(self, monkeypatch):
+        for beta in np.linspace(0.05, 1.0, 20).tolist():
+            for nu in np.geomspace(0.01, 5.0, 20).tolist():
+                assert self._power(monkeypatch, "wright", beta, nu) == min(nu / beta, 1.0)
+
+    def test_one_minus_beta_to_the_rounding_of_alpha(self, monkeypatch):
+        # 1 - alpha is beta plus the rounding of alpha = 1 - beta, up to
+        # ulp(1)/4 for beta <= 1/2; divided by beta, plus the two formulas'
+        # own rounding, within (3 + 1/(4 beta)) ulp(1); the grid's worst is
+        # 4.5 ulp(1), at beta = 0.06
+        for beta in np.linspace(0.02, 0.98, 49).tolist():
+            for nu in np.linspace(-beta, 0.99, 60)[1:].tolist():
+                if nu == 0.0:
+                    continue
+                got = self._power(monkeypatch, "one-minus-beta", beta, nu)
+                hand = 1.0 + min(nu / beta, 0.0)
+                assert abs(got - hand) <= (3.0 + 0.25 / beta) * math.ulp(1.0)
+
+    def test_closed_form(self, monkeypatch):
+        for nu in np.linspace(-0.99, 3.0, 58).tolist():
+            got = self._power(monkeypatch, "ml-closed-form", 1.0, nu)
+            if nu <= 0.0:
+                assert got == 1.0 + nu
+            else:
+                assert got == 1.0 <= 1.0 + nu
+
 
 def _array_weights(family, beta, nu):
     """The array evaluator that verify_moments integrates, on the linear scale."""
-    log_weights = wcs.WEIGHT_FAMILIES[family].weights(beta, nu, 1e-11)
+    fam = wcs.WEIGHT_FAMILIES[family]
+    log_weights = fam.weights(fam.params(beta, nu), 1e-11)
 
     def evaluate(xs):
         log_u, points, rel_error = log_weights(xs)

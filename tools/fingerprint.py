@@ -10,6 +10,10 @@ moves its group.
 readme          stdout of the `wcs` commands in README.md's sh blocks, in
                 README order, each run in a fresh interpreter
 verify_moments  fixed verify_moments calls over the three weight families
+weights         the three scalar weight samplers at fixed (x, beta, nu) of
+                each family, and the two verify_moments calls refused
+                before any weight is evaluated
+wright_w        wright_w on fixed triples at real x of both signs
 log_n_function, n_function, photon_distribution, mandel_qz, mandel_qm,
 normally_ordered_moment, fock_moment_sum, coherent_amplitudes, overlap
                 one group per photon-statistics function, on fixed triples
@@ -74,6 +78,28 @@ def _verify_moments() -> list:
         ("ml-closed-form", 1.0, 2.5, 6),
     ]
     return [_call(wcs.verify_moments, *c) for c in calls]
+
+
+def _weights() -> list:
+    xs = (1e-3, 0.5, 2.0, 30.0)
+    samplers = [
+        (wcs.weight_wright, [(1.0, 1.0), (0.5, 0.5), (0.3, 0.8)]),
+        (wcs.weight_one_minus_beta, [(0.5, -0.25), (0.7, 0.2), (0.4, 0.5)]),
+    ]
+    out = [_call(fn, x, beta, nu) for fn, rows in samplers for beta, nu in rows for x in xs]
+    out += [_call(wcs.weight_ml_closed_form, x, nu) for nu in (-0.5, 0.0, 2.5) for x in xs]
+    out += [_call(wcs.verify_moments, "one-minus-beta", 0.5, -0.49, 4),
+            _call(wcs.verify_moments, "ml-closed-form", 1.0, -0.98, 4)]
+    return out
+
+
+def _wright_w() -> list:
+    triples = [(1.0, 0.5, 1.0), (1.0, 1.0, 0.5), (1.0, 0.3, 0.2), (0.3, 0.7, 0.2),
+               (0.0, 1.0, 0.5)]
+    return [
+        _call(wcs.wright_w, x, wcs.DeformationParams(*triple))
+        for triple in triples for x in (-20.0, -3.0, -0.5, 0.0, 0.5, 3.0, 20.0, 60.0, 713.15)
+    ]
 
 
 def _photon_stats() -> dict:
@@ -146,6 +172,8 @@ def main() -> int:
     groups = {
         "readme": _readme(),
         "verify_moments": pickle.dumps(_verify_moments(), protocol=4),
+        "weights": pickle.dumps(_weights(), protocol=4),
+        "wright_w": pickle.dumps(_wright_w(), protocol=4),
         **{name: pickle.dumps(results, protocol=4) for name, results in _photon_stats().items()},
         "cold-sweep": pickle.dumps(_cold_sweep(), protocol=4),
         "hankel": pickle.dumps(_hankel(), protocol=4),

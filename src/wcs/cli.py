@@ -18,6 +18,7 @@ check above threshold).
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import math
 import os
@@ -35,6 +36,7 @@ from .coherent import (
 from .errors import ConvergenceError, NumericalRangeError, ParameterError
 from .factorials import gen_factorial
 from .moments import (
+    _INNER_RTOL,
     WEIGHT_FAMILIES,
     carleman_classify,
     hankel_hadamard,
@@ -136,26 +138,12 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _json_escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
 def _json_value(v) -> str:
     if v is None:
         return "null"
     if isinstance(v, int) or isinstance(v, float) and math.isfinite(v):
         return _fmt(v)
-    return f'"{_json_escape(_fmt(v))}"'
+    return json.dumps(_fmt(v), ensure_ascii=False)
 
 
 def _render_csv(header: list[str], rows: list[tuple]) -> str:
@@ -166,7 +154,9 @@ def _render_csv(header: list[str], rows: list[tuple]) -> str:
 
 
 def _render_json(config: dict, header: list[str], rows: list[tuple]) -> str:
-    cfg = ",".join(f'"{_json_escape(k)}":{_json_value(v)}' for k, v in config.items())
+    cfg = ",".join(
+        f"{json.dumps(k, ensure_ascii=False)}:{_json_value(v)}" for k, v in config.items()
+    )
     row_objs = []
     for row in rows:
         row_objs.append(
@@ -329,15 +319,12 @@ def _family_triple(args) -> DeformationParams:
 
 
 def cmd_weight(args) -> int:
-    # --tol is the relative target of each weight value; without it the
-    # samplers' default, the target verify_moments holds its weights to
-    rtol = {} if args.tol is None else {"rtol": args.tol}
     xs = _parse_grid(args.x)
     p = _family_triple(args)
     sample_at = WEIGHT_FAMILIES[args.family].sample
     rows = []
     for x in xs:
-        sample = sample_at(x, args.beta, args.nu, **rtol)
+        sample = sample_at(x, args.beta, args.nu, rtol=args.tol)
         rows.append((x, sample.u_tilde, u_from_u_tilde(sample, p), sample.abs_err_est))
     _emit(args, ["x", "u_tilde", "u", "err_est"], rows)
     return 0
@@ -467,8 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = _subcommand(sub, "weight", cmd_weight, "coherent-state weight samples",
                      family=True,
-                     tol=(None, "relative error target of each weight value (default "
-                                "1e-11, the target moments holds its weights to)"))
+                     tol=(_INNER_RTOL, "relative error target of each weight value (default "
+                                       "1e-11, the target moments holds its weights to)"))
     sp.add_argument("--family", choices=WEIGHT_FAMILIES, required=True)
     sp.add_argument("--x", required=True, help="grid: value, list, or lo:hi:count")
 

@@ -10,13 +10,13 @@ Every Fock-series sum here (photon distribution, Fock moments, Q_M, the
 continuity defect, the length of the ground-state lattice) is one call of
 series._log_series, with its single stopping rule: three consecutive terms
 |t_n| <= tol * max(1, |S_n|) while the term ratio is below 0.9.  N's own
-series is read through series._log_n_series, so at one (p, x, tol) log N,
+series is read from the memo series._n_series, so at one (p, x, tol) log N,
 the photon distribution, Q_M's normaliser, the Fock moments and the
 continuity defect share one pass and its kept terms; the sums that need no
-term array (N's derivatives, the lattice length) go through
-series._log_series_summary.  Every later call reads the series module's
-memos, with the same bits.  Positive sums stay in log space so large n and
-x never overflow, and the linear Fock sums (fock_moment_sum, both sums of
+term array (N's derivatives, the lattice length) are read from
+series._summaries.  Both are read through series._memo_read, and every
+later call gets the same bits.  Positive sums stay in log space so large n
+and x never overflow, and the linear Fock sums (fock_moment_sum, both sums of
 Q_M) go through series._positive_fsum, which skips the terms too small to
 reach the sum.
 Brackets and factorials are read as slices of the factorial table.  The
@@ -40,10 +40,11 @@ from .params import DeformationParams, PhysicalScales, check_complex, check_coun
 from .series import (
     _lattice_sum,
     _log_abs,
-    _log_n_series,
     _log_series,
-    _log_series_summary,
+    _memo_read,
+    _n_series,
     _positive_fsum,
+    _summaries,
     log_n_derivative,
     log_n_function,
     n_function,
@@ -133,7 +134,7 @@ def photon_distribution(
     if not 0.0 < check_real(tail_tol, "tail_tol") < 1.0:
         raise ParameterError(f"tail_tol must lie in (0, 1), got {tail_tol}")
     max_n = check_count(max_n, "max_n")
-    s = _log_n_series(_log_abs(label.x), p, tol, max_n + 1, "photon_distribution")
+    s = _memo_read(_n_series, _log_abs(label.x), p, tol, max_n + 1, "photon_distribution")
     probs = np.exp(s.log_terms - s.log_sum)
     beyond = np.append(np.cumsum(probs[:0:-1])[::-1], 0.0)  # mass above each n
     cutoff = int(np.argmax(beyond <= tail_tol))
@@ -190,7 +191,7 @@ def continuity_defect(
     # the weights of the larger intensity bound both amplitude tails
     x_big = max(l1.x, l2.x)
     lx_big = math.log(x_big) if x_big > 0.0 else -math.inf
-    log_w = _log_n_series(lx_big, p, tol, max_terms, "continuity_defect").log_terms
+    log_w = _memo_read(_n_series, lx_big, p, tol, max_terms, "continuity_defect").log_terms
     n = np.arange(len(log_w))
 
     def amplitudes(label: CoherentLabel) -> np.ndarray:
@@ -248,7 +249,7 @@ def fock_moment_sum(
     if x == 0.0:
         return 0.0
     lx = math.log(x)
-    s = _log_n_series(lx, p, tol, max_terms, "fock_moment_sum")
+    s = _memo_read(_n_series, lx, p, tol, max_terms, "fock_moment_sum")
     w = np.exp(s.log_terms[r:] - s.log_sum)  # p(n), n >= r
     # the rule holds for all of the last three once it holds for the largest
     if len(w) < 3 or w[-3] > tol * w[:-2].sum():
@@ -360,10 +361,9 @@ def wavefunction_sample(
     # size the lattice with a stricter threshold: the raising operator's
     # down-shift multiplies truncated slots by bracket values, so headroom
     # is needed for the stated tol to survive k applications
-    _, n_ground = _log_series_summary(
-        log_y, p, tol * 1e-4, _LATTICE_BUDGET, "ground-state series", step=2, phase=-1.0
-    )
-    n_slots = 2 * n_ground + k + 4
+    what = "ground-state series"
+    ground = _memo_read(_summaries, log_y, p, tol * 1e-4, _LATTICE_BUDGET, what, step=2, phase=-1.0)
+    n_slots = 2 * ground.terms + k + 4
     # the brackets [j], read once for the lattice and all k raisings
     b = _brackets(p, n_slots - 1)
     # the ground state: slot 2n holds (-m omega / hbar)^n / [2n]!!, the

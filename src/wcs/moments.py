@@ -127,6 +127,25 @@ def carleman_partial_sums(
 # before it leaves double range, 8.6e-4 off at size 15 at (0, 1, 0)
 _HANKEL_MAX_SIZE = 1000
 _HANKEL_RTOL = 1e-6  # the relative error allowed in a returned determinant
+# the smallest leading block checked before a larger matrix is built; its
+# own bound exceeds the tolerance on a grid of 288 (triple, offset) pairs,
+# by 41 times at least, at (1, 1, 0.01)
+_HANKEL_FIRST_BLOCK = 16
+
+
+def _rescaled_hankel(p: DeformationParams, size: int, offset: int) -> np.ndarray:
+    """D M D, M[i][j] = [i+j+offset]!, D_ii = 1/sqrt(m_(2i+offset))."""
+    lf = _log_factorials(p, 2 * size - 2 + offset)[offset:]
+    half = 0.5 * lf[::2]  # 0.5 log m_(2i+offset)
+    k = np.arange(size)
+    return _exp_each((lf[k[:, None] + k] - half[:, None] - half).ravel()).reshape(size, size)
+
+
+def _rounding_bound(size: int, mat: np.ndarray) -> float:
+    """size * eps * cond_2 of the symmetric matrix mat."""
+    lam = np.abs(np.linalg.eigvalsh(mat))  # cond_2 = max |lam| / min |lam|
+    with np.errstate(divide="ignore"):
+        return size * np.finfo(float).eps * float(lam.max() / lam.min())
 
 
 def hankel_hadamard(p: DeformationParams, size: int, offset: int = 0) -> float:
@@ -141,19 +160,29 @@ def hankel_hadamard(p: DeformationParams, size: int, offset: int = 0) -> float:
 
     A returned value is within 1e-6 relative of the exact determinant:
     where the rounding bound size * eps * cond_2 exceeds that (at (0, 1, 0)
-    from size 11), NumericalRangeError names the size and the bound."""
+    from size 11), NumericalRangeError names the size and the bound.  A
+    size above 16 is refused from its leading block of size 16, 32, ...
+    where size * eps * cond_2(block) already exceeds it, before the whole
+    matrix is built."""
     size = check_count(size, "size", 1)
     if size > _HANKEL_MAX_SIZE:
         raise ParameterError(f"size must be an integer <= {_HANKEL_MAX_SIZE}, got {size}")
     if check_count(offset, "offset") > 1:
         raise ParameterError(f"offset must be 0 or 1, got {offset!r}")
-    lf = _log_factorials(p, 2 * size - 2 + offset)[offset:]
-    half = 0.5 * lf[::2]  # 0.5 log m_(2i+offset)
-    k = np.arange(size)
-    mat = _exp_each((lf[k[:, None] + k] - half[:, None] - half).ravel()).reshape(size, size)
-    lam = np.abs(np.linalg.eigvalsh(mat))  # cond_2 = max |lam| / min |lam|
-    with np.errstate(divide="ignore"):
-        bound = size * np.finfo(float).eps * float(lam.max() / lam.min())
+    # the rescaled matrix is positive semidefinite, so by Cauchy interlacing
+    # its cond_2 is at least that of each leading block
+    block = _HANKEL_FIRST_BLOCK
+    while block < size:
+        bound = _rounding_bound(size, _rescaled_hankel(p, block, offset))
+        if not bound <= _HANKEL_RTOL:
+            raise NumericalRangeError(
+                f"rescaled Hankel determinant of size {size}: rounding bound at least"
+                f" {bound:.3g} from its leading block of size {block}, against the"
+                f" tolerance {_HANKEL_RTOL:g}"
+            )
+        block *= 2
+    mat = _rescaled_hankel(p, size, offset)
+    bound = _rounding_bound(size, mat)
     det = float(np.linalg.det(mat))
     if not (bound <= _HANKEL_RTOL and math.isfinite(det) and det != 0.0):
         raise NumericalRangeError(

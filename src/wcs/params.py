@@ -81,10 +81,12 @@ class DeformationParams:
         for name in ("alpha", "beta", "nu"):
             object.__setattr__(self, name, check_real(getattr(self, name), name))
         a, b, v = self.alpha, self.beta, self.nu
-        if not 0.0 <= a <= 1.0:
-            raise ParameterError(f"alpha must lie in [0, 1], got {a}")
+        # beta first: the one-minus-beta family derives alpha = 1 - beta, so
+        # its error should name the beta its caller passed
         if not 0.0 < b <= 1.0:
             raise ParameterError(f"beta must lie in (0, 1], got {b}")
+        if not 0.0 <= a <= 1.0:
+            raise ParameterError(f"alpha must lie in [0, 1], got {a}")
         if not v > a - 1.0:
             raise ParameterError(f"nu must exceed alpha - 1 = {a - 1.0}, got {v}")
         # hashed once: every factorial-table lookup hashes the triple

@@ -33,13 +33,14 @@ gives fsum only the terms of at least 2^-106 / len of the largest, plus
 the float sum of the rest: those weigh under 2^-106 of the total, so they
 can only decide a rounding tie, and that sum decides it as they would.
 N's plain series is summed once per (log x, triple, tol): a small memo
-(_log_n_series) keeps its read-only log-terms and log-sum, which log N, the
-photon distribution, Q_M's normaliser and the Fock moments all read.
-Where a caller needs only log|S| and the number of terms (the derivatives
-of N, the size of the ground-state lattice), _log_series_summary keeps the
-pair for up to 256 series.  Both memos are functools.lru_cache, keyed by
-the series alone, not by the term budget or the error label, so a hit is
-the bits of a cold run or the caller's own ConvergenceError; errors are
+(_n_series) keeps the kernel's record with its read-only log-terms, which
+log N, the photon distribution, Q_M's normaliser and the Fock moments all
+read.  Where a caller needs only log|S| and the number of terms (the
+derivatives of N, the size of the ground-state lattice), _summaries keeps
+the record without its terms for up to 256 series.  Both memos are
+functools.lru_cache, keyed by the series alone, not by the term budget or
+the error label, and one function (_memo_read) reads them both, so a hit
+is the bits of a cold run or the caller's own ConvergenceError; errors are
 never stored.  clear_caches drops both memos and the factorial tables
 beneath them.
 """
@@ -124,9 +125,10 @@ class SeriesResult:
 
 
 class _LogSeries(NamedTuple):
-    log_terms: np.ndarray  # log|t_n| of the kept terms, n = start, start+1, ...
+    log_terms: np.ndarray | None  # log|t_n| of the kept terms, n = start, start+1, ...
     log_sum: float  # log|S| of the kept terms
     log_ratio: float  # log|t_(n+1) / t_n| after the last kept term
+    terms: int  # the number of kept terms
 
 
 def _phases(phase: complex, k: np.ndarray):
@@ -144,10 +146,8 @@ def _overflow(what: str) -> NumericalRangeError:
     )
 
 
-def _no_convergence(what: str, what_args: tuple, tol: float, max_terms: int) -> ConvergenceError:
-    return ConvergenceError(
-        f"{what.format(*what_args)}: no convergence to tol={tol} within {max_terms} terms"
-    )
+def _no_convergence(what: str, tol: float, max_terms: int) -> ConvergenceError:
+    return ConvergenceError(f"{what}: no convergence to tol={tol} within {max_terms} terms")
 
 
 def _log_abs(v) -> float:
@@ -212,7 +212,6 @@ def _log_series(
     step: int = 1,
     log_factor: Callable | None = None,
     phase: complex | None = None,
-    what_args: tuple = (),
 ) -> _LogSeries:
     """Sum the terms t_n, n >= start, with t_start = 1 and
     t_n / t_(n-1) = e^lx / b_n * exp(F(n) - F(n-1)) * phase, b_n = [step n].
@@ -221,11 +220,11 @@ def _log_series(
     marks a positive series; otherwise each term carries phase^(n - start)
     and a partial sum beyond double range raises NumericalRangeError.
     Raises ConvergenceError when max_terms terms do not meet the rule.  The
-    errors name what.format(*what_args), formatted only then."""
+    errors name what."""
     tol = check_real(tol, "tol", above=0.0)
     max_terms = check_count(max_terms, "max_terms", 1)
     if lx == -math.inf:  # x = 0: every term after the first vanishes
-        return _LogSeries(np.zeros(1), 0.0, -math.inf)
+        return _LogSeries(np.zeros(1), 0.0, -math.inf, 1)
     end = start + max_terms  # first index past the budget
     kept: list[np.ndarray] = []
     base = 0.0  # running log weight at the block start, factor excluded
@@ -269,89 +268,65 @@ def _log_series(
             and top + math.log(hi) > _LOG_MAX
             and max(log_t[:k].max(), top + _log_abs(np.abs(sums[:k]).max())) > _LOG_MAX
         ):
-            raise _overflow(what.format(*what_args))
+            raise _overflow(what)
         kept.append(log_t[:k])
         if hit:
-            return _LogSeries(
-                np.concatenate(kept),
-                top + _log_abs(sums[k - 1]),
-                float(logs[k] - logs[k - 1]),
-            )
+            log_terms = np.concatenate(kept)
+            log_sum = top + _log_abs(sums[k - 1])
+            return _LogSeries(log_terms, log_sum, float(logs[k] - logs[k - 1]), len(log_terms))
         scale, partial = top, sums[-1]
         carry = flags[-(_CONSECUTIVE_SMALL - 1):]
         lo, size = hi, min(2 * size, _MAX_BLOCK)
-    raise _no_convergence(what, what_args, tol, max_terms)
+    raise _no_convergence(what, tol, max_terms)
 
 
-# Two bounded least-recently-used memos of kernel results: N's plain series
+# Two bounded least-recently-used memos of kernel records: N's plain series
 # whole (log N, the photon distribution, Q_M's normaliser, the Fock moments
-# and the continuity defect read its terms), and (log_sum, number of kept
-# terms) of the derivative and ground-state series.  Each is keyed by the
-# series alone: log|x|, the triple, tol, and for the summaries step, r and
-# phase.  The term budget and the error label only matter when a call
-# fails, so the caller leaves them in a thread-local for a miss to run the
-# kernel with, and the memo stores what it returns, never an error.  The
-# kernel stops at the same index under every budget that reaches it, so a
-# hit whose term count fits the caller's budget has the bits of a cold run,
-# and one that does not raises the ConvergenceError the caller's own run
-# would raise.
+# and the continuity defect read its terms), and the derivative and
+# ground-state series without their terms.  Each is keyed by the series
+# alone: log|x|, the triple, tol, and for the summaries step, r and phase.
+# The term budget and the error label only matter when a call fails, so
+# _memo_read leaves them in a thread-local for a miss to run the kernel
+# with, and the memo stores what it returns, never an error.  The kernel
+# stops at the same index under every budget that reaches it, so a hit
+# whose term count fits the caller's budget has the bits of a cold run, and
+# one that does not raises the ConvergenceError the caller's own run would
+# raise.
 _caller = threading.local()
 
 
-def _sum_for_caller(lx, p, tol, step, r, phase) -> _LogSeries:
-    max_terms, what, what_args = _caller.budget_and_label
+def _sum_for_caller(lx, p, tol, step=1, r=None, phase=None) -> _LogSeries:
+    max_terms, what = _caller.budget_and_label
     start, factor = (0, None) if r is None else (r, _log_falling(r))
-    s = _log_series(lx, p, tol, max_terms, what, start, step, factor, phase, what_args)
+    s = _log_series(lx, p, tol, max_terms, what, start, step, factor, phase)
     s.log_terms.flags.writeable = False
     return s
 
 
-@functools.lru_cache(maxsize=_MAX_N_SERIES)
-def _n_series(lx, p, tol) -> _LogSeries:
-    return _sum_for_caller(lx, p, tol, 1, None, None)
+_n_series = functools.lru_cache(maxsize=_MAX_N_SERIES)(_sum_for_caller)
 
 
 @functools.lru_cache(maxsize=_MAX_SUMMARIES)
-def _summaries(lx, p, tol, step, r, phase) -> tuple[float, int]:
-    s = _sum_for_caller(lx, p, tol, step, r, phase)
-    return s.log_sum, len(s.log_terms)
+def _summaries(lx, p, tol, step=1, r=None, phase=None) -> _LogSeries:
+    return _sum_for_caller(lx, p, tol, step, r, phase)._replace(log_terms=None)
 
 
-def _log_n_series(
-    lx: float, p: DeformationParams, tol: float, max_terms: int, what: str
+def _memo_read(
+    memo: Callable, lx: float, p: DeformationParams, tol: float, max_terms: int, what: str, **key
 ) -> _LogSeries:
-    """_log_series of N's plain series (from n = 0), from the memo; its
-    log_terms are read-only."""
+    """The kernel's record of a series from memo (_n_series: N's plain
+    series, log_terms read-only; _summaries: from n = 0 with step and phase,
+    or, for an order r, the r-th derivative's series, start r with the
+    falling factorial as log_factor, log_terms None).  Pass each key the
+    same way at every call: the memo keys a keyword and a positional
+    argument apart."""
     tol = check_real(tol, "tol", above=0.0)
     max_terms = check_count(max_terms, "max_terms", 1)
-    _caller.budget_and_label = max_terms, what, ()
-    s = _n_series(lx, p, tol)
-    if len(s.log_terms) > max_terms:
-        raise _no_convergence(what, (), tol, max_terms)
+    _caller.budget_and_label = max_terms, what
+    s = memo(lx, p, tol, **key)
+    if s.terms > max_terms:
+        raise _no_convergence(what, tol, max_terms)
     return s
-
-
-def _log_series_summary(
-    lx: float,
-    p: DeformationParams,
-    tol: float,
-    max_terms: int,
-    what: str,
-    what_args: tuple = (),
-    step: int = 1,
-    r: int | None = None,
-    phase: complex | None = None,
-) -> tuple[float, int]:
-    """(log_sum, number of kept terms) of _log_series from n = 0, or, for
-    an order r, of the r-th derivative's series (start r, the falling
-    factorial as log_factor), from the memo."""
-    tol = check_real(tol, "tol", above=0.0)
-    max_terms = check_count(max_terms, "max_terms", 1)
-    _caller.budget_and_label = max_terms, what, what_args
-    summary = _summaries(lx, p, tol, step, r, phase)
-    if summary[1] > max_terms:
-        raise _no_convergence(what, what_args, tol, max_terms)
-    return summary
 
 
 def clear_caches() -> None:
@@ -446,7 +421,7 @@ def log_n_function(
 ) -> float:
     """log N(x) for real x >= 0, stable for arbitrarily large x."""
     x = check_real(x, "x", at_least=0.0)
-    return _log_n_series(_log_abs(x), p, tol, max_terms, "log_n_function").log_sum
+    return _memo_read(_n_series, _log_abs(x), p, tol, max_terms, "log_n_function").log_sum
 
 
 def log_n_derivative(
@@ -460,10 +435,8 @@ def log_n_derivative(
     x = check_real(x, "x", at_least=0.0)
     r = check_count(r, "r")
     log_first = log_gamma(r + 1.0) - log_gen_factorial(r, p)
-    log_sum, _ = _log_series_summary(
-        _log_abs(x), p, tol, max_terms, "log_n_derivative(r={})", (r,), r=r
-    )
-    return log_first + log_sum
+    s = _memo_read(_summaries, _log_abs(x), p, tol, max_terms, f"log_n_derivative(r={r})", r=r)
+    return log_first + s.log_sum
 
 
 @dataclass(frozen=True)

@@ -475,6 +475,16 @@ class TestOptionsPerSubcommand:
         # the family fixes alpha; none was given
         _, out, _ = run_cli(["weight", *ACCEPTS["weight"][0], "--format", "json"])
         assert json.loads(out)["config"]["alpha"] is None
+        assert json.loads(out)["config"]["tol"] == 1e-11
+
+    def test_control_characters_round_trip(self, tmp_path):
+        # --n takes surrounding whitespace; \b, not whitespace, reaches the
+        # config through the --out path
+        path = tmp_path / "r\b\f\n\r\t.json"
+        argv = ["factorial", "--n", "\t0..1\n\r\f", "--format", "json", "--out", str(path)]
+        assert run_cli(argv)[0] == 0
+        config = json.loads(path.read_text(encoding="utf-8"))["config"]
+        assert (config["n"], config["out"]) == ("\t0..1\n\r\f", str(path))
 
 
 class TestImportHygiene:

@@ -374,6 +374,10 @@ def _count_kernel_calls(monkeypatch) -> list:
     return calls
 
 
+def _read_n(lx, p, tol, max_terms, what=""):
+    return series._memo_read(series._n_series, lx, p, tol, max_terms, what)
+
+
 def _memo_info():
     """(hits, misses, size) of N's series memo and of the summary memo."""
     return [
@@ -417,15 +421,17 @@ class TestRecall:
             start = r or 0
             factor = None if r is None else series._log_falling(r)
             s = series._log_series(math.log(x), p, 1e-12, 10000, "", start, log_factor=factor)
-            got = series._log_series_summary(math.log(x), p, 1e-12, 10000, "", r=r)
-            assert got == (s.log_sum, len(s.log_terms))
-            assert series._log_series_summary(math.log(x), p, 1e-12, 10000, "", r=r) is got
+            got = series._memo_read(series._summaries, math.log(x), p, 1e-12, 10000, "", r=r)
+            assert (got.log_sum, got.terms) == (s.log_sum, len(s.log_terms))
+            assert got == s._replace(log_terms=None)
+            again = series._memo_read(series._summaries, math.log(x), p, 1e-12, 10000, "", r=r)
+            assert again is got
         s = series._log_series(math.log(x), p, 1e-12, 10000, "")
-        got = series._log_n_series(math.log(x), p, 1e-12, 10000, "")
-        assert (got.log_terms.tobytes(), got.log_sum, got.log_ratio) == (
-            s.log_terms.tobytes(), s.log_sum, s.log_ratio
+        got = _read_n(math.log(x), p, 1e-12, 10000)
+        assert (got.log_terms.tobytes(), got.log_sum, got.log_ratio, got.terms) == (
+            s.log_terms.tobytes(), s.log_sum, s.log_ratio, len(s.log_terms)
         )
-        assert series._log_n_series(math.log(x), p, 1e-12, 10000, "") is got
+        assert _read_n(math.log(x), p, 1e-12, 10000) is got
 
     def test_error_raised_again_and_not_stored(self):
         p = TABLE_TRIPLES[0]
@@ -533,15 +539,15 @@ class TestRecall:
         # and label, while a second thread leaves and uses its own
         p = DeformationParams(0.5, 0.7, 0.2)
         paused, resume = threading.Event(), threading.Event()
-        kernel = series._sum_for_caller
+        kernel = series._log_series
 
-        def pausing(*key):
+        def pausing(*args):
             if threading.current_thread().name == "first":
                 paused.set()
                 resume.wait(5)
-            return kernel(*key)
+            return kernel(*args)
 
-        monkeypatch.setattr(series, "_sum_for_caller", pausing)
+        monkeypatch.setattr(series, "_log_series", pausing)
         clear_caches()
         out = {}
         first = threading.Thread(
@@ -588,20 +594,20 @@ class TestNSeriesMemo:
     def test_hit_equals_a_cold_run_for_every_budget_that_fits(self, p, x):
         lx = math.log(x)
         clear_caches()
-        warm = series._log_n_series(lx, p, 1e-13, 10**5, "")
+        warm = _read_n(lx, p, 1e-13, 10**5)
         n = len(warm.log_terms)
         block_end = self._stopping_block_end(n)
         assert n < block_end - 1  # a budget can end inside the stopping block
         for budget in sorted({n, n + 1, (n + block_end) // 2, block_end, block_end + 1,
                               10**4, 10**5}):
             cold = series._log_series(lx, p, 1e-13, budget, "")
-            hit = series._log_n_series(lx, p, 1e-13, budget, "")
+            hit = _read_n(lx, p, 1e-13, budget)
             assert hit is warm
             assert self._bits(hit) == self._bits(cold)
             clear_caches()  # and a miss at this budget stores the same bits
-            assert self._bits(series._log_n_series(lx, p, 1e-13, budget, "")) == self._bits(cold)
-            assert self._bits(series._log_n_series(lx, p, 1e-13, 10**5, "")) == self._bits(cold)
-            warm = series._log_n_series(lx, p, 1e-13, 10**5, "")
+            assert self._bits(_read_n(lx, p, 1e-13, budget)) == self._bits(cold)
+            assert self._bits(_read_n(lx, p, 1e-13, 10**5)) == self._bits(cold)
+            warm = _read_n(lx, p, 1e-13, 10**5)
 
     @pytest.mark.parametrize("p, x", POINTS)
     def test_hit_beyond_the_budget_raises_the_callers_own_error(self, p, x):
@@ -624,14 +630,15 @@ class TestNSeriesMemo:
     def test_one_entry_serves_every_label_and_budget(self):
         p, x = self.POINTS[0]
         clear_caches()
-        first = series._log_n_series(math.log(x), p, 1e-13, 10**5, "a")
-        assert series._log_n_series(math.log(x), p, 1e-13, 1000, "b") is first
+        first = _read_n(math.log(x), p, 1e-13, 10**5, "a")
+        assert _read_n(math.log(x), p, 1e-13, 1000, "b") is first
         assert _memo_info()[0] == (1, 1, 1)
-        summary = series._log_series_summary(math.log(x), p, 1e-12, 10**4, "c", r=2)
-        assert series._log_series_summary(math.log(x), p, 1e-12, 500, "d {}", (2,), r=2) is summary
+        read = functools.partial(series._memo_read, series._summaries, math.log(x), p, 1e-12)
+        summary = read(10**4, "c", r=2)
+        assert read(500, "d", r=2) is summary
         assert _memo_info()[1] == (1, 1, 1)
 
-    def test_label_is_formatted_only_in_the_error(self):
+    def test_a_warm_hit_beyond_the_budget_names_r_as_a_cold_run(self):
         p = DeformationParams(0.5, 0.7, 0.2)
         with pytest.raises(ConvergenceError) as err:
             log_n_derivative(60.0, 2, p, max_terms=10)
@@ -645,13 +652,13 @@ class TestNSeriesMemo:
     def test_log_terms_are_read_only(self):
         p, x = self.POINTS[0]
         clear_caches()
-        s = series._log_n_series(math.log(x), p, 1e-13, 10**5, "")
+        s = _read_n(math.log(x), p, 1e-13, 10**5)
         assert not s.log_terms.flags.writeable
         with pytest.raises(ValueError):
             s.log_terms[0] = 1.0
         probs = photon_distribution(CoherentLabel.from_intensity(x), p).probabilities
         assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
-        assert series._log_n_series(math.log(x), p, 1e-13, 10**5, "") is s
+        assert _read_n(math.log(x), p, 1e-13, 10**5) is s
 
 
 class TestDoubleFactorial:

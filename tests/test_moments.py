@@ -3,6 +3,7 @@ Hankel-Hadamard determinants, weight functions, and moment verification."""
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -218,6 +219,30 @@ class TestHankel:
         assert main(["hankel", "--size", "40"]) == 3
         assert "size 40: rounding bound" in capsys.readouterr().err
 
+    def test_large_size_refused_from_its_leading_block(self, monkeypatch):
+        # size 1000 is refused from the 16-block: the table is read to index
+        # 2 * 16 - 2 + offset and no determinant is taken
+        asked = []
+        log_factorials = wcs.moments._log_factorials
+
+        def recording(p, n):
+            asked.append(n)
+            return log_factorials(p, n)
+
+        def refuse(mat):
+            raise AssertionError("determinant taken")
+
+        monkeypatch.setattr(wcs.moments, "_log_factorials", recording)
+        monkeypatch.setattr(np.linalg, "det", refuse)
+        for off in (0, 1):
+            with pytest.raises(
+                NumericalRangeError,
+                match=r"^rescaled Hankel determinant of size 1000: rounding bound at least"
+                r" \S+ from its leading block of size 16,",
+            ):
+                hankel_hadamard(CLASSICAL, 1000, off)
+        assert asked and max(asked) <= 31
+
     def test_size_ceiling_before_any_allocation(self):
         with pytest.raises(ParameterError, match="^size must be an integer <= 1000, got 100000$"):
             hankel_hadamard(CLASSICAL, 100_000)
@@ -380,6 +405,20 @@ class TestVerifyMoments:
                 assert target == pytest.approx(
                     gen_factorial(n, p).to_float(), rel=1e-10
                 )
+
+    @pytest.mark.parametrize("beta", [1.5, -0.5])
+    def test_one_minus_beta_names_the_beta_passed(self, beta, capsys):
+        # the family derives alpha = 1 - beta, which the caller never passed
+        from wcs.cli import main
+
+        message = f"beta must lie in (0, 1], got {beta}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            weight_one_minus_beta(1.0, beta, 0.25)
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            verify_moments("one-minus-beta", beta, 0.25, 2)
+        argv = ["moments", "--family", "one-minus-beta", "--beta", str(beta), "--nmax", "2"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"wcs: invalid configuration: {message}\n"
 
     def test_report_invariants(self):
         rep = verify_moments("ml-closed-form", 1.0, 0.5, 6)
@@ -602,7 +641,7 @@ class TestArrayWeights:
         u, points, _ = _array_weights("ml-closed-form", 1.0, 0.5)(xs)
         assert points == len(xs)
         for x, v in zip(xs, u):
-            assert v == pytest.approx(weight_ml_closed_form(x, 0.5).u_tilde, rel=1e-14)
+            assert v == pytest.approx(weight_ml_closed_form(x, 0.5).u_tilde, rel=1e-14, abs=0)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ParameterError):

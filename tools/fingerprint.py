@@ -9,6 +9,8 @@ moves its group.
 
 readme          stdout of the `wcs` commands in README.md's sh blocks, in
                 README order, each run in a fresh interpreter
+cli-json        the same commands with --format json, then `factorial` with
+                a newline in --n, each run in a fresh interpreter
 verify_moments  fixed verify_moments calls over the three weight families
 weights         the three scalar weight samplers at fixed (x, beta, nu) of
                 each family, and the two verify_moments calls refused
@@ -24,6 +26,10 @@ cold-sweep      the factorial, spectrum, Hankel and wavefunction functions
                 the workload's size 4
 hankel          hankel_hadamard at sizes 1-15 on fixed triples: the sizes
                 whose rounding bound exceeds the tolerance raise
+errors          the messages of DeformationParams with alpha and beta both
+                out of range, of the one-minus-beta sampler and
+                verify_moments at beta outside (0, 1], and of
+                hankel_hadamard at sizes 16-40 and 1000 on the hankel triples
 api             each name in wcs.__all__ with its call signature (field
                 names for a dataclass, base names for another class, keys
                 for a mapping, else its repr), not the module that defines
@@ -47,15 +53,24 @@ import wcs
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
 
 
-def _readme() -> bytes:
+def _readme_commands() -> list[list[str]]:
     with open(README, encoding="utf-8") as fh:
         blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
+    lines = (ln for block in blocks for ln in block.splitlines())
+    return [line.split()[1:] for line in lines if line.startswith("wcs ")]
+
+
+def _stdout(commands: list[list[str]]) -> bytes:
     out = b""
-    for line in (ln for block in blocks for ln in block.splitlines()):
-        if line.startswith("wcs "):
-            cmd = [sys.executable, "-m", "wcs.cli", *line.split()[1:]]
-            out += subprocess.run(cmd, capture_output=True, check=False).stdout
+    for args in commands:
+        cmd = [sys.executable, "-m", "wcs.cli", *args]
+        out += subprocess.run(cmd, capture_output=True, check=False).stdout
     return out
+
+
+def _cli_json() -> bytes:
+    commands = [args + ["--format", "json"] for args in _readme_commands()]
+    return _stdout(commands + [["factorial", "--n", "0..1\n", "--format", "json"]])
 
 
 def _call(fn, *args, **kwargs):
@@ -144,12 +159,27 @@ def _cold_sweep() -> list:
     return out
 
 
+_HANKEL_TRIPLES = [(0.0, 1.0, 0.0), (0.0, 0.5, 0.5), (1.0, 0.5, 1.0), (0.3, 0.7, 0.2)]
+
+
 def _hankel() -> list:
-    triples = [(0.0, 1.0, 0.0), (0.0, 0.5, 0.5), (1.0, 0.5, 1.0), (0.3, 0.7, 0.2)]
     return [
         _call(wcs.hankel_hadamard, wcs.DeformationParams(*triple), size, offset)
-        for triple in triples for size in range(1, 16) for offset in (0, 1)
+        for triple in _HANKEL_TRIPLES for size in range(1, 16) for offset in (0, 1)
     ]
+
+
+def _errors() -> list:
+    out = [_call(wcs.DeformationParams, *triple)
+           for triple in [(-0.5, 1.5, 0.0), (1.5, 0.0, 1.0), (-1.0, -1.0, 0.0), (2.0, 2.0, 5.0)]]
+    for beta in (1.5, -0.5):
+        out += [_call(wcs.weight_one_minus_beta, 1.0, beta, 0.25),
+                _call(wcs.verify_moments, "one-minus-beta", beta, 0.25, 2)]
+    out += [
+        _call(wcs.hankel_hadamard, wcs.DeformationParams(*triple), size, offset)
+        for triple in _HANKEL_TRIPLES for size in [*range(16, 41), 1000] for offset in (0, 1)
+    ]
+    return out
 
 
 def _shape(obj):
@@ -170,13 +200,15 @@ def _api() -> list:
 
 def main() -> int:
     groups = {
-        "readme": _readme(),
+        "readme": _stdout(_readme_commands()),
+        "cli-json": _cli_json(),
         "verify_moments": pickle.dumps(_verify_moments(), protocol=4),
         "weights": pickle.dumps(_weights(), protocol=4),
         "wright_w": pickle.dumps(_wright_w(), protocol=4),
         **{name: pickle.dumps(results, protocol=4) for name, results in _photon_stats().items()},
         "cold-sweep": pickle.dumps(_cold_sweep(), protocol=4),
         "hankel": pickle.dumps(_hankel(), protocol=4),
+        "errors": pickle.dumps(_errors(), protocol=4),
         "api": pickle.dumps(_api(), protocol=4),
     }
     for name, data in groups.items():

@@ -20,18 +20,22 @@ family and (1, beta, nu) the beta^n n! Gamma(beta*n + nu)/Gamma(nu) family.
 All brackets are strictly positive for n >= 1 on the admissible parameter
 domain, so factorials carry sign +1 and a log magnitude.
 
-The logs are kept in one table per parameter triple, as three float64
-numpy columns (log [n], the running sum of the alpha-ratio logs, and the
-nu-dependent log-gamma) that the series kernels slice directly; callers
-get read-only views, and the scalar accessors return Python floats; a
-whole sequence is one slice, _brackets ([0..n], the package's only linear
+The logs are kept in one table per parameter triple, as float64 numpy
+columns (log [n] and log [n]!) that the series kernels slice directly;
+callers get read-only views, and the scalar accessors return Python floats;
+a whole sequence is one slice, _brackets ([0..n], the package's only linear
 brackets) or _log_factorials (log [0..n]!), bit-equal to box and
 log_gen_factorial.  A new table is built to the index asked for; an
 existing one grows on demand by at least 64 entries, in blocks of at most
-4096, into buffers whose capacity doubles when full: each block takes its
-three gamma columns in three calls of the array log-gamma, which equals
-the scalar one bit for bit, and sums log [n]! in the same order as an
-entry-by-entry build, so no entry depends on how the table was grown.
+4096, into buffers whose capacity doubles when full.  Entries below k0,
+where some gamma argument is below gammafn._SERIES_MIN_ARG (13; k0 is
+about 12 / beta), take three gamma columns from the array Lanczos
+log-gamma, as the scalar one would.  From k0 on, each block is a few numpy
+passes of the gamma-ratio series, log [k] within about an ulp and log [n]!
+written as closed-form Stirling terms plus a running sum of O(1/k)
+corrections.  Every entry is an elementwise function of its index, and the
+running sums add in index order across blocks, so no entry depends on how
+the table was grown.
 
 A table also keeps the linear brackets [0..m], exp of the log column by
 box's exp, grown lazily (at least doubling) to the longest _brackets read,
@@ -49,7 +53,16 @@ import threading
 
 import numpy as np
 
-from .gammafn import LogValue, _exp_each, _log_gamma_array, log_gamma
+from .gammafn import (
+    _SERIES_MIN_ARG,
+    LogValue,
+    _exp_each,
+    _log_gamma_array,
+    _ratio_coefficients,
+    _ratio_series,
+    _stirling_log_gamma,
+    log_gamma,
+)
 from .params import DeformationParams, check_count
 
 __all__ = [
@@ -73,25 +86,33 @@ _MAX_TABLES = 64
 class _Table:
     """Per-parameter incremental cache of bracket and factorial logs.
 
-    log_box, log_prod (the running sum of the alpha-ratio logs) and log_tail
-    are read-only float64 views of the filled part of the three rows of one
-    buffer, indexed by n; entry 0 is the defined-zero bracket / empty
-    product.  A full buffer is copied into one twice as large, so growth to
-    n entries copies O(log n) times.  brackets is a read-only prefix of
-    exp(log_box), replaced by a longer copy when a read passes its end."""
+    log_box and log_fact are read-only float64 views of the filled part of
+    the first two rows of one buffer, indexed by n; entry 0 is the
+    defined-zero bracket / empty product.  The third row is the running sum
+    a block continues from: below the first series entry k0, the sum of the
+    alpha-ratio logs; from k0 on, the sum of r(k).  A full buffer is copied
+    into one twice as large, so growth to n entries copies O(log n) times.
+    brackets is a read-only prefix of exp(log_box), replaced by a longer
+    copy when a read passes its end."""
 
-    __slots__ = ("_bufs", "log_box", "log_prod", "log_tail", "brackets")
+    __slots__ = (
+        "_bufs", "_tail0", "_k0", "_c_alpha", "_c_beta", "log_box", "log_fact", "brackets"
+    )
 
     def __init__(self, p: DeformationParams, capacity: int = _MIN_GROWTH + 1) -> None:
         self._bufs = np.empty((3, capacity))
-        self._bufs[:, 0] = -math.inf, 0.0, log_gamma(1.0 - p.alpha + p.nu)
+        self._bufs[:, 0] = -math.inf, 0.0, 0.0
+        self._tail0 = log_gamma(1.0 - p.alpha + p.nu)
+        self._k0 = _first_series_entry(p)
+        self._c_alpha = _ratio_coefficients(p.alpha)
+        self._c_beta = _ratio_coefficients(p.beta)
         self.brackets = _read_only(np.empty(0))
         self._publish(1)
 
     def _publish(self, size: int) -> None:
-        # log_box last: a reader that sees it long enough sees the others so
-        box, prod, tail = (_read_only(col) for col in self._bufs[:, :size])
-        self.log_prod, self.log_tail, self.log_box = prod, tail, box
+        # log_box last: a reader that sees it long enough sees log_fact so
+        box, fact = (_read_only(col) for col in self._bufs[:2, :size])
+        self.log_fact, self.log_box = fact, box
 
     def extend(self, n: int, p: DeformationParams) -> None:
         size = len(self.log_box)
@@ -101,23 +122,77 @@ class _Table:
             bufs = np.empty((3, max(n + 1, 2 * self._bufs.shape[1])))
             bufs[:, :size] = self._bufs[:, :size]
             self._bufs = bufs
-        box, prod, tail = self._bufs
-        a, b, v = p.alpha, p.beta, p.nu
         for lo in range(size, n + 1, _BLOCK):
             hi = min(lo + _BLOCK, n + 1)
-            bk = b * np.arange(lo, hi) + 1.0
-            lg_top = _log_gamma_array(bk)
-            lg_bot = _log_gamma_array(bk - a)
-            tail[lo:hi] = _log_gamma_array(bk - a + v)
-            box[lo:hi] = lg_top - lg_bot + tail[lo:hi] - tail[lo - 1 : hi - 1]
-            # log_prod[k] = (log_prod[k-1] + top_k) - bot_k, left to right:
-            # accumulate adds in order, and s + (-bot) rounds as s - bot
-            steps = np.empty(2 * (hi - lo) + 1)
-            steps[0] = prod[lo - 1]
-            steps[1::2] = lg_top
-            steps[2::2] = -lg_bot
-            prod[lo:hi] = np.add.accumulate(steps)[2::2]
+            mid = min(max(lo, self._k0), hi)
+            if lo < mid:
+                self._lanczos_entries(lo, mid, p)
+            if mid < hi:
+                self._series_entries(mid, hi, p)
         self._publish(n + 1)
+
+    def _lanczos_entries(self, lo: int, hi: int, p: DeformationParams) -> None:
+        """Entries lo..hi-1 (all below k0) from three log-gamma columns:
+        log [k] = lg(bk+1) - lg(bk+1-a) + lg(bk+1-a+v) - lg(b(k-1)+1-a+v)."""
+        box, fact, run = self._bufs
+        a, b, v = p.alpha, p.beta, p.nu
+        bk = b * np.arange(lo - 1, hi) + 1.0  # from the entry before, for its tail
+        lg_top = _log_gamma_array(bk[1:])
+        lg_bot = _log_gamma_array(bk[1:] - a)
+        if lo == 1:
+            tail = np.append(self._tail0, _log_gamma_array(bk[1:] - a + v))
+        else:
+            tail = _log_gamma_array(bk - a + v)
+        box[lo:hi] = lg_top - lg_bot + tail[1:] - tail[:-1]
+        # run[k] = (run[k-1] + top_k) - bot_k, left to right: accumulate
+        # adds in order, and s + (-bot) rounds as s - bot
+        steps = np.empty(2 * (hi - lo) + 1)
+        steps[0] = run[lo - 1]
+        steps[1::2] = lg_top
+        steps[2::2] = -lg_bot
+        run[lo:hi] = np.add.accumulate(steps)[2::2]
+        fact[lo:hi] = run[lo:hi] + tail[1:] - self._tail0
+
+    def _series_entries(self, lo: int, hi: int, p: DeformationParams) -> None:
+        """Entries lo..hi-1 (all from k0 on) from the ratio series, with
+        D(w; d) = log Gamma(w + d) - log Gamma(w) = d log w + rho(w; d):
+
+            log [k]  = D(bk+1-a; a) + D(b(k-1)+1-a+v; b)
+            log [n]! = a (n log b + lg(n+1)) + sum_(k<=n) r(k)
+                       + lg(bn+1-a+v) - lg(1-a+v)
+
+        with r(k) = D(bk+1-a; a) - a log(bk) = O(1/k), so the running sum
+        adds only small numbers."""
+        box, fact, run = self._bufs
+        a, b, v = p.alpha, p.beta, p.nu
+        k = np.arange(lo - 1, hi, dtype=float)  # from the entry before
+        bk = b * k
+        w = bk + 1.0 - a
+        tail_arg = w + v  # bk+1-a+v; at k-1 it is the second ratio's argument
+        rho = _ratio_series(w[1:], a, self._c_alpha)
+        box[lo:hi] = (a * np.log(w[1:]) + rho) + (
+            b * np.log(tail_arg[:-1]) + _ratio_series(tail_arg[:-1], b, self._c_beta)
+        )
+        steps = np.empty(hi - lo + 1)
+        steps[0] = run[lo - 1] if lo > self._k0 else self._r_sum(p)
+        steps[1:] = _r(bk[1:], a, rho)
+        np.add.accumulate(steps, out=steps)
+        run[lo:hi] = steps[1:]
+        closed = a * _stirling_log_gamma(k[1:] + 1.0, b)  # a (n log b + lg(n+1))
+        fact[lo:hi] = closed + steps[1:] + (_stirling_log_gamma(tail_arg[1:]) - self._tail0)
+
+    def _r_sum(self, p: DeformationParams) -> float:
+        """sum_(k<k0) r(k), from the ratio series shifted up where
+        bk+1-a < z0, not from the Lanczos entries' log [k0-1]!: that carries
+        the rounding of 2 k0 log-gamma values of up to log Gamma(13) = 20,
+        which would stay in every later entry."""
+        a, b = p.alpha, p.beta
+        total = 0.0
+        for lo in range(1, self._k0, _BLOCK):
+            bk = b * np.arange(lo, min(lo + _BLOCK, self._k0))
+            r = _r(bk, a, _ratio_series(bk + 1.0 - a, a, self._c_alpha))
+            total = np.add.accumulate(np.append(total, r)).item(-1)
+        return total
 
     def extend_brackets(self, n: int) -> None:
         """Make brackets cover [n] (n < len(log_box)), at least doubling it
@@ -129,6 +204,26 @@ class _Table:
         lin[:size] = self.brackets
         lin[size:] = _exp_each(self.log_box[size : len(lin)])
         self.brackets = _read_only(lin)
+
+
+def _r(bk: np.ndarray, a: float, rho: np.ndarray) -> np.ndarray:
+    """r(k) = D(bk+1-a; a) - a log(bk) from rho = rho(bk+1-a; a)."""
+    return a * np.log1p((1.0 - a) / bk) + rho
+
+
+def _first_series_entry(p: DeformationParams) -> int:
+    """k0, the first entry whose gamma arguments, bk+1-a and b(k-1)+1-a+v
+    rounded as the table rounds them, are both at least _SERIES_MIN_ARG.
+    Both grow with k, so every later entry's are too."""
+    a, b, v = p.alpha, p.beta, p.nu
+    z0 = _SERIES_MIN_ARG
+    estimate = max(z0 - 1.0 + a, z0 - 1.0 + a - v + b) / b
+    if not estimate < 2.0**53:  # no table reaches it, and k += 1 would stall
+        return 2**53
+    k = max(1, math.floor(estimate) - 2)
+    while not (b * k + 1.0 - a >= z0 and b * (k - 1) + 1.0 - a + v >= z0):
+        k += 1
+    return k
 
 
 def _read_only(col: np.ndarray) -> np.ndarray:
@@ -187,16 +282,14 @@ def _brackets(p: DeformationParams, n: int) -> np.ndarray:
 
 
 def _log_factorials(p: DeformationParams, n: int) -> np.ndarray:
-    """log [0]!, ..., log [n]!, summed in log_gen_factorial's order."""
-    tab = _table(p, n)
-    return tab.log_prod[: n + 1] + tab.log_tail[: n + 1] - tab.log_tail[0]
+    """log [0]!, ..., log [n]!: a read-only slice of the table's column."""
+    return _table(p, n).log_fact[: n + 1]
 
 
 def log_gen_factorial(n: int, p: DeformationParams) -> float:
     """log of [n]! via the telescoped closed form; 0 for n = 0."""
     n = check_count(n, "n")
-    tab = _table(p, n)
-    return tab.log_prod.item(n) + tab.log_tail.item(n) - tab.log_tail.item(0)
+    return _table(p, n).log_fact.item(n)
 
 
 def gen_factorial(n: int, p: DeformationParams) -> LogValue:

@@ -5,9 +5,15 @@ statistics) is built from ratios of gamma functions whose linear values
 overflow early, so the base layer works in log space throughout.
 
 One Lanczos body serves both the public scalar `log_gamma` and the private
-array form `_log_gamma_array` that the factorial tables are built with; the
-array form takes its logs and sines with the same C-library calls, so it
-equals the scalar bit for bit.
+array form `_log_gamma_array`; the array form takes its logs and sines with
+the same C-library calls, so it equals the scalar bit for bit.  The
+factorial tables use it only at small arguments.  Where every argument is
+at least _SERIES_MIN_ARG they use two numpy series instead, with
+coefficients from a literal table of Bernoulli numbers: Stirling's series
+for log Gamma (`_stirling_log_gamma`), and its difference for the ratio
+log Gamma(w + d) - log Gamma(w) (`_ratio_coefficients`, `_ratio_series`),
+which has no large values to cancel; the ratio series also reaches smaller
+arguments by shifting them up.
 """
 
 from __future__ import annotations
@@ -104,6 +110,101 @@ def _log_gamma_array(x: np.ndarray) -> np.ndarray:
             - _lanczos_log_gamma(1.0 - small, _log_each)
         )
     return out
+
+
+# Bernoulli numbers B_0..B_14 (B_1 = -1/2) as exact fractions
+_BERNOULLI = (
+    (1, 1), (-1, 2), (1, 6), (0, 1), (-1, 30), (0, 1), (1, 42), (0, 1),
+    (-1, 30), (0, 1), (5, 66), (0, 1), (-691, 2730), (0, 1), (7, 6),
+)
+_B_DEN = math.lcm(*(den for _, den in _BERNOULLI))
+_B_SCALED = tuple(num * (_B_DEN // den) for num, den in _BERNOULLI)  # B_k * _B_DEN
+# Both series below are summed only where every argument is at least z0
+# (_ratio_series shifts smaller ones up).  13 rather than 12 keeps the
+# brackets [n <= 11] at beta = 1 on the Lanczos path.
+_SERIES_MIN_ARG = 13.0
+
+# Stirling's series, log Gamma(z) = (z - 1/2)(log z - 1) + (log 2 pi - 1)/2
+# + sum_(m<=7) B_2m / (2m (2m - 1) z^(2m-1)).  For real z > 0 the remainder
+# is smaller than the first omitted term, 7.1 / (240 z^15) < 6e-19 at
+# z >= z0, where log Gamma(z) >= 20 has an ulp of 3.6e-15.  Int / int
+# rounds once, so each coefficient is the double nearest its fraction.
+_STIRLING = tuple(
+    _B_SCALED[2 * m] / (_B_DEN * 2 * m * (2 * m - 1)) for m in range(1, 8)
+)
+
+# The ratio series (DLMF 5.11.8 differenced; Tricomi and Erdelyi 1951):
+# log Gamma(w + d) - log Gamma(w) = d log w + sum_(j<=J) c_j(d) / w^j,
+# c_j(d) = (-1)^(j+1) (B_(j+1)(d) - B_(j+1)) / (j (j+1)), for 0 <= d <= 1.
+# By Euler-Maclaurin, with |B_n(x)| <= 2 zeta(n) n! / (2 pi)^n on [0, 1],
+# the remainder after J terms is at most 4 d zeta(J) (J-1)! / ((2 pi w)^J);
+# at J = 14 and w >= z0 that is 4.3e-17 d, a tenth of an ulp of d log w.
+_RATIO_TERMS = 14
+
+
+def _ratio_quotients() -> tuple[tuple[float, ...], ...]:
+    # c_j(d) / (d (d - 1)), a polynomial since B_n(0) = B_n(1) = B_n for n >
+    # 1: divide (B_n(d) - B_n) / d = sum_(k<n) C(n,k) B_k d^(n-1-k) by d - 1
+    # in integers scaled by _B_DEN, then round each coefficient once
+    out = []
+    for j in range(1, _RATIO_TERMS + 1):
+        n = j + 1
+        poly = [math.comb(n, k) * _B_SCALED[k] for k in range(n)]  # highest power first
+        quotient = [poly[0]]
+        for c in poly[1:-1]:
+            quotient.append(c + quotient[-1])
+        out.append(tuple((-1) ** n * q / (_B_DEN * j * n) for q in quotient))
+    return tuple(out)
+
+
+_RATIO_QUOTIENTS = _ratio_quotients()  # coefficients of q_j, highest power first
+
+
+def _stirling_log_gamma(z: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """log(Gamma(z) scale^(z-1)) on a float array whose every element is
+    >= _SERIES_MIN_ARG; at an integer z, the sum of log(scale k) over k < z.
+    Taking log(scale z) whole keeps (z - 1) log scale from cancelling
+    against log Gamma(z) when scale < 1."""
+    y = 1.0 / z
+    acc = _horner(_STIRLING, y * y)
+    const = _LN_SQRT_TWO_PI - 0.5 - 0.5 * math.log(scale)
+    return (z - 0.5) * (np.log(scale * z) - 1.0) + const + acc * y
+
+
+def _ratio_coefficients(d: float) -> tuple[float, ...]:
+    """c_1(d), ..., c_J(d) of the ratio series, as d (d - 1) q_j(d): exactly
+    0 at d = 0 and d = 1, where the ratio is 1 or w."""
+    out = []
+    for q in _RATIO_QUOTIENTS:
+        acc = 0.0
+        for c in q:
+            acc = acc * d + c
+        out.append(d * (d - 1.0) * acc)
+    return tuple(out)
+
+
+def _ratio_series(w: np.ndarray, d: float, coeffs: tuple[float, ...]) -> np.ndarray:
+    """rho(w) = log Gamma(w + d) - log Gamma(w) - d log w on a float array of
+    w > 0, for coeffs = _ratio_coefficients(d): the series sum_j c_j / w^j
+    where w >= _SERIES_MIN_ARG; below, the series at w + m, the first such
+    point, plus the m steps rho(x) - rho(x + 1) = d log1p(1/x) - log1p(d/x),
+    each of order d (1 - d) / x^2 and 0 at d = 0 and d = 1."""
+    shifts = np.maximum(np.ceil(_SERIES_MIN_ARG - w), 0.0)
+    steps = 0.0
+    for i in range(int(shifts.max(initial=0.0))):
+        x = w + i
+        steps = steps + np.where(i < shifts, d * np.log1p(1.0 / x) - np.log1p(d / x), 0.0)
+    y = 1.0 / (w + shifts)
+    return _horner(coeffs, y) * y + steps
+
+
+def _horner(coeffs: tuple[float, ...], y: np.ndarray) -> np.ndarray:
+    """sum_i coeffs[i] y^i, in place in one temporary."""
+    acc = np.full_like(y, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc *= y
+        acc += c
+    return acc
 
 
 def gamma_signed(x: float) -> tuple[float, float]:

@@ -9,6 +9,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,7 +48,7 @@ from wcs.factorials import (
     _log_factorials,
     _table,
 )
-from wcs.gammafn import log_gamma
+from wcs.gammafn import _SERIES_MIN_ARG, _log_gamma_array, log_gamma
 from wcs.series import _MAX_N_SERIES, _MAX_SUMMARIES
 
 CLASSICAL = DeformationParams(0.0, 1.0, 0.0)
@@ -211,9 +212,9 @@ class TestGenFactorial:
         assert log_gen_factorial(12, GRID[4]) == before
 
 
-@functools.cache
-def _scalar_table(p, n):
-    """Reference build: one scalar log_gamma per column and index, entry by entry."""
+def _lanczos_entries(p, n):
+    """The entry-by-entry build of entries 0..n below k0: one scalar
+    log_gamma per gamma function, log [k]! summed left to right."""
     a, b, v = p.alpha, p.beta, p.nu
     log_box_, log_prod, log_tail = [-math.inf], [0.0], [log_gamma(1.0 - a + v)]
     for k in range(1, n + 1):
@@ -223,7 +224,7 @@ def _scalar_table(p, n):
         log_box_.append(lg_top - lg_bot + tail - log_tail[k - 1])
         log_prod.append(log_prod[k - 1] + lg_top - lg_bot)
         log_tail.append(tail)
-    return log_box_, log_prod, log_tail
+    return log_box_, [s + t - log_tail[0] for s, t in zip(log_prod, log_tail)]
 
 
 # alpha = 1 with beta = 0.1 and alpha = 0.9 with beta = 0.05 send the
@@ -235,26 +236,148 @@ TABLE_TRIPLES = [
     DeformationParams(0.5, 0.5, -0.3),
 ]
 
+# the series triples: beta = 0.05, nu near alpha - 1, and a large nu
+SERIES_TRIPLES = [
+    DeformationParams(0.3, 0.7, 0.2),
+    DeformationParams(0.9, 0.05, 0.0),
+    DeformationParams(0.5, 0.5, -0.5 + 1e-3),
+    DeformationParams(0.2, 0.3, 9.5),
+    DeformationParams(1.0, 0.1, 0.5),
+    DeformationParams(0.05, 0.05, 0.3),
+]
+
+
+def _mp_log_gamma_ratios(p, k):
+    """log [k] and lg(bk+1) - lg(bk+1-a) at 40 digits, from the float triple."""
+    with mpmath.workdps(40):
+        a, b, v = (mpmath.mpf(t) for t in (p.alpha, p.beta, p.nu))
+        lg = mpmath.loggamma
+        top = lg(b * k + 1) - lg(b * k + 1 - a)
+        return top + lg(b * k + 1 - a + v) - lg(b * (k - 1) + 1 - a + v), top
+
+
+def _mp_closed_log_factorial(p, n):
+    """log [n]! at 40 digits from its closed form at alpha in {0, beta, 1}."""
+    with mpmath.workdps(40):
+        a, b, v = (mpmath.mpf(t) for t in (p.alpha, p.beta, p.nu))
+        lg = mpmath.loggamma
+        if a == 0:
+            return lg(b * n + 1 + v) - lg(1 + v)
+        if a == b:
+            return lg(b * n + 1) + lg(b * n + 1 - b + v) - lg(1 - b + v)
+        assert a == 1
+        return n * mpmath.log(b) + lg(n + 1) + lg(b * n + v) - lg(v)
+
+
+def _above_k0(k0, n_max, count=40):
+    """k0, the few entries after it, and a geometric sample up to n_max."""
+    return sorted({*range(k0, k0 + 4), *np.geomspace(k0, n_max, count).astype(int).tolist()})
+
 
 class TestArrayTable:
-    """Tables built in array blocks equal the entry-by-entry build bit for bit."""
+    """Tables built in array blocks: the same bits whatever the growth path,
+    the Lanczos entries below k0 as before, and the series entries from k0
+    on within a few ulp of 40-digit mpmath."""
 
     @staticmethod
-    def _columns(tab):
-        return tab.log_box.tolist(), tab.log_prod.tolist(), tab.log_tail.tolist()
+    def _rows(tab):
+        size = len(tab.log_box)
+        return tab._bufs[:, :size].tobytes()
 
-    @pytest.mark.parametrize("p", TABLE_TRIPLES)
-    def test_one_call(self, p):
+    @staticmethod
+    def _grown(p, steps):
         tab = _Table(p)
-        tab.extend(10_000, p)
-        assert self._columns(tab) == _scalar_table(p, 10_000)
-
-    @pytest.mark.parametrize("p", TABLE_TRIPLES)
-    def test_extended_in_pieces(self, p):
-        tab = _Table(p)
-        for n in (37, 4096, 4097, 10_000):
+        for n in steps:
             tab.extend(n, p)
-        assert self._columns(tab) == _scalar_table(p, 10_000)
+        return tab
+
+    @pytest.mark.parametrize("p", list(dict.fromkeys(TABLE_TRIPLES + SERIES_TRIPLES)))
+    def test_every_growth_path_gives_the_same_bits(self, p):
+        whole = self._rows(self._grown(p, [10_000]))
+        k0 = _Table(p)._k0
+        for steps in (
+            [37, 4096, 4097, 10_000],
+            [k0 - 1, k0, k0 + 1, 10_000],  # the series start in an extend of its own
+            [*range(_MIN_GROWTH, 10_000, _MIN_GROWTH), 10_000],
+        ):
+            assert self._rows(self._grown(p, steps)) == whole
+
+    @pytest.mark.parametrize("p", TABLE_TRIPLES)
+    def test_entries_below_k0_are_the_lanczos_build(self, p):
+        tab = self._grown(p, [37, 4096])
+        k0 = tab._k0
+        assert 13 <= k0 <= 4096
+        log_box_, log_fact = _lanczos_entries(p, k0 - 1)
+        assert tab.log_box[:k0].tolist() == log_box_
+        assert tab.log_fact[:k0].tolist() == log_fact
+
+    @pytest.mark.parametrize("beta", [1e-9, 1e-300, 5e-324])
+    def test_tiny_beta_is_all_lanczos(self, beta):
+        # k0, about 12 / beta, lies beyond any table, or beyond every float
+        p = DeformationParams(0.5, beta, 0.5)
+        tab = self._grown(p, [100])
+        assert (tab.log_box.tolist(), tab.log_fact.tolist()) == _lanczos_entries(p, 100)
+
+    @pytest.mark.parametrize("p", SERIES_TRIPLES)
+    def test_brackets_from_k0_against_mpmath(self, p):
+        tab = self._grown(p, [100_000])
+        for k in _above_k0(tab._k0, 100_000):
+            ref, _ = _mp_log_gamma_ratios(p, k)
+            assert abs(tab.log_box[k] - ref) <= 1e-14 * abs(ref), k
+
+    def test_classical_log_box_is_log_n(self):
+        tab = self._grown(CLASSICAL, [100_000])
+        n = np.arange(tab._k0, 100_001)
+        got = tab.log_box[tab._k0 :].tolist()
+        assert all(abs(g - math.log(k)) <= math.ulp(math.log(k)) for k, g in zip(n.tolist(), got))
+        # exp(log n) carries the rounding of log n, about log(n) eps/2
+        lin = _brackets(CLASSICAL, 100_000)[tab._k0 :]
+        assert np.all(np.abs(lin - n) <= (np.log(n) + 1.0) * 0.5 * np.finfo(float).eps * n)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            DeformationParams(0.0, 1.0, 0.0),
+            DeformationParams(0.0, 0.5, 0.0),
+            DeformationParams(0.0, 0.05, 0.3),
+            DeformationParams(0.5, 0.5, 0.25),
+            DeformationParams(0.05, 0.05, 0.3),
+            DeformationParams(0.7, 0.7, -0.2),
+            DeformationParams(1.0, 1.0, 0.5),
+            DeformationParams(1.0, 0.1, 0.5),
+            DeformationParams(1.0, 0.05, 1e-3),
+        ],
+    )
+    def test_log_factorials_from_k0_against_closed_forms(self, p):
+        tab = self._grown(p, [100_000])
+        for n in _above_k0(tab._k0, 100_000):
+            ref = _mp_closed_log_factorial(p, n)
+            assert abs(tab.log_fact[n] - ref) <= 1e-15 * abs(ref), n
+
+    @pytest.mark.parametrize("p", SERIES_TRIPLES[:2])
+    def test_log_factorials_from_k0_against_mpmath_sums(self, p):
+        tab = self._grown(p, [2000])
+        with mpmath.workdps(40):
+            a, b, v = (mpmath.mpf(t) for t in (p.alpha, p.beta, p.nu))
+            prod = mpmath.fsum(_mp_log_gamma_ratios(p, k)[1] for k in range(1, tab._k0))
+            for n in range(tab._k0, 2001):
+                prod += _mp_log_gamma_ratios(p, n)[1]
+                ref = prod + mpmath.loggamma(b * n + 1 - a + v) - mpmath.loggamma(1 - a + v)
+                assert abs(tab.log_fact[n] - ref) <= 1e-15 * abs(ref), n
+
+    def test_log_gamma_arguments_stop_at_k0(self, monkeypatch):
+        # a work counter, the same on any machine: the C-library log-gamma
+        # sees the three arguments of each Lanczos entry, none after k0
+        seen = []
+
+        def counted(x):
+            seen.append(len(x))
+            return _log_gamma_array(x)
+
+        monkeypatch.setattr(factorials, "_log_gamma_array", counted)
+        p = DeformationParams(0.3, 0.5, 0.2)
+        _Table(p).extend(10_000, p)
+        assert sum(seen) <= 3 * math.ceil(_SERIES_MIN_ARG / p.beta)
 
     def test_one_scalar_log_gamma_per_cold_table(self, monkeypatch):
         calls = []
@@ -270,7 +393,7 @@ class TestArrayTable:
 
     def test_columns_are_read_only_float64(self):
         tab = _table(TABLE_TRIPLES[3], 100)
-        for col in (tab.log_box, tab.log_prod, tab.log_tail):
+        for col in (tab.log_box, tab.log_fact):
             assert type(col) is np.ndarray and col.dtype == np.float64
             assert len(col) == len(tab.log_box) > 100
             with pytest.raises(ValueError, match="read-only"):
@@ -327,11 +450,11 @@ class TestTableCache:
     def test_rebuilt_table_is_bitwise_equal(self):
         p = TABLE_TRIPLES[0]
         clear_caches()
-        first = tuple(list(c) for c in TestArrayTable._columns(_table(p, 5000)))
+        first = TestArrayTable._rows(_table(p, 5000))
         for i in range(_MAX_TABLES):
             log_box(3, DeformationParams(0.2, 0.1 + 0.01 * i, 1.0))
         assert p not in _TABLES
-        assert TestArrayTable._columns(_table(p, 5000)) == first
+        assert TestArrayTable._rows(_table(p, 5000)) == first
 
     def test_new_table_built_to_the_index_asked(self):
         p = DeformationParams(0.25, 0.75, 0.5)

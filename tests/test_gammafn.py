@@ -3,6 +3,7 @@
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,15 @@ from hypothesis import strategies as st
 
 from wcs import LogValue, log_gamma, gamma_signed
 from wcs.errors import NumericalRangeError, ParameterError
-from wcs.gammafn import _log_gamma_array
+from wcs.gammafn import (
+    _BERNOULLI,
+    _RATIO_TERMS,
+    _SERIES_MIN_ARG,
+    _log_gamma_array,
+    _ratio_coefficients,
+    _ratio_series,
+    _stirling_log_gamma,
+)
 
 
 class TestLogGamma:
@@ -65,6 +74,60 @@ class TestLogGammaArray:
         assert _log_gamma_array(x).tolist() == [log_gamma(v) for v in x.tolist()]
 
 
+class TestSeries:
+    """The Bernoulli table and the two series the factorial tables use from
+    _SERIES_MIN_ARG on, against mpmath."""
+
+    def test_bernoulli_table(self):
+        for k, (num, den) in enumerate(_BERNOULLI):
+            assert (num, den) == mpmath.bernfrac(k)
+
+    @pytest.mark.parametrize("d", [0.0, 1.0, 0.5, 0.3, 0.05, 0.999, 1e-3, 0.123456789])
+    def test_ratio_coefficients(self, d):
+        got = _ratio_coefficients(d)
+        assert len(got) == _RATIO_TERMS
+        with mpmath.workdps(40):
+            for j, c in enumerate(got, start=1):
+                n = j + 1
+                ref = (-1) ** n * (mpmath.bernpoly(n, d) - mpmath.bernoulli(n)) / (j * n)
+                # |B_n(x)| <= 2 zeta(n) n! / (2 pi)^n on [0, 1] bounds |c_j|:
+                # the Horner sum of d (d - 1) q_j(d) is held to ulps of that
+                bound = 4 * mpmath.zeta(n) * mpmath.factorial(n) / ((2 * mpmath.pi) ** n * j * n)
+                assert abs(ref) <= bound
+                assert abs(c - ref) <= 4e-16 * bound
+        if d in (0.0, 1.0):
+            assert got == (0.0,) * _RATIO_TERMS
+
+    def test_stirling_log_gamma(self):
+        z = np.concatenate(([_SERIES_MIN_ARG], np.geomspace(_SERIES_MIN_ARG, 1e7, 200)))
+        for scale in (1.0, 0.5, 0.05):
+            got = _stirling_log_gamma(z, scale)
+            with mpmath.workdps(40):
+                for zi, g in zip(z.tolist(), got.tolist()):
+                    lg, power = mpmath.loggamma(zi), (zi - 1) * mpmath.log(scale)
+                    # at scale < 1 the two parts cancel: held to their size
+                    assert abs(g - (lg + power)) <= 4e-16 * (lg + abs(power))
+
+    @pytest.mark.parametrize("d", [1.0, 0.5, 0.3, 0.05, 0.999, 1e-3])
+    def test_ratio_series_on_both_sides_of_the_shift(self, d):
+        w = np.concatenate(
+            (np.geomspace(1e-3, _SERIES_MIN_ARG, 60), np.geomspace(_SERIES_MIN_ARG, 1e6, 60))
+        )
+        got = _ratio_series(w, d, _ratio_coefficients(d))
+        if d == 1.0:  # log Gamma(w + 1) - log Gamma(w) = log w
+            assert not got.any()
+            return
+        eps = sys.float_info.epsilon
+        with mpmath.workdps(40):
+            for wi, g in zip(w.tolist(), got.tolist()):
+                # below z0, each of the m steps up rounds to ulps of d/x, so
+                # they are held to ulps of their size, d log((w + m) / w)
+                steps = d * math.log1p(max(0.0, math.ceil(_SERIES_MIN_ARG - wi)) / wi)
+                wi = mpmath.mpf(wi)
+                ref = mpmath.loggamma(wi + d) - mpmath.loggamma(wi) - d * mpmath.log(wi)
+                assert abs(g - ref) <= 4 * eps * (abs(ref) + steps)
+
+
 class TestGammaSigned:
     def test_positive_arguments(self):
         for x in (0.5, 1.0, 3.7, 12.0):
@@ -87,9 +150,16 @@ class TestGammaSigned:
 
 class TestLogValue:
     def test_roundtrip(self):
-        for x in (3.0, -2.5, 1e-300, -1e250):
+        for x in (3.0, -2.5, -1e250):
             lv = LogValue.from_float(x)
             assert lv.to_float() == pytest.approx(x, rel=1e-15)
+        # log 1e-300 = -690.8 is stored to eps/2 of itself, and exp turns
+        # that absolute error into a relative one: |ln x| eps/2, twice over
+        x = 1e-300
+        eps = sys.float_info.epsilon
+        assert LogValue.from_float(x).to_float() == pytest.approx(
+            x, rel=2.0 * abs(math.log(x)) * eps, abs=0
+        )
 
     def test_zero(self):
         lv = LogValue.from_float(0.0)

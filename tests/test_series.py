@@ -229,10 +229,11 @@ class TestWrightW:
         ref = n_function(2.0, p).value.real * math.exp(-math.lgamma(1.0 - 0.5 + 0.25))
         assert wright_w(2.0, p).value.real == pytest.approx(ref, rel=1e-12)
 
-    # the worst relative error on this grid was 3.344e-13, at (0.3, 0.7, 0.2),
-    # x = 60, when wright_w scaled n_function's finished sum; the bound is
-    # 1.1 times that
-    WORST = 3.68e-13
+    # at tol 1e-14, where the truncation tail is negligible, the worst
+    # relative error on this grid was 7.93e-14, at (0.5, 0.5, 0.25), x = 60;
+    # the bound is 1.1 times that.  At the default tol the sum stops with a
+    # tail of up to 3.4e-13 of the value left out, which tail_bound states.
+    WORST = 8.72e-14
 
     @pytest.mark.parametrize(
         "triple",
@@ -243,9 +244,11 @@ class TestWrightW:
         p = DeformationParams(*triple)
         for x in (0.1, 0.5, 2.0, 5.0, 15.0, 30.0, 60.0):
             ref = _mp_wright_w(x, p)
-            got = wright_w(x, p).value
+            got = wright_w(x, p, tol=1e-14).value
             assert got.imag == 0.0
             assert abs(got.real - ref) <= self.WORST * ref
+            res = wright_w(x, p)
+            assert abs(res.value.real - ref) <= self.WORST * ref + res.tail_bound
 
 
 def _mp_wright_w(x, p, dps=40):
@@ -264,6 +267,18 @@ def _mp_wright_w(x, p, dps=40):
             term = mpmath.exp(n * lx + log_prod - lg(b * n + 1 - a + v))
             total += term
         return float(total)
+
+
+class TestErfcClosedForm:
+    def test_log_n_at_half_beta_against_erfc(self):
+        # at (0, 1/2, 0), [n]! = Gamma(n/2 + 1), so N(x) = e^(x^2) erfc(-x).
+        # Summed exactly, the table's brackets give log N to about 3e-14 at
+        # x = 63; what is left is the kernel's running sum of log x - log [k]
+        p = DeformationParams(0.0, 0.5, 0.0)
+        with mpmath.workdps(40):
+            for x in np.linspace(0.5, 63.0, 126).tolist():
+                ref = mpmath.mpf(x) ** 2 + mpmath.log(mpmath.erfc(-x))
+                assert abs(log_n_function(x, p) - ref) <= 2.5e-11, x
 
 
 class TestPowerSeries:

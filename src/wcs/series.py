@@ -12,22 +12,26 @@ D x^(beta n) = [n] x^(beta (n-1)).
 Every Fock-series sum in the package (N and its derivatives here; the
 photon distribution, Fock moments, Mandel Q_M, continuity defect and
 ground-state lattice in coherent.py) goes through one private kernel,
-_log_series.  It builds the log-terms
+_log_series.  It reads the log-terms
 
-    log t_n = (n - start) log|x| - log(b_(start+1) ... b_n) + F(n) - F(start)
+    log t_n = (n - start) log|x| - (L_n - L_start) + F(n) - F(start)
 
-in blocks of growing size, as a running sum over slices of the factorial
-table's brackets b_n = [step n] (step 2 gives the even double factorial),
-with an optional log factor F such as a falling factorial or 2 log [n].
-The first term is normalised to 1.  One stopping rule, written once: stop
-after three consecutive terms with |t_n| <= tol * max(1, |S_n|), S_n the
-partial sum, while the next-term ratio |t_(n+1) / t_n| is below 0.9.
-The brackets are read as slices of the table's numpy column.  Positive
-series are summed in log space and never overflow; signed and complex
-series (a phase per term) raise NumericalRangeError once a partial sum
-overflows, and their values are taken with math.fsum (_fsum), with a
-geometric tail bound and the one cancellation rule (_cancels) as
-diagnostics, as are sums c_j y^j on the x^beta lattice (_lattice_sum).
+elementwise from the factorial table, L_n = log(b_1 ... b_n) with
+b_n = [step n]: the table's log [n]! column for step 1, and for step 2 (the
+even double factorial) the log brackets added from start in index order,
+so no log-term depends on where a block starts.  F is an optional log
+factor such as a falling factorial or 2 log [n].  A pass's first block
+reaches past where its terms can stop (about the mode of t_n plus eight
+widths, or where the term ratio falls below 0.9), so most series are one
+block; later blocks double.  The first term is normalised to 1.  One
+stopping rule, written once: stop after three consecutive terms with
+|t_n| <= tol * max(1, |S_n|), S_n the partial sum, while the next-term
+ratio |t_(n+1) / t_n| is below 0.9.  Positive series are summed in log
+space and never overflow; signed and complex series (a phase per term)
+raise NumericalRangeError once a partial sum overflows, and their values
+are taken with math.fsum (_fsum), with a geometric tail bound and the one
+cancellation rule (_cancels) as diagnostics, as are sums c_j y^j on the
+x^beta lattice (_lattice_sum).
 Where a positive series is summed on the linear scale, _positive_fsum
 gives fsum only the terms of at least 2^-106 / len of the largest, plus
 the float sum of the rest: those weigh under 2^-106 of the total, so they
@@ -75,15 +79,16 @@ __all__ = [
     "clear_caches",
 ]
 
-# terms below tol*max(1, |sum|) must repeat this many times before we trust decay
-_CONSECUTIVE_SMALL = 3
 # only stop once the term ratio is safely inside the geometric regime
 _LOG_RATIO_CEILING = math.log(0.9)
 _LOG_MAX = math.log(sys.float_info.max)
-# block sizes: the first covers most small-x sums in one pass; doubling keeps
-# the number of numpy passes logarithmic and the cap bounds the working set
+# block sizes: a pass's first block reaches past the terms' mode
+# (_first_block), and at least _FIRST_BLOCK terms, which cover most small-x
+# sums; later blocks double, so a pass whose mode estimate falls short takes
+# few more.  The cap bounds the working set: the float64 temporaries of a
+# block of 16384 terms stay near 1 MB
 _FIRST_BLOCK = 64
-_MAX_BLOCK = 4096
+_MAX_BLOCK = 16384
 
 # positive terms below 2^-106 / len of the largest weigh less than 2^-106
 # (the square of half an ulp) of their sum all together
@@ -202,6 +207,26 @@ def _log_falling(r: int) -> Callable:
     return lambda n, log_b: np.log(n[:, None] - np.arange(r)).sum(axis=1)
 
 
+def _first_block(lx: float, p: DeformationParams, start: int, step: int) -> int:
+    """Length of a pass's first block: past where its terms can stop.
+    log [step n] ~ (alpha+beta) log(beta step n), so the terms peak near
+    n* = x^(1/(alpha+beta)) / (beta step), with width
+    sigma = sqrt(n* / (alpha+beta)); 8 sigma past n* a term is about e^-32
+    of the peak, and the rule cannot stop before the term ratio falls below
+    0.9, at about n* 0.9^(-1/(alpha+beta)), which is further where
+    alpha+beta < 1 or n* is large.  The block reaches 64 terms past both,
+    at least _FIRST_BLOCK and at most _MAX_BLOCK terms; the budget caps it
+    later."""
+    e = p.alpha + p.beta
+    log_mode = lx / e - math.log(p.beta * step)
+    log_ratio_stop = log_mode - _LOG_RATIO_CEILING / e
+    if log_ratio_stop >= math.log(_MAX_BLOCK):  # also where x^(1/(alpha+beta)) overflows
+        return _MAX_BLOCK
+    mode = math.exp(log_mode)
+    reach = max(mode + 8.0 * math.sqrt(mode / e), math.exp(log_ratio_stop))
+    return int(min(max(reach + 64.0 - start, _FIRST_BLOCK), _MAX_BLOCK))
+
+
 def _log_series(
     lx: float,
     p: DeformationParams,
@@ -227,21 +252,31 @@ def _log_series(
         return _LogSeries(np.zeros(1), 0.0, -math.inf, 1)
     end = start + max_terms  # first index past the budget
     kept: list[np.ndarray] = []
-    base = 0.0  # running log weight at the block start, factor excluded
-    f_start = 0.0
+    l_start = f_start = 0.0
     # running sum S = e^scale * partial; scale >= 0 since the first term is 1
     scale, partial = 0.0, 0.0
-    carry = np.zeros(_CONSECUTIVE_SMALL - 1, dtype=bool)  # last flags of the previous block
-    lo, size = start, _FIRST_BLOCK
+    carry = np.zeros(2, dtype=bool)  # the last two flags of the previous block
+    lo, size = start, _first_block(lx, p, start, step)
     while lo < end:
         hi = min(lo + size, end)  # terms lo..hi-1, plus hi for the ratio
-        log_b = _table(p, step * hi).log_box[step * lo : step * hi + 1 : step]
-        logs = lx - log_b
-        logs[0] = base
-        np.add.accumulate(logs, out=logs)
-        base = logs[-1]
+        tab = _table(p, step * hi)
+        # L[n] = log(b_1 ... b_n) for n = lo..hi: the table's log [n]!, or
+        # for step 2 log [2n]!! added from start in index order, so no
+        # log-term depends on where a block starts
+        if step == 1:
+            log_fact = tab.log_fact[lo : hi + 1]
+        else:
+            log_b = tab.log_box[step * (start + 1) : step * hi + 1 : step]
+            log_fact = np.add.accumulate(np.append(0.0, log_b))[lo - start :]
+        if lo == start:
+            l_start = log_fact[0]
+        # log t_n = (n - start) lx - (L[n] - L[start]) + F(n) - F(start)
+        logs = np.arange(lo - start, hi - start + 1, dtype=float) * lx
+        logs -= log_fact - l_start if l_start else log_fact  # L[start] is 0 from n = 0
         if log_factor is not None:
-            f = log_factor(np.arange(lo, hi + 1, dtype=float), log_b)
+            f = log_factor(
+                np.arange(lo, hi + 1, dtype=float), tab.log_box[step * lo : step * hi + 1 : step]
+            )
             if lo == start:
                 f_start = f[0]
             logs += f - f_start
@@ -252,13 +287,21 @@ def _log_series(
         if phase is not None:
             terms = terms * _phases(phase, np.arange(lo - start, hi - start))
         sums = np.add.accumulate(terms)
-        sums += partial * math.exp(scale - top)
-        small = np.abs(terms) <= tol * np.maximum(np.abs(sums), math.exp(-top))
+        if partial:  # after the first block
+            sums += partial * math.exp(scale - top)
+        # flags[j + 2] marks term lo + j small; the first two carry the
+        # previous block's last two, so run marks three small in a row
+        flags = np.empty(hi - lo + 2, dtype=bool)
+        flags[:2] = carry
+        small = flags[2:]
+        floor = math.exp(-top)
+        if phase is None:  # positive terms and sums
+            np.less_equal(terms, tol * np.maximum(sums, floor), out=small)
+        else:
+            np.less_equal(np.abs(terms), tol * np.maximum(np.abs(sums), floor), out=small)
         small &= logs[1:] - log_t < _LOG_RATIO_CEILING
-        flags = np.concatenate((carry, small))
-        run = small.copy()
-        for shift in range(1, _CONSECUTIVE_SMALL):
-            run &= flags[_CONSECUTIVE_SMALL - 1 - shift : len(flags) - shift]
+        run = small & flags[1:-1]
+        run &= flags[:-2]
         k = int(run.argmax())
         hit = bool(run[k])
         k = k + 1 if hit else len(small)
@@ -275,7 +318,7 @@ def _log_series(
             log_sum = top + _log_abs(sums[k - 1])
             return _LogSeries(log_terms, log_sum, float(logs[k] - logs[k - 1]), len(log_terms))
         scale, partial = top, sums[-1]
-        carry = flags[-(_CONSECUTIVE_SMALL - 1):]
+        carry = flags[-2:]
         lo, size = hi, min(2 * size, _MAX_BLOCK)
     raise _no_convergence(what, tol, max_terms)
 

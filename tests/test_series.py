@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wcs
 from wcs import (
     DeformationParams,
     PowerSeries,
@@ -22,7 +23,9 @@ from wcs import (
     n_function_derivative,
     wright_w,
 )
+from wcs import coherent, series
 from wcs.errors import ConvergenceError, NumericalRangeError, ParameterError
+from wcs.factorials import _log_factorials
 from wcs.series import _log_falling, _log_series, _positive_fsum
 
 CLASSICAL = DeformationParams(0.0, 1.0, 0.0)
@@ -171,10 +174,105 @@ class TestSeriesKernel:
         with pytest.raises(ConvergenceError, match="log_n_derivative"):
             log_n_derivative(30.0, 2, p, max_terms=terms - 1)
 
+    @pytest.mark.parametrize("start", [0, 1, 2])
+    def test_log_terms_read_the_factorial_column(self, start):
+        # log t_n = (n - start) log x - (log [n]! - log [start]!) + F(n) - F(start),
+        # elementwise from the table's column, bit for bit
+        factor = _log_falling(start) if start else None
+        for p in self.TRIPLES:
+            for x in self.XS + (60.0,):
+                lx = math.log(x)
+                s = _log_series(lx, p, 1e-13, 100000, "test", start=start, log_factor=factor)
+                n = np.arange(start, start + s.terms, dtype=float)
+                lf = _log_factorials(p, start + s.terms)[start:-1]
+                want = (n - start) * lx - (lf - lf[0])
+                if factor is not None:
+                    f = factor(n, None)
+                    want += f - f[0]
+                assert np.array_equal(s.log_terms, want), (p, x)
+
+    def test_block_boundaries_move_no_log_term(self, monkeypatch):
+        # the same series in blocks of 2 to 16 terms: the log-terms and the
+        # stopping index do not move, nor does the length of the ground-state
+        # lattice's alternating series; a positive log-sum, rescaled at each
+        # block, moves by at most 4 ulp
+        def positive():
+            return [
+                _log_series(math.log(x), p, 1e-13, 100000, "test", start=r,
+                            log_factor=_log_falling(r) if r else None)
+                for p in self.TRIPLES for x in self.XS + (60.0,) for r in (0, 2)
+            ]
+
+        def ground():
+            return [
+                _log_series(math.log(x), p, 1e-16, 20000, "test", step=2, phase=-1.0)
+                for p in self.TRIPLES for x in self.XS
+            ]
+
+        whole_sums, whole_ground = positive(), ground()
+        monkeypatch.setattr(series, "_FIRST_BLOCK", 2)
+        monkeypatch.setattr(series, "_MAX_BLOCK", 16)
+        sums, ground_sums = positive(), ground()
+        for one, blocks in zip(whole_sums + whole_ground, sums + ground_sums):
+            assert blocks.terms == one.terms
+            assert np.array_equal(blocks.log_terms, one.log_terms)
+        for one, blocks in zip(whole_sums, sums):
+            assert abs(blocks.log_sum - one.log_sum) <= 4 * math.ulp(one.log_sum)
+
     def test_zero_argument_keeps_only_the_first_term(self):
         s = _log_series(-math.inf, P011, 1e-12, 10, "test", start=2)
         assert list(s.log_terms) == [0.0]
         assert n_function(0.0, CLASSICAL).terms_used == 1
+
+
+class TestBlockCount:
+    # the photon-stats benchmark's triples and calls at 48 log-spaced x
+    TRIPLES = [(0.0, 1.0, 0.0), (0.0, 1.0, 0.5), (1.0, 1.0, 0.5), (1.0, 0.5, 1.0),
+               (0.0, 0.5, 0.0), (0.5, 0.7, 0.2), (0.3, 0.9, 1.5), (0.0, 0.3, 0.5)]
+
+    def test_a_pass_takes_one_block(self, monkeypatch):
+        # a deterministic work counter: table reads (one per block) of each
+        # kernel pass.  The first block reaches past where the terms can
+        # stop, so a pass takes two blocks at most, or the fewest that
+        # _MAX_BLOCK allows
+        reads, passes = [0], []
+        table, kernel = series._table, series._log_series
+
+        def counted_table(*args):
+            reads[0] += 1
+            return table(*args)
+
+        def counted_kernel(*args, **kwargs):
+            before = reads[0]
+            s = kernel(*args, **kwargs)  # a ConvergenceError is not counted
+            passes.append((reads[0] - before, s.terms))
+            return s
+
+        monkeypatch.setattr(series, "_table", counted_table)
+        monkeypatch.setattr(series, "_log_series", counted_kernel)
+        monkeypatch.setattr(coherent, "_log_series", counted_kernel)
+        wcs.clear_caches()
+        for triple in self.TRIPLES:
+            p = DeformationParams(*triple)
+            for x in np.geomspace(0.1, 100.0, 48).tolist():
+                label = wcs.CoherentLabel.from_intensity(x)
+                for call in (
+                    lambda: log_n_function(x, p),
+                    lambda: wcs.photon_distribution(label, p),
+                    lambda: wcs.mandel_qz(label, p),
+                    lambda: wcs.mandel_qm(label, p),
+                    lambda: [wcs.normally_ordered_moment(r, label, p) for r in (1, 2)],
+                    lambda: [wcs.fock_moment_sum(r, label, p) for r in (1, 2)],
+                ):
+                    try:
+                        call()
+                    except ConvergenceError:
+                        pass
+        wcs.clear_caches()
+        assert len(passes) > 2000
+        for blocks, terms in passes:
+            assert blocks <= max(2, math.ceil(terms / series._MAX_BLOCK)), (blocks, terms)
+        assert sum(blocks for blocks, _ in passes) <= 1.05 * len(passes)
 
 
 class TestDerivativeSeries:
@@ -230,10 +328,10 @@ class TestWrightW:
         assert wright_w(2.0, p).value.real == pytest.approx(ref, rel=1e-12)
 
     # at tol 1e-14, where the truncation tail is negligible, the worst
-    # relative error on this grid was 7.93e-14, at (0.5, 0.5, 0.25), x = 60;
+    # relative error on this grid is 5.80e-14, at (0.5, 0.5, 0.25), x = 60;
     # the bound is 1.1 times that.  At the default tol the sum stops with a
     # tail of up to 3.4e-13 of the value left out, which tail_bound states.
-    WORST = 8.72e-14
+    WORST = 6.39e-14
 
     @pytest.mark.parametrize(
         "triple",
@@ -272,13 +370,17 @@ def _mp_wright_w(x, p, dps=40):
 class TestErfcClosedForm:
     def test_log_n_at_half_beta_against_erfc(self):
         # at (0, 1/2, 0), [n]! = Gamma(n/2 + 1), so N(x) = e^(x^2) erfc(-x).
-        # Summed exactly, the table's brackets give log N to about 3e-14 at
-        # x = 63; what is left is the kernel's running sum of log x - log [k]
+        # At tol 1e-14 what is left is the rounding of log t_n =
+        # n log x - log [n]!, 4.7e-12 (1.2e-15 relative) at x = 61.5.  At the
+        # default tol the sum also leaves out its tail, which the stopping
+        # rule (ratio below 0.9) bounds by 9 tol of the sum: 6.2e-12 at
+        # x = 29.5
         p = DeformationParams(0.0, 0.5, 0.0)
         with mpmath.workdps(40):
             for x in np.linspace(0.5, 63.0, 126).tolist():
                 ref = mpmath.mpf(x) ** 2 + mpmath.log(mpmath.erfc(-x))
-                assert abs(log_n_function(x, p) - ref) <= 2.5e-11, x
+                assert abs(log_n_function(x, p, tol=1e-14) - ref) <= 5e-12, x
+                assert abs(log_n_function(x, p) - ref) <= 5e-12 + 9 * 1e-12, x
 
 
 class TestPowerSeries:

@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import NumericalRangeError, ParameterError
 from .factorials import _log_factorials
-from .gammafn import _exp_each, gamma_signed, log_gamma
+from .gammafn import _MAX_FINITE_LOG, _exp_each, gamma_signed, log_gamma
 from .params import DeformationParams, check_count, check_real
 from .quadrature import _DE_DROP, _scratch, integrate_shared_de, integrate_zero_inf_de
 from .series import log_n_function
@@ -273,13 +273,17 @@ def _one_minus_beta_weights(p: DeformationParams, rtol: float):
         # log w for w = (1 + b y/x)^(1/b) - 1 = expm1(l), l = log1p(e^z)/b,
         # z = log(b y/x): l + log(-expm1(-l)) does not overflow at large y,
         # and below z = -700, where l would underflow, log w = z - log b.
+        # log1p(e^z) is max(z, 0) + log1p(e^-|z|), as np.logaddexp(0, z)
+        # computes it, but in numpy's vectorised exp and log1p.
         # In place, in two scratch slots and log_y, which ends as y
         z, l = _scratch((len(x), log_y.shape[-1]), 2)
         np.add(log_y, np.log(beta / x), out=z)
         tiny = np.flatnonzero(z < -700.0)
         tiny_log_w = z.flat[tiny] - math.log(beta)
         y = np.exp(log_y, out=log_y)
-        np.logaddexp(0.0, z, out=l)
+        np.negative(np.abs(z, out=l), out=l)
+        np.log1p(np.exp(l, out=l), out=l)
+        l += np.maximum(z, 0.0, out=z)
         l /= beta
         log_w = np.negative(l, out=z)
         np.log(np.negative(np.expm1(log_w, out=log_w), out=log_w), out=log_w)
@@ -409,15 +413,23 @@ def verify_moments(family: str, beta: float, nu: float, n_max: int) -> MomentRep
     levels gets the weights at its new nodes from one call of the family's
     array evaluator.  Where x Utilde(x) ~ x^p falls so slowly at 0 that more
     than 1e-9 of a moment lies below x ~ 2e-292, the lowest node, it raises
-    NumericalRangeError before any quadrature.  truncation_x is the largest
-    outer abscissa at which some order's integrand x^n Utilde(x) exceeds
-    1e-16 of its moment; it is read from the abscissae already evaluated
-    and is informational only."""
+    NumericalRangeError before any quadrature, as it does where [n_max]!
+    overflows double precision.  truncation_x is the largest outer abscissa
+    at which some order's integrand x^n Utilde(x) exceeds 1e-16 of its
+    moment; it is read from the abscissae already evaluated and is
+    informational only."""
     n_max = check_count(n_max, "n_max")
     if not (isinstance(family, str) and family in WEIGHT_FAMILIES):
         raise ParameterError(f"family must be one of {tuple(WEIGHT_FAMILIES)}, got {family!r}")
     fam = WEIGHT_FAMILIES[family]
     p = fam.params(beta, nu)
+    log_targets = _log_factorials(p, n_max)
+    over = log_targets > _MAX_FINITE_LOG
+    if over.any():
+        raise NumericalRangeError(
+            f"[{n_max}]! = exp({log_targets[-1]:.6g}) overflows double precision; the"
+            f" largest order whose [n]! fits is {int(np.argmax(over)) - 1}"
+        )
     log_u_tilde = fam.weights(p, _INNER_RTOL)
     orders = np.arange(n_max + 1, dtype=float)[:, None]
     inner_points = 0
@@ -442,7 +454,7 @@ def verify_moments(family: str, beta: float, nu: float, n_max: int) -> MomentRep
         trunc = max(trunc, float(np.max(np.exp(log_x), where=above, initial=0.0)))
 
     moments = np.exp(res.log_value)
-    targets = _exp_each(_log_factorials(p, n_max)).tolist()
+    targets = _exp_each(log_targets).tolist()
     rels = [abs(m - t) / t for m, t in zip(moments, targets)]
     return MomentReport(
         orders=tuple(range(n_max + 1)),

@@ -46,26 +46,32 @@ __all__ = [
 # stays where t is a normal double: from s = -6.5 (t ~ 2e-292) to
 # s = 709.75.  The window is where the log-integrand lies within
 # _DE_DROP of its maximum (e^-40 ~ 4e-18 of the peak); _DE_POINTS
-# trapezoid intervals then cover it.  Rows whose h vs 2h estimate misses
-# the tolerance are refined by halving h until it is _DE_FINEST, but at
-# least _DE_LEVELS[0] and at most _DE_LEVELS[1] times: a scaled row's
-# window can be far wider than an unscaled one and still hold an edge as
-# sharp, e^(-t^(1/b)) at beta ~ 0.01.  A peak much narrower than the scan
-# step _DE_STEP is left under-resolved by that budget and raises
+# trapezoid intervals then cover it, few enough that most rows meet a
+# 1e-11 target at that first step.  Rows whose h vs 2h estimate misses the
+# tolerance are refined by halving h until it is _DE_FINEST, but at least
+# _DE_LEVELS[0] and at most _DE_LEVELS[1] times: a scaled row's window can
+# be far wider than an unscaled one and still hold an edge as sharp,
+# e^(-t^(1/b)) at beta ~ 0.01.  So a window up to 96 wide in s reaches
+# _DE_FINEST, and a wider one stops at h = width / (_DE_POINTS 2^9); a
+# window under 3 wide may still halve 4 times.  A peak much narrower than the
+# scan step _DE_STEP is left under-resolved by that budget and raises
 # ConvergenceError.
 _DE_SCAN = (-4.0, 4.0)
 _DE_STEP = 0.25
 _DE_LIMITS = (-24.0, 1536.0)
 _SHARED_LIMITS = (-6.5, 709.75)
-# the relative target of every row of the shared lattice
+# the relative target of every row of the shared lattice, and the halvings
+# of its scan step, 1/4, that it may take: down to h = 1/32
 _SHARED_RTOL = 1e-9
+_SHARED_LEVELS = 3
 _DE_DROP = 40.0
-_DE_POINTS = 384
-_DE_LEVELS = (3, 8)
+_DE_POINTS = 192
+_DE_LEVELS = (4, 9)
 _DE_FINEST = 1.0 / 1024
-# rows per block: bounds the working set at a few hundred kB whatever the
-# number of rows
-_DE_ROWS = 30
+# rows per block: a level of the shared lattice up to h = 1/16 usually adds
+# 30 to 80 nodes, so it is one block, and the working set stays a few
+# hundred kB whatever the number of rows
+_DE_ROWS = 96
 # a log-integrand of size G carries a rounding error of a few ulp of G, which
 # floors the relative accuracy any rule can reach on that row
 _DE_NOISE = 16.0 * 2.0**-52
@@ -157,10 +163,12 @@ def _de_window(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _de_scan(g_at, limits: tuple[float, float], open_below: bool = False):
     """Coarse scan: g_at(s, rows) on the grid of step _DE_STEP over _DE_SCAN,
     widened by doubling towards limits while some row is not negligible at
-    an end; only such rows are evaluated on the new nodes, and the others
-    read -inf there.  A row still not negligible at a limit raises
-    ConvergenceError, unless open_below lets it stay so at the lower one.
-    Returns the final grid, the values on it and the points evaluated."""
+    an end; only such rows are evaluated on the new nodes beyond that end,
+    and the others read -inf there, so a row's values and points do not
+    depend on the rows scanned with it.  A row still not negligible at a
+    limit raises ConvergenceError, unless open_below lets it stay so at the
+    lower one.  Returns the final grid, the values on it and the points
+    evaluated."""
     lo, hi = _DE_SCAN
     g = g_at(_de_scan_grid(lo, hi), slice(None))
     points = g.size
@@ -179,14 +187,16 @@ def _de_scan(g_at, limits: tuple[float, float], open_below: bool = False):
                     f"scan limit s = {hi if high.any() else lo:g}"
                 )
             return _de_scan_grid(lo, hi), g, points
-        # the new nodes at both ends in one call
-        below = _de_scan_grid(new_lo, lo)[:-1]
-        new = np.concatenate([below, _de_scan_grid(hi, new_hi)[1:]])
-        rows = np.flatnonzero(low | high)
-        g_new = np.full((len(g), len(new)), -np.inf)
-        g_new[rows] = g_at(new, rows)
-        points += len(rows) * len(new)
-        g = np.concatenate([g_new[:, :len(below)], g, g_new[:, len(below):]], axis=1)
+        parts = []
+        sides = ((_de_scan_grid(new_lo, lo)[:-1], low), (_de_scan_grid(hi, new_hi)[1:], high))
+        for new, ends in sides:
+            part = np.full((len(g), len(new)), -np.inf)
+            rows = np.flatnonzero(ends)
+            if len(new):  # so some row needs it
+                part[rows] = g_at(new, rows)
+                points += len(rows) * len(new)
+            parts.append(part)
+        g = np.concatenate([parts[0], g, parts[1]], axis=1)
         lo, hi = new_lo, new_hi
 
 
@@ -306,7 +316,7 @@ def integrate_shared_de(log_f, low_power: float) -> LogQuadResult:
     fall alike; the rows share the union of the windows.  The trapezoid sum
     over it at the scan step, 1/4, is halved while some row's h vs 2h
     difference is above _SHARED_RTOL * I_i (floored at the rounding error
-    of the row's size), at most _DE_LEVELS[0] times, to h = 1/32; each
+    of the row's size), at most _SHARED_LEVELS times, to h = 1/32; each
     halving evaluates only the new midpoints, so no node is evaluated
     twice.  A row still above its target at h = 1/32 raises
     ConvergenceError, and so does one not negligible at the top of the
@@ -350,7 +360,7 @@ def integrate_shared_de(log_f, low_power: float) -> LogQuadResult:
     f = np.exp(g - top[:, None])
     total = _DE_STEP * (f.sum(axis=1) - 0.5 * (f[:, 0] + f[:, -1]))
     n = len(s) - 1
-    for level in range(1, _DE_LEVELS[0] + 1):
+    for level in range(1, _SHARED_LEVELS + 1):
         h = _DE_STEP / 2**level
         mids = s[0] + h * (2.0 * np.arange(n) + 1.0)
         total, err, top = _halve(total, top, h, g_at(mids) + np.log1p(np.exp(-mids)))

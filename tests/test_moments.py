@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wcs.moments
+import wcs.quadrature
 from wcs import (
     WEIGHT_FAMILIES,
     DeformationParams,
@@ -30,6 +31,7 @@ from wcs import (
     weight_wright,
 )
 from wcs.errors import NumericalRangeError, ParameterError
+from wcs.quadrature import _DE_ROWS
 
 CLASSICAL = DeformationParams(0.0, 1.0, 0.0)
 P011 = DeformationParams(0.0, 1.0, 1.0)
@@ -290,6 +292,13 @@ class TestWrightWeight:
             for b, v in ((1.0, 1.0), (0.5, 0.5), (0.5, 1.0)):
                 assert weight_wright(x, b, v).u_tilde > 0.0
 
+    def test_narrow_window_reaches_the_finest_step(self):
+        # log Utilde ~ -4.5e4 in a peak 0.5 wide in s, two scan steps, which
+        # meets its target only after the 4 halvings of its first step that
+        # every row may take, at h = 0.5/3072; the value underflows to 0
+        got = weight_wright(1000.0, 0.02, 0.05)
+        assert got.u_tilde == 0.0
+
     def test_invalid_arguments(self):
         for x in (0.0, math.inf, math.nan):
             with pytest.raises(ParameterError):
@@ -317,6 +326,16 @@ class TestOneMinusBetaWeight:
     def test_near_unit_nu_continuation(self):
         got = weight_one_minus_beta(1.0, 0.5, 0.9)
         assert got.u_tilde > 0.0
+
+    def test_no_scalar_logaddexp(self, monkeypatch):
+        # log(1 + e^z) is built from numpy's vectorised exp and log1p
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.logaddexp is a scalar loop")
+
+        want = weight_one_minus_beta(1.0, 0.5, -0.25).u_tilde
+        monkeypatch.setattr(np, "logaddexp", refuse)
+        assert weight_one_minus_beta(1.0, 0.5, -0.25).u_tilde == want
+        assert max(verify_moments("one-minus-beta", 0.5, 0.3, 4).rel_errors) <= 1e-12
 
     def test_degenerate_boundary_rejected(self):
         # beta + nu = 0 lies outside the admissible parameter wedge
@@ -492,6 +511,18 @@ class TestVerifyMoments:
         with pytest.raises(NumericalRangeError, match="at least 0.03085"):
             verify_moments("one-minus-beta", 0.5, -0.49, 4)
 
+    def test_factorial_beyond_double_range_refused_up_front(self, monkeypatch):
+        # Wright (0.5, 1): [143]! = exp(707.8) fits a double, [144]! does not
+        def fail(*args, **kwargs):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(wcs.moments, "integrate_shared_de", fail)
+        message = r"^\[144\]! = exp\(714\.\d+\) overflows .* whose \[n\]! fits is 143$"
+        with pytest.raises(NumericalRangeError, match=message):
+            verify_moments("wright", 0.5, 1.0, 144)
+        with pytest.raises(AssertionError, match="quadrature ran"):
+            verify_moments("wright", 0.5, 1.0, 143)
+
     def test_closed_form_window_beyond_double_range_refused_up_front(self, monkeypatch):
         # x Utilde = x^(1 + nu) e^-x / Gamma(1 + nu) ~ x^0.02 at 0
         def refuse(xs):
@@ -654,12 +685,12 @@ class TestArrayWeights:
 
 class TestMomentWork:
     """Deterministic work gates for the Wright check at beta = 0.5, nu = 1,
-    n_max = 8.  Measured with one kernel call per level of the shared outer
-    lattice: 84 outer nodes (the scan, then h = 1/8) and 37 032 kernel
-    points, about 440 per node, its own scan included."""
+    n_max = 8.  Measured with one kernel call, and one block, per level of
+    the shared outer lattice: 84 outer nodes (the scan, then h = 1/8) and
+    22 248 kernel points, about 265 per node, its own scan included."""
 
     OUTER_POINTS_CEILING = 92
-    INNER_POINTS_CEILING = 40_700
+    INNER_POINTS_CEILING = 24_470
 
     @staticmethod
     def _record(monkeypatch, calls):
@@ -690,12 +721,23 @@ class TestMomentWork:
             return kernel(log_f, x, *args, **kwargs)
 
         monkeypatch.setattr(wcs.moments, "integrate_zero_inf_de", counting_kernel)
+        blocks = []
+        block = wcs.quadrature._de_block
+
+        def counting_block(log_f, x, *args):
+            blocks.append(len(x))
+            return block(log_f, x, *args)
+
+        monkeypatch.setattr(wcs.quadrature, "_de_block", counting_block)
         calls = []
         self._record(monkeypatch, calls)
         rep = verify_moments("wright", 0.5, 1.0, 8)
         assert max(rep.rel_errors) <= 1e-12
-        # one kernel call per outer call, on exactly its new nodes
+        # one kernel call per outer call, on exactly its new nodes, and one
+        # block per kernel call
         assert kernel_rows == [len(c) for c in calls]
+        assert blocks == kernel_rows
+        assert max(blocks) <= _DE_ROWS
         nodes = np.concatenate(calls)
         assert len(np.unique(nodes)) == len(nodes) == rep.outer_points
         assert rep.outer_points <= self.OUTER_POINTS_CEILING

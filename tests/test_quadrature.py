@@ -38,11 +38,18 @@ class TestDoubleExponential:
         assert res.points > 0
 
     def test_blocks_match_single_rows(self):
-        a = np.linspace(0.1, 8.0, 70)  # more rows than one block
-        whole = integrate_zero_inf_de(_log_gamma_integrand, a)
-        for i in (0, 31, 69):
-            one = integrate_zero_inf_de(_log_gamma_integrand, a[i:i + 1])
-            assert whole.log_value[i] == one.log_value[0]
+        # three blocks, the last a part one, with every third row scaled to
+        # its peak: how rows are grouped moves no bit of any row
+        a = np.linspace(0.1, 8.0, 2 * _DE_ROWS + 7)
+        log_scale = np.where(np.arange(len(a)) % 3 == 0, np.log(a), 0.0)
+        whole = integrate_zero_inf_de(_log_gamma_integrand, a, log_scale=log_scale)
+        ones = [
+            integrate_zero_inf_de(_log_gamma_integrand, a[i:i + 1], log_scale=log_scale[i:i + 1])
+            for i in range(len(a))
+        ]
+        assert whole.log_value.tolist() == [one.log_value[0] for one in ones]
+        assert whole.rel_error.tolist() == [one.rel_error[0] for one in ones]
+        assert whole.points == sum(one.points for one in ones)
 
     def test_estimate_miss_raises(self):
         # a jump at t = 1: the trapezoid error stays O(h) through every refinement
@@ -103,9 +110,9 @@ def _log_gamma_in_scratch(log_t, a):
 class TestScratch:
     def test_a_repeated_call_allocates_less_than_a_block_at_once(self):
         # a full block of rows, the second time: the kernel's arrays and the
-        # integrand's temporaries of a block's size all live in the slots.
-        # Holding them at once took about 520 kB, five or six block-sized
-        # arrays; this bounds the peak by three
+        # integrand's temporaries of a block's size all live in the slots,
+        # and the peak is about 150 kB.  Holding them at once took about
+        # 600 kB, four block-sized arrays; this bounds the peak by three
         a = np.linspace(0.5, 8.0, _DE_ROWS)
         integrate_zero_inf_de(_log_gamma_in_scratch, a)
         tracemalloc.start()

@@ -191,8 +191,8 @@ def _de_scan(g_at, limits: tuple[float, float], open_below: bool = False):
         sides = ((_de_scan_grid(new_lo, lo)[:-1], low), (_de_scan_grid(hi, new_hi)[1:], high))
         for new, ends in sides:
             part = np.full((len(g), len(new)), -np.inf)
-            rows = np.flatnonzero(ends)
             if len(new):  # so some row needs it
+                rows = np.flatnonzero(ends)
                 part[rows] = g_at(new, rows)
                 points += len(rows) * len(new)
             parts.append(part)

@@ -17,8 +17,11 @@ term array (N's derivatives, the lattice length) are read from
 series._summaries.  Both are read through series._memo_read, and every
 later call gets the same bits.  Positive sums stay in log space so large n
 and x never overflow, and the linear Fock sums (fock_moment_sum, both sums of
-Q_M) go through series._positive_fsum, which skips the terms too small to
-reach the sum.
+Q_M) go through series._positive_fsum, which sums the terms that can reach
+the result exactly and passes the rest as one float sum.  Those sums, and
+the continuity defect's direct sum, are math.fsum's double bit for bit,
+and a sum of more than series._FSUM_MAX terms costs a few numpy passes
+(series._exact_sum), not one Python float per term.
 Brackets and factorials are read as slices of the factorial table.  The
 alternating wavefunction series is summed on the x^beta lattice by
 series._lattice_sum, with its cancellation flag; ground_wavefunction and
@@ -38,6 +41,7 @@ from .errors import NumericalRangeError, ParameterError
 from .factorials import _brackets, _table, box, log_gen_factorial
 from .params import DeformationParams, PhysicalScales, check_complex, check_count, check_real
 from .series import (
+    _exact_sum,
     _lattice_sum,
     _log_abs,
     _log_series,
@@ -200,7 +204,7 @@ def continuity_defect(
         lw = log_w + n * (math.log(label.x) - lx_big)
         return np.exp(0.5 * (lw - np.logaddexp.reduce(lw)) + 1j * cmath.phase(label.z) * n)
 
-    direct = math.fsum((np.abs(amplitudes(l1) - amplitudes(l2)) ** 2).tolist())
+    direct = _exact_sum(np.abs(amplitudes(l1) - amplitudes(l2)) ** 2)
     return abs(direct - kernel)
 
 
@@ -255,9 +259,15 @@ def fock_moment_sum(
     if len(w) < 3 or w[-3] > tol * w[:-2].sum():
         tail = _log_series(lx, p, tol, max_terms, "fock_moment_sum", start=r)
         w = np.exp(tail.log_terms + (r * lx - log_gen_factorial(r, p) - s.log_sum))
-    n = np.arange(r, r + len(w), dtype=float)
-    falling = np.prod(n[:, None] - np.arange(r), axis=1)
-    return _positive_fsum(falling * w)
+    return _positive_fsum(_falling(np.arange(r, r + len(w), dtype=float), r) * w)
+
+
+def _falling(n: np.ndarray, r: int) -> np.ndarray:
+    """n (n-1) ... (n-r+1), multiplied in order of j < r; 1 for r = 0."""
+    out = n.copy() if r else np.ones_like(n)
+    for j in range(1, r):
+        out *= n - j
+    return out
 
 
 def mandel_qz(

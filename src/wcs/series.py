@@ -29,11 +29,18 @@ stopping rule, written once: stop after three consecutive terms with
 ratio |t_(n+1) / t_n| is below 0.9.  Positive series are summed in log
 space and never overflow; signed and complex series (a phase per term)
 raise NumericalRangeError once a partial sum overflows, and their values
-are taken with math.fsum (_fsum), with a geometric tail bound and the one
+are correctly rounded sums (_fsum), with a geometric tail bound and the one
 cancellation rule (_cancels) as diagnostics, as are sums c_j y^j on the
 x^beta lattice (_lattice_sum).
+Every sum of a term array returns math.fsum's double, bit for bit, through
+_exact_sum: an array of up to _FSUM_MAX = 300 terms goes to fsum as it is;
+a longer one is first cut by extraction rounds (Rump, Ogita and Oishi's
+ExtractVector) into a few doubles whose exact sum is the exact sum of the
+terms, in a few numpy passes a round, and fsum, which rounds that exact
+sum correctly, returns the same double from them.  The short lattice
+lists go to fsum directly.
 Where a positive series is summed on the linear scale, _positive_fsum
-gives fsum only the terms of at least 2^-106 / len of the largest, plus
+sums exactly only the terms of at least 2^-106 / len of the largest, plus
 the float sum of the rest: those weigh under 2^-106 of the total, so they
 can only decide a rounding tie, and that sum decides it as they would.
 N's plain series is summed once per (log x, triple, tol): a small memo
@@ -93,6 +100,12 @@ _MAX_BLOCK = 16384
 # positive terms below 2^-106 / len of the largest weigh less than 2^-106
 # (the square of half an ulp) of their sum all together
 _NEGLIGIBLE = 2.0**-106
+
+# the longest array _exact_sum hands to math.fsum as it is.  Extraction
+# costs a few numpy passes a round, about as much as fsum over 300 terms of
+# a decaying series; fsum's cost grows with the length and the exponent
+# spread of its terms
+_FSUM_MAX = 300
 
 # N's plain series the memo keeps whole.  A photon-stats op asks for it at
 # two tolerances (1e-12 for log N and the moments, 1e-13 for p(n), Q_M's
@@ -159,23 +172,58 @@ def _log_abs(v) -> float:
     return math.log(abs(v)) if v else -math.inf
 
 
+def _exact_sum(terms: np.ndarray) -> float:
+    """math.fsum(terms), bit for bit, in a few numpy passes on a long array.
+
+    Rump, Ogita and Oishi's ExtractVector (Accurate floating-point
+    summation part I, SIAM J. Sci. Comput. 31, 2008): with sigma = 2^e,
+    2^e > 2^shift max|p| and 2^shift > n + 2, each q = (sigma + p) - sigma
+    is p rounded to a multiple of 2^-53 sigma, p - q is exact, and the q
+    sum exactly in any order, since every partial sum is such a multiple
+    below sigma.  Rounds run on the remainders p - q until they are all
+    zero, so the round sums add up exactly to the sum of the terms, and
+    fsum, correctly rounded, returns the same double from them as from the
+    terms.  Short arrays, non-finite or all-zero terms, and terms so large
+    that sigma would overflow go to fsum as they are.  The input is not
+    written to."""
+    n = len(terms)
+    if n <= _FSUM_MAX:
+        return math.fsum(terms.tolist())
+    shift = (n + 2).bit_length()
+    top = float(np.maximum.reduce(np.abs(terms)))  # NaN if a term is NaN
+    # the first sigma, 2^(exponent of top + shift), is at most 2^1023
+    if not 0.0 < top < math.ldexp(1.0, sys.float_info.max_exp - 1 - shift):
+        return math.fsum(terms.tolist())
+    parts, p = [], terms
+    while top:
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + shift)
+        q = p + sigma
+        q -= sigma
+        parts.append(float(np.add.reduce(q)))
+        p = p - q
+        top = float(np.maximum.reduce(np.abs(p)))
+    return math.fsum(parts)
+
+
 def _positive_fsum(terms: np.ndarray) -> float:
     """math.fsum of non-negative terms, with the negligible ones passed as
     one float sum.  A long decaying series spans hundreds of binary
-    exponents, so fsum would keep many partials for its small terms; their
-    rounded sum still decides a tie in the rounding of the rest."""
+    exponents, and each of _exact_sum's rounds covers about 40 of them;
+    the negligible terms' rounded sum still decides a tie in the rounding
+    of the rest."""
     if len(terms) == 0:
         return 0.0
     big = terms >= terms.max() * _NEGLIGIBLE / len(terms)
-    return math.fsum([*terms[big].tolist(), float(terms[~big].sum())])
+    return _exact_sum(np.concatenate((terms[big], [terms[~big].sum()])))
 
 
-def _fsum(terms: list, what: str, *args) -> float:
-    """math.fsum, raising NumericalRangeError where a term or the sum is
-    not finite: fsum then returns inf or NaN, or raises.  The error names
-    what.format(*args), formatted only then."""
+def _fsum(terms: np.ndarray | list, what: str, *args) -> float:
+    """math.fsum of a list, or _exact_sum of an array, raising
+    NumericalRangeError where a term or the sum is not finite: fsum then
+    returns inf or NaN, or raises.  The error names what.format(*args),
+    formatted only then."""
     try:
-        total = math.fsum(terms)
+        total = _exact_sum(terms) if isinstance(terms, np.ndarray) else math.fsum(terms)
     except (OverflowError, ValueError):  # finite terms past the range; inf - inf
         total = math.nan
     if not math.isfinite(total):
@@ -203,8 +251,16 @@ def _lattice_sum(coeffs, y: float, what: str, *args) -> tuple[float, bool]:
 
 
 def _log_falling(r: int) -> Callable:
-    """F(n) = log n!/(n-r)!, the factor of the r-th derivative term."""
-    return lambda n, log_b: np.log(n[:, None] - np.arange(r)).sum(axis=1)
+    """F(n) = log n!/(n-r)!, the factor of the r-th derivative term: the
+    logs of n - j added in order of j < r, and 0 for r = 0."""
+
+    def f(n: np.ndarray, log_b: np.ndarray) -> np.ndarray:
+        total = np.log(n) if r else np.zeros_like(n)
+        for j in range(1, r):
+            total += np.log(n - j)
+        return total
+
+    return f
 
 
 def _first_block(lx: float, p: DeformationParams, start: int, step: int) -> int:
@@ -398,7 +454,7 @@ def _linear_sum(
     log_t = s.log_terms + log_first
     with np.errstate(over="ignore", invalid="ignore"):  # inf * (1 + 0j) is NaN
         terms = np.exp(log_t) * _phases(phase, np.arange(len(log_t)))
-    value = complex(_fsum(terms.real.tolist(), what), _fsum(terms.imag.tolist(), what))
+    value = complex(_fsum(terms.real, what), _fsum(terms.imag, what))
     last, ratio = math.exp(log_t[-1]), math.exp(s.log_ratio)
     return SeriesResult(
         value=value,

@@ -36,7 +36,7 @@ from wcs import (
     vacuum_uncertainty,
     wavefunction_sample,
 )
-from wcs import coherent
+from wcs import coherent, series
 from wcs.errors import ConvergenceError, NumericalRangeError, ParameterError
 from wcs.factorials import log_box, log_gen_factorial
 from wcs.series import _log_series
@@ -583,6 +583,45 @@ class TestPositiveSums:
         assert got[0] is not None
         monkeypatch.setattr(coherent, "_positive_fsum", lambda t: math.fsum(t.tolist()))
         assert self._sums(p) == got
+
+
+def test_fsum_lists_stay_short(monkeypatch):
+    """A work count: over the photon-stats sweep (the eight triples at 48
+    log-spaced x in [0.1, 100], the benchmark op's six calls), math.fsum
+    gets no list longer than _FSUM_MAX; the long sums, thousands of terms
+    at small beta and large x, go through _exact_sum's numpy rounds."""
+    fsum_lengths, exact_lengths = [], []
+    fsum, exact_sum = math.fsum, series._exact_sum
+
+    def counted_fsum(terms):
+        fsum_lengths.append(len(terms))
+        return fsum(terms)
+
+    def counted_exact_sum(terms):
+        exact_lengths.append(len(terms))
+        return exact_sum(terms)
+
+    monkeypatch.setattr(math, "fsum", counted_fsum)
+    monkeypatch.setattr(series, "_exact_sum", counted_exact_sum)
+    monkeypatch.setattr(coherent, "_exact_sum", counted_exact_sum)
+    for triple in PHOTON_TRIPLES:
+        p = DeformationParams(*triple)
+        for j in range(48):
+            lab = CoherentLabel.from_intensity(0.1 * 1000.0 ** (j / 47))
+            for call in (
+                lambda: log_n_function(lab.x, p),
+                lambda: photon_distribution(lab, p),
+                lambda: mandel_qz(lab, p),
+                lambda: mandel_qm(lab, p),
+                lambda: [normally_ordered_moment(r, lab, p) for r in (1, 2)],
+                lambda: [fock_moment_sum(r, lab, p) for r in (1, 2)],
+            ):
+                try:
+                    call()
+                except ConvergenceError:
+                    pass
+    assert max(exact_lengths) > 10 * series._FSUM_MAX
+    assert max(fsum_lengths) <= series._FSUM_MAX
 
 
 def _mp_weights(x, p, dps):

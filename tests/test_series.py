@@ -1,6 +1,7 @@
 """Tests for the deformed-exponential series and lattice power series."""
 
 import math
+import struct
 
 import mpmath
 import numpy as np
@@ -26,7 +27,7 @@ from wcs import (
 from wcs import coherent, series
 from wcs.errors import ConvergenceError, NumericalRangeError, ParameterError
 from wcs.factorials import _log_factorials
-from wcs.series import _log_falling, _log_series, _positive_fsum
+from wcs.series import _FSUM_MAX, _exact_sum, _fsum, _log_falling, _log_series, _positive_fsum
 
 CLASSICAL = DeformationParams(0.0, 1.0, 0.0)
 P011 = DeformationParams(0.0, 1.0, 1.0)
@@ -468,3 +469,85 @@ class TestPositiveFsum:
         # terms from 1 down to below the smallest subnormal
         terms = np.exp(np.array(logs, dtype=float))
         assert _positive_fsum(terms) == math.fsum(terms.tolist())
+
+
+def _outcome(f, *args):
+    """f(*args) as its bits (every NaN as one value), or as the type and
+    message of the error it raises."""
+    try:
+        v = f(*args)
+    except (ArithmeticError, ValueError) as e:
+        return type(e), str(e)
+    return "nan" if math.isnan(v) else struct.pack("<d", v)
+
+
+_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 2.0**-1060, 1.7e308, -1.7e308)
+_NON_FINITE = (math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def _term_arrays(draw, signed: bool, finite: bool) -> np.ndarray:
+    """Arrays of length 0 to 3000, often near _FSUM_MAX.  Their exponents
+    spread up to 600 binades either side of a centre anywhere from the
+    subnormals to the overflow threshold; or such terms come with their
+    negatives but one, a half-ulp tie on that one and tiny terms that break
+    the tie, so the sum hangs on the lowest bits; or all are 0.0 or -0.0.
+    Up to four special terms (zeros, subnormals, near-overflow terms, and
+    unless finite, infinities and NaN) are set in at random places."""
+    n = draw(st.one_of(st.integers(0, 3000), st.integers(_FSUM_MAX - 3, _FSUM_MAX + 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["spread", "tie" if signed else "spread", "0.0", "-0.0"]))
+    if kind in ("spread", "tie"):
+        centre = draw(st.one_of(st.integers(-1100, 1023), st.integers(1000, 1023)))
+        spread = draw(st.integers(0, 600))
+        m = n if kind == "spread" else n // 2
+        exps = np.clip(rng.integers(centre - spread, centre + spread + 1, m), -1100, 1023)
+        terms = np.ldexp(rng.uniform(1.0, 2.0, m), exps)
+        if signed:
+            terms *= rng.choice([-1.0, 1.0], m)
+        if kind == "tie" and m:
+            e = math.frexp(terms[0])[1] - 54
+            depth = rng.integers(1, 400, 3)
+            tiny = np.ldexp(rng.uniform(1.0, 2.0, 3), e - depth) * rng.choice([-1.0, 1.0], 3)
+            tie = math.copysign(math.ldexp(1.0, e), terms[0])
+            terms = rng.permutation(np.concatenate([terms, -terms[1:], [tie], tiny]))
+    else:
+        terms = np.full(n, float(kind))
+    if len(terms):
+        pool = _SPECIALS if finite else _SPECIALS + _NON_FINITE
+        specials = draw(st.lists(st.sampled_from(pool), max_size=4))
+        terms[rng.integers(0, len(terms), len(specials))] = specials
+    return terms if signed else np.abs(terms)
+
+
+class TestExactSums:
+    """_exact_sum, and _positive_fsum and _fsum above it, return math.fsum's
+    double bit for bit, or raise its error, on arrays either side of
+    _FSUM_MAX, and never write to their input."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_term_arrays(signed=True, finite=False))
+    def test_exact_sum_equal_to_fsum(self, terms):
+        want = _outcome(math.fsum, terms.tolist())
+        kept = terms.tobytes()
+        terms.flags.writeable = False  # as the memo's log-terms are
+        assert _outcome(_exact_sum, terms) == want
+        # _fsum of a list is math.fsum with the typed error
+        assert _outcome(_fsum, terms, "sum {}", 1) == _outcome(_fsum, terms.tolist(), "sum {}", 1)
+        assert terms.tobytes() == kept
+
+    @settings(max_examples=200, deadline=None)
+    @given(_term_arrays(signed=False, finite=True))
+    def test_positive_fsum_equal_to_fsum(self, terms):
+        # the terms of a positive series: finite and never negative
+        terms.flags.writeable = False
+        assert _outcome(_positive_fsum, terms) == _outcome(math.fsum, terms.tolist())
+
+    @pytest.mark.parametrize("r", range(7))
+    def test_falling_factors_equal_to_2d_forms(self, r):
+        # the row sums and products numpy's axis reduction gave, n from r
+        # as the derivative series and the Fock moments start
+        n = np.arange(r, 100001, dtype=float)
+        steps = n[:, None] - np.arange(r)
+        assert _log_falling(r)(n, None).tobytes() == np.log(steps).sum(axis=1).tobytes()
+        assert coherent._falling(n, r).tobytes() == np.prod(steps, axis=1).tobytes()

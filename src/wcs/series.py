@@ -29,20 +29,19 @@ stopping rule, written once: stop after three consecutive terms with
 ratio |t_(n+1) / t_n| is below 0.9.  Positive series are summed in log
 space and never overflow; signed and complex series (a phase per term)
 raise NumericalRangeError once a partial sum overflows, and their values
-are correctly rounded sums (_fsum), with a geometric tail bound and the one
+are taken with math.fsum (_fsum), with a geometric tail bound and the one
 cancellation rule (_cancels) as diagnostics, as are sums c_j y^j on the
 x^beta lattice (_lattice_sum).
-Every sum of a term array returns math.fsum's double, bit for bit, through
-_exact_sum: an array of up to _FSUM_MAX = 300 terms goes to fsum as it is;
-a longer one is first cut by extraction rounds (Rump, Ogita and Oishi's
-ExtractVector) into a few doubles whose exact sum is the exact sum of the
-terms, in a few numpy passes a round, and fsum, which rounds that exact
-sum correctly, returns the same double from them.  The short lattice
-lists go to fsum directly.
 Where a positive series is summed on the linear scale, _positive_fsum
 sums exactly only the terms of at least 2^-106 / len of the largest, plus
 the float sum of the rest: those weigh under 2^-106 of the total, so they
 can only decide a rounding tie, and that sum decides it as they would.
+It returns math.fsum's double, bit for bit, through _exact_sum: an array
+of up to _FSUM_MAX = 300 terms goes to fsum as it is; a longer one is
+first cut by extraction rounds (Rump, Ogita and Oishi's ExtractVector)
+into a few doubles whose exact sum is the exact sum of the terms, in a
+few numpy passes a round, and fsum, which rounds that exact sum
+correctly, returns the same double from them.
 N's plain series is summed once per (log x, triple, tol): a small memo
 (_n_series) keeps the kernel's record with its read-only log-terms, which
 log N, the photon distribution, Q_M's normaliser and the Fock moments all
@@ -217,13 +216,12 @@ def _positive_fsum(terms: np.ndarray) -> float:
     return _exact_sum(np.concatenate((terms[big], [terms[~big].sum()])))
 
 
-def _fsum(terms: np.ndarray | list, what: str, *args) -> float:
-    """math.fsum of a list, or _exact_sum of an array, raising
-    NumericalRangeError where a term or the sum is not finite: fsum then
-    returns inf or NaN, or raises.  The error names what.format(*args),
-    formatted only then."""
+def _fsum(terms: list, what: str, *args) -> float:
+    """math.fsum, raising NumericalRangeError where a term or the sum is
+    not finite: fsum then returns inf or NaN, or raises.  The error names
+    what.format(*args), formatted only then."""
     try:
-        total = _exact_sum(terms) if isinstance(terms, np.ndarray) else math.fsum(terms)
+        total = math.fsum(terms)
     except (OverflowError, ValueError):  # finite terms past the range; inf - inf
         total = math.nan
     if not math.isfinite(total):
@@ -252,7 +250,11 @@ def _lattice_sum(coeffs, y: float, what: str, *args) -> tuple[float, bool]:
 
 def _log_falling(r: int) -> Callable:
     """F(n) = log n!/(n-r)!, the factor of the r-th derivative term: the
-    logs of n - j added in order of j < r, and 0 for r = 0."""
+    logs of n - j added in order of j < r, and 0 for r = 0.  That is the
+    order of numpy's sum along a row of up to 7; from 8 it adds a row
+    pairwise, so F of 8 or more factors keeps that 2-D sum."""
+    if r >= 8:
+        return lambda n, log_b: np.log(n[:, None] - np.arange(r)).sum(axis=1)
 
     def f(n: np.ndarray, log_b: np.ndarray) -> np.ndarray:
         total = np.log(n) if r else np.zeros_like(n)
@@ -454,7 +456,7 @@ def _linear_sum(
     log_t = s.log_terms + log_first
     with np.errstate(over="ignore", invalid="ignore"):  # inf * (1 + 0j) is NaN
         terms = np.exp(log_t) * _phases(phase, np.arange(len(log_t)))
-    value = complex(_fsum(terms.real, what), _fsum(terms.imag, what))
+    value = complex(_fsum(terms.real.tolist(), what), _fsum(terms.imag.tolist(), what))
     last, ratio = math.exp(log_t[-1]), math.exp(s.log_ratio)
     return SeriesResult(
         value=value,

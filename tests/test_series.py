@@ -27,7 +27,7 @@ from wcs import (
 from wcs import coherent, series
 from wcs.errors import ConvergenceError, NumericalRangeError, ParameterError
 from wcs.factorials import _log_factorials
-from wcs.series import _FSUM_MAX, _exact_sum, _fsum, _log_falling, _log_series, _positive_fsum
+from wcs.series import _FSUM_MAX, _exact_sum, _log_falling, _log_series, _positive_fsum
 
 CLASSICAL = DeformationParams(0.0, 1.0, 0.0)
 P011 = DeformationParams(0.0, 1.0, 1.0)
@@ -521,9 +521,9 @@ def _term_arrays(draw, signed: bool, finite: bool) -> np.ndarray:
 
 
 class TestExactSums:
-    """_exact_sum, and _positive_fsum and _fsum above it, return math.fsum's
-    double bit for bit, or raise its error, on arrays either side of
-    _FSUM_MAX, and never write to their input."""
+    """_exact_sum, and _positive_fsum above it, return math.fsum's double
+    bit for bit, or raise its error, on arrays either side of _FSUM_MAX,
+    and never write to their input."""
 
     @settings(max_examples=300, deadline=None)
     @given(_term_arrays(signed=True, finite=False))
@@ -532,8 +532,6 @@ class TestExactSums:
         kept = terms.tobytes()
         terms.flags.writeable = False  # as the memo's log-terms are
         assert _outcome(_exact_sum, terms) == want
-        # _fsum of a list is math.fsum with the typed error
-        assert _outcome(_fsum, terms, "sum {}", 1) == _outcome(_fsum, terms.tolist(), "sum {}", 1)
         assert terms.tobytes() == kept
 
     @settings(max_examples=200, deadline=None)
@@ -543,11 +541,26 @@ class TestExactSums:
         terms.flags.writeable = False
         assert _outcome(_positive_fsum, terms) == _outcome(math.fsum, terms.tolist())
 
-    @pytest.mark.parametrize("r", range(7))
+    @pytest.mark.parametrize("r", [*range(9), 12, 40])
     def test_falling_factors_equal_to_2d_forms(self, r):
         # the row sums and products numpy's axis reduction gave, n from r
-        # as the derivative series and the Fock moments start
+        # as the derivative series and the Fock moments start; the sum of
+        # 8 or more logs is that reduction, which adds pairwise
         n = np.arange(r, 100001, dtype=float)
         steps = n[:, None] - np.arange(r)
         assert _log_falling(r)(n, None).tobytes() == np.log(steps).sum(axis=1).tobytes()
         assert coherent._falling(n, r).tobytes() == np.prod(steps, axis=1).tobytes()
+
+    @pytest.mark.parametrize("r", [1, 2, 7, 8, 12, 40])
+    def test_falling_factors_within_rounding(self, r):
+        # against 40 digits: a product of r exact integers is within r - 1
+        # roundings; a sum of r logs within r - 1 roundings of the sum and
+        # a few ulp of each log
+        n = np.unique(np.concatenate([np.arange(r, r + 30), np.geomspace(r + 30, 1e5, 40).round()]))
+        logs, prods = _log_falling(r)(n, None), coherent._falling(n, r)
+        with mpmath.workdps(40):
+            for m, f, q in zip(n.tolist(), logs.tolist(), prods.tolist()):
+                exact = [mpmath.mpf(m - j) for j in range(r)]
+                f_want, q_want = mpmath.fsum(map(mpmath.log, exact)), mpmath.fprod(exact)
+                assert abs(f - f_want) <= (r + 8) * 2.0**-53 * f_want
+                assert abs(q - q_want) <= r * 2.0**-53 * q_want

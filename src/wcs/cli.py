@@ -18,6 +18,7 @@ check above threshold).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import math
@@ -280,12 +281,10 @@ def cmd_uncertainty(args) -> int:
     unit = 1.0
     if args.units == "half-hbar":
         unit = 0.5 * s.hbar
-    rows = []
-    for alpha in args.alpha:
-        for beta in args.beta:
-            for nu in args.nu:
-                p = DeformationParams(alpha, beta, nu)
-                rows.append((alpha, beta, nu, vacuum_uncertainty(p, s) / unit))
+    rows = [
+        (alpha, beta, nu, vacuum_uncertainty(DeformationParams(alpha, beta, nu), s) / unit)
+        for alpha, beta, nu in itertools.product(args.alpha, args.beta, args.nu)
+    ]
     _emit(args, ["alpha", "beta", "nu", "vacuum_product"], rows)
     return 0
 
@@ -357,14 +356,9 @@ def cmd_moments(args) -> int:
 
 def cmd_carleman(args) -> int:
     rows = []
-    for alpha in args.alpha:
-        for beta in args.beta:
-            for nu in args.nu:
-                p = DeformationParams(alpha, beta, nu)
-                v = carleman_classify(p)
-                rows.append(
-                    (alpha, beta, nu, v.exponent, v.determinate, v.series_divergent)
-                )
+    for alpha, beta, nu in itertools.product(args.alpha, args.beta, args.nu):
+        v = carleman_classify(DeformationParams(alpha, beta, nu))
+        rows.append((alpha, beta, nu, v.exponent, v.determinate, v.series_divergent))
     _emit(
         args,
         ["alpha", "beta", "nu", "exponent", "determinate", "series_divergent"],

@@ -53,7 +53,7 @@ from .errors import NumericalRangeError, ParameterError
 from .factorials import _log_factorials
 from .gammafn import _MAX_FINITE_LOG, _exp_each, gamma_signed, log_gamma
 from .params import DeformationParams, check_count, check_real
-from .quadrature import _DE_DROP, _scratch, integrate_shared_de, integrate_zero_inf_de
+from .quadrature import _DE_DROP, integrate_shared_de, integrate_zero_inf_de
 from .series import log_n_function
 
 __all__ = [
@@ -250,14 +250,7 @@ def _wright_weights(p: DeformationParams, rtol: float):
     power = nu / beta - 2.0
 
     def log_f(log_t, x):
-        # power log t - e^(log t / b) - (x/b) e^(-log t), in the kernel's
-        # scratch slots
-        g, tmp = _scratch((len(x), log_t.shape[-1]), 2)
-        np.multiply(log_t, power, out=g)
-        g -= np.exp(np.divide(log_t, beta, out=tmp), out=tmp)
-        np.exp(np.negative(log_t, out=tmp), out=tmp)
-        g -= np.multiply(x / beta, tmp, out=tmp)
-        return g
+        return log_t * power - np.exp(log_t / beta) - x / beta * np.exp(-log_t)
 
     log_pref = -log_gamma(nu) - 2.0 * math.log(beta)
     return _kernel_weights(log_f, log_pref, rtol, beta, power + 1.0)
@@ -274,10 +267,12 @@ def _one_minus_beta_weights(p: DeformationParams, rtol: float):
         # z = log(b y/x): l + log(-expm1(-l)) does not overflow at large y,
         # and below z = -700, where l would underflow, log w = z - log b.
         # log1p(e^z) is max(z, 0) + log1p(e^-|z|), as np.logaddexp(0, z)
-        # computes it, but in numpy's vectorised exp and log1p.
-        # In place, in two scratch slots and log_y, which ends as y
-        z, l = _scratch((len(x), log_y.shape[-1]), 2)
-        np.add(log_y, np.log(beta / x), out=z)
+        # computes it, but in numpy's vectorised exp and log1p.  Below
+        # x = b 2^-1024 the ratio b/x overflows, and its log is log b - log x.
+        # In place, in z, l and log_y, which ends as y
+        ratio = beta / x
+        z = log_y + np.where(np.isinf(ratio), math.log(beta) - np.log(x), np.log(ratio))
+        l = np.empty_like(z)
         tiny = np.flatnonzero(z < -700.0)
         tiny_log_w = z.flat[tiny] - math.log(beta)
         y = np.exp(log_y, out=log_y)

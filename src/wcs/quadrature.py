@@ -11,20 +11,11 @@ integrate_zero_inf_de  one integral per abscissa x, a whole array of x per
                        call, each row with its own scale c, window and step.
 integrate_shared_de    several integrands of one variable on one lattice of
                        step 1/32 in s, each node evaluated once.
-
-The kernel's arrays of a block's size live in per-thread scratch slots
-that every call reuses, and a log-integrand can take its temporaries from
-the same store (_scratch): a call allocates nothing of a block's size, so
-the C heap does not grow and shrink by the working set from call to call.
-With glibc's default trim threshold that churn cost a page fault per 4 kB
-given back and taken again, about a fifth of verify_moments' time, or
-none, depending on how the heap happened to be laid out.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,53 +60,12 @@ _DE_POINTS = 192
 _DE_LEVELS = (4, 9)
 _DE_FINEST = 1.0 / 1024
 # rows per block: a level of the shared lattice up to h = 1/16 usually adds
-# 30 to 80 nodes, so it is one block, and the working set stays a few
-# hundred kB whatever the number of rows
+# 30 to 80 nodes, so it is one block, and the working set stays about
+# 750 kB whatever the number of rows
 _DE_ROWS = 96
 # a log-integrand of size G carries a rounding error of a few ulp of G, which
 # floors the relative accuracy any rule can reach on that row
 _DE_NOISE = 16.0 * 2.0**-52
-# scratch slots per thread, values per slot: 0 for the kernel's nodes, 1
-# for its Jacobian, then the log-integrand and its exponential, 2 and 3 for
-# a log-integrand's temporaries; a slot holds a block's trapezoid grid, the
-# most a kernel call evaluates at once
-_SLOTS = 4
-_SLOT_SIZE = _DE_ROWS * (_DE_POINTS + 1)
-
-
-class _Scratch(threading.local):
-    """This thread's scratch slots, allocated at its first kernel call and
-    kept for its life, so that calls do not allocate and free a working
-    set each time.  No value carries from one call to the next: every
-    element a call reads, it has written."""
-
-    def __init__(self) -> None:
-        self.slots = None
-        self.depth = 0  # kernel calls in progress on this thread
-
-    def take(self, shape: tuple[int, int], first: int, count: int) -> list[np.ndarray]:
-        """count arrays of shape from slot first on, inside the outermost
-        kernel call of this thread; fresh arrays elsewhere (a kernel call
-        nested in a log-integrand, a shape larger than a slot, slots
-        beyond the last)."""
-        m, k = shape
-        if self.depth != 1 or m * k > _SLOT_SIZE or first + count > _SLOTS:
-            return [np.empty(shape) for _ in range(count)]
-        if self.slots is None:
-            self.slots = [np.empty(_SLOT_SIZE) for _ in range(_SLOTS)]
-        return [slot[:m * k].reshape(m, k) for slot in self.slots[first:first + count]]
-
-
-_SCRATCH = _Scratch()
-
-
-def _scratch(shape: tuple[int, int], count: int) -> list[np.ndarray]:
-    """count float arrays of shape (m, k) for a log-integrand's
-    temporaries.  Inside a call of integrate_zero_inf_de they are views of
-    this thread's scratch slots, reused by every call and valid until the
-    log-integrand returns; the one it returns is read before the next
-    evaluation.  Elsewhere they are fresh arrays."""
-    return _SCRATCH.take(shape, 2, count)
 
 
 @dataclass
@@ -125,14 +75,13 @@ class LogQuadResult:
     points: int  # log-integrand evaluations: over all rows, or shared nodes
 
 
-def _de_log_integrand(log_f, s: np.ndarray, x: np.ndarray, log_c, out=None) -> np.ndarray:
+def _de_log_integrand(log_f, s: np.ndarray, x: np.ndarray, log_c) -> np.ndarray:
     """log of f(t) dt/ds at log t = log_c + s - e^-s, shape (len(x), s.shape[-1]).
 
     s is a fresh array of shape (k,) or (m, k); it is overwritten by s - e^-s
     so that only two temporaries of its size live beside log_f's own.
-    log_c is a column of shape (m, 1).  out, None or an array of shape
-    (m, k), receives the result."""
-    e = np.negative(s, out=out)
+    log_c is a column of shape (m, 1)."""
+    e = np.negative(s)
     np.exp(e, out=e)
     log_t = np.subtract(s, e, out=s)
     jac = np.log1p(e, out=e)
@@ -205,15 +154,14 @@ def integrate_zero_inf_de(log_f, x, rtol: float = 1e-11, log_scale=None) -> LogQ
 
     log_f receives log t as an array of shape (m, k) and x as a column of
     shape (m, 1), and returns the log of a positive integrand, broadcast to
-    (m, k); -inf marks a zero.  It may overwrite log t, and may build its
-    result in the kernel's scratch slots (_scratch) rather than allocate
-    it.  log_scale, one value per x (None: all 0), shifts each row's map to
-    log t = log_scale + s - e^-s: a row whose integrand has a sharp edge
-    far below t = 1 puts it there, where the map is linear, instead of on
-    the compressed side.  Row i is accepted
-    when its error estimate is at most rtol * I_i, with rtol floored at
-    the rounding error of a log-integrand of that row's size, and its
-    rel_error is the h vs h/2 estimate or that floor, whichever is larger.
+    (m, k); -inf marks a zero.  It may overwrite log t.  log_scale, one
+    value per x (None: all 0), shifts each row's map to log t = log_scale +
+    s - e^-s: a row whose integrand has a sharp edge far below t = 1 puts
+    it there, where the map is linear, instead of on the compressed side.
+    Row i is accepted when its error estimate is at most rtol * I_i, with
+    rtol floored at the rounding error of a log-integrand of that row's
+    size, and its rel_error is the h vs h/2 estimate or that floor,
+    whichever is larger.
     Raises ConvergenceError when a row misses its tolerance after the last
     refinement (as a peak much narrower than the coarse scan step does) or
     is not negligible at the scan limits, and NumericalRangeError for a NaN
@@ -226,13 +174,10 @@ def integrate_zero_inf_de(log_f, x, rtol: float = 1e-11, log_scale=None) -> LogQ
     log_scale = np.asarray(log_scale, dtype=float).reshape(-1, 1)
     if log_scale.shape != x.shape:
         raise ParameterError(f"log_scale needs one value per abscissa, got {len(log_scale)}")
-    blocks = []
-    _SCRATCH.depth += 1
-    try:
-        for i in range(0, len(x), _DE_ROWS):
-            blocks.append(_de_block(log_f, x[i:i + _DE_ROWS], log_scale[i:i + _DE_ROWS], rtol))
-    finally:
-        _SCRATCH.depth -= 1
+    blocks = [
+        _de_block(log_f, x[i:i + _DE_ROWS], log_scale[i:i + _DE_ROWS], rtol)
+        for i in range(0, len(x), _DE_ROWS)
+    ]
     return LogQuadResult(
         log_value=np.concatenate([blk.log_value for blk in blocks]),
         rel_error=np.concatenate([blk.rel_error for blk in blocks]),
@@ -261,9 +206,8 @@ def _de_block(log_f, x: np.ndarray, log_c: np.ndarray, rtol: float) -> LogQuadRe
     a = s[first]
     h = (s[last] - a) / _DE_POINTS
     del s, g, first, last  # the scan can be wider than the trapezoid grid
-    nodes, out = _SCRATCH.take((len(x), _DE_POINTS + 1), 0, 2)
-    np.multiply(h[:, None], np.arange(_DE_POINTS + 1), out=nodes)
-    g = _de_log_integrand(log_f, np.add(a[:, None], nodes, out=nodes), x, log_c, out)
+    nodes = a[:, None] + h[:, None] * np.arange(_DE_POINTS + 1)
+    g = _de_log_integrand(log_f, nodes, x, log_c)
     points += g.size
 
     top = g.max(axis=1)
@@ -290,10 +234,8 @@ def _de_block(log_f, x: np.ndarray, log_c: np.ndarray, rtol: float) -> LogQuadRe
         # a deep level takes the rows a few at a time, so that no call holds
         # more points than a block's first trapezoid grid
         for part in np.array_split(rows, -(-len(rows) * k // (_DE_ROWS * _DE_POINTS))):
-            mids, out = _SCRATCH.take((len(part), k), 0, 2)
-            np.multiply(h[part, None], 2.0 * np.arange(k) + 1.0, out=mids)
-            np.add(a[part, None], mids, out=mids)
-            gm = _de_log_integrand(log_f, mids, x[part], log_c[part], out)
+            mids = a[part, None] + h[part, None] * (2.0 * np.arange(k) + 1.0)
+            gm = _de_log_integrand(log_f, mids, x[part], log_c[part])
             points += gm.size
             total[part], err[part], top[part] = _halve(total[part], top[part], h[part], gm)
         bad = err > rtol_row * total

@@ -185,6 +185,15 @@ class TestWeight:
         code, _, _ = run_cli(["weight", "--family", "fox-h", "--x", "1"])
         assert code == 2
 
+    def test_one_minus_beta_at_subnormal_x(self):
+        code, out, _ = run_cli(
+            ["weight", "--family", "one-minus-beta", "--beta", "0.5", "--nu", "0.3",
+             "--x", "1e-310"]
+        )
+        assert code == 0
+        _, rows = rows_of(out)
+        assert float(rows[0][1]) == pytest.approx(7.886491227420736e-186, rel=1e-12)
+
     @pytest.mark.parametrize(
         "argv",
         [

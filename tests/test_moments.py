@@ -660,12 +660,22 @@ class TestArrayWeights:
         got = weight_wright(x, 1.0, 1.0)
         assert got.u_tilde == pytest.approx(2.0 * sp.k0(2.0 * math.sqrt(x)), rel=1e-12)
 
-    @pytest.mark.parametrize("nu", [-0.25, 0.5])
-    def test_one_minus_beta_at_tiny_x(self, nu):
-        # the cut-off sits at w = (b/x)^(1/b) ~ 1e500, past every double w
-        got = weight_one_minus_beta(1e-250, 0.5, nu)
-        ref = _mp_one_minus_beta(1e-250, 0.5, nu)
+    @pytest.mark.parametrize(
+        "x, beta, nu",
+        [(1e-250, 0.5, -0.25), (1e-250, 0.5, 0.5)]
+        + [
+            (x, beta, nu)
+            for x in (2.3e-308, 1e-310, 1e-320, 5e-324)
+            for beta, nu in ((0.5, 0.3), (0.5, -0.3), (0.9, 0.5), (0.2, 0.1))
+        ],
+    )
+    def test_one_minus_beta_at_tiny_x(self, x, beta, nu):
+        # the cut-off sits at w = (b/x)^(1/b) ~ 1e500 or beyond, past every
+        # double w; below x = b 2^-1024 (2.8e-309 at b = 1/2), b/x overflows
+        got = weight_one_minus_beta(x, beta, nu)
+        ref = _mp_one_minus_beta(x, beta, nu)
         assert abs(mpmath.mpf(got.u_tilde) / ref - 1) <= 1e-12
+        assert abs(mpmath.mpf(got.u_tilde) - ref) <= got.abs_err_est
 
     def test_closed_form_matches_scalar(self):
         xs = np.array([0.01, 1.0, 30.0])

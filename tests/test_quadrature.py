@@ -16,7 +16,6 @@ from wcs.quadrature import (
     _DE_POINTS,
     _DE_ROWS,
     LogQuadResult,
-    _scratch,
     integrate_shared_de,
     integrate_zero_inf_de,
 )
@@ -99,41 +98,25 @@ class TestDoubleExponential:
         assert plain.points == scaled.points
 
 
-def _log_gamma_in_scratch(log_t, a):
-    # _log_gamma_integrand written into a scratch array
-    (g,) = _scratch((len(a), log_t.shape[-1]), 1)
-    np.multiply(a - 1.0, log_t, out=g)
-    g -= np.exp(log_t)
-    return g
-
-
-class TestScratch:
-    def test_a_repeated_call_allocates_less_than_a_block_at_once(self):
-        # a full block of rows, the second time: the kernel's arrays and the
-        # integrand's temporaries of a block's size all live in the slots,
-        # and the peak is about 150 kB.  Holding them at once took about
-        # 600 kB, four block-sized arrays; this bounds the peak by three
-        a = np.linspace(0.5, 8.0, _DE_ROWS)
-        integrate_zero_inf_de(_log_gamma_in_scratch, a)
-        tracemalloc.start()
-        try:
-            res = integrate_zero_inf_de(_log_gamma_in_scratch, a)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert_allclose(res.log_value, [math.lgamma(v) for v in a], rtol=0, atol=1e-13)
-        assert peak < 3 * 8 * _DE_ROWS * (_DE_POINTS + 1)
-
-    def test_slots_are_reused_from_call_to_call(self):
-        seen = []
-
-        def log_f(log_t, a):
-            seen.append(_log_gamma_in_scratch(log_t, a))
-            return seen[-1]
-
-        for _ in range(2):
-            integrate_zero_inf_de(log_f, [2.0, 3.0])
-        assert np.shares_memory(seen[0], seen[-1])
+class TestKernelCalls:
+    def test_peak_memory_is_bounded_by_a_block(self):
+        # the kernel evaluates a block of rows at a time, so ten blocks peak
+        # about as high as one: about five block-sized arrays, the kernel's
+        # and the integrand's temporaries together
+        block_bytes = 8 * _DE_ROWS * (_DE_POINTS + 1)
+        peaks = []
+        for blocks in (1, 10):
+            a = np.linspace(0.5, 8.0, blocks * _DE_ROWS)
+            integrate_zero_inf_de(_log_gamma_integrand, a)
+            tracemalloc.start()
+            try:
+                res = integrate_zero_inf_de(_log_gamma_integrand, a)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert_allclose(res.log_value, [math.lgamma(v) for v in a], rtol=0, atol=1e-13)
+        assert peaks[1] <= 1.1 * peaks[0]
+        assert peaks[1] < 6 * block_bytes
 
     def test_log_integrand_may_overwrite_log_t(self):
         def spoil(log_t, a):
@@ -147,36 +130,27 @@ class TestScratch:
         assert got.log_value.tolist() == want.log_value.tolist()
         assert got.points == want.points
 
-    def test_fresh_arrays_outside_a_kernel_call(self):
-        (a,) = _scratch((2, 3), 1)
-        (b,) = _scratch((2, 3), 1)
-        assert a.shape == b.shape == (2, 3)
-        assert not np.shares_memory(a, b)
-
     def test_a_kernel_call_inside_a_log_integrand(self):
-        # the inner call takes fresh arrays, so the outer call's nodes and
-        # the temporaries its integrand holds survive it
+        # the outer call's nodes and its integrand's values survive the inner call
         def outer(log_t, x):
-            (g,) = _scratch((len(x), log_t.shape[-1]), 1)
-            np.subtract(np.log(x), np.exp(log_t), out=g)  # x e^-t
-            inner = integrate_zero_inf_de(_log_gamma_in_scratch, [2.0])  # Gamma(2) = 1
-            g += inner.log_value[0]
-            return g
+            g = np.log(x) - np.exp(log_t)  # x e^-t
+            inner = integrate_zero_inf_de(_log_gamma_integrand, [2.0])  # Gamma(2) = 1
+            return g + inner.log_value[0]
 
         res = integrate_zero_inf_de(outer, [0.5, 2.0])
         assert_allclose(res.log_value, np.log([0.5, 2.0]), rtol=0, atol=1e-13)
 
-    def test_threads_keep_their_own_slots(self):
-        # more threads than cores, switching often: a slot shared between
-        # two threads would mix their rows
+    def test_threads_agree_bit_for_bit(self):
+        # more threads than cores, switching often: calls on several threads
+        # must not mix their rows
         a = np.linspace(0.5, 8.0, 2 * _DE_ROWS)
-        want = integrate_zero_inf_de(_log_gamma_in_scratch, a).log_value
+        want = integrate_zero_inf_de(_log_gamma_integrand, a).log_value
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
                 futures = [
-                    pool.submit(integrate_zero_inf_de, _log_gamma_in_scratch, a) for _ in range(8)
+                    pool.submit(integrate_zero_inf_de, _log_gamma_integrand, a) for _ in range(8)
                 ]
                 runs = [f.result(timeout=60).log_value for f in futures]
         finally:

@@ -9,16 +9,15 @@ and position wavefunctions built from the x^beta power lattice.
 Every Fock-series sum here (photon distribution, Fock moments, Q_M, the
 continuity defect, the length of the ground-state lattice) is one call of
 series._log_series, with its single stopping rule: three consecutive terms
-|t_n| <= tol * max(1, |S_n|) while the term ratio is below 0.9.  N's own
-series is read from the memo series._n_series, so at one (p, x, tol) log N,
-the photon distribution, Q_M's normaliser, the Fock moments and the
-continuity defect share one pass and its kept terms; the sums that need no
-term array (N's derivatives, the lattice length) are read from
-series._summaries.  Both are read through series._memo_read, and every
-later call gets the same bits.  Positive sums stay in log space so large n
-and x never overflow, and the linear Fock sums (fock_moment_sum, both sums of
-Q_M) go through series._positive_fsum, which sums the terms that can reach
-the result exactly and passes the rest as one float sum.  Those sums, and
+|t_n| <= tol * max(1, |S_n|) while the term ratio is below 0.9.  All but
+Q_M's [n]^2 series and fock_moment_sum's own pass from n = r are read from
+one memo through series._memo_read, so at one (p, x, tol) log N, the photon
+distribution, Q_M's normaliser, the Fock moments and the continuity defect
+share one pass of N's series and its kept terms, and every later call gets
+the same bits.  Positive sums stay in log space so large n and x never
+overflow, and the linear Fock sums (fock_moment_sum, both sums of Q_M) go
+through series._positive_fsum, which sums the terms that can reach the
+result exactly and passes the rest as one float sum.  Those sums, and
 the continuity defect's direct sum, are math.fsum's double bit for bit,
 and a sum of more than series._FSUM_MAX terms costs a few numpy passes
 (series._exact_sum), not one Python float per term.
@@ -46,9 +45,7 @@ from .series import (
     _log_abs,
     _log_series,
     _memo_read,
-    _n_series,
     _positive_fsum,
-    _summaries,
     log_n_derivative,
     log_n_function,
     n_function,
@@ -77,6 +74,7 @@ __all__ = [
 _SMALL_X_GUARD = 1e-12  # below this the Mandel ratios are replaced by their limits
 _LEVEL_CAP = 12  # the highest wavefunction level
 _LATTICE_BUDGET = 20000  # term budget of the ground-state lattice series
+_MOMENT_OVERFLOW = "{}: the moment of order r = {} at x = {} is beyond double range"
 
 
 @dataclass(frozen=True)
@@ -138,7 +136,7 @@ def photon_distribution(
     if not 0.0 < check_real(tail_tol, "tail_tol") < 1.0:
         raise ParameterError(f"tail_tol must lie in (0, 1), got {tail_tol}")
     max_n = check_count(max_n, "max_n")
-    s = _memo_read(_n_series, _log_abs(label.x), p, tol, max_n + 1, "photon_distribution")
+    s = _memo_read(_log_abs(label.x), p, tol, max_n + 1, "photon_distribution")
     probs = np.exp(s.log_terms - s.log_sum)
     beyond = np.append(np.cumsum(probs[:0:-1])[::-1], 0.0)  # mass above each n
     cutoff = int(np.argmax(beyond <= tail_tol))
@@ -195,7 +193,7 @@ def continuity_defect(
     # the weights of the larger intensity bound both amplitude tails
     x_big = max(l1.x, l2.x)
     lx_big = math.log(x_big) if x_big > 0.0 else -math.inf
-    log_w = _memo_read(_n_series, lx_big, p, tol, max_terms, "continuity_defect").log_terms
+    log_w = _memo_read(lx_big, p, tol, max_terms, "continuity_defect").log_terms
     n = np.arange(len(log_w))
 
     def amplitudes(label: CoherentLabel) -> np.ndarray:
@@ -225,7 +223,11 @@ def normally_ordered_moment(
 
 def _moment_over_n(r: int, x: float, log_n: float, p: DeformationParams, tol: float) -> float:
     # x^r N^(r)(x) / N(x) for x > 0, with log N(x) given
-    return math.exp(r * math.log(x) + log_n_derivative(x, r, p, tol=tol) - log_n)
+    try:
+        return math.exp(r * math.log(x) + log_n_derivative(x, r, p, tol=tol) - log_n)
+    except OverflowError:
+        message = _MOMENT_OVERFLOW.format("normally_ordered_moment", r, x)
+        raise NumericalRangeError(message) from None
 
 
 def fock_moment_sum(
@@ -253,13 +255,17 @@ def fock_moment_sum(
     if x == 0.0:
         return 0.0
     lx = math.log(x)
-    s = _memo_read(_n_series, lx, p, tol, max_terms, "fock_moment_sum")
+    s = _memo_read(lx, p, tol, max_terms, "fock_moment_sum")
     w = np.exp(s.log_terms[r:] - s.log_sum)  # p(n), n >= r
     # the rule holds for all of the last three once it holds for the largest
     if len(w) < 3 or w[-3] > tol * w[:-2].sum():
         tail = _log_series(lx, p, tol, max_terms, "fock_moment_sum", start=r)
         w = np.exp(tail.log_terms + (r * lx - log_gen_factorial(r, p) - s.log_sum))
-    return _positive_fsum(_falling(np.arange(r, r + len(w), dtype=float), r) * w)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        total = _positive_fsum(_falling(np.arange(r, r + len(w), dtype=float), r) * w)
+    if not math.isfinite(total):
+        raise NumericalRangeError(_MOMENT_OVERFLOW.format("fock_moment_sum", r, x))
+    return total
 
 
 def _falling(n: np.ndarray, r: int) -> np.ndarray:
@@ -372,8 +378,8 @@ def wavefunction_sample(
     # down-shift multiplies truncated slots by bracket values, so headroom
     # is needed for the stated tol to survive k applications
     what = "ground-state series"
-    ground = _memo_read(_summaries, log_y, p, tol * 1e-4, _LATTICE_BUDGET, what, step=2, phase=-1.0)
-    n_slots = 2 * ground.terms + k + 4
+    ground = _memo_read(log_y, p, tol * 1e-4, _LATTICE_BUDGET, what, step=2, phase=-1.0)
+    n_slots = 2 * len(ground.log_terms) + k + 4
     # the brackets [j], read once for the lattice and all k raisings
     b = _brackets(p, n_slots - 1)
     # the ground state: slot 2n holds (-m omega / hbar)^n / [2n]!!, the

@@ -27,10 +27,11 @@ a whole sequence is one slice, _brackets ([0..n], the package's only linear
 brackets) or _log_factorials (log [0..n]!), bit-equal to box and
 log_gen_factorial.  A new table is built to the index asked for; an
 existing one grows on demand by at least 64 entries, in blocks of at most
-4096, into buffers whose capacity doubles when full.  Entries below k0,
-where some gamma argument is below gammafn._SERIES_MIN_ARG (13; k0 is
-about 12 / beta), take three gamma columns from the array Lanczos
-log-gamma, as the scalar one would.  From k0 on, each block is a few numpy
+4096, into buffers whose capacity doubles when full; one past
+_MAX_ENTRIES = 2^26 entries is refused before anything is allocated.
+Entries below k0, where some gamma argument is below
+gammafn._SERIES_MIN_ARG (13; k0 is about 12 / beta), take three gamma
+columns from the array Lanczos log-gamma, as the scalar one would.  From k0 on, each block is a few numpy
 passes of the gamma-ratio series, log [k] within about an ulp and log [n]!
 written as closed-form Stirling terms plus a running sum of O(1/k)
 corrections.  Every entry is an elementwise function of its index, and the
@@ -53,6 +54,7 @@ import threading
 
 import numpy as np
 
+from .errors import NumericalRangeError
 from .gammafn import (
     _SERIES_MIN_ARG,
     LogValue,
@@ -81,27 +83,32 @@ _BLOCK = 4096  # entries per array extension; bounds the temporaries' memory
 # about as much as one of a single entry, and loops ask for n, n + 1, ...
 _MIN_GROWTH = 64
 _MAX_TABLES = 64
+# the most entries a table may hold: 1 GB at two float64 columns
+_MAX_ENTRIES = 2**26
 
 
 class _Table:
     """Per-parameter incremental cache of bracket and factorial logs.
 
     log_box and log_fact are read-only float64 views of the filled part of
-    the first two rows of one buffer, indexed by n; entry 0 is the
-    defined-zero bracket / empty product.  The third row is the running sum
-    a block continues from: below the first series entry k0, the sum of the
-    alpha-ratio logs; from k0 on, the sum of r(k).  A full buffer is copied
-    into one twice as large, so growth to n entries copies O(log n) times.
+    the two rows of one buffer, indexed by n; entry 0 is the defined-zero
+    bracket / empty product.  _run is the running sum at the last filled
+    entry, which the next block continues from: below the first series
+    entry k0, the sum of the alpha-ratio logs; from k0 on, the sum of r(k).
+    A full buffer is copied into one twice as large (at most _MAX_ENTRIES
+    wide), so growth to n entries copies O(log n) times.
     brackets is a read-only prefix of exp(log_box), replaced by a longer
     copy when a read passes its end."""
 
     __slots__ = (
-        "_bufs", "_tail0", "_k0", "_c_alpha", "_c_beta", "log_box", "log_fact", "brackets"
+        "_bufs", "_run", "_tail0", "_k0", "_c_alpha", "_c_beta", "log_box", "log_fact",
+        "brackets",
     )
 
     def __init__(self, p: DeformationParams, capacity: int = _MIN_GROWTH + 1) -> None:
-        self._bufs = np.empty((3, capacity))
-        self._bufs[:, 0] = -math.inf, 0.0, 0.0
+        self._bufs = np.empty((2, capacity))
+        self._bufs[:, 0] = -math.inf, 0.0
+        self._run = 0.0
         self._tail0 = log_gamma(1.0 - p.alpha + p.nu)
         self._k0 = _first_series_entry(p)
         self._c_alpha = _ratio_coefficients(p.alpha)
@@ -111,7 +118,7 @@ class _Table:
 
     def _publish(self, size: int) -> None:
         # log_box last: a reader that sees it long enough sees log_fact so
-        box, fact = (_read_only(col) for col in self._bufs[:2, :size])
+        box, fact = (_read_only(col) for col in self._bufs[:, :size])
         self.log_fact, self.log_box = fact, box
 
     def extend(self, n: int, p: DeformationParams) -> None:
@@ -119,7 +126,7 @@ class _Table:
         if n < size:
             return
         if n >= self._bufs.shape[1]:
-            bufs = np.empty((3, max(n + 1, 2 * self._bufs.shape[1])))
+            bufs = np.empty((2, max(n + 1, min(2 * self._bufs.shape[1], _MAX_ENTRIES))))
             bufs[:, :size] = self._bufs[:, :size]
             self._bufs = bufs
         for lo in range(size, n + 1, _BLOCK):
@@ -134,7 +141,7 @@ class _Table:
     def _lanczos_entries(self, lo: int, hi: int, p: DeformationParams) -> None:
         """Entries lo..hi-1 (all below k0) from three log-gamma columns:
         log [k] = lg(bk+1) - lg(bk+1-a) + lg(bk+1-a+v) - lg(b(k-1)+1-a+v)."""
-        box, fact, run = self._bufs
+        box, fact = self._bufs
         a, b, v = p.alpha, p.beta, p.nu
         bk = b * np.arange(lo - 1, hi) + 1.0  # from the entry before, for its tail
         lg_top = _log_gamma_array(bk[1:])
@@ -147,11 +154,12 @@ class _Table:
         # run[k] = (run[k-1] + top_k) - bot_k, left to right: accumulate
         # adds in order, and s + (-bot) rounds as s - bot
         steps = np.empty(2 * (hi - lo) + 1)
-        steps[0] = run[lo - 1]
+        steps[0] = self._run
         steps[1::2] = lg_top
         steps[2::2] = -lg_bot
-        run[lo:hi] = np.add.accumulate(steps)[2::2]
-        fact[lo:hi] = run[lo:hi] + tail[1:] - self._tail0
+        run = np.add.accumulate(steps)[2::2]
+        self._run = run.item(-1)
+        fact[lo:hi] = run + tail[1:] - self._tail0
 
     def _series_entries(self, lo: int, hi: int, p: DeformationParams) -> None:
         """Entries lo..hi-1 (all from k0 on) from the ratio series, with
@@ -163,7 +171,7 @@ class _Table:
 
         with r(k) = D(bk+1-a; a) - a log(bk) = O(1/k), so the running sum
         adds only small numbers."""
-        box, fact, run = self._bufs
+        box, fact = self._bufs
         a, b, v = p.alpha, p.beta, p.nu
         k = np.arange(lo - 1, hi, dtype=float)  # from the entry before
         bk = b * k
@@ -174,10 +182,10 @@ class _Table:
             b * np.log(tail_arg[:-1]) + _ratio_series(tail_arg[:-1], b, self._c_beta)
         )
         steps = np.empty(hi - lo + 1)
-        steps[0] = run[lo - 1] if lo > self._k0 else self._r_sum(p)
+        steps[0] = self._run if lo > self._k0 else self._r_sum(p)
         steps[1:] = _r(bk[1:], a, rho)
         np.add.accumulate(steps, out=steps)
-        run[lo:hi] = steps[1:]
+        self._run = steps.item(-1)
         closed = a * _stirling_log_gamma(k[1:] + 1.0, b)  # a (n log b + lg(n+1))
         fact[lo:hi] = closed + steps[1:] + (_stirling_log_gamma(tail_arg[1:]) - self._tail0)
 
@@ -239,9 +247,14 @@ _LOCK = threading.Lock()
 
 def _table(p: DeformationParams, n: int) -> _Table:
     """p's table, holding entries 0..n at least.  A new table is built to n;
-    an existing one grows by at least _MIN_GROWTH entries."""
+    an existing one grows by at least _MIN_GROWTH entries, up to
+    _MAX_ENTRIES."""
     tab = _TABLES.get(p)
     if tab is None or n >= len(tab.log_box):
+        if n >= _MAX_ENTRIES:
+            raise NumericalRangeError(
+                f"factorial table to n = {n} for {p}: beyond the ceiling of {_MAX_ENTRIES} entries"
+            )
         with _LOCK:
             tab = _TABLES.get(p)
             if tab is None:

@@ -42,17 +42,9 @@ first cut by extraction rounds (Rump, Ogita and Oishi's ExtractVector)
 into a few doubles whose exact sum is the exact sum of the terms, in a
 few numpy passes a round, and fsum, which rounds that exact sum
 correctly, returns the same double from them.
-N's plain series is summed once per (log x, triple, tol): a small memo
-(_n_series) keeps the kernel's record with its read-only log-terms, which
-log N, the photon distribution, Q_M's normaliser and the Fock moments all
-read.  Where a caller needs only log|S| and the number of terms (the
-derivatives of N, the size of the ground-state lattice), _summaries keeps
-the record without its terms for up to 256 series.  Both memos are
-functools.lru_cache, keyed by the series alone, not by the term budget or
-the error label, and one function (_memo_read) reads them both, so a hit
-is the bits of a cold run or the caller's own ConvergenceError; errors are
-never stored.  clear_caches drops both memos and the factorial tables
-beneath them.
+Each Fock series is summed once: one bounded memo (_series_memo, read
+through _memo_read) keeps the kernel's record with its read-only
+log-terms, and clear_caches drops it and the factorial tables beneath it.
 """
 
 from __future__ import annotations
@@ -106,22 +98,14 @@ _NEGLIGIBLE = 2.0**-106
 # spread of its terms
 _FSUM_MAX = 300
 
-# N's plain series the memo keeps whole.  A photon-stats op asks for it at
-# two tolerances (1e-12 for log N and the moments, 1e-13 for p(n), Q_M's
-# normaliser and the Fock moments), as `wcs mandel` does at each x, so a
-# few entries serve every repeat.  Each holds one float per term: at most
-# about 1.05e4 in the benchmark, whose longer series fail log_n_function's
-# 1e4 budget first, and up to max_n + 1 for a photon_distribution call, so
-# the bound also caps the memory
-_MAX_N_SERIES = 4
-
-# series summaries the memo keeps.  They repeat within one computation, not
-# across computations: `wcs wavefunction` asks for one per grid point and
-# again for each level k, so a grid longer than the bound misses every time.
-# The README's grid (like each cold-sweep benchmark op) has 31 points and a
-# photon-stats op asks for a handful; 256 leaves room for finer grids, and a
-# bound of 4096 only raised peak RSS
-_MAX_SUMMARIES = 256
+# Fock series the memo keeps, each whole.  They repeat within one
+# computation: `wcs wavefunction`, like each cold-sweep benchmark op, sizes
+# the ground-state lattice at 31 grid points for each of four levels, and a
+# photon-stats op, like `wcs mandel` at each x, reads at most 5 series.  A
+# grid of more than 64 points, levels outside, sizes each x once per level.
+# The memory held is at most 64 times the longest kept series: about 1.05e4
+# terms in the benchmark, up to max_n + 1 for a photon_distribution call
+_MAX_SERIES = 64
 
 _LOSS_THRESHOLD = 1e8  # |largest term| / |sum| beyond which float cancellation
 # has eaten more than half the significand
@@ -142,10 +126,9 @@ class SeriesResult:
 
 
 class _LogSeries(NamedTuple):
-    log_terms: np.ndarray | None  # log|t_n| of the kept terms, n = start, start+1, ...
+    log_terms: np.ndarray  # log|t_n| of the kept terms, n = start, start+1, ...
     log_sum: float  # log|S| of the kept terms
     log_ratio: float  # log|t_(n+1) / t_n| after the last kept term
-    terms: int  # the number of kept terms
 
 
 def _phases(phase: complex, k: np.ndarray):
@@ -307,7 +290,7 @@ def _log_series(
     tol = check_real(tol, "tol", above=0.0)
     max_terms = check_count(max_terms, "max_terms", 1)
     if lx == -math.inf:  # x = 0: every term after the first vanishes
-        return _LogSeries(np.zeros(1), 0.0, -math.inf, 1)
+        return _LogSeries(np.zeros(1), 0.0, -math.inf)
     end = start + max_terms  # first index past the budget
     kept: list[np.ndarray] = []
     l_start = f_start = 0.0
@@ -374,29 +357,29 @@ def _log_series(
         if hit:
             log_terms = np.concatenate(kept)
             log_sum = top + _log_abs(sums[k - 1])
-            return _LogSeries(log_terms, log_sum, float(logs[k] - logs[k - 1]), len(log_terms))
+            return _LogSeries(log_terms, log_sum, float(logs[k] - logs[k - 1]))
         scale, partial = top, sums[-1]
         carry = flags[-2:]
         lo, size = hi, min(2 * size, _MAX_BLOCK)
     raise _no_convergence(what, tol, max_terms)
 
 
-# Two bounded least-recently-used memos of kernel records: N's plain series
-# whole (log N, the photon distribution, Q_M's normaliser, the Fock moments
-# and the continuity defect read its terms), and the derivative and
-# ground-state series without their terms.  Each is keyed by the series
-# alone: log|x|, the triple, tol, and for the summaries step, r and phase.
-# The term budget and the error label only matter when a call fails, so
-# _memo_read leaves them in a thread-local for a miss to run the kernel
-# with, and the memo stores what it returns, never an error.  The kernel
-# stops at the same index under every budget that reaches it, so a hit
-# whose term count fits the caller's budget has the bits of a cold run, and
-# one that does not raises the ConvergenceError the caller's own run would
-# raise.
+# One bounded least-recently-used memo of kernel records, each with its
+# read-only log-terms: N's plain series (log N, the photon distribution,
+# Q_M's normaliser, the Fock moments and the continuity defect read its
+# terms), the derivatives' series and the ground-state series.  It is keyed
+# by the series alone: log|x|, the triple, tol, step, r and phase.  The term
+# budget and the error label only matter when a call fails, so _memo_read
+# leaves them in a thread-local for a miss to run the kernel with, and the
+# memo stores what it returns, never an error.  The kernel stops at the
+# same index under every budget that reaches it, so a hit whose term count
+# fits the caller's budget has the bits of a cold run, and one that does
+# not raises the ConvergenceError the caller's own run would raise.
 _caller = threading.local()
 
 
-def _sum_for_caller(lx, p, tol, step=1, r=None, phase=None) -> _LogSeries:
+@functools.lru_cache(maxsize=_MAX_SERIES)
+def _series_memo(lx, p, tol, step=1, r=None, phase=None) -> _LogSeries:
     max_terms, what = _caller.budget_and_label
     start, factor = (0, None) if r is None else (r, _log_falling(r))
     s = _log_series(lx, p, tol, max_terms, what, start, step, factor, phase)
@@ -404,36 +387,26 @@ def _sum_for_caller(lx, p, tol, step=1, r=None, phase=None) -> _LogSeries:
     return s
 
 
-_n_series = functools.lru_cache(maxsize=_MAX_N_SERIES)(_sum_for_caller)
-
-
-@functools.lru_cache(maxsize=_MAX_SUMMARIES)
-def _summaries(lx, p, tol, step=1, r=None, phase=None) -> _LogSeries:
-    return _sum_for_caller(lx, p, tol, step, r, phase)._replace(log_terms=None)
-
-
 def _memo_read(
-    memo: Callable, lx: float, p: DeformationParams, tol: float, max_terms: int, what: str, **key
+    lx: float, p: DeformationParams, tol: float, max_terms: int, what: str, **key
 ) -> _LogSeries:
-    """The kernel's record of a series from memo (_n_series: N's plain
-    series, log_terms read-only; _summaries: from n = 0 with step and phase,
-    or, for an order r, the r-th derivative's series, start r with the
-    falling factorial as log_factor, log_terms None).  Pass each key the
+    """The kernel's record of a series, log_terms read-only: from n = 0
+    with step and phase, or, for an order r, the r-th derivative's series,
+    start r with the falling factorial as log_factor.  Pass each key the
     same way at every call: the memo keys a keyword and a positional
     argument apart."""
     tol = check_real(tol, "tol", above=0.0)
     max_terms = check_count(max_terms, "max_terms", 1)
     _caller.budget_and_label = max_terms, what
-    s = memo(lx, p, tol, **key)
-    if s.terms > max_terms:
+    s = _series_memo(lx, p, tol, **key)
+    if len(s.log_terms) > max_terms:
         raise _no_convergence(what, tol, max_terms)
     return s
 
 
 def clear_caches() -> None:
-    """Drop the series memos and the factorial tables."""
-    _n_series.cache_clear()
-    _summaries.cache_clear()
+    """Drop the series memo and the factorial tables."""
+    _series_memo.cache_clear()
     _clear_tables()
 
 
@@ -456,7 +429,8 @@ def _linear_sum(
     log_t = s.log_terms + log_first
     with np.errstate(over="ignore", invalid="ignore"):  # inf * (1 + 0j) is NaN
         terms = np.exp(log_t) * _phases(phase, np.arange(len(log_t)))
-    value = complex(_fsum(terms.real.tolist(), what), _fsum(terms.imag.tolist(), what))
+    imag = _fsum(terms.imag.tolist(), what) if np.iscomplexobj(terms) else 0.0  # else all 0
+    value = complex(_fsum(terms.real.tolist(), what), imag)
     last, ratio = math.exp(log_t[-1]), math.exp(s.log_ratio)
     return SeriesResult(
         value=value,
@@ -522,7 +496,7 @@ def log_n_function(
 ) -> float:
     """log N(x) for real x >= 0, stable for arbitrarily large x."""
     x = check_real(x, "x", at_least=0.0)
-    return _memo_read(_n_series, _log_abs(x), p, tol, max_terms, "log_n_function").log_sum
+    return _memo_read(_log_abs(x), p, tol, max_terms, "log_n_function").log_sum
 
 
 def log_n_derivative(
@@ -536,7 +510,7 @@ def log_n_derivative(
     x = check_real(x, "x", at_least=0.0)
     r = check_count(r, "r")
     log_first = log_gamma(r + 1.0) - log_gen_factorial(r, p)
-    s = _memo_read(_summaries, _log_abs(x), p, tol, max_terms, f"log_n_derivative(r={r})", r=r)
+    s = _memo_read(_log_abs(x), p, tol, max_terms, f"log_n_derivative(r={r})", r=r)
     return log_first + s.log_sum
 
 

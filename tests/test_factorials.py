@@ -1,6 +1,6 @@
 """Tests for the box function, generalized factorials, asymptotics, what
 the factorial tables cache (columns and linear brackets), and the series
-module's memo of series summaries."""
+module's memo of Fock series."""
 
 import functools
 import math
@@ -34,11 +34,12 @@ from wcs import (
     mandel_qz,
     normally_ordered_moment,
     photon_distribution,
+    photon_pdf,
     wavefunction_sample,
 )
 from wcs import coherent, factorials, series
-from wcs.cli import main
-from wcs.errors import ConvergenceError, ParameterError
+from wcs.cli import build_parser, main
+from wcs.errors import ConvergenceError, NumericalRangeError, ParameterError
 from wcs.factorials import (
     _MAX_TABLES,
     _MIN_GROWTH,
@@ -49,7 +50,7 @@ from wcs.factorials import (
     _table,
 )
 from wcs.gammafn import _SERIES_MIN_ARG, _log_gamma_array, log_gamma
-from wcs.series import _MAX_N_SERIES, _MAX_SUMMARIES
+from wcs.series import _MAX_SERIES
 
 CLASSICAL = DeformationParams(0.0, 1.0, 0.0)
 
@@ -281,8 +282,9 @@ class TestArrayTable:
 
     @staticmethod
     def _rows(tab):
+        # both columns, and the running sum the next block continues from
         size = len(tab.log_box)
-        return tab._bufs[:, :size].tobytes()
+        return tab._bufs[:, :size].tobytes(), tab._run.hex()
 
     @staticmethod
     def _grown(p, steps):
@@ -497,22 +499,23 @@ def _count_kernel_calls(monkeypatch) -> list:
     return calls
 
 
-def _read_n(lx, p, tol, max_terms, what=""):
-    return series._memo_read(series._n_series, lx, p, tol, max_terms, what)
+def _read(lx, p, tol, max_terms, what="", **key):
+    return series._memo_read(lx, p, tol, max_terms, what, **key)
 
 
 def _memo_info():
-    """(hits, misses, size) of N's series memo and of the summary memo."""
-    return [
-        (info.hits, info.misses, info.currsize)
-        for info in (series._n_series.cache_info(), series._summaries.cache_info())
-    ]
+    """(hits, misses, size) of the series memo."""
+    info = series._series_memo.cache_info()
+    return info.hits, info.misses, info.currsize
+
+
+def _record_bits(s):
+    return s.log_terms.tobytes(), s.log_sum.hex(), s.log_ratio.hex()
 
 
 class TestRecall:
-    """The series module remembers the series it is asked for again (N's
-    whole, the others as log-sum and length), and hands back the same bits
-    as summing afresh."""
+    """The series module remembers each Fock series it is asked for again,
+    whole, and hands back the same bits as summing afresh."""
 
     XS = (1e-3, 0.5, 7.0, 60.0)
 
@@ -526,35 +529,32 @@ class TestRecall:
             clear_caches()
             cold.append(_outcome(fn, *args, p))
         clear_caches()
-        for fn, *args in calls:  # fill the memos
+        for fn, *args in calls:  # fill the memo
             _outcome(fn, *args, p)
-        hits = [h for h, _, _ in _memo_info()]
+        hits, misses, size = _memo_info()
+        # N's, the three derivatives' and the ground-state series at each x
+        assert (misses, size) == (5 * len(self.XS), 5 * len(self.XS))
         warm = [_outcome(fn, *args, p) for fn, *args in calls]
         assert warm == cold
-        # log N from N's memo (its 4 entries all kept), the rest from the summaries
-        assert [h for h, _, _ in _memo_info()] == [
-            hits[0] + len(self.XS), hits[1] + len(calls) - len(self.XS)
-        ]
+        assert _memo_info() == (hits + len(calls), misses, size)  # every call a hit
 
     @pytest.mark.parametrize("p", TABLE_TRIPLES)
     @pytest.mark.parametrize("x", XS)
-    def test_summary_is_the_kernels(self, p, x):
+    def test_record_is_the_kernels(self, p, x):
         clear_caches()
+        lx = math.log(x)
         for r in (None, 0, 1, 2):
             start = r or 0
             factor = None if r is None else series._log_falling(r)
-            s = series._log_series(math.log(x), p, 1e-12, 10000, "", start, log_factor=factor)
-            got = series._memo_read(series._summaries, math.log(x), p, 1e-12, 10000, "", r=r)
-            assert (got.log_sum, got.terms) == (s.log_sum, len(s.log_terms))
-            assert got == s._replace(log_terms=None)
-            again = series._memo_read(series._summaries, math.log(x), p, 1e-12, 10000, "", r=r)
-            assert again is got
-        s = series._log_series(math.log(x), p, 1e-12, 10000, "")
-        got = _read_n(math.log(x), p, 1e-12, 10000)
-        assert (got.log_terms.tobytes(), got.log_sum, got.log_ratio, got.terms) == (
-            s.log_terms.tobytes(), s.log_sum, s.log_ratio, len(s.log_terms)
-        )
-        assert _read_n(math.log(x), p, 1e-12, 10000) is got
+            s = series._log_series(lx, p, 1e-12, 10000, "", start, log_factor=factor)
+            key = {} if r is None else {"r": r}  # as log_n_function and log_n_derivative ask
+            got = _read(lx, p, 1e-12, 10000, **key)
+            assert _record_bits(got) == _record_bits(s)
+            assert _read(lx, p, 1e-12, 10000, **key) is got
+        s = series._log_series(lx, p, 1e-16, 20000, "", step=2, phase=-1.0)
+        got = _read(lx, p, 1e-16, 20000, step=2, phase=-1.0)
+        assert _record_bits(got) == _record_bits(s)
+        assert _memo_info() == (4, 5, 5)
 
     def test_error_raised_again_and_not_stored(self):
         p = TABLE_TRIPLES[0]
@@ -565,27 +565,27 @@ class TestRecall:
         for _ in range(2):
             with pytest.raises(ConvergenceError, match="within 10 terms"):
                 log_n_derivative(60.0, 1, p, max_terms=10)
-        assert _memo_info() == [(0, 2, 0), (0, 2, 0)]
+        assert _memo_info() == (0, 4, 0)
 
-    def test_bounded_least_recently_used_first(self):
+    @pytest.mark.parametrize("r", [None, 1])
+    def test_bounded_least_recently_used_first(self, r):
         p = TABLE_TRIPLES[2]
-        for memo, bound, call in [
-            (series._n_series, _MAX_N_SERIES, lambda x: log_n_function(x, p)),
-            (series._summaries, _MAX_SUMMARIES, lambda x: log_n_derivative(x, 1, p)),
-        ]:
-            clear_caches()
-            xs = [0.01 * (i + 1) for i in range(bound + 1)]
-            values = [call(x) for x in xs[:-1]]
-            call(xs[0])  # now the most recently used
-            call(xs[-1])  # one past the bound: drops xs[1]
-            info = memo.cache_info()
-            assert info.currsize == info.maxsize == bound
-            assert (info.hits, info.misses) == (1, bound + 1)
-            assert call(xs[0]) == values[0]  # kept
-            assert memo.cache_info().misses == bound + 1
-            assert call(xs[1]) == values[1]  # dropped, summed again
-            assert memo.cache_info().misses == bound + 2
-        assert (_MAX_N_SERIES, _MAX_SUMMARIES) == (4, 256)
+
+        def call(x):
+            return log_n_function(x, p) if r is None else log_n_derivative(x, r, p)
+
+        clear_caches()
+        xs = [0.01 * (i + 1) for i in range(_MAX_SERIES + 1)]
+        values = [call(x) for x in xs[:-1]]
+        call(xs[0])  # now the most recently used
+        call(xs[-1])  # one past the bound: drops xs[1]
+        info = series._series_memo.cache_info()
+        assert info.currsize == info.maxsize == _MAX_SERIES == 64
+        assert (info.hits, info.misses) == (1, _MAX_SERIES + 1)
+        assert call(xs[0]) == values[0]  # kept
+        assert _memo_info()[1] == _MAX_SERIES + 1
+        assert call(xs[1]) == values[1]  # dropped, summed again
+        assert _memo_info()[1] == _MAX_SERIES + 2
 
     def test_dropped_with_the_table(self):
         p = TABLE_TRIPLES[3]
@@ -593,23 +593,16 @@ class TestRecall:
         log_n_derivative(2.0, 1, p)
         _brackets(p, 20)
         clear_caches()
-        assert _memo_info() == [(0, 0, 0), (0, 0, 0)]
+        assert _memo_info() == (0, 0, 0)
         assert len(_table(p, 0).brackets) == 0
 
     def test_photon_stats_op_sums_five_series(self, monkeypatch):
         # log N at tol 1e-12 and at 1e-13 (p(n), Q_M's normaliser and the
         # Fock moments), the derivatives r = 1, 2, and Q_M's [n]^2 series
         p, x = DeformationParams(0.5, 0.7, 0.2), 3.7
-        label = CoherentLabel.from_intensity(x)
         clear_caches()
         calls = _count_kernel_calls(monkeypatch)
-        log_n_function(x, p)
-        photon_distribution(label, p)
-        mandel_qz(label, p)
-        mandel_qm(label, p)
-        for r in (1, 2):
-            normally_ordered_moment(r, label, p)
-            fock_moment_sum(r, label, p)
+        _photon_stats_op(p, x)
         assert len(calls) == 5
 
     def test_readme_wavefunction_grid_sizes_each_x_once(self, monkeypatch, capsys):
@@ -619,14 +612,28 @@ class TestRecall:
         assert len(capsys.readouterr().out.splitlines()) == 1 + 4 * 31
         assert len(calls) == 31
 
+    def test_wavefunction_grid_and_photon_stats_op_share_the_memo(self, monkeypatch, capsys):
+        # the grid's 31 ground-state series and the op's four memoised ones
+        # all stay: the op sums 5 series, and the grid again sums none
+        argv = ["wavefunction", "--k", "0..3", "--x", "0:3:31"]
+        args = build_parser().parse_args(argv)
+        p = DeformationParams(args.alpha, args.beta, args.nu)
+        clear_caches()
+        calls = _count_kernel_calls(monkeypatch)
+        assert main(argv) == 0
+        _photon_stats_op(p, 3.7)
+        assert len(calls) == 31 + 5
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(calls) == 31 + 5
+
     def test_threads_match_a_serial_run(self):
         # the reads of log [n]! at growing n race table growth the most, and
-        # 30 values of x for N's memo of 4 race its drops
-        work = [
-            (p, x)
-            for p in (*TABLE_TRIPLES, DeformationParams(0.5, 0.7, 0.2))
-            for x in (0.3, 2.5, 9.0, 40.0, 80.0)
-        ]
+        # 66 values of x, each with three series, race the memo's drops
+        triples = (*TABLE_TRIPLES, DeformationParams(0.5, 0.7, 0.2))
+        xs = np.linspace(0.3, 80.0, 66).tolist()
+        assert 3 * len(xs) > _MAX_SERIES
+        work = [(triples[i % len(triples)], x) for i, x in enumerate(xs)]
 
         def run(order):
             out = {}
@@ -655,7 +662,6 @@ class TestRecall:
                     assert all(res == serial for res in pool.map(run, orders))
         finally:
             sys.setswitchinterval(interval)
-
 
     def test_a_miss_runs_with_its_own_threads_budget_and_label(self, monkeypatch):
         # the first thread stops inside its miss, after leaving its budget
@@ -690,8 +696,21 @@ class TestRecall:
                        "log_n_derivative(r=2): no convergence to tol=1e-12 within 20 terms"),
         }
 
-class TestNSeriesMemo:
-    """N's memo is keyed without the term budget and the error label: a hit
+
+def _photon_stats_op(p, x):
+    """The calls of one photon-stats benchmark op at (p, x)."""
+    label = CoherentLabel.from_intensity(x)
+    log_n_function(x, p)
+    photon_distribution(label, p)
+    mandel_qz(label, p)
+    mandel_qm(label, p)
+    for r in (1, 2):
+        normally_ordered_moment(r, label, p)
+        fock_moment_sum(r, label, p)
+
+
+class TestSeriesMemo:
+    """The memo is keyed without the term budget and the error label: a hit
     is the bits of the caller's own cold run, or its own error."""
 
     POINTS = [
@@ -700,10 +719,6 @@ class TestNSeriesMemo:
         (DeformationParams(0.0, 0.5, 0.0), 30.0),
         (TABLE_TRIPLES[0], 7.0),
     ]
-
-    @staticmethod
-    def _bits(s):
-        return s.log_terms.tobytes(), s.log_sum.hex(), s.log_ratio.hex()
 
     @staticmethod
     def _stopping_block_end(n: int) -> int:
@@ -717,20 +732,20 @@ class TestNSeriesMemo:
     def test_hit_equals_a_cold_run_for_every_budget_that_fits(self, p, x):
         lx = math.log(x)
         clear_caches()
-        warm = _read_n(lx, p, 1e-13, 10**5)
+        warm = _read(lx, p, 1e-13, 10**5)
         n = len(warm.log_terms)
         block_end = self._stopping_block_end(n)
         assert n < block_end - 1  # a budget can end inside the stopping block
         for budget in sorted({n, n + 1, (n + block_end) // 2, block_end, block_end + 1,
                               10**4, 10**5}):
             cold = series._log_series(lx, p, 1e-13, budget, "")
-            hit = _read_n(lx, p, 1e-13, budget)
+            hit = _read(lx, p, 1e-13, budget)
             assert hit is warm
-            assert self._bits(hit) == self._bits(cold)
+            assert _record_bits(hit) == _record_bits(cold)
             clear_caches()  # and a miss at this budget stores the same bits
-            assert self._bits(_read_n(lx, p, 1e-13, budget)) == self._bits(cold)
-            assert self._bits(_read_n(lx, p, 1e-13, 10**5)) == self._bits(cold)
-            warm = _read_n(lx, p, 1e-13, 10**5)
+            assert _record_bits(_read(lx, p, 1e-13, budget)) == _record_bits(cold)
+            assert _record_bits(_read(lx, p, 1e-13, 10**5)) == _record_bits(cold)
+            warm = _read(lx, p, 1e-13, 10**5)
 
     @pytest.mark.parametrize("p, x", POINTS)
     def test_hit_beyond_the_budget_raises_the_callers_own_error(self, p, x):
@@ -753,13 +768,13 @@ class TestNSeriesMemo:
     def test_one_entry_serves_every_label_and_budget(self):
         p, x = self.POINTS[0]
         clear_caches()
-        first = _read_n(math.log(x), p, 1e-13, 10**5, "a")
-        assert _read_n(math.log(x), p, 1e-13, 1000, "b") is first
-        assert _memo_info()[0] == (1, 1, 1)
-        read = functools.partial(series._memo_read, series._summaries, math.log(x), p, 1e-12)
-        summary = read(10**4, "c", r=2)
-        assert read(500, "d", r=2) is summary
-        assert _memo_info()[1] == (1, 1, 1)
+        first = _read(math.log(x), p, 1e-13, 10**5, "a")
+        assert _read(math.log(x), p, 1e-13, 1000, "b") is first
+        assert _memo_info() == (1, 1, 1)
+        read = functools.partial(_read, math.log(x), p, 1e-12)
+        derivative = read(10**4, "c", r=2)
+        assert read(500, "d", r=2) is derivative
+        assert _memo_info() == (2, 2, 2)
 
     def test_a_warm_hit_beyond_the_budget_names_r_as_a_cold_run(self):
         p = DeformationParams(0.5, 0.7, 0.2)
@@ -772,16 +787,61 @@ class TestNSeriesMemo:
             log_n_derivative(60.0, 2, p, max_terms=10)
         assert str(again.value) == str(err.value)
 
-    def test_log_terms_are_read_only(self):
+    @pytest.mark.parametrize(
+        "lx, key",
+        [
+            (math.log(3.7), {}),  # N's series
+            (math.log(3.7), {"r": 2}),  # a derivative's
+            (math.log(0.5), {"step": 2, "phase": -1.0}),  # the ground state's
+            (-math.inf, {}),  # x = 0, one term
+        ],
+    )
+    def test_log_terms_are_read_only(self, lx, key):
+        p = self.POINTS[0][0]
+        clear_caches()
+        s = _read(lx, p, 1e-13, 10**5, **key)
+        assert not s.log_terms.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            s.log_terms[0] = 1.0
+        assert _read(lx, p, 1e-13, 10**5, **key) is s
+
+    def test_readers_leave_the_terms_alone(self):
         p, x = self.POINTS[0]
         clear_caches()
-        s = _read_n(math.log(x), p, 1e-13, 10**5)
-        assert not s.log_terms.flags.writeable
-        with pytest.raises(ValueError):
-            s.log_terms[0] = 1.0
+        s = _read(math.log(x), p, 1e-13, 10**5)
+        before = s.log_terms.tobytes()
         probs = photon_distribution(CoherentLabel.from_intensity(x), p).probabilities
         assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
-        assert _read_n(math.log(x), p, 1e-13, 10**5) is s
+        fock_moment_sum(2, CoherentLabel.from_intensity(x), p)
+        assert _read(math.log(x), p, 1e-13, 10**5) is s
+        assert s.log_terms.tobytes() == before
+
+
+class TestTableCeiling:
+    """A table past _MAX_ENTRIES is refused before anything is allocated."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n: box(n, CLASSICAL),
+            lambda n: photon_pdf(n, CoherentLabel.from_intensity(2.0), CLASSICAL),
+        ],
+    )
+    def test_refused_up_front(self, call):
+        clear_caches()
+        with pytest.raises(NumericalRangeError, match=f"n = {2**40} .* of {2**26} entries"):
+            call(2**40)
+        assert CLASSICAL not in _TABLES
+
+    def test_the_last_entry_below_the_ceiling_is_built(self, monkeypatch):
+        monkeypatch.setattr(factorials, "_MAX_ENTRIES", 1000)
+        clear_caches()
+        box(500, CLASSICAL)
+        box(600, CLASSICAL)  # the buffers double, but only up to the ceiling
+        assert _TABLES[CLASSICAL]._bufs.shape[1] == 1000
+        assert box(999, CLASSICAL) == pytest.approx(999.0, rel=1e-13)
+        with pytest.raises(NumericalRangeError, match="n = 1000 .* ceiling of 1000 entries"):
+            box(1000, CLASSICAL)
 
 
 class TestDoubleFactorial:

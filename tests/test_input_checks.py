@@ -243,6 +243,15 @@ def test_derivative_sum_overflow_is_typed():
         n_function_derivative(755.0, 1, DeformationParams(1.0, 0.3, 0.2))
 
 
+@pytest.mark.parametrize("moment", [normally_ordered_moment, fock_moment_sum])
+def test_moment_overflow_is_typed(moment):
+    # the classical moment of order 200 at x = 100 is 100^200, past the range
+    label = CoherentLabel.from_intensity(100.0)
+    name = moment.__name__
+    with pytest.raises(NumericalRangeError, match=f"^{name}: .*r = 200 at x = 100.0 "):
+        moment(200, label, DeformationParams(0.0, 1.0, 0.0))
+
+
 @pytest.mark.parametrize("value", [True, math.nan, -math.inf, "1", 0.0])
 def test_log_gamma_checks_its_argument(value):
     with pytest.raises(ParameterError, match="^x must"):

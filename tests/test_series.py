@@ -61,6 +61,25 @@ class TestNFunction:
         assert not res.cancellation
         assert res.real == res.value.real
 
+    @pytest.mark.parametrize("x, sums", [(3.0, 1), (-3.0, 1), (3j, 2), (1.0 + 1.0j, 2)])
+    def test_imaginary_part_summed_only_for_complex_terms(self, monkeypatch, x, sums):
+        # at real x, of either sign, the terms are real and their imaginary
+        # part is 0 without a sum
+        calls = []
+        fsum = series._fsum
+
+        def counted(terms, *args):
+            calls.append(len(terms))
+            return fsum(terms, *args)
+
+        monkeypatch.setattr(series, "_fsum", counted)
+        for f in (n_function, wright_w):
+            calls.clear()
+            value = f(x, P011).value
+            assert len(calls) == sums
+            if sums == 1:
+                assert math.copysign(1.0, value.imag) == 1.0 and value.imag == 0.0
+
     def test_cancellation_flag(self):
         assert n_function(-40.0, CLASSICAL).cancellation
         assert not n_function(-1.0, CLASSICAL).cancellation
@@ -184,8 +203,8 @@ class TestSeriesKernel:
             for x in self.XS + (60.0,):
                 lx = math.log(x)
                 s = _log_series(lx, p, 1e-13, 100000, "test", start=start, log_factor=factor)
-                n = np.arange(start, start + s.terms, dtype=float)
-                lf = _log_factorials(p, start + s.terms)[start:-1]
+                n = np.arange(start, start + len(s.log_terms), dtype=float)
+                lf = _log_factorials(p, start + len(s.log_terms))[start:-1]
                 want = (n - start) * lx - (lf - lf[0])
                 if factor is not None:
                     f = factor(n, None)
@@ -215,7 +234,6 @@ class TestSeriesKernel:
         monkeypatch.setattr(series, "_MAX_BLOCK", 16)
         sums, ground_sums = positive(), ground()
         for one, blocks in zip(whole_sums + whole_ground, sums + ground_sums):
-            assert blocks.terms == one.terms
             assert np.array_equal(blocks.log_terms, one.log_terms)
         for one, blocks in zip(whole_sums, sums):
             assert abs(blocks.log_sum - one.log_sum) <= 4 * math.ulp(one.log_sum)
@@ -246,7 +264,7 @@ class TestBlockCount:
         def counted_kernel(*args, **kwargs):
             before = reads[0]
             s = kernel(*args, **kwargs)  # a ConvergenceError is not counted
-            passes.append((reads[0] - before, s.terms))
+            passes.append((reads[0] - before, len(s.log_terms)))
             return s
 
         monkeypatch.setattr(series, "_table", counted_table)

@@ -86,7 +86,10 @@ class CoherentLabel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "z", check_complex(self.z, "z"))
-        object.__setattr__(self, "x", abs(self.z) ** 2)
+        try:
+            object.__setattr__(self, "x", abs(self.z) ** 2)
+        except OverflowError:
+            raise NumericalRangeError(f"z = {self.z}: |z|^2 overflows double precision") from None
 
     @classmethod
     def from_intensity(cls, x: float) -> "CoherentLabel":

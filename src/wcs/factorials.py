@@ -25,31 +25,33 @@ columns (log [n] and log [n]!) that the series kernels slice directly;
 callers get read-only views, and the scalar accessors return Python floats;
 a whole sequence is one slice, _brackets ([0..n], the package's only linear
 brackets) or _log_factorials (log [0..n]!), bit-equal to box and
-log_gen_factorial.  A new table is built to the index asked for; an
-existing one grows on demand by at least 64 entries, in blocks of at most
-4096, into buffers whose capacity doubles when full; one past
-_MAX_ENTRIES = 2^26 entries is refused before anything is allocated.
-Entries below k0, where some gamma argument is below
-gammafn._SERIES_MIN_ARG (13; k0 is about 12 / beta), take three gamma
-columns from the array Lanczos log-gamma, as the scalar one would.  From k0 on, each block is a few numpy
-passes of the gamma-ratio series, log [k] within about an ulp and log [n]!
-written as closed-form Stirling terms plus a running sum of O(1/k)
-corrections.  Every entry is an elementwise function of its index, and the
-running sums add in index order across blocks, so no entry depends on how
-the table was grown.
+log_gen_factorial.  A table is built whole, in blocks of at most 4096
+entries, and its columns are never written after: a new triple's table is
+built to the index asked for, and a read past a table's end replaces it
+with a new one at least twice as long, so a loop over n = 1, 2, ...
+builds O(log n) tables.  One past _MAX_ENTRIES = 2^26 entries is refused
+before anything is allocated.  Entries below k0, where some gamma argument
+is below gammafn._SERIES_MIN_ARG (13; k0 is about 12 / beta), take three
+gamma columns from the array Lanczos log-gamma, as the scalar one would.
+From k0 on, each block is a few numpy passes of the gamma-ratio series,
+log [k] within about an ulp and log [n]! written as closed-form Stirling
+terms plus a running sum of O(1/k) corrections.  Every entry is an
+elementwise function of its index, and the running sums add in index
+order across blocks, so a longer table repeats the shorter one's bits.
 
 A table also keeps the linear brackets [0..m], exp of the log column by
 box's exp, grown lazily (at least doubling) to the longest _brackets read,
 which is a slice of them, so it hands back the bits a fresh computation
 would.  At most 64 tables are cached; a new triple beyond that evicts the
 oldest-inserted one, and _clear_tables (behind series.clear_caches) drops
-them all.  Making, growing and evicting tables takes a lock, so threads may
-share them.
+them all.  Building, replacing and evicting tables takes a lock; readers
+take none and only ever see whole columns, so threads may share them.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import threading
 
 import numpy as np
@@ -78,129 +80,37 @@ __all__ = [
 ]
 
 
-_BLOCK = 4096  # entries per array extension; bounds the temporaries' memory
-# a table grows by at least this many entries: an array block of 64 costs
-# about as much as one of a single entry, and loops ask for n, n + 1, ...
-_MIN_GROWTH = 64
+_BLOCK = 4096  # entries per array block; bounds the temporaries' memory
 _MAX_TABLES = 64
 # the most entries a table may hold: 1 GB at two float64 columns
 _MAX_ENTRIES = 2**26
 
 
 class _Table:
-    """Per-parameter incremental cache of bracket and factorial logs.
+    """Bracket and factorial logs of one parameter triple, entries 0..n.
 
-    log_box and log_fact are read-only float64 views of the filled part of
-    the two rows of one buffer, indexed by n; entry 0 is the defined-zero
-    bracket / empty product.  _run is the running sum at the last filled
-    entry, which the next block continues from: below the first series
-    entry k0, the sum of the alpha-ratio logs; from k0 on, the sum of r(k).
-    A full buffer is copied into one twice as large (at most _MAX_ENTRIES
-    wide), so growth to n entries copies O(log n) times.
+    log_box and log_fact are read-only float64 columns indexed by n, built
+    whole by the constructor and never written after; entry 0 is the
+    defined-zero bracket / empty product.  A longer table is a new one.
     brackets is a read-only prefix of exp(log_box), replaced by a longer
     copy when a read passes its end."""
 
-    __slots__ = (
-        "_bufs", "_run", "_tail0", "_k0", "_c_alpha", "_c_beta", "log_box", "log_fact",
-        "brackets",
-    )
+    __slots__ = ("log_box", "log_fact", "brackets")
 
-    def __init__(self, p: DeformationParams, capacity: int = _MIN_GROWTH + 1) -> None:
-        self._bufs = np.empty((2, capacity))
-        self._bufs[:, 0] = -math.inf, 0.0
-        self._run = 0.0
-        self._tail0 = log_gamma(1.0 - p.alpha + p.nu)
-        self._k0 = _first_series_entry(p)
-        self._c_alpha = _ratio_coefficients(p.alpha)
-        self._c_beta = _ratio_coefficients(p.beta)
+    def __init__(self, p: DeformationParams, n: int) -> None:
+        box, fact = np.empty(n + 1), np.empty(n + 1)
+        box[0], fact[0] = -math.inf, 0.0
+        tail0 = log_gamma(1.0 - p.alpha + p.nu)
+        k0 = min(_first_series_entry(p), n + 1)
+        run = 0.0  # the running sum of the alpha-ratio logs
+        for lo in range(1, k0, _BLOCK):
+            run = _lanczos_entries(box, fact, lo, min(lo + _BLOCK, k0), p, run, tail0)
+        if k0 <= n:
+            run = _r_sum(p, k0)  # from k0 on, the running sum of r(k)
+            for lo in range(k0, n + 1, _BLOCK):
+                run = _series_entries(box, fact, lo, min(lo + _BLOCK, n + 1), p, run, tail0)
+        self.log_box, self.log_fact = _read_only(box), _read_only(fact)
         self.brackets = _read_only(np.empty(0))
-        self._publish(1)
-
-    def _publish(self, size: int) -> None:
-        # log_box last: a reader that sees it long enough sees log_fact so
-        box, fact = (_read_only(col) for col in self._bufs[:, :size])
-        self.log_fact, self.log_box = fact, box
-
-    def extend(self, n: int, p: DeformationParams) -> None:
-        size = len(self.log_box)
-        if n < size:
-            return
-        if n >= self._bufs.shape[1]:
-            bufs = np.empty((2, max(n + 1, min(2 * self._bufs.shape[1], _MAX_ENTRIES))))
-            bufs[:, :size] = self._bufs[:, :size]
-            self._bufs = bufs
-        for lo in range(size, n + 1, _BLOCK):
-            hi = min(lo + _BLOCK, n + 1)
-            mid = min(max(lo, self._k0), hi)
-            if lo < mid:
-                self._lanczos_entries(lo, mid, p)
-            if mid < hi:
-                self._series_entries(mid, hi, p)
-        self._publish(n + 1)
-
-    def _lanczos_entries(self, lo: int, hi: int, p: DeformationParams) -> None:
-        """Entries lo..hi-1 (all below k0) from three log-gamma columns:
-        log [k] = lg(bk+1) - lg(bk+1-a) + lg(bk+1-a+v) - lg(b(k-1)+1-a+v)."""
-        box, fact = self._bufs
-        a, b, v = p.alpha, p.beta, p.nu
-        bk = b * np.arange(lo - 1, hi) + 1.0  # from the entry before, for its tail
-        lg_top = _log_gamma_array(bk[1:])
-        lg_bot = _log_gamma_array(bk[1:] - a)
-        if lo == 1:
-            tail = np.append(self._tail0, _log_gamma_array(bk[1:] - a + v))
-        else:
-            tail = _log_gamma_array(bk - a + v)
-        box[lo:hi] = lg_top - lg_bot + tail[1:] - tail[:-1]
-        # run[k] = (run[k-1] + top_k) - bot_k, left to right: accumulate
-        # adds in order, and s + (-bot) rounds as s - bot
-        steps = np.empty(2 * (hi - lo) + 1)
-        steps[0] = self._run
-        steps[1::2] = lg_top
-        steps[2::2] = -lg_bot
-        run = np.add.accumulate(steps)[2::2]
-        self._run = run.item(-1)
-        fact[lo:hi] = run + tail[1:] - self._tail0
-
-    def _series_entries(self, lo: int, hi: int, p: DeformationParams) -> None:
-        """Entries lo..hi-1 (all from k0 on) from the ratio series, with
-        D(w; d) = log Gamma(w + d) - log Gamma(w) = d log w + rho(w; d):
-
-            log [k]  = D(bk+1-a; a) + D(b(k-1)+1-a+v; b)
-            log [n]! = a (n log b + lg(n+1)) + sum_(k<=n) r(k)
-                       + lg(bn+1-a+v) - lg(1-a+v)
-
-        with r(k) = D(bk+1-a; a) - a log(bk) = O(1/k), so the running sum
-        adds only small numbers."""
-        box, fact = self._bufs
-        a, b, v = p.alpha, p.beta, p.nu
-        k = np.arange(lo - 1, hi, dtype=float)  # from the entry before
-        bk = b * k
-        w = bk + 1.0 - a
-        tail_arg = w + v  # bk+1-a+v; at k-1 it is the second ratio's argument
-        rho = _ratio_series(w[1:], a, self._c_alpha)
-        box[lo:hi] = (a * np.log(w[1:]) + rho) + (
-            b * np.log(tail_arg[:-1]) + _ratio_series(tail_arg[:-1], b, self._c_beta)
-        )
-        steps = np.empty(hi - lo + 1)
-        steps[0] = self._run if lo > self._k0 else self._r_sum(p)
-        steps[1:] = _r(bk[1:], a, rho)
-        np.add.accumulate(steps, out=steps)
-        self._run = steps.item(-1)
-        closed = a * _stirling_log_gamma(k[1:] + 1.0, b)  # a (n log b + lg(n+1))
-        fact[lo:hi] = closed + steps[1:] + (_stirling_log_gamma(tail_arg[1:]) - self._tail0)
-
-    def _r_sum(self, p: DeformationParams) -> float:
-        """sum_(k<k0) r(k), from the ratio series shifted up where
-        bk+1-a < z0, not from the Lanczos entries' log [k0-1]!: that carries
-        the rounding of 2 k0 log-gamma values of up to log Gamma(13) = 20,
-        which would stay in every later entry."""
-        a, b = p.alpha, p.beta
-        total = 0.0
-        for lo in range(1, self._k0, _BLOCK):
-            bk = b * np.arange(lo, min(lo + _BLOCK, self._k0))
-            r = _r(bk, a, _ratio_series(bk + 1.0 - a, a, self._c_alpha))
-            total = np.add.accumulate(np.append(total, r)).item(-1)
-        return total
 
     def extend_brackets(self, n: int) -> None:
         """Make brackets cover [n] (n < len(log_box)), at least doubling it
@@ -212,6 +122,74 @@ class _Table:
         lin[:size] = self.brackets
         lin[size:] = _exp_each(self.log_box[size : len(lin)])
         self.brackets = _read_only(lin)
+
+
+def _lanczos_entries(box: np.ndarray, fact: np.ndarray, lo: int, hi: int,
+                     p: DeformationParams, run: float, tail0: float) -> float:
+    """Entries lo..hi-1 (all below k0) from three log-gamma columns,
+    log [k] = lg(bk+1) - lg(bk+1-a) + lg(bk+1-a+v) - lg(b(k-1)+1-a+v),
+    continuing the running sum run; returns it at hi-1."""
+    a, b, v = p.alpha, p.beta, p.nu
+    bk = b * np.arange(lo - 1, hi) + 1.0  # from the entry before, for its tail
+    lg_top = _log_gamma_array(bk[1:])
+    lg_bot = _log_gamma_array(bk[1:] - a)
+    if lo == 1:
+        tail = np.append(tail0, _log_gamma_array(bk[1:] - a + v))
+    else:
+        tail = _log_gamma_array(bk - a + v)
+    box[lo:hi] = lg_top - lg_bot + tail[1:] - tail[:-1]
+    # run[k] = (run[k-1] + top_k) - bot_k, left to right: accumulate
+    # adds in order, and s + (-bot) rounds as s - bot
+    steps = np.empty(2 * (hi - lo) + 1)
+    steps[0] = run
+    steps[1::2] = lg_top
+    steps[2::2] = -lg_bot
+    runs = np.add.accumulate(steps)[2::2]
+    fact[lo:hi] = runs + tail[1:] - tail0
+    return runs.item(-1)
+
+
+def _series_entries(box: np.ndarray, fact: np.ndarray, lo: int, hi: int,
+                    p: DeformationParams, run: float, tail0: float) -> float:
+    """Entries lo..hi-1 (all from k0 on) from the ratio series, with
+    D(w; d) = log Gamma(w + d) - log Gamma(w) = d log w + rho(w; d):
+
+        log [k]  = D(bk+1-a; a) + D(b(k-1)+1-a+v; b)
+        log [n]! = a (n log b + lg(n+1)) + sum_(k<=n) r(k)
+                   + lg(bn+1-a+v) - lg(1-a+v)
+
+    with r(k) = D(bk+1-a; a) - a log(bk) = O(1/k), so the running sum run,
+    continued here and returned at hi-1, adds only small numbers."""
+    a, b, v = p.alpha, p.beta, p.nu
+    k = np.arange(lo - 1, hi, dtype=float)  # from the entry before
+    bk = b * k
+    w = bk + 1.0 - a
+    tail_arg = w + v  # bk+1-a+v; at k-1 it is the second ratio's argument
+    rho = _ratio_series(w[1:], a, _ratio_coefficients(a))
+    box[lo:hi] = (a * np.log(w[1:]) + rho) + (
+        b * np.log(tail_arg[:-1]) + _ratio_series(tail_arg[:-1], b, _ratio_coefficients(b))
+    )
+    steps = np.empty(hi - lo + 1)
+    steps[0] = run
+    steps[1:] = _r(bk[1:], a, rho)
+    np.add.accumulate(steps, out=steps)
+    closed = a * _stirling_log_gamma(k[1:] + 1.0, b)  # a (n log b + lg(n+1))
+    fact[lo:hi] = closed + steps[1:] + (_stirling_log_gamma(tail_arg[1:]) - tail0)
+    return steps.item(-1)
+
+
+def _r_sum(p: DeformationParams, k0: int) -> float:
+    """sum_(k<k0) r(k), from the ratio series shifted up where
+    bk+1-a < z0, not from the Lanczos entries' log [k0-1]!: that carries
+    the rounding of 2 k0 log-gamma values of up to log Gamma(13) = 20,
+    which would stay in every later entry."""
+    a, b = p.alpha, p.beta
+    c_alpha, total = _ratio_coefficients(a), 0.0
+    for lo in range(1, k0, _BLOCK):
+        bk = b * np.arange(lo, min(lo + _BLOCK, k0))
+        r = _r(bk, a, _ratio_series(bk + 1.0 - a, a, c_alpha))
+        total = np.add.accumulate(np.append(total, r)).item(-1)
+    return total
 
 
 def _r(bk: np.ndarray, a: float, rho: np.ndarray) -> np.ndarray:
@@ -240,15 +218,15 @@ def _read_only(col: np.ndarray) -> np.ndarray:
 
 
 _TABLES: dict[DeformationParams, _Table] = {}
-# held while a table is made, grown or evicted; lookups and reads of
-# published columns take no lock
+# held while a table is built, replaced or evicted; lookups and reads of
+# built columns take no lock
 _LOCK = threading.Lock()
 
 
 def _table(p: DeformationParams, n: int) -> _Table:
-    """p's table, holding entries 0..n at least.  A new table is built to n;
-    an existing one grows by at least _MIN_GROWTH entries, up to
-    _MAX_ENTRIES."""
+    """p's table, holding entries 0..n at least.  A new triple's table is
+    built to n; a read past an existing table's end replaces it with one
+    built to max(n, twice its length), below _MAX_ENTRIES."""
     tab = _TABLES.get(p)
     if tab is None or n >= len(tab.log_box):
         if n >= _MAX_ENTRIES:
@@ -260,10 +238,10 @@ def _table(p: DeformationParams, n: int) -> _Table:
             if tab is None:
                 if len(_TABLES) >= _MAX_TABLES:
                     del _TABLES[next(iter(_TABLES))]  # dicts keep insertion order
-                tab = _TABLES[p] = _Table(p, n + 1)
-                tab.extend(n, p)
+                tab = _TABLES[p] = _Table(p, n)
             elif n >= len(tab.log_box):
-                tab.extend(max(n, len(tab.log_box) + _MIN_GROWTH - 1), p)
+                longer = max(n, min(2 * len(tab.log_box), _MAX_ENTRIES - 1))
+                tab = _TABLES[p] = _Table(p, longer)
     return tab
 
 
@@ -338,4 +316,7 @@ def log_factorial_asymptotic(n: int, p: DeformationParams) -> float:
     if n == 0:
         return 0.0
     e = p.alpha + p.beta
-    return e * n * (math.log(p.beta * n) - 1.0)
+    value = e * n * (math.log(p.beta * n) - 1.0) if n <= sys.float_info.max else math.inf
+    if not math.isfinite(value):
+        raise NumericalRangeError(f"log [n]! asymptote at n = {n} for {p}: past double range")
+    return value

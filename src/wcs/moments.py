@@ -94,6 +94,10 @@ def carleman_classify(p: DeformationParams) -> CarlemanVerdict:
     return classify_exponent(0.5 * (p.alpha + p.beta))
 
 
+# the longest partial sum: three float64 arrays of 128 MB
+_CARLEMAN_MAX_TERMS = 2**24
+
+
 def carleman_partial_sums(
     exponent: float,
     checkpoints: list[int],
@@ -103,7 +107,7 @@ def carleman_partial_sums(
     m_n = e^(-2 e n) (beta n)^(2 e n), i.e. terms e^e (beta n)^(-e).
 
     Used to test the divergence dichotomy numerically at the given
-    checkpoint lengths."""
+    checkpoint lengths, up to _CARLEMAN_MAX_TERMS = 2^24."""
     exponent = check_real(exponent, "exponent")
     beta = check_real(beta, "beta", above=0.0)
     try:
@@ -116,11 +120,17 @@ def carleman_partial_sums(
         raise ParameterError("checkpoints must not be empty")
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ParameterError("checkpoints must be strictly increasing")
-    top = max(checkpoints)
+    top = checkpoints[-1]
+    if top > _CARLEMAN_MAX_TERMS:
+        raise NumericalRangeError(f"checkpoints reach {top}: the ceiling is {_CARLEMAN_MAX_TERMS}")
     n = np.arange(1, top + 1, dtype=float)
-    terms = math.exp(exponent) * (beta * n) ** (-exponent)
-    sums = np.cumsum(terms)
-    return [float(sums[c - 1]) for c in checkpoints]
+    scale = math.exp(exponent) if exponent <= _MAX_FINITE_LOG else math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.cumsum(scale * (beta * n) ** (-exponent))
+    out = [float(sums[c - 1]) for c in checkpoints]
+    if not math.isfinite(out[-1]):  # the terms are not negative, so nor is any sum
+        raise NumericalRangeError(f"Carleman sums at exponent {exponent}, beta {beta}: {out}")
+    return out
 
 
 # the largest Hankel matrix built, 8 MB; the determinant is rounding long

@@ -42,10 +42,9 @@ from wcs.cli import build_parser, main
 from wcs.errors import ConvergenceError, NumericalRangeError, ParameterError
 from wcs.factorials import (
     _MAX_TABLES,
-    _MIN_GROWTH,
     _TABLES,
-    _Table,
     _brackets,
+    _first_series_entry,
     _log_factorials,
     _table,
 )
@@ -276,38 +275,38 @@ def _above_k0(k0, n_max, count=40):
 
 
 class TestArrayTable:
-    """Tables built in array blocks: the same bits whatever the growth path,
+    """Tables built in array blocks: the same bits whatever the read order,
     the Lanczos entries below k0 as before, and the series entries from k0
     on within a few ulp of 40-digit mpmath."""
 
     @staticmethod
-    def _rows(tab):
-        # both columns, and the running sum the next block continues from
-        size = len(tab.log_box)
-        return tab._bufs[:, :size].tobytes(), tab._run.hex()
+    def _rows(tab, n):
+        # both columns' entries 0..n
+        return tab.log_box[: n + 1].tobytes(), tab.log_fact[: n + 1].tobytes()
 
     @staticmethod
     def _grown(p, steps):
-        tab = _Table(p)
+        """p's table after reads at each n of steps, from no table."""
+        _TABLES.pop(p, None)
         for n in steps:
-            tab.extend(n, p)
+            tab = _table(p, n)
         return tab
 
     @pytest.mark.parametrize("p", list(dict.fromkeys(TABLE_TRIPLES + SERIES_TRIPLES)))
     def test_every_growth_path_gives_the_same_bits(self, p):
-        whole = self._rows(self._grown(p, [10_000]))
-        k0 = _Table(p)._k0
+        whole = self._rows(self._grown(p, [10_000]), 10_000)
+        k0 = _first_series_entry(p)
         for steps in (
             [37, 4096, 4097, 10_000],
-            [k0 - 1, k0, k0 + 1, 10_000],  # the series start in an extend of its own
-            [*range(_MIN_GROWTH, 10_000, _MIN_GROWTH), 10_000],
+            [k0 - 1, k0, k0 + 1, 10_000],  # the series start in a table of its own
+            [*range(64, 10_000, 64), 10_000],
         ):
-            assert self._rows(self._grown(p, steps)) == whole
+            assert self._rows(self._grown(p, steps), 10_000) == whole
 
     @pytest.mark.parametrize("p", TABLE_TRIPLES)
     def test_entries_below_k0_are_the_lanczos_build(self, p):
         tab = self._grown(p, [37, 4096])
-        k0 = tab._k0
+        k0 = _first_series_entry(p)
         assert 13 <= k0 <= 4096
         log_box_, log_fact = _lanczos_entries(p, k0 - 1)
         assert tab.log_box[:k0].tolist() == log_box_
@@ -323,17 +322,17 @@ class TestArrayTable:
     @pytest.mark.parametrize("p", SERIES_TRIPLES)
     def test_brackets_from_k0_against_mpmath(self, p):
         tab = self._grown(p, [100_000])
-        for k in _above_k0(tab._k0, 100_000):
+        for k in _above_k0(_first_series_entry(p), 100_000):
             ref, _ = _mp_log_gamma_ratios(p, k)
             assert abs(tab.log_box[k] - ref) <= 1e-14 * abs(ref), k
 
     def test_classical_log_box_is_log_n(self):
-        tab = self._grown(CLASSICAL, [100_000])
-        n = np.arange(tab._k0, 100_001)
-        got = tab.log_box[tab._k0 :].tolist()
+        tab, k0 = self._grown(CLASSICAL, [100_000]), _first_series_entry(CLASSICAL)
+        n = np.arange(k0, 100_001)
+        got = tab.log_box[k0:].tolist()
         assert all(abs(g - math.log(k)) <= math.ulp(math.log(k)) for k, g in zip(n.tolist(), got))
         # exp(log n) carries the rounding of log n, about log(n) eps/2
-        lin = _brackets(CLASSICAL, 100_000)[tab._k0 :]
+        lin = _brackets(CLASSICAL, 100_000)[k0:]
         assert np.all(np.abs(lin - n) <= (np.log(n) + 1.0) * 0.5 * np.finfo(float).eps * n)
 
     @pytest.mark.parametrize(
@@ -352,17 +351,17 @@ class TestArrayTable:
     )
     def test_log_factorials_from_k0_against_closed_forms(self, p):
         tab = self._grown(p, [100_000])
-        for n in _above_k0(tab._k0, 100_000):
+        for n in _above_k0(_first_series_entry(p), 100_000):
             ref = _mp_closed_log_factorial(p, n)
             assert abs(tab.log_fact[n] - ref) <= 1e-15 * abs(ref), n
 
     @pytest.mark.parametrize("p", SERIES_TRIPLES[:2])
     def test_log_factorials_from_k0_against_mpmath_sums(self, p):
-        tab = self._grown(p, [2000])
+        tab, k0 = self._grown(p, [2000]), _first_series_entry(p)
         with mpmath.workdps(40):
             a, b, v = (mpmath.mpf(t) for t in (p.alpha, p.beta, p.nu))
-            prod = mpmath.fsum(_mp_log_gamma_ratios(p, k)[1] for k in range(1, tab._k0))
-            for n in range(tab._k0, 2001):
+            prod = mpmath.fsum(_mp_log_gamma_ratios(p, k)[1] for k in range(1, k0))
+            for n in range(k0, 2001):
                 prod += _mp_log_gamma_ratios(p, n)[1]
                 ref = prod + mpmath.loggamma(b * n + 1 - a + v) - mpmath.loggamma(1 - a + v)
                 assert abs(tab.log_fact[n] - ref) <= 1e-15 * abs(ref), n
@@ -378,7 +377,7 @@ class TestArrayTable:
 
         monkeypatch.setattr(factorials, "_log_gamma_array", counted)
         p = DeformationParams(0.3, 0.5, 0.2)
-        _Table(p).extend(10_000, p)
+        self._grown(p, [10_000])
         assert sum(seen) <= 3 * math.ceil(_SERIES_MIN_ARG / p.beta)
 
     def test_one_scalar_log_gamma_per_cold_table(self, monkeypatch):
@@ -407,16 +406,36 @@ class TestArrayTable:
             for f in (log_box, box, log_gen_factorial, log_gen_double_factorial):
                 assert type(f(n, p)) is float
 
-    def test_growth_copies_logarithmically(self):
-        # grown 64 entries at a time, as a loop over n grows a cold table,
-        # the buffers are copied only when full, into twice the capacity
+    def test_a_cold_loop_builds_logarithmically_many_tables(self, monkeypatch):
+        # a work counter: read at n = 1, 2, ..., a table is replaced only
+        # past its end, by one at least twice as long
+        built = []
+        table = factorials._Table
+
+        def counted(p, n):
+            built.append(n)
+            return table(p, n)
+
+        monkeypatch.setattr(factorials, "_Table", counted)
         p = TABLE_TRIPLES[2]
-        tab, copies = _Table(p), 0
-        for n in range(64, 100_001, 64):
-            bufs = tab._bufs
-            tab.extend(n, p)
-            copies += tab._bufs is not bufs
-        assert copies <= math.ceil(math.log2(100_001 / 65))
+        _TABLES.pop(p, None)
+        for n in range(1, 100_001):
+            log_box(n, p)
+        assert len(built) <= 19
+        assert built[0] == 1 and len(_TABLES[p].log_box) > 100_000
+
+    def test_columns_handed_out_outlive_a_longer_read(self):
+        p = TABLE_TRIPLES[1]
+        clear_caches()
+        tab = _table(p, 100)
+        cols = (tab.log_box, tab.log_fact, _brackets(p, 100))
+        before = [col.tobytes() for col in cols]
+        _table(p, 5000)  # a new, longer table takes its place
+        assert _TABLES[p] is not tab
+        for col, old in zip(cols, before):
+            assert col.tobytes() == old
+            with pytest.raises(ValueError, match="read-only"):
+                col[1] = 0.0
 
 
 class TestSequenceReads:
@@ -426,7 +445,7 @@ class TestSequenceReads:
     @pytest.mark.parametrize("p", TABLE_TRIPLES)
     def test_equal_to_scalar_accessors_on_a_table_grown_in_pieces(self, p):
         clear_caches()
-        for n in (0, 1, 37, 4096, 4097, 10_000):  # each read grows the table
+        for n in (0, 1, 37, 4096, 4097, 10_000):  # most reads replace the table
             got_b, got_f = _brackets(p, n), _log_factorials(p, n)
             assert got_b.dtype == got_f.dtype == np.float64
             assert not got_b.flags.writeable
@@ -452,19 +471,19 @@ class TestTableCache:
     def test_rebuilt_table_is_bitwise_equal(self):
         p = TABLE_TRIPLES[0]
         clear_caches()
-        first = TestArrayTable._rows(_table(p, 5000))
+        first = TestArrayTable._rows(_table(p, 5000), 5000)
         for i in range(_MAX_TABLES):
             log_box(3, DeformationParams(0.2, 0.1 + 0.01 * i, 1.0))
         assert p not in _TABLES
-        assert TestArrayTable._rows(_table(p, 5000)) == first
+        assert TestArrayTable._rows(_table(p, 5000), 5000) == first
 
     def test_new_table_built_to_the_index_asked(self):
         p = DeformationParams(0.25, 0.75, 0.5)
         clear_caches()
         log_gen_factorial(12, p)
         assert len(_TABLES[p].log_box) == 13
-        log_box(13, p)  # an existing table grows by at least _MIN_GROWTH
-        assert len(_TABLES[p].log_box) == 13 + _MIN_GROWTH
+        log_box(13, p)  # a read past the end builds one twice as long
+        assert len(_TABLES[p].log_box) == 2 * 13 + 1
 
     def test_signed_zero_shares_one_table(self):
         clear_caches()
@@ -628,7 +647,7 @@ class TestRecall:
         assert len(calls) == 31 + 5
 
     def test_threads_match_a_serial_run(self):
-        # the reads of log [n]! at growing n race table growth the most, and
+        # the reads of log [n]! at growing n race table replacement the most, and
         # 66 values of x, each with three series, race the memo's drops
         triples = (*TABLE_TRIPLES, DeformationParams(0.5, 0.7, 0.2))
         xs = np.linspace(0.3, 80.0, 66).tolist()
@@ -652,7 +671,7 @@ class TestRecall:
         clear_caches()
         serial = run(range(len(work)))
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often, mid-growth too
+        sys.setswitchinterval(1e-6)  # switch threads often, mid-build too
         try:
             for rep in range(4):
                 rngs = [random.Random(4 * rep + t) for t in range(4)]
@@ -837,8 +856,8 @@ class TestTableCeiling:
         monkeypatch.setattr(factorials, "_MAX_ENTRIES", 1000)
         clear_caches()
         box(500, CLASSICAL)
-        box(600, CLASSICAL)  # the buffers double, but only up to the ceiling
-        assert _TABLES[CLASSICAL]._bufs.shape[1] == 1000
+        box(600, CLASSICAL)  # the table doubles, but only up to the ceiling
+        assert len(_TABLES[CLASSICAL].log_box) == 1000
         assert box(999, CLASSICAL) == pytest.approx(999.0, rel=1e-13)
         with pytest.raises(NumericalRangeError, match="n = 1000 .* ceiling of 1000 entries"):
             box(1000, CLASSICAL)
@@ -896,6 +915,12 @@ class TestAsymptotic:
 
     def test_zero(self):
         assert log_factorial_asymptotic(0, CLASSICAL) == 0.0
+
+    @pytest.mark.parametrize("n", [2**1100, 2**1023], ids=["2**1100", "2**1023"])
+    def test_beyond_double_range_is_typed(self, n):
+        # n itself is past the largest double, or the value is
+        with pytest.raises(NumericalRangeError, match=f"n = {n} .* past double range"):
+            log_factorial_asymptotic(n, CLASSICAL)
 
     def test_leading_order_ratio(self):
         ratio = log_gen_factorial(10000, CLASSICAL) / log_factorial_asymptotic(

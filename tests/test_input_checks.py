@@ -278,6 +278,16 @@ def test_zero_max_terms_below_the_mandel_guard():
         mandel_qm(TINY, P, max_terms=0)
 
 
+@pytest.mark.parametrize("z", [1e200 + 0j, complex(1e308, 1e308), -3e154j])
+def test_oversized_label_is_typed(z):
+    with pytest.raises(NumericalRangeError, match=r"z = .*\|z\|\^2 overflows"):
+        CoherentLabel(z)
+
+
+def test_largest_label_is_kept():
+    assert CoherentLabel(1e154 + 0j).x == 1e308
+
+
 def test_gamma_signed_overflow_is_typed():
     # log Gamma(1e306) is about 7e308, past the largest double
     with pytest.raises(NumericalRangeError, match="overflows"):
@@ -293,6 +303,7 @@ _FLOAT_FUNCTIONS = {
     "log_n_derivative": lambda x, p: log_n_derivative(x, 1, p),
     "wavefunction_sample": lambda x, p: wavefunction_sample(1, x, p)[0],
     "gamma_signed": lambda x, p: gamma_signed(x)[1],
+    "CoherentLabel": lambda x, p: CoherentLabel(complex(x, x)).x,
 }
 
 

@@ -133,6 +133,19 @@ class TestCarlemanPartialSums:
         with pytest.raises(ParameterError):
             carleman_partial_sums(e, [10], beta=beta)
 
+    def test_checkpoint_past_the_ceiling_refused_before_allocating(self):
+        # 2^40 terms would be 8 TiB of float64
+        message = f"checkpoints reach {2**40}: the ceiling is {2**24}"
+        with pytest.raises(NumericalRangeError, match=message):
+            carleman_partial_sums(1.0, [10, 2**40])
+
+    @pytest.mark.parametrize(
+        "e, beta", [(2.0, 1e-300), (-2.0, 1e300), (800.0, 1.0), (-800.0, 1.0)]
+    )
+    def test_sum_past_double_range_is_typed(self, e, beta):
+        with pytest.raises(NumericalRangeError, match=re.escape(f"exponent {e}, beta {beta}: [")):
+            carleman_partial_sums(e, [10], beta=beta)
+
     def test_non_integer_checkpoints_rejected(self):
         for checkpoints in ([1.5], [10, 20.0]):
             with pytest.raises(ParameterError):

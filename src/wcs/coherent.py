@@ -10,17 +10,21 @@ Every Fock-series sum here (photon distribution, Fock moments, Q_M, the
 continuity defect, the length of the ground-state lattice) is one call of
 series._log_series, with its single stopping rule: three consecutive terms
 |t_n| <= tol * max(1, |S_n|) while the term ratio is below 0.9.  All but
-Q_M's [n]^2 series and fock_moment_sum's own pass from n = r are read from
-one memo through series._memo_read, so at one (p, x, tol) log N, the photon
-distribution, Q_M's normaliser, the Fock moments and the continuity defect
-share one pass of N's series and its kept terms, and every later call gets
-the same bits.  Positive sums stay in log space so large n and x never
-overflow, and the linear Fock sums (fock_moment_sum, both sums of Q_M) go
-through series._positive_fsum, which sums the terms that can reach the
-result exactly and passes the rest as one float sum.  Those sums, and
-the continuity defect's direct sum, are math.fsum's double bit for bit,
-and a sum of more than series._FSUM_MAX terms costs a few numpy passes
-(series._exact_sum), not one Python float per term.
+Q_M's [n]^2 series are read from one memo through series._memo_read, so at
+one (p, x, tol) log N, the photon distribution, Q_M's normaliser and the
+continuity defect share one pass of N's series and its kept terms, and
+every later call gets the same bits.  normally_ordered_moment and
+fock_moment_sum read one record too, the r-th derivative's series from
+n = r: the first takes the kernel's running log-scale sum, the second sums
+the same terms with math.fsum, so the two agree to rounding by
+construction and neither checks the other.  Positive sums stay in log
+space so large n and x never overflow, and the linear Fock sums
+(fock_moment_sum, both sums of Q_M) go through series._positive_fsum,
+which sums the terms that can reach the result exactly and passes the rest
+as one float sum.  Those sums, and the continuity defect's direct sum, are
+math.fsum's double bit for bit, and a sum of more than series._FSUM_MAX
+terms costs a few numpy passes (series._exact_sum), not one Python float
+per term.
 Brackets and factorials are read as slices of the factorial table.  The
 alternating wavefunction series is summed on the x^beta lattice by
 series._lattice_sum, with its cancellation flag; ground_wavefunction and
@@ -38,6 +42,7 @@ import numpy as np
 from .algebra import commutator_diagonal
 from .errors import NumericalRangeError, ParameterError
 from .factorials import _brackets, _table, box, log_gen_factorial
+from .gammafn import log_gamma
 from .params import DeformationParams, PhysicalScales, check_complex, check_count, check_real
 from .series import (
     _exact_sum,
@@ -237,20 +242,17 @@ def fock_moment_sum(
     r: int,
     label: CoherentLabel,
     p: DeformationParams,
-    tol: float = 1e-13,
+    tol: float = 1e-12,
     max_terms: int = 100000,
 ) -> float:
-    """Same moment by brute force over the photon distribution:
-    sum_n n (n-1) ... (n-r+1) p(n).
+    """Same moment as an exact Fock sum: sum_n n (n-1) ... (n-r+1) p(n).
 
-    A second route to normally_ordered_moment, which sums the log-scale
-    terms of the r-th derivative of N and divides by log N: here p(n) are
-    the kept terms of N's own series, the memoised pass photon_distribution
-    reads at the same tol, and the falling factorial is applied on the
-    linear scale.  N's series stops on N's sum.  Where the weights from
-    n = r have not met the stopping rule on their own sum by then (small x,
-    large r), they are summed in a pass of their own from n = r instead, so
-    no weight that pass would keep is left out."""
+    The terms are those normally_ordered_moment sums, read from the same
+    memo record: the r-th derivative series of N from n = r, with the log
+    falling factorial and its own stopping rule, divided by N.  Here they
+    are summed on the linear scale with math.fsum's exact rounding (through
+    series._positive_fsum) instead of the kernel's running log-scale sum, so
+    this is a second summation of one series, not an independent route."""
     r = check_count(r, "r", 1)
     check_real(tol, "tol", above=0.0)
     check_count(max_terms, "max_terms", 1)
@@ -258,25 +260,15 @@ def fock_moment_sum(
     if x == 0.0:
         return 0.0
     lx = math.log(x)
-    s = _memo_read(lx, p, tol, max_terms, "fock_moment_sum")
-    w = np.exp(s.log_terms[r:] - s.log_sum)  # p(n), n >= r
-    # the rule holds for all of the last three once it holds for the largest
-    if len(w) < 3 or w[-3] > tol * w[:-2].sum():
-        tail = _log_series(lx, p, tol, max_terms, "fock_moment_sum", start=r)
-        w = np.exp(tail.log_terms + (r * lx - log_gen_factorial(r, p) - s.log_sum))
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
-        total = _positive_fsum(_falling(np.arange(r, r + len(w), dtype=float), r) * w)
+    s = _memo_read(lx, p, tol, max_terms, "fock_moment_sum", r=r)
+    log_n = _memo_read(lx, p, tol, max_terms, "fock_moment_sum").log_sum
+    # t_r = x^r r! / ([r]! N), and the kernel's terms are t_n / t_r
+    log_first = r * lx + log_gamma(r + 1.0) - log_gen_factorial(r, p) - log_n
+    with np.errstate(over="ignore"):  # an overflow is raised below
+        total = _positive_fsum(np.exp(s.log_terms + log_first))
     if not math.isfinite(total):
         raise NumericalRangeError(_MOMENT_OVERFLOW.format("fock_moment_sum", r, x))
     return total
-
-
-def _falling(n: np.ndarray, r: int) -> np.ndarray:
-    """n (n-1) ... (n-r+1), multiplied in order of j < r; 1 for r = 0."""
-    out = n.copy() if r else np.ones_like(n)
-    for j in range(1, r):
-        out *= n - j
-    return out
 
 
 def mandel_qz(

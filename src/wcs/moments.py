@@ -123,10 +123,11 @@ def carleman_partial_sums(
     top = checkpoints[-1]
     if top > _CARLEMAN_MAX_TERMS:
         raise NumericalRangeError(f"checkpoints reach {top}: the ceiling is {_CARLEMAN_MAX_TERMS}")
-    n = np.arange(1, top + 1, dtype=float)
-    scale = math.exp(exponent) if exponent <= _MAX_FINITE_LOG else math.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = np.cumsum(scale * (beta * n) ** (-exponent))
+    log_bn = math.log(beta) + np.log(np.arange(1, top + 1, dtype=float))
+    # one exponential per term: e^e and (beta n)^(-e) may each leave double
+    # range where their product does not
+    with np.errstate(over="ignore"):
+        sums = np.cumsum(np.exp(exponent * (1.0 - log_bn)))
     out = [float(sums[c - 1]) for c in checkpoints]
     if not math.isfinite(out[-1]):  # the terms are not negative, so nor is any sum
         raise NumericalRangeError(f"Carleman sums at exponent {exponent}, beta {beta}: {out}")

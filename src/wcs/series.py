@@ -366,9 +366,10 @@ def _log_series(
 
 # One bounded least-recently-used memo of kernel records, each with its
 # read-only log-terms: N's plain series (log N, the photon distribution,
-# Q_M's normaliser, the Fock moments and the continuity defect read its
-# terms), the derivatives' series and the ground-state series.  It is keyed
-# by the series alone: log|x|, the triple, tol, step, r and phase.  The term
+# Q_M's normaliser and the continuity defect read its terms), the
+# derivatives' series (both moment functions read their terms) and the
+# ground-state series.  It is keyed by the series alone: log|x|, the
+# triple, tol, step, r and phase, passed positionally.  The term
 # budget and the error label only matter when a call fails, so _memo_read
 # leaves them in a thread-local for a miss to run the kernel with, and the
 # memo stores what it returns, never an error.  The kernel stops at the
@@ -379,7 +380,7 @@ _caller = threading.local()
 
 
 @functools.lru_cache(maxsize=_MAX_SERIES)
-def _series_memo(lx, p, tol, step=1, r=None, phase=None) -> _LogSeries:
+def _series_memo(lx, p, tol, step, r, phase) -> _LogSeries:
     max_terms, what = _caller.budget_and_label
     start, factor = (0, None) if r is None else (r, _log_falling(r))
     s = _log_series(lx, p, tol, max_terms, what, start, step, factor, phase)
@@ -388,17 +389,16 @@ def _series_memo(lx, p, tol, step=1, r=None, phase=None) -> _LogSeries:
 
 
 def _memo_read(
-    lx: float, p: DeformationParams, tol: float, max_terms: int, what: str, **key
+    lx: float, p: DeformationParams, tol: float, max_terms: int, what: str,
+    step: int = 1, r: int | None = None, phase: complex | None = None,
 ) -> _LogSeries:
     """The kernel's record of a series, log_terms read-only: from n = 0
     with step and phase, or, for an order r, the r-th derivative's series,
-    start r with the falling factorial as log_factor.  Pass each key the
-    same way at every call: the memo keys a keyword and a positional
-    argument apart."""
+    start r with the falling factorial as log_factor."""
     tol = check_real(tol, "tol", above=0.0)
     max_terms = check_count(max_terms, "max_terms", 1)
     _caller.budget_and_label = max_terms, what
-    s = _series_memo(lx, p, tol, **key)
+    s = _series_memo(lx, p, tol, step, r, phase)
     if len(s.log_terms) > max_terms:
         raise _no_convergence(what, tol, max_terms)
     return s

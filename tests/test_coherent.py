@@ -700,12 +700,12 @@ def _mp_fock_moments(x, p, orders, dps=40):
 class TestFockRouteAccuracy:
     """fock_moment_sum against 40-digit Fock sums at every photon-stats
     triple and x on X_GRID where log N converges within its default 10^4
-    terms (98 points).  The bound is the largest error of the route that
-    summed the weights from n = r in a pass of its own (6.731e-12, at
-    (0, 0.3, 0.5), x = 1, r = 3), which reading N's kept terms must not
-    exceed."""
+    terms (98 points).  The bound is the largest error measured, 1.476e-12
+    at (0, 0.5, 0), x = 56.2, r = 3: the rounding of log-terms near
+    log N = x^2, not the stopping rule, which holds each r-th series to
+    1e-12 of its own sum."""
 
-    WORST = 6.74e-12
+    WORST = 1.48e-12
 
     @pytest.mark.parametrize("triple", PHOTON_TRIPLES)
     def test_against_mpmath(self, triple):
@@ -721,11 +721,19 @@ class TestFockRouteAccuracy:
 
     def test_orders_beyond_the_bulk(self):
         # classically <(A+)^r A^r> = x^r.  At x = 1e-3 N's series keeps
-        # n <= 6, so from r = 5 its terms alone miss a share x^2 / 2 of the
-        # moment; the weights from n = r then need a pass of their own
+        # n <= 6, so from r = 5 its terms alone would miss a share x^2 / 2
+        # of the moment; the r-th series starts at n = r instead
         lab = CoherentLabel.from_intensity(1e-3)
         for r in range(1, 9):
             assert fock_moment_sum(r, lab, CLASSICAL) == pytest.approx(1e-3**r, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("r", [20, 60, 120, 150])
+    def test_large_orders_are_x_to_the_r(self, r):
+        # the terms n!/(n-r)! p(n) peak near n = r + x, past where N's own
+        # series stops; at r = 150 the moment, 1e300, is near the top of
+        # double range
+        got = fock_moment_sum(r, CoherentLabel.from_intensity(100.0), CLASSICAL)
+        assert got == pytest.approx(100.0**r, rel=1e-12, abs=0)
 
 
 class TestRandomizedTwoPath:

@@ -616,8 +616,9 @@ class TestRecall:
         assert len(_table(p, 0).brackets) == 0
 
     def test_photon_stats_op_sums_five_series(self, monkeypatch):
-        # log N at tol 1e-12 and at 1e-13 (p(n), Q_M's normaliser and the
-        # Fock moments), the derivatives r = 1, 2, and Q_M's [n]^2 series
+        # log N at tol 1e-12 (log N, both moment functions) and at 1e-13
+        # (p(n), Q_M's normaliser), the derivatives r = 1, 2 (read by both
+        # moment functions), and Q_M's [n]^2 series
         p, x = DeformationParams(0.5, 0.7, 0.2), 3.7
         clear_caches()
         calls = _count_kernel_calls(monkeypatch)
@@ -773,7 +774,7 @@ class TestSeriesMemo:
         calls = [
             lambda b: log_n_function(x, p, tol=1e-13, max_terms=b),
             lambda b: photon_distribution(label, p, max_n=b - 1),
-            lambda b: fock_moment_sum(1, label, p, max_terms=b),
+            lambda b: fock_moment_sum(1, label, p, tol=1e-13, max_terms=b),
             lambda b: mandel_qm(label, p, max_terms=b),
         ]
         for budget in (1, n // 2, n - 1):
@@ -793,6 +794,19 @@ class TestSeriesMemo:
         read = functools.partial(_read, math.log(x), p, 1e-12)
         derivative = read(10**4, "c", r=2)
         assert read(500, "d", r=2) is derivative
+        assert _memo_info() == (2, 2, 2)
+
+    def test_each_key_is_one_entry_however_it_is_passed(self):
+        p, x = self.POINTS[0]
+        clear_caches()
+        first = _read(math.log(x), p, 1e-12, 10**4, r=1)
+        assert _read(math.log(x), p, 1e-12, 10**4, step=1, r=1) is first
+        assert _memo_info() == (1, 1, 1)
+        # both moment functions read the derivative's record and N's
+        clear_caches()
+        label = CoherentLabel.from_intensity(x)
+        normally_ordered_moment(1, label, p)
+        fock_moment_sum(1, label, p)
         assert _memo_info() == (2, 2, 2)
 
     def test_a_warm_hit_beyond_the_budget_names_r_as_a_cold_run(self):

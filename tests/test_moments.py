@@ -146,6 +146,15 @@ class TestCarlemanPartialSums:
         with pytest.raises(NumericalRangeError, match=re.escape(f"exponent {e}, beta {beta}: [")):
             carleman_partial_sums(e, [10], beta=beta)
 
+    @pytest.mark.parametrize(
+        "e, beta, want", [(800.0, math.e, 1.0), (720.0, 2.0, 8.921340025697029e95)]
+    )
+    def test_exponent_past_the_log_of_the_largest_double(self, e, beta, want):
+        # e^e alone overflows past e = 709.78, but the terms, and their sum,
+        # (e / (beta n))^e, fit a double: at beta = e the first term is 1
+        # and the rest are below e^-500
+        assert carleman_partial_sums(e, [10], beta=beta) == [pytest.approx(want, rel=1e-12)]
+
     def test_non_integer_checkpoints_rejected(self):
         for checkpoints in ([1.5], [10, 20.0]):
             with pytest.raises(ParameterError):

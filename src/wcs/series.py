@@ -45,6 +45,7 @@ correctly, returns the same double from them.
 Each Fock series is summed once: one bounded memo (_series_memo, read
 through _memo_read) keeps the kernel's record with its read-only
 log-terms, and clear_caches drops it and the factorial tables beneath it.
+Every sum but Q_M's [n]^2 series reads the kernel through that memo.
 """
 
 from __future__ import annotations
@@ -286,9 +287,7 @@ def _log_series(
     marks a positive series; otherwise each term carries phase^(n - start)
     and a partial sum beyond double range raises NumericalRangeError.
     Raises ConvergenceError when max_terms terms do not meet the rule.  The
-    errors name what."""
-    tol = check_real(tol, "tol", above=0.0)
-    max_terms = check_count(max_terms, "max_terms", 1)
+    errors name what.  The callers check tol and max_terms."""
     if lx == -math.inf:  # x = 0: every term after the first vanishes
         return _LogSeries(np.zeros(1), 0.0, -math.inf)
     end = start + max_terms  # first index past the budget
@@ -367,9 +366,10 @@ def _log_series(
 # One bounded least-recently-used memo of kernel records, each with its
 # read-only log-terms: N's plain series (log N, the photon distribution,
 # Q_M's normaliser and the continuity defect read its terms), the
-# derivatives' series (both moment functions read their terms) and the
-# ground-state series.  It is keyed by the series alone: log|x|, the
-# triple, tol, step, r and phase, passed positionally.  The term
+# derivatives' series (both moment functions read their terms), the
+# series n_function, wright_w and n_function_derivative sum at each phase
+# of x, and the ground-state series.  It is keyed by the series alone:
+# log|x|, the triple, tol, step, r and phase, passed positionally.  The term
 # budget and the error label only matter when a call fails, so _memo_read
 # leaves them in a thread-local for a miss to run the kernel with, and the
 # memo stores what it returns, never an error.  The kernel stops at the
@@ -393,8 +393,8 @@ def _memo_read(
     step: int = 1, r: int | None = None, phase: complex | None = None,
 ) -> _LogSeries:
     """The kernel's record of a series, log_terms read-only: from n = 0
-    with step and phase, or, for an order r, the r-th derivative's series,
-    start r with the falling factorial as log_factor."""
+    with step, or, for an order r, the r-th derivative's series, start r
+    with the falling factorial as log_factor; each with phase."""
     tol = check_real(tol, "tol", above=0.0)
     max_terms = check_count(max_terms, "max_terms", 1)
     _caller.budget_and_label = max_terms, what
@@ -416,16 +416,16 @@ def _linear_sum(
     tol: float,
     max_terms: int,
     what: str,
-    start: int = 0,
-    log_factor: Callable | None = None,
+    r: int | None = None,
     log_first: float = 0.0,
 ) -> SeriesResult:
-    """Value and diagnostics of the series with first term e^log_first,
-    summed on linear scale with compensated addition."""
+    """Value and diagnostics of the memo's series (N's, or for an order r
+    the r-th derivative's) with first term e^log_first, summed on linear
+    scale with compensated addition."""
     ax = abs(x)
     lx = math.log(ax) if ax > 0.0 else -math.inf
     phase = x / ax if ax > 0.0 else 1.0
-    s = _log_series(lx, p, tol, max_terms, what, start, log_factor=log_factor, phase=phase)
+    s = _memo_read(lx, p, tol, max_terms, what, r=r, phase=phase)
     log_t = s.log_terms + log_first
     with np.errstate(over="ignore", invalid="ignore"):  # inf * (1 + 0j) is NaN
         terms = np.exp(log_t) * _phases(phase, np.arange(len(log_t)))
@@ -465,8 +465,7 @@ def n_function_derivative(
     x = check_complex(x, "x")
     r = check_count(r, "r")
     return _linear_sum(
-        x, p, tol, max_terms, f"n_function_derivative(r={r})",
-        start=r, log_factor=_log_falling(r),
+        x, p, tol, max_terms, f"n_function_derivative(r={r})", r=r,
         log_first=log_gamma(r + 1.0) - log_gen_factorial(r, p),
     )
 

@@ -73,12 +73,9 @@ def _setup_logging() -> None:
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
     try:
-        vals = tuple(float(tok) for tok in text.split(","))
+        return tuple(float(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ParameterError(f"cannot parse {text!r} as a number list") from exc
-    if not vals:
-        raise ParameterError("empty value list")
-    return vals
 
 
 # the most values a range or grid may expand to, checked before it is built

@@ -30,14 +30,14 @@ entries, and its columns are never written after: a new triple's table is
 built to the index asked for, and a read past a table's end replaces it
 with a new one at least twice as long, so a loop over n = 1, 2, ...
 builds O(log n) tables.  One past _MAX_ENTRIES = 2^26 entries is refused
-before anything is allocated.  Entries below k0, where some gamma argument
-is below gammafn._SERIES_MIN_ARG (13; k0 is about 12 / beta), take three
-gamma columns from the array Lanczos log-gamma, as the scalar one would.
-From k0 on, each block is a few numpy passes of the gamma-ratio series,
-log [k] within about an ulp and log [n]! written as closed-form Stirling
-terms plus a running sum of O(1/k) corrections.  Every entry is an
-elementwise function of its index, and the running sums add in index
-order across blocks, so a longer table repeats the shorter one's bits.
+before anything is allocated.  Each block is a few numpy passes of the
+gamma-ratio series, log [k] within about an ulp: shifted up where a gamma
+argument is below gammafn._SERIES_MIN_ARG (13), as it is at entries below
+k0, about 12 / beta.  There log [n]! is the running sum of log [k], each
+sum rounded once; from k0 on, closed-form Stirling terms plus a running
+sum of O(1/k) corrections.  Every entry is an elementwise function of its
+index, and the running sums add in index order across blocks, so a longer
+table repeats the shorter one's bits.
 
 A table also keeps the linear brackets [0..m], exp of the log column by
 box's exp, grown lazily (at least doubling) to the longest _brackets read,
@@ -61,7 +61,6 @@ from .gammafn import (
     _SERIES_MIN_ARG,
     LogValue,
     _exp_each,
-    _log_gamma_array,
     _ratio_coefficients,
     _ratio_series,
     _stirling_log_gamma,
@@ -84,6 +83,10 @@ _BLOCK = 4096  # entries per array block; bounds the temporaries' memory
 _MAX_TABLES = 64
 # the most entries a table may hold: 1 GB at two float64 columns
 _MAX_ENTRIES = 2**26
+# above |log [k]|: each of its two ratios log Gamma(w + d) - log Gamma(w),
+# 0 <= d <= 1, is at most 745 in size, that of log Gamma at a double w < 2,
+# or d log(w + d) <= 710 at w >= 2
+_LOG_BOX_BOUND = 2.0**12
 
 
 class _Table:
@@ -98,13 +101,18 @@ class _Table:
     __slots__ = ("log_box", "log_fact", "brackets")
 
     def __init__(self, p: DeformationParams, n: int) -> None:
+        if p.beta + 1.0 - p.alpha == 0.0:  # the least bk+1-a, at alpha = 1, beta < 2^-53
+            raise NumericalRangeError(f"factorial table for {p}: beta + 1 - alpha rounds to 0")
         box, fact = np.empty(n + 1), np.empty(n + 1)
         box[0], fact[0] = -math.inf, 0.0
         tail0 = log_gamma(1.0 - p.alpha + p.nu)
         k0 = min(_first_series_entry(p), n + 1)
-        run = 0.0  # the running sum of the alpha-ratio logs
+        run = 0.0  # below k0, log [n]! is the running sum of log [k]
         for lo in range(1, k0, _BLOCK):
-            run = _lanczos_entries(box, fact, lo, min(lo + _BLOCK, k0), p, run, tail0)
+            hi = min(lo + _BLOCK, k0)
+            box[lo:hi] = _log_brackets(np.arange(lo, hi, dtype=float), p)[0]
+            fact[lo:hi] = _rounded_once(run, box[lo:hi])
+            run = fact.item(hi - 1)
         if k0 <= n:
             run = _r_sum(p, k0)  # from k0 on, the running sum of r(k)
             for lo in range(k0, n + 1, _BLOCK):
@@ -124,71 +132,69 @@ class _Table:
         self.brackets = _read_only(lin)
 
 
-def _lanczos_entries(box: np.ndarray, fact: np.ndarray, lo: int, hi: int,
-                     p: DeformationParams, run: float, tail0: float) -> float:
-    """Entries lo..hi-1 (all below k0) from three log-gamma columns,
-    log [k] = lg(bk+1) - lg(bk+1-a) + lg(bk+1-a+v) - lg(b(k-1)+1-a+v),
-    continuing the running sum run; returns it at hi-1."""
+def _log_brackets(k: np.ndarray, p: DeformationParams) -> tuple[np.ndarray, np.ndarray]:
+    """log [k] on a float array of k >= 1, and rho(bk+1-a; a), from the
+    ratio series, with D(w; d) = log Gamma(w + d) - log Gamma(w)
+    = d log w + rho(w; d):
+
+        log [k] = D(bk+1-a; a) + D(b(k-1)+1-a+v; b)"""
     a, b, v = p.alpha, p.beta, p.nu
-    bk = b * np.arange(lo - 1, hi) + 1.0  # from the entry before, for its tail
-    lg_top = _log_gamma_array(bk[1:])
-    lg_bot = _log_gamma_array(bk[1:] - a)
-    if lo == 1:
-        tail = np.append(tail0, _log_gamma_array(bk[1:] - a + v))
-    else:
-        tail = _log_gamma_array(bk - a + v)
-    box[lo:hi] = lg_top - lg_bot + tail[1:] - tail[:-1]
-    # run[k] = (run[k-1] + top_k) - bot_k, left to right: accumulate
-    # adds in order, and s + (-bot) rounds as s - bot
-    steps = np.empty(2 * (hi - lo) + 1)
-    steps[0] = run
-    steps[1::2] = lg_top
-    steps[2::2] = -lg_bot
-    runs = np.add.accumulate(steps)[2::2]
-    fact[lo:hi] = runs + tail[1:] - tail0
-    return runs.item(-1)
+    w = b * k + 1.0 - a
+    t = b * (k - 1.0) + 1.0 - a + v
+    rho = _ratio_series(w, a, _ratio_coefficients(a))
+    return (a * np.log(w) + rho) + (b * np.log(t) + _ratio_series(t, b, _ratio_coefficients(b))), rho
+
+
+def _running(run: float, steps: np.ndarray) -> np.ndarray:
+    """run + steps[0], run + steps[0] + steps[1], ..., added left to right."""
+    return np.add.accumulate(np.append(run, steps))[1:]
+
+
+def _rounded_once(run: float, steps: np.ndarray) -> np.ndarray:
+    """run + steps[0], run + steps[0] + steps[1], ...: each exact sum
+    rounded once, give or take 2^-82 sigma, for at most _BLOCK steps below
+    _LOG_BOX_BOUND in size.  sigma, a power of two at least twice every
+    partial sum's size, splits each term into a multiple of 2^-53 sigma,
+    whose running sums are exact, and a remainder below 2^-53 sigma (Rump,
+    Ogita and Oishi's ExtractVector, as in series._exact_sum).  sigma
+    depends on run alone, so a sum has the same bits in a table of any
+    length."""
+    x = np.append(run, steps)
+    sigma = math.ldexp(1.0, math.frexp(abs(run) + _BLOCK * _LOG_BOX_BOUND)[1] + 1)
+    high = x + sigma
+    high -= sigma
+    return (np.add.accumulate(high) + np.add.accumulate(x - high))[1:]
 
 
 def _series_entries(box: np.ndarray, fact: np.ndarray, lo: int, hi: int,
                     p: DeformationParams, run: float, tail0: float) -> float:
-    """Entries lo..hi-1 (all from k0 on) from the ratio series, with
-    D(w; d) = log Gamma(w + d) - log Gamma(w) = d log w + rho(w; d):
+    """Entries lo..hi-1 (all from k0 on): log [k] from _log_brackets, and
 
-        log [k]  = D(bk+1-a; a) + D(b(k-1)+1-a+v; b)
         log [n]! = a (n log b + lg(n+1)) + sum_(k<=n) r(k)
                    + lg(bn+1-a+v) - lg(1-a+v)
 
     with r(k) = D(bk+1-a; a) - a log(bk) = O(1/k), so the running sum run,
     continued here and returned at hi-1, adds only small numbers."""
     a, b, v = p.alpha, p.beta, p.nu
-    k = np.arange(lo - 1, hi, dtype=float)  # from the entry before
-    bk = b * k
-    w = bk + 1.0 - a
-    tail_arg = w + v  # bk+1-a+v; at k-1 it is the second ratio's argument
-    rho = _ratio_series(w[1:], a, _ratio_coefficients(a))
-    box[lo:hi] = (a * np.log(w[1:]) + rho) + (
-        b * np.log(tail_arg[:-1]) + _ratio_series(tail_arg[:-1], b, _ratio_coefficients(b))
-    )
-    steps = np.empty(hi - lo + 1)
-    steps[0] = run
-    steps[1:] = _r(bk[1:], a, rho)
-    np.add.accumulate(steps, out=steps)
-    closed = a * _stirling_log_gamma(k[1:] + 1.0, b)  # a (n log b + lg(n+1))
-    fact[lo:hi] = closed + steps[1:] + (_stirling_log_gamma(tail_arg[1:]) - tail0)
-    return steps.item(-1)
+    k = np.arange(lo, hi, dtype=float)
+    box[lo:hi], rho = _log_brackets(k, p)
+    sums = _running(run, _r(b * k, a, rho))
+    closed = a * _stirling_log_gamma(k + 1.0, b)  # a (n log b + lg(n+1))
+    fact[lo:hi] = closed + sums + (_stirling_log_gamma(b * k + 1.0 - a + v) - tail0)
+    return sums.item(-1)
 
 
 def _r_sum(p: DeformationParams, k0: int) -> float:
     """sum_(k<k0) r(k), from the ratio series shifted up where
-    bk+1-a < z0, not from the Lanczos entries' log [k0-1]!: that carries
-    the rounding of 2 k0 log-gamma values of up to log Gamma(13) = 20,
-    which would stay in every later entry."""
+    bk+1-a < z0: a sum of its own small terms, not one derived from
+    log [k0-1]!, whose rounding of the larger log [k] would stay in every
+    later entry."""
     a, b = p.alpha, p.beta
     c_alpha, total = _ratio_coefficients(a), 0.0
     for lo in range(1, k0, _BLOCK):
         bk = b * np.arange(lo, min(lo + _BLOCK, k0))
         r = _r(bk, a, _ratio_series(bk + 1.0 - a, a, c_alpha))
-        total = np.add.accumulate(np.append(total, r)).item(-1)
+        total = _running(total, r).item(-1)
     return total
 
 

@@ -4,16 +4,15 @@ Everything downstream (deformed factorials, series weights, photon
 statistics) is built from ratios of gamma functions whose linear values
 overflow early, so the base layer works in log space throughout.
 
-One Lanczos body serves both the public scalar `log_gamma` and the private
-array form `_log_gamma_array`; the array form takes its logs and sines with
-the same C-library calls, so it equals the scalar bit for bit.  The
-factorial tables use it only at small arguments.  Where every argument is
-at least _SERIES_MIN_ARG they use two numpy series instead, with
-coefficients from a literal table of Bernoulli numbers: Stirling's series
-for log Gamma (`_stirling_log_gamma`), and its difference for the ratio
-log Gamma(w + d) - log Gamma(w) (`_ratio_coefficients`, `_ratio_series`),
-which has no large values to cancel; the ratio series also reaches smaller
-arguments by shifting them up.
+The public scalar `log_gamma` is a Lanczos approximation.  The factorial
+tables call it once per table; every entry comes from two numpy series,
+with coefficients from a literal table of Bernoulli numbers: Stirling's
+series for log Gamma (`_stirling_log_gamma`), and its difference for the
+ratio log Gamma(w + d) - log Gamma(w) (`_ratio_coefficients`,
+`_ratio_series`), which has no large values to cancel.  Both are summed
+where every argument is at least _SERIES_MIN_ARG; the ratio series reaches
+smaller arguments by shifting them up, one step of order d (1 - d) / x^2
+at a time, all steps of an array on one grid.
 """
 
 from __future__ import annotations
@@ -52,6 +51,7 @@ _LN_PI = math.log(math.pi)
 # exp overflows just above this, so log-scale values beyond it have no
 # finite linear representation
 _MAX_FINITE_LOG = math.log(sys.float_info.max)
+_TINY = sys.float_info.min  # the least normal double
 
 
 def log_gamma(x: float) -> float:
@@ -73,43 +73,20 @@ def log_gamma(x: float) -> float:
     return log_abs
 
 
-def _lanczos_log_gamma(x, log=math.log):
-    # valid for x >= 0.5; x is a float, or an array with an elementwise log
+def _lanczos_log_gamma(x: float) -> float:
+    # valid for x >= 0.5
     acc = _LANCZOS_COEFFS[0]
     for k in range(1, len(_LANCZOS_COEFFS)):
         acc += _LANCZOS_COEFFS[k] / (x - 1.0 + k)
     t = x + _LANCZOS_G - 0.5
-    return _LN_SQRT_TWO_PI + (x - 0.5) * log(t) - t + log(acc)
+    return _LN_SQRT_TWO_PI + (x - 0.5) * math.log(t) - t + math.log(acc)
 
 
-def _elementwise(fn):
-    # the C library's function, not numpy's: the two differ in the last bit
-    # on some arguments (exp on about one in twenty), which would move table
-    # entries and part array reads from the scalar accessors
-    return lambda a: np.fromiter(map(fn, a.tolist()), float, len(a))
-
-
-_log_each = _elementwise(math.log)
-_sin_each = _elementwise(math.sin)
-_exp_each = _elementwise(math.exp)
-
-
-def _log_gamma_array(x: np.ndarray) -> np.ndarray:
-    """log_gamma elementwise on a float array, equal to it bit for bit.
-
-    The caller guarantees finite arguments x > 0; nothing is checked.
-    """
-    out = np.empty_like(x)
-    big = x >= 0.5
-    out[big] = _lanczos_log_gamma(x[big], _log_each)
-    if not big.all():
-        small = x[~big]
-        out[~big] = (
-            _LN_PI
-            - _log_each(_sin_each(math.pi * small))
-            - _lanczos_log_gamma(1.0 - small, _log_each)
-        )
-    return out
+def _exp_each(a: np.ndarray) -> np.ndarray:
+    """The C library's exp elementwise, not numpy's: the two differ in the
+    last bit on about one argument in twenty, which would part the linear
+    brackets from box."""
+    return np.fromiter(map(math.exp, a.tolist()), float, len(a))
 
 
 # Bernoulli numbers B_0..B_14 (B_1 = -1/2) as exact fractions
@@ -120,8 +97,10 @@ _BERNOULLI = (
 _B_DEN = math.lcm(*(den for _, den in _BERNOULLI))
 _B_SCALED = tuple(num * (_B_DEN // den) for num, den in _BERNOULLI)  # B_k * _B_DEN
 # Both series below are summed only where every argument is at least z0
-# (_ratio_series shifts smaller ones up).  13 rather than 12 keeps the
-# brackets [n <= 11] at beta = 1 on the Lanczos path.
+# (_ratio_series shifts smaller ones up).  At 13 both remainders stay
+# below a tenth of an ulp (the bounds below).  z0 also fixes where each
+# table's closed-form factorials start (k0) and which arguments are
+# shifted, so another value would move the bits of every table entry.
 _SERIES_MIN_ARG = 13.0
 
 # Stirling's series, log Gamma(z) = (z - 1/2)(log z - 1) + (log 2 pi - 1)/2
@@ -188,12 +167,19 @@ def _ratio_series(w: np.ndarray, d: float, coeffs: tuple[float, ...]) -> np.ndar
     w > 0, for coeffs = _ratio_coefficients(d): the series sum_j c_j / w^j
     where w >= _SERIES_MIN_ARG; below, the series at w + m, the first such
     point, plus the m steps rho(x) - rho(x + 1) = d log1p(1/x) - log1p(d/x),
-    each of order d (1 - d) / x^2 and 0 at d = 0 and d = 1."""
+    each of order d (1 - d) / x^2 and 0 at d = 0 and d = 1.  At a subnormal
+    w, where 1/w overflows, the first step is (1 - d) log w - log(w + d),
+    the same to within d w."""
     shifts = np.maximum(np.ceil(_SERIES_MIN_ARG - w), 0.0)
+    i = np.arange(shifts.max(initial=0.0))
     steps = 0.0
-    for i in range(int(shifts.max(initial=0.0))):
-        x = w + i
-        steps = steps + np.where(i < shifts, d * np.log1p(1.0 / x) - np.log1p(d / x), 0.0)
+    if len(i):  # step i at x = w + i, where i < shifts; added in order of i
+        x = np.maximum(w[:, None] + i, _TINY)
+        grid = np.where(i < shifts[:, None], d * np.log1p(1.0 / x) - np.log1p(d / x), 0.0)
+        tiny = w < _TINY
+        if tiny.any():
+            grid[tiny, 0] = (1.0 - d) * np.log(w[tiny]) - np.log(w[tiny] + d)
+        steps = np.add.accumulate(grid, axis=1)[:, -1]
     y = 1.0 / (w + shifts)
     return _horner(coeffs, y) * y + steps
 

@@ -12,7 +12,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import wcs
-from wcs.cli import main
+from wcs.cli import _parse_grid, _parse_int_range, main
+from wcs.errors import ParameterError
 
 
 def run_cli(argv, env=None):
@@ -401,6 +402,40 @@ class TestBadParameters:
     def test_exit_code_two(self, argv):
         code, _, err = run_cli(argv)
         assert code == 2
+
+
+class TestParsers:
+    """The range, grid and list parsers behind --n, --k, --x and the
+    parameter lists, one error path each."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0:1", "must be lo:hi:count"),
+            ("0:1:2:3", "must be lo:hi:count"),
+            ("0:one:3", "cannot parse grid expression"),
+            ("0:1:2.5", "cannot parse grid expression"),
+            ("0:1:0", "grid count must be >= 1, got 0"),
+            ("0:1:-4", "grid count must be >= 1, got -4"),
+            ("1,,2", "as a number list"),
+        ],
+    )
+    def test_bad_grid(self, text, message):
+        with pytest.raises(ParameterError, match=message):
+            _parse_grid(text)
+
+    def test_one_point_grid_is_its_lower_end(self):
+        assert _parse_grid("0.5:3:1") == (0.5,)
+
+    @pytest.mark.parametrize("text", ["1..b", "0.5..3", "x", "1,two"])
+    def test_bad_integer_range(self, text):
+        with pytest.raises(ParameterError, match="as an integer range"):
+            _parse_int_range(text)
+
+    def test_bad_grid_exits_two(self):
+        code, out, err = run_cli(["mandel", "--x", "0.1:10"])
+        assert (code, out) == (2, "")
+        assert "must be lo:hi:count" in err
 
 
 class TestCountCeilings:

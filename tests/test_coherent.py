@@ -207,6 +207,14 @@ class TestContinuity:
         lab = CoherentLabel(complex(0.4, 0.1))
         assert continuity_defect(lab, lab, P011) == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("p", [CLASSICAL, P011])
+    def test_vacuum_label(self, p):
+        # the vacuum's amplitudes are (1, 0, 0, ...), read without its log
+        vacuum, lab = CoherentLabel(0j), CoherentLabel(complex(0.8, -0.3))
+        assert continuity_defect(vacuum, lab, p) <= 1e-15
+        assert continuity_defect(lab, vacuum, p) <= 1e-15
+        assert continuity_defect(vacuum, vacuum, p) == 0.0
+
     def test_classical_defect(self):
         d = continuity_defect(
             CoherentLabel(1.0 + 0.0j), CoherentLabel(1.001 + 0.0j), CLASSICAL

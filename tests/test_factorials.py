@@ -48,7 +48,7 @@ from wcs.factorials import (
     _log_factorials,
     _table,
 )
-from wcs.gammafn import _SERIES_MIN_ARG, _log_gamma_array, log_gamma
+from wcs.gammafn import _SERIES_MIN_ARG, log_gamma
 from wcs.series import _MAX_SERIES
 
 CLASSICAL = DeformationParams(0.0, 1.0, 0.0)
@@ -212,23 +212,9 @@ class TestGenFactorial:
         assert log_gen_factorial(12, GRID[4]) == before
 
 
-def _lanczos_entries(p, n):
-    """The entry-by-entry build of entries 0..n below k0: one scalar
-    log_gamma per gamma function, log [k]! summed left to right."""
-    a, b, v = p.alpha, p.beta, p.nu
-    log_box_, log_prod, log_tail = [-math.inf], [0.0], [log_gamma(1.0 - a + v)]
-    for k in range(1, n + 1):
-        lg_top = log_gamma(b * k + 1.0)
-        lg_bot = log_gamma(b * k + 1.0 - a)
-        tail = log_gamma(b * k + 1.0 - a + v)
-        log_box_.append(lg_top - lg_bot + tail - log_tail[k - 1])
-        log_prod.append(log_prod[k - 1] + lg_top - lg_bot)
-        log_tail.append(tail)
-    return log_box_, [s + t - log_tail[0] for s, t in zip(log_prod, log_tail)]
-
-
 # alpha = 1 with beta = 0.1 and alpha = 0.9 with beta = 0.05 send the
-# b k + 1 - alpha arguments below 0.5, into the reflection branch
+# b k + 1 - alpha arguments below 0.5, where the ratio series shifts up
+# furthest
 TABLE_TRIPLES = [
     DeformationParams(1.0, 0.1, 0.5),
     DeformationParams(0.9, 0.05, 0.0),
@@ -256,6 +242,21 @@ def _mp_log_gamma_ratios(p, k):
         return top + lg(b * k + 1 - a + v) - lg(b * (k - 1) + 1 - a + v), top
 
 
+def _mp_log_tables(p, n):
+    """log [1..n] and log [1..n]! at 40 digits, from the float triple, the
+    factorial as its telescoped closed form."""
+    with mpmath.workdps(40):
+        a, b, v = (mpmath.mpf(t) for t in (p.alpha, p.beta, p.nu))
+        lg = mpmath.loggamma
+        boxes, facts, prod = [], [], mpmath.mpf(0)
+        for k in range(1, n + 1):
+            ref, top = _mp_log_gamma_ratios(p, k)
+            prod += top
+            boxes.append(ref)
+            facts.append(prod + lg(b * k + 1 - a + v) - lg(1 - a + v))
+        return boxes, facts
+
+
 def _mp_closed_log_factorial(p, n):
     """log [n]! at 40 digits from its closed form at alpha in {0, beta, 1}."""
     with mpmath.workdps(40):
@@ -276,8 +277,8 @@ def _above_k0(k0, n_max, count=40):
 
 class TestArrayTable:
     """Tables built in array blocks: the same bits whatever the read order,
-    the Lanczos entries below k0 as before, and the series entries from k0
-    on within a few ulp of 40-digit mpmath."""
+    and every entry, below k0 and from k0 on, within a few ulp of 40-digit
+    mpmath."""
 
     @staticmethod
     def _rows(tab, n):
@@ -292,10 +293,13 @@ class TestArrayTable:
             tab = _table(p, n)
         return tab
 
-    @pytest.mark.parametrize("p", list(dict.fromkeys(TABLE_TRIPLES + SERIES_TRIPLES)))
+    # with beta = 1e-9 every entry is below k0, in three blocks
+    @pytest.mark.parametrize(
+        "p", [*dict.fromkeys(TABLE_TRIPLES + SERIES_TRIPLES), DeformationParams(0.5, 1e-9, 0.5)]
+    )
     def test_every_growth_path_gives_the_same_bits(self, p):
         whole = self._rows(self._grown(p, [10_000]), 10_000)
-        k0 = _first_series_entry(p)
+        k0 = min(_first_series_entry(p), 9_998)
         for steps in (
             [37, 4096, 4097, 10_000],
             [k0 - 1, k0, k0 + 1, 10_000],  # the series start in a table of its own
@@ -303,21 +307,34 @@ class TestArrayTable:
         ):
             assert self._rows(self._grown(p, steps), 10_000) == whole
 
-    @pytest.mark.parametrize("p", TABLE_TRIPLES)
-    def test_entries_below_k0_are_the_lanczos_build(self, p):
-        tab = self._grown(p, [37, 4096])
+    @pytest.mark.parametrize(
+        "p",
+        [
+            *dict.fromkeys(TABLE_TRIPLES + SERIES_TRIPLES),
+            # k0, about 12 / beta, lies beyond any table, or beyond every float
+            *(DeformationParams(0.5, beta, 0.5) for beta in (1e-9, 1e-300, 5e-324)),
+        ],
+    )
+    def test_entries_to_past_k0_against_mpmath(self, p):
+        # below k0 the same ratio series as from k0 on, shifted up, and
+        # log [n]! the running sum of log [k]; past k0, the series entries
         k0 = _first_series_entry(p)
-        assert 13 <= k0 <= 4096
-        log_box_, log_fact = _lanczos_entries(p, k0 - 1)
-        assert tab.log_box[:k0].tolist() == log_box_
-        assert tab.log_fact[:k0].tolist() == log_fact
+        n = min(k0 + 2, 300)
+        tab = self._grown(p, [n])
+        boxes, facts = _mp_log_tables(p, n)
+        for k in range(1, n + 1):
+            ref_box, ref_fact = boxes[k - 1], facts[k - 1]
+            assert abs(tab.log_box[k] - ref_box) <= 4e-15 * max(1, abs(ref_box)), k
+            assert abs(tab.log_fact[k] - ref_fact) <= 5e-15 * max(1, abs(ref_fact)), k
 
-    @pytest.mark.parametrize("beta", [1e-9, 1e-300, 5e-324])
-    def test_tiny_beta_is_all_lanczos(self, beta):
-        # k0, about 12 / beta, lies beyond any table, or beyond every float
-        p = DeformationParams(0.5, beta, 0.5)
-        tab = self._grown(p, [100])
-        assert (tab.log_box.tolist(), tab.log_fact.tolist()) == _lanczos_entries(p, 100)
+    @pytest.mark.parametrize("p", list(dict.fromkeys(TABLE_TRIPLES + SERIES_TRIPLES)))
+    def test_factorial_column_is_continuous_at_k0(self, p):
+        # log [k0]! is a closed form, log [k0 - 1]! a running sum: they part
+        # by no more than rounding
+        k0 = _first_series_entry(p)
+        tab = self._grown(p, [k0])
+        step = tab.log_fact[k0] - tab.log_fact[k0 - 1] - tab.log_box[k0]
+        assert abs(step) <= 4 * math.ulp(tab.log_fact[k0])
 
     @pytest.mark.parametrize("p", SERIES_TRIPLES)
     def test_brackets_from_k0_against_mpmath(self, p):
@@ -327,12 +344,12 @@ class TestArrayTable:
             assert abs(tab.log_box[k] - ref) <= 1e-14 * abs(ref), k
 
     def test_classical_log_box_is_log_n(self):
-        tab, k0 = self._grown(CLASSICAL, [100_000]), _first_series_entry(CLASSICAL)
-        n = np.arange(k0, 100_001)
-        got = tab.log_box[k0:].tolist()
+        tab = self._grown(CLASSICAL, [100_000])
+        n = np.arange(1, 100_001)
+        got = tab.log_box[1:].tolist()
         assert all(abs(g - math.log(k)) <= math.ulp(math.log(k)) for k, g in zip(n.tolist(), got))
         # exp(log n) carries the rounding of log n, about log(n) eps/2
-        lin = _brackets(CLASSICAL, 100_000)[k0:]
+        lin = _brackets(CLASSICAL, 100_000)[1:]
         assert np.all(np.abs(lin - n) <= (np.log(n) + 1.0) * 0.5 * np.finfo(float).eps * n)
 
     @pytest.mark.parametrize(
@@ -366,19 +383,36 @@ class TestArrayTable:
                 ref = prod + mpmath.loggamma(b * n + 1 - a + v) - mpmath.loggamma(1 - a + v)
                 assert abs(tab.log_fact[n] - ref) <= 1e-15 * abs(ref), n
 
-    def test_log_gamma_arguments_stop_at_k0(self, monkeypatch):
-        # a work counter, the same on any machine: the C-library log-gamma
-        # sees the three arguments of each Lanczos entry, none after k0
-        seen = []
+    def test_running_sums_below_k0_round_once(self):
+        # each partial sum of the log [k] is the exact sum rounded once, as
+        # math.fsum rounds it, from any run carried in from the block before
+        rng = np.random.default_rng(27)
+        for run in (0.0, -7.25, 3.0e6):
+            steps = rng.uniform(-1.0, 1.0, 1000) * 10.0 ** rng.uniform(-3, 3, 1000)
+            got = factorials._rounded_once(run, steps).tolist()
+            assert got == [math.fsum([run, *steps[: j + 1]]) for j in range(len(steps))]
 
-        def counted(x):
-            seen.append(len(x))
-            return _log_gamma_array(x)
+    def test_alpha_one_below_the_resolution_of_one_is_refused(self):
+        # beta k + 1 - alpha rounds to 0 at alpha = 1, beta < 2^-53
+        p = DeformationParams(1.0, 1e-17, 0.5)
+        with pytest.raises(NumericalRangeError, match="rounds to 0"):
+            log_box(1, p)
 
-        monkeypatch.setattr(factorials, "_log_gamma_array", counted)
+    def test_series_shifts_stop_at_k0(self, monkeypatch):
+        # a work counter, the same on any machine: the ratio series shifts
+        # up only arguments below z0, the two of each entry below k0 and
+        # the one of each term of sum_(k<k0) r(k), none after k0
+        shifted = []
+        ratio_series = factorials._ratio_series
+
+        def counted(w, d, coeffs):
+            shifted.append(int(np.count_nonzero(w < _SERIES_MIN_ARG)))
+            return ratio_series(w, d, coeffs)
+
+        monkeypatch.setattr(factorials, "_ratio_series", counted)
         p = DeformationParams(0.3, 0.5, 0.2)
         self._grown(p, [10_000])
-        assert sum(seen) <= 3 * math.ceil(_SERIES_MIN_ARG / p.beta)
+        assert 0 < sum(shifted) <= 3 * (_first_series_entry(p) - 1)
 
     def test_one_scalar_log_gamma_per_cold_table(self, monkeypatch):
         calls = []

@@ -15,7 +15,7 @@ from wcs.gammafn import (
     _BERNOULLI,
     _RATIO_TERMS,
     _SERIES_MIN_ARG,
-    _log_gamma_array,
+    _horner,
     _ratio_coefficients,
     _ratio_series,
     _stirling_log_gamma,
@@ -55,23 +55,42 @@ class TestLogGamma:
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
-class TestLogGammaArray:
-    """The array form the factorial tables use equals the scalar bit for bit."""
+def _ratio_series_stepwise(w, d, coeffs):
+    """_ratio_series with its shift steps added one step of every row at a
+    time, in order of the step."""
+    shifts = np.maximum(np.ceil(_SERIES_MIN_ARG - w), 0.0)
+    steps = 0.0
+    for i in range(int(shifts.max(initial=0.0))):
+        x = w + i
+        steps = steps + np.where(i < shifts, d * np.log1p(1.0 / x) - np.log1p(d / x), 0.0)
+    y = 1.0 / (w + shifts)
+    return _horner(coeffs, y) * y + steps
 
-    @pytest.mark.parametrize(
-        "x",
-        [
-            np.geomspace(1e-8, 0.4999, 400),  # reflection branch
-            np.linspace(0.5, 1e4, 4001),  # Lanczos branch up to 10^4
-            np.random.default_rng(7).uniform(1e-9, 2.0, 3000),  # both branches, mixed
-            # table arguments b k + 1 and b k + 1 - a; numpy's own log would
-            # miss the scalar's bits at one of the first
-            0.1 * np.arange(1, 10_001) + 1.0,
-            0.05 * np.arange(1, 2001) + 1.0 - 0.9,
-        ],
-    )
-    def test_bitwise_equal_to_scalar(self, x):
-        assert _log_gamma_array(x).tolist() == [log_gamma(v) for v in x.tolist()]
+
+class TestRatioSeriesShifts:
+    """The shift steps below _SERIES_MIN_ARG, taken on one grid."""
+
+    def test_grid_adds_as_the_stepwise_loop(self):
+        # each row's steps in order of the step, as a loop over the steps
+        # adds them: the bits that every table entry from k0 on depends on
+        rng = np.random.default_rng(27)
+        for _ in range(300):
+            d = float(rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)]))
+            w = np.concatenate((rng.uniform(1e-3, 20.0, 40), 10.0 ** rng.uniform(-8, 1, 10)))
+            coeffs = _ratio_coefficients(d)
+            assert _ratio_series(w, d, coeffs).tobytes() == _ratio_series_stepwise(w, d, coeffs).tobytes()
+
+    @pytest.mark.parametrize("d", [1.0, 0.5, 0.05, 1e-3])
+    def test_subnormal_arguments(self, d):
+        # 1/w overflows below about 5.6e-309, so the first step is taken
+        # in a form without it
+        w = np.array([5e-324, 1e-310, 6e-309, 2e-308, 1e-307])
+        got = _ratio_series(w, d, _ratio_coefficients(d))
+        with mpmath.workdps(40):
+            for wi, g in zip(w.tolist(), got.tolist()):
+                wi = mpmath.mpf(wi)
+                ref = mpmath.loggamma(wi + d) - mpmath.loggamma(wi) - d * mpmath.log(wi)
+                assert abs(g - ref) <= 4e-15 * max(1, abs(ref))
 
 
 class TestSeries:

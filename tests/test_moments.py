@@ -414,6 +414,11 @@ class TestResolutionWeight:
                 1.0 / math.pi, rel=1e-11
             )
 
+    def test_zero_weight_needs_no_series(self, monkeypatch):
+        # U = 0 wherever Utilde = 0, whatever N(x) is
+        monkeypatch.setattr(wcs.moments, "log_n_function", None)
+        assert u_from_u_tilde(wcs.moments.WeightSample(1e6, 0.0, 0.0), P111) == 0.0
+
     def test_wright_composition(self):
         sample = weight_wright(1.0, 1.0, 1.0, rtol=1e-11)
         ref = 2.0 * sp.k0(2.0) * sp.iv(0, 2.0) / math.pi

@@ -71,6 +71,11 @@ class TestDoubleExponential:
         with pytest.raises(NumericalRangeError):
             integrate_zero_inf_de(lambda log_t, x: np.log(x - 2.0) - np.exp(log_t), [1.0])
 
+    def test_zero_integrand_raises(self):
+        # -inf marks a zero; a row that is zero on the whole scan has no window
+        with pytest.raises(NumericalRangeError, match="-inf on the whole scan"):
+            integrate_zero_inf_de(lambda log_t, x: np.full(np.shape(log_t), -np.inf), [1.0])
+
     def test_bad_arguments(self):
         with pytest.raises(ParameterError):
             integrate_zero_inf_de(_log_gamma_integrand, [1.0], rtol=0.0)
@@ -210,6 +215,21 @@ class TestSharedNodes:
         res = integrate_shared_de(_gamma_moments(np.array([-0.96])), low_power=0.04)
         error = abs(res.log_value[0] - math.lgamma(0.04))
         assert 1e-13 < error <= res.rel_error[0] <= 1e-11
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_or_inf_integrand_raises(self, bad):
+        def log_f(log_t):
+            g = _gamma_moments(np.arange(3.0))(log_t)
+            g[1, log_t > 0.0] = bad
+            return g
+
+        with pytest.raises(NumericalRangeError, match="NaN or \\+inf"):
+            integrate_shared_de(log_f, low_power=1.0)
+
+    def test_zero_integrand_raises(self):
+        zero = lambda log_t: np.full((2, len(log_t)), -np.inf)
+        with pytest.raises(NumericalRangeError, match="-inf on the whole scan"):
+            integrate_shared_de(zero, low_power=1.0)
 
     def test_missed_tolerance_raises(self):
         # a jump at t = 1 keeps the h vs 2h difference at O(h)

@@ -11,6 +11,10 @@ readme          stdout of the `wcs` commands in README.md's sh blocks, in
                 README order, each run in a fresh interpreter
 cli-json        the same commands with --format json, then `factorial` with
                 a newline in --n, each run in a fresh interpreter
+tables          log_box and log_gen_factorial at n = 0..k0+2, through the
+                first closed-form entry k0, on four triples, and at
+                n = 0..4100, two array blocks, at beta = 1e-9, where k0 is
+                past every table
 verify_moments  fixed verify_moments calls over the three weight families
 weights         the three scalar weight samplers at fixed (x, beta, nu) of
                 each family, and the two verify_moments calls refused
@@ -49,6 +53,7 @@ import subprocess
 import sys
 
 import wcs
+from wcs.factorials import _first_series_entry
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
 
@@ -78,6 +83,17 @@ def _call(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except Exception as exc:  # the error is part of the output
         return (type(exc).__name__, str(exc))
+
+
+def _tables() -> list:
+    triples = [(1.0, 0.1, 0.5), (0.9, 0.05, 0.0), (0.0, 1.0, 0.0), (0.5, 0.5, -0.3),
+               (0.5, 1e-9, 0.5)]
+    out = []
+    for triple in triples:
+        p = wcs.DeformationParams(*triple)
+        end = min(_first_series_entry(p) + 2, 4100)
+        out.append([(wcs.log_box(n, p), wcs.log_gen_factorial(n, p)) for n in range(end + 1)])
+    return out
 
 
 def _verify_moments() -> list:
@@ -202,6 +218,7 @@ def main() -> int:
     groups = {
         "readme": _stdout(_readme_commands()),
         "cli-json": _cli_json(),
+        "tables": pickle.dumps(_tables(), protocol=4),
         "verify_moments": pickle.dumps(_verify_moments(), protocol=4),
         "weights": pickle.dumps(_weights(), protocol=4),
         "wright_w": pickle.dumps(_wright_w(), protocol=4),

@@ -29,13 +29,22 @@ Brackets and factorials are read as slices of the factorial table.  The
 alternating wavefunction series is summed on the x^beta lattice by
 series._lattice_sum, with its cancellation flag; ground_wavefunction and
 excited_wavefunction raise NumericalRangeError where the flag is set.
+Its coefficients, the ground state's and their raises, are built once per
+(p, scales) in a level table: read-only rows 0..max(k, 3) at a length at
+least the lattice's, replaced by a longer or higher one when a read passes
+it, at most 4 tables kept and all dropped by series.clear_caches.  A
+sample reads level k below its top k slots, the only ones that cutting the
+raise at the lattice length changes, and recomputes those in O(k^2) float
+operations, so it gets the bits of k raisings at its own length.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,6 +88,9 @@ __all__ = [
 _SMALL_X_GUARD = 1e-12  # below this the Mandel ratios are replaced by their limits
 _LEVEL_CAP = 12  # the highest wavefunction level
 _LATTICE_BUDGET = 20000  # term budget of the ground-state lattice series
+_MAX_LATTICE = 2 * _LATTICE_BUDGET + _LEVEL_CAP + 4  # the longest lattice a sample reads
+_MIN_LEVELS = 4  # rows a level table is built with at least, levels 0..3
+_MAX_LEVEL_TABLES = 4  # (p, s) pairs whose level tables are kept
 _MOMENT_OVERFLOW = "{}: the moment of order r = {} at x = {} is beyond double range"
 
 
@@ -356,8 +368,10 @@ def wavefunction_sample(
     higher k apply the raising operator as exact coefficient algebra
     (multiplication by x^beta shifts slots up; the lattice derivative is
     the bracket-weighted down-shift), then divide by sqrt([k]!).  No
-    numerical differentiation anywhere.  Levels run up to 12.  Raises
-    NumericalRangeError when a lattice term is not finite, as when
+    numerical differentiation anywhere.  Levels run up to 12.  The raised
+    coefficients are read from a bounded level table (_level_coefficients),
+    bit for bit those of k raisings at this sample's lattice length.
+    Raises NumericalRangeError when a lattice term is not finite, as when
     x^(beta j) overflows at large x.
     """
     k = check_count(k, "k")
@@ -374,30 +388,97 @@ def wavefunction_sample(
     # is needed for the stated tol to survive k applications
     what = "ground-state series"
     ground = _memo_read(log_y, p, tol * 1e-4, _LATTICE_BUDGET, what, step=2, phase=-1.0)
-    n_slots = 2 * len(ground.log_terms) + k + 4
-    # the brackets [j], read once for the lattice and all k raisings
-    b = _brackets(p, n_slots - 1)
-    # the ground state: slot 2n holds (-m omega / hbar)^n / [2n]!!, the
-    # normalization under which the lowering operator annihilates it
-    coeffs = np.zeros(n_slots)
-    coeffs[0] = 1.0
-    coeffs[2::2] = (-s.mass * s.omega / s.hbar) / b[2::2]
-    np.multiply.accumulate(coeffs[::2], out=coeffs[::2])
-
-    up = math.sqrt(0.5 * s.mass * s.omega / s.hbar)
-    down = math.sqrt(0.5 * s.hbar / (s.mass * s.omega))
-    for _ in range(k):
-        nxt = np.zeros(n_slots)
-        nxt[1:] += up * coeffs[:-1]
-        nxt[:-1] -= down * coeffs[1:] * b[1:]
-        coeffs = nxt
-
+    coeffs = _level_coefficients(k, 2 * len(ground.log_terms) + k + 4, p, s)
     ground_scale = (s.mass * s.omega / (math.pi * s.hbar)) ** 0.25
     scale = ground_scale * math.exp(-0.5 * log_gen_factorial(k, p))
     total, cancel = _lattice_sum(
-        coeffs.tolist(), x**p.beta, "wavefunction_sample: lattice series at x = {} for {}", x, p
+        coeffs, x**p.beta, "wavefunction_sample: lattice series at x = {} for {}", x, p
     )
     return scale * total, cancel
+
+
+class _Levels(NamedTuple):
+    rows: np.ndarray  # read-only (levels, m): row i is the i-th raise of row 0
+    brackets: np.ndarray  # [0], ..., [m - 1], a copy: no view of a factorial table
+    up: float  # the raise's up-shift factor
+    down: float  # and its down-shift factor, times [j + 1] at slot j
+
+
+_NO_LEVELS = _Levels(np.zeros((0, 0)), np.zeros(0), 0.0, 0.0)
+
+
+class _LevelTable:
+    """The raised ground coefficients of one (p, s): levels is a whole
+    _Levels, replaced by a longer or taller one, never written."""
+
+    __slots__ = ("levels",)
+
+    def __init__(self) -> None:
+        self.levels = _NO_LEVELS
+
+
+@functools.lru_cache(maxsize=_MAX_LEVEL_TABLES)
+def _level_table(p: DeformationParams, s: PhysicalScales) -> _LevelTable:
+    return _LevelTable()
+
+
+def _raised_levels(p: DeformationParams, s: PhysicalScales, levels: int, m: int) -> _Levels:
+    """Rows 0..levels-1 at length m.  Row 0 is the ground state: slot 2n
+    holds (-m omega / hbar)^n / [2n]!!, the normalization under which the
+    lowering operator annihilates it, odd slots 0.  Row i is the raise of
+    row i-1 at length m, slot j = (0 + up c[j-1]) - (down c[j+1]) [j+1],
+    whose last slot has no down-shift term."""
+    b = _brackets(p, m - 1).copy()
+    up = math.sqrt(0.5 * s.mass * s.omega / s.hbar)
+    down = math.sqrt(0.5 * s.hbar / (s.mass * s.omega))
+    rows = np.zeros((levels, m))
+    # slots past a sample's length may overflow where its own do not, and a
+    # sample's non-finite coefficients make _lattice_sum raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        ground = rows[0]
+        ground[0] = 1.0
+        ground[2::2] = (-s.mass * s.omega / s.hbar) / b[2::2]
+        np.multiply.accumulate(ground[::2], out=ground[::2])
+        for i in range(1, levels):
+            rows[i, 1:] += up * rows[i - 1, :-1]
+            rows[i, :-1] -= down * rows[i - 1, 1:] * b[1:]
+    rows.flags.writeable = False
+    return _Levels(rows, b, up, down)
+
+
+def _level_coefficients(k: int, n: int, p: DeformationParams, s: PhysicalScales) -> np.ndarray:
+    """The k-th raise of the ground coefficients at lattice length n.
+
+    The (p, s) level table holds rows 0..max(k, 3) at least, at a length m
+    >= n; a read past it replaces the table with one of at least twice the
+    length (up to the longest lattice) and at least as many rows.  Slot j
+    of a raise reads slots j-1 and j+1 only, and at length n slot n-1 gets
+    no down-shift term, so the raise at length n equals row k below slot
+    n-k: only its top k slots see the truncation.  Those are recomputed
+    here from the exact slots beneath them, level by level, in O(k^2)
+    float operations in the raise's own order, so the result is bit for
+    bit that of k raisings of an n-slot ground state."""
+    # threads racing here may each build a table and keep either: every
+    # table holds the same bits, and a reader uses the one it read
+    table = _level_table(p, s)
+    levels = table.levels
+    if k >= len(levels.rows) or n > levels.rows.shape[1]:
+        height = max(k + 1, _MIN_LEVELS, len(levels.rows))
+        length = max(n, min(2 * levels.rows.shape[1], _MAX_LATTICE))
+        levels = table.levels = _raised_levels(p, s, height, length)
+    rows, b, up, down = levels
+    if k == 0:
+        return rows[0, :n]
+    below = rows[:k, n - k - 1 : n].tolist()  # slots n-k-1..n-1 of rows 0..k-1
+    b_top = b[n - k + 1 : n].tolist()  # [n-k+1], ..., [n-1]
+    top: list[float] = []  # slots n-i+1..n-1 of level i-1 at length n
+    for i in range(1, k + 1):
+        c = below[i - 1][k - i : k - i + 2] + top  # slots n-i-1..n-1 of level i-1
+        top = [(0.0 + up * c[t]) - (down * c[t + 2]) * b_top[k - i + t] for t in range(i - 1)]
+        top.append(0.0 + up * c[i - 1])
+    out = rows[k, :n].copy()
+    out[n - k :] = top
+    return out
 
 
 def ground_wavefunction(

@@ -258,14 +258,17 @@ def _clear_tables() -> None:
 
 def log_box(n: int, p: DeformationParams) -> float:
     """log [n]; -inf for n = 0."""
+    if type(n) is int and n >= 0:  # the hit path: one lookup in a built table
+        tab = _TABLES.get(p)
+        if tab is not None and n < len(tab.log_box):
+            return tab.log_box.item(n)
     n = check_count(n, "n")
     return _table(p, n).log_box.item(n)
 
 
 def box(n: int, p: DeformationParams) -> float:
     """The bracket [n] on linear scale.  [0] = 0."""
-    n = check_count(n, "n")
-    return math.exp(_table(p, n).log_box.item(n))
+    return math.exp(log_box(n, p))
 
 
 def _brackets(p: DeformationParams, n: int) -> np.ndarray:
@@ -285,6 +288,10 @@ def _log_factorials(p: DeformationParams, n: int) -> np.ndarray:
 
 def log_gen_factorial(n: int, p: DeformationParams) -> float:
     """log of [n]! via the telescoped closed form; 0 for n = 0."""
+    if type(n) is int and n >= 0:  # the hit path, as log_box's
+        tab = _TABLES.get(p)
+        if tab is not None and n < len(tab.log_fact):
+            return tab.log_fact.item(n)
     n = check_count(n, "n")
     return _table(p, n).log_fact.item(n)
 

@@ -58,12 +58,16 @@ def log_gamma(x: float) -> float:
     """Natural log of Gamma(x) for real x > 0, and +inf at x = +inf.
 
     Uses the Lanczos series directly for x >= 0.5 and the reflection
-    formula below that, where the series alone degrades.  Above about
+    formula below that, where the series alone degrades; at a subnormal x,
+    where pi x loses bits, -log x, which log Gamma(x) equals to double
+    precision.  Above about
     2.5e305, where log Gamma itself overflows, raises NumericalRangeError.
     """
     if isinstance(x, float) and x == math.inf:
         return math.inf
     x = check_real(x, "x", above=0.0)
+    if x < _TINY:  # log Gamma(x) = -log x - gamma x + O(x^2), and gamma x < 2^-1022
+        return -math.log(x)
     if x < 0.5:
         # Gamma(x) Gamma(1-x) = pi / sin(pi x); both factors positive here
         return _LN_PI - math.log(math.sin(math.pi * x)) - _lanczos_log_gamma(1.0 - x)

@@ -220,16 +220,20 @@ def _cancels(total: complex, largest: float) -> bool:
     return abs(total) < largest / _LOSS_THRESHOLD
 
 
-def _lattice_sum(coeffs, y: float, what: str, *args) -> tuple[float, bool]:
-    """sum_j c_j y^j on the x^beta lattice (y = x^beta), y^j by repeated
-    multiplication, and whether it cancels; _fsum's label what, args."""
-    terms = []
-    yj = 1.0
-    for c in coeffs:
-        terms.append(c * yj)
-        yj *= y
-    total = _fsum(terms, what, *args)
-    return total, _cancels(total, max(map(abs, terms), default=0.0))
+def _lattice_sum(coeffs: np.ndarray, y: float, what: str, *args) -> tuple[float, bool]:
+    """sum_j c_j y^j on the x^beta lattice (y = x^beta) for a float array
+    of coefficients, and whether it cancels; _fsum's label what, args.
+    y^j is the running product of y (np.multiply.accumulate), the bits of
+    repeated multiplication, and the terms go to math.fsum as a list.  A
+    power overflows where y > 1, and a term is infinite or NaN where a
+    coefficient is; _fsum raises then, so numpy's warnings are silenced."""
+    terms = np.empty(len(coeffs))  # y^0, y^1, ..., then the terms in place
+    terms.fill(y)
+    terms[:1].fill(1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(coeffs, np.multiply.accumulate(terms, out=terms), out=terms)
+    total = _fsum(terms.tolist(), what, *args)
+    return total, _cancels(total, float(np.maximum.reduce(np.abs(terms, out=terms), initial=0.0)))
 
 
 def _log_falling(r: int) -> Callable:
@@ -405,8 +409,12 @@ def _memo_read(
 
 
 def clear_caches() -> None:
-    """Drop the series memo and the factorial tables."""
+    """Drop the series memo, the factorial tables and the wavefunction
+    level tables."""
+    from .coherent import _level_table  # coherent imports this module
+
     _series_memo.cache_clear()
+    _level_table.cache_clear()
     _clear_tables()
 
 
@@ -527,7 +535,8 @@ class PowerSeries:
             y = check_real(x, "x", at_least=0.0) ** self.beta
         except OverflowError:  # x^beta beyond double range, so is every term past the first
             y = math.inf
-        return _lattice_sum(self.coeffs, y, "PowerSeries at x = {}", x)[0]
+        coeffs = np.array(self.coeffs, dtype=float)
+        return _lattice_sum(coeffs, y, "PowerSeries at x = {}", x)[0]
 
     def shifted_up(self) -> "PowerSeries":
         """Multiply by x^beta: shift every coefficient up one lattice slot."""

@@ -46,6 +46,7 @@ P011 = DeformationParams(0.0, 1.0, 1.0)
 P111 = DeformationParams(1.0, 1.0, 1.0)
 HALF = DeformationParams(0.5, 0.5, 0.25)
 S1 = PhysicalScales()
+WAVE_SCALES = (PhysicalScales(0.5, 2.0, 1.5), PhysicalScales(2.0, 0.3, 0.7))
 
 # Brute-force Fock-sum oracle values (400 terms, 40-digit arithmetic).
 QM_GOLDENS = [
@@ -463,9 +464,65 @@ class TestWavefunctions:
         "p", [CLASSICAL, HALF, DeformationParams(1.0, 0.1, 0.5), DeformationParams(0.0, 0.3, 0.5)]
     )
     def test_bitwise_equal_to_slot_loop(self, p):
-        for x in (0.0, 0.1, 0.5, 1.0, 1.7, 2.5, 3.0, 4.0):
-            for k in range(6):
-                assert wavefunction_sample(k, x, p) == _wavefunction_slot_loop(k, x, p)
+        # every level, at lattice lengths that grow the level table (x
+        # rising, k rising), that are prefixes of one built long and tall
+        # first (both falling), and again after the tables are dropped
+        xs = (0.0, 0.1, 0.5, 1.0, 1.7, 2.5, 3.0, 4.0)
+        for s in (S1, *WAVE_SCALES):
+            want = {(k, x): _wave_outcome(_wavefunction_slot_loop, k, x, p, s)
+                    for k in range(13) for x in xs}
+            for order in (1, -1, 1):
+                series.clear_caches()
+                shapes = set()
+                for x in xs[::order]:
+                    for k in range(13)[::order]:
+                        got = _wave_outcome(wavefunction_sample, k, x, p, s)
+                        assert got == want[k, x], (s, k, x)
+                        shapes.add(coherent._level_table(p, s).levels.rows.shape)
+                shapes.discard((0, 0))  # no sample reached the table yet
+                assert len(shapes) > 1 if order == 1 else len(shapes) == 1
+
+    @given(
+        st.floats(0.0, 1.0),
+        st.floats(0.05, 1.0),
+        st.floats(0.01, 1.0),
+        st.sampled_from((S1, *WAVE_SCALES)),
+        st.lists(st.tuples(st.integers(0, 12), st.floats(0.0, 4.0)), min_size=1, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal_to_slot_loop_property(self, a, b, u, s, samples):
+        # nu in (alpha - 1, alpha + 2]; each sample reads the table as the
+        # samples before it left it
+        p = DeformationParams(a, b, a - 1.0 + 3.0 * u)
+        for k, x in samples:
+            want = _wave_outcome(_wavefunction_slot_loop, k, x, p, s)
+            assert _wave_outcome(wavefunction_sample, k, x, p, s) == want
+
+    def test_coefficients_past_double_range_raise_typed(self):
+        # SI scales: m omega / hbar ~ 1e21, so the ground coefficients
+        # overflow a few dozen slots in, within the lattice at x = 3e-11 and
+        # within level 12's at 1e-11; the error is typed and numpy's
+        # overflow is not reported as a warning
+        p, s = CLASSICAL, PhysicalScales(1.05e-34, 1e-27, 1e14)
+        assert not wavefunction_sample(3, 1e-11, p, s)[1]
+        for k, x in ((12, 1e-11), (0, 3e-11)):
+            with pytest.raises(NumericalRangeError, match=f"lattice series at x = {x}"):
+                wavefunction_sample(k, x, p, s)
+
+    def test_level_tables_stay_bounded(self):
+        series.clear_caches()
+        rng = random.Random(28)
+        for _ in range(100):
+            p = DeformationParams(rng.random(), 0.1 + 0.9 * rng.random(), rng.random())
+            wavefunction_sample(rng.randrange(13), 3.0 * rng.random(), p)
+            levels = coherent._level_table(p, S1).levels
+            assert not levels.rows.flags.writeable
+            # rows 0..max(k, 3), up to twice the longest lattice read
+            assert len(levels.rows) <= coherent._LEVEL_CAP + 1
+        info = coherent._level_table.cache_info()
+        assert info.maxsize == 4 and info.currsize == 4
+        series.clear_caches()
+        assert coherent._level_table.cache_info().currsize == 0
 
     def test_invalid_arguments(self):
         with pytest.raises(ParameterError):
@@ -515,9 +572,24 @@ def _wavefunction_slot_loop(k, x, p, s=S1, tol=1e-12, max_terms=20000):
         terms.append(t)
         max_abs = max(max_abs, abs(t))
         yj *= y
-    total = math.fsum(terms)
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # finite terms past the range; inf - inf
+        total = math.nan
+    if not math.isfinite(total):
+        raise NumericalRangeError("lattice terms or their sum beyond double range")
     cancel = abs(total) < max_abs * 1e-8 and max_abs > 0.0
     return scale * total, cancel
+
+
+def _wave_outcome(fn, *args):
+    """fn(*args) with its value as hex, so equal means equal bits, or the
+    type of the wcs error it raised."""
+    try:
+        value, cancel = fn(*args)
+    except (ConvergenceError, NumericalRangeError) as exc:
+        return type(exc)
+    return value.hex(), cancel
 
 
 class TestTermBudgets:

@@ -327,6 +327,19 @@ class TestArrayTable:
             assert abs(tab.log_box[k] - ref_box) <= 4e-15 * max(1, abs(ref_box)), k
             assert abs(tab.log_fact[k] - ref_fact) <= 5e-15 * max(1, abs(ref_fact)), k
 
+    def test_subnormal_tail_constant(self):
+        # 1 - alpha + nu = 5e-324: log Gamma of it, the constant of every
+        # entry from k0 = 27 on, is -log(5e-324), so the column has no step
+        # at k0 (it was 0.046 off there, log(pi / 3))
+        p = DeformationParams(1.0, 0.5, 5e-324)
+        k0 = _first_series_entry(p)
+        assert k0 == 27
+        tab = self._grown(p, [k0 + 5])
+        boxes, facts = _mp_log_tables(p, k0 + 5)
+        for k in range(1, k0 + 6):
+            assert abs(tab.log_box[k] - boxes[k - 1]) <= 4e-15 * max(1, abs(boxes[k - 1])), k
+            assert abs(tab.log_fact[k] - facts[k - 1]) <= 5e-15 * max(1, abs(facts[k - 1])), k
+
     @pytest.mark.parametrize("p", list(dict.fromkeys(TABLE_TRIPLES + SERIES_TRIPLES)))
     def test_factorial_column_is_continuous_at_k0(self, p):
         # log [k0]! is a closed form, log [k0 - 1]! a running sum: they part
@@ -519,6 +532,19 @@ class TestTableCache:
         log_box(13, p)  # a read past the end builds one twice as long
         assert len(_TABLES[p].log_box) == 2 * 13 + 1
 
+    @pytest.mark.parametrize("n", [0, 7, 100, 250, np.int64(7), True, -1, 7.0, "7"])
+    def test_scalar_reads_same_on_hit_and_miss(self, n):
+        # with no table, with one to 100 (a hit below 101, a replacement
+        # past it), and on the table the first read left: the same bits, or
+        # the same error
+        p = TABLE_TRIPLES[2]
+        for fn in (log_box, box, log_gen_factorial):
+            clear_caches()
+            cold = _outcome(fn, n, p)
+            _table(p, 100)
+            assert _outcome(fn, n, p) == cold
+            assert _outcome(fn, n, p) == cold
+
     def test_signed_zero_shares_one_table(self):
         clear_caches()
         log_box(3, DeformationParams(0.0, 1.0, 0.0))
@@ -682,8 +708,10 @@ class TestRecall:
         assert len(calls) == 31 + 5
 
     def test_threads_match_a_serial_run(self):
-        # the reads of log [n]! at growing n race table replacement the most, and
-        # 66 values of x, each with three series, race the memo's drops
+        # the reads of log [n]! at growing n race table replacement the most,
+        # 66 values of x, each with three series, race the memo's drops, and
+        # wavefunction levels up to 12 on five triples race the level tables'
+        # growth and drops
         triples = (*TABLE_TRIPLES, DeformationParams(0.5, 0.7, 0.2))
         xs = np.linspace(0.3, 80.0, 66).tolist()
         assert 3 * len(xs) > _MAX_SERIES
@@ -699,7 +727,7 @@ class TestRecall:
                     _outcome(lambda: photon_distribution(label, p, max_n=10000).cutoff),
                     _outcome(fock_moment_sum, 1, label, p, max_terms=10000),
                     _outcome(log_gen_factorial, int(50 * x), p),
-                    [_outcome(_wave, k, x**0.25, p) for k in range(4)],
+                    [_outcome(_wave, k, x**0.25, p) for k in (0, 1, 2, 3, 12)],
                 )
             return out
 

@@ -42,6 +42,15 @@ class TestLogGamma:
         for x in (1e-8, 1e-4, 0.1, 0.25, 0.49):
             assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-12)
 
+    @pytest.mark.parametrize("x", [5e-324, 1e-320, 1e-310, sys.float_info.min])
+    def test_subnormal_arguments(self, x):
+        # below the least normal double pi x loses bits; log Gamma(x) is
+        # -log x there to double precision (the next term, -gamma x, is
+        # below 2^-1022)
+        with mpmath.workdps(40):
+            ref = mpmath.loggamma(mpmath.mpf(x))
+        assert abs(log_gamma(x) - ref) <= 2.2e-16 * abs(ref)
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, -10.25])
     def test_nonpositive_rejected(self, bad):
         with pytest.raises(ParameterError):

@@ -28,6 +28,11 @@ normally_ordered_moment, fock_moment_sum, coherent_amplitudes, overlap
 cold-sweep      the factorial, spectrum, Hankel and wavefunction functions
                 the cold-sweep workload calls, on fixed triples, Hankel at
                 the workload's size 4
+wavefunction    wavefunction_sample at k = 0..12 on four triples at two
+                scales, at x rising from 0 to 8.0 (flagged at (0, 1, 0))
+                and falling back: each (triple, scales) level table grows
+                in height and length mid-grid, and later reads are
+                prefixes of it
 hankel          hankel_hadamard at sizes 1-15 on fixed triples: the sizes
                 whose rounding bound exceeds the tolerance raise
 errors          the messages of DeformationParams with alpha and beta both
@@ -175,6 +180,17 @@ def _cold_sweep() -> list:
     return out
 
 
+def _wavefunction() -> list:
+    triples = [(0.0, 1.0, 0.0), (0.5, 0.5, 0.25), (1.0, 0.1, 0.5), (0.3, 0.7, 0.2)]
+    scales = [wcs.PhysicalScales(), wcs.PhysicalScales(0.5, 2.0, 1.5)]
+    xs = [0.0, 0.3, 1.0, 2.2, 8.0, 4.0, 1.7, 0.05]
+    return [
+        [_call(wcs.wavefunction_sample, k, x, wcs.DeformationParams(*triple), s)
+         for x in xs for k in range(13)]
+        for triple in triples for s in scales
+    ]
+
+
 _HANKEL_TRIPLES = [(0.0, 1.0, 0.0), (0.0, 0.5, 0.5), (1.0, 0.5, 1.0), (0.3, 0.7, 0.2)]
 
 
@@ -224,6 +240,7 @@ def main() -> int:
         "wright_w": pickle.dumps(_wright_w(), protocol=4),
         **{name: pickle.dumps(results, protocol=4) for name, results in _photon_stats().items()},
         "cold-sweep": pickle.dumps(_cold_sweep(), protocol=4),
+        "wavefunction": pickle.dumps(_wavefunction(), protocol=4),
         "hankel": pickle.dumps(_hankel(), protocol=4),
         "errors": pickle.dumps(_errors(), protocol=4),
         "api": pickle.dumps(_api(), protocol=4),

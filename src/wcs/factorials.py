@@ -42,9 +42,17 @@ table repeats the shorter one's bits.
 A table also keeps the linear brackets [0..m], exp of the log column by
 box's exp, grown lazily (at least doubling) to the longest _brackets read,
 which is a slice of them, so it hands back the bits a fresh computation
-would.  At most 64 tables are cached; a new triple beyond that evicts the
-oldest-inserted one, and _clear_tables (behind series.clear_caches) drops
-them all.  Building, replacing and evicting tables takes a lock; readers
+would.  Likewise it keeps log [2n]!! for n = 0..m, the running sum of
+log [2], log [4], ... from 0 in index order, grown lazily (at least
+doubling) to the longest _log_double_factorials read and bounded by the
+half of the log column it sums; the ground-state series slices it.  The
+scalar accessors read a built table through read-only memoryviews of its
+two columns, one index each; an index past a view's end raises
+IndexError, and that read, like any argument that is not a plain int
+>= 0, takes the checked path that builds or replaces the table.  A
+table's columns go with it.  At most 64 tables are cached; a new triple
+beyond that evicts the oldest-inserted one, and _clear_tables (behind
+series.clear_caches) drops them all.  Building, replacing and evicting tables takes a lock; readers
 take none and only ever see whole columns, so threads may share them.
 """
 
@@ -95,10 +103,14 @@ class _Table:
     log_box and log_fact are read-only float64 columns indexed by n, built
     whole by the constructor and never written after; entry 0 is the
     defined-zero bracket / empty product.  A longer table is a new one.
-    brackets is a read-only prefix of exp(log_box), replaced by a longer
-    copy when a read passes its end."""
+    box_view and fact_view are read-only memoryviews of them, for the
+    scalar accessors' one-index reads.  brackets is a read-only prefix of
+    exp(log_box), and log_double one of log [2n]!!, the running sum of
+    log_box[2::2] added left to right from 0; each is replaced by a longer
+    one when a read passes its end, log_double at most the (len(log_box)
+    + 1) // 2 entries that log_box covers."""
 
-    __slots__ = ("log_box", "log_fact", "brackets")
+    __slots__ = ("log_box", "log_fact", "box_view", "fact_view", "brackets", "log_double")
 
     def __init__(self, p: DeformationParams, n: int) -> None:
         if p.beta + 1.0 - p.alpha == 0.0:  # the least bk+1-a, at alpha = 1, beta < 2^-53
@@ -118,7 +130,8 @@ class _Table:
             for lo in range(k0, n + 1, _BLOCK):
                 run = _series_entries(box, fact, lo, min(lo + _BLOCK, n + 1), p, run, tail0)
         self.log_box, self.log_fact = _read_only(box), _read_only(fact)
-        self.brackets = _read_only(np.empty(0))
+        self.box_view, self.fact_view = memoryview(self.log_box), memoryview(self.log_fact)
+        self.brackets = self.log_double = _read_only(np.empty(0))
 
     def extend_brackets(self, n: int) -> None:
         """Make brackets cover [n] (n < len(log_box)), at least doubling it
@@ -130,6 +143,19 @@ class _Table:
         lin[:size] = self.brackets
         lin[size:] = _exp_each(self.log_box[size : len(lin)])
         self.brackets = _read_only(lin)
+
+    def extend_double(self, n: int) -> None:
+        """Make log_double cover log [2n]!! (2n < len(log_box)), at least
+        doubling it while log_box allows: one running sum from 0, so every
+        entry has the bits of log [2]+...+log [2n] added in that order."""
+        size = len(self.log_double)
+        if n < size:
+            return
+        m = max(n + 1, min(2 * size, (len(self.log_box) + 1) // 2))
+        steps = np.empty(m)
+        steps[0] = 0.0
+        steps[1:] = self.log_box[2 : 2 * m - 1 : 2]
+        self.log_double = _read_only(np.add.accumulate(steps, out=steps))
 
 
 def _log_brackets(k: np.ndarray, p: DeformationParams) -> tuple[np.ndarray, np.ndarray]:
@@ -258,12 +284,15 @@ def _clear_tables() -> None:
 
 def log_box(n: int, p: DeformationParams) -> float:
     """log [n]; -inf for n = 0."""
-    if type(n) is int and n >= 0:  # the hit path: one lookup in a built table
+    if type(n) is int and n >= 0:  # the hit path: one read of a built table
         tab = _TABLES.get(p)
-        if tab is not None and n < len(tab.log_box):
-            return tab.log_box.item(n)
+        if tab is not None:
+            try:
+                return tab.box_view[n]
+            except IndexError:  # past its end, or past an index-sized int
+                pass
     n = check_count(n, "n")
-    return _table(p, n).log_box.item(n)
+    return _table(p, n).box_view[n]
 
 
 def box(n: int, p: DeformationParams) -> float:
@@ -286,14 +315,28 @@ def _log_factorials(p: DeformationParams, n: int) -> np.ndarray:
     return _table(p, n).log_fact[: n + 1]
 
 
+def _log_double_factorials(p: DeformationParams, n: int) -> np.ndarray:
+    """log [0]!!, log [2]!!, ..., log [2n]!!, each the running sum of
+    log [2], log [4], ... from 0 in index order: a read-only slice of the
+    table's column."""
+    tab = _table(p, 2 * n)
+    if n >= len(tab.log_double):
+        with _LOCK:
+            tab.extend_double(n)
+    return tab.log_double[: n + 1]
+
+
 def log_gen_factorial(n: int, p: DeformationParams) -> float:
     """log of [n]! via the telescoped closed form; 0 for n = 0."""
     if type(n) is int and n >= 0:  # the hit path, as log_box's
         tab = _TABLES.get(p)
-        if tab is not None and n < len(tab.log_fact):
-            return tab.log_fact.item(n)
+        if tab is not None:
+            try:
+                return tab.fact_view[n]
+            except IndexError:
+                pass
     n = check_count(n, "n")
-    return _table(p, n).log_fact.item(n)
+    return _table(p, n).fact_view[n]
 
 
 def gen_factorial(n: int, p: DeformationParams) -> LogValue:

@@ -113,6 +113,11 @@ class PhysicalScales:
     def __post_init__(self) -> None:
         for name in ("hbar", "mass", "omega"):
             object.__setattr__(self, name, check_real(getattr(self, name), name, above=0.0))
+        # hashed once: every wavefunction sample looks up its level table
+        object.__setattr__(self, "_hash", hash((self.hbar, self.mass, self.omega)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def length_sq(self) -> float:

@@ -18,8 +18,8 @@ _log_series.  It reads the log-terms
 
 elementwise from the factorial table, L_n = log(b_1 ... b_n) with
 b_n = [step n]: the table's log [n]! column for step 1, and for step 2 (the
-even double factorial) the log brackets added from start in index order,
-so no log-term depends on where a block starts.  F is an optional log
+even double factorial, summed from n = 0) its log [2n]!! column, so no
+log-term depends on where a block starts.  F is an optional log
 factor such as a falling factorial or 2 log [n].  A pass's first block
 reaches past where its terms can stop (about the mode of t_n plus eight
 widths, or where the term ratio falls below 0.9), so most series are one
@@ -61,7 +61,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, NumericalRangeError, ParameterError
-from .factorials import _brackets, _clear_tables, _table, log_gen_factorial
+from .factorials import (
+    _brackets,
+    _clear_tables,
+    _log_double_factorials,
+    _table,
+    log_gen_factorial,
+)
 from .gammafn import log_gamma
 from .params import DeformationParams, check_complex, check_count, check_real
 
@@ -132,13 +138,21 @@ class _LogSeries(NamedTuple):
     log_ratio: float  # log|t_(n+1) / t_n| after the last kept term
 
 
-def _phases(phase: complex, k: np.ndarray):
-    """phase**k for a unit phase; exact signs on the real axis."""
+# +1, -1, +1, ...: the signs of a block of at most _MAX_BLOCK terms, or of
+# a longer sum's first terms, sliced at its parity
+_SIGNS = np.resize(np.array([1.0, -1.0]), _MAX_BLOCK + 2)
+_SIGNS.flags.writeable = False
+
+
+def _phases(phase: complex, k0: int, n: int):
+    """phase**k, k = k0..k0+n-1, for a unit phase; exact signs on the real
+    axis."""
     if phase == 1.0:
         return 1.0
     if phase == -1.0:
-        return np.where(k & 1, -1.0, 1.0)
-    return np.exp(1j * cmath.phase(phase) * k)
+        signs = _SIGNS[k0 & 1 :]
+        return signs[:n] if n <= len(signs) else np.resize(signs[:2], n)
+    return np.exp(1j * cmath.phase(phase) * np.arange(k0, k0 + n))
 
 
 def _overflow(what: str) -> NumericalRangeError:
@@ -287,7 +301,8 @@ def _log_series(
     """Sum the terms t_n, n >= start, with t_start = 1 and
     t_n / t_(n-1) = e^lx / b_n * exp(F(n) - F(n-1)) * phase, b_n = [step n].
 
-    log_factor(n, log_b) gives F on arrays of n and log b_n.  phase None
+    log_factor(n, log_b) gives F on arrays of n and log b_n.  A step-2
+    series starts at n = 0.  phase None
     marks a positive series; otherwise each term carries phase^(n - start)
     and a partial sum beyond double range raises NumericalRangeError.
     Raises ConvergenceError when max_terms terms do not meet the rule.  The
@@ -305,13 +320,11 @@ def _log_series(
         hi = min(lo + size, end)  # terms lo..hi-1, plus hi for the ratio
         tab = _table(p, step * hi)
         # L[n] = log(b_1 ... b_n) for n = lo..hi: the table's log [n]!, or
-        # for step 2 log [2n]!! added from start in index order, so no
-        # log-term depends on where a block starts
+        # for step 2 (from n = 0) its log [2n]!! column
         if step == 1:
             log_fact = tab.log_fact[lo : hi + 1]
         else:
-            log_b = tab.log_box[step * (start + 1) : step * hi + 1 : step]
-            log_fact = np.add.accumulate(np.append(0.0, log_b))[lo - start :]
+            log_fact = _log_double_factorials(p, hi)[lo:]
         if lo == start:
             l_start = log_fact[0]
         # log t_n = (n - start) lx - (L[n] - L[start]) + F(n) - F(start)
@@ -329,7 +342,7 @@ def _log_series(
         # terms and partial sums in units of e^top
         terms = np.exp(log_t - top)
         if phase is not None:
-            terms = terms * _phases(phase, np.arange(lo - start, hi - start))
+            terms = terms * _phases(phase, lo - start, hi - lo)
         sums = np.add.accumulate(terms)
         if partial:  # after the first block
             sums += partial * math.exp(scale - top)
@@ -436,7 +449,7 @@ def _linear_sum(
     s = _memo_read(lx, p, tol, max_terms, what, r=r, phase=phase)
     log_t = s.log_terms + log_first
     with np.errstate(over="ignore", invalid="ignore"):  # inf * (1 + 0j) is NaN
-        terms = np.exp(log_t) * _phases(phase, np.arange(len(log_t)))
+        terms = np.exp(log_t) * _phases(phase, 0, len(log_t))
     imag = _fsum(terms.imag.tolist(), what) if np.iscomplexobj(terms) else 0.0  # else all 0
     value = complex(_fsum(terms.real.tolist(), what), imag)
     last, ratio = math.exp(log_t[-1]), math.exp(s.log_ratio)

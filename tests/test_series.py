@@ -1,6 +1,7 @@
 """Tests for the deformed-exponential series and lattice power series."""
 
 import math
+import random
 import struct
 
 import mpmath
@@ -26,7 +27,7 @@ from wcs import (
 )
 from wcs import coherent, series
 from wcs.errors import ConvergenceError, NumericalRangeError, ParameterError
-from wcs.factorials import _log_factorials
+from wcs.factorials import _TABLES, _log_factorials, _table
 from wcs.series import _FSUM_MAX, _exact_sum, _log_falling, _log_series, _positive_fsum
 
 CLASSICAL = DeformationParams(0.0, 1.0, 0.0)
@@ -210,6 +211,79 @@ class TestSeriesKernel:
                     f = factor(n, None)
                     want += f - f[0]
                 assert np.array_equal(s.log_terms, want), (p, x)
+
+    def test_ground_series_reads_the_double_factorial_column(self, monkeypatch):
+        # the step-2 log-terms read log [2n]!! off the table's column, the
+        # bits of the running sum of log [2], log [4], ... that a block once
+        # made afresh from log_box: on fresh tables, on tables replaced by
+        # longer ones, whose column starts again, and in blocks of 2 to 16
+        rng = random.Random(5)
+        cases = []
+        for _ in range(30):
+            a = rng.random()
+            p = DeformationParams(a, rng.uniform(0.05, 1.0), a - 1.0 + rng.uniform(1e-3, 5.0))
+            cases.append((p, rng.uniform(-6.0, 4.0)))
+        reads = []
+        column = series._log_double_factorials
+
+        def counted(p, n):
+            reads.append(p)
+            return column(p, n)
+
+        def per_block(p, n):
+            return np.add.accumulate(np.append(0.0, _table(p, 2 * n).log_box[2 : 2 * n + 1 : 2]))
+
+        def record(p, lx):
+            try:
+                s = _log_series(lx, p, 1e-16, 20000, "test", step=2, phase=-1.0)
+            except (ConvergenceError, NumericalRangeError) as e:
+                return type(e), str(e)
+            return s.log_terms.tobytes(), s.log_sum.hex(), s.log_ratio.hex()
+
+        def records():
+            out = [record(p, lx) for p, lx in cases]
+            for p, _ in cases:
+                tab = _TABLES[p]
+                assert not tab.log_double.flags.writeable
+                assert len(tab.log_double) <= (len(tab.log_box) + 1) // 2
+            return out
+
+        def replay():
+            with monkeypatch.context() as m:
+                m.setattr(series, "_log_double_factorials", per_block)
+                return records()
+
+        monkeypatch.setattr(series, "_log_double_factorials", counted)
+        wcs.clear_caches()
+        fresh, want = records(), replay()
+        assert fresh == want
+        assert max(reads.count(p) for p, _ in cases) >= 2  # a pass of two blocks or more
+        for p, _ in cases:
+            longer = _table(p, 2 * len(_TABLES[p].log_box))
+            assert len(longer.log_double) == 0
+        assert records() == want
+        monkeypatch.setattr(series, "_FIRST_BLOCK", 2)
+        monkeypatch.setattr(series, "_MAX_BLOCK", 16)
+        wcs.clear_caches()
+        assert records() == replay()
+
+    @pytest.mark.parametrize("k0", [0, 1, 2, 7])
+    def test_signs_at_either_parity(self, k0):
+        # the alternating constant sliced at k0's parity, and past its end
+        # the pair of signs repeated
+        size = len(series._SIGNS)
+        for n in (0, 1, 2, 5, size - 1, size, size + 3):
+            got = series._phases(-1.0, k0, n)
+            assert got.tobytes() == np.where(np.arange(k0, k0 + n) & 1, -1.0, 1.0).tobytes()
+        assert not series._phases(-1.0, k0, 5).flags.writeable
+        assert series._phases(1.0, k0, 5) == 1.0
+        # N(-1.3) at beta = 0.05 keeps 31 257 terms, past the constant
+        p = DeformationParams(0.0, 0.05, 0.0)
+        res = n_function(-1.3, p, max_terms=10**6)
+        log_t = series._memo_read(math.log(1.3), p, 1e-12, 10**6, "", phase=-1.0).log_terms
+        assert res.terms_used == len(log_t) > size
+        signs = np.where(np.arange(len(log_t)) & 1, -1.0, 1.0)
+        assert res.value.real == math.fsum((np.exp(log_t) * signs).tolist())
 
     def test_block_boundaries_move_no_log_term(self, monkeypatch):
         # the same series in blocks of 2 to 16 terms: the log-terms and the

@@ -14,7 +14,9 @@ cli-json        the same commands with --format json, then `factorial` with
 tables          log_box and log_gen_factorial at n = 0..k0+2, through the
                 first closed-form entry k0, on four triples, and at
                 n = 0..4100, two array blocks, at beta = 1e-9, where k0 is
-                past every table
+                past every table; then at the last entry of the table those
+                reads left, a hit, and one past it, a read that replaces
+                the table
 verify_moments  fixed verify_moments calls over the three weight families
 weights         the three scalar weight samplers at fixed (x, beta, nu) of
                 each family, and the two verify_moments calls refused
@@ -58,7 +60,7 @@ import subprocess
 import sys
 
 import wcs
-from wcs.factorials import _first_series_entry
+from wcs.factorials import _TABLES, _first_series_entry
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
 
@@ -97,7 +99,12 @@ def _tables() -> list:
     for triple in triples:
         p = wcs.DeformationParams(*triple)
         end = min(_first_series_entry(p) + 2, 4100)
-        out.append([(wcs.log_box(n, p), wcs.log_gen_factorial(n, p)) for n in range(end + 1)])
+        rows = [(wcs.log_box(n, p), wcs.log_gen_factorial(n, p)) for n in range(end + 1)]
+        # the table's last entry, a hit, and the one past it, which the
+        # fallback reads from the table that replaces it
+        last = len(_TABLES[p].log_box) - 1
+        rows += [(wcs.log_box(n, p), wcs.log_gen_factorial(n, p)) for n in (last, last + 1)]
+        out.append(rows)
     return out
 
 

@@ -31,11 +31,15 @@ series._lattice_sum, with its cancellation flag; ground_wavefunction and
 excited_wavefunction raise NumericalRangeError where the flag is set.
 Its coefficients, the ground state's and their raises, are built once per
 (p, scales) in a level table: read-only rows 0..max(k, 3) at a length at
-least the lattice's, replaced by a longer or higher one when a read passes
-it, at most 4 tables kept and all dropped by series.clear_caches.  A
-sample reads level k below its top k slots, the only ones that cutting the
-raise at the lattice length changes, and recomputes those in O(k^2) float
-operations, so it gets the bits of k raisings at its own length.
+least the lattice's and at least _MIN_LENGTH = 128 slots, which holds the
+README grid's lattices in the first table, replaced by a longer or higher
+one when a read passes it, at most 4 tables kept and all dropped by
+series.clear_caches.  A sample reads level k below its top k slots, the
+only ones that cutting the raise at the lattice length changes, and
+recomputes those in O(k^2) float operations, so it gets the bits of k
+raisings at its own length whatever the table's length.  The r-th
+moments scale their series by log r!, read once per order from
+series._log_order_factorial.
 """
 
 from __future__ import annotations
@@ -51,12 +55,12 @@ import numpy as np
 from .algebra import commutator_diagonal
 from .errors import NumericalRangeError, ParameterError
 from .factorials import _brackets, _table, box, log_gen_factorial
-from .gammafn import log_gamma
 from .params import DeformationParams, PhysicalScales, check_complex, check_count, check_real
 from .series import (
     _exact_sum,
     _lattice_sum,
     _log_abs,
+    _log_order_factorial,
     _log_series,
     _memo_read,
     _positive_fsum,
@@ -90,6 +94,9 @@ _LEVEL_CAP = 12  # the highest wavefunction level
 _LATTICE_BUDGET = 20000  # term budget of the ground-state lattice series
 _MAX_LATTICE = 2 * _LATTICE_BUDGET + _LEVEL_CAP + 4  # the longest lattice a sample reads
 _MIN_LEVELS = 4  # rows a level table is built with at least, levels 0..3
+# slots a level table is built with at least: the lattice of the README
+# grid, x = 0..3 at (0, 1, 0) and tol 1e-8, is at most 71 slots long
+_MIN_LENGTH = 128
 _MAX_LEVEL_TABLES = 4  # (p, s) pairs whose level tables are kept
 _MOMENT_OVERFLOW = "{}: the moment of order r = {} at x = {} is beyond double range"
 
@@ -275,7 +282,7 @@ def fock_moment_sum(
     s = _memo_read(lx, p, tol, max_terms, "fock_moment_sum", r=r)
     log_n = _memo_read(lx, p, tol, max_terms, "fock_moment_sum").log_sum
     # t_r = x^r r! / ([r]! N), and the kernel's terms are t_n / t_r
-    log_first = r * lx + log_gamma(r + 1.0) - log_gen_factorial(r, p) - log_n
+    log_first = r * lx + _log_order_factorial(r) - log_gen_factorial(r, p) - log_n
     with np.errstate(over="ignore"):  # an overflow is raised below
         total = _positive_fsum(np.exp(s.log_terms + log_first))
     if not math.isfinite(total):
@@ -450,21 +457,21 @@ def _level_coefficients(k: int, n: int, p: DeformationParams, s: PhysicalScales)
     """The k-th raise of the ground coefficients at lattice length n.
 
     The (p, s) level table holds rows 0..max(k, 3) at least, at a length m
-    >= n; a read past it replaces the table with one of at least twice the
-    length (up to the longest lattice) and at least as many rows.  Slot j
-    of a raise reads slots j-1 and j+1 only, and at length n slot n-1 gets
-    no down-shift term, so the raise at length n equals row k below slot
-    n-k: only its top k slots see the truncation.  Those are recomputed
-    here from the exact slots beneath them, level by level, in O(k^2)
-    float operations in the raise's own order, so the result is bit for
-    bit that of k raisings of an n-slot ground state."""
+    >= max(n, _MIN_LENGTH); a read past it replaces the table with one of at
+    least twice the length (up to the longest lattice) and at least as many
+    rows.  Slot j of a raise reads slots j-1 and j+1 only, and at length n
+    slot n-1 gets no down-shift term, so the raise at length n equals row k
+    below slot n-k: only its top k slots see the truncation.  Those are
+    recomputed here from the exact slots beneath them, level by level, in
+    O(k^2) float operations in the raise's own order, so the result is bit
+    for bit that of k raisings of an n-slot ground state."""
     # threads racing here may each build a table and keep either: every
     # table holds the same bits, and a reader uses the one it read
     table = _level_table(p, s)
     levels = table.levels
     if k >= len(levels.rows) or n > levels.rows.shape[1]:
         height = max(k + 1, _MIN_LEVELS, len(levels.rows))
-        length = max(n, min(2 * levels.rows.shape[1], _MAX_LATTICE))
+        length = max(n, _MIN_LENGTH, min(2 * levels.rows.shape[1], _MAX_LATTICE))
         levels = table.levels = _raised_levels(p, s, height, length)
     rows, b, up, down = levels
     if k == 0:

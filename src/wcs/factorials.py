@@ -45,15 +45,21 @@ which is a slice of them, so it hands back the bits a fresh computation
 would.  Likewise it keeps log [2n]!! for n = 0..m, the running sum of
 log [2], log [4], ... from 0 in index order, grown lazily (at least
 doubling) to the longest _log_double_factorials read and bounded by the
-half of the log column it sums; the ground-state series slices it.  The
-scalar accessors read a built table through read-only memoryviews of its
-two columns, one index each; an index past a view's end raises
+half of the log column it sums; the ground-state series slices it, and
+log_gen_double_factorial reads its even m there, so the two are one value.
+The scalar accessors read a built table through read-only memoryviews of
+its two columns, one index each; an index past a view's end raises
 IndexError, and that read, like any argument that is not a plain int
->= 0, takes the checked path that builds or replaces the table.  A
+>= 0, takes the checked path that builds or replaces the table.  They
+and _table find the table by identity first: _LAST is the (p, table)
+pair _table returned last, one tuple, and a read with that same p object
+takes its table without hashing p; any other p takes one dict lookup.  A
 table's columns go with it.  At most 64 tables are cached; a new triple
 beyond that evicts the oldest-inserted one, and _clear_tables (behind
-series.clear_caches) drops them all.  Building, replacing and evicting tables takes a lock; readers
-take none and only ever see whole columns, so threads may share them.
+series.clear_caches) drops them all and forgets the pair.  Building,
+replacing and evicting tables takes a lock; readers take none and only
+ever see whole columns, and a pair read from _LAST is a matching one, so
+threads may share them.
 """
 
 from __future__ import annotations
@@ -250,6 +256,10 @@ def _read_only(col: np.ndarray) -> np.ndarray:
 
 
 _TABLES: dict[DeformationParams, _Table] = {}
+# the (p, table) pair _table returned last, one tuple so that a reader gets
+# a matching pair: a hit on the same p object needs no hash of p.  Its
+# table may since have been evicted or replaced; its bits are the same
+_LAST: tuple = (None, None)
 # held while a table is built, replaced or evicted; lookups and reads of
 # built columns take no lock
 _LOCK = threading.Lock()
@@ -259,7 +269,10 @@ def _table(p: DeformationParams, n: int) -> _Table:
     """p's table, holding entries 0..n at least.  A new triple's table is
     built to n; a read past an existing table's end replaces it with one
     built to max(n, twice its length), below _MAX_ENTRIES."""
-    tab = _TABLES.get(p)
+    global _LAST
+    last_p, tab = _LAST
+    if p is not last_p:
+        tab = _TABLES.get(p)
     if tab is None or n >= len(tab.log_box):
         if n >= _MAX_ENTRIES:
             raise NumericalRangeError(
@@ -274,18 +287,23 @@ def _table(p: DeformationParams, n: int) -> _Table:
             elif n >= len(tab.log_box):
                 longer = max(n, min(2 * len(tab.log_box), _MAX_ENTRIES - 1))
                 tab = _TABLES[p] = _Table(p, longer)
+    _LAST = p, tab
     return tab
 
 
 def _clear_tables() -> None:
+    global _LAST
     with _LOCK:
         _TABLES.clear()
+        _LAST = None, None
 
 
 def log_box(n: int, p: DeformationParams) -> float:
     """log [n]; -inf for n = 0."""
     if type(n) is int and n >= 0:  # the hit path: one read of a built table
-        tab = _TABLES.get(p)
+        last_p, tab = _LAST
+        if p is not last_p:
+            tab = _TABLES.get(p)
         if tab is not None:
             try:
                 return tab.box_view[n]
@@ -329,7 +347,9 @@ def _log_double_factorials(p: DeformationParams, n: int) -> np.ndarray:
 def log_gen_factorial(n: int, p: DeformationParams) -> float:
     """log of [n]! via the telescoped closed form; 0 for n = 0."""
     if type(n) is int and n >= 0:  # the hit path, as log_box's
-        tab = _TABLES.get(p)
+        last_p, tab = _LAST
+        if p is not last_p:
+            tab = _TABLES.get(p)
         if tab is not None:
             try:
                 return tab.fact_view[n]
@@ -348,12 +368,16 @@ def log_gen_double_factorial(m: int, p: DeformationParams) -> float:
     """log of [m]!! = log([m][m-2][m-4]...), stopping at [2] or [1].
 
     The even case [2n]!! = [2n][2n-2]...[2] is the normalization that
-    appears in the ground-state expansion; m = 0 gives the empty product.
+    appears in the ground-state expansion, read from the table's column
+    that the expansion reads; m = 0 gives the empty product.
     """
     m = check_count(m, "m")
-    # 0 + log [m] + log [m-2] + ... left to right: np.add.reduce sums
-    # pairwise, and the builtin sum compensates from Python 3.12
-    return np.add.accumulate(np.append(0.0, _table(p, m).log_box[m:0:-2])).item(-1)
+    if m % 2 == 0:  # the table's column, the ground-state series' own value
+        return _log_double_factorials(p, m // 2).item(-1)
+    # 0 + log [1] + log [3] + ... + log [m] left to right, as the column
+    # adds: np.add.reduce sums pairwise, and the builtin sum compensates
+    # from Python 3.12
+    return np.add.accumulate(np.append(0.0, _table(p, m).log_box[1 : m + 1 : 2])).item(-1)
 
 
 def gen_double_factorial(m: int, p: DeformationParams) -> LogValue:

@@ -14,6 +14,7 @@ whose message starts with the argument's name.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,9 @@ def check_real(value, name: str, above: float | None = None,
                at_least: float | None = None) -> float:
     """value as a float, after checking it is a finite real number, and
     > above or >= at_least where given."""
-    _check_finite(value, name, _REALS, "real")
-    value = float(value)
+    if type(value) is not float or not math.isfinite(value):  # a finite float passes
+        _check_finite(value, name, _REALS, "real")
+        value = float(value)
     if above is not None and not value > above:
         raise ParameterError(f"{name} must be > {above}, got {value}")
     if at_least is not None and not value >= at_least:

@@ -35,13 +35,14 @@ x^beta lattice (_lattice_sum).
 Where a positive series is summed on the linear scale, _positive_fsum
 sums exactly only the terms of at least 2^-106 / len of the largest, plus
 the float sum of the rest: those weigh under 2^-106 of the total, so they
-can only decide a rounding tie, and that sum decides it as they would.
-It returns math.fsum's double, bit for bit, through _exact_sum: an array
-of up to _FSUM_MAX = 300 terms goes to fsum as it is; a longer one is
-first cut by extraction rounds (Rump, Ogita and Oishi's ExtractVector)
-into a few doubles whose exact sum is the exact sum of the terms, in a
-few numpy passes a round, and fsum, which rounds that exact sum
-correctly, returns the same double from them.
+can only decide a rounding tie, and that sum decides it as they would;
+where no term is negligible the terms go on whole, since their exact sum
+with 0.0 is theirs.  It returns math.fsum's double, bit for bit, through
+_exact_sum: an array of up to _FSUM_MAX = 300 terms goes to fsum as it
+is; a longer one is first cut by extraction rounds (Rump, Ogita and
+Oishi's ExtractVector) into a few doubles whose exact sum is the exact
+sum of the terms, in a few numpy passes a round, and fsum, which rounds
+that exact sum correctly, returns the same double from them.
 Each Fock series is summed once: one bounded memo (_series_memo, read
 through _memo_read) keeps the kernel's record with its read-only
 log-terms, and clear_caches drops it and the factorial tables beneath it.
@@ -113,6 +114,9 @@ _FSUM_MAX = 300
 # The memory held is at most 64 times the longest kept series: about 1.05e4
 # terms in the benchmark, up to max_n + 1 for a photon_distribution call
 _MAX_SERIES = 64
+
+# orders r whose log r! is kept: a photon-statistics call reads r = 1, 2
+_MAX_ORDERS = 32
 
 _LOSS_THRESHOLD = 1e8  # |largest term| / |sum| beyond which float cancellation
 # has eaten more than half the significand
@@ -211,6 +215,8 @@ def _positive_fsum(terms: np.ndarray) -> float:
     if len(terms) == 0:
         return 0.0
     big = terms >= terms.max() * _NEGLIGIBLE / len(terms)
+    if big.all():  # the exact sum of the terms and 0.0 is theirs
+        return _exact_sum(terms)
     return _exact_sum(np.concatenate((terms[big], [terms[~big].sum()])))
 
 
@@ -431,6 +437,13 @@ def clear_caches() -> None:
     _clear_tables()
 
 
+@functools.lru_cache(maxsize=_MAX_ORDERS)
+def _log_order_factorial(r: int) -> float:
+    """log r! = log_gamma(r + 1.0), its bits, computed once per order r:
+    each derivative and Fock moment of order r scales its series by it."""
+    return log_gamma(r + 1.0)
+
+
 def _linear_sum(
     x: complex,
     p: DeformationParams,
@@ -487,7 +500,7 @@ def n_function_derivative(
     r = check_count(r, "r")
     return _linear_sum(
         x, p, tol, max_terms, f"n_function_derivative(r={r})", r=r,
-        log_first=log_gamma(r + 1.0) - log_gen_factorial(r, p),
+        log_first=_log_order_factorial(r) - log_gen_factorial(r, p),
     )
 
 
@@ -529,7 +542,7 @@ def log_n_derivative(
     """log of the r-th derivative of N at real x >= 0 (all terms positive)."""
     x = check_real(x, "x", at_least=0.0)
     r = check_count(r, "r")
-    log_first = log_gamma(r + 1.0) - log_gen_factorial(r, p)
+    log_first = _log_order_factorial(r) - log_gen_factorial(r, p)
     s = _memo_read(_log_abs(x), p, tol, max_terms, f"log_n_derivative(r={r})", r=r)
     return log_first + s.log_sum
 

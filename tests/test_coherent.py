@@ -509,6 +509,29 @@ class TestWavefunctions:
             with pytest.raises(NumericalRangeError, match=f"lattice series at x = {x}"):
                 wavefunction_sample(k, x, p, s)
 
+    def test_readme_grid_builds_one_level_table(self, monkeypatch):
+        # `wcs wavefunction --k 0..3 --x 0:3:31`, in the CLI's order: one
+        # build at the floor length, where the tables grew at 6, 28, 56, ...
+        # before; each sample's bits equal those it reads from a table built
+        # at exactly its own lattice length
+        grid = [3.0 * j / 30 for j in range(31)]
+        built, lengths = [], []
+        raised, coefficients = coherent._raised_levels, coherent._level_coefficients
+        monkeypatch.setattr(coherent, "_raised_levels",
+                            lambda p, s, levels, m: built.append(m) or raised(p, s, levels, m))
+        monkeypatch.setattr(coherent, "_level_coefficients",
+                            lambda k, n, p, s: lengths.append(n) or coefficients(k, n, p, s))
+        series.clear_caches()
+        got = [wavefunction_sample(k, x, CLASSICAL, S1, tol=1e-8) for k in range(4) for x in grid]
+        assert built == [coherent._MIN_LENGTH] and max(lengths) <= coherent._MIN_LENGTH
+        monkeypatch.setattr(coherent, "_MIN_LENGTH", 0)
+        built.clear()
+        for (k, x), n, value in zip([(k, x) for k in range(4) for x in grid], lengths, got):
+            coherent._level_table.cache_clear()
+            assert wavefunction_sample(k, x, CLASSICAL, S1, tol=1e-8) == value
+            assert built[-1] == n
+        assert len(built) == len(got)
+
     def test_level_tables_stay_bounded(self):
         series.clear_caches()
         rng = random.Random(28)

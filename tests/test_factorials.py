@@ -313,7 +313,7 @@ class TestArrayTable:
     @staticmethod
     def _grown(p, steps):
         """p's table after reads at each n of steps, from no table."""
-        _TABLES.pop(p, None)
+        clear_caches()  # drops the remembered (p, table) pair too
         for n in steps:
             tab = _table(p, n)
         return tab
@@ -490,7 +490,7 @@ class TestArrayTable:
 
         monkeypatch.setattr(factorials, "_Table", counted)
         p = TABLE_TRIPLES[2]
-        _TABLES.pop(p, None)
+        clear_caches()  # drops the remembered (p, table) pair too
         for n in range(1, 100_001):
             log_box(n, p)
         assert len(built) <= 19
@@ -573,6 +573,77 @@ class TestTableCache:
             assert len(_table(p, 100).log_box) == 101
             assert _outcome(fn, n, p) == cold
             assert _outcome(fn, n, p) == cold
+
+    def test_equal_but_distinct_triples_read_the_same_bits(self):
+        # one triple object is the remembered pair's, the other goes
+        # through the dict; either may be the one _table saw last
+        p, q = DeformationParams(0.3, 0.7, 0.2), DeformationParams(0.3, 0.7, 0.2)
+        assert p == q and p is not q
+        clear_caches()
+        for last in (p, q, p):
+            _table(last, 300)
+            assert factorials._LAST[0] is last
+            for n in (0, 1, 7, 100, 300):
+                for fn in (log_box, log_gen_factorial):
+                    assert _outcome(fn, n, p) == _outcome(fn, n, q)
+
+    def test_hits_follow_a_replaced_table(self, monkeypatch):
+        built = []
+        table = factorials._Table
+        monkeypatch.setattr(factorials, "_Table", lambda p, n: built.append(n) or table(p, n))
+        p = TABLE_TRIPLES[1]
+        clear_caches()
+        first = _table(p, 100)
+        log_box(150, p)  # past its end: one to twice its length replaces it
+        assert built == [100, 202]
+        longer = _TABLES[p]
+        assert longer is not first and factorials._LAST == (p, longer)
+        for n in (150, 180, 202):  # hits on the new table, no build
+            assert log_box(n, p) == longer.log_box[n]
+            assert log_gen_factorial(n, p) == longer.log_fact[n]
+        assert built == [100, 202]
+
+    def test_clear_caches_forgets_the_remembered_pair(self, monkeypatch):
+        built = []
+        table = factorials._Table
+        monkeypatch.setattr(factorials, "_Table", lambda p, n: built.append(n) or table(p, n))
+        p = TABLE_TRIPLES[2]
+        clear_caches()
+        log_gen_factorial(50, p)
+        clear_caches()
+        assert factorials._LAST == (None, None) and not _TABLES
+        log_box(5, p)  # builds anew, to 5, not a hit on the forgotten table
+        assert built == [50, 5]
+        assert factorials._LAST == (p, _TABLES[p]) and len(_TABLES[p].log_box) == 6
+
+    def test_threads_alternating_triples_read_single_threaded_values(self):
+        # each thread reads the three triples in turn, at indices that
+        # replace tables as they go, so the remembered pair changes hands
+        # between every read; some threads hold copies of the triples
+        triples = [DeformationParams(0.2, 0.4, 0.6), DeformationParams(0.9, 0.15, 1.7),
+                   DeformationParams(0.6, 0.35, -0.2)]
+        ns = [*range(0, 300, 7), 1000, 4097, 20_000, 5, 9000]
+
+        def reads(ps):
+            out = []
+            for n in ns:
+                for p in ps:
+                    out.append((_outcome(log_box, n, p), _outcome(log_gen_factorial, n, p)))
+            return out
+
+        clear_caches()
+        want = reads(triples)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, between the pair's reads too
+        try:
+            for _ in range(3):
+                clear_caches()
+                copies = [DeformationParams(p.alpha, p.beta, p.nu) for p in triples]
+                with ThreadPoolExecutor(4) as pool:
+                    futures = [pool.submit(reads, ps) for ps in (triples, copies, triples, copies)]
+                    assert all(f.result(timeout=60) == want for f in futures)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_signed_zero_shares_one_table(self):
         clear_caches()
@@ -971,9 +1042,10 @@ class TestTableCeiling:
 class TestDoubleFactorial:
     @pytest.mark.parametrize("p", TABLE_TRIPLES)
     def test_bitwise_equal_to_left_to_right_sum(self, p):
-        for m in (1, 2, 3, 10, 333, 4000):
+        # 0 + log [1 or 2] + log [3 or 4] + ... + log [m], from the bottom
+        for m in (0, 1, 2, 3, 10, 333, 4000, 4001):
             acc = 0.0
-            for k in range(m, 0, -2):
+            for k in range(2 - m % 2, m + 1, 2):
                 acc += log_box(k, p)
             assert log_gen_double_factorial(m, p) == acc
 

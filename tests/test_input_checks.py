@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wcs.coherent
+import wcs.params as params
 import wcs.quadrature
 import wcs.series
 from wcs import (
@@ -229,6 +230,39 @@ def test_numpy_integers_are_counts():
 def test_integer_beyond_double_range_is_not_finite():
     with pytest.raises(ParameterError, match="^x must be a finite"):
         log_n_function(10**400, P)
+
+
+class _Real(float):
+    pass
+
+
+def _checked_path(value, name, above=None, at_least=None):
+    # check_real without its fast path for a finite float
+    params._check_finite(value, name, params._REALS, "real")
+    value = float(value)
+    if above is not None and not value > above:
+        raise ParameterError(f"{name} must be > {above}, got {value}")
+    if at_least is not None and not value >= at_least:
+        raise ParameterError(f"{name} must be >= {at_least}, got {value}")
+    return value
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, 0.0, -0.0, -2.0, 5e-324, 1.7e308, math.nan, math.inf, -math.inf, True, False,
+     np.float64(1.5), np.float64(math.nan), _Real(1.5), _Real(math.inf), 3, 10**400, "1.5"],
+    ids=repr,
+)
+@pytest.mark.parametrize("bounds", [{}, {"above": 0.0}, {"at_least": 0.0}])
+def test_check_real_fast_path_keeps_results_and_messages(value, bounds):
+    def outcome(check):
+        try:
+            got = check(value, "x", **bounds)
+        except ParameterError as e:
+            return "error", str(e)
+        return type(got), got.hex()
+
+    assert outcome(params.check_real) == outcome(_checked_path)
 
 
 def test_wright_w_overflow_is_typed():

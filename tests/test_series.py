@@ -28,6 +28,7 @@ from wcs import (
 from wcs import coherent, series
 from wcs.errors import ConvergenceError, NumericalRangeError, ParameterError
 from wcs.factorials import _TABLES, _log_factorials, _table
+from wcs.gammafn import log_gamma
 from wcs.series import _FSUM_MAX, _exact_sum, _log_falling, _log_series, _positive_fsum
 
 CLASSICAL = DeformationParams(0.0, 1.0, 0.0)
@@ -562,6 +563,52 @@ class TestPositiveFsum:
         # terms from 1 down to below the smallest subnormal
         terms = np.exp(np.array(logs, dtype=float))
         assert _positive_fsum(terms) == math.fsum(terms.tolist())
+
+    @staticmethod
+    def _split(terms):
+        # the big terms and the float sum of the negligible ones, even when
+        # there are none, as _positive_fsum always summed them
+        big = terms >= terms.max() * series._NEGLIGIBLE / len(terms)
+        return _exact_sum(np.concatenate((terms[big], [terms[~big].sum()]))), bool(big.all())
+
+    @pytest.mark.parametrize("negligible", [False, True])
+    def test_equal_to_the_split_path(self, negligible):
+        # lengths 1-1000, and either side of _FSUM_MAX as is and with the
+        # negligible terms' one sum appended; log-terms down to e^-60 are
+        # never negligible, down to e^-745 some are (below 2^-106 / n)
+        rng = np.random.default_rng(30)
+        lengths = [1, 2, _FSUM_MAX - 1, _FSUM_MAX, _FSUM_MAX + 1, 1000,
+                   *rng.integers(1, 1001, 60).tolist()]
+        for n in lengths:
+            low = 745.0 if negligible else 60.0
+            terms = np.exp(-rng.uniform(0.0, low, n))
+            if negligible and n > 1:
+                terms[-1] = 1e-300
+            want, none_negligible = self._split(terms)
+            assert none_negligible is (not negligible or n == 1)
+            assert _positive_fsum(terms).hex() == want.hex()
+
+
+class TestLogOrderFactorial:
+    def test_log_gamma_bits_within_the_bound(self):
+        series._log_order_factorial.cache_clear()
+        for r in range(201):
+            assert series._log_order_factorial(r).hex() == log_gamma(r + 1.0).hex()
+            assert series._log_order_factorial.cache_info().currsize <= series._MAX_ORDERS
+        assert series._log_order_factorial.cache_info().currsize == series._MAX_ORDERS
+
+    def test_each_order_computed_once(self, monkeypatch):
+        # the derivatives and both moment functions of one order share it
+        calls = []
+        monkeypatch.setattr(series, "log_gamma", lambda z: calls.append(z) or log_gamma(z))
+        series._log_order_factorial.cache_clear()
+        label = wcs.CoherentLabel.from_intensity(2.5)
+        for r in (1, 2, 1, 2):
+            log_n_derivative(2.5, r, P011)
+            n_function_derivative(2.5, r, P011)
+            wcs.normally_ordered_moment(r, label, P011)
+            wcs.fock_moment_sum(r, label, P011)
+        assert calls == [2.0, 3.0]
 
 
 def _outcome(f, *args):

@@ -20,13 +20,22 @@ elementwise from the factorial table, L_n = log(b_1 ... b_n) with
 b_n = [step n]: the table's log [n]! column for step 1, and for step 2 (the
 even double factorial, summed from n = 0) its log [2n]!! column, so no
 log-term depends on where a block starts.  F is an optional log
-factor such as a falling factorial or 2 log [n].  A pass's first block
+factor such as a falling factorial or 2 log [n].  The offsets n - start
+and the r-th derivative's falling factor F_r(n) - F_r(r),
+F_r(n) = log n!/(n-r)!, depend on neither the triple nor x, so a block
+slices them off read-only columns (_column): one of float offsets and one
+per order r, each made by the same ufunc ops a block once ran, grown at
+least twofold and replaced whole, and dropped by clear_caches.  Q_M's
+2 log [n] is made per block.  A pass's first block
 reaches past where its terms can stop (about the mode of t_n plus eight
 widths, or where the term ratio falls below 0.9), so most series are one
-block; later blocks double.  The first term is normalised to 1.  One
-stopping rule, written once: stop after three consecutive terms with
-|t_n| <= tol * max(1, |S_n|), S_n the partial sum, while the next-term
-ratio |t_(n+1) / t_n| is below 0.9.  Positive series are summed in log
+block, returned as a slice of it; later blocks double.  The first term
+is normalised to 1.  One stopping rule, written once: stop after three
+consecutive terms with |t_n| <= tol * max(1, |S_n|), S_n the partial sum,
+while the next-term ratio |t_(n+1) / t_n| is below 0.9.  A block flags
+its small terms in two array passes, and _stop scans the flagged indices
+in Python for three in a row, counting the run of small terms that ended
+the previous block (0 to 2).  Positive series are summed in log
 space and never overflow; signed and complex series (a phase per term)
 raise NumericalRangeError once a partial sum overflows, and their values
 are taken with math.fsum (_fsum), with a geometric tail bound and the one
@@ -256,21 +265,68 @@ def _lattice_sum(coeffs: np.ndarray, y: float, what: str, *args) -> tuple[float,
     return total, _cancels(total, float(np.maximum.reduce(np.abs(terms, out=terms), initial=0.0)))
 
 
-def _log_falling(r: int) -> Callable:
+class _LogFalling(NamedTuple):
     """F(n) = log n!/(n-r)!, the factor of the r-th derivative term: the
     logs of n - j added in order of j < r, and 0 for r = 0.  That is the
     order of numpy's sum along a row of up to 7; from 8 it adds a row
-    pairwise, so F of 8 or more factors keeps that 2-D sum."""
-    if r >= 8:
-        return lambda n, log_b: np.log(n[:, None] - np.arange(r)).sum(axis=1)
+    pairwise, so F of 8 or more factors keeps that 2-D sum.  Each entry is
+    a function of its n alone, so the kernel reads the r-th derivative's
+    series, from n = r, off one column per order (_column)."""
 
-    def f(n: np.ndarray, log_b: np.ndarray) -> np.ndarray:
+    r: int
+
+    def __call__(self, n: np.ndarray, log_b: np.ndarray | None = None) -> np.ndarray:
+        r = self.r
+        if r >= 8:
+            return np.log(n[:, None] - np.arange(r)).sum(axis=1)
         total = np.log(n) if r else np.zeros_like(n)
         for j in range(1, r):
             total += np.log(n - j)
         return total
 
-    return f
+
+# read-only columns the kernel slices per block, each replaced whole by a
+# longer one: under None the offsets k = 0, 1, 2, ... as floats, under an
+# order r the r-th derivative's factor F_r(r + k) - F_r(r)
+_COLUMNS: dict[int | None, np.ndarray] = {}
+
+
+def _column(r: int | None, n: int, cap: int) -> np.ndarray:
+    """r's column, at least n <= cap entries long.  A shorter one is
+    replaced by one at least twice as long, up to cap, so a column is no
+    longer than twice the furthest read of it, nor than the longest budget
+    that grew it.  F_r is made by _LogFalling(r)'s own ufunc ops over n,
+    so each entry has the bits of a block's F(n) - F(start).  Beyond
+    _MAX_ORDERS orders every column is dropped; a caller keeps using the
+    column it was handed."""
+    col = _COLUMNS.get(r)
+    if col is None or len(col) < n:
+        k = np.arange(n if col is None else max(n, min(2 * len(col), cap)), dtype=float)
+        if r is None:
+            col = k
+        else:
+            col = _LogFalling(r)(k + r)
+            col -= col[0]
+        col.flags.writeable = False
+        if len(_COLUMNS) > _MAX_ORDERS:
+            _COLUMNS.clear()
+        _COLUMNS[r] = col
+    return col
+
+
+def _stop(small: np.ndarray, run: int) -> tuple[int, int]:
+    """Where the rule stops in a block whose terms' flags are small: the
+    count of terms kept up to the first that ends three small terms in a
+    row, counting the run that ended the previous block (0 to 2), or -1;
+    and the run of small terms that ends this block.  A scan of the small
+    terms' indices: they are few before the stop."""
+    last = -1
+    for i in small.nonzero()[0].tolist():
+        run = run + 1 if i == last + 1 else 1
+        if run == 3:
+            return i + 1, 0
+        last = i
+    return -1, run if last == len(small) - 1 else 0
 
 
 def _first_block(lx: float, p: DeformationParams, start: int, step: int) -> int:
@@ -307,8 +363,9 @@ def _log_series(
     """Sum the terms t_n, n >= start, with t_start = 1 and
     t_n / t_(n-1) = e^lx / b_n * exp(F(n) - F(n-1)) * phase, b_n = [step n].
 
-    log_factor(n, log_b) gives F on arrays of n and log b_n.  A step-2
-    series starts at n = 0.  phase None
+    log_factor(n, log_b) gives F on arrays of n and log b_n; a
+    _LogFalling(start), the start-th derivative's factor, is read off its
+    column instead.  A step-2 series starts at n = 0.  phase None
     marks a positive series; otherwise each term carries phase^(n - start)
     and a partial sum beyond double range raises NumericalRangeError.
     Raises ConvergenceError when max_terms terms do not meet the rule.  The
@@ -318,9 +375,10 @@ def _log_series(
     end = start + max_terms  # first index past the budget
     kept: list[np.ndarray] = []
     l_start = f_start = 0.0
+    falling = isinstance(log_factor, _LogFalling) and log_factor.r == start
     # running sum S = e^scale * partial; scale >= 0 since the first term is 1
     scale, partial = 0.0, 0.0
-    carry = np.zeros(2, dtype=bool)  # the last two flags of the previous block
+    run = 0  # the small terms that end the previous block, 0 to 2
     lo, size = start, _first_block(lx, p, start, step)
     while lo < end:
         hi = min(lo + size, end)  # terms lo..hi-1, plus hi for the ratio
@@ -333,10 +391,15 @@ def _log_series(
             log_fact = _log_double_factorials(p, hi)[lo:]
         if lo == start:
             l_start = log_fact[0]
-        # log t_n = (n - start) lx - (L[n] - L[start]) + F(n) - F(start)
-        logs = np.arange(lo - start, hi - start + 1, dtype=float) * lx
+        # log t_n = (n - start) lx - (L[n] - L[start]) + F(n) - F(start),
+        # with n - start and a falling factor's F(n) - F(start) read off
+        # their columns at k = n - start
+        k_lo, k_hi = lo - start, hi - start + 1
+        logs = _column(None, k_hi, max_terms + 1)[k_lo:k_hi] * lx
         logs -= log_fact - l_start if l_start else log_fact  # L[start] is 0 from n = 0
-        if log_factor is not None:
+        if falling:
+            logs += _column(start, k_hi, max_terms + 1)[k_lo:k_hi]
+        elif log_factor is not None:
             f = log_factor(
                 np.arange(lo, hi + 1, dtype=float), tab.log_box[step * lo : step * hi + 1 : step]
             )
@@ -346,28 +409,23 @@ def _log_series(
         log_t = logs[:-1]
         top = max(scale, float(np.maximum.reduce(log_t)))
         # terms and partial sums in units of e^top
-        terms = np.exp(log_t - top)
+        terms = np.subtract(log_t, top)
+        np.exp(terms, out=terms)
         if phase is not None:
             terms = terms * _phases(phase, lo - start, hi - lo)
         sums = np.add.accumulate(terms)
         if partial:  # after the first block
             sums += partial * math.exp(scale - top)
-        # flags[j + 2] marks term lo + j small; the first two carry the
-        # previous block's last two, so run marks three small in a row
-        flags = np.empty(hi - lo + 2, dtype=bool)
-        flags[:2] = carry
-        small = flags[2:]
         floor = math.exp(-top)
         if phase is None:  # positive terms and sums
-            np.less_equal(terms, tol * np.maximum(sums, floor), out=small)
+            small = np.less_equal(terms, tol * np.maximum(sums, floor))
         else:
-            np.less_equal(np.abs(terms), tol * np.maximum(np.abs(sums), floor), out=small)
+            small = np.less_equal(np.abs(terms), tol * np.maximum(np.abs(sums), floor))
         small &= logs[1:] - log_t < _LOG_RATIO_CEILING
-        run = small & flags[1:-1]
-        run &= flags[:-2]
-        k = int(run.argmax())
-        hit = bool(run[k])
-        k = k + 1 if hit else len(small)
+        k, run = _stop(small, run)
+        hit = k > 0
+        if not hit:
+            k = len(small)
         # |S_n| <= n e^top, so only a top near the limit can overflow a sum
         if (
             phase is not None
@@ -375,13 +433,12 @@ def _log_series(
             and max(log_t[:k].max(), top + _log_abs(np.abs(sums[:k]).max())) > _LOG_MAX
         ):
             raise _overflow(what)
-        kept.append(log_t[:k])
         if hit:
-            log_terms = np.concatenate(kept)
+            log_terms = np.concatenate((*kept, log_t[:k])) if kept else log_t[:k]
             log_sum = top + _log_abs(sums[k - 1])
             return _LogSeries(log_terms, log_sum, float(logs[k] - logs[k - 1]))
+        kept.append(log_t)
         scale, partial = top, sums[-1]
-        carry = flags[-2:]
         lo, size = hi, min(2 * size, _MAX_BLOCK)
     raise _no_convergence(what, tol, max_terms)
 
@@ -405,7 +462,7 @@ _caller = threading.local()
 @functools.lru_cache(maxsize=_MAX_SERIES)
 def _series_memo(lx, p, tol, step, r, phase) -> _LogSeries:
     max_terms, what = _caller.budget_and_label
-    start, factor = (0, None) if r is None else (r, _log_falling(r))
+    start, factor = (0, None) if r is None else (r, _LogFalling(r))
     s = _log_series(lx, p, tol, max_terms, what, start, step, factor, phase)
     s.log_terms.flags.writeable = False
     return s
@@ -428,11 +485,12 @@ def _memo_read(
 
 
 def clear_caches() -> None:
-    """Drop the series memo, the factorial tables and the wavefunction
-    level tables."""
+    """Drop the series memo, the kernel's columns, the factorial tables and
+    the wavefunction level tables."""
     from .coherent import _level_table  # coherent imports this module
 
     _series_memo.cache_clear()
+    _COLUMNS.clear()
     _level_table.cache_clear()
     _clear_tables()
 

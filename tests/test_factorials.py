@@ -724,7 +724,7 @@ class TestRecall:
         lx = math.log(x)
         for r in (None, 0, 1, 2):
             start = r or 0
-            factor = None if r is None else series._log_falling(r)
+            factor = None if r is None else series._LogFalling(r)
             s = series._log_series(lx, p, 1e-12, 10000, "", start, log_factor=factor)
             key = {} if r is None else {"r": r}  # as log_n_function and log_n_derivative ask
             got = _read(lx, p, 1e-12, 10000, **key)

@@ -29,7 +29,7 @@ from wcs import coherent, series
 from wcs.errors import ConvergenceError, NumericalRangeError, ParameterError
 from wcs.factorials import _TABLES, _log_factorials, _table
 from wcs.gammafn import log_gamma
-from wcs.series import _FSUM_MAX, _exact_sum, _log_falling, _log_series, _positive_fsum
+from wcs.series import _FSUM_MAX, _exact_sum, _LogFalling, _log_series, _positive_fsum
 
 CLASSICAL = DeformationParams(0.0, 1.0, 0.0)
 P011 = DeformationParams(0.0, 1.0, 1.0)
@@ -177,7 +177,7 @@ class TestSeriesKernel:
             for x in self.XS:
                 want_terms, want_log = _reference_stop(x, p, 1e-12, r)
                 s = _log_series(
-                    math.log(x), p, 1e-12, 10000, "test", start=r, log_factor=_log_falling(r)
+                    math.log(x), p, 1e-12, 10000, "test", start=r, log_factor=_LogFalling(r)
                 )
                 assert len(s.log_terms) == want_terms
                 assert s.log_sum == pytest.approx(want_log, rel=1e-12, abs=1e-12)
@@ -200,7 +200,7 @@ class TestSeriesKernel:
     def test_log_terms_read_the_factorial_column(self, start):
         # log t_n = (n - start) log x - (log [n]! - log [start]!) + F(n) - F(start),
         # elementwise from the table's column, bit for bit
-        factor = _log_falling(start) if start else None
+        factor = _LogFalling(start) if start else None
         for p in self.TRIPLES:
             for x in self.XS + (60.0,):
                 lx = math.log(x)
@@ -294,7 +294,7 @@ class TestSeriesKernel:
         def positive():
             return [
                 _log_series(math.log(x), p, 1e-13, 100000, "test", start=r,
-                            log_factor=_log_falling(r) if r else None)
+                            log_factor=_LogFalling(r) if r else None)
                 for p in self.TRIPLES for x in self.XS + (60.0,) for r in (0, 2)
             ]
 
@@ -688,14 +688,14 @@ class TestExactSums:
         # reduction, which adds pairwise
         n = np.arange(r, 100001, dtype=float)
         steps = n[:, None] - np.arange(r)
-        assert _log_falling(r)(n, None).tobytes() == np.log(steps).sum(axis=1).tobytes()
+        assert _LogFalling(r)(n, None).tobytes() == np.log(steps).sum(axis=1).tobytes()
 
     @pytest.mark.parametrize("r", [1, 2, 7, 8, 12, 40])
     def test_falling_factors_within_rounding(self, r):
         # against 40 digits: a sum of r logs is within r - 1 roundings of
         # the sum and a few ulp of each log
         n = np.unique(np.concatenate([np.arange(r, r + 30), np.geomspace(r + 30, 1e5, 40).round()]))
-        logs = _log_falling(r)(n, None)
+        logs = _LogFalling(r)(n, None)
         with mpmath.workdps(40):
             for m, f in zip(n.tolist(), logs.tolist()):
                 f_want = mpmath.fsum(mpmath.log(mpmath.mpf(m - j)) for j in range(r))

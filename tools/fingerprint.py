@@ -27,6 +27,11 @@ normally_ordered_moment, fock_moment_sum, coherent_amplitudes, overlap
                 one group per photon-statistics function, on fixed triples
                 and intensities, called in turn at each (triple, x) as the
                 photon-stats benchmark workload calls them
+kernel          log_n_function, fock_moment_sum (r = 1, 3, 9) and
+                photon_distribution at small beta and large x with tight
+                tolerances: Fock series of several kernel blocks, and ones
+                that exhaust their term budget, with the ConvergenceError
+                messages they raise
 cold-sweep      the factorial, spectrum, Hankel and wavefunction functions
                 the cold-sweep workload calls, on fixed triples, Hankel at
                 the workload's size 4
@@ -168,6 +173,21 @@ def _photon_stats() -> dict:
     return out
 
 
+def _kernel() -> list:
+    triples = [(0.0, 0.2, 0.0), (0.0, 0.1, 0.0), (0.3, 0.15, 2.0), (0.0, 0.3, 0.5)]
+    out = []
+    for triple in triples:
+        p = wcs.DeformationParams(*triple)
+        for x in (2.0, 5.0, 9.9, 60.0):
+            lab = wcs.CoherentLabel.from_intensity(x)
+            out.append([
+                _call(wcs.log_n_function, x, p, 1e-15, 10**5),
+                [_call(wcs.fock_moment_sum, r, lab, p, 1e-14, 40000) for r in (1, 3, 9)],
+                _call(wcs.photon_distribution, lab, p, 1e-12, 20000, 1e-15),
+            ])
+    return out
+
+
 def _cold_sweep() -> list:
     triples = [(0.0, 1.0, 0.0), (0.0, 0.5, 0.5), (1.0, 0.5, 1.0), (0.3, 0.7, 0.2),
                (0.9, 0.15, 1.7), (0.6, 0.35, -0.2)]
@@ -246,6 +266,7 @@ def main() -> int:
         "weights": pickle.dumps(_weights(), protocol=4),
         "wright_w": pickle.dumps(_wright_w(), protocol=4),
         **{name: pickle.dumps(results, protocol=4) for name, results in _photon_stats().items()},
+        "kernel": pickle.dumps(_kernel(), protocol=4),
         "cold-sweep": pickle.dumps(_cold_sweep(), protocol=4),
         "wavefunction": pickle.dumps(_wavefunction(), protocol=4),
         "hankel": pickle.dumps(_hankel(), protocol=4),

@@ -319,13 +319,17 @@ def _stop(small: np.ndarray, run: int) -> tuple[int, int]:
     count of terms kept up to the first that ends three small terms in a
     row, counting the run that ended the previous block (0 to 2), or -1;
     and the run of small terms that ends this block.  A scan of the small
-    terms' indices: they are few before the stop."""
-    last = -1
-    for i in small.nonzero()[0].tolist():
-        run = run + 1 if i == last + 1 else 1
-        if run == 3:
-            return i + 1, 0
-        last = i
+    terms' indices, taken as Python ints 8, 16, 32, ... at a time: before
+    the stop they are few, and past it a block may hold thousands."""
+    found = small.nonzero()[0]
+    last, lo, size = -1, 0, 8
+    while lo < len(found):
+        for i in found[lo : lo + size].tolist():
+            run = run + 1 if i == last + 1 else 1
+            if run == 3:
+                return i + 1, 0
+            last = i
+        lo, size = lo + size, 2 * size
     return -1, run if last == len(small) - 1 else 0
 
 

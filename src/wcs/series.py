@@ -174,8 +174,28 @@ def _overflow(what: str) -> NumericalRangeError:
     )
 
 
-def _no_convergence(what: str, tol: float, max_terms: int) -> ConvergenceError:
-    return ConvergenceError(f"{what}: no convergence to tol={tol} within {max_terms} terms")
+def _log_mode(lx: float, p: DeformationParams, step: int) -> float:
+    """log n*, n* = x^(1/(alpha+beta)) / (beta step): about where the terms
+    t_n peak, since log [step n] ~ (alpha+beta) log(beta step n)."""
+    return lx / (p.alpha + p.beta) - math.log(p.beta * step)
+
+
+def _no_convergence(
+    what: str, tol: float, max_terms: int, lx: float, p: DeformationParams, start: int, step: int
+) -> ConvergenceError:
+    """The Fock series' ConvergenceError, naming about where its terms peak:
+    n*, or the first term's n where n* is within one of it or below."""
+    log_mode = _log_mode(lx, p, step)
+    if log_mode >= _LOG_MAX:
+        peak = f"10^{log_mode / math.log(10.0):.0f}"
+    elif math.exp(log_mode) >= start + 1:
+        peak = f"{math.exp(log_mode):.3g}"
+    else:
+        peak = str(start)
+    return ConvergenceError(
+        f"{what}: no convergence to tol={tol} within {max_terms} terms; "
+        f"its terms peak near n ~ {peak}"
+    )
 
 
 def _log_abs(v) -> float:
@@ -335,8 +355,7 @@ def _stop(small: np.ndarray, run: int) -> tuple[int, int]:
 
 def _first_block(lx: float, p: DeformationParams, start: int, step: int) -> int:
     """Length of a pass's first block: past where its terms can stop.
-    log [step n] ~ (alpha+beta) log(beta step n), so the terms peak near
-    n* = x^(1/(alpha+beta)) / (beta step), with width
+    The terms peak near n* (_log_mode), with width
     sigma = sqrt(n* / (alpha+beta)); 8 sigma past n* a term is about e^-32
     of the peak, and the rule cannot stop before the term ratio falls below
     0.9, at about n* 0.9^(-1/(alpha+beta)), which is further where
@@ -344,7 +363,7 @@ def _first_block(lx: float, p: DeformationParams, start: int, step: int) -> int:
     at least _FIRST_BLOCK and at most _MAX_BLOCK terms; the budget caps it
     later."""
     e = p.alpha + p.beta
-    log_mode = lx / e - math.log(p.beta * step)
+    log_mode = _log_mode(lx, p, step)
     log_ratio_stop = log_mode - _LOG_RATIO_CEILING / e
     if log_ratio_stop >= math.log(_MAX_BLOCK):  # also where x^(1/(alpha+beta)) overflows
         return _MAX_BLOCK
@@ -372,7 +391,8 @@ def _log_series(
     column instead.  A step-2 series starts at n = 0.  phase None
     marks a positive series; otherwise each term carries phase^(n - start)
     and a partial sum beyond double range raises NumericalRangeError.
-    Raises ConvergenceError when max_terms terms do not meet the rule.  The
+    Raises ConvergenceError, naming about where the terms peak, when
+    max_terms terms do not meet the rule.  The
     errors name what.  The callers check tol and max_terms."""
     if lx == -math.inf:  # x = 0: every term after the first vanishes
         return _LogSeries(np.zeros(1), 0.0, -math.inf)
@@ -444,7 +464,7 @@ def _log_series(
         kept.append(log_t)
         scale, partial = top, sums[-1]
         lo, size = hi, min(2 * size, _MAX_BLOCK)
-    raise _no_convergence(what, tol, max_terms)
+    raise _no_convergence(what, tol, max_terms, lx, p, start, step)
 
 
 # One bounded least-recently-used memo of kernel records, each with its
@@ -484,7 +504,7 @@ def _memo_read(
     _caller.budget_and_label = max_terms, what
     s = _series_memo(lx, p, tol, step, r, phase)
     if len(s.log_terms) > max_terms:
-        raise _no_convergence(what, tol, max_terms)
+        raise _no_convergence(what, tol, max_terms, lx, p, r or 0, step)
     return s
 
 

@@ -873,9 +873,11 @@ class TestRecall:
         assert not first.is_alive()
         assert out == {
             "first": ("ConvergenceError",
-                      "log_n_function: no convergence to tol=1e-12 within 10 terms"),
+                      "log_n_function: no convergence to tol=1e-12 within 10 terms; "
+                      "its terms peak near n ~ 43.3"),
             "second": ("ConvergenceError",
-                       "log_n_derivative(r=2): no convergence to tol=1e-12 within 20 terms"),
+                       "log_n_derivative(r=2): no convergence to tol=1e-12 within 20 terms; "
+                       "its terms peak near n ~ 43.3"),
         }
 
 
@@ -975,7 +977,10 @@ class TestSeriesMemo:
         p = DeformationParams(0.5, 0.7, 0.2)
         with pytest.raises(ConvergenceError) as err:
             log_n_derivative(60.0, 2, p, max_terms=10)
-        assert str(err.value) == "log_n_derivative(r=2): no convergence to tol=1e-12 within 10 terms"
+        assert str(err.value) == (
+            "log_n_derivative(r=2): no convergence to tol=1e-12 within 10 terms; "
+            "its terms peak near n ~ 43.3"
+        )
         # a warm hit beyond the budget raises the same text
         log_n_derivative(60.0, 2, p)
         with pytest.raises(ConvergenceError) as again:

@@ -87,7 +87,7 @@ def _frozen_log_series(lx, p, tol, max_terms, what, start=0, step=1, log_factor=
         scale, partial = top, sums[-1]
         carry = flags[-2:]
         lo, size = hi, min(2 * size, series._MAX_BLOCK)
-    raise series._no_convergence(what, tol, max_terms)
+    raise series._no_convergence(what, tol, max_terms, lx, p, start, step)
 
 
 def _outcome(kernel, *args):

@@ -313,6 +313,35 @@ class TestSeriesKernel:
         for one, blocks in zip(whole_sums, sums):
             assert abs(blocks.log_sum - one.log_sum) <= 4 * math.ulp(one.log_sum)
 
+    def test_convergence_error_names_where_the_terms_peak(self):
+        # n* = x^(1/(alpha+beta)) / (beta step), or the first term's n where
+        # n* is within one of it; the same text from a cold run and from a
+        # memo hit longer than the caller's budget
+        p = DeformationParams(0.0, 0.3, 0.5)
+        head = "no convergence to tol=1e-12 within 10000 terms; its terms peak near n"
+        with pytest.raises(ConvergenceError) as err:
+            log_n_function(20.0, p)
+        assert str(err.value) == f"log_n_function: {head} ~ 7.24e+04"
+        assert 20.0 ** (1.0 / 0.3) / 0.3 == pytest.approx(7.24e4, rel=1e-3)
+        with pytest.raises(ConvergenceError) as err:
+            log_n_function(1e300, DeformationParams(0.0, 0.1, 0.0))
+        assert str(err.value) == f"log_n_function: {head} ~ 10^3001"
+        with pytest.raises(ConvergenceError) as err:
+            log_n_derivative(1e-3, 5, p, max_terms=1)
+        assert str(err.value).endswith("within 1 terms; its terms peak near n ~ 5")
+        log_n_function(3.0, p, tol=1e-13)  # keeps 307 terms
+        label = wcs.CoherentLabel.from_intensity(3.0)
+        with pytest.raises(ConvergenceError) as err:
+            wcs.photon_distribution(label, p, max_n=99)
+        assert str(err.value) == (
+            "photon_distribution: no convergence to tol=1e-13 within 100 terms; "
+            "its terms peak near n ~ 130"
+        )
+        wcs.clear_caches()
+        with pytest.raises(ConvergenceError) as cold:
+            wcs.photon_distribution(label, p, max_n=99)
+        assert str(cold.value) == str(err.value)
+
     def test_zero_argument_keeps_only_the_first_term(self):
         s = _log_series(-math.inf, P011, 1e-12, 10, "test", start=2)
         assert list(s.log_terms) == [0.0]

@@ -1,6 +1,7 @@
 """Time two `wcs` source trees on the same benchmark ops, in one process.
 
     python tools/ab.py OTHER/src src --workload cold-sweep --seed 1 --rounds 3
+    python tools/ab.py OTHER/src src --workload photon-stats --seeds 1-10 --rounds 2
 
 Both trees are imported side by side as separate packages, `wcs_a` from the
 first path and `wcs_b` from the second, each with its own caches.  One
@@ -19,6 +20,13 @@ Outputs are compared as plain data: dataclasses and named tuples by their
 class name and fields, arrays by dtype, shape and bytes, floats by their
 bits.  The exit status is 1 when some op's outputs differ.
 
+With --seeds A-B each seed from A to B runs in turn, as above, in the same
+process (the trees are imported once, so later seeds find warm caches), and
+prints one line: the two rates, their ratio, the ops the second tree won
+and whether the outputs agree.  A last line gives the median of the
+ratios and the number of seeds on which the second tree had the higher
+rate: the benchmark's rule of a gain in nine pairs of ten, in one process.
+
 Workloads that run each op in a fresh interpreter (`cli-readme`) are
 refused: time them with perfbench/run.py.
 """
@@ -31,6 +39,7 @@ import hashlib
 import importlib.util
 import os
 import pickle
+import statistics
 import sys
 import time
 
@@ -96,12 +105,36 @@ def timed(workload, op) -> tuple[float, str]:
     return time.perf_counter() - t0, digest(out)
 
 
+def compare(cls, seed: int, rounds: int, packages) -> tuple[list, list, list]:
+    """The ops of one seed's rounds, each tree's seconds per op, and the
+    ops whose outputs differ."""
+    sides = [make_side(cls, seed, package) for package in packages]
+    ops = [op for _ in range(rounds) for op in sides[0].next_round()]
+    seconds = [[0.0] * len(ops), [0.0] * len(ops)]
+    differ = []
+    for i, op in enumerate(ops):
+        md5 = [None, None]
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            seconds[side][i], md5[side] = timed(sides[side], op)
+        if md5[0] != md5[1]:
+            differ.append(op)
+    return ops, seconds, differ
+
+
+def seed_range(text: str) -> range:
+    """A-B, or one seed A."""
+    lo, _, hi = text.partition("-")
+    return range(int(lo), int(hi or lo) + 1)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("a", help="the first tree's src directory")
     ap.add_argument("b", help="the second tree's src directory")
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, default=1)
+    seeds = ap.add_mutually_exclusive_group()
+    seeds.add_argument("--seed", type=int, default=1)
+    seeds.add_argument("--seeds", type=seed_range, help="a range A-B of seeds, run in turn")
     ap.add_argument("--rounds", type=int, default=1)
     args = ap.parse_args(argv)
 
@@ -115,19 +148,28 @@ def main(argv=None) -> int:
         raise SystemExit(
             f"{args.workload} runs each op in a fresh interpreter; use perfbench/run.py"
         )
-    sides = [make_side(cls, args.seed, load_tree(src, name))
-             for src, name in ((args.a, "wcs_a"), (args.b, "wcs_b"))]
-    ops = [op for _ in range(args.rounds) for op in sides[0].next_round()]
+    packages = [load_tree(args.a, "wcs_a"), load_tree(args.b, "wcs_b")]
 
-    seconds = [[0.0] * len(ops), [0.0] * len(ops)]
-    differ = []
-    for i, op in enumerate(ops):
-        md5 = [None, None]
-        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
-            seconds[side][i], md5[side] = timed(sides[side], op)
-        if md5[0] != md5[1]:
-            differ.append(op)
+    if args.seeds is not None:
+        print(f"{args.workload}, seeds {args.seeds.start}-{args.seeds.stop - 1}, "
+              f"{args.rounds} round(s) each; a {args.a}, b {args.b}")
+        ratios, any_differ = [], False
+        for seed in args.seeds:
+            ops, seconds, differ = compare(cls, seed, args.rounds, packages)
+            n = len(ops)
+            rates = [n / sum(s) for s in seconds]
+            ratios.append(rates[1] / rates[0])
+            faster = sum(b < a for a, b in zip(*seconds))
+            outputs = f"outputs differ on {len(differ)}" if differ else "outputs equal"
+            print(f"seed {seed:4d}  a {rates[0]:10.2f}  b {rates[1]:10.2f} ops/s  "
+                  f"({ratios[-1]:.3f}x a)  b faster on {faster} of {n} ops  {outputs}")
+            any_differ = any_differ or bool(differ)
+        won = sum(r > 1.0 for r in ratios)
+        print(f"median {statistics.median(ratios):.3f}x a; b faster on {won} of "
+              f"{len(ratios)} seeds")
+        return 1 if any_differ else 0
 
+    ops, seconds, differ = compare(cls, args.seed, args.rounds, packages)
     n = len(ops)
     rates = [n / sum(s) for s in seconds]
     faster = sum(b < a for a, b in zip(*seconds))

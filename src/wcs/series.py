@@ -124,7 +124,8 @@ _FSUM_MAX = 300
 # terms in the benchmark, up to max_n + 1 for a photon_distribution call
 _MAX_SERIES = 64
 
-# orders r whose log r! is kept: a photon-statistics call reads r = 1, 2
+# orders r whose log r! and falling-factor column are kept: a
+# photon-statistics call reads r = 1, 2
 _MAX_ORDERS = 32
 
 _LOSS_THRESHOLD = 1e8  # |largest term| / |sum| beyond which float cancellation
@@ -307,8 +308,10 @@ class _LogFalling(NamedTuple):
 
 # read-only columns the kernel slices per block, each replaced whole by a
 # longer one: under None the offsets k = 0, 1, 2, ... as floats, under an
-# order r the r-th derivative's factor F_r(r + k) - F_r(r)
+# order r the r-th derivative's factor F_r(r + k) - F_r(r).  Building or
+# replacing one takes the lock; reads take none
 _COLUMNS: dict[int | None, np.ndarray] = {}
+_COLUMNS_LOCK = threading.Lock()
 
 
 def _column(r: int | None, n: int, cap: int) -> np.ndarray:
@@ -320,7 +323,12 @@ def _column(r: int | None, n: int, cap: int) -> np.ndarray:
     _MAX_ORDERS orders every column is dropped; a caller keeps using the
     column it was handed."""
     col = _COLUMNS.get(r)
-    if col is None or len(col) < n:
+    if col is not None and len(col) >= n:
+        return col
+    with _COLUMNS_LOCK:
+        col = _COLUMNS.get(r)
+        if col is not None and len(col) >= n:  # built by another thread
+            return col
         k = np.arange(n if col is None else max(n, min(2 * len(col), cap)), dtype=float)
         if r is None:
             col = k
@@ -335,12 +343,13 @@ def _column(r: int | None, n: int, cap: int) -> np.ndarray:
 
 
 def _stop(small: np.ndarray, run: int) -> tuple[int, int]:
-    """Where the rule stops in a block whose terms' flags are small: the
-    count of terms kept up to the first that ends three small terms in a
-    row, counting the run that ended the previous block (0 to 2), or -1;
-    and the run of small terms that ends this block.  A scan of the small
-    terms' indices, taken as Python ints 8, 16, 32, ... at a time: before
-    the stop they are few, and past it a block may hold thousands."""
+    """The stop in a block, from its terms' small flags: the count of its
+    terms kept, through the first that ends three small terms in a row
+    (the run of 0 to 2 that ended the previous block counted in), or -1
+    where none does; and the run of small terms that ends the block.  The
+    small terms' indices are scanned as Python ints 8, 16, 32, ... at a
+    time: before the stop they are few, past it a block may hold
+    thousands."""
     found = small.nonzero()[0]
     last, lo, size = -1, 0, 8
     while lo < len(found):

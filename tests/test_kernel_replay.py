@@ -12,6 +12,7 @@ or raise the same error with the same message, on every input.
 
 import math
 import random
+import sys
 import threading
 
 import numpy as np
@@ -248,15 +249,21 @@ class TestColumns:
 
         want = {r: sums(r) for r in (1, 2, 3, 9)}
         wcs.clear_caches()
-        got, barrier = {}, threading.Barrier(4)
+        got, barrier = {}, threading.Barrier(4, timeout=5)
 
         def work(r):
             barrier.wait()
             got[r] = sums(r)
 
-        threads = [threading.Thread(target=work, args=(r,)) for r in want]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(r,)) for r in want]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
         assert got == want

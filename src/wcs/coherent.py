@@ -30,16 +30,16 @@ alternating wavefunction series is summed on the x^beta lattice by
 series._lattice_sum, with its cancellation flag; ground_wavefunction and
 excited_wavefunction raise NumericalRangeError where the flag is set.
 Its coefficients, the ground state's and their raises, are built once per
-(p, scales) in a level table: read-only rows 0..max(k, 3) at a length at
-least the lattice's and at least _MIN_LENGTH = 128 slots, which holds the
-README grid's lattices in the first table, replaced by a longer or higher
-one when a read passes it, at most 4 tables kept and all dropped by
-series.clear_caches.  A sample reads level k below its top k slots, the
-only ones that cutting the raise at the lattice length changes, and
-recomputes those in O(k^2) float operations, so it gets the bits of k
-raisings at its own length whatever the table's length.  The r-th
-moments scale their series by log r!, read once per order from
-series._log_order_factorial.
+(p, scales, height, length) in a level table, one functools.lru_cache
+entry of read-only rows: 4 rows for levels 0..3, else 13, at the least
+power of two at or above the lattice's length and _MIN_LENGTH = 128
+slots (up to the longest lattice), so the README grid's lattices share
+one table.  At most 4 tables are kept, and series.clear_caches drops
+them.  A sample reads level k below its top k slots, the only ones that
+cutting the raise at the lattice length changes, and recomputes those in
+O(k^2) float operations, so it gets the bits of k raisings at its own
+length whatever the table's length.  The r-th moments scale their series
+by log r!, read once per order from series._log_order_factorial.
 """
 
 from __future__ import annotations
@@ -93,11 +93,11 @@ _SMALL_X_GUARD = 1e-12  # below this the Mandel ratios are replaced by their lim
 _LEVEL_CAP = 12  # the highest wavefunction level
 _LATTICE_BUDGET = 20000  # term budget of the ground-state lattice series
 _MAX_LATTICE = 2 * _LATTICE_BUDGET + _LEVEL_CAP + 4  # the longest lattice a sample reads
-_MIN_LEVELS = 4  # rows a level table is built with at least, levels 0..3
+_MIN_LEVELS = 4  # rows of the level tables of levels 0..3
 # slots a level table is built with at least: the lattice of the README
 # grid, x = 0..3 at (0, 1, 0) and tol 1e-8, is at most 71 slots long
 _MIN_LENGTH = 128
-_MAX_LEVEL_TABLES = 4  # (p, s) pairs whose level tables are kept
+_MAX_LEVEL_TABLES = 4  # level tables kept, each keyed by (p, s, rows, slots)
 _MOMENT_OVERFLOW = "{}: the moment of order r = {} at x = {} is beyond double range"
 
 
@@ -376,7 +376,7 @@ def wavefunction_sample(
     (multiplication by x^beta shifts slots up; the lattice derivative is
     the bracket-weighted down-shift), then divide by sqrt([k]!).  No
     numerical differentiation anywhere.  Levels run up to 12.  The raised
-    coefficients are read from a bounded level table (_level_coefficients),
+    coefficients are read from a cached level table (_level_coefficients),
     bit for bit those of k raisings at this sample's lattice length.
     Raises NumericalRangeError when a lattice term is not finite, as when
     x^(beta j) overflows at large x.
@@ -406,36 +406,19 @@ def wavefunction_sample(
 
 class _Levels(NamedTuple):
     rows: np.ndarray  # read-only (levels, m): row i is the i-th raise of row 0
-    brackets: np.ndarray  # [0], ..., [m - 1], a copy: no view of a factorial table
+    brackets: np.ndarray  # [0], ..., [m - 1]
     up: float  # the raise's up-shift factor
     down: float  # and its down-shift factor, times [j + 1] at slot j
 
 
-_NO_LEVELS = _Levels(np.zeros((0, 0)), np.zeros(0), 0.0, 0.0)
-
-
-class _LevelTable:
-    """The raised ground coefficients of one (p, s): levels is a whole
-    _Levels, replaced by a longer or taller one, never written."""
-
-    __slots__ = ("levels",)
-
-    def __init__(self) -> None:
-        self.levels = _NO_LEVELS
-
-
 @functools.lru_cache(maxsize=_MAX_LEVEL_TABLES)
-def _level_table(p: DeformationParams, s: PhysicalScales) -> _LevelTable:
-    return _LevelTable()
-
-
 def _raised_levels(p: DeformationParams, s: PhysicalScales, levels: int, m: int) -> _Levels:
     """Rows 0..levels-1 at length m.  Row 0 is the ground state: slot 2n
     holds (-m omega / hbar)^n / [2n]!!, the normalization under which the
     lowering operator annihilates it, odd slots 0.  Row i is the raise of
     row i-1 at length m, slot j = (0 + up c[j-1]) - (down c[j+1]) [j+1],
     whose last slot has no down-shift term."""
-    b = _brackets(p, m - 1).copy()
+    b = _brackets(p, m - 1)
     up = math.sqrt(0.5 * s.mass * s.omega / s.hbar)
     down = math.sqrt(0.5 * s.hbar / (s.mass * s.omega))
     rows = np.zeros((levels, m))
@@ -456,24 +439,18 @@ def _raised_levels(p: DeformationParams, s: PhysicalScales, levels: int, m: int)
 def _level_coefficients(k: int, n: int, p: DeformationParams, s: PhysicalScales) -> np.ndarray:
     """The k-th raise of the ground coefficients at lattice length n.
 
-    The (p, s) level table holds rows 0..max(k, 3) at least, at a length m
-    >= max(n, _MIN_LENGTH); a read past it replaces the table with one of at
-    least twice the length (up to the longest lattice) and at least as many
-    rows.  Slot j of a raise reads slots j-1 and j+1 only, and at length n
-    slot n-1 gets no down-shift term, so the raise at length n equals row k
-    below slot n-k: only its top k slots see the truncation.  Those are
-    recomputed here from the exact slots beneath them, level by level, in
-    O(k^2) float operations in the raise's own order, so the result is bit
-    for bit that of k raisings of an n-slot ground state."""
-    # threads racing here may each build a table and keep either: every
-    # table holds the same bits, and a reader uses the one it read
-    table = _level_table(p, s)
-    levels = table.levels
-    if k >= len(levels.rows) or n > levels.rows.shape[1]:
-        height = max(k + 1, _MIN_LEVELS, len(levels.rows))
-        length = max(n, _MIN_LENGTH, min(2 * levels.rows.shape[1], _MAX_LATTICE))
-        levels = table.levels = _raised_levels(p, s, height, length)
-    rows, b, up, down = levels
+    It is read from the (p, s) level table of rows 0..3 for k <= 3, else
+    0.._LEVEL_CAP, at the least power of two >= n and >= _MIN_LENGTH slots,
+    up to the longest lattice.  Slot j of a raise reads slots j-1 and j+1
+    only, and at length n slot n-1 gets no down-shift term, so the raise at
+    length n equals row k below slot n-k: only its top k slots see the
+    truncation.  Those are recomputed here from the exact slots beneath
+    them, level by level, in O(k^2) float operations in the raise's own
+    order, so the result is bit for bit that of k raisings of an n-slot
+    ground state."""
+    height = _MIN_LEVELS if k < _MIN_LEVELS else _LEVEL_CAP + 1
+    length = min(max(_MIN_LENGTH, 1 << (n - 1).bit_length()), _MAX_LATTICE)
+    rows, b, up, down = _raised_levels(p, s, height, length)
     if k == 0:
         return rows[0, :n]
     below = rows[:k, n - k - 1 : n].tolist()  # slots n-k-1..n-1 of rows 0..k-1

@@ -39,27 +39,24 @@ sum of O(1/k) corrections.  Every entry is an elementwise function of its
 index, and the running sums add in index order across blocks, so a longer
 table repeats the shorter one's bits.
 
-A table also keeps the linear brackets [0..m], exp of the log column by
-box's exp, grown lazily (at least doubling) to the longest _brackets read,
-which is a slice of them, so it hands back the bits a fresh computation
-would.  Likewise it keeps log [2n]!! for n = 0..m, the running sum of
-log [2], log [4], ... from 0 in index order, grown lazily (at least
-doubling) to the longest _log_double_factorials read and bounded by the
-half of the log column it sums; the ground-state series slices it, and
-log_gen_double_factorial reads its even m there, so the two are one value.
-The scalar accessors read a built table through read-only memoryviews of
-its two columns, one index each; an index past a view's end raises
-IndexError, and that read, like any argument that is not a plain int
->= 0, takes the checked path that builds or replaces the table.  They
-and _table find the table by identity first: _LAST is the (p, table)
-pair _table returned last, one tuple, and a read with that same p object
-takes its table without hashing p; any other p takes one dict lookup.  A
-table's columns go with it.  At most 64 tables are cached; a new triple
-beyond that evicts the oldest-inserted one, and _clear_tables (behind
+A table also keeps log [2n]!! for each even 2n it covers, the running
+sum of log [2], log [4], ... from 0 in index order, built with its other
+columns; the ground-state series slices it, and log_gen_double_factorial
+reads its even m there, so the two are one value.  _brackets applies
+box's exp to a slice of the log column, afresh on each call.  The scalar
+accessors read a built table through read-only memoryviews of its two
+columns, one index each; an index past a view's end raises IndexError,
+and that read, like any argument that is not a plain int >= 0, takes the
+checked path that builds or replaces the table.  They and _table find
+the table by identity first: _LAST is the (p, table) pair _table
+returned last, one tuple, and a read with that same p object takes its
+table without hashing p; any other p takes one dict lookup.  A table's
+columns go with it.  At most 64 tables are cached; a new triple beyond
+that evicts the oldest-inserted one, and _clear_tables (behind
 series.clear_caches) drops them all and forgets the pair.  Building,
 replacing and evicting tables takes a lock; readers take none and only
 ever see whole columns, and a pair read from _LAST is a matching one, so
-threads may share them.
+threads may share them: nothing writes a table after it is built.
 """
 
 from __future__ import annotations
@@ -95,7 +92,8 @@ __all__ = [
 
 _BLOCK = 4096  # entries per array block; bounds the temporaries' memory
 _MAX_TABLES = 64
-# the most entries a table may hold: 1 GB at two float64 columns
+# the most entries a table may hold: 1.25 GB at two and a half float64
+# columns (log [2n]!! is half a column)
 _MAX_ENTRIES = 2**26
 # above |log [k]|: each of its two ratios log Gamma(w + d) - log Gamma(w),
 # 0 <= d <= 1, is at most 745 in size, that of log Gamma at a double w < 2,
@@ -110,13 +108,11 @@ class _Table:
     whole by the constructor and never written after; entry 0 is the
     defined-zero bracket / empty product.  A longer table is a new one.
     box_view and fact_view are read-only memoryviews of them, for the
-    scalar accessors' one-index reads.  brackets is a read-only prefix of
-    exp(log_box), and log_double one of log [2n]!!, the running sum of
-    log_box[2::2] added left to right from 0; each is replaced by a longer
-    one when a read passes its end, log_double at most the (len(log_box)
-    + 1) // 2 entries that log_box covers."""
+    scalar accessors' one-index reads.  log_double holds log [2m]!! for
+    2m <= n, the running sum of log_box[2::2] added left to right from 0.
+    Every attribute is set once, here."""
 
-    __slots__ = ("log_box", "log_fact", "box_view", "fact_view", "brackets", "log_double")
+    __slots__ = ("log_box", "log_fact", "box_view", "fact_view", "log_double")
 
     def __init__(self, p: DeformationParams, n: int) -> None:
         if p.beta + 1.0 - p.alpha == 0.0:  # the least bk+1-a, at alpha = 1, beta < 2^-53
@@ -125,43 +121,28 @@ class _Table:
         box[0], fact[0] = -math.inf, 0.0
         tail0 = log_gamma(1.0 - p.alpha + p.nu)
         k0 = min(_first_series_entry(p), n + 1)
-        run = 0.0  # below k0, log [n]! is the running sum of log [k]
+        # below k0, log [n]! is the running sum of log [k]; where the table
+        # reaches k0, r_sum is sum_(k<k0) r(k), from which the series goes
+        # on: a sum of r's own small terms, not one derived from
+        # log [k0-1]!, whose rounding of the larger log [k] would stay in
+        # every later entry
+        run = r_sum = 0.0
         for lo in range(1, k0, _BLOCK):
             hi = min(lo + _BLOCK, k0)
-            box[lo:hi] = _log_brackets(np.arange(lo, hi, dtype=float), p)[0]
+            k = np.arange(lo, hi, dtype=float)
+            box[lo:hi], rho = _log_brackets(k, p)
             fact[lo:hi] = _rounded_once(run, box[lo:hi])
             run = fact.item(hi - 1)
-        if k0 <= n:
-            run = _r_sum(p, k0)  # from k0 on, the running sum of r(k)
-            for lo in range(k0, n + 1, _BLOCK):
-                run = _series_entries(box, fact, lo, min(lo + _BLOCK, n + 1), p, run, tail0)
+            if k0 <= n:  # at a beta too small for that, (1-a)/bk may overflow
+                r_sum = _running(r_sum, _r(p.beta * k, p.alpha, rho)).item(-1)
+        run = r_sum  # from k0 on, the running sum of r(k)
+        for lo in range(k0, n + 1, _BLOCK):
+            run = _series_entries(box, fact, lo, min(lo + _BLOCK, n + 1), p, run, tail0)
+        double = box[::2].copy()  # 0, log [2], log [4], ...
+        double[0] = 0.0
         self.log_box, self.log_fact = _read_only(box), _read_only(fact)
         self.box_view, self.fact_view = memoryview(self.log_box), memoryview(self.log_fact)
-        self.brackets = self.log_double = _read_only(np.empty(0))
-
-    def extend_brackets(self, n: int) -> None:
-        """Make brackets cover [n] (n < len(log_box)), at least doubling it
-        while log_box allows, by box's exp."""
-        size = len(self.brackets)
-        if n < size:
-            return
-        lin = np.empty(max(n + 1, min(2 * size, len(self.log_box))))
-        lin[:size] = self.brackets
-        lin[size:] = _exp_each(self.log_box[size : len(lin)])
-        self.brackets = _read_only(lin)
-
-    def extend_double(self, n: int) -> None:
-        """Make log_double cover log [2n]!! (2n < len(log_box)), at least
-        doubling it while log_box allows: one running sum from 0, so every
-        entry has the bits of log [2]+...+log [2n] added in that order."""
-        size = len(self.log_double)
-        if n < size:
-            return
-        m = max(n + 1, min(2 * size, (len(self.log_box) + 1) // 2))
-        steps = np.empty(m)
-        steps[0] = 0.0
-        steps[1:] = self.log_box[2 : 2 * m - 1 : 2]
-        self.log_double = _read_only(np.add.accumulate(steps, out=steps))
+        self.log_double = _read_only(np.add.accumulate(double, out=double))
 
 
 def _log_brackets(k: np.ndarray, p: DeformationParams) -> tuple[np.ndarray, np.ndarray]:
@@ -214,20 +195,6 @@ def _series_entries(box: np.ndarray, fact: np.ndarray, lo: int, hi: int,
     closed = a * _stirling_log_gamma(k + 1.0, b)  # a (n log b + lg(n+1))
     fact[lo:hi] = closed + sums + (_stirling_log_gamma(b * k + 1.0 - a + v) - tail0)
     return sums.item(-1)
-
-
-def _r_sum(p: DeformationParams, k0: int) -> float:
-    """sum_(k<k0) r(k), from the ratio series shifted up where
-    bk+1-a < z0: a sum of its own small terms, not one derived from
-    log [k0-1]!, whose rounding of the larger log [k] would stay in every
-    later entry."""
-    a, b = p.alpha, p.beta
-    c_alpha, total = _ratio_coefficients(a), 0.0
-    for lo in range(1, k0, _BLOCK):
-        bk = b * np.arange(lo, min(lo + _BLOCK, k0))
-        r = _r(bk, a, _ratio_series(bk + 1.0 - a, a, c_alpha))
-        total = _running(total, r).item(-1)
-    return total
 
 
 def _r(bk: np.ndarray, a: float, rho: np.ndarray) -> np.ndarray:
@@ -320,12 +287,8 @@ def box(n: int, p: DeformationParams) -> float:
 
 def _brackets(p: DeformationParams, n: int) -> np.ndarray:
     """[0], ..., [n] on the linear scale, through box's exp, not numpy's:
-    a read-only slice of the table's linear prefix."""
-    tab = _table(p, n)
-    if n >= len(tab.brackets):
-        with _LOCK:
-            tab.extend_brackets(n)
-    return tab.brackets[: n + 1]
+    a read-only array of their own."""
+    return _read_only(_exp_each(_table(p, n).log_box[: n + 1]))
 
 
 def _log_factorials(p: DeformationParams, n: int) -> np.ndarray:
@@ -337,11 +300,7 @@ def _log_double_factorials(p: DeformationParams, n: int) -> np.ndarray:
     """log [0]!!, log [2]!!, ..., log [2n]!!, each the running sum of
     log [2], log [4], ... from 0 in index order: a read-only slice of the
     table's column."""
-    tab = _table(p, 2 * n)
-    if n >= len(tab.log_double):
-        with _LOCK:
-            tab.extend_double(n)
-    return tab.log_double[: n + 1]
+    return _table(p, 2 * n).log_double[: n + 1]
 
 
 def log_gen_factorial(n: int, p: DeformationParams) -> float:

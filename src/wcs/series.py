@@ -18,16 +18,16 @@ _log_series.  It reads the log-terms
 
 elementwise from the factorial table, L_n = log(b_1 ... b_n) with
 b_n = [step n]: the table's log [n]! column for step 1, and for step 2 (the
-even double factorial, summed from n = 0) its log [2n]!! column, so no
-log-term depends on where a block starts.  F is an optional log
-factor such as a falling factorial or 2 log [n].  The offsets n - start
-and the r-th derivative's falling factor F_r(n) - F_r(r),
-F_r(n) = log n!/(n-r)!, depend on neither the triple nor x, so a block
-slices them off read-only columns (_column): one of float offsets and one
-per order r, each made by the same ufunc ops a block once ran, grown at
-least twofold and replaced whole, and dropped by clear_caches.  Q_M's
-2 log [n] is made per block.  A pass's first block
-reaches past where its terms can stop (about the mode of t_n plus eight
+even double factorial, summed from n = 0) its log [2n]!! column, built
+with the table, so no log-term depends on where a block starts.  F is an
+optional log factor such as a falling factorial or 2 log [n].  The
+offsets n - start and the r-th derivative's falling factor
+F_r(n) - F_r(r), F_r(n) = log n!/(n-r)!, depend on neither the triple
+nor x, so a block slices them off read-only columns (_column): one of
+float offsets and one per order r, each made by the same ufunc ops a
+block once ran, grown at least twofold and replaced whole, and dropped
+by clear_caches.  Q_M's 2 log [n] is made per block.  A pass's first
+block reaches past where its terms can stop (about the mode of t_n plus eight
 widths, or where the term ratio falls below 0.9), so most series are one
 block, returned as a slice of it; later blocks double.  The first term
 is normalised to 1.  One stopping rule, written once: stop after three
@@ -54,7 +54,8 @@ sum of the terms, in a few numpy passes a round, and fsum, which rounds
 that exact sum correctly, returns the same double from them.
 Each Fock series is summed once: one bounded memo (_series_memo, read
 through _memo_read) keeps the kernel's record with its read-only
-log-terms, and clear_caches drops it and the factorial tables beneath it.
+log-terms, and clear_caches drops it, the kernel's columns, the factorial
+tables beneath it and the wavefunction level tables.
 Every sum but Q_M's [n]^2 series reads the kernel through that memo.
 """
 
@@ -288,22 +289,14 @@ def _lattice_sum(coeffs: np.ndarray, y: float, what: str, *args) -> tuple[float,
 
 class _LogFalling(NamedTuple):
     """F(n) = log n!/(n-r)!, the factor of the r-th derivative term: the
-    logs of n - j added in order of j < r, and 0 for r = 0.  That is the
-    order of numpy's sum along a row of up to 7; from 8 it adds a row
-    pairwise, so F of 8 or more factors keeps that 2-D sum.  Each entry is
-    a function of its n alone, so the kernel reads the r-th derivative's
-    series, from n = r, off one column per order (_column)."""
+    logs of n - j summed along a row over j < r, and 0 for r = 0.  Each
+    entry is a function of its n alone, so the kernel reads the r-th
+    derivative's series, from n = r, off one column per order (_column)."""
 
     r: int
 
     def __call__(self, n: np.ndarray, log_b: np.ndarray | None = None) -> np.ndarray:
-        r = self.r
-        if r >= 8:
-            return np.log(n[:, None] - np.arange(r)).sum(axis=1)
-        total = np.log(n) if r else np.zeros_like(n)
-        for j in range(1, r):
-            total += np.log(n - j)
-        return total
+        return np.log(n[:, None] - np.arange(self.r)).sum(axis=1)
 
 
 # read-only columns the kernel slices per block, each replaced whole by a
@@ -520,11 +513,11 @@ def _memo_read(
 def clear_caches() -> None:
     """Drop the series memo, the kernel's columns, the factorial tables and
     the wavefunction level tables."""
-    from .coherent import _level_table  # coherent imports this module
+    from .coherent import _raised_levels  # coherent imports this module
 
     _series_memo.cache_clear()
     _COLUMNS.clear()
-    _level_table.cache_clear()
+    _raised_levels.cache_clear()
     _clear_tables()
 
 
@@ -666,7 +659,7 @@ def deformed_derivative(f: PowerSeries, p: DeformationParams) -> PowerSeries:
         raise ParameterError(
             f"series lattice beta={f.beta} does not match parameters beta={p.beta}"
         )
-    b = _brackets(p, len(f.coeffs) - 1)[1:].tolist()
+    b = _brackets(p, max(len(f.coeffs) - 1, 0))[1:].tolist()
     return PowerSeries(tuple(c * bk for c, bk in zip(f.coeffs[1:], b)), f.beta)
 
 

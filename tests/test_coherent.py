@@ -464,23 +464,23 @@ class TestWavefunctions:
         "p", [CLASSICAL, HALF, DeformationParams(1.0, 0.1, 0.5), DeformationParams(0.0, 0.3, 0.5)]
     )
     def test_bitwise_equal_to_slot_loop(self, p):
-        # every level, at lattice lengths that grow the level table (x
-        # rising, k rising), that are prefixes of one built long and tall
-        # first (both falling), and again after the tables are dropped
+        # every level, in an order that builds the level tables as it goes
+        # (x rising, k rising), in one whose first sample builds the
+        # tallest, longest table (both falling), and again after the tables
+        # are dropped; most samples read a table longer than their lattice
         xs = (0.0, 0.1, 0.5, 1.0, 1.7, 2.5, 3.0, 4.0)
         for s in (S1, *WAVE_SCALES):
             want = {(k, x): _wave_outcome(_wavefunction_slot_loop, k, x, p, s)
                     for k in range(13) for x in xs}
             for order in (1, -1, 1):
                 series.clear_caches()
-                shapes = set()
                 for x in xs[::order]:
                     for k in range(13)[::order]:
                         got = _wave_outcome(wavefunction_sample, k, x, p, s)
                         assert got == want[k, x], (s, k, x)
-                        shapes.add(coherent._level_table(p, s).levels.rows.shape)
-                shapes.discard((0, 0))  # no sample reached the table yet
-                assert len(shapes) > 1 if order == 1 else len(shapes) == 1
+                # tables of both heights, each read by many samples
+                info = coherent._raised_levels.cache_info()
+                assert info.misses >= 2 and info.hits > info.misses
 
     @given(
         st.floats(0.0, 1.0),
@@ -511,26 +511,25 @@ class TestWavefunctions:
 
     def test_readme_grid_builds_one_level_table(self, monkeypatch):
         # `wcs wavefunction --k 0..3 --x 0:3:31`, in the CLI's order: one
-        # build at the floor length, where the tables grew at 6, 28, 56, ...
-        # before; each sample's bits equal those it reads from a table built
-        # at exactly its own lattice length
-        grid = [3.0 * j / 30 for j in range(31)]
-        built, lengths = [], []
-        raised, coefficients = coherent._raised_levels, coherent._level_coefficients
-        monkeypatch.setattr(coherent, "_raised_levels",
-                            lambda p, s, levels, m: built.append(m) or raised(p, s, levels, m))
+        # build of 4 rows at the floor length; each sample's bits equal
+        # those it reads from a table built at exactly its own lattice
+        # length and level
+        samples = [(k, 3.0 * j / 30) for k in range(4) for j in range(31)]
+        lengths = []
+        coefficients = coherent._level_coefficients
         monkeypatch.setattr(coherent, "_level_coefficients",
                             lambda k, n, p, s: lengths.append(n) or coefficients(k, n, p, s))
         series.clear_caches()
-        got = [wavefunction_sample(k, x, CLASSICAL, S1, tol=1e-8) for k in range(4) for x in grid]
-        assert built == [coherent._MIN_LENGTH] and max(lengths) <= coherent._MIN_LENGTH
-        monkeypatch.setattr(coherent, "_MIN_LENGTH", 0)
-        built.clear()
-        for (k, x), n, value in zip([(k, x) for k in range(4) for x in grid], lengths, got):
-            coherent._level_table.cache_clear()
-            assert wavefunction_sample(k, x, CLASSICAL, S1, tol=1e-8) == value
-            assert built[-1] == n
-        assert len(built) == len(got)
+        got = [wavefunction_sample(k, x, CLASSICAL, S1, tol=1e-8) for k, x in samples]
+        info = coherent._raised_levels.cache_info()
+        assert (info.misses, info.currsize) == (1, 1) and max(lengths) <= coherent._MIN_LENGTH
+        levels = coherent._raised_levels(CLASSICAL, S1, 4, coherent._MIN_LENGTH)  # a hit
+        assert levels.rows.shape == (4, coherent._MIN_LENGTH) and not levels.rows.flags.writeable
+        exact = coherent._raised_levels.__wrapped__  # uncached
+        with monkeypatch.context() as m:
+            for (k, x), n, value in zip(samples, lengths, got):
+                m.setattr(coherent, "_raised_levels", lambda p, s, *_: exact(p, s, k + 1, n))
+                assert wavefunction_sample(k, x, CLASSICAL, S1, tol=1e-8) == value
 
     def test_level_tables_stay_bounded(self):
         series.clear_caches()
@@ -538,14 +537,11 @@ class TestWavefunctions:
         for _ in range(100):
             p = DeformationParams(rng.random(), 0.1 + 0.9 * rng.random(), rng.random())
             wavefunction_sample(rng.randrange(13), 3.0 * rng.random(), p)
-            levels = coherent._level_table(p, S1).levels
-            assert not levels.rows.flags.writeable
-            # rows 0..max(k, 3), up to twice the longest lattice read
-            assert len(levels.rows) <= coherent._LEVEL_CAP + 1
-        info = coherent._level_table.cache_info()
-        assert info.maxsize == 4 and info.currsize == 4
+            info = coherent._raised_levels.cache_info()
+            assert info.currsize <= info.maxsize == 4
+        assert info.currsize == 4 and info.misses > 4
         series.clear_caches()
-        assert coherent._level_table.cache_info().currsize == 0
+        assert coherent._raised_levels.cache_info().currsize == 0
 
     def test_invalid_arguments(self):
         with pytest.raises(ParameterError):

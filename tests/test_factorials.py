@@ -1,6 +1,6 @@
 """Tests for the box function, generalized factorials, asymptotics, what
-the factorial tables cache (columns and linear brackets), and the series
-module's memo of Fock series."""
+the factorial tables cache (their columns), and the series module's memo
+of Fock series."""
 
 import functools
 import math
@@ -509,6 +509,31 @@ class TestArrayTable:
             with pytest.raises(ValueError, match="read-only"):
                 col[1] = 0.0
 
+    def test_reads_never_rebind_a_table_attribute(self, monkeypatch):
+        # each attribute is set once, by the constructor: reads of every
+        # kind, each far past the last, replace the table instead
+        def set_once(tab, name, value):
+            assert not hasattr(tab, name), name
+            object.__setattr__(tab, name, value)
+
+        monkeypatch.setattr(factorials._Table, "__setattr__", set_once)
+        p = TABLE_TRIPLES[0]
+        clear_caches()
+        seen = []
+        for n in (0, 3, 50, 4097, 30_000):
+            _brackets(p, n)
+            _log_factorials(p, n)
+            factorials._log_double_factorials(p, n)
+            log_gen_double_factorial(n, p)
+            log_box(n, p)
+            log_gen_factorial(n, p)
+            tab = _TABLES[p]
+            seen.append((tab, [getattr(tab, name) for name in factorials._Table.__slots__]))
+        assert len({id(tab) for tab, _ in seen}) > 1
+        for tab, values in seen:
+            assert all(getattr(tab, name) is value
+                       for name, value in zip(factorials._Table.__slots__, values))
+
 
 class TestSequenceReads:
     """_brackets and _log_factorials read whole sequences off the table and
@@ -619,7 +644,9 @@ class TestTableCache:
     def test_threads_alternating_triples_read_single_threaded_values(self):
         # each thread reads the three triples in turn, at indices that
         # replace tables as they go, so the remembered pair changes hands
-        # between every read; some threads hold copies of the triples
+        # between every read; some threads hold copies of the triples.  The
+        # linear brackets, the double factorials and the wavefunction levels
+        # are read off the shared tables without a lock too
         triples = [DeformationParams(0.2, 0.4, 0.6), DeformationParams(0.9, 0.15, 1.7),
                    DeformationParams(0.6, 0.35, -0.2)]
         ns = [*range(0, 300, 7), 1000, 4097, 20_000, 5, 9000]
@@ -628,7 +655,13 @@ class TestTableCache:
             out = []
             for n in ns:
                 for p in ps:
-                    out.append((_outcome(log_box, n, p), _outcome(log_gen_factorial, n, p)))
+                    out.append((
+                        _outcome(log_box, n, p),
+                        _outcome(log_gen_factorial, n, p),
+                        _brackets(p, n).tobytes(),
+                        _outcome(log_gen_double_factorial, n, p),
+                        _outcome(lambda: wavefunction_sample(n % 13, 0.01 * (n % 300), p)[0]),
+                    ))
             return out
 
         clear_caches()
@@ -773,7 +806,7 @@ class TestRecall:
         _brackets(p, 20)
         clear_caches()
         assert _memo_info() == (0, 0, 0)
-        assert len(_table(p, 0).brackets) == 0
+        assert p not in _TABLES
 
     def test_photon_stats_op_sums_five_series(self, monkeypatch):
         # log N at tol 1e-12 (log N, both moment functions) and at 1e-13

@@ -217,7 +217,7 @@ class TestSeriesKernel:
         # the step-2 log-terms read log [2n]!! off the table's column, the
         # bits of the running sum of log [2], log [4], ... that a block once
         # made afresh from log_box: on fresh tables, on tables replaced by
-        # longer ones, whose column starts again, and in blocks of 2 to 16
+        # longer ones, whose column is built anew, and in blocks of 2 to 16
         rng = random.Random(5)
         cases = []
         for _ in range(30):
@@ -246,7 +246,7 @@ class TestSeriesKernel:
             for p, _ in cases:
                 tab = _TABLES[p]
                 assert not tab.log_double.flags.writeable
-                assert len(tab.log_double) <= (len(tab.log_box) + 1) // 2
+                assert len(tab.log_double) == (len(tab.log_box) + 1) // 2
             return out
 
         def replay():
@@ -260,8 +260,9 @@ class TestSeriesKernel:
         assert fresh == want
         assert max(reads.count(p) for p, _ in cases) >= 2  # a pass of two blocks or more
         for p, _ in cases:
-            longer = _table(p, 2 * len(_TABLES[p].log_box))
-            assert len(longer.log_double) == 0
+            tab = _TABLES[p]
+            longer = _table(p, 2 * len(tab.log_box))
+            assert longer.log_double[: len(tab.log_double)].tobytes() == tab.log_double.tobytes()
         assert records() == want
         monkeypatch.setattr(series, "_FIRST_BLOCK", 2)
         monkeypatch.setattr(series, "_MAX_BLOCK", 16)
@@ -550,6 +551,14 @@ class TestPowerSeries:
     def test_derivative_of_constant_is_empty(self):
         d = deformed_derivative(PowerSeries((5.0,), 1.0), CLASSICAL)
         assert d.coeffs == ()
+
+    def test_derivative_of_empty_series_is_empty_cold_and_warm(self):
+        # on a triple without a table it once raised an untyped IndexError
+        p, empty = DeformationParams(0.3, 0.5, 0.2), PowerSeries((), 0.5)
+        wcs.clear_caches()
+        assert deformed_derivative(empty, p) == empty
+        _table(p, 10)
+        assert deformed_derivative(empty, p) == empty
 
     def test_derivative_wright_monomial(self):
         p = DeformationParams(1.0, 1.0, 1.0)

@@ -37,9 +37,9 @@ cold-sweep      the factorial, spectrum, Hankel and wavefunction functions
                 the workload's size 4
 wavefunction    wavefunction_sample at k = 0..12 on four triples at two
                 scales, at x rising from 0 to 8.0 (flagged at (0, 1, 0))
-                and falling back: each (triple, scales) level table grows
-                in height and length mid-grid, and later reads are
-                prefixes of it
+                and falling back: each (triple, scales) reads level
+                tables of both heights and of growing lengths mid-grid,
+                and later reads take tables longer than their lattices
 hankel          hankel_hadamard at sizes 1-15 on fixed triples: the sizes
                 whose rounding bound exceeds the tolerance raise
 errors          the messages of DeformationParams with alpha and beta both

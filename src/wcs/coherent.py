@@ -25,7 +25,9 @@ as one float sum.  Those sums, and the continuity defect's direct sum, are
 math.fsum's double bit for bit, and a sum of more than series._FSUM_MAX
 terms costs a few numpy passes (series._exact_sum), not one Python float
 per term.
-Brackets and factorials are read as slices of the factorial table.  The
+Brackets and factorials are read as slices of the factorial table, and
+the ground-state lattice's log [2n]!! is the running sum of its log [2],
+log [4], ... that the series kernel forms per block.  The
 alternating wavefunction series is summed on the x^beta lattice by
 series._lattice_sum, with its cancellation flag; ground_wavefunction and
 excited_wavefunction raise NumericalRangeError where the flag is set.

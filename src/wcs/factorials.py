@@ -39,11 +39,12 @@ sum of O(1/k) corrections.  Every entry is an elementwise function of its
 index, and the running sums add in index order across blocks, so a longer
 table repeats the shorter one's bits.
 
-A table also keeps log [2n]!! for each even 2n it covers, the running
-sum of log [2], log [4], ... from 0 in index order, built with its other
-columns; the ground-state series slices it, and log_gen_double_factorial
-reads its even m there, so the two are one value.  _brackets applies
-box's exp to a slice of the log column, afresh on each call.  The scalar
+A table holds log [n] and log [n]! only.  _log_double_run forms
+log [2n]!!, the running sum of log [2], log [4], ... from 0 in index
+order, from a slice of the log column, for both the ground-state series
+and log_gen_double_factorial, so the two are one value; _brackets
+applies box's exp to a slice of the log column.  Each does so afresh on
+each call.  The scalar
 accessors read a built table through read-only memoryviews of its two
 columns, one index each; an index past a view's end raises IndexError,
 and that read, like any argument that is not a plain int >= 0, takes the
@@ -92,8 +93,7 @@ __all__ = [
 
 _BLOCK = 4096  # entries per array block; bounds the temporaries' memory
 _MAX_TABLES = 64
-# the most entries a table may hold: 1.25 GB at two and a half float64
-# columns (log [2n]!! is half a column)
+# the most entries a table may hold: 1 GB at two float64 columns
 _MAX_ENTRIES = 2**26
 # above |log [k]|: each of its two ratios log Gamma(w + d) - log Gamma(w),
 # 0 <= d <= 1, is at most 745 in size, that of log Gamma at a double w < 2,
@@ -108,11 +108,9 @@ class _Table:
     whole by the constructor and never written after; entry 0 is the
     defined-zero bracket / empty product.  A longer table is a new one.
     box_view and fact_view are read-only memoryviews of them, for the
-    scalar accessors' one-index reads.  log_double holds log [2m]!! for
-    2m <= n, the running sum of log_box[2::2] added left to right from 0.
-    Every attribute is set once, here."""
+    scalar accessors' one-index reads.  Every attribute is set once, here."""
 
-    __slots__ = ("log_box", "log_fact", "box_view", "fact_view", "log_double")
+    __slots__ = ("log_box", "log_fact", "box_view", "fact_view")
 
     def __init__(self, p: DeformationParams, n: int) -> None:
         if p.beta + 1.0 - p.alpha == 0.0:  # the least bk+1-a, at alpha = 1, beta < 2^-53
@@ -138,11 +136,8 @@ class _Table:
         run = r_sum  # from k0 on, the running sum of r(k)
         for lo in range(k0, n + 1, _BLOCK):
             run = _series_entries(box, fact, lo, min(lo + _BLOCK, n + 1), p, run, tail0)
-        double = box[::2].copy()  # 0, log [2], log [4], ...
-        double[0] = 0.0
         self.log_box, self.log_fact = _read_only(box), _read_only(fact)
         self.box_view, self.fact_view = memoryview(self.log_box), memoryview(self.log_fact)
-        self.log_double = _read_only(np.add.accumulate(double, out=double))
 
 
 def _log_brackets(k: np.ndarray, p: DeformationParams) -> tuple[np.ndarray, np.ndarray]:
@@ -296,11 +291,16 @@ def _log_factorials(p: DeformationParams, n: int) -> np.ndarray:
     return _table(p, n).log_fact[: n + 1]
 
 
-def _log_double_factorials(p: DeformationParams, n: int) -> np.ndarray:
-    """log [0]!!, log [2]!!, ..., log [2n]!!, each the running sum of
-    log [2], log [4], ... from 0 in index order: a read-only slice of the
-    table's column."""
-    return _table(p, 2 * n).log_double[: n + 1]
+def _log_double_run(log_box: np.ndarray, lo: int, hi: int, first: float) -> np.ndarray:
+    """log [lo]!!, log [lo+2]!!, ..., log [hi]!!, for lo and hi of one
+    parity, from first = log [lo]!!: log [k]!! is the running sum of
+    log [k], log [k-2], ... added left to right from 0 or log [1].
+    np.add.accumulate adds in index order (np.add.reduce sums pairwise),
+    so a run carried on from another's last entry has the bits of one run
+    from the start."""
+    run = log_box[lo : hi + 1 : 2].copy()
+    run[0] = first
+    return np.add.accumulate(run, out=run)
 
 
 def log_gen_factorial(n: int, p: DeformationParams) -> float:
@@ -327,16 +327,13 @@ def log_gen_double_factorial(m: int, p: DeformationParams) -> float:
     """log of [m]!! = log([m][m-2][m-4]...), stopping at [2] or [1].
 
     The even case [2n]!! = [2n][2n-2]...[2] is the normalization that
-    appears in the ground-state expansion, read from the table's column
-    that the expansion reads; m = 0 gives the empty product.
+    appears in the ground-state expansion, formed as the expansion forms
+    it; m = 0 gives the empty product.
     """
     m = check_count(m, "m")
-    if m % 2 == 0:  # the table's column, the ground-state series' own value
-        return _log_double_factorials(p, m // 2).item(-1)
-    # 0 + log [1] + log [3] + ... + log [m] left to right, as the column
-    # adds: np.add.reduce sums pairwise, and the builtin sum compensates
-    # from Python 3.12
-    return np.add.accumulate(np.append(0.0, _table(p, m).log_box[1 : m + 1 : 2])).item(-1)
+    log_box = _table(p, m).log_box
+    odd = m % 2  # [0]!! = 1, [1]!! = [1]
+    return _log_double_run(log_box, odd, m, log_box.item(1) if odd else 0.0).item(-1)
 
 
 def gen_double_factorial(m: int, p: DeformationParams) -> LogValue:

@@ -13,8 +13,11 @@ outer integral over x puts every order on one node lattice
 (quadrature.integrate_shared_de), and each level of that lattice gets the
 weight at all its new abscissae from one array call of the inner kernel
 (quadrature.integrate_zero_inf_de), whose per-row scale keeps the weight
-computable down to the smallest x the lattice reaches.  The scalar weight
-functions are one-row calls of the same array evaluators.
+computable down to the smallest x the lattice reaches.  The scalar
+samplers of the two integral families are one-row calls of the same array
+evaluators; weight_ml_closed_form evaluates its closed form with math, not
+numpy, so at some (x, nu) it differs from the array evaluator in the last
+bit.
 
 A family in WEIGHT_FAMILIES declares only its triple as a function of
 (beta, nu), its array evaluator of that triple, and its one-row sampler;

@@ -18,8 +18,10 @@ _log_series.  It reads the log-terms
 
 elementwise from the factorial table, L_n = log(b_1 ... b_n) with
 b_n = [step n]: the table's log [n]! column for step 1, and for step 2 (the
-even double factorial, summed from n = 0) its log [2n]!! column, built
-with the table, so no log-term depends on where a block starts.  F is an
+even double factorial, summed from n = 0) log [2n]!!, the running sum of
+the table's log [2], log [4], ... (factorials._log_double_run), which a
+block carries on from the last block's last entry; so no log-term
+depends on where a block starts.  F is an
 optional log factor such as a falling factorial or 2 log [n].  The
 offsets n - start and the r-th derivative's falling factor
 F_r(n) - F_r(r), F_r(n) = log n!/(n-r)!, depend on neither the triple
@@ -75,7 +77,7 @@ from .errors import ConvergenceError, NumericalRangeError, ParameterError
 from .factorials import (
     _brackets,
     _clear_tables,
-    _log_double_factorials,
+    _log_double_run,
     _table,
     log_gen_factorial,
 )
@@ -128,6 +130,9 @@ _MAX_SERIES = 64
 # orders r whose log r! and falling-factor column are kept: a
 # photon-statistics call reads r = 1, 2
 _MAX_ORDERS = 32
+
+# logs of n - j a falling factor holds at a time: 8 MB of float64
+_FALLING_CHUNK = 2**20
 
 _LOSS_THRESHOLD = 1e8  # |largest term| / |sum| beyond which float cancellation
 # has eaten more than half the significand
@@ -291,12 +296,20 @@ class _LogFalling(NamedTuple):
     """F(n) = log n!/(n-r)!, the factor of the r-th derivative term: the
     logs of n - j summed along a row over j < r, and 0 for r = 0.  Each
     entry is a function of its n alone, so the kernel reads the r-th
-    derivative's series, from n = r, off one column per order (_column)."""
+    derivative's series, from n = r, off one column per order (_column).
+    The rows are summed _FALLING_CHUNK logs at a time, at least one row;
+    each row's sum is the same reduction as in one (len(n), r) array."""
 
     r: int
 
     def __call__(self, n: np.ndarray, log_b: np.ndarray | None = None) -> np.ndarray:
-        return np.log(n[:, None] - np.arange(self.r)).sum(axis=1)
+        j = np.arange(self.r)
+        rows = max(1, _FALLING_CHUNK // max(self.r, 1))
+        out = np.empty(len(n))
+        for lo in range(0, len(n), rows):
+            logs = np.subtract(n[lo : lo + rows, None], j)
+            np.log(logs, out=logs).sum(axis=1, out=out[lo : lo + rows])
+        return out
 
 
 # read-only columns the kernel slices per block, each replaced whole by a
@@ -410,11 +423,12 @@ def _log_series(
         hi = min(lo + size, end)  # terms lo..hi-1, plus hi for the ratio
         tab = _table(p, step * hi)
         # L[n] = log(b_1 ... b_n) for n = lo..hi: the table's log [n]!, or
-        # for step 2 (from n = 0) its log [2n]!! column
+        # for step 2 (from n = 0) log [2n]!!, run on from the last block's
+        # last entry, log [2lo]!!
         if step == 1:
             log_fact = tab.log_fact[lo : hi + 1]
         else:
-            log_fact = _log_double_factorials(p, hi)[lo:]
+            log_fact = _log_double_run(tab.log_box, 2 * lo, 2 * hi, log_fact[-1] if lo else 0.0)
         if lo == start:
             l_start = log_fact[0]
         # log t_n = (n - start) lx - (L[n] - L[start]) + F(n) - F(start),

@@ -523,8 +523,8 @@ class TestArrayTable:
         for n in (0, 3, 50, 4097, 30_000):
             _brackets(p, n)
             _log_factorials(p, n)
-            factorials._log_double_factorials(p, n)
             log_gen_double_factorial(n, p)
+            series._log_series(math.log(n + 1.0), p, 1e-12, 10**6, "test", step=2)  # ground state
             log_box(n, p)
             log_gen_factorial(n, p)
             tab = _TABLES[p]

@@ -39,7 +39,7 @@ def _frozen_log_series(lx, p, tol, max_terms, what, start=0, step=1, log_factor=
         if step == 1:
             log_fact = tab.log_fact[lo : hi + 1]
         else:
-            log_fact = series._log_double_factorials(p, hi)[lo:]
+            log_fact = np.add.accumulate(np.append(0.0, tab.log_box[2 : 2 * hi + 1 : 2]))[lo:]
         if lo == start:
             l_start = log_fact[0]
         logs = np.arange(lo - start, hi - start + 1, dtype=float) * lx

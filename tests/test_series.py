@@ -3,6 +3,7 @@
 import math
 import random
 import struct
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -214,25 +215,31 @@ class TestSeriesKernel:
                 assert np.array_equal(s.log_terms, want), (p, x)
 
     def test_ground_series_reads_the_double_factorial_column(self, monkeypatch):
-        # the step-2 log-terms read log [2n]!! off the table's column, the
-        # bits of the running sum of log [2], log [4], ... that a block once
-        # made afresh from log_box: on fresh tables, on tables replaced by
-        # longer ones, whose column is built anew, and in blocks of 2 to 16
+        # the step-2 log-terms read log [2n]!!, each block's run carried on
+        # from the last block's last entry, with the bits of the running sum
+        # of log [2], log [4], ... from 0 that a block once made afresh from
+        # log_box: on fresh tables, on tables replaced by longer ones, and
+        # in blocks of 2 to 16.  At x = 1 they are 0 - log [2n]!! (+0.0 at
+        # n = 0), log [2n]!! with the bits log_gen_double_factorial returns
         rng = random.Random(5)
         cases = []
         for _ in range(30):
             a = rng.random()
             p = DeformationParams(a, rng.uniform(0.05, 1.0), a - 1.0 + rng.uniform(1e-3, 5.0))
             cases.append((p, rng.uniform(-6.0, 4.0)))
-        reads = []
-        column = series._log_double_factorials
+        runs = []
+        run = series._log_double_run
 
-        def counted(p, n):
-            reads.append(p)
-            return column(p, n)
+        def from_zero(log_box, lo, hi):  # log [lo]!!, ..., log [hi]!! from 0
+            return np.add.accumulate(np.append(0.0, log_box[2 : hi + 1 : 2]))[lo // 2 :]
 
-        def per_block(p, n):
-            return np.add.accumulate(np.append(0.0, _table(p, 2 * n).log_box[2 : 2 * n + 1 : 2]))
+        def counted(log_box, lo, hi, first):
+            runs.append(lo)
+            assert first == from_zero(log_box, lo, lo)[0]  # the carry is the sum's own entry
+            return run(log_box, lo, hi, first)
+
+        def per_block(log_box, lo, hi, first):
+            return from_zero(log_box, lo, hi)
 
         def record(p, lx):
             try:
@@ -242,32 +249,34 @@ class TestSeriesKernel:
             return s.log_terms.tobytes(), s.log_sum.hex(), s.log_ratio.hex()
 
         def records():
-            out = [record(p, lx) for p, lx in cases]
+            return [record(p, lx) for p, lx in cases]
+
+        def at_one():
             for p, _ in cases:
-                tab = _TABLES[p]
-                assert not tab.log_double.flags.writeable
-                assert len(tab.log_double) == (len(tab.log_box) + 1) // 2
-            return out
+                s = _log_series(0.0, p, 1e-16, 10**5, "test", step=2, phase=-1.0)
+                want = [0.0 - wcs.log_gen_double_factorial(2 * n, p)
+                        for n in range(len(s.log_terms))]
+                assert s.log_terms.tobytes() == np.array(want).tobytes(), p
 
         def replay():
             with monkeypatch.context() as m:
-                m.setattr(series, "_log_double_factorials", per_block)
+                m.setattr(series, "_log_double_run", per_block)
                 return records()
 
-        monkeypatch.setattr(series, "_log_double_factorials", counted)
+        monkeypatch.setattr(series, "_log_double_run", counted)
         wcs.clear_caches()
         fresh, want = records(), replay()
         assert fresh == want
-        assert max(reads.count(p) for p, _ in cases) >= 2  # a pass of two blocks or more
+        assert any(lo > 0 for lo in runs)  # a pass of two blocks or more carried its sum
         for p, _ in cases:
-            tab = _TABLES[p]
-            longer = _table(p, 2 * len(tab.log_box))
-            assert longer.log_double[: len(tab.log_double)].tobytes() == tab.log_double.tobytes()
+            _table(p, 2 * len(_TABLES[p].log_box))  # replaced by a longer table
         assert records() == want
+        at_one()
         monkeypatch.setattr(series, "_FIRST_BLOCK", 2)
         monkeypatch.setattr(series, "_MAX_BLOCK", 16)
         wcs.clear_caches()
         assert records() == replay()
+        at_one()
 
     @pytest.mark.parametrize("k0", [0, 1, 2, 7])
     def test_signs_at_either_parity(self, k0):
@@ -720,13 +729,29 @@ class TestExactSums:
         assert _outcome(_positive_fsum, terms) == _outcome(math.fsum, terms.tolist())
 
     @pytest.mark.parametrize("r", [*range(9), 12, 40])
-    def test_falling_factors_equal_to_2d_forms(self, r):
-        # the row sums numpy's axis reduction gave, n from r as the
-        # derivative series start; the sum of 8 or more logs is that
-        # reduction, which adds pairwise
+    def test_falling_factors_equal_to_2d_forms(self, r, monkeypatch):
+        # the row sums numpy's axis reduction gave over one (len(n), r)
+        # array, n from r as the derivative series start, also where the
+        # rows are summed a few at a time, across many chunk boundaries;
+        # the sum of 8 or more logs is that reduction, which adds pairwise
         n = np.arange(r, 100001, dtype=float)
-        steps = n[:, None] - np.arange(r)
-        assert _LogFalling(r)(n, None).tobytes() == np.log(steps).sum(axis=1).tobytes()
+        want = np.log(n[:, None] - np.arange(r)).sum(axis=1).tobytes()
+        assert _LogFalling(r)(n, None).tobytes() == want
+        monkeypatch.setattr(series, "_FALLING_CHUNK", 100)
+        assert _LogFalling(r)(n, None).tobytes() == want
+
+    def test_high_order_falling_factor_memory_is_bounded(self):
+        # the 200 000th derivative's factor is summed in chunks: no
+        # (rows, r) temporary, which took about 200 MB here
+        p = CLASSICAL
+        _table(p, 400_000)
+        tracemalloc.start()
+        try:
+            log_n_derivative(0.5, 200_000, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     @pytest.mark.parametrize("r", [1, 2, 7, 8, 12, 40])
     def test_falling_factors_within_rounding(self, r):

@@ -1,8 +1,12 @@
 """Print one md5 per group of outputs of the `wcs` package on PYTHONPATH.
 
     PYTHONPATH=src python tools/fingerprint.py
+    PYTHONPATH=src python tools/fingerprint.py --against BENCH_32.json
 
 Two trees that print the same line for a group return the same bits there.
+With --against, it then prints each group whose md5 differs from the one
+in that file's fingerprint.groups, or that the file lacks, and exits 1 if
+there is any.
 Each group pickles a fixed list of results; a call that raises contributes
 its exception type and message instead, so a value that turns into an error
 moves its group.
@@ -54,9 +58,11 @@ api             each name in wcs.__all__ with its call signature (field
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import inspect
+import json
 import math
 import os
 import pickle
@@ -257,7 +263,11 @@ def _api() -> list:
     return [(name, _shape(getattr(wcs, name))) for name in sorted(wcs.__all__)]
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--against", metavar="BENCH_JSON",
+                    help="a benchmark record whose fingerprint.groups to compare with")
+    args = ap.parse_args(argv)
     groups = {
         "readme": _stdout(_readme_commands()),
         "cli-json": _cli_json(),
@@ -273,9 +283,19 @@ def main() -> int:
         "errors": pickle.dumps(_errors(), protocol=4),
         "api": pickle.dumps(_api(), protocol=4),
     }
-    for name, data in groups.items():
-        print(f"{name:24s} {hashlib.md5(data).hexdigest()}")
-    return 0
+    md5s = {name: hashlib.md5(data).hexdigest() for name, data in groups.items()}
+    for name, md5 in md5s.items():
+        print(f"{name:24s} {md5}")
+    if args.against is None:
+        return 0
+    with open(args.against, encoding="utf-8") as fh:
+        want = json.load(fh)["fingerprint"]["groups"]
+    moved = [name for name, md5 in md5s.items() if want.get(name) != md5]
+    for name in moved:
+        print(f"differs from {args.against}: {name} {want.get(name, '(missing)')} -> {md5s[name]}")
+    if not moved:
+        print(f"all {len(md5s)} groups equal {args.against}'s")
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":

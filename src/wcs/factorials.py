@@ -43,21 +43,21 @@ A table holds log [n] and log [n]! only.  _log_double_run forms
 log [2n]!!, the running sum of log [2], log [4], ... from 0 in index
 order, from a slice of the log column, for both the ground-state series
 and log_gen_double_factorial, so the two are one value; _brackets
-applies box's exp to a slice of the log column.  Each does so afresh on
-each call.  The scalar
-accessors read a built table through read-only memoryviews of its two
-columns, one index each; an index past a view's end raises IndexError,
-and that read, like any argument that is not a plain int >= 0, takes the
-checked path that builds or replaces the table.  They and _table find
-the table by identity first: _LAST is the (p, table) pair _table
-returned last, one tuple, and a read with that same p object takes its
-table without hashing p; any other p takes one dict lookup.  A table's
-columns go with it.  At most 64 tables are cached; a new triple beyond
-that evicts the oldest-inserted one, and _clear_tables (behind
-series.clear_caches) drops them all and forgets the pair.  Building,
-replacing and evicting tables takes a lock; readers take none and only
-ever see whole columns, and a pair read from _LAST is a matching one, so
-threads may share them: nothing writes a table after it is built.
+applies box's exp to a slice of the log column.  Both work afresh on
+each call.  The scalar accessors read a built table through read-only
+memoryviews of its two columns, one index each; an index past a view's
+end raises IndexError, and that read, like any argument that is not a
+plain int >= 0, takes the checked path that builds or replaces the
+table.  They and _table find the table by identity first: _LAST is the
+(p, table) pair _table returned last, one tuple, and a read with that
+same p object takes its table without hashing p; any other p takes one
+dict lookup.  A table's columns go with it.  At most 64 tables are
+cached; a new triple beyond that evicts the oldest-inserted one, and
+_clear_tables (behind series.clear_caches) drops them all and forgets
+the pair.  Building, replacing and evicting tables takes a lock; readers
+take none and only ever see whole columns, and a pair read from _LAST is
+a matching one, so threads may share them: nothing writes a table after
+it is built.
 """
 
 from __future__ import annotations
@@ -294,10 +294,10 @@ def _log_factorials(p: DeformationParams, n: int) -> np.ndarray:
 def _log_double_run(log_box: np.ndarray, lo: int, hi: int, first: float) -> np.ndarray:
     """log [lo]!!, log [lo+2]!!, ..., log [hi]!!, for lo and hi of one
     parity, from first = log [lo]!!: log [k]!! is the running sum of
-    log [k], log [k-2], ... added left to right from 0 or log [1].
-    np.add.accumulate adds in index order (np.add.reduce sums pairwise),
-    so a run carried on from another's last entry has the bits of one run
-    from the start."""
+    log [2], log [4], ..., log [k] from 0, or of log [1], log [3], ...,
+    added left to right.  np.add.accumulate adds in index order
+    (np.add.reduce sums pairwise), so a run carried on from another's
+    last entry has the bits of one run from the start."""
     run = log_box[lo : hi + 1 : 2].copy()
     run[0] = first
     return np.add.accumulate(run, out=run)

@@ -742,8 +742,10 @@ class TestExactSums:
 
     def test_high_order_falling_factor_memory_is_bounded(self):
         # the 200 000th derivative's factor is summed in chunks: no
-        # (rows, r) temporary, which took about 200 MB here
+        # (rows, r) temporary, which took about 200 MB; the series is not
+        # memoised and the table is built before tracing starts
         p = CLASSICAL
+        wcs.clear_caches()
         _table(p, 400_000)
         tracemalloc.start()
         try:

@@ -7,13 +7,14 @@ moments, the two Mandel parameters, quadrature variances in number states,
 and position wavefunctions built from the x^beta power lattice.
 
 Every Fock-series sum here (photon distribution, Fock moments, Q_M, the
-continuity defect, the length of the ground-state lattice) is one call of
-series._log_series, with its single stopping rule: three consecutive terms
-|t_n| <= tol * max(1, |S_n|) while the term ratio is below 0.9.  All but
-Q_M's [n]^2 series are read from one memo through series._memo_read, so at
-one (p, x, tol) log N, the photon distribution, Q_M's normaliser and the
-continuity defect share one pass of N's series and its kept terms, and
-every later call gets the same bits.  normally_ordered_moment and
+continuity defect, the length of the ground-state lattice) reads a record
+of one memo through series._memo_read: N's series, the r-th derivative's,
+Q_M's [n]^2 series or the ground state's, each summed once by
+series._log_series with its single stopping rule: three consecutive terms
+|t_n| <= tol * max(1, |S_n|) while the term ratio is below 0.9.  So at one
+(p, x, tol) log N, the photon distribution, Q_M's normaliser and the
+continuity defect share one pass of N's series, and every later call gets
+the same bits.  normally_ordered_moment and
 fock_moment_sum read one record too, the r-th derivative's series from
 n = r: the first takes the kernel's running log-scale sum, the second sums
 the same terms with math.fsum, so the two agree to rounding by
@@ -59,11 +60,12 @@ from .errors import NumericalRangeError, ParameterError
 from .factorials import _brackets, _table, box, log_gen_factorial
 from .params import DeformationParams, PhysicalScales, check_complex, check_count, check_real
 from .series import (
+    _GROUND,
+    _SQUARES,
     _exact_sum,
     _lattice_sum,
     _log_abs,
     _log_order_factorial,
-    _log_series,
     _memo_read,
     _positive_fsum,
     log_n_derivative,
@@ -281,7 +283,7 @@ def fock_moment_sum(
     if x == 0.0:
         return 0.0
     lx = math.log(x)
-    s = _memo_read(lx, p, tol, max_terms, "fock_moment_sum", r=r)
+    s = _memo_read(lx, p, tol, max_terms, "fock_moment_sum", r)
     log_n = _memo_read(lx, p, tol, max_terms, "fock_moment_sum").log_sum
     # t_r = x^r r! / ([r]! N), and the kernel's terms are t_n / t_r
     log_first = r * lx + _log_order_factorial(r) - log_gen_factorial(r, p) - log_n
@@ -327,9 +329,7 @@ def mandel_qm(
     if x < _SMALL_X_GUARD:
         return box(1, p) - 1.0
     lx = math.log(x)
-    s = _log_series(
-        lx, p, tol, max_terms, "mandel_qm", start=1, log_factor=lambda n, log_b: 2.0 * log_b
-    )
+    s = _memo_read(lx, p, tol, max_terms, "mandel_qm", _SQUARES)
     log_norm = log_n_function(x, p, tol=tol, max_terms=max_terms)
     log_b = _table(p, len(s.log_terms)).log_box[1 : len(s.log_terms) + 1]
     # the first term is [1]^2 p(1) = x [1] / N
@@ -396,7 +396,7 @@ def wavefunction_sample(
     # down-shift multiplies truncated slots by bracket values, so headroom
     # is needed for the stated tol to survive k applications
     what = "ground-state series"
-    ground = _memo_read(log_y, p, tol * 1e-4, _LATTICE_BUDGET, what, step=2, phase=-1.0)
+    ground = _memo_read(log_y, p, tol * 1e-4, _LATTICE_BUDGET, what, _GROUND, -1.0)
     coeffs = _level_coefficients(k, 2 * len(ground.log_terms) + k + 4, p, s)
     ground_scale = (s.mass * s.omega / (math.pi * s.hbar)) ** 0.25
     scale = ground_scale * math.exp(-0.5 * log_gen_factorial(k, p))

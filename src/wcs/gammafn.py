@@ -236,9 +236,10 @@ class LogValue:
 
     @classmethod
     def from_log(cls, log_abs: float, sign: int = 1) -> "LogValue":
-        if sign == 0:
+        log_abs = check_real(log_abs, "log_abs")
+        if check_real(sign, "sign") == 0.0:
             return cls(0, -math.inf)
-        return cls(1 if sign > 0 else -1, float(log_abs))
+        return cls(1 if sign > 0 else -1, log_abs)
 
     def to_float(self) -> float:
         """Linear-scale value; raises NumericalRangeError on overflow."""

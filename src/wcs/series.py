@@ -11,24 +11,23 @@ D x^(beta n) = [n] x^(beta (n-1)).
 
 Every Fock-series sum in the package (N and its derivatives here; the
 photon distribution, Fock moments, Mandel Q_M, continuity defect and
-ground-state lattice in coherent.py) goes through one private kernel,
-_log_series.  It reads the log-terms
+ground-state lattice in coherent.py) is one of four series, named by a
+key, that one private kernel, _log_series, sums: N's (None, from n = 0),
+the r-th derivative's (r, from n = r), Q_M's [n]^2 series (_SQUARES, from
+n = 1) and the ground state's (_GROUND, step 2).  It reads the log-terms
 
     log t_n = (n - start) log|x| - (L_n - L_start) + F(n) - F(start)
 
 elementwise from the factorial table, L_n = log(b_1 ... b_n) with
-b_n = [step n]: the table's log [n]! column for step 1, and for step 2 (the
-even double factorial, summed from n = 0) log [2n]!!, the running sum of
-the table's log [2], log [4], ... (factorials._log_double_run), which a
-block carries on from the last block's last entry; so no log-term
-depends on where a block starts.  F is an
-optional log factor such as a falling factorial or 2 log [n].  The
-offsets n - start and the r-th derivative's falling factor
-F_r(n) - F_r(r), F_r(n) = log n!/(n-r)!, depend on neither the triple
-nor x, so a block slices them off read-only columns (_column): one of
-float offsets and one per order r, each made by the same ufunc ops a
-block once ran, grown at least twofold and replaced whole, and dropped
-by clear_caches.  Q_M's 2 log [n] is made per block.  A pass's first
+b_n = [step n]: the table's log [n]! column for step 1, and for step 2
+log [2n]!!, the running sum of the table's log [2], log [4], ...
+(factorials._log_double_run), which a block carries on from the last
+block's last entry; so no log-term depends on where a block starts.  F is
+0, the falling factorial F_r(n) = log n!/(n-r)!, or Q_M's 2 log [n] off
+the table's log [n] column.  The offsets n - start and F_r(n) - F_r(r)
+depend on neither the triple nor x, so a block slices them off read-only
+columns (_column): one of float offsets and one per order r, grown at
+least twofold and replaced whole, and dropped by clear_caches.  A pass's first
 block reaches past where its terms can stop (about the mode of t_n plus eight
 widths, or where the term ratio falls below 0.9), so most series are one
 block, returned as a slice of it; later blocks double.  The first term
@@ -55,10 +54,9 @@ Oishi's ExtractVector) into a few doubles whose exact sum is the exact
 sum of the terms, in a few numpy passes a round, and fsum, which rounds
 that exact sum correctly, returns the same double from them.
 Each Fock series is summed once: one bounded memo (_series_memo, read
-through _memo_read) keeps the kernel's record with its read-only
-log-terms, and clear_caches drops it, the kernel's columns, the factorial
-tables beneath it and the wavefunction level tables.
-Every sum but Q_M's [n]^2 series reads the kernel through that memo.
+through _memo_read), the kernel's only caller, keeps its records with
+read-only log-terms, and clear_caches drops it, the kernel's columns, the
+factorial tables beneath it and the wavefunction level tables.
 """
 
 from __future__ import annotations
@@ -69,7 +67,7 @@ import math
 import sys
 import threading
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,7 +80,7 @@ from .factorials import (
     log_gen_factorial,
 )
 from .gammafn import log_gamma
-from .params import DeformationParams, check_complex, check_count, check_real
+from .params import _REALS, DeformationParams, check_complex, check_count, check_real
 
 __all__ = [
     "SeriesResult",
@@ -107,6 +105,7 @@ _LOG_MAX = math.log(sys.float_info.max)
 # block of 16384 terms stay near 1 MB
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 16384
+_LOG_MAX_BLOCK = math.log(_MAX_BLOCK)
 
 # positive terms below 2^-106 / len of the largest weigh less than 2^-106
 # (the square of half an ulp) of their sum all together
@@ -121,7 +120,8 @@ _FSUM_MAX = 300
 # Fock series the memo keeps, each whole.  They repeat within one
 # computation: `wcs wavefunction`, like each cold-sweep benchmark op, sizes
 # the ground-state lattice at 31 grid points for each of four levels, and a
-# photon-stats op, like `wcs mandel` at each x, reads at most 5 series.  A
+# photon-stats op, like `wcs mandel` at each x, reads 5: N's series at two
+# tolerances, the derivatives r = 1, 2 and Q_M's [n]^2 series.  A
 # grid of more than 64 points, levels outside, sizes each x once per level.
 # The memory held is at most 64 times the longest kept series: about 1.05e4
 # terms in the benchmark, up to max_n + 1 for a photon_distribution call
@@ -133,6 +133,8 @@ _MAX_ORDERS = 32
 
 # logs of n - j a falling factor holds at a time: 8 MB of float64
 _FALLING_CHUNK = 2**20
+
+_SQUARES, _GROUND = "[n]^2", "[2n]!!"  # the keys of Q_M's and the ground state's series
 
 _LOSS_THRESHOLD = 1e8  # |largest term| / |sum| beyond which float cancellation
 # has eaten more than half the significand
@@ -292,24 +294,20 @@ def _lattice_sum(coeffs: np.ndarray, y: float, what: str, *args) -> tuple[float,
     return total, _cancels(total, float(np.maximum.reduce(np.abs(terms, out=terms), initial=0.0)))
 
 
-class _LogFalling(NamedTuple):
-    """F(n) = log n!/(n-r)!, the factor of the r-th derivative term: the
+def _log_falling(r: int, n: np.ndarray) -> np.ndarray:
+    """F_r(n) = log n!/(n-r)!, the factor of the r-th derivative term: the
     logs of n - j summed along a row over j < r, and 0 for r = 0.  Each
     entry is a function of its n alone, so the kernel reads the r-th
     derivative's series, from n = r, off one column per order (_column).
     The rows are summed _FALLING_CHUNK logs at a time, at least one row;
     each row's sum is the same reduction as in one (len(n), r) array."""
-
-    r: int
-
-    def __call__(self, n: np.ndarray, log_b: np.ndarray | None = None) -> np.ndarray:
-        j = np.arange(self.r)
-        rows = max(1, _FALLING_CHUNK // max(self.r, 1))
-        out = np.empty(len(n))
-        for lo in range(0, len(n), rows):
-            logs = np.subtract(n[lo : lo + rows, None], j)
-            np.log(logs, out=logs).sum(axis=1, out=out[lo : lo + rows])
-        return out
+    j = np.arange(r)
+    rows = max(1, _FALLING_CHUNK // max(r, 1))
+    out = np.empty(len(n))
+    for lo in range(0, len(n), rows):
+        logs = np.subtract(n[lo : lo + rows, None], j)
+        np.log(logs, out=logs).sum(axis=1, out=out[lo : lo + rows])
+    return out
 
 
 # read-only columns the kernel slices per block, each replaced whole by a
@@ -324,8 +322,8 @@ def _column(r: int | None, n: int, cap: int) -> np.ndarray:
     """r's column, at least n <= cap entries long.  A shorter one is
     replaced by one at least twice as long, up to cap, so a column is no
     longer than twice the furthest read of it, nor than the longest budget
-    that grew it.  F_r is made by _LogFalling(r)'s own ufunc ops over n,
-    so each entry has the bits of a block's F(n) - F(start).  Beyond
+    that grew it.  F_r is made by _log_falling's own ufunc ops over n, so
+    each entry has the bits of a block's F(n) - F(start) made afresh.  Beyond
     _MAX_ORDERS orders every column is dropped; a caller keeps using the
     column it was handed."""
     col = _COLUMNS.get(r)
@@ -339,7 +337,7 @@ def _column(r: int | None, n: int, cap: int) -> np.ndarray:
         if r is None:
             col = k
         else:
-            col = _LogFalling(r)(k + r)
+            col = _log_falling(r, k + r)
             col -= col[0]
         col.flags.writeable = False
         if len(_COLUMNS) > _MAX_ORDERS:
@@ -380,41 +378,36 @@ def _first_block(lx: float, p: DeformationParams, start: int, step: int) -> int:
     e = p.alpha + p.beta
     log_mode = _log_mode(lx, p, step)
     log_ratio_stop = log_mode - _LOG_RATIO_CEILING / e
-    if log_ratio_stop >= math.log(_MAX_BLOCK):  # also where x^(1/(alpha+beta)) overflows
+    if log_ratio_stop >= _LOG_MAX_BLOCK:  # also where x^(1/(alpha+beta)) overflows
         return _MAX_BLOCK
     mode = math.exp(log_mode)
-    reach = max(mode + 8.0 * math.sqrt(mode / e), math.exp(log_ratio_stop))
-    return int(min(max(reach + 64.0 - start, _FIRST_BLOCK), _MAX_BLOCK))
+    size = max(mode + 8.0 * math.sqrt(mode / e), math.exp(log_ratio_stop)) + 64.0 - start
+    return _FIRST_BLOCK if size <= _FIRST_BLOCK else _MAX_BLOCK if size >= _MAX_BLOCK else int(size)
+
+
+def _start_step(kind) -> tuple[int, int]:
+    """The first index and the step of the series keyed kind."""
+    return {_GROUND: (0, 2), _SQUARES: (1, 1)}.get(kind, (kind or 0, 1))
 
 
 def _log_series(
-    lx: float,
-    p: DeformationParams,
-    tol: float,
-    max_terms: int,
-    what: str,
-    start: int = 0,
-    step: int = 1,
-    log_factor: Callable | None = None,
-    phase: complex | None = None,
+    lx: float, p: DeformationParams, tol: float, max_terms: int, what: str,
+    kind: int | str | None = None, phase: complex | None = None,
 ) -> _LogSeries:
-    """Sum the terms t_n, n >= start, with t_start = 1 and
+    """Sum the terms t_n, n >= start, of the series keyed kind (start, step
+    and F as the module docstring gives them), with t_start = 1 and
     t_n / t_(n-1) = e^lx / b_n * exp(F(n) - F(n-1)) * phase, b_n = [step n].
 
-    log_factor(n, log_b) gives F on arrays of n and log b_n; a
-    _LogFalling(start), the start-th derivative's factor, is read off its
-    column instead.  A step-2 series starts at n = 0.  phase None
-    marks a positive series; otherwise each term carries phase^(n - start)
-    and a partial sum beyond double range raises NumericalRangeError.
-    Raises ConvergenceError, naming about where the terms peak, when
-    max_terms terms do not meet the rule.  The
-    errors name what.  The callers check tol and max_terms."""
+    phase None marks a positive series; otherwise each term carries
+    phase^(n - start) and a partial sum beyond double range raises
+    NumericalRangeError.  Raises ConvergenceError, naming about where the
+    terms peak, when max_terms terms do not meet the rule.  The errors name
+    what.  The callers check tol and max_terms."""
     if lx == -math.inf:  # x = 0: every term after the first vanishes
         return _LogSeries(np.zeros(1), 0.0, -math.inf)
+    start, step = _start_step(kind)
     end = start + max_terms  # first index past the budget
     kept: list[np.ndarray] = []
-    l_start = f_start = 0.0
-    falling = isinstance(log_factor, _LogFalling) and log_factor.r == start
     # running sum S = e^scale * partial; scale >= 0 since the first term is 1
     scale, partial = 0.0, 0.0
     run = 0  # the small terms that end the previous block, 0 to 2
@@ -437,15 +430,10 @@ def _log_series(
         k_lo, k_hi = lo - start, hi - start + 1
         logs = _column(None, k_hi, max_terms + 1)[k_lo:k_hi] * lx
         logs -= log_fact - l_start if l_start else log_fact  # L[start] is 0 from n = 0
-        if falling:
-            logs += _column(start, k_hi, max_terms + 1)[k_lo:k_hi]
-        elif log_factor is not None:
-            f = log_factor(
-                np.arange(lo, hi + 1, dtype=float), tab.log_box[step * lo : step * hi + 1 : step]
-            )
-            if lo == start:
-                f_start = f[0]
-            logs += f - f_start
+        if kind == _SQUARES:
+            logs += 2.0 * tab.log_box[lo : hi + 1] - 2.0 * tab.log_box[1]
+        elif type(kind) is int:
+            logs += _column(kind, k_hi, max_terms + 1)[k_lo:k_hi]
         log_t = logs[:-1]
         top = max(scale, float(np.maximum.reduce(log_t)))
         # terms and partial sums in units of e^top
@@ -488,39 +476,39 @@ def _log_series(
 # Q_M's normaliser and the continuity defect read its terms), the
 # derivatives' series (both moment functions read their terms), the
 # series n_function, wright_w and n_function_derivative sum at each phase
-# of x, and the ground-state series.  It is keyed by the series alone:
-# log|x|, the triple, tol, step, r and phase, passed positionally.  The term
-# budget and the error label only matter when a call fails, so _memo_read
-# leaves them in a thread-local for a miss to run the kernel with, and the
-# memo stores what it returns, never an error.  The kernel stops at the
-# same index under every budget that reaches it, so a hit whose term count
-# fits the caller's budget has the bits of a cold run, and one that does
-# not raises the ConvergenceError the caller's own run would raise.
+# of x, Q_M's [n]^2 series and the ground-state series.  It is keyed by the
+# series alone: log|x|, the triple, tol, kind and phase, passed
+# positionally.  The term budget and the error label only matter when a
+# call fails, so _memo_read leaves them in a thread-local for a miss to run
+# the kernel with, and the memo stores what it returns, never an error.
+# The kernel stops at the same index under every budget that reaches it,
+# so a hit whose term count fits the caller's budget has the bits of a
+# cold run, and one that does not raises the ConvergenceError the caller's
+# own run would raise.
 _caller = threading.local()
 
 
 @functools.lru_cache(maxsize=_MAX_SERIES)
-def _series_memo(lx, p, tol, step, r, phase) -> _LogSeries:
+def _series_memo(lx, p, tol, kind, phase) -> _LogSeries:
     max_terms, what = _caller.budget_and_label
-    start, factor = (0, None) if r is None else (r, _LogFalling(r))
-    s = _log_series(lx, p, tol, max_terms, what, start, step, factor, phase)
+    s = _log_series(lx, p, tol, max_terms, what, kind, phase)
     s.log_terms.flags.writeable = False
     return s
 
 
 def _memo_read(
     lx: float, p: DeformationParams, tol: float, max_terms: int, what: str,
-    step: int = 1, r: int | None = None, phase: complex | None = None,
+    kind: int | str | None = None, phase: complex | None = None,
 ) -> _LogSeries:
-    """The kernel's record of a series, log_terms read-only: from n = 0
-    with step, or, for an order r, the r-th derivative's series, start r
-    with the falling factorial as log_factor; each with phase."""
+    """The kernel's record of the series keyed kind (None for N's, an
+    order r for the r-th derivative's, _SQUARES or _GROUND) with phase,
+    its log_terms read-only."""
     tol = check_real(tol, "tol", above=0.0)
     max_terms = check_count(max_terms, "max_terms", 1)
     _caller.budget_and_label = max_terms, what
-    s = _series_memo(lx, p, tol, step, r, phase)
+    s = _series_memo(lx, p, tol, kind, phase)
     if len(s.log_terms) > max_terms:
-        raise _no_convergence(what, tol, max_terms, lx, p, r or 0, step)
+        raise _no_convergence(what, tol, max_terms, lx, p, *_start_step(kind))
     return s
 
 
@@ -557,7 +545,7 @@ def _linear_sum(
     ax = abs(x)
     lx = math.log(ax) if ax > 0.0 else -math.inf
     phase = x / ax if ax > 0.0 else 1.0
-    s = _memo_read(lx, p, tol, max_terms, what, r=r, phase=phase)
+    s = _memo_read(lx, p, tol, max_terms, what, r, phase)
     log_t = s.log_terms + log_first
     with np.errstate(over="ignore", invalid="ignore"):  # inf * (1 + 0j) is NaN
         terms = np.exp(log_t) * _phases(phase, 0, len(log_t))
@@ -641,17 +629,23 @@ def log_n_derivative(
     x = check_real(x, "x", at_least=0.0)
     r = check_count(r, "r")
     log_first = _log_order_factorial(r) - log_gen_factorial(r, p)
-    s = _memo_read(_log_abs(x), p, tol, max_terms, f"log_n_derivative(r={r})", r=r)
+    s = _memo_read(_log_abs(x), p, tol, max_terms, f"log_n_derivative(r={r})", r)
     return log_first + s.log_sum
 
 
 @dataclass(frozen=True)
 class PowerSeries:
     """Truncated series f(x) = sum_k coeffs[k] * x^(beta k) on the
-    fractional power lattice."""
+    fractional power lattice, beta > 0 and each coeffs[k] real."""
 
     coeffs: tuple[float, ...]
     beta: float
+
+    def __post_init__(self) -> None:
+        check_real(self.beta, "beta", above=0.0)
+        for c in self.coeffs:
+            if isinstance(c, bool) or not isinstance(c, _REALS):
+                raise ParameterError(f"coeffs must be real numbers, got {c!r} among them")
 
     def __call__(self, x: float) -> float:
         """f(x); NumericalRangeError where a term or the sum leaves double range."""

@@ -39,7 +39,7 @@ from wcs import (
 from wcs import coherent, series
 from wcs.errors import ConvergenceError, NumericalRangeError, ParameterError
 from wcs.factorials import log_box, log_gen_factorial
-from wcs.series import _log_series
+from wcs.series import _GROUND, _log_series
 
 CLASSICAL = DeformationParams(0.0, 1.0, 0.0)
 P011 = DeformationParams(0.0, 1.0, 1.0)
@@ -558,7 +558,7 @@ def _wavefunction_slot_loop(k, x, p, s=S1, tol=1e-12, max_terms=20000):
     log_y = -math.inf
     if x > 0.0:
         log_y = math.log(s.mass * s.omega / s.hbar) + 2.0 * p.beta * math.log(x)
-    ground = _log_series(log_y, p, tol * 1e-4, max_terms, "ground", step=2, phase=-1.0)
+    ground = _log_series(log_y, p, tol * 1e-4, max_terms, "ground", _GROUND, -1.0)
     n_slots = 2 * len(ground.log_terms) + k + 4
     boxes = [0.0] + [math.exp(log_box(j, p)) for j in range(1, n_slots + 1)]
     # slot 2n holds (-m omega / hbar)^n / [2n]!!, odd slots are zero

@@ -4,6 +4,7 @@ of Fock series."""
 
 import functools
 import math
+import pickle
 import random
 import sys
 import threading
@@ -37,7 +38,7 @@ from wcs import (
     photon_pdf,
     wavefunction_sample,
 )
-from wcs import coherent, factorials, series
+from wcs import factorials, series
 from wcs.cli import build_parser, main
 from wcs.errors import ConvergenceError, NumericalRangeError, ParameterError
 from wcs.factorials import (
@@ -524,7 +525,7 @@ class TestArrayTable:
             _brackets(p, n)
             _log_factorials(p, n)
             log_gen_double_factorial(n, p)
-            series._log_series(math.log(n + 1.0), p, 1e-12, 10**6, "test", step=2)  # ground state
+            series._log_series(math.log(n + 1.0), p, 1e-12, 10**6, "test", series._GROUND)
             log_box(n, p)
             log_gen_factorial(n, p)
             tab = _TABLES[p]
@@ -707,7 +708,6 @@ def _count_kernel_calls(monkeypatch) -> list:
         return kernel(*args, **kwargs)
 
     monkeypatch.setattr(series, "_log_series", counted)
-    monkeypatch.setattr(coherent, "_log_series", counted)
     return calls
 
 
@@ -755,18 +755,15 @@ class TestRecall:
     def test_record_is_the_kernels(self, p, x):
         clear_caches()
         lx = math.log(x)
-        for r in (None, 0, 1, 2):
-            start = r or 0
-            factor = None if r is None else series._LogFalling(r)
-            s = series._log_series(lx, p, 1e-12, 10000, "", start, log_factor=factor)
-            key = {} if r is None else {"r": r}  # as log_n_function and log_n_derivative ask
-            got = _read(lx, p, 1e-12, 10000, **key)
+        for kind in (None, 0, 1, 2, series._SQUARES):
+            s = series._log_series(lx, p, 1e-12, 10000, "", kind)
+            got = _read(lx, p, 1e-12, 10000, kind=kind)
             assert _record_bits(got) == _record_bits(s)
-            assert _read(lx, p, 1e-12, 10000, **key) is got
-        s = series._log_series(lx, p, 1e-16, 20000, "", step=2, phase=-1.0)
-        got = _read(lx, p, 1e-16, 20000, step=2, phase=-1.0)
+            assert _read(lx, p, 1e-12, 10000, kind=kind) is got
+        s = series._log_series(lx, p, 1e-16, 20000, "", series._GROUND, -1.0)
+        got = _read(lx, p, 1e-16, 20000, kind=series._GROUND, phase=-1.0)
         assert _record_bits(got) == _record_bits(s)
-        assert _memo_info() == (4, 5, 5)
+        assert _memo_info() == (5, 6, 6)
 
     def test_error_raised_again_and_not_stored(self):
         p = TABLE_TRIPLES[0]
@@ -818,6 +815,18 @@ class TestRecall:
         _photon_stats_op(p, x)
         assert len(calls) == 5
 
+    @pytest.mark.parametrize("triple, x", [((0.5, 0.7, 0.2), 3.7), ((0.0, 1.0, 0.0), 60.0),
+                                           ((0.0, 0.3, 0.5), 9.0), ((1.0, 0.5, 1.0), 0.2)])
+    def test_a_repeated_photon_stats_op_sums_no_series(self, monkeypatch, triple, x):
+        # every series the op reads, Q_M's [n]^2 series too, is a memo
+        # record: the op run again sums none and returns the same bits
+        p = DeformationParams(*triple)
+        clear_caches()
+        first = _photon_stats_op(p, x)
+        calls = _count_kernel_calls(monkeypatch)
+        assert _photon_stats_op(p, x) == first
+        assert calls == []
+
     def test_readme_wavefunction_grid_sizes_each_x_once(self, monkeypatch, capsys):
         clear_caches()
         calls = _count_kernel_calls(monkeypatch)
@@ -826,8 +835,8 @@ class TestRecall:
         assert len(calls) == 31
 
     def test_wavefunction_grid_and_photon_stats_op_share_the_memo(self, monkeypatch, capsys):
-        # the grid's 31 ground-state series and the op's four memoised ones
-        # all stay: the op sums 5 series, and the grid again sums none
+        # the grid's 31 ground-state series and the op's five all stay:
+        # the op sums 5 series, and the grid again sums none
         argv = ["wavefunction", "--k", "0..3", "--x", "0:3:31"]
         args = build_parser().parse_args(argv)
         p = DeformationParams(args.alpha, args.beta, args.nu)
@@ -914,16 +923,18 @@ class TestRecall:
         }
 
 
-def _photon_stats_op(p, x):
-    """The calls of one photon-stats benchmark op at (p, x)."""
+def _photon_stats_op(p, x) -> bytes:
+    """The calls of one photon-stats benchmark op at (p, x): their results,
+    pickled, so equal means equal bits."""
     label = CoherentLabel.from_intensity(x)
-    log_n_function(x, p)
-    photon_distribution(label, p)
-    mandel_qz(label, p)
-    mandel_qm(label, p)
-    for r in (1, 2):
-        normally_ordered_moment(r, label, p)
-        fock_moment_sum(r, label, p)
+    results = [
+        log_n_function(x, p),
+        photon_distribution(label, p),
+        mandel_qz(label, p),
+        mandel_qm(label, p),
+        *(f(r, label, p) for r in (1, 2) for f in (normally_ordered_moment, fock_moment_sum)),
+    ]
+    return pickle.dumps(results, protocol=4)
 
 
 class TestSeriesMemo:
@@ -982,6 +993,22 @@ class TestSeriesMemo:
                 log_n_function(x, p, tol=1e-13, max_terms=10**5)  # fill the memo
                 assert _outcome(call, budget) == cold
 
+    @pytest.mark.parametrize("p, x", [*POINTS, (DeformationParams(0.5, 0.7, 0.2), 0.05)])
+    def test_qm_hit_beyond_the_budget_raises_a_cold_runs_error(self, p, x):
+        # Q_M's [n]^2 series, memoised at the default budget, read again
+        # under a smaller one: the text of a cold call with that budget,
+        # at x = 0.05 naming its first index, n = 1, as where terms peak
+        label = CoherentLabel.from_intensity(x)
+        n = len(series._log_series(math.log(x), p, 1e-13, 10**5, "", series._SQUARES).log_terms)
+        for budget in (1, n // 2, n - 1):
+            clear_caches()
+            cold = _outcome(mandel_qm, label, p, max_terms=budget)
+            assert cold[0] == "ConvergenceError" and f"within {budget} terms" in cold[1]
+            mandel_qm(label, p)  # fill the memo
+            misses = _memo_info()[1]
+            assert _outcome(mandel_qm, label, p, max_terms=budget) == cold
+            assert _memo_info()[1] == misses  # a hit
+
     def test_one_entry_serves_every_label_and_budget(self):
         p, x = self.POINTS[0]
         clear_caches()
@@ -989,15 +1016,15 @@ class TestSeriesMemo:
         assert _read(math.log(x), p, 1e-13, 1000, "b") is first
         assert _memo_info() == (1, 1, 1)
         read = functools.partial(_read, math.log(x), p, 1e-12)
-        derivative = read(10**4, "c", r=2)
-        assert read(500, "d", r=2) is derivative
+        derivative = read(10**4, "c", kind=2)
+        assert read(500, "d", kind=2) is derivative
         assert _memo_info() == (2, 2, 2)
 
     def test_each_key_is_one_entry_however_it_is_passed(self):
         p, x = self.POINTS[0]
         clear_caches()
-        first = _read(math.log(x), p, 1e-12, 10**4, r=1)
-        assert _read(math.log(x), p, 1e-12, 10**4, step=1, r=1) is first
+        first = _read(math.log(x), p, 1e-12, 10**4, kind=1)
+        assert series._memo_read(math.log(x), p, 1e-12, 10**4, "", 1, None) is first
         assert _memo_info() == (1, 1, 1)
         # both moment functions read the derivative's record and N's
         clear_caches()
@@ -1024,8 +1051,9 @@ class TestSeriesMemo:
         "lx, key",
         [
             (math.log(3.7), {}),  # N's series
-            (math.log(3.7), {"r": 2}),  # a derivative's
-            (math.log(0.5), {"step": 2, "phase": -1.0}),  # the ground state's
+            (math.log(3.7), {"kind": 2}),  # a derivative's
+            (math.log(3.7), {"kind": series._SQUARES}),  # Q_M's [n]^2 series
+            (math.log(0.5), {"kind": series._GROUND, "phase": -1.0}),  # the ground state's
             (-math.inf, {}),  # x = 0, one term
         ],
     )

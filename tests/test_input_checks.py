@@ -94,6 +94,8 @@ ENTRIES = [
     ("PhysicalScales", "omega", lambda v: PhysicalScales(omega=v)),
     ("gamma_signed", "x", gamma_signed),
     ("LogValue.from_float", "value", LogValue.from_float),
+    ("LogValue.from_log", "log_abs", LogValue.from_log),
+    ("LogValue.from_log", "sign", lambda v: LogValue.from_log(1.0, sign=v)),
     ("log_box", "n", lambda v: log_box(v, P)),
     ("box", "n", lambda v: box(v, P)),
     ("log_gen_factorial", "n", lambda v: log_gen_factorial(v, P)),
@@ -118,6 +120,7 @@ ENTRIES = [
     ("log_n_derivative", "x", lambda v: log_n_derivative(v, 1, P)),
     ("log_n_derivative", "r", lambda v: log_n_derivative(1.0, v, P)),
     ("PowerSeries", "x", lambda v: PowerSeries((1.0, 2.0), 1.0)(v)),
+    ("PowerSeries", "beta", lambda v: PowerSeries((1.0, 2.0), v)),
     ("eigenfunction_residual", "lam", lambda v: eigenfunction_residual(v, 1.0, P)),
     ("eigenfunction_residual", "x", lambda v: eigenfunction_residual(1.0, v, P)),
     ("CoherentLabel", "z", CoherentLabel),

@@ -6,10 +6,13 @@ a flags array carrying the previous block's last two flags, an argmax over
 three flags in a row, and the falling factor made afresh from np.arange.
 It reads the module's shared helpers (tables, block sizes, phases, error
 messages) through `series`, so a monkeypatched _first_block sizes both
-kernels' blocks alike.  The rewritten kernel must return the same bits,
+kernels' blocks alike.  It keeps its own (start, step, log_factor)
+arguments, and _frozen_args spells out what each of the kernel's four
+series keys stands for.  The rewritten kernel must return the same bits,
 or raise the same error with the same message, on every input.
 """
 
+import functools
 import math
 import random
 import sys
@@ -20,7 +23,7 @@ import pytest
 
 import wcs
 from wcs import DeformationParams, series
-from wcs.series import _LogFalling, _LogSeries, _log_series
+from wcs.series import _GROUND, _SQUARES, _log_falling, _LogSeries, _log_series
 
 
 def _frozen_log_series(lx, p, tol, max_terms, what, start=0, step=1, log_factor=None,
@@ -91,6 +94,31 @@ def _frozen_log_series(lx, p, tol, max_terms, what, start=0, step=1, log_factor=
     raise series._no_convergence(what, tol, max_terms, lx, p, start, step)
 
 
+def _falling(r, n, log_b):
+    return _log_falling(r, n)
+
+
+def _squares(n, log_b):
+    return 2.0 * log_b
+
+
+def _frozen_args(call):
+    """The frozen loop's arguments for the kernel's (lx, p, tol, budget,
+    what, kind, phase): kind None is N's series (start 0, step 1), an int r
+    the r-th derivative's (start r, the falling factor), _SQUARES Q_M's
+    (start 1, 2 log [n]) and _GROUND the ground state's (start 0, step 2)."""
+    *head, kind, phase = call
+    if kind == _GROUND:
+        shape = 0, 2, None
+    elif kind == _SQUARES:
+        shape = 1, 1, _squares
+    elif kind is None:
+        shape = 0, 1, None
+    else:
+        shape = kind, 1, functools.partial(_falling, kind)
+    return (*head, *shape, phase)
+
+
 def _outcome(kernel, *args):
     """The kernel's record as bytes and hex, or its error's type and message."""
     try:
@@ -107,10 +135,10 @@ def _random_triple(rng):
 
 
 def _random_calls(rng, count):
-    """Kernel arguments: positive, alternating and complex series of step 1
-    from n = 0 and of orders r = 0..10, and step-2 series; tolerances from
-    1e-6 to 1e-16; budgets from 1 term to past the stop, so some end in
-    the middle of a block."""
+    """Kernel arguments over the four series keys: positive, alternating
+    and complex series of N, of orders r = 0..10, of Q_M's [n]^2 and of
+    the ground state; tolerances from 1e-6 to 1e-16; budgets from 1 term
+    to past the stop, so some end in the middle of a block."""
     calls = []
     for _ in range(count):
         p = _random_triple(rng)
@@ -118,12 +146,8 @@ def _random_calls(rng, count):
         phase = rng.choice([None, -1.0, complex(math.cos(0.7), math.sin(0.7))])
         tol = 10.0 ** -rng.uniform(6.0, 16.0)
         budget = rng.choice([1, 2, 3, 5, 9, 17, 40, 100, 333, 20000])
-        if rng.random() < 0.25:
-            step, start, factor = 2, 0, None
-        else:
-            r = rng.choice([None, *range(11)])
-            step, start, factor = 1, r or 0, None if r is None else _LogFalling(r)
-        calls.append((lx, p, tol, budget, "replay", start, step, factor, phase))
+        kind = rng.choice([_GROUND, _SQUARES, None, rng.randrange(11)])
+        calls.append((lx, p, tol, budget, "replay", kind, phase))
     return calls
 
 
@@ -142,29 +166,57 @@ def test_kernel_replays_the_frozen_block_loop(monkeypatch, first):
 
     monkeypatch.setattr(series, "_stop", recording)
     rng = random.Random(31 + (first or 0))
-    kinds = set()
-    for call in _random_calls(rng, 150):
-        want = _outcome(_frozen_log_series, *call)
+    kinds, keys = set(), set()
+    for call in _random_calls(rng, 200):
+        want = _outcome(_frozen_log_series, *_frozen_args(call))
         assert _outcome(_log_series, *call) == want, call
         kinds.add(want[0] if isinstance(want[0], str) else "record")
+        keys.add(call[5] if isinstance(call[5], str) or call[5] is None else "r")
     assert kinds == {"record", "ConvergenceError", "NumericalRangeError"}
+    assert keys == {None, "r", _SQUARES, _GROUND}
     if first is not None:
         assert carried == {0, 1, 2}  # each carry reaches a later block
 
 
 def test_mandel_qm_factor_replays(monkeypatch):
-    # Q_M's bracket-squared factor is made per block, as before
-    def squared(n, log_b):
-        return 2.0 * log_b
-
+    # Q_M's bracket-squared factor, 2 log [n] - 2 log [1], against the
+    # frozen loop's callable factor made per block, at Q_M's intensities
     rng = random.Random(7)
     for first in (1, 3, None):
         if first is not None:
             monkeypatch.setattr(series, "_first_block", lambda lx, p, start, step: first)
         for _ in range(40):
             call = (rng.uniform(-4.0, 5.0), _random_triple(rng), 10.0 ** -rng.uniform(8, 15),
-                    rng.choice([4, 50, 100000]), "mandel_qm", 1, 1, squared, None)
-            assert _outcome(_log_series, *call) == _outcome(_frozen_log_series, *call)
+                    rng.choice([4, 50, 100000]), "mandel_qm", _SQUARES, None)
+            want = _outcome(_frozen_log_series, *_frozen_args(call))
+            assert _outcome(_log_series, *call) == want
+
+
+def _frozen_first_block(lx, p, start, step):
+    # _first_block's earlier last lines: builtins max, min and int
+    e = p.alpha + p.beta
+    log_mode = series._log_mode(lx, p, step)
+    log_ratio_stop = log_mode - series._LOG_RATIO_CEILING / e
+    if log_ratio_stop >= math.log(series._MAX_BLOCK):
+        return series._MAX_BLOCK
+    mode = math.exp(log_mode)
+    reach = max(mode + 8.0 * math.sqrt(mode / e), math.exp(log_ratio_stop))
+    return int(min(max(reach + 64.0 - start, series._FIRST_BLOCK), series._MAX_BLOCK))
+
+
+def test_first_block_equals_its_builtin_form():
+    # 10 000 random passes: from below the 64-term floor, through sizes
+    # between, to past the cap
+    rng = random.Random(11)
+    sizes = set()
+    for _ in range(10_000):
+        lx, p = rng.uniform(-8.0, 12.0), _random_triple(rng)
+        start, step = rng.choice([0, 1, rng.randrange(2, 12)]), rng.choice([1, 2])
+        want = _frozen_first_block(lx, p, start, step)
+        got = series._first_block(lx, p, start, step)
+        assert type(got) is int and got == want, (lx, p, start, step)
+        sizes.add("floor" if got == 64 else "cap" if got == 16384 else "between")
+    assert sizes == {"floor", "between", "cap"}
 
 
 @pytest.mark.parametrize("carry", [0, 1, 2])
@@ -195,11 +247,11 @@ class TestColumns:
     def test_falling_column_has_the_per_block_bits(self, r):
         # F_r(n) - F_r(r) as a block from lo to hi made it: the factor over
         # its own n, less the first block's first entry
-        f_start = _LogFalling(r)(np.arange(r, r + 5, dtype=float))[0]
+        f_start = _log_falling(r, np.arange(r, r + 5, dtype=float))[0]
         col = series._column(r, 3000, 10**5)
         for lo, hi in [(r, r + 1), (r, r + 64), (r + 1, r + 9), (r + 63, r + 191),
                        (r + 700, r + 2999)]:
-            block = _LogFalling(r)(np.arange(lo, hi + 1, dtype=float)) - f_start
+            block = _log_falling(r, np.arange(lo, hi + 1, dtype=float)) - f_start
             assert col[lo - r : hi - r + 1].tobytes() == block.tobytes(), (lo, hi)
 
     def test_index_column_is_arange(self):
@@ -221,7 +273,7 @@ class TestColumns:
 
     def test_a_pass_grows_its_columns_to_its_reach(self):
         p = DeformationParams(0.5, 0.7, 0.2)
-        s = series._memo_read(math.log(3.0), p, 1e-12, 10000, "", r=2)
+        s = series._memo_read(math.log(3.0), p, 1e-12, 10000, "", 2)
         assert len(series._COLUMNS[2]) > len(s.log_terms)
         assert len(series._COLUMNS[None]) > len(s.log_terms)
         assert len(series._COLUMNS[2]) <= 2 * series._first_block(math.log(3.0), p, 2, 1) + 1
@@ -244,8 +296,7 @@ class TestColumns:
         xs = np.geomspace(0.1, 100.0, 40).tolist()
 
         def sums(r):
-            return [_outcome(_log_series, math.log(x), p, 1e-13, 10**5, "", r, 1,
-                             _LogFalling(r), None) for x in xs]
+            return [_outcome(_log_series, math.log(x), p, 1e-13, 10**5, "", r) for x in xs]
 
         want = {r: sums(r) for r in (1, 2, 3, 9)}
         wcs.clear_caches()

@@ -26,11 +26,18 @@ from wcs import (
     n_function_derivative,
     wright_w,
 )
-from wcs import coherent, series
+from wcs import series
 from wcs.errors import ConvergenceError, NumericalRangeError, ParameterError
 from wcs.factorials import _TABLES, _log_factorials, _table
 from wcs.gammafn import log_gamma
-from wcs.series import _FSUM_MAX, _exact_sum, _LogFalling, _log_series, _positive_fsum
+from wcs.series import (
+    _FSUM_MAX,
+    _GROUND,
+    _exact_sum,
+    _log_falling,
+    _log_series,
+    _positive_fsum,
+)
 
 CLASSICAL = DeformationParams(0.0, 1.0, 0.0)
 P011 = DeformationParams(0.0, 1.0, 1.0)
@@ -177,9 +184,7 @@ class TestSeriesKernel:
         for p in self.TRIPLES:
             for x in self.XS:
                 want_terms, want_log = _reference_stop(x, p, 1e-12, r)
-                s = _log_series(
-                    math.log(x), p, 1e-12, 10000, "test", start=r, log_factor=_LogFalling(r)
-                )
+                s = _log_series(math.log(x), p, 1e-12, 10000, "test", r)
                 assert len(s.log_terms) == want_terms
                 assert s.log_sum == pytest.approx(want_log, rel=1e-12, abs=1e-12)
                 first = math.lgamma(r + 1.0) - log_gen_factorial(r, p)
@@ -201,16 +206,15 @@ class TestSeriesKernel:
     def test_log_terms_read_the_factorial_column(self, start):
         # log t_n = (n - start) log x - (log [n]! - log [start]!) + F(n) - F(start),
         # elementwise from the table's column, bit for bit
-        factor = _LogFalling(start) if start else None
         for p in self.TRIPLES:
             for x in self.XS + (60.0,):
                 lx = math.log(x)
-                s = _log_series(lx, p, 1e-13, 100000, "test", start=start, log_factor=factor)
+                s = _log_series(lx, p, 1e-13, 100000, "test", start or None)
                 n = np.arange(start, start + len(s.log_terms), dtype=float)
                 lf = _log_factorials(p, start + len(s.log_terms))[start:-1]
                 want = (n - start) * lx - (lf - lf[0])
-                if factor is not None:
-                    f = factor(n, None)
+                if start:
+                    f = _log_falling(start, n)
                     want += f - f[0]
                 assert np.array_equal(s.log_terms, want), (p, x)
 
@@ -243,7 +247,7 @@ class TestSeriesKernel:
 
         def record(p, lx):
             try:
-                s = _log_series(lx, p, 1e-16, 20000, "test", step=2, phase=-1.0)
+                s = _log_series(lx, p, 1e-16, 20000, "test", _GROUND, -1.0)
             except (ConvergenceError, NumericalRangeError) as e:
                 return type(e), str(e)
             return s.log_terms.tobytes(), s.log_sum.hex(), s.log_ratio.hex()
@@ -253,7 +257,7 @@ class TestSeriesKernel:
 
         def at_one():
             for p, _ in cases:
-                s = _log_series(0.0, p, 1e-16, 10**5, "test", step=2, phase=-1.0)
+                s = _log_series(0.0, p, 1e-16, 10**5, "test", _GROUND, -1.0)
                 want = [0.0 - wcs.log_gen_double_factorial(2 * n, p)
                         for n in range(len(s.log_terms))]
                 assert s.log_terms.tobytes() == np.array(want).tobytes(), p
@@ -303,14 +307,13 @@ class TestSeriesKernel:
         # block, moves by at most 4 ulp
         def positive():
             return [
-                _log_series(math.log(x), p, 1e-13, 100000, "test", start=r,
-                            log_factor=_LogFalling(r) if r else None)
+                _log_series(math.log(x), p, 1e-13, 100000, "test", r or None)
                 for p in self.TRIPLES for x in self.XS + (60.0,) for r in (0, 2)
             ]
 
         def ground():
             return [
-                _log_series(math.log(x), p, 1e-16, 20000, "test", step=2, phase=-1.0)
+                _log_series(math.log(x), p, 1e-16, 20000, "test", _GROUND, -1.0)
                 for p in self.TRIPLES for x in self.XS
             ]
 
@@ -353,7 +356,7 @@ class TestSeriesKernel:
         assert str(cold.value) == str(err.value)
 
     def test_zero_argument_keeps_only_the_first_term(self):
-        s = _log_series(-math.inf, P011, 1e-12, 10, "test", start=2)
+        s = _log_series(-math.inf, P011, 1e-12, 10, "test", 2)
         assert list(s.log_terms) == [0.0]
         assert n_function(0.0, CLASSICAL).terms_used == 1
 
@@ -384,7 +387,6 @@ class TestBlockCount:
 
         monkeypatch.setattr(series, "_table", counted_table)
         monkeypatch.setattr(series, "_log_series", counted_kernel)
-        monkeypatch.setattr(coherent, "_log_series", counted_kernel)
         wcs.clear_caches()
         for triple in self.TRIPLES:
             p = DeformationParams(*triple)
@@ -548,6 +550,20 @@ class TestPowerSeries:
     def test_sum_beyond_double_range_raises(self):
         with pytest.raises(NumericalRangeError, match="double range"):
             PowerSeries((1e308, 1e308), 1.0)(1.0)
+
+    @pytest.mark.parametrize("coeffs", [("a",), (1.0, None), (1.0, True), (1.0, 2j), ("1.5",)])
+    def test_non_numeric_coefficients_are_refused(self, coeffs):
+        # at construction: numpy once raised an untyped ValueError or
+        # TypeError at evaluation, or read "1.5" and None as numbers
+        with pytest.raises(ParameterError, match="^coeffs must be real numbers"):
+            PowerSeries(coeffs, 1.0)
+
+    def test_fields_are_stored_as_given(self):
+        f = PowerSeries((1, np.float64(2.0), math.inf), 1)
+        assert type(f.beta) is int and [type(c) for c in f.coeffs] == [int, np.float64, float]
+        # a non-finite coefficient is refused where the series is evaluated
+        with pytest.raises(NumericalRangeError, match="double range"):
+            f(0.5)
 
     def test_shifted_up_prepends_zero(self):
         f = PowerSeries((1.0, 2.0), 1.0)
@@ -736,9 +752,9 @@ class TestExactSums:
         # the sum of 8 or more logs is that reduction, which adds pairwise
         n = np.arange(r, 100001, dtype=float)
         want = np.log(n[:, None] - np.arange(r)).sum(axis=1).tobytes()
-        assert _LogFalling(r)(n, None).tobytes() == want
+        assert _log_falling(r, n).tobytes() == want
         monkeypatch.setattr(series, "_FALLING_CHUNK", 100)
-        assert _LogFalling(r)(n, None).tobytes() == want
+        assert _log_falling(r, n).tobytes() == want
 
     def test_high_order_falling_factor_memory_is_bounded(self):
         # the 200 000th derivative's factor is summed in chunks: no
@@ -760,7 +776,7 @@ class TestExactSums:
         # against 40 digits: a sum of r logs is within r - 1 roundings of
         # the sum and a few ulp of each log
         n = np.unique(np.concatenate([np.arange(r, r + 30), np.geomspace(r + 30, 1e5, 40).round()]))
-        logs = _LogFalling(r)(n, None)
+        logs = _log_falling(r, n)
         with mpmath.workdps(40):
             for m, f in zip(n.tolist(), logs.tolist()):
                 f_want = mpmath.fsum(mpmath.log(mpmath.mpf(m - j)) for j in range(r))

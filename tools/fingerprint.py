@@ -31,11 +31,11 @@ normally_ordered_moment, fock_moment_sum, coherent_amplitudes, overlap
                 one group per photon-statistics function, on fixed triples
                 and intensities, called in turn at each (triple, x) as the
                 photon-stats benchmark workload calls them
-kernel          log_n_function, fock_moment_sum (r = 1, 3, 9) and
-                photon_distribution at small beta and large x with tight
-                tolerances: Fock series of several kernel blocks, and ones
-                that exhaust their term budget, with the ConvergenceError
-                messages they raise
+kernel          log_n_function, fock_moment_sum (r = 1, 3, 9),
+                photon_distribution and mandel_qm at small beta and large x
+                with tight tolerances: Fock series of several kernel
+                blocks, and ones that exhaust their term budget, with the
+                ConvergenceError messages they raise
 cold-sweep      the factorial, spectrum, Hankel and wavefunction functions
                 the cold-sweep workload calls, on fixed triples, Hankel at
                 the workload's size 4
@@ -190,6 +190,8 @@ def _kernel() -> list:
                 _call(wcs.log_n_function, x, p, 1e-15, 10**5),
                 [_call(wcs.fock_moment_sum, r, lab, p, 1e-14, 40000) for r in (1, 3, 9)],
                 _call(wcs.photon_distribution, lab, p, 1e-12, 20000, 1e-15),
+                [_call(wcs.mandel_qm, lab, p, tol, budget)
+                 for tol, budget in ((1e-15, 10**5), (1e-14, 40000), (1e-13, 20000))],
             ])
     return out
 

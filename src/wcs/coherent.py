@@ -28,21 +28,18 @@ terms costs a few numpy passes (series._exact_sum), not one Python float
 per term.
 Brackets and factorials are read as slices of the factorial table, and
 the ground-state lattice's log [2n]!! is the running sum of its log [2],
-log [4], ... that the series kernel forms per block.  The
-alternating wavefunction series is summed on the x^beta lattice by
-series._lattice_sum, with its cancellation flag; ground_wavefunction and
-excited_wavefunction raise NumericalRangeError where the flag is set.
-Its coefficients, the ground state's and their raises, are built once per
-(p, scales, height, length) in a level table, one functools.lru_cache
-entry of read-only rows: 4 rows for levels 0..3, else 13, at the least
-power of two at or above the lattice's length and _MIN_LENGTH = 128
-slots (up to the longest lattice), so the README grid's lattices share
-one table.  At most 4 tables are kept, and series.clear_caches drops
-them.  A sample reads level k below its top k slots, the only ones that
-cutting the raise at the lattice length changes, and recomputes those in
-O(k^2) float operations, so it gets the bits of k raisings at its own
-length whatever the table's length.  The r-th moments scale their series
-by log r!, read once per order from series._log_order_factorial.
+log [4], ... that the series kernel forms per block.  A wavefunction is
+an alternating series on the dimensionless u = sqrt(m omega / hbar)
+x^beta, summed by series._lattice_sum with its cancellation flag, where
+ground_wavefunction and excited_wavefunction raise NumericalRangeError.
+On u the ground coefficients and their raises depend on the triple alone:
+a level table (one functools.lru_cache entry, at most 4 kept, dropped by
+series.clear_caches) holds levels 0.._LEVEL_CAP as read-only rows, at the
+least power of two of at least _MIN_LENGTH = 128 slots and the lattice's
+length plus its level, so the README grid's lattices share one table.  A
+raise reads slots j - 1 and j + 1 only, so a sample reads the first n
+slots of the untruncated raise as one slice.  The r-th moments scale their
+series by log r!, read once per order from series._log_order_factorial.
 """
 
 from __future__ import annotations
@@ -51,7 +48,6 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -96,12 +92,14 @@ __all__ = [
 _SMALL_X_GUARD = 1e-12  # below this the Mandel ratios are replaced by their limits
 _LEVEL_CAP = 12  # the highest wavefunction level
 _LATTICE_BUDGET = 20000  # term budget of the ground-state lattice series
-_MAX_LATTICE = 2 * _LATTICE_BUDGET + _LEVEL_CAP + 4  # the longest lattice a sample reads
-_MIN_LEVELS = 4  # rows of the level tables of levels 0..3
+# the longest lattice a sample reads; a level table is at most _LEVEL_CAP
+# slots longer, since level k reads the ground state k slots past its own
+_MAX_LATTICE = 2 * _LATTICE_BUDGET + _LEVEL_CAP + 4
 # slots a level table is built with at least: the lattice of the README
 # grid, x = 0..3 at (0, 1, 0) and tol 1e-8, is at most 71 slots long
 _MIN_LENGTH = 128
-_MAX_LEVEL_TABLES = 4  # level tables kept, each keyed by (p, s, rows, slots)
+_MAX_LEVEL_TABLES = 4  # level tables kept, each keyed by (p, slots)
+_SHIFT = math.sqrt(0.5)  # the raise's up- and down-shift factor in oscillator units
 _MOMENT_OVERFLOW = "{}: the moment of order r = {} at x = {} is beyond double range"
 
 
@@ -373,98 +371,63 @@ def wavefunction_sample(
 ) -> tuple[float, bool]:
     """Value of <x|k> and a cancellation flag.
 
-    The ground state is the lattice series with the even double factorial;
-    higher k apply the raising operator as exact coefficient algebra
-    (multiplication by x^beta shifts slots up; the lattice derivative is
-    the bracket-weighted down-shift), then divide by sqrt([k]!).  No
-    numerical differentiation anywhere.  Levels run up to 12.  The raised
-    coefficients are read from a cached level table (_level_coefficients),
-    bit for bit those of k raisings at this sample's lattice length.
-    Raises NumericalRangeError when a lattice term is not finite, as when
-    x^(beta j) overflows at large x.
+    The ground state is the lattice series with the even double factorial
+    on u = sqrt(m omega / hbar) x^beta; higher k apply the raising operator
+    as exact coefficient algebra (multiplication by u shifts slots up; the
+    lattice derivative is the bracket-weighted down-shift), then divide by
+    sqrt([k]!).  No numerical differentiation anywhere.  Levels run up to
+    12.  The coefficients are the first n slots of the untruncated raise,
+    n the lattice length, sliced from the triple's level table.  Raises
+    NumericalRangeError when a lattice term is not finite, as when u^j
+    overflows at large x.
     """
     k = check_count(k, "k")
     if k > _LEVEL_CAP:
         raise ParameterError(f"level index k = {k} exceeds the cap {_LEVEL_CAP}")
     x = check_real(x, "x", at_least=0.0)
     tol = check_real(tol, "tol", above=0.0)
-    # the ground series sums (-y)^n / [2n]!!, y = (m omega / hbar) x^(2 beta)
+    # the ground series sums (-y)^n / [2n]!!, y = u^2 = (m omega / hbar) x^(2 beta)
+    inv_length_sq = s.mass * s.omega / s.hbar
     log_y = -math.inf
     if x > 0.0:
-        log_y = math.log(s.mass * s.omega / s.hbar) + 2.0 * p.beta * math.log(x)
+        log_y = math.log(inv_length_sq) + 2.0 * p.beta * math.log(x)
     # size the lattice with a stricter threshold: the raising operator's
     # down-shift multiplies truncated slots by bracket values, so headroom
     # is needed for the stated tol to survive k applications
     what = "ground-state series"
     ground = _memo_read(log_y, p, tol * 1e-4, _LATTICE_BUDGET, what, _GROUND, -1.0)
-    coeffs = _level_coefficients(k, 2 * len(ground.log_terms) + k + 4, p, s)
-    ground_scale = (s.mass * s.omega / (math.pi * s.hbar)) ** 0.25
-    scale = ground_scale * math.exp(-0.5 * log_gen_factorial(k, p))
+    n = 2 * len(ground.log_terms) + k + 4
+    length = min(max(_MIN_LENGTH, 1 << (n + k - 1).bit_length()), _MAX_LATTICE + _LEVEL_CAP)
+    scale = (inv_length_sq / math.pi) ** 0.25 * math.exp(-0.5 * log_gen_factorial(k, p))
     total, cancel = _lattice_sum(
-        coeffs, x**p.beta, "wavefunction_sample: lattice series at x = {} for {}", x, p
+        _raised_levels(p, length)[k, :n],
+        math.sqrt(inv_length_sq) * x**p.beta,
+        "wavefunction_sample: lattice series at x = {} for {}", x, p,
     )
     return scale * total, cancel
 
 
-class _Levels(NamedTuple):
-    rows: np.ndarray  # read-only (levels, m): row i is the i-th raise of row 0
-    brackets: np.ndarray  # [0], ..., [m - 1]
-    up: float  # the raise's up-shift factor
-    down: float  # and its down-shift factor, times [j + 1] at slot j
-
-
 @functools.lru_cache(maxsize=_MAX_LEVEL_TABLES)
-def _raised_levels(p: DeformationParams, s: PhysicalScales, levels: int, m: int) -> _Levels:
-    """Rows 0..levels-1 at length m.  Row 0 is the ground state: slot 2n
-    holds (-m omega / hbar)^n / [2n]!!, the normalization under which the
-    lowering operator annihilates it, odd slots 0.  Row i is the raise of
-    row i-1 at length m, slot j = (0 + up c[j-1]) - (down c[j+1]) [j+1],
-    whose last slot has no down-shift term."""
+def _raised_levels(p: DeformationParams, m: int) -> np.ndarray:
+    """Read-only rows 0.._LEVEL_CAP at length m, in oscillator units.  Row 0
+    is the ground state: slot 2j holds (-1)^j / [2j]!!, the normalization
+    under which the lowering operator annihilates it, odd slots 0.  Row i
+    is the raise of row i-1, slot j = (0 + h c[j-1]) - (h c[j+1]) [j+1]
+    with h = sqrt(1/2), whose last slot has no down-shift term; so row i is
+    the untruncated raise below slot m - i."""
     b = _brackets(p, m - 1)
-    up = math.sqrt(0.5 * s.mass * s.omega / s.hbar)
-    down = math.sqrt(0.5 * s.hbar / (s.mass * s.omega))
-    rows = np.zeros((levels, m))
-    # slots past a sample's length may overflow where its own do not, and a
-    # sample's non-finite coefficients make _lattice_sum raise
+    rows = np.zeros((_LEVEL_CAP + 1, m))
+    # at tiny beta, [n] ~ beta n and 1 / [2j]!! overflows in slots past
+    # those a sample reads; a sample's non-finite slots make _lattice_sum raise
     with np.errstate(over="ignore", invalid="ignore"):
-        ground = rows[0]
-        ground[0] = 1.0
-        ground[2::2] = (-s.mass * s.omega / s.hbar) / b[2::2]
-        np.multiply.accumulate(ground[::2], out=ground[::2])
-        for i in range(1, levels):
-            rows[i, 1:] += up * rows[i - 1, :-1]
-            rows[i, :-1] -= down * rows[i - 1, 1:] * b[1:]
+        rows[0, 0] = 1.0
+        rows[0, 2::2] = -1.0 / b[2::2]
+        np.multiply.accumulate(rows[0, ::2], out=rows[0, ::2])
+        for i in range(1, _LEVEL_CAP + 1):
+            rows[i, 1:] += _SHIFT * rows[i - 1, :-1]
+            rows[i, :-1] -= _SHIFT * rows[i - 1, 1:] * b[1:]
     rows.flags.writeable = False
-    return _Levels(rows, b, up, down)
-
-
-def _level_coefficients(k: int, n: int, p: DeformationParams, s: PhysicalScales) -> np.ndarray:
-    """The k-th raise of the ground coefficients at lattice length n.
-
-    It is read from the (p, s) level table of rows 0..3 for k <= 3, else
-    0.._LEVEL_CAP, at the least power of two >= n and >= _MIN_LENGTH slots,
-    up to the longest lattice.  Slot j of a raise reads slots j-1 and j+1
-    only, and at length n slot n-1 gets no down-shift term, so the raise at
-    length n equals row k below slot n-k: only its top k slots see the
-    truncation.  Those are recomputed here from the exact slots beneath
-    them, level by level, in O(k^2) float operations in the raise's own
-    order, so the result is bit for bit that of k raisings of an n-slot
-    ground state."""
-    height = _MIN_LEVELS if k < _MIN_LEVELS else _LEVEL_CAP + 1
-    length = min(max(_MIN_LENGTH, 1 << (n - 1).bit_length()), _MAX_LATTICE)
-    rows, b, up, down = _raised_levels(p, s, height, length)
-    if k == 0:
-        return rows[0, :n]
-    below = rows[:k, n - k - 1 : n].tolist()  # slots n-k-1..n-1 of rows 0..k-1
-    b_top = b[n - k + 1 : n].tolist()  # [n-k+1], ..., [n-1]
-    top: list[float] = []  # slots n-i+1..n-1 of level i-1 at length n
-    for i in range(1, k + 1):
-        c = below[i - 1][k - i : k - i + 2] + top  # slots n-i-1..n-1 of level i-1
-        top = [(0.0 + up * c[t]) - (down * c[t + 2]) * b_top[k - i + t] for t in range(i - 1)]
-        top.append(0.0 + up * c[i - 1])
-    out = rows[k, :n].copy()
-    out[n - k :] = top
-    return out
+    return rows
 
 
 def ground_wavefunction(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,7 +107,9 @@ class DeformationParams:
 
 @dataclass(frozen=True)
 class PhysicalScales:
-    """Oscillator scales; all must be positive."""
+    """Oscillator scales, each positive.  The three combinations the
+    observables read, m omega / hbar, hbar / (m omega) and hbar m omega,
+    must each be finite and at least sys.float_info.min."""
 
     hbar: float = 1.0
     mass: float = 1.0
@@ -115,11 +118,16 @@ class PhysicalScales:
     def __post_init__(self) -> None:
         for name in ("hbar", "mass", "omega"):
             object.__setattr__(self, name, check_real(getattr(self, name), name, above=0.0))
-        # hashed once: every wavefunction sample looks up its level table
-        object.__setattr__(self, "_hash", hash((self.hbar, self.mass, self.omega)))
-
-    def __hash__(self) -> int:
-        return self._hash
+        inv_length_sq = self.mass * self.omega / self.hbar
+        for name, value in (("mass * omega / hbar", inv_length_sq),
+                            # m omega is 0 only where m omega / hbar is, refused first
+                            ("hbar / (mass * omega)", self.length_sq if inv_length_sq else 0.0),
+                            ("hbar * mass * omega", self.momentum_sq)):
+            if not sys.float_info.min <= value <= sys.float_info.max:
+                raise ParameterError(
+                    f"{name} must lie in [{sys.float_info.min}, {sys.float_info.max}], got"
+                    f" {value} at hbar = {self.hbar}, mass = {self.mass}, omega = {self.omega}"
+                )
 
     @property
     def length_sq(self) -> float:

@@ -279,9 +279,9 @@ def _cancels(total: complex, largest: float) -> bool:
 
 
 def _lattice_sum(coeffs: np.ndarray, y: float, what: str, *args) -> tuple[float, bool]:
-    """sum_j c_j y^j on the x^beta lattice (y = x^beta) for a float array
-    of coefficients, and whether it cancels; _fsum's label what, args.
-    y^j is the running product of y (np.multiply.accumulate), the bits of
+    """sum_j c_j y^j on the x^beta lattice (y = x^beta, or a multiple of
+    it) for a float array of coefficients, and whether it cancels; _fsum's
+    label what, args.  y^j is the running product of y, the bits of
     repeated multiplication, and the terms go to math.fsum as a list.  A
     power overflows where y > 1, and a term is infinite or NaN where a
     coefficient is; _fsum raises then, so numpy's warnings are silenced."""
@@ -653,7 +653,10 @@ class PowerSeries:
             y = check_real(x, "x", at_least=0.0) ** self.beta
         except OverflowError:  # x^beta beyond double range, so is every term past the first
             y = math.inf
-        coeffs = np.array(self.coeffs, dtype=float)
+        try:
+            coeffs = np.array(self.coeffs, dtype=float)
+        except OverflowError:  # an int coefficient past double range is an infinite term
+            coeffs = np.array([math.inf])
         return _lattice_sum(coeffs, y, "PowerSeries at x = {}", x)[0]
 
     def shifted_up(self) -> "PowerSeries":

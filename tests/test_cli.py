@@ -164,6 +164,20 @@ class TestWavefunction:
         )
         assert all(r[3] == "false" for r in rows)
 
+    def test_si_scales_out_to_five_oscillator_lengths(self):
+        # the length sqrt(hbar / (m omega)) is 3.24e-11 m; the lattice is
+        # summed in oscillator units, so no coefficient carries the scales
+        si = ["--hbar", "1.05e-34", "--mass", "1e-27", "--omega", "1e14"]
+        code, out, err = run_cli(["wavefunction", *si, "--k", "0..3", "--x", "0:1.62e-10:11"])
+        assert (code, err) == (0, "")
+        _, rows = rows_of(out)
+        assert len(rows) == 44 and all(math.isfinite(float(r[2])) for r in rows)
+
+    def test_scales_past_double_range_are_refused(self):
+        code, _, err = run_cli(["wavefunction", "--hbar", "1e300", "--mass", "1e-300",
+                                "--omega", "1e-300", "--k", "0", "--x", "1"])
+        assert code == 2 and "mass * omega / hbar must lie in" in err
+
 
 class TestWeight:
     def test_wright_bessel_value(self):

@@ -5,6 +5,7 @@ import cmath
 import math
 import random
 import re
+import warnings
 
 import mpmath
 import pytest
@@ -46,7 +47,8 @@ P011 = DeformationParams(0.0, 1.0, 1.0)
 P111 = DeformationParams(1.0, 1.0, 1.0)
 HALF = DeformationParams(0.5, 0.5, 0.25)
 S1 = PhysicalScales()
-WAVE_SCALES = (PhysicalScales(0.5, 2.0, 1.5), PhysicalScales(2.0, 0.3, 0.7))
+SI = PhysicalScales(1.05e-34, 1e-27, 1e14)  # a length of 3.2e-11 m
+WAVE_SCALES = (PhysicalScales(0.5, 2.0, 1.5), PhysicalScales(2.0, 0.3, 0.7), SI)
 
 # Brute-force Fock-sum oracle values (400 terms, 40-digit arithmetic).
 QM_GOLDENS = [
@@ -466,21 +468,22 @@ class TestWavefunctions:
     def test_bitwise_equal_to_slot_loop(self, p):
         # every level, in an order that builds the level tables as it goes
         # (x rising, k rising), in one whose first sample builds the
-        # tallest, longest table (both falling), and again after the tables
-        # are dropped; most samples read a table longer than their lattice
+        # longest table (both falling), and again after the tables are
+        # dropped; most samples read a table longer than their lattice.
+        # x is in oscillator lengths
         xs = (0.0, 0.1, 0.5, 1.0, 1.7, 2.5, 3.0, 4.0)
         for s in (S1, *WAVE_SCALES):
-            want = {(k, x): _wave_outcome(_wavefunction_slot_loop, k, x, p, s)
+            want = {(k, x): _wave_outcome(_wavefunction_slot_loop, k, _at(x, s), p, s)
                     for k in range(13) for x in xs}
             for order in (1, -1, 1):
                 series.clear_caches()
                 for x in xs[::order]:
                     for k in range(13)[::order]:
-                        got = _wave_outcome(wavefunction_sample, k, x, p, s)
+                        got = _wave_outcome(wavefunction_sample, k, _at(x, s), p, s)
                         assert got == want[k, x], (s, k, x)
-                # tables of both heights, each read by many samples
+                # each table is read by many samples
                 info = coherent._raised_levels.cache_info()
-                assert info.misses >= 2 and info.hits > info.misses
+                assert info.misses >= 1 and info.hits > 10 * info.misses
 
     @given(
         st.floats(0.0, 1.0),
@@ -495,40 +498,75 @@ class TestWavefunctions:
         # samples before it left it
         p = DeformationParams(a, b, a - 1.0 + 3.0 * u)
         for k, x in samples:
-            want = _wave_outcome(_wavefunction_slot_loop, k, x, p, s)
-            assert _wave_outcome(wavefunction_sample, k, x, p, s) == want
+            want = _wave_outcome(_wavefunction_slot_loop, k, _at(x, s), p, s)
+            assert _wave_outcome(wavefunction_sample, k, _at(x, s), p, s) == want
 
-    def test_coefficients_past_double_range_raise_typed(self):
-        # SI scales: m omega / hbar ~ 1e21, so the ground coefficients
-        # overflow a few dozen slots in, within the lattice at x = 3e-11 and
-        # within level 12's at 1e-11; the error is typed and numpy's
-        # overflow is not reported as a warning
-        p, s = CLASSICAL, PhysicalScales(1.05e-34, 1e-27, 1e14)
-        assert not wavefunction_sample(3, 1e-11, p, s)[1]
-        for k, x in ((12, 1e-11), (0, 3e-11)):
-            with pytest.raises(NumericalRangeError, match=f"lattice series at x = {x}"):
-                wavefunction_sample(k, x, p, s)
+    def test_si_scales_match_the_hermite_functions(self):
+        # in oscillator units u = x / length the classical states are
+        # (m omega / pi hbar)^(1/4) e^(-u^2/2) times 1 and sqrt(2) u; the
+        # samples near u = 5 are flagged, yet within 1e-10 of those
+        p, s = CLASSICAL, SI
+        norm = (s.mass * s.omega / (math.pi * s.hbar)) ** 0.25
+        for i in range(51):
+            u = 0.1 * i
+            g = math.exp(-0.5 * u * u)
+            psi0 = wavefunction_sample(0, _at(u, s), p, s)[0] / norm
+            psi1 = wavefunction_sample(1, _at(u, s), p, s)[0] / norm
+            assert abs(psi0 - g) <= 1e-10 and abs(psi1 - math.sqrt(2.0) * u * g) <= 1e-10, u
+
+    def test_overflowing_power_raises_typed(self):
+        # at u = 20 the lattice runs to about 800 slots and u^j overflows,
+        # as x^j does at unit scales from x = 10 (test_overflowing_lattice_raises);
+        # the error is typed and numpy's overflow is not reported as a warning
+        x = _at(20.0, SI)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (0, 12):
+                with pytest.raises(NumericalRangeError, match=f"lattice series at x = {x}"):
+                    wavefunction_sample(k, x, CLASSICAL, SI)
+
+    def test_table_past_double_range_is_silent(self):
+        # at beta = 1e-9, [n] ~ beta n, so 1 / [2j]!! overflows within the
+        # 128-slot table; at x = 0 a sample reads slots below that, with no
+        # numpy warning
+        p = DeformationParams(1.0, 1e-9, 0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert wavefunction_sample(0, 0.0, p) == (math.pi**-0.25, False)
+            assert wavefunction_sample(12, 0.0, p)[1] is False
+
+    @pytest.mark.parametrize("scales", [(1e300, 1e-300, 1e-300), (1e-300, 1e300, 1e300)])
+    def test_scales_past_double_range_are_refused(self, scales):
+        # m omega / hbar is 0 and inf: wavefunction_sample once raised an
+        # untyped ValueError and warned from numpy, and quadrature_stats
+        # raised ZeroDivisionError and returned var_q = 0.0
+        with pytest.raises(ParameterError, match=r"^mass \* omega / hbar must lie in"):
+            wavefunction_sample(0, 1.0, HALF, PhysicalScales(*scales))
+        with pytest.raises(ParameterError, match=r"^mass \* omega / hbar must lie in"):
+            quadrature_stats(3, HALF, PhysicalScales(*scales))
 
     def test_readme_grid_builds_one_level_table(self, monkeypatch):
         # `wcs wavefunction --k 0..3 --x 0:3:31`, in the CLI's order: one
-        # build of 4 rows at the floor length; each sample's bits equal
-        # those it reads from a table built at exactly its own lattice
-        # length and level
+        # build at the floor length; each sample's bits equal those it
+        # reads from a table built at exactly its lattice length plus its
+        # level
         samples = [(k, 3.0 * j / 30) for k in range(4) for j in range(31)]
-        lengths = []
-        coefficients = coherent._level_coefficients
-        monkeypatch.setattr(coherent, "_level_coefficients",
-                            lambda k, n, p, s: lengths.append(n) or coefficients(k, n, p, s))
+        lengths = []  # each sample's lattice length
+        lattice_sum = coherent._lattice_sum
+        monkeypatch.setattr(coherent, "_lattice_sum",
+                            lambda c, *args: lengths.append(len(c)) or lattice_sum(c, *args))
         series.clear_caches()
         got = [wavefunction_sample(k, x, CLASSICAL, S1, tol=1e-8) for k, x in samples]
         info = coherent._raised_levels.cache_info()
-        assert (info.misses, info.currsize) == (1, 1) and max(lengths) <= coherent._MIN_LENGTH
-        levels = coherent._raised_levels(CLASSICAL, S1, 4, coherent._MIN_LENGTH)  # a hit
-        assert levels.rows.shape == (4, coherent._MIN_LENGTH) and not levels.rows.flags.writeable
+        assert (info.misses, info.currsize) == (1, 1)
+        assert max(n + k for (k, _), n in zip(samples, lengths)) <= coherent._MIN_LENGTH
+        rows = coherent._raised_levels(CLASSICAL, coherent._MIN_LENGTH)  # a hit
+        assert rows.shape == (13, coherent._MIN_LENGTH) and not rows.flags.writeable
+        assert coherent._raised_levels.cache_info().hits == info.hits + 1
         exact = coherent._raised_levels.__wrapped__  # uncached
         with monkeypatch.context() as m:
             for (k, x), n, value in zip(samples, lengths, got):
-                m.setattr(coherent, "_raised_levels", lambda p, s, *_: exact(p, s, k + 1, n))
+                m.setattr(coherent, "_raised_levels", lambda p, _: exact(p, n + k))
                 assert wavefunction_sample(k, x, CLASSICAL, S1, tol=1e-8) == value
 
     def test_level_tables_stay_bounded(self):
@@ -552,45 +590,51 @@ class TestWavefunctions:
             excited_wavefunction(13, 1.0, CLASSICAL)
 
 
+def _at(u, s):
+    """u oscillator lengths sqrt(hbar / (m omega)) in the units of s."""
+    return u * math.sqrt(s.hbar / (s.mass * s.omega))
+
+
 def _wavefunction_slot_loop(k, x, p, s=S1, tol=1e-12, max_terms=20000):
     """Reference for wavefunction_sample: one bracket lookup per slot, its own
-    ground-state lattice loop, and the raising operator applied slot by slot."""
+    ground-state lattice loop, and the raising operator applied slot by slot
+    in oscillator units, on n + k slots of which the first n, those the
+    lattice sums, see no truncation."""
+    inv_length_sq = s.mass * s.omega / s.hbar
     log_y = -math.inf
     if x > 0.0:
-        log_y = math.log(s.mass * s.omega / s.hbar) + 2.0 * p.beta * math.log(x)
+        log_y = math.log(inv_length_sq) + 2.0 * p.beta * math.log(x)
     ground = _log_series(log_y, p, tol * 1e-4, max_terms, "ground", _GROUND, -1.0)
-    n_slots = 2 * len(ground.log_terms) + k + 4
+    n = 2 * len(ground.log_terms) + k + 4
+    n_slots = n + k
     boxes = [0.0] + [math.exp(log_box(j, p)) for j in range(1, n_slots + 1)]
-    # slot 2n holds (-m omega / hbar)^n / [2n]!!, odd slots are zero
+    # slot 2j holds (-1)^j / [2j]!!, odd slots are zero
     coeffs = [0.0] * n_slots
     coeffs[0] = val = 1.0
-    ratio = -s.mass * s.omega / s.hbar
     for j in range(2, n_slots, 2):
-        val *= ratio / boxes[j]
+        val *= -1.0 / boxes[j]
         coeffs[j] = val
-    up = math.sqrt(0.5 * s.mass * s.omega / s.hbar)
-    down = math.sqrt(0.5 * s.hbar / (s.mass * s.omega))
+    h = math.sqrt(0.5)
     for _ in range(k):
         nxt = [0.0] * n_slots
         for j in range(n_slots):
             acc = 0.0
             if j >= 1:
-                acc += up * coeffs[j - 1]
+                acc += h * coeffs[j - 1]
             if j + 1 < n_slots:
-                acc -= down * coeffs[j + 1] * boxes[j + 1]
+                acc -= h * coeffs[j + 1] * boxes[j + 1]
             nxt[j] = acc
         coeffs = nxt
-    ground_scale = (s.mass * s.omega / (math.pi * s.hbar)) ** 0.25
-    scale = ground_scale * math.exp(-0.5 * log_gen_factorial(k, p))
-    y = x**p.beta
+    scale = (inv_length_sq / math.pi) ** 0.25 * math.exp(-0.5 * log_gen_factorial(k, p))
+    u = math.sqrt(inv_length_sq) * x**p.beta
     terms = []
-    yj = 1.0
+    uj = 1.0
     max_abs = 0.0
-    for c in coeffs:
-        t = c * yj
+    for c in coeffs[:n]:
+        t = c * uj
         terms.append(t)
         max_abs = max(max_abs, abs(t))
-        yj *= y
+        uj *= u
     try:
         total = math.fsum(terms)
     except (OverflowError, ValueError):  # finite terms past the range; inf - inf

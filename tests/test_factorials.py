@@ -6,6 +6,7 @@ import functools
 import math
 import pickle
 import random
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -105,8 +106,27 @@ class TestParams:
         assert s.length_sq == pytest.approx(2.0 / (3.0 * 0.7), rel=1e-14)
         assert s.momentum_sq == pytest.approx(2.0 * 3.0 * 0.7, rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "scales, combination",
+        [
+            ((1e300, 1e-300, 1e-300), "mass * omega / hbar"),  # m omega underflows to 0
+            ((1e-300, 1e300, 1e300), "mass * omega / hbar"),  # m omega overflows
+            ((1e300, 1e300, 1e-300), "hbar * mass * omega"),
+            ((1e-100, 1e104, 1e104), "hbar / (mass * omega)"),  # 1e-308, subnormal
+            ((1.0, 1e-160, 1e-160), "mass * omega / hbar"),  # 1e-320, subnormal
+        ],
+    )
+    def test_scales_whose_combinations_leave_double_range(self, scales, combination):
+        with pytest.raises(ParameterError, match=rf"^{re.escape(combination)} must lie in"):
+            PhysicalScales(*scales)
+
+    def test_scales_at_the_edge_of_double_range(self):
+        # m omega / hbar = 1e-306, 1e307 and 9.5e20, each a normal double
+        for scales in ((1.0, 1e-153, 1e-153), (1e-100, 1e103, 1e104), (1.05e-34, 1e-27, 1e14)):
+            PhysicalScales(*scales)
+
     def test_scales_hash_and_compare_by_value(self):
-        # hashed once, as the field tuple; equality and repr by field
+        # the dataclass hash, of the field tuple; equality and repr by field
         s = PhysicalScales(2, 3.0, np.float64(0.7))
         assert s == PhysicalScales(2.0, 3.0, 0.7) and s != PhysicalScales(2.0, 3.0, 0.8)
         assert hash(s) == hash(PhysicalScales(2.0, 3.0, 0.7)) == hash((2.0, 3.0, 0.7))

@@ -558,6 +558,13 @@ class TestPowerSeries:
         with pytest.raises(ParameterError, match="^coeffs must be real numbers"):
             PowerSeries(coeffs, 1.0)
 
+    @pytest.mark.parametrize("coeffs", [(10**400,), (1.0, -(10**400))])
+    def test_int_coefficient_past_double_range_raises_typed(self, coeffs):
+        # numpy's float conversion once raised its untyped OverflowError;
+        # now it is an infinite term, with a float inf coefficient's error
+        with pytest.raises(NumericalRangeError, match=r"^PowerSeries at x = 1.0: terms or"):
+            PowerSeries(coeffs, 1.0)(1.0)
+
     def test_fields_are_stored_as_given(self):
         f = PowerSeries((1, np.float64(2.0), math.inf), 1)
         assert type(f.beta) is int and [type(c) for c in f.coeffs] == [int, np.float64, float]

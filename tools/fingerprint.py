@@ -41,9 +41,11 @@ cold-sweep      the factorial, spectrum, Hankel and wavefunction functions
                 the workload's size 4
 wavefunction    wavefunction_sample at k = 0..12 on four triples at two
                 scales, at x rising from 0 to 8.0 (flagged at (0, 1, 0))
-                and falling back: each (triple, scales) reads level
-                tables of both heights and of growing lengths mid-grid,
-                and later reads take tables longer than their lattices
+                and falling back: each triple reads level tables of
+                growing lengths mid-grid, and later reads take tables
+                longer than their lattices; then at SI scales (hbar =
+                1.05e-34, m = 1e-27, omega = 1e14) on the same triples at
+                0 to 12 oscillator lengths, the last ones past double range
 hankel          hankel_hadamard at sizes 1-15 on fixed triples: the sizes
                 whose rounding bound exceeds the tolerance raise
 errors          the messages of DeformationParams with alpha and beta both
@@ -217,12 +219,18 @@ def _cold_sweep() -> list:
 
 def _wavefunction() -> list:
     triples = [(0.0, 1.0, 0.0), (0.5, 0.5, 0.25), (1.0, 0.1, 0.5), (0.3, 0.7, 0.2)]
+    params = [wcs.DeformationParams(*triple) for triple in triples]
     scales = [wcs.PhysicalScales(), wcs.PhysicalScales(0.5, 2.0, 1.5)]
     xs = [0.0, 0.3, 1.0, 2.2, 8.0, 4.0, 1.7, 0.05]
+    si = wcs.PhysicalScales(1.05e-34, 1e-27, 1e14)
+    lengths = [0.0, 0.5, 2.0, 5.0, 12.0]
     return [
-        [_call(wcs.wavefunction_sample, k, x, wcs.DeformationParams(*triple), s)
-         for x in xs for k in range(13)]
-        for triple in triples for s in scales
+        [_call(wcs.wavefunction_sample, k, x, p, s) for x in xs for k in range(13)]
+        for p in params for s in scales
+    ] + [
+        [_call(wcs.wavefunction_sample, k, u * si.length_sq**0.5, p, si)
+         for u in lengths for k in (0, 1, 5, 12)]
+        for p in params
     ]
 
 

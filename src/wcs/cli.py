@@ -439,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = _subcommand(sub, "wavefunction", cmd_wavefunction,
                      "oscillator wavefunctions on an x grid",
                      scales=("hbar", "mass", "omega"),
-                     tol=(1e-8, "series tolerance of the ground-state lattice (default 1e-8)"))
+                     tol=(1e-8, "accepted and unused (default 1e-8)"))
     sp.add_argument("--k", required=True, help="level index or range, e.g. 0..2")
     sp.add_argument("--x", required=True, help="grid: value, list, or lo:hi:count")
 

@@ -7,10 +7,9 @@ moments, the two Mandel parameters, quadrature variances in number states,
 and position wavefunctions built from the x^beta power lattice.
 
 Every Fock-series sum here (photon distribution, Fock moments, Q_M, the
-continuity defect, the length of the ground-state lattice) reads a record
-of one memo through series._memo_read: N's series, the r-th derivative's,
-Q_M's [n]^2 series or the ground state's, each summed once by
-series._log_series with its single stopping rule: three consecutive terms
+continuity defect) reads a record of one memo through series._memo_read:
+N's series, the r-th derivative's or Q_M's [n]^2 series, each summed once
+by series._log_series with its single stopping rule: three consecutive terms
 |t_n| <= tol * max(1, |S_n|) while the term ratio is below 0.9.  So at one
 (p, x, tol) log N, the photon distribution, Q_M's normaliser and the
 continuity defect share one pass of N's series, and every later call gets
@@ -26,24 +25,24 @@ as one float sum.  Those sums, and the continuity defect's direct sum, are
 math.fsum's double bit for bit, and a sum of more than series._FSUM_MAX
 terms costs a few numpy passes (series._exact_sum), not one Python float
 per term.
-Brackets and factorials are read as slices of the factorial table, and
-the ground-state lattice's log [2n]!! is the running sum of its log [2],
-log [4], ... that the series kernel forms per block.  A wavefunction is
-an alternating series on the dimensionless u = sqrt(m omega / hbar)
-x^beta, summed by series._lattice_sum with its cancellation flag, where
-ground_wavefunction and excited_wavefunction raise NumericalRangeError.
-On u the ground coefficients and their raises depend on the triple alone:
-a level table (one functools.lru_cache entry, at most 4 kept, dropped by
-series.clear_caches) holds levels 0.._LEVEL_CAP as read-only rows, at the
-least power of two of at least _MIN_LENGTH = 128 slots and the lattice's
-length plus its level, so the README grid's lattices share one table.  A
-raise reads slots j - 1 and j + 1 only, so a sample reads the first n
-slots of the untruncated raise as one slice.  The r-th moments scale their
+Brackets and factorials are read as slices of the factorial table.  A
+wavefunction is an alternating series on the dimensionless
+u = sqrt(m omega / hbar) x^beta, summed by series._lattice_sum with its
+cancellation flag, where ground_wavefunction and excited_wavefunction
+raise NumericalRangeError.  On u the ground coefficients and their raises
+depend on the triple alone: a level table (one functools.lru_cache entry,
+at most 4 kept, dropped by series.clear_caches) holds levels
+0.._LEVEL_CAP as read-only rows, at the least power of two of at least
+_MIN_LENGTH = 128 slots and the lattice's length plus its level, so the
+README grid's lattices share one table; two bisections, no Fock series,
+give a lattice's length.  A raise reads slots j - 1 and j + 1 only, so a
+sample reads the first n slots of the untruncated raise as one slice.  The r-th moments scale their
 series by log r!, read once per order from series._log_order_factorial.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import math
@@ -53,10 +52,10 @@ import numpy as np
 
 from .algebra import commutator_diagonal
 from .errors import NumericalRangeError, ParameterError
-from .factorials import _brackets, _table, box, log_gen_factorial
+from .factorials import _brackets, _log_double_run, _table, box, log_gen_factorial
 from .params import DeformationParams, PhysicalScales, check_complex, check_count, check_real
 from .series import (
-    _GROUND,
+    _LOG_MAX,
     _SQUARES,
     _exact_sum,
     _lattice_sum,
@@ -91,13 +90,12 @@ __all__ = [
 
 _SMALL_X_GUARD = 1e-12  # below this the Mandel ratios are replaced by their limits
 _LEVEL_CAP = 12  # the highest wavefunction level
-_LATTICE_BUDGET = 20000  # term budget of the ground-state lattice series
-# the longest lattice a sample reads; a level table is at most _LEVEL_CAP
-# slots longer, since level k reads the ground state k slots past its own
-_MAX_LATTICE = 2 * _LATTICE_BUDGET + _LEVEL_CAP + 4
+_LONGEST = 40028  # the longest level table: J up to 20 000 (_sized_levels), k up to 12
 # slots a level table is built with at least: the lattice of the README
-# grid, x = 0..3 at (0, 1, 0) and tol 1e-8, is at most 71 slots long
+# grid, x = 0..3 at (0, 1, 0), is at most 79 slots long
 _MIN_LENGTH = 128
+_LOG_CUT = -62.0 * math.log(2.0)  # 2^-62 of min(1, peak), the first ground term being 1
+_LATTICE = "wavefunction_sample: lattice series at x = {} for {}"
 _MAX_LEVEL_TABLES = 4  # level tables kept, each keyed by (p, slots)
 _SHIFT = math.sqrt(0.5)  # the raise's up- and down-shift factor in oscillator units
 _MOMENT_OVERFLOW = "{}: the moment of order r = {} at x = {} is beyond double range"
@@ -369,52 +367,78 @@ def wavefunction_sample(
     s: PhysicalScales = PhysicalScales(),
     tol: float = 1e-12,
 ) -> tuple[float, bool]:
-    """Value of <x|k> and a cancellation flag.
+    """Value of psi_k(x) and a cancellation flag.
 
     The ground state is the lattice series with the even double factorial
     on u = sqrt(m omega / hbar) x^beta; higher k apply the raising operator
-    as exact coefficient algebra (multiplication by u shifts slots up; the
-    lattice derivative is the bracket-weighted down-shift), then divide by
-    sqrt([k]!).  No numerical differentiation anywhere.  Levels run up to
-    12.  The coefficients are the first n slots of the untruncated raise,
-    n the lattice length, sliced from the triple's level table.  Raises
-    NumericalRangeError when a lattice term is not finite, as when u^j
-    overflows at large x.
+    (u - D) / sqrt(2) as exact coefficient algebra (D the bracket-weighted
+    down-shift), then divide by sqrt([k]!), k <= 12.  At (0, 1, 0) psi_k is
+    the number state |k>; at a deformed triple not the algebra's: (u + D) /
+    sqrt(2) psi_k misses sqrt([k]) psi_(k-1), at k = 1 by 3% to 1000% of it
+    for u = 0.5 to 2.  The coefficients are the first n slots of the
+    untruncated raise, from the triple's level table.  tol is checked and
+    sets nothing.  Raises NumericalRangeError where a lattice term is not
+    finite, as when u^j overflows at large x, or _sized_levels refuses x.
     """
     k = check_count(k, "k")
     if k > _LEVEL_CAP:
         raise ParameterError(f"level index k = {k} exceeds the cap {_LEVEL_CAP}")
     x = check_real(x, "x", at_least=0.0)
-    tol = check_real(tol, "tol", above=0.0)
-    # the ground series sums (-y)^n / [2n]!!, y = u^2 = (m omega / hbar) x^(2 beta)
+    check_real(tol, "tol", above=0.0)
+    # the ground series sums (-y)^j / [2j]!!, y = u^2 = (m omega / hbar) x^(2 beta)
     inv_length_sq = s.mass * s.omega / s.hbar
     log_y = -math.inf
     if x > 0.0:
         log_y = math.log(inv_length_sq) + 2.0 * p.beta * math.log(x)
-    # size the lattice with a stricter threshold: the raising operator's
-    # down-shift multiplies truncated slots by bracket values, so headroom
-    # is needed for the stated tol to survive k applications
-    what = "ground-state series"
-    ground = _memo_read(log_y, p, tol * 1e-4, _LATTICE_BUDGET, what, _GROUND, -1.0)
-    n = 2 * len(ground.log_terms) + k + 4
-    length = min(max(_MIN_LENGTH, 1 << (n + k - 1).bit_length()), _MAX_LATTICE + _LEVEL_CAP)
+    rows, n = _sized_levels(k, x, log_y, p)
     scale = (inv_length_sq / math.pi) ** 0.25 * math.exp(-0.5 * log_gen_factorial(k, p))
-    total, cancel = _lattice_sum(
-        _raised_levels(p, length)[k, :n],
-        math.sqrt(inv_length_sq) * x**p.beta,
-        "wavefunction_sample: lattice series at x = {} for {}", x, p,
-    )
+    u = math.sqrt(inv_length_sq) * x**p.beta
+    total, cancel = _lattice_sum(rows[k, :n], u, _LATTICE, x, p)
     return scale * total, cancel
 
 
+def _sized_levels(k: int, x: float, log_y: float, p: DeformationParams) -> tuple[np.ndarray, int]:
+    """The level table a sample of level k reads, and its lattice length
+    n = 2J + k + 4, J the last j whose ground term y^j / [2j]!! is at least
+    2^-62, by bisection over the table's reach column.  The terms rise
+    while [2j+2] < y, then fall: their peak, by bisection over log [2j+2],
+    is refused where past the longest table or double range, before a level
+    table is built.  Tables double from _MIN_LENGTH slots until n + k fit."""
+    m = _MIN_LENGTH
+    while True:
+        tab = _table(p, m)
+        evens = tab.box_view[2:m:2]  # log [2], log [4], ... below slot m
+        peak = bisect.bisect_left(evens, log_y)
+        # the peak's log-term, the sum of log y - log [2i], is <= peak (log y - log [2])
+        if peak < len(evens) and peak * (log_y - evens[0]) > _LOG_MAX and (
+                peak * log_y - _log_double_run(tab.log_box, 0, 2 * peak)[-1] > _LOG_MAX):
+            why = "the ground terms peak past double range"
+            break
+        if 2 * peak + 2 * k + 4 <= m:
+            rows, reach = _raised_levels(p, m)
+            n = 2 * bisect.bisect_right(reach, log_y) + k + 4
+            if n + k <= m:
+                return rows, n
+        if m == _LONGEST:
+            where = "peak" if peak == len(evens) else "reach"
+            why = f"the ground terms {where} past the longest lattice, {_LONGEST} slots"
+            break
+        m = min(2 * m, _LONGEST)
+    raise NumericalRangeError(f"{_LATTICE.format(x, p)}: {why}")
+
+
 @functools.lru_cache(maxsize=_MAX_LEVEL_TABLES)
-def _raised_levels(p: DeformationParams, m: int) -> np.ndarray:
-    """Read-only rows 0.._LEVEL_CAP at length m, in oscillator units.  Row 0
-    is the ground state: slot 2j holds (-1)^j / [2j]!!, the normalization
-    under which the lowering operator annihilates it, odd slots 0.  Row i
-    is the raise of row i-1, slot j = (0 + h c[j-1]) - (h c[j+1]) [j+1]
-    with h = sqrt(1/2), whose last slot has no down-shift term; so row i is
-    the untruncated raise below slot m - i."""
+def _raised_levels(p: DeformationParams, m: int) -> tuple[np.ndarray, memoryview]:
+    """Read-only rows 0.._LEVEL_CAP at length m, in oscillator units, and
+    their reach column.  Row 0 is the ground state: slot 2j holds
+    (-1)^j / [2j]!!, the normalization under which the lowering operator
+    annihilates it, odd slots 0.  Row i is the raise of row i-1, slot
+    j = (0 + h c[j-1]) - (h c[j+1]) [j+1] with h = sqrt(1/2), whose last
+    slot has no down-shift term; so row i is the untruncated raise below
+    slot m - i.  Reach entry j - 1, 2j < m, is (log 2^-62 + log [2j]!!) / j,
+    the least log y where y^j / [2j]!! reaches 2^-62 (off the table's logs:
+    row 0 leaves double range where the terms need not); log [2j]!! is
+    convex, brackets increasing, so the column rises by > 42 / (j (j + 1))."""
     b = _brackets(p, m - 1)
     rows = np.zeros((_LEVEL_CAP + 1, m))
     # at tiny beta, [n] ~ beta n and 1 / [2j]!! overflows in slots past
@@ -427,7 +451,11 @@ def _raised_levels(p: DeformationParams, m: int) -> np.ndarray:
             rows[i, 1:] += _SHIFT * rows[i - 1, :-1]
             rows[i, :-1] -= _SHIFT * rows[i - 1, 1:] * b[1:]
     rows.flags.writeable = False
-    return rows
+    top = (m - 1) // 2  # the last j with 2j < m; log [2j]!!, j = 1..top:
+    log_fact2 = _log_double_run(_table(p, m).log_box, 0, 2 * top)[1:]
+    reach = (log_fact2 + _LOG_CUT) / np.arange(1, top + 1)
+    reach.flags.writeable = False
+    return rows, memoryview(reach)
 
 
 def ground_wavefunction(

@@ -40,24 +40,22 @@ index, and the running sums add in index order across blocks, so a longer
 table repeats the shorter one's bits.
 
 A table holds log [n] and log [n]! only.  _log_double_run forms
-log [2n]!!, the running sum of log [2], log [4], ... from 0 in index
-order, from a slice of the log column, for both the ground-state series
-and log_gen_double_factorial, so the two are one value; _brackets
-applies box's exp to a slice of the log column.  Both work afresh on
-each call.  The scalar accessors read a built table through read-only
-memoryviews of its two columns, one index each; an index past a view's
-end raises IndexError, and that read, like any argument that is not a
-plain int >= 0, takes the checked path that builds or replaces the
-table.  They and _table find the table by identity first: _LAST is the
-(p, table) pair _table returned last, one tuple, and a read with that
-same p object takes its table without hashing p; any other p takes one
-dict lookup.  A table's columns go with it.  At most 64 tables are
-cached; a new triple beyond that evicts the oldest-inserted one, and
-_clear_tables (behind series.clear_caches) drops them all and forgets
-the pair.  Building, replacing and evicting tables takes a lock; readers
-take none and only ever see whole columns, and a pair read from _LAST is
-a matching one, so threads may share them: nothing writes a table after
-it is built.
+log [m]!!, the running sum of log [2], log [4], ... from 0 (or of log [1],
+log [3], ...) in index order, off a slice of the log column; _brackets
+applies box's exp to one.  Both work afresh on each call.  The scalar
+accessors read a built table through read-only memoryviews of its two
+columns, one index each; an index past a view's end raises IndexError,
+and that read, like any argument that is not a plain int >= 0, takes the
+checked path that builds or replaces the table.  They and _table find the
+table by identity first: _LAST is the (p, table) pair _table returned
+last, one tuple, and a read with that same p object takes its table
+without hashing p; any other p takes one dict lookup.  A table's columns
+go with it.  At most 64 tables are cached; a new triple beyond that
+evicts the oldest-inserted one, and _clear_tables (behind
+series.clear_caches) drops them all and forgets the pair.  Building,
+replacing and evicting tables takes a lock; readers take none and only
+ever see whole columns, and a pair read from _LAST is a matching one, so
+threads may share them: nothing writes a table after it is built.
 """
 
 from __future__ import annotations
@@ -291,15 +289,14 @@ def _log_factorials(p: DeformationParams, n: int) -> np.ndarray:
     return _table(p, n).log_fact[: n + 1]
 
 
-def _log_double_run(log_box: np.ndarray, lo: int, hi: int, first: float) -> np.ndarray:
-    """log [lo]!!, log [lo+2]!!, ..., log [hi]!!, for lo and hi of one
-    parity, from first = log [lo]!!: log [k]!! is the running sum of
-    log [2], log [4], ..., log [k] from 0, or of log [1], log [3], ...,
-    added left to right.  np.add.accumulate adds in index order
-    (np.add.reduce sums pairwise), so a run carried on from another's
-    last entry has the bits of one run from the start."""
-    run = log_box[lo : hi + 1 : 2].copy()
-    run[0] = first
+def _log_double_run(log_box: np.ndarray, parity: int, hi: int) -> np.ndarray:
+    """log [parity]!!, log [parity+2]!!, ..., log [hi]!!, for parity 0 or 1
+    and hi of that parity: the running sum of log [2], log [4], ... from 0,
+    or of log [1], log [3], ..., added left to right by np.add.accumulate,
+    in index order (np.add.reduce sums pairwise)."""
+    run = log_box[parity : hi + 1 : 2].copy()
+    if not parity:
+        run[0] = 0.0  # log [0]!! = 0, in place of log [0] = -inf
     return np.add.accumulate(run, out=run)
 
 
@@ -327,13 +324,10 @@ def log_gen_double_factorial(m: int, p: DeformationParams) -> float:
     """log of [m]!! = log([m][m-2][m-4]...), stopping at [2] or [1].
 
     The even case [2n]!! = [2n][2n-2]...[2] is the normalization that
-    appears in the ground-state expansion, formed as the expansion forms
-    it; m = 0 gives the empty product.
+    appears in the ground-state expansion; m = 0 gives the empty product.
     """
     m = check_count(m, "m")
-    log_box = _table(p, m).log_box
-    odd = m % 2  # [0]!! = 1, [1]!! = [1]
-    return _log_double_run(log_box, odd, m, log_box.item(1) if odd else 0.0).item(-1)
+    return _log_double_run(_table(p, m).log_box, m % 2, m).item(-1)
 
 
 def gen_double_factorial(m: int, p: DeformationParams) -> LogValue:

@@ -10,21 +10,18 @@ it is an eigenfunction of the lattice derivative D defined by
 D x^(beta n) = [n] x^(beta (n-1)).
 
 Every Fock-series sum in the package (N and its derivatives here; the
-photon distribution, Fock moments, Mandel Q_M, continuity defect and
-ground-state lattice in coherent.py) is one of four series, named by a
-key, that one private kernel, _log_series, sums: N's (None, from n = 0),
-the r-th derivative's (r, from n = r), Q_M's [n]^2 series (_SQUARES, from
-n = 1) and the ground state's (_GROUND, step 2).  It reads the log-terms
+photon distribution, Fock moments, Mandel Q_M and continuity defect in
+coherent.py) is one of three series, named by a key, that one private
+kernel, _log_series, sums: N's (None, from n = 0), the r-th derivative's
+(r, from n = r) and Q_M's [n]^2 series (_SQUARES, from n = 1).  It reads
+the log-terms
 
-    log t_n = (n - start) log|x| - (L_n - L_start) + F(n) - F(start)
+    log t_n = (n - start) log|x| - (log [n]! - log [start]!) + F(n) - F(start)
 
-elementwise from the factorial table, L_n = log(b_1 ... b_n) with
-b_n = [step n]: the table's log [n]! column for step 1, and for step 2
-log [2n]!!, the running sum of the table's log [2], log [4], ...
-(factorials._log_double_run), which a block carries on from the last
-block's last entry; so no log-term depends on where a block starts.  F is
-0, the falling factorial F_r(n) = log n!/(n-r)!, or Q_M's 2 log [n] off
-the table's log [n] column.  The offsets n - start and F_r(n) - F_r(r)
+elementwise from the factorial table's log [n]! column, so no log-term
+depends on where a block starts.  F is 0, the falling factorial
+F_r(n) = log n!/(n-r)!, or Q_M's 2 log [n] off the table's log [n]
+column.  The offsets n - start and F_r(n) - F_r(r)
 depend on neither the triple nor x, so a block slices them off read-only
 columns (_column): one of float offsets and one per order r, grown at
 least twofold and replaced whole, and dropped by clear_caches.  A pass's first
@@ -72,13 +69,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, NumericalRangeError, ParameterError
-from .factorials import (
-    _brackets,
-    _clear_tables,
-    _log_double_run,
-    _table,
-    log_gen_factorial,
-)
+from .factorials import _brackets, _clear_tables, _table, log_gen_factorial
 from .gammafn import log_gamma
 from .params import _REALS, DeformationParams, check_complex, check_count, check_real
 
@@ -117,14 +108,10 @@ _NEGLIGIBLE = 2.0**-106
 # spread of its terms
 _FSUM_MAX = 300
 
-# Fock series the memo keeps, each whole.  They repeat within one
-# computation: `wcs wavefunction`, like each cold-sweep benchmark op, sizes
-# the ground-state lattice at 31 grid points for each of four levels, and a
-# photon-stats op, like `wcs mandel` at each x, reads 5: N's series at two
-# tolerances, the derivatives r = 1, 2 and Q_M's [n]^2 series.  A
-# grid of more than 64 points, levels outside, sizes each x once per level.
-# The memory held is at most 64 times the longest kept series: about 1.05e4
-# terms in the benchmark, up to max_n + 1 for a photon_distribution call
+# Fock series the memo keeps, each whole: a photon-stats op, like `wcs
+# mandel` at each x, reads 5 (N's at two tolerances, r = 1, 2 and Q_M's).
+# It holds at most 64 times the longest kept series: about 1.05e4 terms in
+# the benchmark, up to max_n + 1 for a photon_distribution call
 _MAX_SERIES = 64
 
 # orders r whose log r! and falling-factor column are kept: a
@@ -134,7 +121,7 @@ _MAX_ORDERS = 32
 # logs of n - j a falling factor holds at a time: 8 MB of float64
 _FALLING_CHUNK = 2**20
 
-_SQUARES, _GROUND = "[n]^2", "[2n]!!"  # the keys of Q_M's and the ground state's series
+_SQUARES = "[n]^2"  # the key of Q_M's series
 
 _LOSS_THRESHOLD = 1e8  # |largest term| / |sum| beyond which float cancellation
 # has eaten more than half the significand
@@ -183,18 +170,18 @@ def _overflow(what: str) -> NumericalRangeError:
     )
 
 
-def _log_mode(lx: float, p: DeformationParams, step: int) -> float:
-    """log n*, n* = x^(1/(alpha+beta)) / (beta step): about where the terms
-    t_n peak, since log [step n] ~ (alpha+beta) log(beta step n)."""
-    return lx / (p.alpha + p.beta) - math.log(p.beta * step)
+def _log_mode(lx: float, p: DeformationParams) -> float:
+    """log n*, n* = x^(1/(alpha+beta)) / beta: about where the terms t_n
+    peak, since log [n] ~ (alpha+beta) log(beta n)."""
+    return lx / (p.alpha + p.beta) - math.log(p.beta)
 
 
 def _no_convergence(
-    what: str, tol: float, max_terms: int, lx: float, p: DeformationParams, start: int, step: int
+    what: str, tol: float, max_terms: int, lx: float, p: DeformationParams, start: int
 ) -> ConvergenceError:
     """The Fock series' ConvergenceError, naming about where its terms peak:
     n*, or the first term's n where n* is within one of it or below."""
-    log_mode = _log_mode(lx, p, step)
+    log_mode = _log_mode(lx, p)
     if log_mode >= _LOG_MAX:
         peak = f"10^{log_mode / math.log(10.0):.0f}"
     elif math.exp(log_mode) >= start + 1:
@@ -366,7 +353,7 @@ def _stop(small: np.ndarray, run: int) -> tuple[int, int]:
     return -1, run if last == len(small) - 1 else 0
 
 
-def _first_block(lx: float, p: DeformationParams, start: int, step: int) -> int:
+def _first_block(lx: float, p: DeformationParams, start: int) -> int:
     """Length of a pass's first block: past where its terms can stop.
     The terms peak near n* (_log_mode), with width
     sigma = sqrt(n* / (alpha+beta)); 8 sigma past n* a term is about e^-32
@@ -376,7 +363,7 @@ def _first_block(lx: float, p: DeformationParams, start: int, step: int) -> int:
     at least _FIRST_BLOCK and at most _MAX_BLOCK terms; the budget caps it
     later."""
     e = p.alpha + p.beta
-    log_mode = _log_mode(lx, p, step)
+    log_mode = _log_mode(lx, p)
     log_ratio_stop = log_mode - _LOG_RATIO_CEILING / e
     if log_ratio_stop >= _LOG_MAX_BLOCK:  # also where x^(1/(alpha+beta)) overflows
         return _MAX_BLOCK
@@ -385,18 +372,13 @@ def _first_block(lx: float, p: DeformationParams, start: int, step: int) -> int:
     return _FIRST_BLOCK if size <= _FIRST_BLOCK else _MAX_BLOCK if size >= _MAX_BLOCK else int(size)
 
 
-def _start_step(kind) -> tuple[int, int]:
-    """The first index and the step of the series keyed kind."""
-    return {_GROUND: (0, 2), _SQUARES: (1, 1)}.get(kind, (kind or 0, 1))
-
-
 def _log_series(
     lx: float, p: DeformationParams, tol: float, max_terms: int, what: str,
     kind: int | str | None = None, phase: complex | None = None,
 ) -> _LogSeries:
-    """Sum the terms t_n, n >= start, of the series keyed kind (start, step
-    and F as the module docstring gives them), with t_start = 1 and
-    t_n / t_(n-1) = e^lx / b_n * exp(F(n) - F(n-1)) * phase, b_n = [step n].
+    """Sum the terms t_n, n >= start, of the series keyed kind (start and F
+    as the module docstring gives them), with t_start = 1 and
+    t_n / t_(n-1) = e^lx / [n] * exp(F(n) - F(n-1)) * phase.
 
     phase None marks a positive series; otherwise each term carries
     phase^(n - start) and a partial sum beyond double range raises
@@ -405,31 +387,25 @@ def _log_series(
     what.  The callers check tol and max_terms."""
     if lx == -math.inf:  # x = 0: every term after the first vanishes
         return _LogSeries(np.zeros(1), 0.0, -math.inf)
-    start, step = _start_step(kind)
+    start = 1 if kind == _SQUARES else kind or 0
     end = start + max_terms  # first index past the budget
     kept: list[np.ndarray] = []
     # running sum S = e^scale * partial; scale >= 0 since the first term is 1
     scale, partial = 0.0, 0.0
     run = 0  # the small terms that end the previous block, 0 to 2
-    lo, size = start, _first_block(lx, p, start, step)
+    lo, size = start, _first_block(lx, p, start)
     while lo < end:
         hi = min(lo + size, end)  # terms lo..hi-1, plus hi for the ratio
-        tab = _table(p, step * hi)
-        # L[n] = log(b_1 ... b_n) for n = lo..hi: the table's log [n]!, or
-        # for step 2 (from n = 0) log [2n]!!, run on from the last block's
-        # last entry, log [2lo]!!
-        if step == 1:
-            log_fact = tab.log_fact[lo : hi + 1]
-        else:
-            log_fact = _log_double_run(tab.log_box, 2 * lo, 2 * hi, log_fact[-1] if lo else 0.0)
+        tab = _table(p, hi)
+        log_fact = tab.log_fact[lo : hi + 1]  # log [n]!, n = lo..hi
         if lo == start:
             l_start = log_fact[0]
-        # log t_n = (n - start) lx - (L[n] - L[start]) + F(n) - F(start),
+        # log t_n = (n - start) lx - (log [n]! - log [start]!) + F(n) - F(start),
         # with n - start and a falling factor's F(n) - F(start) read off
         # their columns at k = n - start
         k_lo, k_hi = lo - start, hi - start + 1
         logs = _column(None, k_hi, max_terms + 1)[k_lo:k_hi] * lx
-        logs -= log_fact - l_start if l_start else log_fact  # L[start] is 0 from n = 0
+        logs -= log_fact - l_start if l_start else log_fact  # log [0]! is 0
         if kind == _SQUARES:
             logs += 2.0 * tab.log_box[lo : hi + 1] - 2.0 * tab.log_box[1]
         elif type(kind) is int:
@@ -468,7 +444,7 @@ def _log_series(
         kept.append(log_t)
         scale, partial = top, sums[-1]
         lo, size = hi, min(2 * size, _MAX_BLOCK)
-    raise _no_convergence(what, tol, max_terms, lx, p, start, step)
+    raise _no_convergence(what, tol, max_terms, lx, p, start)
 
 
 # One bounded least-recently-used memo of kernel records, each with its
@@ -476,7 +452,7 @@ def _log_series(
 # Q_M's normaliser and the continuity defect read its terms), the
 # derivatives' series (both moment functions read their terms), the
 # series n_function, wright_w and n_function_derivative sum at each phase
-# of x, Q_M's [n]^2 series and the ground-state series.  It is keyed by the
+# of x, and Q_M's [n]^2 series.  It is keyed by the
 # series alone: log|x|, the triple, tol, kind and phase, passed
 # positionally.  The term budget and the error label only matter when a
 # call fails, so _memo_read leaves them in a thread-local for a miss to run
@@ -501,14 +477,14 @@ def _memo_read(
     kind: int | str | None = None, phase: complex | None = None,
 ) -> _LogSeries:
     """The kernel's record of the series keyed kind (None for N's, an
-    order r for the r-th derivative's, _SQUARES or _GROUND) with phase,
-    its log_terms read-only."""
+    order r for the r-th derivative's, or _SQUARES) with phase, its
+    log_terms read-only."""
     tol = check_real(tol, "tol", above=0.0)
     max_terms = check_count(max_terms, "max_terms", 1)
     _caller.budget_and_label = max_terms, what
     s = _series_memo(lx, p, tol, kind, phase)
     if len(s.log_terms) > max_terms:
-        raise _no_convergence(what, tol, max_terms, lx, p, *_start_step(kind))
+        raise _no_convergence(what, tol, max_terms, lx, p, 1 if kind == _SQUARES else kind or 0)
     return s
 
 

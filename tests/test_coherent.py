@@ -5,9 +5,11 @@ import cmath
 import math
 import random
 import re
+import sys
 import warnings
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,8 +41,7 @@ from wcs import (
 )
 from wcs import coherent, series
 from wcs.errors import ConvergenceError, NumericalRangeError, ParameterError
-from wcs.factorials import log_box, log_gen_factorial
-from wcs.series import _GROUND, _log_series
+from wcs.factorials import _brackets, log_box, log_gen_factorial
 
 CLASSICAL = DeformationParams(0.0, 1.0, 0.0)
 P011 = DeformationParams(0.0, 1.0, 1.0)
@@ -547,27 +548,26 @@ class TestWavefunctions:
 
     def test_readme_grid_builds_one_level_table(self, monkeypatch):
         # `wcs wavefunction --k 0..3 --x 0:3:31`, in the CLI's order: one
-        # build at the floor length; each sample's bits equal those it
-        # reads from a table built at exactly its lattice length plus its
-        # level
+        # build at the floor length; each sample's coefficients equal those
+        # of a table built at exactly its lattice length plus its level
         samples = [(k, 3.0 * j / 30) for k in range(4) for j in range(31)]
-        lengths = []  # each sample's lattice length
+        read = []  # each sample's coefficients
         lattice_sum = coherent._lattice_sum
         monkeypatch.setattr(coherent, "_lattice_sum",
-                            lambda c, *args: lengths.append(len(c)) or lattice_sum(c, *args))
+                            lambda c, *args: read.append(c.copy()) or lattice_sum(c, *args))
         series.clear_caches()
-        got = [wavefunction_sample(k, x, CLASSICAL, S1, tol=1e-8) for k, x in samples]
+        for k, x in samples:
+            wavefunction_sample(k, x, CLASSICAL, S1, tol=1e-8)
         info = coherent._raised_levels.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
-        assert max(n + k for (k, _), n in zip(samples, lengths)) <= coherent._MIN_LENGTH
-        rows = coherent._raised_levels(CLASSICAL, coherent._MIN_LENGTH)  # a hit
+        assert max(len(c) + k for (k, _), c in zip(samples, read)) <= coherent._MIN_LENGTH
+        rows, reach = coherent._raised_levels(CLASSICAL, coherent._MIN_LENGTH)  # a hit
         assert rows.shape == (13, coherent._MIN_LENGTH) and not rows.flags.writeable
+        assert len(reach) == coherent._MIN_LENGTH // 2 - 1 and reach.readonly
         assert coherent._raised_levels.cache_info().hits == info.hits + 1
         exact = coherent._raised_levels.__wrapped__  # uncached
-        with monkeypatch.context() as m:
-            for (k, x), n, value in zip(samples, lengths, got):
-                m.setattr(coherent, "_raised_levels", lambda p, _: exact(p, n + k))
-                assert wavefunction_sample(k, x, CLASSICAL, S1, tol=1e-8) == value
+        for (k, _), c in zip(samples, read):
+            assert exact(CLASSICAL, len(c) + k)[0][k, : len(c)].tobytes() == c.tobytes()
 
     def test_level_tables_stay_bounded(self):
         series.clear_caches()
@@ -580,6 +580,82 @@ class TestWavefunctions:
         assert info.currsize == 4 and info.misses > 4
         series.clear_caches()
         assert coherent._raised_levels.cache_info().currsize == 0
+
+    def test_odd_levels_at_the_origin_read_the_floor_table(self):
+        # at x = 0 every ground term past the first is 0, so J = 0 and the
+        # lattice is k + 4 slots; an odd level's slots there are all 0
+        for p in (CLASSICAL, HALF, DeformationParams(1.0, 1e-9, 0.01)):
+            series.clear_caches()
+            for k in range(1, 13, 2):
+                assert wavefunction_sample(k, 0.0, p) == (0.0, False)
+            info = coherent._raised_levels.cache_info()
+            assert (info.misses, info.currsize) == (1, 1)
+            coherent._raised_levels(p, coherent._MIN_LENGTH)
+            assert coherent._raised_levels.cache_info().hits == info.hits + 1
+
+    def test_slots_past_double_range_beyond_the_lattice(self):
+        # at beta = 1e-9, [n] ~ beta n and 1 / [2j]!! overflows within the
+        # floor table; at m omega / hbar = 1e-12 the ground terms fall from
+        # the first, so the lattice stops short of those slots and the
+        # samples return, equal to the slot loop's, with no numpy warning
+        p, s = DeformationParams(1.0, 1e-9, 0.01), PhysicalScales(1.0, 1e-12, 1.0)
+        series.clear_caches()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(13):
+                for x in (0.5, 3.0, 1e6):
+                    value, flag = wavefunction_sample(k, x, p, s)
+                    assert math.isfinite(value) and not flag
+                    assert (value.hex(), flag) == _wave_outcome(_wavefunction_slot_loop, k, x, p, s)
+        rows, _ = coherent._raised_levels(p, coherent._MIN_LENGTH)
+        assert not np.isfinite(rows[0]).all()
+        assert coherent._raised_levels.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("p", [DeformationParams(0.0, 0.1, 0.0), DeformationParams(0.5, 0.1, 1.0)])
+    def test_tables_double_where_the_lattice_does_not_fit(self, p):
+        # at beta = 0.1 the brackets grow slowly and the ground terms at
+        # x = 3 reach past the floor table: it doubles, and the samples
+        # equal the slot loop's
+        series.clear_caches()
+        for k in (0, 1, 5, 12):
+            assert _wave_outcome(wavefunction_sample, k, 3.0, p) == _wave_outcome(
+                _wavefunction_slot_loop, k, 3.0, p)
+        assert coherent._raised_levels.cache_info().misses > 1
+
+    @pytest.mark.parametrize(
+        "x, why",
+        [(1e200, "the ground terms peak past the longest lattice, 40028 slots"),
+         (40.0, "the ground terms peak past double range")],
+    )
+    def test_refused_before_a_level_table_is_built(self, x, why):
+        # y = x^2: at x = 1e200 the terms rise past every table; at x = 40
+        # they peak near e^796, at j = 799
+        series.clear_caches()
+        with pytest.raises(NumericalRangeError) as err:
+            wavefunction_sample(0, x, CLASSICAL)
+        assert str(err.value) == f"wavefunction_sample: lattice series at x = {x} for {CLASSICAL}: {why}"
+        assert coherent._raised_levels.cache_info().misses == 0
+
+    def test_si_scales_size_as_unit_scales(self, monkeypatch):
+        # a sample sees its scales only through u = sqrt(m omega / hbar)
+        # x^beta: at SI scales each lattice is as long as that of the same u
+        # at unit scales, and the samples' classes match
+        lengths = []
+        lattice_sum = coherent._lattice_sum
+        monkeypatch.setattr(coherent, "_lattice_sum",
+                            lambda c, *args: lengths.append(len(c)) or lattice_sum(c, *args))
+
+        def sample(k, x, p, *scales):
+            del lengths[:]
+            outcome = _wave_outcome(wavefunction_sample, k, x, p, *scales)
+            return outcome if isinstance(outcome, type) else outcome[1], lengths[:]
+
+        length = math.sqrt(SI.hbar / (SI.mass * SI.omega))
+        for p in (CLASSICAL, HALF):
+            for u in (0.0, 0.5, 2.0, 5.0, 12.0, 20.0, 40.0):
+                for k in (0, 1, 12):
+                    unit = sample(k, u ** (1.0 / p.beta), p)
+                    assert sample(k, (u * length) ** (1.0 / p.beta), p, SI) == unit, (p, u, k)
 
     def test_invalid_arguments(self):
         with pytest.raises(ParameterError):
@@ -595,17 +671,18 @@ def _at(u, s):
     return u * math.sqrt(s.hbar / (s.mass * s.omega))
 
 
-def _wavefunction_slot_loop(k, x, p, s=S1, tol=1e-12, max_terms=20000):
+def _wavefunction_slot_loop(k, x, p, s=S1, tol=1e-12):
     """Reference for wavefunction_sample: one bracket lookup per slot, its own
-    ground-state lattice loop, and the raising operator applied slot by slot
-    in oscillator units, on n + k slots of which the first n, those the
-    lattice sums, see no truncation."""
+    lattice sizing and ground-state lattice loop, and the raising operator
+    applied slot by slot in oscillator units, on n + k slots of which the
+    first n, those the lattice sums, see no truncation.  tol sets nothing."""
     inv_length_sq = s.mass * s.omega / s.hbar
     log_y = -math.inf
     if x > 0.0:
         log_y = math.log(inv_length_sq) + 2.0 * p.beta * math.log(x)
-    ground = _log_series(log_y, p, tol * 1e-4, max_terms, "ground", _GROUND, -1.0)
-    n = 2 * len(ground.log_terms) + k + 4
+    n = 2 * _ground_reach(log_y, p) + k + 4
+    if n + k > LONGEST_TABLE:
+        raise NumericalRangeError("the ground terms reach past the longest lattice")
     n_slots = n + k
     boxes = [0.0] + [math.exp(log_box(j, p)) for j in range(1, n_slots + 1)]
     # slot 2j holds (-1)^j / [2j]!!, odd slots are zero
@@ -645,6 +722,29 @@ def _wavefunction_slot_loop(k, x, p, s=S1, tol=1e-12, max_terms=20000):
     return scale * total, cancel
 
 
+LONGEST_TABLE = 40028  # the longest level table, 2 * 20000 + 2 * 12 + 4 slots
+
+
+def _ground_reach(log_y, p):
+    """J, walking j up: the ground terms y^j / [2j]!! rise while
+    [2j+2] < y, and J is the last j from that peak on whose term is at
+    least 2^-62, in logs, log [2j]!! the running sum of log [2], log [4],
+    ..."""
+    cut = -62.0 * math.log(2.0)
+    j, log_fact2 = 0, 0.0  # log [2j]!!
+    while log_box(2 * j + 2, p) < log_y:
+        j += 1
+        log_fact2 += log_box(2 * j, p)
+        if 2 * j + 2 >= LONGEST_TABLE:
+            raise NumericalRangeError("the ground terms peak past the longest lattice")
+    if j * log_y - log_fact2 > math.log(sys.float_info.max):
+        raise NumericalRangeError("the ground terms peak past double range")
+    while (j + 1) * log_y - (log_fact2 + log_box(2 * j + 2, p)) >= cut:
+        j += 1
+        log_fact2 += log_box(2 * j, p)
+    return j
+
+
 def _wave_outcome(fn, *args):
     """fn(*args) with its value as hex, so equal means equal bits, or the
     type of the wcs error it raised."""
@@ -653,6 +753,49 @@ def _wave_outcome(fn, *args):
     except (ConvergenceError, NumericalRangeError) as exc:
         return type(exc)
     return value.hex(), cancel
+
+
+class TestThreeTermDefect:
+    """Number states of the algebra satisfy A psi_k = sqrt([k]) psi_(k-1),
+    A = (u + D) / sqrt(2).  wavefunction_sample's psi_k, k raisings by
+    (u - D) / sqrt(2) of the lattice ground state over sqrt([k]!), meets it
+    to rounding at (0, 1, 0) only: on the lattice [D, u] u^j =
+    ([j+1] - [j]) u^j depends on the power j, not on the level.  The
+    relative defect |A row_k - [k] row_(k-1)| / |[k] row_(k-1)|, both rows
+    summed on u, is pinned at its measured size, so that a change of what
+    psi_k means is seen."""
+
+    @staticmethod
+    def _defect(p, k, u, m=256):
+        rows, _ = coherent._raised_levels(p, m)
+        b = _brackets(p, m - 1)
+        n = m - k - 1  # the slots of row k whose lowering reads row k alone
+        h = math.sqrt(0.5)
+        lowered = h * rows[k, 1 : n + 1] * b[1 : n + 1]
+        lowered[1:] += h * rows[k, : n - 1]
+        powers = u ** np.arange(n, dtype=float)
+        got = math.fsum((lowered * powers).tolist())
+        want = math.fsum((b[k] * rows[k - 1, :n] * powers).tolist())
+        return abs(got - want) / abs(want)
+
+    def test_rounding_at_the_classical_triple(self):
+        for k in range(1, 13):
+            for u in (0.5, 1.0, 2.0):
+                assert self._defect(CLASSICAL, k, u) <= 1e-11, (k, u)
+        assert max(self._defect(CLASSICAL, k, u) for k in (1, 2, 3) for u in (0.5, 1.0, 2.0)) <= 3e-14
+
+    @pytest.mark.parametrize(
+        "triple, sizes",
+        [((0.3, 0.7, 0.2), (0.0324, 0.165, 1.68)),
+         ((0.5, 0.5, 0.3), (0.0653, 0.354, 3.65)),
+         ((1.0, 1.0, 1.0), (0.258, 1.15, 10.3)),
+         ((0.0, 0.5, 0.0), (0.179, 0.790, 3.79))],
+    )
+    def test_measured_size_at_deformed_triples(self, triple, sizes):
+        # k = 1 at u = 0.5, 1 and 2
+        p = DeformationParams(*triple)
+        got = [self._defect(p, 1, u) for u in (0.5, 1.0, 2.0)]
+        assert got == pytest.approx(sizes, rel=5e-3)
 
 
 class TestTermBudgets:

@@ -160,6 +160,25 @@ class TestBox:
                 assert box(n, p) > 0.0
                 assert math.isfinite(log_box(n, p))
 
+    def test_brackets_increase(self):
+        # the wavefunction lattice is sized by bisections that take log [n]
+        # as non-decreasing in n (so log [2j]!! as convex in j): on 1 520
+        # random admissible triples to n = 600, and on the domain's edges
+        # over two array blocks and past the first closed-form entry
+        rng = random.Random(36)
+        cases = []
+        for _ in range(1520):
+            a = rng.choice([0.0, 1.0, rng.random()])
+            b = rng.choice([1.0, rng.uniform(0.01, 1.0), 10.0 ** rng.uniform(-9.0, -2.0)])
+            cases.append((DeformationParams(a, b, a - 1.0 + 10.0 ** rng.uniform(-6.0, 1.7)), 600))
+        cases += [(DeformationParams(a, b, v), 8200) for a in (0.0, 1.0) for b in (1e-9, 0.05, 1.0)
+                  for v in (a - 1.0 + 1e-6, a + 2.0, 50.0)]
+        clear_caches()
+        for p, n in cases:
+            col = _table(p, n).log_box[1 : n + 1]
+            assert (np.diff(col) >= 0.0).all(), p
+            clear_caches()
+
     def test_invalid_n(self):
         with pytest.raises(ParameterError):
             box(-1, CLASSICAL)
@@ -545,7 +564,7 @@ class TestArrayTable:
             _brackets(p, n)
             _log_factorials(p, n)
             log_gen_double_factorial(n, p)
-            series._log_series(math.log(n + 1.0), p, 1e-12, 10**6, "test", series._GROUND)
+            series._log_series(math.log(n + 1.0), p, 1e-12, 10**6, "test", series._SQUARES)
             log_box(n, p)
             log_gen_factorial(n, p)
             tab = _TABLES[p]
@@ -764,11 +783,13 @@ class TestRecall:
         for fn, *args in calls:  # fill the memo
             _outcome(fn, *args, p)
         hits, misses, size = _memo_info()
-        # N's, the three derivatives' and the ground-state series at each x
-        assert (misses, size) == (5 * len(self.XS), 5 * len(self.XS))
+        # N's and the three derivatives' series at each x; the wavefunctions
+        # sum none
+        assert (misses, size) == (4 * len(self.XS), 4 * len(self.XS))
         warm = [_outcome(fn, *args, p) for fn, *args in calls]
         assert warm == cold
-        assert _memo_info() == (hits + len(calls), misses, size)  # every call a hit
+        # every series call a hit
+        assert _memo_info() == (hits + 4 * len(self.XS), misses, size)
 
     @pytest.mark.parametrize("p", TABLE_TRIPLES)
     @pytest.mark.parametrize("x", XS)
@@ -780,10 +801,7 @@ class TestRecall:
             got = _read(lx, p, 1e-12, 10000, kind=kind)
             assert _record_bits(got) == _record_bits(s)
             assert _read(lx, p, 1e-12, 10000, kind=kind) is got
-        s = series._log_series(lx, p, 1e-16, 20000, "", series._GROUND, -1.0)
-        got = _read(lx, p, 1e-16, 20000, kind=series._GROUND, phase=-1.0)
-        assert _record_bits(got) == _record_bits(s)
-        assert _memo_info() == (5, 6, 6)
+        assert _memo_info() == (5, 5, 5)
 
     def test_error_raised_again_and_not_stored(self):
         p = TABLE_TRIPLES[0]
@@ -847,27 +865,29 @@ class TestRecall:
         assert _photon_stats_op(p, x) == first
         assert calls == []
 
-    def test_readme_wavefunction_grid_sizes_each_x_once(self, monkeypatch, capsys):
+    def test_readme_wavefunction_grid_runs_no_kernel_pass(self, monkeypatch, capsys):
+        # each lattice is sized from its level table's ground row
         clear_caches()
         calls = _count_kernel_calls(monkeypatch)
         assert main(["wavefunction", "--k", "0..3", "--x", "0:3:31"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + 4 * 31
-        assert len(calls) == 31
+        assert calls == []
 
     def test_wavefunction_grid_and_photon_stats_op_share_the_memo(self, monkeypatch, capsys):
-        # the grid's 31 ground-state series and the op's five all stay:
-        # the op sums 5 series, and the grid again sums none
+        # the grid leaves the memo alone: the op sums its 5 series, and the
+        # op again after a second grid sums none
         argv = ["wavefunction", "--k", "0..3", "--x", "0:3:31"]
         args = build_parser().parse_args(argv)
         p = DeformationParams(args.alpha, args.beta, args.nu)
         clear_caches()
         calls = _count_kernel_calls(monkeypatch)
         assert main(argv) == 0
-        _photon_stats_op(p, 3.7)
-        assert len(calls) == 31 + 5
+        first = _photon_stats_op(p, 3.7)
+        assert len(calls) == 5
         assert main(argv) == 0
+        assert _photon_stats_op(p, 3.7) == first
         capsys.readouterr()
-        assert len(calls) == 31 + 5
+        assert len(calls) == 5
 
     def test_threads_match_a_serial_run(self):
         # the reads of log [n]! at growing n race table replacement the most,
@@ -1073,7 +1093,6 @@ class TestSeriesMemo:
             (math.log(3.7), {}),  # N's series
             (math.log(3.7), {"kind": 2}),  # a derivative's
             (math.log(3.7), {"kind": series._SQUARES}),  # Q_M's [n]^2 series
-            (math.log(0.5), {"kind": series._GROUND, "phase": -1.0}),  # the ground state's
             (-math.inf, {}),  # x = 0, one term
         ],
     )

@@ -6,9 +6,9 @@ a flags array carrying the previous block's last two flags, an argmax over
 three flags in a row, and the falling factor made afresh from np.arange.
 It reads the module's shared helpers (tables, block sizes, phases, error
 messages) through `series`, so a monkeypatched _first_block sizes both
-kernels' blocks alike.  It keeps its own (start, step, log_factor)
-arguments, and _frozen_args spells out what each of the kernel's four
-series keys stands for.  The rewritten kernel must return the same bits,
+kernels' blocks alike.  It keeps its own (start, log_factor) arguments,
+and _frozen_args spells out what each of the kernel's three series keys
+stands for.  The rewritten kernel must return the same bits,
 or raise the same error with the same message, on every input.
 """
 
@@ -23,11 +23,10 @@ import pytest
 
 import wcs
 from wcs import DeformationParams, series
-from wcs.series import _GROUND, _SQUARES, _log_falling, _LogSeries, _log_series
+from wcs.series import _SQUARES, _log_falling, _LogSeries, _log_series
 
 
-def _frozen_log_series(lx, p, tol, max_terms, what, start=0, step=1, log_factor=None,
-                       phase=None):
+def _frozen_log_series(lx, p, tol, max_terms, what, start=0, log_factor=None, phase=None):
     if lx == -math.inf:
         return _LogSeries(np.zeros(1), 0.0, -math.inf)
     end = start + max_terms
@@ -35,22 +34,17 @@ def _frozen_log_series(lx, p, tol, max_terms, what, start=0, step=1, log_factor=
     l_start = f_start = 0.0
     scale, partial = 0.0, 0.0
     carry = np.zeros(2, dtype=bool)
-    lo, size = start, series._first_block(lx, p, start, step)
+    lo, size = start, series._first_block(lx, p, start)
     while lo < end:
         hi = min(lo + size, end)
-        tab = series._table(p, step * hi)
-        if step == 1:
-            log_fact = tab.log_fact[lo : hi + 1]
-        else:
-            log_fact = np.add.accumulate(np.append(0.0, tab.log_box[2 : 2 * hi + 1 : 2]))[lo:]
+        tab = series._table(p, hi)
+        log_fact = tab.log_fact[lo : hi + 1]
         if lo == start:
             l_start = log_fact[0]
         logs = np.arange(lo - start, hi - start + 1, dtype=float) * lx
         logs -= log_fact - l_start if l_start else log_fact
         if log_factor is not None:
-            f = log_factor(
-                np.arange(lo, hi + 1, dtype=float), tab.log_box[step * lo : step * hi + 1 : step]
-            )
+            f = log_factor(np.arange(lo, hi + 1, dtype=float), tab.log_box[lo : hi + 1])
             if lo == start:
                 f_start = f[0]
             logs += f - f_start
@@ -91,7 +85,7 @@ def _frozen_log_series(lx, p, tol, max_terms, what, start=0, step=1, log_factor=
         scale, partial = top, sums[-1]
         carry = flags[-2:]
         lo, size = hi, min(2 * size, series._MAX_BLOCK)
-    raise series._no_convergence(what, tol, max_terms, lx, p, start, step)
+    raise series._no_convergence(what, tol, max_terms, lx, p, start)
 
 
 def _falling(r, n, log_b):
@@ -104,18 +98,16 @@ def _squares(n, log_b):
 
 def _frozen_args(call):
     """The frozen loop's arguments for the kernel's (lx, p, tol, budget,
-    what, kind, phase): kind None is N's series (start 0, step 1), an int r
-    the r-th derivative's (start r, the falling factor), _SQUARES Q_M's
-    (start 1, 2 log [n]) and _GROUND the ground state's (start 0, step 2)."""
+    what, kind, phase): kind None is N's series (start 0), an int r the r-th
+    derivative's (start r, the falling factor) and _SQUARES Q_M's (start 1,
+    2 log [n])."""
     *head, kind, phase = call
-    if kind == _GROUND:
-        shape = 0, 2, None
-    elif kind == _SQUARES:
-        shape = 1, 1, _squares
+    if kind == _SQUARES:
+        shape = 1, _squares
     elif kind is None:
-        shape = 0, 1, None
+        shape = 0, None
     else:
-        shape = kind, 1, functools.partial(_falling, kind)
+        shape = kind, functools.partial(_falling, kind)
     return (*head, *shape, phase)
 
 
@@ -135,9 +127,9 @@ def _random_triple(rng):
 
 
 def _random_calls(rng, count):
-    """Kernel arguments over the four series keys: positive, alternating
-    and complex series of N, of orders r = 0..10, of Q_M's [n]^2 and of
-    the ground state; tolerances from 1e-6 to 1e-16; budgets from 1 term
+    """Kernel arguments over the three series keys: positive, alternating
+    and complex series of N, of orders r = 0..10 and of Q_M's [n]^2;
+    tolerances from 1e-6 to 1e-16; budgets from 1 term
     to past the stop, so some end in the middle of a block."""
     calls = []
     for _ in range(count):
@@ -146,7 +138,7 @@ def _random_calls(rng, count):
         phase = rng.choice([None, -1.0, complex(math.cos(0.7), math.sin(0.7))])
         tol = 10.0 ** -rng.uniform(6.0, 16.0)
         budget = rng.choice([1, 2, 3, 5, 9, 17, 40, 100, 333, 20000])
-        kind = rng.choice([_GROUND, _SQUARES, None, rng.randrange(11)])
+        kind = rng.choice([_SQUARES, None, rng.randrange(11)])
         calls.append((lx, p, tol, budget, "replay", kind, phase))
     return calls
 
@@ -156,7 +148,7 @@ def test_kernel_replays_the_frozen_block_loop(monkeypatch, first):
     # first blocks of 1 to 8 terms put runs of small terms across block
     # edges; None keeps the kernel's own first block
     if first is not None:
-        monkeypatch.setattr(series, "_first_block", lambda lx, p, start, step: first)
+        monkeypatch.setattr(series, "_first_block", lambda lx, p, start: first)
     carried = set()
     stop = series._stop
 
@@ -173,7 +165,7 @@ def test_kernel_replays_the_frozen_block_loop(monkeypatch, first):
         kinds.add(want[0] if isinstance(want[0], str) else "record")
         keys.add(call[5] if isinstance(call[5], str) or call[5] is None else "r")
     assert kinds == {"record", "ConvergenceError", "NumericalRangeError"}
-    assert keys == {None, "r", _SQUARES, _GROUND}
+    assert keys == {None, "r", _SQUARES}
     if first is not None:
         assert carried == {0, 1, 2}  # each carry reaches a later block
 
@@ -184,7 +176,7 @@ def test_mandel_qm_factor_replays(monkeypatch):
     rng = random.Random(7)
     for first in (1, 3, None):
         if first is not None:
-            monkeypatch.setattr(series, "_first_block", lambda lx, p, start, step: first)
+            monkeypatch.setattr(series, "_first_block", lambda lx, p, start: first)
         for _ in range(40):
             call = (rng.uniform(-4.0, 5.0), _random_triple(rng), 10.0 ** -rng.uniform(8, 15),
                     rng.choice([4, 50, 100000]), "mandel_qm", _SQUARES, None)
@@ -192,10 +184,10 @@ def test_mandel_qm_factor_replays(monkeypatch):
             assert _outcome(_log_series, *call) == want
 
 
-def _frozen_first_block(lx, p, start, step):
+def _frozen_first_block(lx, p, start):
     # _first_block's earlier last lines: builtins max, min and int
     e = p.alpha + p.beta
-    log_mode = series._log_mode(lx, p, step)
+    log_mode = series._log_mode(lx, p)
     log_ratio_stop = log_mode - series._LOG_RATIO_CEILING / e
     if log_ratio_stop >= math.log(series._MAX_BLOCK):
         return series._MAX_BLOCK
@@ -211,10 +203,10 @@ def test_first_block_equals_its_builtin_form():
     sizes = set()
     for _ in range(10_000):
         lx, p = rng.uniform(-8.0, 12.0), _random_triple(rng)
-        start, step = rng.choice([0, 1, rng.randrange(2, 12)]), rng.choice([1, 2])
-        want = _frozen_first_block(lx, p, start, step)
-        got = series._first_block(lx, p, start, step)
-        assert type(got) is int and got == want, (lx, p, start, step)
+        start = rng.choice([0, 1, rng.randrange(2, 12)])
+        want = _frozen_first_block(lx, p, start)
+        got = series._first_block(lx, p, start)
+        assert type(got) is int and got == want, (lx, p, start)
         sizes.add("floor" if got == 64 else "cap" if got == 16384 else "between")
     assert sizes == {"floor", "between", "cap"}
 
@@ -276,7 +268,7 @@ class TestColumns:
         s = series._memo_read(math.log(3.0), p, 1e-12, 10000, "", 2)
         assert len(series._COLUMNS[2]) > len(s.log_terms)
         assert len(series._COLUMNS[None]) > len(s.log_terms)
-        assert len(series._COLUMNS[2]) <= 2 * series._first_block(math.log(3.0), p, 2, 1) + 1
+        assert len(series._COLUMNS[2]) <= 2 * series._first_block(math.log(3.0), p, 2) + 1
 
     def test_clear_caches_drops_them(self):
         series._column(None, 10, 100)

@@ -1,7 +1,6 @@
 """Tests for the deformed-exponential series and lattice power series."""
 
 import math
-import random
 import struct
 import tracemalloc
 
@@ -28,11 +27,10 @@ from wcs import (
 )
 from wcs import series
 from wcs.errors import ConvergenceError, NumericalRangeError, ParameterError
-from wcs.factorials import _TABLES, _log_factorials, _table
+from wcs.factorials import _log_factorials, _table
 from wcs.gammafn import log_gamma
 from wcs.series import (
     _FSUM_MAX,
-    _GROUND,
     _exact_sum,
     _log_falling,
     _log_series,
@@ -218,70 +216,6 @@ class TestSeriesKernel:
                     want += f - f[0]
                 assert np.array_equal(s.log_terms, want), (p, x)
 
-    def test_ground_series_reads_the_double_factorial_column(self, monkeypatch):
-        # the step-2 log-terms read log [2n]!!, each block's run carried on
-        # from the last block's last entry, with the bits of the running sum
-        # of log [2], log [4], ... from 0 that a block once made afresh from
-        # log_box: on fresh tables, on tables replaced by longer ones, and
-        # in blocks of 2 to 16.  At x = 1 they are 0 - log [2n]!! (+0.0 at
-        # n = 0), log [2n]!! with the bits log_gen_double_factorial returns
-        rng = random.Random(5)
-        cases = []
-        for _ in range(30):
-            a = rng.random()
-            p = DeformationParams(a, rng.uniform(0.05, 1.0), a - 1.0 + rng.uniform(1e-3, 5.0))
-            cases.append((p, rng.uniform(-6.0, 4.0)))
-        runs = []
-        run = series._log_double_run
-
-        def from_zero(log_box, lo, hi):  # log [lo]!!, ..., log [hi]!! from 0
-            return np.add.accumulate(np.append(0.0, log_box[2 : hi + 1 : 2]))[lo // 2 :]
-
-        def counted(log_box, lo, hi, first):
-            runs.append(lo)
-            assert first == from_zero(log_box, lo, lo)[0]  # the carry is the sum's own entry
-            return run(log_box, lo, hi, first)
-
-        def per_block(log_box, lo, hi, first):
-            return from_zero(log_box, lo, hi)
-
-        def record(p, lx):
-            try:
-                s = _log_series(lx, p, 1e-16, 20000, "test", _GROUND, -1.0)
-            except (ConvergenceError, NumericalRangeError) as e:
-                return type(e), str(e)
-            return s.log_terms.tobytes(), s.log_sum.hex(), s.log_ratio.hex()
-
-        def records():
-            return [record(p, lx) for p, lx in cases]
-
-        def at_one():
-            for p, _ in cases:
-                s = _log_series(0.0, p, 1e-16, 10**5, "test", _GROUND, -1.0)
-                want = [0.0 - wcs.log_gen_double_factorial(2 * n, p)
-                        for n in range(len(s.log_terms))]
-                assert s.log_terms.tobytes() == np.array(want).tobytes(), p
-
-        def replay():
-            with monkeypatch.context() as m:
-                m.setattr(series, "_log_double_run", per_block)
-                return records()
-
-        monkeypatch.setattr(series, "_log_double_run", counted)
-        wcs.clear_caches()
-        fresh, want = records(), replay()
-        assert fresh == want
-        assert any(lo > 0 for lo in runs)  # a pass of two blocks or more carried its sum
-        for p, _ in cases:
-            _table(p, 2 * len(_TABLES[p].log_box))  # replaced by a longer table
-        assert records() == want
-        at_one()
-        monkeypatch.setattr(series, "_FIRST_BLOCK", 2)
-        monkeypatch.setattr(series, "_MAX_BLOCK", 16)
-        wcs.clear_caches()
-        assert records() == replay()
-        at_one()
-
     @pytest.mark.parametrize("k0", [0, 1, 2, 7])
     def test_signs_at_either_parity(self, k0):
         # the alternating constant sliced at k0's parity, and past its end
@@ -302,8 +236,7 @@ class TestSeriesKernel:
 
     def test_block_boundaries_move_no_log_term(self, monkeypatch):
         # the same series in blocks of 2 to 16 terms: the log-terms and the
-        # stopping index do not move, nor does the length of the ground-state
-        # lattice's alternating series; a positive log-sum, rescaled at each
+        # stopping index do not move; a positive log-sum, rescaled at each
         # block, moves by at most 4 ulp
         def positive():
             return [
@@ -311,23 +244,17 @@ class TestSeriesKernel:
                 for p in self.TRIPLES for x in self.XS + (60.0,) for r in (0, 2)
             ]
 
-        def ground():
-            return [
-                _log_series(math.log(x), p, 1e-16, 20000, "test", _GROUND, -1.0)
-                for p in self.TRIPLES for x in self.XS
-            ]
-
-        whole_sums, whole_ground = positive(), ground()
+        whole_sums = positive()
         monkeypatch.setattr(series, "_FIRST_BLOCK", 2)
         monkeypatch.setattr(series, "_MAX_BLOCK", 16)
-        sums, ground_sums = positive(), ground()
-        for one, blocks in zip(whole_sums + whole_ground, sums + ground_sums):
+        sums = positive()
+        for one, blocks in zip(whole_sums, sums):
             assert np.array_equal(blocks.log_terms, one.log_terms)
         for one, blocks in zip(whole_sums, sums):
             assert abs(blocks.log_sum - one.log_sum) <= 4 * math.ulp(one.log_sum)
 
     def test_convergence_error_names_where_the_terms_peak(self):
-        # n* = x^(1/(alpha+beta)) / (beta step), or the first term's n where
+        # n* = x^(1/(alpha+beta)) / beta, or the first term's n where
         # n* is within one of it; the same text from a cold run and from a
         # memo hit longer than the caller's budget
         p = DeformationParams(0.0, 0.3, 0.5)

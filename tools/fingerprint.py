@@ -66,23 +66,13 @@ import hashlib
 import inspect
 import json
 import math
-import os
 import pickle
-import re
 import subprocess
 import sys
 
 import wcs
+from groups import COLD_SWEEP_GRID, COLD_SWEEP_TRIPLES, cold_sweep_rows, readme_commands, wavefunction_rows
 from wcs.factorials import _TABLES, _first_series_entry
-
-README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
-
-
-def _readme_commands() -> list[list[str]]:
-    with open(README, encoding="utf-8") as fh:
-        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
-    lines = (ln for block in blocks for ln in block.splitlines())
-    return [line.split()[1:] for line in lines if line.startswith("wcs ")]
 
 
 def _stdout(commands: list[list[str]]) -> bytes:
@@ -94,7 +84,7 @@ def _stdout(commands: list[list[str]]) -> bytes:
 
 
 def _cli_json() -> bytes:
-    commands = [args + ["--format", "json"] for args in _readme_commands()]
+    commands = [args + ["--format", "json"] for args in readme_commands()]
     return _stdout(commands + [["factorial", "--n", "0..1\n", "--format", "json"]])
 
 
@@ -198,12 +188,23 @@ def _kernel() -> list:
     return out
 
 
+def _samples(row) -> list:
+    """wavefunction_sample at each (k, x) of a groups.py row, in turn."""
+    triple, scales, points = row
+    p = wcs.DeformationParams(*triple)
+    s = wcs.PhysicalScales(*(scales or ()))
+    return [_call(wcs.wavefunction_sample, k, x, p, s) for k, x in points]
+
+
+def _per_level(samples: list) -> list:
+    """A cold-sweep row's samples, one list per level."""
+    n = len(COLD_SWEEP_GRID)
+    return [samples[i : i + n] for i in range(0, len(samples), n)]
+
+
 def _cold_sweep() -> list:
-    triples = [(0.0, 1.0, 0.0), (0.0, 0.5, 0.5), (1.0, 0.5, 1.0), (0.3, 0.7, 0.2),
-               (0.9, 0.15, 1.7), (0.6, 0.35, -0.2)]
-    grid = [3.0 * j / 30 for j in range(31)]
     out = []
-    for triple in triples:
+    for triple, row in zip(COLD_SWEEP_TRIPLES, cold_sweep_rows()):
         p = wcs.DeformationParams(*triple)
         out.append([
             [wcs.log_gen_factorial(n, p) for n in (0, 1, 7, 1000, 4321)],
@@ -211,27 +212,14 @@ def _cold_sweep() -> list:
             [wcs.log_gen_double_factorial(m, p) for m in (0, 1, 2, 9, 40, 333)],
             wcs.spectrum_table(100, p),
             [_call(wcs.hankel_hadamard, p, 4, offset) for offset in (0, 1)],
-            [[_call(wcs.wavefunction_sample, k, x, p) for x in grid] for k in range(6)],
+            _per_level(_samples(row)),
             _call(wcs.eigenfunction_residual, 0.7, 1.3, p),
         ])
     return out
 
 
 def _wavefunction() -> list:
-    triples = [(0.0, 1.0, 0.0), (0.5, 0.5, 0.25), (1.0, 0.1, 0.5), (0.3, 0.7, 0.2)]
-    params = [wcs.DeformationParams(*triple) for triple in triples]
-    scales = [wcs.PhysicalScales(), wcs.PhysicalScales(0.5, 2.0, 1.5)]
-    xs = [0.0, 0.3, 1.0, 2.2, 8.0, 4.0, 1.7, 0.05]
-    si = wcs.PhysicalScales(1.05e-34, 1e-27, 1e14)
-    lengths = [0.0, 0.5, 2.0, 5.0, 12.0]
-    return [
-        [_call(wcs.wavefunction_sample, k, x, p, s) for x in xs for k in range(13)]
-        for p in params for s in scales
-    ] + [
-        [_call(wcs.wavefunction_sample, k, u * si.length_sq**0.5, p, si)
-         for u in lengths for k in (0, 1, 5, 12)]
-        for p in params
-    ]
+    return [_samples(row) for row in wavefunction_rows()]
 
 
 _HANKEL_TRIPLES = [(0.0, 1.0, 0.0), (0.0, 0.5, 0.5), (1.0, 0.5, 1.0), (0.3, 0.7, 0.2)]
@@ -279,7 +267,7 @@ def main(argv=None) -> int:
                     help="a benchmark record whose fingerprint.groups to compare with")
     args = ap.parse_args(argv)
     groups = {
-        "readme": _stdout(_readme_commands()),
+        "readme": _stdout(readme_commands()),
         "cli-json": _cli_json(),
         "tables": pickle.dumps(_tables(), protocol=4),
         "verify_moments": pickle.dumps(_verify_moments(), protocol=4),

@@ -7,9 +7,11 @@ so every diagonal observable of the oscillator reduces to brackets:
     [A, A+] |n> = ([n+1] - [n]) |n>
     H = (hw/2) (A A+ + A+ A),  E_n = (hw/2) ([n+1] + [n])
 
-The position/momentum variances in |n> are ([n+1] - [n]) times the usual
-oscillator scales, which is where the modified uncertainty relation
-dq dp >= (hbar/2) ([n+1] - [n] + ...) comes from.
+The position/momentum variances in |n> are ([n+1] + [n]) times the usual
+oscillator scales, hbar / 2 m omega and hbar m omega / 2; the commutator
+diagonal gives Robertson's bound dq dp >= (hbar/2) ([n+1] - [n]), which
+the variances meet only at n = 0 (coherent.quadrature_stats returns that
+bound).
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 The states are |z> = N(x)^(-1/2) sum_n z^n / sqrt([n]!) |n> with x = |z|^2.
 Everything observable follows from the amplitude sequence and the deformed
 exponential N: photon-number probabilities, overlaps, normally-ordered
-moments, the two Mandel parameters, quadrature variances in number states,
-and position wavefunctions built from the x^beta power lattice.
+moments, the two Mandel parameters, the commutator bound on the quadrature
+spreads in number states, and position wavefunctions built from the x^beta
+power lattice.
 
 Every Fock-series sum here (photon distribution, Fock moments, Q_M, the
 continuity defect) reads a record of one memo through series._memo_read:
@@ -22,9 +23,9 @@ space so large n and x never overflow, and the linear Fock sums
 (fock_moment_sum, both sums of Q_M) go through series._positive_fsum,
 which sums the terms that can reach the result exactly and passes the rest
 as one float sum.  Those sums, and the continuity defect's direct sum, are
-math.fsum's double bit for bit, and a sum of more than series._FSUM_MAX
-terms costs a few numpy passes (series._exact_sum), not one Python float
-per term.
+math.fsum's double bit for bit through series._exact_sum, which raises
+NumericalRangeError, with the label each passes, past double range; a sum
+of more than series._FSUM_MAX terms costs a few numpy passes there.
 Brackets and factorials are read as slices of the factorial table.  A
 wavefunction is an alternating series on the dimensionless
 u = sqrt(m omega / hbar) x^beta, summed by series._lattice_sum with its
@@ -55,6 +56,7 @@ from .errors import NumericalRangeError, ParameterError
 from .factorials import _brackets, _log_double_run, _table, box, log_gen_factorial
 from .params import DeformationParams, PhysicalScales, check_complex, check_count, check_real
 from .series import (
+    _BEYOND,
     _LOG_MAX,
     _SQUARES,
     _exact_sum,
@@ -95,7 +97,7 @@ _LONGEST = 40028  # the longest level table: J up to 20 000 (_sized_levels), k u
 # grid, x = 0..3 at (0, 1, 0), is at most 79 slots long
 _MIN_LENGTH = 128
 _LOG_CUT = -62.0 * math.log(2.0)  # 2^-62 of min(1, peak), the first ground term being 1
-_LATTICE = "wavefunction_sample: lattice series at x = {} for {}"
+_LATTICE = "wavefunction_sample: lattice series at x = {} for {}: {}"
 _MAX_LEVEL_TABLES = 4  # level tables kept, each keyed by (p, slots)
 _SHIFT = math.sqrt(0.5)  # the raise's up- and down-shift factor in oscillator units
 _MOMENT_OVERFLOW = "{}: the moment of order r = {} at x = {} is beyond double range"
@@ -229,7 +231,8 @@ def continuity_defect(
         lw = log_w + n * (math.log(label.x) - lx_big)
         return np.exp(0.5 * (lw - np.logaddexp.reduce(lw)) + 1j * cmath.phase(label.z) * n)
 
-    direct = _exact_sum(np.abs(amplitudes(l1) - amplitudes(l2)) ** 2)
+    diffs = np.abs(amplitudes(l1) - amplitudes(l2)) ** 2
+    direct = _exact_sum(diffs, "continuity_defect: {}", _BEYOND)
     return abs(direct - kernel)
 
 
@@ -283,11 +286,9 @@ def fock_moment_sum(
     log_n = _memo_read(lx, p, tol, max_terms, "fock_moment_sum").log_sum
     # t_r = x^r r! / ([r]! N), and the kernel's terms are t_n / t_r
     log_first = r * lx + _log_order_factorial(r) - log_gen_factorial(r, p) - log_n
-    with np.errstate(over="ignore"):  # an overflow is raised below
-        total = _positive_fsum(np.exp(s.log_terms + log_first))
-    if not math.isfinite(total):
-        raise NumericalRangeError(_MOMENT_OVERFLOW.format("fock_moment_sum", r, x))
-    return total
+    with np.errstate(over="ignore"):  # _positive_fsum raises past double range
+        terms = np.exp(s.log_terms + log_first)
+        return _positive_fsum(terms, _MOMENT_OVERFLOW, "fock_moment_sum", r, x)
 
 
 def mandel_qz(
@@ -330,8 +331,8 @@ def mandel_qm(
     log_b = _table(p, len(s.log_terms)).log_box[1 : len(s.log_terms) + 1]
     # the first term is [1]^2 p(1) = x [1] / N
     log_e2 = s.log_terms + (lx + log_b[0] - log_norm)
-    e1 = _positive_fsum(np.exp(log_e2 - log_b))
-    e2 = _positive_fsum(np.exp(log_e2))
+    e1 = _positive_fsum(np.exp(log_e2 - log_b), "mandel_qm at x = {}: {}", x, _BEYOND)
+    e2 = _positive_fsum(np.exp(log_e2), "mandel_qm at x = {}: {}", x, _BEYOND)
     return (e2 - e1 * e1) / e1 - 1.0
 
 
@@ -340,10 +341,13 @@ def quadrature_stats(
     p: DeformationParams,
     s: PhysicalScales = PhysicalScales(),
 ) -> QuadratureStats:
-    """Position/momentum variances in |n> and their product.
-
-    Both variances carry the commutator diagonal [n+1] - [n]; the product
-    is (hbar/2) ([n+1] - [n]) and reduces to hbar/2 classically.
+    """Robertson's bound in |n>: product = (hbar/2) c, c = [n+1] - [n],
+    hbar/2 classically, split as var_q = (hbar / 2 m omega) c and
+    var_p = (hbar m omega / 2) c.  These are the variances only at n = 0:
+    from A|n> = sqrt([n]) |n-1> they are (hbar / 2 m omega) ([n+1] + [n])
+    and (hbar m omega / 2) ([n+1] + [n]), so at (0, 1, 0), n = 1 and
+    (hbar, m, omega) = (2, 3, 0.7) var_q is 0.4762, the variance 1.4286.
+    ROADMAP item 15 mends the values with acceptance criterion 1.
     """
     n = check_count(n, "n")
     c = commutator_diagonal(n, p)
@@ -393,7 +397,7 @@ def wavefunction_sample(
     rows, n = _sized_levels(k, x, log_y, p)
     scale = (inv_length_sq / math.pi) ** 0.25 * math.exp(-0.5 * log_gen_factorial(k, p))
     u = math.sqrt(inv_length_sq) * x**p.beta
-    total, cancel = _lattice_sum(rows[k, :n], u, _LATTICE, x, p)
+    total, cancel = _lattice_sum(rows[k, :n], u, _LATTICE, x, p, _BEYOND)
     return scale * total, cancel
 
 
@@ -424,7 +428,7 @@ def _sized_levels(k: int, x: float, log_y: float, p: DeformationParams) -> tuple
             why = f"the ground terms {where} past the longest lattice, {_LONGEST} slots"
             break
         m = min(2 * m, _LONGEST)
-    raise NumericalRangeError(f"{_LATTICE.format(x, p)}: {why}")
+    raise NumericalRangeError(_LATTICE.format(x, p, why))
 
 
 @functools.lru_cache(maxsize=_MAX_LEVEL_TABLES)

@@ -21,10 +21,9 @@ the log-terms
 elementwise from the factorial table's log [n]! column, so no log-term
 depends on where a block starts.  F is 0, the falling factorial
 F_r(n) = log n!/(n-r)!, or Q_M's 2 log [n] off the table's log [n]
-column.  The offsets n - start and F_r(n) - F_r(r)
-depend on neither the triple nor x, so a block slices them off read-only
-columns (_column): one of float offsets and one per order r, grown at
-least twofold and replaced whole, and dropped by clear_caches.  A pass's first
+column.  F_r(n) - F_r(r) depends on neither the triple nor x, so a block
+slices it off a read-only column per order r (_column), grown at least
+twofold and replaced whole, and dropped by clear_caches.  A pass's first
 block reaches past where its terms can stop (about the mode of t_n plus eight
 widths, or where the term ratio falls below 0.9), so most series are one
 block, returned as a slice of it; later blocks double.  The first term
@@ -33,23 +32,25 @@ consecutive terms with |t_n| <= tol * max(1, |S_n|), S_n the partial sum,
 while the next-term ratio |t_(n+1) / t_n| is below 0.9.  A block flags
 its small terms in two array passes, and _stop scans the flagged indices
 in Python for three in a row, counting the run of small terms that ended
-the previous block (0 to 2).  Positive series are summed in log
-space and never overflow; signed and complex series (a phase per term)
-raise NumericalRangeError once a partial sum overflows, and their values
-are taken with math.fsum (_fsum), with a geometric tail bound and the one
-cancellation rule (_cancels) as diagnostics, as are sums c_j y^j on the
-x^beta lattice (_lattice_sum).
+the previous block (0 to 2).  The kernel sums in units of the largest
+term so far, never overflows and raises only ConvergenceError.  Every
+linear-scale sum goes through _exact_sum, the one helper that raises
+NumericalRangeError, where a term or the sum leaves double range: N and
+its derivatives (_linear_sum, with a geometric tail bound and the one
+cancellation rule, _cancels, as diagnostics), sums c_j y^j on the x^beta
+lattice (_lattice_sum), and coherent's Fock moments, Q_M and continuity
+defect.
 Where a positive series is summed on the linear scale, _positive_fsum
 sums exactly only the terms of at least 2^-106 / len of the largest, plus
 the float sum of the rest: those weigh under 2^-106 of the total, so they
 can only decide a rounding tie, and that sum decides it as they would;
 where no term is negligible the terms go on whole, since their exact sum
-with 0.0 is theirs.  It returns math.fsum's double, bit for bit, through
-_exact_sum: an array of up to _FSUM_MAX = 300 terms goes to fsum as it
-is; a longer one is first cut by extraction rounds (Rump, Ogita and
-Oishi's ExtractVector) into a few doubles whose exact sum is the exact
-sum of the terms, in a few numpy passes a round, and fsum, which rounds
-that exact sum correctly, returns the same double from them.
+with 0.0 is theirs.  _exact_sum returns math.fsum's double, bit for bit:
+an array of up to _FSUM_MAX = 300 terms goes to fsum as it is; a longer
+one is first cut by extraction rounds (Rump, Ogita and Oishi's
+ExtractVector) into a few doubles whose exact sum is the exact sum of the
+terms, in a few numpy passes a round, and fsum, which rounds that exact
+sum correctly, returns the same double from them.
 Each Fock series is summed once: one bounded memo (_series_memo, read
 through _memo_read), the kernel's only caller, keeps its records with
 read-only log-terms, and clear_caches drops it, the kernel's columns, the
@@ -97,6 +98,9 @@ _LOG_MAX = math.log(sys.float_info.max)
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 16384
 _LOG_MAX_BLOCK = math.log(_MAX_BLOCK)
+
+# what a linear-scale sum past double range says after its label
+_BEYOND = "terms or their sum beyond double range"
 
 # positive terms below 2^-106 / len of the largest weigh less than 2^-106
 # (the square of half an ulp) of their sum all together
@@ -164,12 +168,6 @@ def _phases(phase: complex, k0: int, n: int):
     return np.exp(1j * cmath.phase(phase) * np.arange(k0, k0 + n))
 
 
-def _overflow(what: str) -> NumericalRangeError:
-    return NumericalRangeError(
-        f"{what}: partial sums overflow double precision; use the log-scale variant"
-    )
-
-
 def _log_mode(lx: float, p: DeformationParams) -> float:
     """log n*, n* = x^(1/(alpha+beta)) / beta: about where the terms t_n
     peak, since log [n] ~ (alpha+beta) log(beta n)."""
@@ -198,8 +196,10 @@ def _log_abs(v) -> float:
     return math.log(abs(v)) if v else -math.inf
 
 
-def _exact_sum(terms: np.ndarray) -> float:
+def _exact_sum(terms: np.ndarray, what: str, *args) -> float:
     """math.fsum(terms), bit for bit, in a few numpy passes on a long array.
+    Where fsum returns inf or NaN, or raises, NumericalRangeError with the
+    message what.format(*args), formatted only then.
 
     Rump, Ogita and Oishi's ExtractVector (Accurate floating-point
     summation part I, SIAM J. Sci. Comput. 31, 2008): with sigma = 2^e,
@@ -212,52 +212,41 @@ def _exact_sum(terms: np.ndarray) -> float:
     terms.  Short arrays, non-finite or all-zero terms, and terms so large
     that sigma would overflow go to fsum as they are.  The input is not
     written to."""
-    n = len(terms)
-    if n <= _FSUM_MAX:
-        return math.fsum(terms.tolist())
-    shift = (n + 2).bit_length()
-    top = float(np.maximum.reduce(np.abs(terms)))  # NaN if a term is NaN
-    # the first sigma, 2^(exponent of top + shift), is at most 2^1023
-    if not 0.0 < top < math.ldexp(1.0, sys.float_info.max_exp - 1 - shift):
-        return math.fsum(terms.tolist())
-    parts, p = [], terms
-    while top:
-        sigma = math.ldexp(1.0, math.frexp(top)[1] + shift)
-        q = p + sigma
-        q -= sigma
-        parts.append(float(np.add.reduce(q)))
-        p = p - q
-        top = float(np.maximum.reduce(np.abs(p)))
-    return math.fsum(parts)
+    n, parts = len(terms), None
+    if n > _FSUM_MAX:
+        shift = (n + 2).bit_length()
+        top = float(np.maximum.reduce(np.abs(terms)))  # NaN if a term is NaN
+        # the first sigma, 2^(exponent of top + shift), is at most 2^1023
+        if 0.0 < top < math.ldexp(1.0, sys.float_info.max_exp - 1 - shift):
+            parts, p = [], terms
+            while top:
+                sigma = math.ldexp(1.0, math.frexp(top)[1] + shift)
+                q = p + sigma
+                q -= sigma
+                parts.append(float(np.add.reduce(q)))
+                p = p - q
+                top = float(np.maximum.reduce(np.abs(p)))
+    try:
+        total = math.fsum(terms.tolist() if parts is None else parts)
+    except (OverflowError, ValueError):  # finite terms past the range; inf - inf
+        total = math.nan
+    if math.isfinite(total):
+        return total
+    raise NumericalRangeError(what.format(*args))
 
 
-def _positive_fsum(terms: np.ndarray) -> float:
+def _positive_fsum(terms: np.ndarray, what: str, *args) -> float:
     """math.fsum of non-negative terms, with the negligible ones passed as
-    one float sum.  A long decaying series spans hundreds of binary
-    exponents, and each of _exact_sum's rounds covers about 40 of them;
-    the negligible terms' rounded sum still decides a tie in the rounding
-    of the rest."""
+    one float sum; _exact_sum's range error, labelled what, args.  A long
+    decaying series spans hundreds of binary exponents, and each of
+    _exact_sum's rounds covers about 40 of them; the negligible terms'
+    rounded sum still decides a tie in the rounding of the rest."""
     if len(terms) == 0:
         return 0.0
     big = terms >= terms.max() * _NEGLIGIBLE / len(terms)
     if big.all():  # the exact sum of the terms and 0.0 is theirs
-        return _exact_sum(terms)
-    return _exact_sum(np.concatenate((terms[big], [terms[~big].sum()])))
-
-
-def _fsum(terms: list, what: str, *args) -> float:
-    """math.fsum, raising NumericalRangeError where a term or the sum is
-    not finite: fsum then returns inf or NaN, or raises.  The error names
-    what.format(*args), formatted only then."""
-    try:
-        total = math.fsum(terms)
-    except (OverflowError, ValueError):  # finite terms past the range; inf - inf
-        total = math.nan
-    if not math.isfinite(total):
-        raise NumericalRangeError(
-            f"{what.format(*args)}: terms or their sum beyond double range"
-        )
-    return total
+        return _exact_sum(terms, what, *args)
+    return _exact_sum(np.concatenate((terms[big], [terms[~big].sum()])), what, *args)
 
 
 def _cancels(total: complex, largest: float) -> bool:
@@ -267,17 +256,18 @@ def _cancels(total: complex, largest: float) -> bool:
 
 def _lattice_sum(coeffs: np.ndarray, y: float, what: str, *args) -> tuple[float, bool]:
     """sum_j c_j y^j on the x^beta lattice (y = x^beta, or a multiple of
-    it) for a float array of coefficients, and whether it cancels; _fsum's
-    label what, args.  y^j is the running product of y, the bits of
-    repeated multiplication, and the terms go to math.fsum as a list.  A
-    power overflows where y > 1, and a term is infinite or NaN where a
-    coefficient is; _fsum raises then, so numpy's warnings are silenced."""
+    it) for a float array of coefficients, and whether it cancels; the
+    range error's message is what.format(*args).  y^j is the running
+    product of y, the bits of repeated multiplication, and the terms go to
+    _exact_sum.  A power overflows where y > 1, and a term is infinite or
+    NaN where a coefficient is; _exact_sum raises then, so numpy's warnings
+    are silenced."""
     terms = np.empty(len(coeffs))  # y^0, y^1, ..., then the terms in place
     terms.fill(y)
     terms[:1].fill(1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(coeffs, np.multiply.accumulate(terms, out=terms), out=terms)
-    total = _fsum(terms.tolist(), what, *args)
+    total = _exact_sum(terms, what, *args)
     return total, _cancels(total, float(np.maximum.reduce(np.abs(terms, out=terms), initial=0.0)))
 
 
@@ -298,14 +288,14 @@ def _log_falling(r: int, n: np.ndarray) -> np.ndarray:
 
 
 # read-only columns the kernel slices per block, each replaced whole by a
-# longer one: under None the offsets k = 0, 1, 2, ... as floats, under an
-# order r the r-th derivative's factor F_r(r + k) - F_r(r).  Building or
-# replacing one takes the lock; reads take none
-_COLUMNS: dict[int | None, np.ndarray] = {}
+# longer one: under an order r the r-th derivative's factor
+# F_r(r + k) - F_r(r), k = 0, 1, 2, ...  Building or replacing one takes
+# the lock; reads take none
+_COLUMNS: dict[int, np.ndarray] = {}
 _COLUMNS_LOCK = threading.Lock()
 
 
-def _column(r: int | None, n: int, cap: int) -> np.ndarray:
+def _column(r: int, n: int, cap: int) -> np.ndarray:
     """r's column, at least n <= cap entries long.  A shorter one is
     replaced by one at least twice as long, up to cap, so a column is no
     longer than twice the furthest read of it, nor than the longest budget
@@ -321,11 +311,8 @@ def _column(r: int | None, n: int, cap: int) -> np.ndarray:
         if col is not None and len(col) >= n:  # built by another thread
             return col
         k = np.arange(n if col is None else max(n, min(2 * len(col), cap)), dtype=float)
-        if r is None:
-            col = k
-        else:
-            col = _log_falling(r, k + r)
-            col -= col[0]
+        col = _log_falling(r, k + r)
+        col -= col[0]
         col.flags.writeable = False
         if len(_COLUMNS) > _MAX_ORDERS:
             _COLUMNS.clear()
@@ -381,9 +368,9 @@ def _log_series(
     t_n / t_(n-1) = e^lx / [n] * exp(F(n) - F(n-1)) * phase.
 
     phase None marks a positive series; otherwise each term carries
-    phase^(n - start) and a partial sum beyond double range raises
-    NumericalRangeError.  Raises ConvergenceError, naming about where the
-    terms peak, when max_terms terms do not meet the rule.  The errors name
+    phase^(n - start).  Sums are held in units of the largest term so far,
+    so none overflows here.  Raises ConvergenceError, naming about where the
+    terms peak, when max_terms terms do not meet the rule; the error names
     what.  The callers check tol and max_terms."""
     if lx == -math.inf:  # x = 0: every term after the first vanishes
         return _LogSeries(np.zeros(1), 0.0, -math.inf)
@@ -401,10 +388,11 @@ def _log_series(
         if lo == start:
             l_start = log_fact[0]
         # log t_n = (n - start) lx - (log [n]! - log [start]!) + F(n) - F(start),
-        # with n - start and a falling factor's F(n) - F(start) read off
-        # their columns at k = n - start
+        # with a falling factor's F(n) - F(start) read off its column at
+        # k = n - start
         k_lo, k_hi = lo - start, hi - start + 1
-        logs = _column(None, k_hi, max_terms + 1)[k_lo:k_hi] * lx
+        logs = np.arange(k_lo, k_hi, dtype=float)
+        logs *= lx
         logs -= log_fact - l_start if l_start else log_fact  # log [0]! is 0
         if kind == _SQUARES:
             logs += 2.0 * tab.log_box[lo : hi + 1] - 2.0 * tab.log_box[1]
@@ -430,13 +418,6 @@ def _log_series(
         hit = k > 0
         if not hit:
             k = len(small)
-        # |S_n| <= n e^top, so only a top near the limit can overflow a sum
-        if (
-            phase is not None
-            and top + math.log(hi) > _LOG_MAX
-            and max(log_t[:k].max(), top + _log_abs(np.abs(sums[:k]).max())) > _LOG_MAX
-        ):
-            raise _overflow(what)
         if hit:
             log_terms = np.concatenate((*kept, log_t[:k])) if kept else log_t[:k]
             log_sum = top + _log_abs(sums[k - 1])
@@ -517,7 +498,8 @@ def _linear_sum(
 ) -> SeriesResult:
     """Value and diagnostics of the memo's series (N's, or for an order r
     the r-th derivative's) with first term e^log_first, summed on linear
-    scale with compensated addition."""
+    scale with compensated addition.  Past double range the error names
+    what, and at real x > 0 the log-scale function of the same series."""
     ax = abs(x)
     lx = math.log(ax) if ax > 0.0 else -math.inf
     phase = x / ax if ax > 0.0 else 1.0
@@ -525,8 +507,13 @@ def _linear_sum(
     log_t = s.log_terms + log_first
     with np.errstate(over="ignore", invalid="ignore"):  # inf * (1 + 0j) is NaN
         terms = np.exp(log_t) * _phases(phase, 0, len(log_t))
-    imag = _fsum(terms.imag.tolist(), what) if np.iscomplexobj(terms) else 0.0  # else all 0
-    value = complex(_fsum(terms.real.tolist(), what), imag)
+    # at real x > 0 the error names the log-scale function of the same series
+    variant = "log_n_function" if r is None else "log_n_derivative"
+    hint = f"; use {variant}" if phase == 1.0 else ""
+    imag = 0.0  # the terms are real at real x
+    if np.iscomplexobj(terms):
+        imag = _exact_sum(terms.imag, "{}: {}{}", what, _BEYOND, hint)
+    value = complex(_exact_sum(terms.real, "{}: {}{}", what, _BEYOND, hint), imag)
     last, ratio = math.exp(log_t[-1]), math.exp(s.log_ratio)
     return SeriesResult(
         value=value,
@@ -633,7 +620,7 @@ class PowerSeries:
             coeffs = np.array(self.coeffs, dtype=float)
         except OverflowError:  # an int coefficient past double range is an infinite term
             coeffs = np.array([math.inf])
-        return _lattice_sum(coeffs, y, "PowerSeries at x = {}", x)[0]
+        return _lattice_sum(coeffs, y, "PowerSeries at x = {}: {}", x, _BEYOND)[0]
 
     def shifted_up(self) -> "PowerSeries":
         """Multiply by x^beta: shift every coefficient up one lattice slot."""

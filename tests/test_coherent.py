@@ -867,7 +867,7 @@ class TestPositiveSums:
         p = DeformationParams(*triple)
         got = self._sums(p)
         assert got[0] is not None
-        monkeypatch.setattr(coherent, "_positive_fsum", lambda t: math.fsum(t.tolist()))
+        monkeypatch.setattr(coherent, "_positive_fsum", lambda t, *label: math.fsum(t.tolist()))
         assert self._sums(p) == got
 
 
@@ -883,9 +883,9 @@ def test_fsum_lists_stay_short(monkeypatch):
         fsum_lengths.append(len(terms))
         return fsum(terms)
 
-    def counted_exact_sum(terms):
+    def counted_exact_sum(terms, *label):
         exact_lengths.append(len(terms))
-        return exact_sum(terms)
+        return exact_sum(terms, *label)
 
     monkeypatch.setattr(math, "fsum", counted_fsum)
     monkeypatch.setattr(series, "_exact_sum", counted_exact_sum)

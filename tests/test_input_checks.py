@@ -289,6 +289,18 @@ def test_moment_overflow_is_typed(moment):
         moment(200, label, DeformationParams(0.0, 1.0, 0.0))
 
 
+@pytest.mark.parametrize("moment", [normally_ordered_moment, fock_moment_sum])
+def test_moment_whose_terms_fit_but_sum_overflows_is_typed(moment):
+    # at r = 155, x = 97.66 every Fock term fits a double and their sum does
+    # not, so math.fsum raises its own OverflowError, which must not escape
+    label = CoherentLabel.from_intensity(97.66)
+    with pytest.raises(NumericalRangeError) as err:
+        moment(155, label, DeformationParams(0.0, 1.0, 0.0))
+    assert str(err.value) == (
+        f"{moment.__name__}: the moment of order r = 155 at x = {label.x} is beyond double range"
+    )
+
+
 @pytest.mark.parametrize("value", [True, math.nan, -math.inf, "1", 0.0])
 def test_log_gamma_checks_its_argument(value):
     with pytest.raises(ParameterError, match="^x must"):
@@ -356,3 +368,36 @@ def test_any_float_gives_a_finite_value_or_a_typed_error(x, name, p):
     except (ParameterError, ConvergenceError, NumericalRangeError):
         return
     assert math.isfinite(abs(value)), (name, x, p, value)
+
+
+_EDGE_TRIPLES = [*_TRIPLES, DeformationParams(1.0, 0.3, 0.2)]
+
+
+def _edge_outcome(f, *args):
+    """'finite' or the wcs error type f(*args) raises; anything else is a bug."""
+    try:
+        value = f(*args)
+    except (ConvergenceError, NumericalRangeError) as e:
+        return type(e).__name__
+    assert math.isfinite(abs(getattr(value, "value", value))), (f, args, value)
+    return "finite"
+
+
+def test_double_range_edge_gives_a_finite_value_or_a_typed_error():
+    # both moment functions at r = 140..170 and x = 60..118.5, where the
+    # moments leave double range (math.fsum raises OverflowError in 43
+    # fock_moment_sum calls here), and the linear-scale series at
+    # x = +-690..768 and 500..595 + 500i, about where e^|x| does
+    outcomes = set()
+    for p in _EDGE_TRIPLES:
+        for x in np.arange(60.0, 119.0, 1.5).tolist():
+            label = CoherentLabel.from_intensity(x)
+            for r in range(140, 171, 2):
+                for moment in (normally_ordered_moment, fock_moment_sum):
+                    outcomes.add(_edge_outcome(moment, r, label, p))
+        xs = [float(sign * j) for sign in (1, -1) for j in range(690, 769)]
+        for x in xs + [complex(j, 500) for j in range(500, 596)]:
+            outcomes.add(_edge_outcome(n_function, x, p))
+            outcomes.add(_edge_outcome(wright_w, x, p))
+            outcomes.add(_edge_outcome(n_function_derivative, x, 1, p))
+    assert outcomes == {"finite", "NumericalRangeError"}

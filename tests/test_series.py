@@ -74,13 +74,13 @@ class TestNFunction:
         # at real x, of either sign, the terms are real and their imaginary
         # part is 0 without a sum
         calls = []
-        fsum = series._fsum
+        exact_sum = series._exact_sum
 
-        def counted(terms, *args):
+        def counted(terms, *label):
             calls.append(len(terms))
-            return fsum(terms, *args)
+            return exact_sum(terms, *label)
 
-        monkeypatch.setattr(series, "_fsum", counted)
+        monkeypatch.setattr(series, "_exact_sum", counted)
         for f in (n_function, wright_w):
             calls.clear()
             value = f(x, P011).value
@@ -95,6 +95,13 @@ class TestNFunction:
     def test_overflow_directs_to_log_variant(self):
         with pytest.raises(NumericalRangeError, match="log"):
             n_function(800.0, CLASSICAL)
+
+    @pytest.mark.parametrize("x", [-800.0, 700.0 + 500.0j])
+    def test_overflow_off_the_positive_axis_names_no_variant(self, x):
+        # no log-scale function sums N at negative or complex x
+        with pytest.raises(NumericalRangeError) as err:
+            n_function(x, CLASSICAL, tol=1e-15)
+        assert str(err.value) == "n_function: terms or their sum beyond double range"
 
     def test_max_terms_exhaustion(self):
         with pytest.raises(ConvergenceError):
@@ -559,14 +566,15 @@ class TestPositiveFsum:
     def test_equal_to_fsum_over_every_term(self, logs):
         # terms from 1 down to below the smallest subnormal
         terms = np.exp(np.array(logs, dtype=float))
-        assert _positive_fsum(terms) == math.fsum(terms.tolist())
+        assert _positive_fsum(terms, _RANGE, "a", len(terms)) == math.fsum(terms.tolist())
 
     @staticmethod
     def _split(terms):
         # the big terms and the float sum of the negligible ones, even when
         # there are none, as _positive_fsum always summed them
         big = terms >= terms.max() * series._NEGLIGIBLE / len(terms)
-        return _exact_sum(np.concatenate((terms[big], [terms[~big].sum()]))), bool(big.all())
+        split = np.concatenate((terms[big], [terms[~big].sum()]))
+        return _exact_sum(split, _RANGE, "a", len(terms)), bool(big.all())
 
     @pytest.mark.parametrize("negligible", [False, True])
     def test_equal_to_the_split_path(self, negligible):
@@ -583,7 +591,7 @@ class TestPositiveFsum:
                 terms[-1] = 1e-300
             want, none_negligible = self._split(terms)
             assert none_negligible is (not negligible or n == 1)
-            assert _positive_fsum(terms).hex() == want.hex()
+            assert _positive_fsum(terms, _RANGE, "a", n).hex() == want.hex()
 
 
 class TestLogOrderFactorial:
@@ -616,6 +624,19 @@ def _outcome(f, *args):
     except (ArithmeticError, ValueError) as e:
         return type(e), str(e)
     return "nan" if math.isnan(v) else struct.pack("<d", v)
+
+
+_RANGE = "sum {} of {} terms"  # the range errors' label here
+
+
+def _fsum_outcome(terms: np.ndarray):
+    """The outcome _exact_sum(terms, _RANGE, "a", len(terms)) must have:
+    math.fsum's bits where they are finite, else the range error, where
+    fsum returns inf or NaN or raises."""
+    want = _outcome(math.fsum, terms.tolist())
+    if isinstance(want, bytes) and math.isfinite(struct.unpack("<d", want)[0]):
+        return want
+    return NumericalRangeError, _RANGE.format("a", len(terms))
 
 
 _SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 2.0**-1060, 1.7e308, -1.7e308)
@@ -659,16 +680,17 @@ def _term_arrays(draw, signed: bool, finite: bool) -> np.ndarray:
 
 class TestExactSums:
     """_exact_sum, and _positive_fsum above it, return math.fsum's double
-    bit for bit, or raise its error, on arrays either side of _FSUM_MAX,
-    and never write to their input."""
+    bit for bit where it is finite, and raise NumericalRangeError with
+    their label where fsum returns inf or NaN or raises, on arrays either
+    side of _FSUM_MAX, and never write to their input."""
 
     @settings(max_examples=300, deadline=None)
     @given(_term_arrays(signed=True, finite=False))
     def test_exact_sum_equal_to_fsum(self, terms):
-        want = _outcome(math.fsum, terms.tolist())
+        want = _fsum_outcome(terms)
         kept = terms.tobytes()
         terms.flags.writeable = False  # as the memo's log-terms are
-        assert _outcome(_exact_sum, terms) == want
+        assert _outcome(_exact_sum, terms, _RANGE, "a", len(terms)) == want
         assert terms.tobytes() == kept
 
     @settings(max_examples=200, deadline=None)
@@ -676,7 +698,19 @@ class TestExactSums:
     def test_positive_fsum_equal_to_fsum(self, terms):
         # the terms of a positive series: finite and never negative
         terms.flags.writeable = False
-        assert _outcome(_positive_fsum, terms) == _outcome(math.fsum, terms.tolist())
+        assert _outcome(_positive_fsum, terms, _RANGE, "a", len(terms)) == _fsum_outcome(terms)
+
+    @pytest.mark.parametrize("f", [_exact_sum, _positive_fsum])
+    @pytest.mark.parametrize("n", [2, _FSUM_MAX, _FSUM_MAX + 1, 3000])
+    @pytest.mark.parametrize("special", [math.inf, math.nan, 1e308])
+    def test_out_of_range_raises(self, f, n, special):
+        # two infinite or NaN terms, or two finite ones whose sum passes
+        # double range, among halves; fsum returns inf or NaN, or raises
+        # OverflowError, and the sums raise their labelled range error
+        terms = np.full(n, 0.5)
+        terms[[0, n // 2]] = special
+        with pytest.raises(NumericalRangeError, match=rf"^sum a of {n} terms$"):
+            f(terms, _RANGE, "a", n)
 
     @pytest.mark.parametrize("r", [*range(9), 12, 40])
     def test_falling_factors_equal_to_2d_forms(self, r, monkeypatch):

@@ -48,6 +48,12 @@ wavefunction    wavefunction_sample at k = 0..12 on four triples at two
                 0 to 12 oscillator lengths, the last ones past double range
 hankel          hankel_hadamard at sizes 1-15 on fixed triples: the sizes
                 whose rounding bound exceeds the tolerance raise
+ranges          calls at the edge of double range, each a value or a
+                range error: both moment functions at (r, x) = (155,
+                97.66) and (150, 114.0), n_function at x = 800, -800 and
+                500 + 500i, and wright_w at x = 713.15, on three triples;
+                n_function_derivative(755, 1) at (1, 0.3, 0.2); and a
+                PowerSeries whose two terms fit but whose sum does not
 errors          the messages of DeformationParams with alpha and beta both
                 out of range, of the one-minus-beta sampler and
                 verify_moments at beta outside (0, 1], and of
@@ -232,6 +238,21 @@ def _hankel() -> list:
     ]
 
 
+def _ranges() -> list:
+    out = []
+    for triple in [(0.0, 1.0, 0.0), (0.0, 1.0, 0.5), (1.0, 0.3, 0.2)]:
+        p = wcs.DeformationParams(*triple)
+        for r, x in ((155, 97.66), (150, 114.0)):
+            lab = wcs.CoherentLabel.from_intensity(x)
+            out += [_call(wcs.fock_moment_sum, r, lab, p),
+                    _call(wcs.normally_ordered_moment, r, lab, p)]
+        out += [_call(wcs.n_function, x, p) for x in (800.0, -800.0, 500 + 500j)]
+        out.append(_call(wcs.wright_w, 713.15, p))
+    out.append(_call(wcs.n_function_derivative, 755.0, 1, wcs.DeformationParams(1.0, 0.3, 0.2)))
+    out.append(_call(wcs.PowerSeries((1e308, 1e308), 1.0), 1.0))
+    return out
+
+
 def _errors() -> list:
     out = [_call(wcs.DeformationParams, *triple)
            for triple in [(-0.5, 1.5, 0.0), (1.5, 0.0, 1.0), (-1.0, -1.0, 0.0), (2.0, 2.0, 5.0)]]
@@ -278,6 +299,7 @@ def main(argv=None) -> int:
         "cold-sweep": pickle.dumps(_cold_sweep(), protocol=4),
         "wavefunction": pickle.dumps(_wavefunction(), protocol=4),
         "hankel": pickle.dumps(_hankel(), protocol=4),
+        "ranges": pickle.dumps(_ranges(), protocol=4),
         "errors": pickle.dumps(_errors(), protocol=4),
         "api": pickle.dumps(_api(), protocol=4),
     }

@@ -37,7 +37,11 @@ at most 4 kept, dropped by series.clear_caches) holds levels
 _MIN_LENGTH = 128 slots and the lattice's length plus its level, so the
 README grid's lattices share one table; two bisections, no Fock series,
 give a lattice's length.  A raise reads slots j - 1 and j + 1 only, so a
-sample reads the first n slots of the untruncated raise as one slice.  The r-th moments scale their
+sample reads the first n slots of the untruncated raise as one slice.
+The table also holds the log of each row's largest |coefficient| (+inf
+where a slot is not finite): a sample's sum silences numpy's overflow and
+invalid warnings only where that bound and u^(n-1) allow a power or a
+term past double range.  The r-th moments scale their
 series by log r!, read once per order from series._log_order_factorial.
 """
 
@@ -232,7 +236,7 @@ def continuity_defect(
         return np.exp(0.5 * (lw - np.logaddexp.reduce(lw)) + 1j * cmath.phase(label.z) * n)
 
     diffs = np.abs(amplitudes(l1) - amplitudes(l2)) ** 2
-    direct = _exact_sum(diffs, "continuity_defect: {}", _BEYOND)
+    direct = _exact_sum(diffs, ("continuity_defect: {}", _BEYOND))
     return abs(direct - kernel)
 
 
@@ -286,9 +290,9 @@ def fock_moment_sum(
     log_n = _memo_read(lx, p, tol, max_terms, "fock_moment_sum").log_sum
     # t_r = x^r r! / ([r]! N), and the kernel's terms are t_n / t_r
     log_first = r * lx + _log_order_factorial(r) - log_gen_factorial(r, p) - log_n
-    with np.errstate(over="ignore"):  # _positive_fsum raises past double range
+    with np.errstate(over="ignore"):  # _positive_fsum refuses an infinite term
         terms = np.exp(s.log_terms + log_first)
-        return _positive_fsum(terms, _MOMENT_OVERFLOW, "fock_moment_sum", r, x)
+    return _positive_fsum(terms, (_MOMENT_OVERFLOW, "fock_moment_sum", r, x))
 
 
 def mandel_qz(
@@ -331,8 +335,9 @@ def mandel_qm(
     log_b = _table(p, len(s.log_terms)).log_box[1 : len(s.log_terms) + 1]
     # the first term is [1]^2 p(1) = x [1] / N
     log_e2 = s.log_terms + (lx + log_b[0] - log_norm)
-    e1 = _positive_fsum(np.exp(log_e2 - log_b), "mandel_qm at x = {}: {}", x, _BEYOND)
-    e2 = _positive_fsum(np.exp(log_e2), "mandel_qm at x = {}: {}", x, _BEYOND)
+    label = ("mandel_qm at x = {}: {}", x, _BEYOND)
+    e1 = _positive_fsum(np.exp(log_e2 - log_b), label)
+    e2 = _positive_fsum(np.exp(log_e2), label)
     return (e2 - e1 * e1) / e1 - 1.0
 
 
@@ -383,6 +388,8 @@ def wavefunction_sample(
     untruncated raise, from the triple's level table.  tol is checked and
     sets nothing.  Raises NumericalRangeError where a lattice term is not
     finite, as when u^j overflows at large x, or _sized_levels refuses x.
+    Numpy's warnings are silenced only where the bound on level k's
+    coefficients lets a term be non-finite.
     """
     k = check_count(k, "k")
     if k > _LEVEL_CAP:
@@ -394,20 +401,21 @@ def wavefunction_sample(
     log_y = -math.inf
     if x > 0.0:
         log_y = math.log(inv_length_sq) + 2.0 * p.beta * math.log(x)
-    rows, n = _sized_levels(k, x, log_y, p)
+    (rows, _, log_tops), n = _sized_levels(k, x, log_y, p)
     scale = (inv_length_sq / math.pi) ** 0.25 * math.exp(-0.5 * log_gen_factorial(k, p))
     u = math.sqrt(inv_length_sq) * x**p.beta
-    total, cancel = _lattice_sum(rows[k, :n], u, _LATTICE, x, p, _BEYOND)
+    total, cancel = _lattice_sum(rows[k, :n], u, (_LATTICE, x, p, _BEYOND), log_tops[k])
     return scale * total, cancel
 
 
-def _sized_levels(k: int, x: float, log_y: float, p: DeformationParams) -> tuple[np.ndarray, int]:
-    """The level table a sample of level k reads, and its lattice length
-    n = 2J + k + 4, J the last j whose ground term y^j / [2j]!! is at least
-    2^-62, by bisection over the table's reach column.  The terms rise
-    while [2j+2] < y, then fall: their peak, by bisection over log [2j+2],
-    is refused where past the longest table or double range, before a level
-    table is built.  Tables double from _MIN_LENGTH slots until n + k fit."""
+def _sized_levels(k: int, x: float, log_y: float, p: DeformationParams) -> tuple[tuple, int]:
+    """The level table (_raised_levels) a sample of level k reads, and its
+    lattice length n = 2J + k + 4, J the last j whose ground term
+    y^j / [2j]!! is at least 2^-62, by bisection over the table's reach
+    column.  The terms rise while [2j+2] < y, then fall: their peak, by
+    bisection over log [2j+2], is refused where past the longest table or
+    double range, before a level table is built.  Tables double from
+    _MIN_LENGTH slots until n + k fit."""
     m = _MIN_LENGTH
     while True:
         tab = _table(p, m)
@@ -419,10 +427,10 @@ def _sized_levels(k: int, x: float, log_y: float, p: DeformationParams) -> tuple
             why = "the ground terms peak past double range"
             break
         if 2 * peak + 2 * k + 4 <= m:
-            rows, reach = _raised_levels(p, m)
-            n = 2 * bisect.bisect_right(reach, log_y) + k + 4
+            levels = _raised_levels(p, m)
+            n = 2 * bisect.bisect_right(levels[1], log_y) + k + 4
             if n + k <= m:
-                return rows, n
+                return levels, n
         if m == _LONGEST:
             where = "peak" if peak == len(evens) else "reach"
             why = f"the ground terms {where} past the longest lattice, {_LONGEST} slots"
@@ -432,9 +440,9 @@ def _sized_levels(k: int, x: float, log_y: float, p: DeformationParams) -> tuple
 
 
 @functools.lru_cache(maxsize=_MAX_LEVEL_TABLES)
-def _raised_levels(p: DeformationParams, m: int) -> tuple[np.ndarray, memoryview]:
-    """Read-only rows 0.._LEVEL_CAP at length m, in oscillator units, and
-    their reach column.  Row 0 is the ground state: slot 2j holds
+def _raised_levels(p: DeformationParams, m: int) -> tuple[np.ndarray, memoryview, tuple]:
+    """Read-only rows 0.._LEVEL_CAP at length m, in oscillator units, their
+    reach column and their bounds.  Row 0 is the ground state: slot 2j holds
     (-1)^j / [2j]!!, the normalization under which the lowering operator
     annihilates it, odd slots 0.  Row i is the raise of row i-1, slot
     j = (0 + h c[j-1]) - (h c[j+1]) [j+1] with h = sqrt(1/2), whose last
@@ -442,7 +450,9 @@ def _raised_levels(p: DeformationParams, m: int) -> tuple[np.ndarray, memoryview
     slot m - i.  Reach entry j - 1, 2j < m, is (log 2^-62 + log [2j]!!) / j,
     the least log y where y^j / [2j]!! reaches 2^-62 (off the table's logs:
     row 0 leaves double range where the terms need not); log [2j]!! is
-    convex, brackets increasing, so the column rises by > 42 / (j (j + 1))."""
+    convex, brackets increasing, so the column rises by > 42 / (j (j + 1)).
+    Bound i, the log_top a sample of level i passes to _lattice_sum, is
+    log max_j |slot j of row i|, or +inf where a slot is infinite or NaN."""
     b = _brackets(p, m - 1)
     rows = np.zeros((_LEVEL_CAP + 1, m))
     # at tiny beta, [n] ~ beta n and 1 / [2j]!! overflows in slots past
@@ -455,11 +465,13 @@ def _raised_levels(p: DeformationParams, m: int) -> tuple[np.ndarray, memoryview
             rows[i, 1:] += _SHIFT * rows[i - 1, :-1]
             rows[i, :-1] -= _SHIFT * rows[i - 1, 1:] * b[1:]
     rows.flags.writeable = False
+    log_tops = tuple(_log_abs(t) if math.isfinite(t) else math.inf
+                     for t in np.abs(rows).max(axis=1).tolist())
     top = (m - 1) // 2  # the last j with 2j < m; log [2j]!!, j = 1..top:
     log_fact2 = _log_double_run(_table(p, m).log_box, 0, 2 * top)[1:]
     reach = (log_fact2 + _LOG_CUT) / np.arange(1, top + 1)
     reach.flags.writeable = False
-    return rows, memoryview(reach)
+    return rows, memoryview(reach), log_tops
 
 
 def ground_wavefunction(

@@ -35,11 +35,13 @@ in Python for three in a row, counting the run of small terms that ended
 the previous block (0 to 2).  The kernel sums in units of the largest
 term so far, never overflows and raises only ConvergenceError.  Every
 linear-scale sum goes through _exact_sum, the one helper that raises
-NumericalRangeError, where a term or the sum leaves double range: N and
+NumericalRangeError, where a term or the sum leaves double range, with
+the label its caller passes as one tuple, formatted only then: N and
 its derivatives (_linear_sum, with a geometric tail bound and the one
 cancellation rule, _cancels, as diagnostics), sums c_j y^j on the x^beta
-lattice (_lattice_sum), and coherent's Fock moments, Q_M and continuity
-defect.
+lattice (_lattice_sum, which silences numpy's warnings only where a bound
+on its coefficients and y allow a term past double range), and
+coherent's Fock moments, Q_M and continuity defect.
 Where a positive series is summed on the linear scale, _positive_fsum
 sums exactly only the terms of at least 2^-106 / len of the largest, plus
 the float sum of the rest: those weigh under 2^-106 of the total, so they
@@ -196,10 +198,16 @@ def _log_abs(v) -> float:
     return math.log(abs(v)) if v else -math.inf
 
 
-def _exact_sum(terms: np.ndarray, what: str, *args) -> float:
+def _range_error(label: tuple) -> NumericalRangeError:
+    """The range error of a linear-scale sum labelled (what, *args): its
+    message what.format(*args), formatted only for the error."""
+    what, *args = label
+    return NumericalRangeError(what.format(*args))
+
+
+def _exact_sum(terms: np.ndarray, label: tuple) -> float:
     """math.fsum(terms), bit for bit, in a few numpy passes on a long array.
-    Where fsum returns inf or NaN, or raises, NumericalRangeError with the
-    message what.format(*args), formatted only then.
+    Where fsum returns inf or NaN, or raises, _range_error(label).
 
     Rump, Ogita and Oishi's ExtractVector (Accurate floating-point
     summation part I, SIAM J. Sci. Comput. 31, 2008): with sigma = 2^e,
@@ -232,21 +240,26 @@ def _exact_sum(terms: np.ndarray, what: str, *args) -> float:
         total = math.nan
     if math.isfinite(total):
         return total
-    raise NumericalRangeError(what.format(*args))
+    raise _range_error(label)
 
 
-def _positive_fsum(terms: np.ndarray, what: str, *args) -> float:
+def _positive_fsum(terms: np.ndarray, label: tuple) -> float:
     """math.fsum of non-negative terms, with the negligible ones passed as
-    one float sum; _exact_sum's range error, labelled what, args.  A long
+    one float sum; _exact_sum's range error, _range_error(label).  A long
     decaying series spans hundreds of binary exponents, and each of
     _exact_sum's rounds covers about 40 of them; the negligible terms'
-    rounded sum still decides a tie in the rounding of the rest."""
+    rounded sum still decides a tie in the rounding of the rest.  An
+    infinite or NaN largest term is refused first, as fsum's sum would be,
+    so the float sum of the negligible terms cannot overflow."""
     if len(terms) == 0:
         return 0.0
-    big = terms >= terms.max() * _NEGLIGIBLE / len(terms)
+    top = terms.max()
+    if not math.isfinite(top):
+        raise _range_error(label)
+    big = terms >= top * _NEGLIGIBLE / len(terms)
     if big.all():  # the exact sum of the terms and 0.0 is theirs
-        return _exact_sum(terms, what, *args)
-    return _exact_sum(np.concatenate((terms[big], [terms[~big].sum()])), what, *args)
+        return _exact_sum(terms, label)
+    return _exact_sum(np.concatenate((terms[big], [terms[~big].sum()])), label)
 
 
 def _cancels(total: complex, largest: float) -> bool:
@@ -254,21 +267,33 @@ def _cancels(total: complex, largest: float) -> bool:
     return abs(total) < largest / _LOSS_THRESHOLD
 
 
-def _lattice_sum(coeffs: np.ndarray, y: float, what: str, *args) -> tuple[float, bool]:
+def _lattice_sum(
+    coeffs: np.ndarray, y: float, label: tuple, log_top: float = math.inf
+) -> tuple[float, bool]:
     """sum_j c_j y^j on the x^beta lattice (y = x^beta, or a multiple of
-    it) for a float array of coefficients, and whether it cancels; the
-    range error's message is what.format(*args).  y^j is the running
-    product of y, the bits of repeated multiplication, and the terms go to
-    _exact_sum.  A power overflows where y > 1, and a term is infinite or
-    NaN where a coefficient is; _exact_sum raises then, so numpy's warnings
-    are silenced."""
-    terms = np.empty(len(coeffs))  # y^0, y^1, ..., then the terms in place
+    it) for a float array of n >= 1 coefficients, and whether it cancels;
+    the range error is _range_error(label).  y^j is the running product of
+    y, the bits of repeated multiplication, and the terms go to _exact_sum.
+    log_top bounds log max_j |c_j| (+inf, the default, bounds nothing).  A
+    term is infinite or NaN only where a power or a coefficient is, and
+    _exact_sum raises then, so numpy's overflow and invalid warnings are
+    silenced where (n - 1) max(log y, 0) + max(log_top, 0) reaches
+    _LOG_MAX - 1.  Below that every power and term is finite, with a factor
+    e to spare for the rounding of the powers, and the same calls run
+    without np.errstate, which sets how numpy reports floating-point
+    errors, not the results."""
+    n = len(coeffs)
+    terms = np.empty(n)  # y^0, y^1, ..., then the terms in place
     terms.fill(y)
-    terms[:1].fill(1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
+    terms[0] = 1.0
+    # NaN (y = inf at n = 1) takes the silenced path too
+    if max(log_top, 0.0) + ((n - 1) * math.log(y) if y > 1.0 else 0.0) < _LOG_MAX - 1.0:
         np.multiply(coeffs, np.multiply.accumulate(terms, out=terms), out=terms)
-    total = _exact_sum(terms, what, *args)
-    return total, _cancels(total, float(np.maximum.reduce(np.abs(terms, out=terms), initial=0.0)))
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(coeffs, np.multiply.accumulate(terms, out=terms), out=terms)
+    total = _exact_sum(terms, label)
+    return total, _cancels(total, float(np.maximum.reduce(np.abs(terms, out=terms))))
 
 
 def _log_falling(r: int, n: np.ndarray) -> np.ndarray:
@@ -510,10 +535,11 @@ def _linear_sum(
     # at real x > 0 the error names the log-scale function of the same series
     variant = "log_n_function" if r is None else "log_n_derivative"
     hint = f"; use {variant}" if phase == 1.0 else ""
+    label = ("{}: {}{}", what, _BEYOND, hint)
     imag = 0.0  # the terms are real at real x
     if np.iscomplexobj(terms):
-        imag = _exact_sum(terms.imag, "{}: {}{}", what, _BEYOND, hint)
-    value = complex(_exact_sum(terms.real, "{}: {}{}", what, _BEYOND, hint), imag)
+        imag = _exact_sum(terms.imag, label)
+    value = complex(_exact_sum(terms.real, label), imag)
     last, ratio = math.exp(log_t[-1]), math.exp(s.log_ratio)
     return SeriesResult(
         value=value,
@@ -616,11 +642,13 @@ class PowerSeries:
             y = check_real(x, "x", at_least=0.0) ** self.beta
         except OverflowError:  # x^beta beyond double range, so is every term past the first
             y = math.inf
+        if not self.coeffs:
+            return 0.0
         try:
             coeffs = np.array(self.coeffs, dtype=float)
         except OverflowError:  # an int coefficient past double range is an infinite term
             coeffs = np.array([math.inf])
-        return _lattice_sum(coeffs, y, "PowerSeries at x = {}: {}", x, _BEYOND)[0]
+        return _lattice_sum(coeffs, y, ("PowerSeries at x = {}: {}", x, _BEYOND))[0]
 
     def shifted_up(self) -> "PowerSeries":
         """Multiply by x^beta: shift every coefficient up one lattice slot."""

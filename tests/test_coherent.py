@@ -561,9 +561,11 @@ class TestWavefunctions:
         info = coherent._raised_levels.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
         assert max(len(c) + k for (k, _), c in zip(samples, read)) <= coherent._MIN_LENGTH
-        rows, reach = coherent._raised_levels(CLASSICAL, coherent._MIN_LENGTH)  # a hit
+        rows, reach, log_tops = coherent._raised_levels(CLASSICAL, coherent._MIN_LENGTH)  # a hit
         assert rows.shape == (13, coherent._MIN_LENGTH) and not rows.flags.writeable
         assert len(reach) == coherent._MIN_LENGTH // 2 - 1 and reach.readonly
+        # each row's bound is the log of its largest |slot|
+        assert log_tops == tuple(math.log(max(abs(c) for c in row)) for row in rows.tolist())
         assert coherent._raised_levels.cache_info().hits == info.hits + 1
         exact = coherent._raised_levels.__wrapped__  # uncached
         for (k, _), c in zip(samples, read):
@@ -607,8 +609,12 @@ class TestWavefunctions:
                     value, flag = wavefunction_sample(k, x, p, s)
                     assert math.isfinite(value) and not flag
                     assert (value.hex(), flag) == _wave_outcome(_wavefunction_slot_loop, k, x, p, s)
-        rows, _ = coherent._raised_levels(p, coherent._MIN_LENGTH)
+        rows, _, log_tops = coherent._raised_levels(p, coherent._MIN_LENGTH)
         assert not np.isfinite(rows[0]).all()
+        # a row with a non-finite slot has no bound, so its samples'
+        # lattice sums run with numpy's warnings silenced
+        finite = np.isfinite(rows).all(axis=1).tolist()
+        assert [t == math.inf for t in log_tops] == [not f for f in finite]
         assert coherent._raised_levels.cache_info().currsize == 1
 
     @pytest.mark.parametrize("p", [DeformationParams(0.0, 0.1, 0.0), DeformationParams(0.5, 0.1, 1.0)])
@@ -656,6 +662,40 @@ class TestWavefunctions:
                 for k in (0, 1, 12):
                     unit = sample(k, u ** (1.0 / p.beta), p)
                     assert sample(k, (u * length) ** (1.0 / p.beta), p, SI) == unit, (p, u, k)
+
+    def test_bounded_sums_equal_the_silenced_path(self, monkeypatch):
+        # each sample's lattice sum runs with numpy's warnings silenced only
+        # where its row bound lets a power or a term leave double range; it
+        # returns the bits, or raises the message, of the sum that always
+        # silences them.  The grid has samples on both sides of the bound:
+        # u^j overflows at (0, 1, 0) from x = 30 and at (0.5, 0.1, 0) at
+        # x = 1e6, and beta = 1e-9 has rows with infinite slots
+        def outcome(k, x, p, s):
+            try:
+                value, cancel = wavefunction_sample(k, x, p, s)
+            except NumericalRangeError as exc:
+                return str(exc)
+            return value.hex(), cancel
+
+        grid = [(p, S1, x) for p in (CLASSICAL, DeformationParams(0.3, 0.7, 0.2), HALF,
+                                     DeformationParams(1.0, 1e-9, 0.01))
+                for x in (0.0, 0.5, 2.1, 8.0, 30.0, 37.0)]
+        grid += [(DeformationParams(0.5, 0.1, 0.0), S1, x) for x in (0.0, 3.0, 1e6)]
+        grid += [(p, SI, _at(u, SI)) for p in (CLASSICAL, HALF) for u in (0.0, 2.0, 5.0, 30.0)]
+        lattice_sum, sides = coherent._lattice_sum, set()
+
+        def gated(c, y, label, log_top):
+            reach = max(log_top, 0.0) + (len(c) - 1) * max(math.log(y) if y else 0.0, 0.0)
+            sides.add(reach < series._LOG_MAX - 1.0)
+            return lattice_sum(c, y, label, log_top)
+
+        monkeypatch.setattr(coherent, "_lattice_sum", gated)
+        got = {(p, s, x, k): outcome(k, x, p, s) for p, s, x in grid for k in (0, 1, 5, 12)}
+        assert sides == {True, False}
+        monkeypatch.setattr(coherent, "_lattice_sum", lambda c, y, label, log_top: lattice_sum(c, y, label))
+        for (p, s, x, k), want in got.items():
+            assert outcome(k, x, p, s) == want, (p, s, x, k)
+        assert sum(isinstance(v, str) for v in got.values()) >= 8
 
     def test_invalid_arguments(self):
         with pytest.raises(ParameterError):
@@ -767,7 +807,7 @@ class TestThreeTermDefect:
 
     @staticmethod
     def _defect(p, k, u, m=256):
-        rows, _ = coherent._raised_levels(p, m)
+        rows = coherent._raised_levels(p, m)[0]
         b = _brackets(p, m - 1)
         n = m - k - 1  # the slots of row k whose lowering reads row k alone
         h = math.sqrt(0.5)
@@ -867,7 +907,7 @@ class TestPositiveSums:
         p = DeformationParams(*triple)
         got = self._sums(p)
         assert got[0] is not None
-        monkeypatch.setattr(coherent, "_positive_fsum", lambda t, *label: math.fsum(t.tolist()))
+        monkeypatch.setattr(coherent, "_positive_fsum", lambda t, label: math.fsum(t.tolist()))
         assert self._sums(p) == got
 
 
@@ -883,9 +923,9 @@ def test_fsum_lists_stay_short(monkeypatch):
         fsum_lengths.append(len(terms))
         return fsum(terms)
 
-    def counted_exact_sum(terms, *label):
+    def counted_exact_sum(terms, label):
         exact_lengths.append(len(terms))
-        return exact_sum(terms, *label)
+        return exact_sum(terms, label)
 
     monkeypatch.setattr(math, "fsum", counted_fsum)
     monkeypatch.setattr(series, "_exact_sum", counted_exact_sum)

@@ -76,9 +76,9 @@ class TestNFunction:
         calls = []
         exact_sum = series._exact_sum
 
-        def counted(terms, *label):
+        def counted(terms, label):
             calls.append(len(terms))
-            return exact_sum(terms, *label)
+            return exact_sum(terms, label)
 
         monkeypatch.setattr(series, "_exact_sum", counted)
         for f in (n_function, wright_w):
@@ -485,6 +485,40 @@ class TestPowerSeries:
         with pytest.raises(NumericalRangeError, match="double range"):
             PowerSeries((1e308, 1e308), 1.0)(1.0)
 
+    def test_empty_series_is_zero(self):
+        assert PowerSeries((), 1.0)(1e200) == 0.0 and PowerSeries((), 0.5)(0.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "coeffs, y",
+        [((1.0, 1e308, 1e308), 10.0),  # a term overflows, its power does not
+         ((1.0, math.inf), 0.0),  # inf * 0 is NaN
+         ((1.0, math.nan), 0.5),
+         ((1.0, 2.0, 3.0), 1e200),  # a power overflows
+         ((1.0, -2.0), 1e300),  # within range by a bound of 691.5
+         ((1.0, 1.0, 1.0), math.exp((series._LOG_MAX - 1.0001) / 2.0)),
+         ((1.0, 1.0, 1.0), 1e154),  # 1e308 fits, past the bound
+         ((1.0, 1.0, 1.0), math.exp((series._LOG_MAX + 0.5) / 2.0)),  # y^2 just past range
+         ((5.0,), math.inf), ((5.0, 1.0), math.inf), ((0.5, 0.25), 1.0)],
+    )
+    def test_bounded_lattice_sum_equals_the_silenced_sum(self, coeffs, y):
+        # with log max |c_j| passed, the sum runs with numpy's warnings on
+        # where no power or term can leave double range, silenced where one
+        # can; either way it has the outcome of the sum that always silences
+        # them, and warns nothing (pytest makes a RuntimeWarning an error)
+        c = np.array(coeffs)
+        top = float(np.max(np.abs(c)))
+        log_top = math.log(top) if math.isfinite(top) else math.inf
+        label = ("lattice at y = {}", y)
+
+        def outcome(*bound):
+            try:
+                total, cancel = series._lattice_sum(c, y, label, *bound)
+            except NumericalRangeError as exc:
+                return str(exc)
+            return total.hex(), cancel
+
+        assert outcome(log_top) == outcome()
+
     @pytest.mark.parametrize("coeffs", [("a",), (1.0, None), (1.0, True), (1.0, 2j), ("1.5",)])
     def test_non_numeric_coefficients_are_refused(self, coeffs):
         # at construction: numpy once raised an untyped ValueError or
@@ -566,7 +600,7 @@ class TestPositiveFsum:
     def test_equal_to_fsum_over_every_term(self, logs):
         # terms from 1 down to below the smallest subnormal
         terms = np.exp(np.array(logs, dtype=float))
-        assert _positive_fsum(terms, _RANGE, "a", len(terms)) == math.fsum(terms.tolist())
+        assert _positive_fsum(terms, (_RANGE, "a", len(terms))) == math.fsum(terms.tolist())
 
     @staticmethod
     def _split(terms):
@@ -574,7 +608,7 @@ class TestPositiveFsum:
         # there are none, as _positive_fsum always summed them
         big = terms >= terms.max() * series._NEGLIGIBLE / len(terms)
         split = np.concatenate((terms[big], [terms[~big].sum()]))
-        return _exact_sum(split, _RANGE, "a", len(terms)), bool(big.all())
+        return _exact_sum(split, (_RANGE, "a", len(terms))), bool(big.all())
 
     @pytest.mark.parametrize("negligible", [False, True])
     def test_equal_to_the_split_path(self, negligible):
@@ -591,7 +625,17 @@ class TestPositiveFsum:
                 terms[-1] = 1e-300
             want, none_negligible = self._split(terms)
             assert none_negligible is (not negligible or n == 1)
-            assert _positive_fsum(terms, _RANGE, "a", n).hex() == want.hex()
+            assert _positive_fsum(terms, (_RANGE, "a", n)).hex() == want.hex()
+
+
+    @pytest.mark.parametrize("special", [math.inf, math.nan])
+    def test_non_finite_term_refused_before_a_float_sum(self, special):
+        # with an infinite largest term every finite term is negligible, and
+        # their float sum overflowed with a numpy warning (an error under
+        # pytest's filter) before the range error
+        terms = np.array([special, 1e308, 1e308, 1e-300])
+        with pytest.raises(NumericalRangeError, match=r"^lbl 1$"):
+            _positive_fsum(terms, ("lbl {}", 1))
 
 
 class TestLogOrderFactorial:
@@ -630,7 +674,7 @@ _RANGE = "sum {} of {} terms"  # the range errors' label here
 
 
 def _fsum_outcome(terms: np.ndarray):
-    """The outcome _exact_sum(terms, _RANGE, "a", len(terms)) must have:
+    """The outcome _exact_sum(terms, (_RANGE, "a", len(terms))) must have:
     math.fsum's bits where they are finite, else the range error, where
     fsum returns inf or NaN or raises."""
     want = _outcome(math.fsum, terms.tolist())
@@ -690,7 +734,7 @@ class TestExactSums:
         want = _fsum_outcome(terms)
         kept = terms.tobytes()
         terms.flags.writeable = False  # as the memo's log-terms are
-        assert _outcome(_exact_sum, terms, _RANGE, "a", len(terms)) == want
+        assert _outcome(_exact_sum, terms, (_RANGE, "a", len(terms))) == want
         assert terms.tobytes() == kept
 
     @settings(max_examples=200, deadline=None)
@@ -698,7 +742,7 @@ class TestExactSums:
     def test_positive_fsum_equal_to_fsum(self, terms):
         # the terms of a positive series: finite and never negative
         terms.flags.writeable = False
-        assert _outcome(_positive_fsum, terms, _RANGE, "a", len(terms)) == _fsum_outcome(terms)
+        assert _outcome(_positive_fsum, terms, (_RANGE, "a", len(terms))) == _fsum_outcome(terms)
 
     @pytest.mark.parametrize("f", [_exact_sum, _positive_fsum])
     @pytest.mark.parametrize("n", [2, _FSUM_MAX, _FSUM_MAX + 1, 3000])
@@ -710,7 +754,7 @@ class TestExactSums:
         terms = np.full(n, 0.5)
         terms[[0, n // 2]] = special
         with pytest.raises(NumericalRangeError, match=rf"^sum a of {n} terms$"):
-            f(terms, _RANGE, "a", n)
+            f(terms, (_RANGE, "a", n))
 
     @pytest.mark.parametrize("r", [*range(9), 12, 40])
     def test_falling_factors_equal_to_2d_forms(self, r, monkeypatch):

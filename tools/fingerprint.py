@@ -9,7 +9,9 @@ in that file's fingerprint.groups, or that the file lacks, and exits 1 if
 there is any.
 Each group pickles a fixed list of results; a call that raises contributes
 its exception type and message instead, so a value that turns into an error
-moves its group.
+moves its group.  A RuntimeWarning is an error, as under the tests' pytest
+filter, here and in each command's interpreter: a numpy floating-point
+warning that escapes the package moves its group too.
 
 readme          stdout of the `wcs` commands in README.md's sh blocks, in
                 README order, each run in a fresh interpreter
@@ -75,6 +77,7 @@ import math
 import pickle
 import subprocess
 import sys
+import warnings
 
 import wcs
 from groups import COLD_SWEEP_GRID, COLD_SWEEP_TRIPLES, cold_sweep_rows, readme_commands, wavefunction_rows
@@ -84,7 +87,7 @@ from wcs.factorials import _TABLES, _first_series_entry
 def _stdout(commands: list[list[str]]) -> bytes:
     out = b""
     for args in commands:
-        cmd = [sys.executable, "-m", "wcs.cli", *args]
+        cmd = [sys.executable, "-W", "error::RuntimeWarning", "-m", "wcs.cli", *args]
         out += subprocess.run(cmd, capture_output=True, check=False).stdout
     return out
 
@@ -287,6 +290,7 @@ def main(argv=None) -> int:
     ap.add_argument("--against", metavar="BENCH_JSON",
                     help="a benchmark record whose fingerprint.groups to compare with")
     args = ap.parse_args(argv)
+    warnings.simplefilter("error", RuntimeWarning)
     groups = {
         "readme": _stdout(readme_commands()),
         "cli-json": _cli_json(),

@@ -245,7 +245,7 @@ def _exact_sum(terms: np.ndarray, label: tuple) -> float:
 
 def _positive_fsum(terms: np.ndarray, label: tuple) -> float:
     """math.fsum of non-negative terms, with the negligible ones passed as
-    one float sum; _exact_sum's range error, _range_error(label).  A long
+    one float sum; its range error is _range_error(label).  A long
     decaying series spans hundreds of binary exponents, and each of
     _exact_sum's rounds covers about 40 of them; the negligible terms'
     rounded sum still decides a tie in the rounding of the rest.  An

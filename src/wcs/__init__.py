@@ -4,28 +4,46 @@ Numerics for a three-parameter deformation of the boson algebra: bracket
 factorials, the deformed exponential series, oscillator spectra and
 wavefunctions, photon statistics of the coherent states, and the Stieltjes
 moment-problem machinery behind their completeness.
+
+The package root loads its modules on first use (PEP 562): the first read
+of a public name, or of __all__ or dir(wcs), imports every module below and
+binds the names in each one's __all__ here, so `import wcs.cli` or
+`import wcs.factorials` loads only what that module imports.
 """
 
-from . import algebra, coherent, errors, factorials, gammafn, moments, params, series
-from .algebra import *  # noqa: F403
-from .coherent import *  # noqa: F403
-from .errors import *  # noqa: F403
-from .factorials import *  # noqa: F403
-from .gammafn import *  # noqa: F403
-from .moments import *  # noqa: F403
-from .params import *  # noqa: F403
-from .series import *  # noqa: F403
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    *params.__all__,
-    *errors.__all__,
-    *gammafn.__all__,
-    *factorials.__all__,
-    *algebra.__all__,
-    *series.__all__,
-    *coherent.__all__,
-    *moments.__all__,
-    "__version__",
-]
+# the modules whose __all__ the root re-exports, in the order of its __all__
+_MODULES = ("params", "errors", "gammafn", "factorials", "algebra", "series", "coherent", "moments")
+
+
+def _load() -> None:
+    """Bind here every public name of every module, and __all__.
+
+    The hooks are then dropped: CPython does not specialise attribute reads
+    on a module that defines __getattr__, and would charge every later
+    `wcs.name` read about 15 ns for it."""
+    names = []
+    for name in _MODULES:
+        module = importlib.import_module(f"{__name__}.{name}")
+        globals().update((attr, getattr(module, attr)) for attr in module.__all__)
+        names += module.__all__
+    globals()["__all__"] = [*names, "__version__"]
+    globals().pop("__getattr__", None)  # a concurrent first read may have dropped them
+    globals().pop("__dir__", None)
+
+
+def __getattr__(name: str):
+    # a dunder probe (copy, pickle, pytest) other than __all__ loads nothing
+    if name == "__all__" or not (name.startswith("__") and name.endswith("__")):
+        _load()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list:
+    _load()
+    return sorted(globals())

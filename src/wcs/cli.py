@@ -7,8 +7,11 @@ The JSON config is the parsed command line: the subcommand and every
 option it accepts, defaults included, plus what pdist computed (cutoff and
 tail mass).  Identical invocations produce byte-identical output: floats
 are printed with 17 significant digits, row order follows grid order, and
-diagnostics go exclusively to stderr (controlled by the WCS_LOG
-environment variable).
+diagnostics go exclusively to stderr: the WCS_LOG environment variable
+(error, warn, info or debug) sets the level, and each message is written
+directly to sys.stderr as `wcs:LEVEL: message`, without the logging module.
+A command imports only the library modules it calls, inside its cmd_*
+function, so a run loads no more of the package than it uses.
 
 Exit codes: 0 success, 2 invalid configuration (an --out file that cannot
 be written included), 3 numerical failure, 4 verification failure (moment
@@ -19,53 +22,34 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
-import logging
 import math
 import os
 import sys
 
-from .algebra import energy_level
-from .coherent import (
-    CoherentLabel,
-    mandel_qm,
-    mandel_qz,
-    photon_distribution,
-    vacuum_uncertainty,
-    wavefunction_sample,
-)
 from .errors import ConvergenceError, NumericalRangeError, ParameterError
-from .factorials import gen_factorial
-from .moments import (
-    _INNER_RTOL,
-    WEIGHT_FAMILIES,
-    carleman_classify,
-    hankel_hadamard,
-    u_from_u_tilde,
-    verify_moments,
-)
-from .params import DeformationParams, PhysicalScales
+from .params import _INNER_RTOL, WEIGHT_FAMILY_NAMES, DeformationParams, PhysicalScales
 
-_LOG_LEVELS = {
-    "error": logging.ERROR,
-    "warn": logging.WARNING,
-    "info": logging.INFO,
-    "debug": logging.DEBUG,
-}
+# WCS_LOG's levels, numbered as the logging module numbers them
+_LOG_LEVELS = {"error": 40, "warn": 30, "info": 20, "debug": 10}
+_log_level = _LOG_LEVELS["warn"]
 
-log = logging.getLogger("wcs")
 
 def _setup_logging() -> None:
+    global _log_level
     name = os.environ.get("WCS_LOG", "warn").lower()
     if name not in _LOG_LEVELS:
         raise ParameterError(
             f"WCS_LOG must be one of {sorted(_LOG_LEVELS)}, got {name!r}"
         )
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("wcs:%(levelname)s: %(message)s"))
-    root = logging.getLogger("wcs")
-    root.handlers[:] = [handler]
-    root.setLevel(_LOG_LEVELS[name])
+    _log_level = _LOG_LEVELS[name]
+
+
+def _log(level: str, message: str, *args) -> None:
+    """Write `wcs:LEVEL: message % args` to the current stderr when WCS_LOG
+    lets level (debug, info or error) through."""
+    if _LOG_LEVELS[level] >= _log_level:
+        sys.stderr.write(f"wcs:{level.upper()}: {message % args}\n")
+        sys.stderr.flush()
 
 
 # ---------------------------------------------------------------- parsing
@@ -141,6 +125,8 @@ def _json_value(v) -> str:
         return "null"
     if isinstance(v, int) or isinstance(v, float) and math.isfinite(v):
         return _fmt(v)
+    import json  # here and in _render_json: only --format json loads it
+
     return json.dumps(_fmt(v), ensure_ascii=False)
 
 
@@ -152,6 +138,8 @@ def _render_csv(header: list[str], rows: list[tuple]) -> str:
 
 
 def _render_json(config: dict, header: list[str], rows: list[tuple]) -> str:
+    import json
+
     cfg = ",".join(
         f"{json.dumps(k, ensure_ascii=False)}:{_json_value(v)}" for k, v in config.items()
     )
@@ -176,7 +164,8 @@ def _config(args, computed: dict) -> dict:
 
 
 def _emit(args, header: list[str], rows: list[tuple], **computed) -> None:
-    log.debug(
+    _log(
+        "debug",
         "command=%s rows=%d columns=%s format=%s",
         args.command,
         len(rows),
@@ -191,7 +180,7 @@ def _emit(args, header: list[str], rows: list[tuple], **computed) -> None:
         try:
             with open(args.out, "w", newline="") as fh:
                 fh.write(text)
-            log.info("wrote %d rows to %s", len(rows), args.out)
+            _log("info", "wrote %d rows to %s", len(rows), args.out)
             if args.gnuplot:
                 _emit_gnuplot(args.out, header)
         except OSError as exc:
@@ -202,20 +191,19 @@ def _emit(args, header: list[str], rows: list[tuple], **computed) -> None:
 
 def _emit_gnuplot(out_path: str, header: list[str]) -> None:
     gp_path = out_path + ".gp"
+    name = os.path.basename(out_path)
     lines = [
-        "# plot script for " + os.path.basename(out_path),
+        "# plot script for " + name,
         "set datafile separator ','",
         "set key autotitle columnhead",
         f"set xlabel '{header[0]}'",
     ]
-    plots = [
-        f"'{os.path.basename(out_path)}' using 1:{i + 1} with lines"
-        for i in range(1, len(header))
-    ]
+    quoted = name.replace("'", "''")  # gnuplot's escape inside single quotes
+    plots = [f"'{quoted}' using 1:{i + 1} with lines" for i in range(1, len(header))]
     lines.append("plot " + ", \\\n     ".join(plots))
     with open(gp_path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-    log.info("wrote gnuplot script %s", gp_path)
+    _log("info", "wrote gnuplot script %s", gp_path)
 
 
 # ------------------------------------------------------------- commands
@@ -226,6 +214,8 @@ def _triple(args) -> DeformationParams:
 
 
 def cmd_factorial(args) -> int:
+    from .factorials import gen_factorial
+
     p = _triple(args)
     ns = _parse_int_range(args.n)
     rows = []
@@ -241,6 +231,8 @@ def cmd_factorial(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from .algebra import energy_level
+
     s = PhysicalScales(hbar=args.hbar, omega=args.omega)
     ns = _parse_int_range(args.n)
     rows = []
@@ -253,6 +245,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_pdist(args) -> int:
+    from .coherent import CoherentLabel, photon_distribution
+
     label = CoherentLabel.from_intensity(args.x)
     dist = photon_distribution(label, _triple(args), tail_tol=args.tail)
     rows = [(n, prob) for n, prob in enumerate(dist.probabilities)]
@@ -261,6 +255,8 @@ def cmd_pdist(args) -> int:
 
 
 def cmd_mandel(args) -> int:
+    from .coherent import CoherentLabel, mandel_qm, mandel_qz
+
     p = _triple(args)
     xs = _parse_grid(args.x)
     if any(x <= 0 for x in xs):
@@ -274,6 +270,8 @@ def cmd_mandel(args) -> int:
 
 
 def cmd_uncertainty(args) -> int:
+    from .coherent import vacuum_uncertainty
+
     s = PhysicalScales(hbar=args.hbar)
     unit = 1.0
     if args.units == "half-hbar":
@@ -287,6 +285,8 @@ def cmd_uncertainty(args) -> int:
 
 
 def cmd_wavefunction(args) -> int:
+    from .coherent import wavefunction_sample
+
     p = _triple(args)
     s = PhysicalScales(hbar=args.hbar, mass=args.mass, omega=args.omega)
     ks = _parse_int_range(args.k)
@@ -303,6 +303,8 @@ def cmd_wavefunction(args) -> int:
 def _family_triple(args) -> DeformationParams:
     """The family's deformation triple; an --alpha given on the command line
     must agree with the alpha that the family fixes."""
+    from .moments import WEIGHT_FAMILIES
+
     p = WEIGHT_FAMILIES[args.family].params(args.beta, args.nu)
     if args.alpha is not None and not (
         len(args.alpha) == 1 and math.isclose(args.alpha[0], p.alpha, abs_tol=1e-12)
@@ -315,6 +317,8 @@ def _family_triple(args) -> DeformationParams:
 
 
 def cmd_weight(args) -> int:
+    from .moments import WEIGHT_FAMILIES, u_from_u_tilde
+
     xs = _parse_grid(args.x)
     p = _family_triple(args)
     sample_at = WEIGHT_FAMILIES[args.family].sample
@@ -327,6 +331,8 @@ def cmd_weight(args) -> int:
 
 
 def cmd_moments(args) -> int:
+    from .moments import verify_moments
+
     if args.nmax > 12:
         raise ParameterError(f"--nmax is capped at 12, got {args.nmax}")
     _family_triple(args)
@@ -342,7 +348,8 @@ def cmd_moments(args) -> int:
     ]
     _emit(args, ["n", "quadrature_moment", "target_factorial", "rel_error"], rows)
     if max(report.rel_errors) > args.threshold:
-        log.error(
+        _log(
+            "error",
             "moment verification failed: max rel error %.3g above threshold %.3g",
             max(report.rel_errors),
             args.threshold,
@@ -352,6 +359,8 @@ def cmd_moments(args) -> int:
 
 
 def cmd_carleman(args) -> int:
+    from .moments import carleman_classify
+
     rows = []
     for alpha, beta, nu in itertools.product(args.alpha, args.beta, args.nu):
         v = carleman_classify(DeformationParams(alpha, beta, nu))
@@ -365,6 +374,8 @@ def cmd_carleman(args) -> int:
 
 
 def cmd_hankel(args) -> int:
+    from .moments import hankel_hadamard
+
     det = hankel_hadamard(_triple(args), args.size, args.offset)
     rows = [(args.size, args.offset, 1 if det > 0 else -1, det)]
     _emit(args, ["size", "offset", "sign", "scaled_det"], rows)
@@ -447,12 +458,12 @@ def build_parser() -> argparse.ArgumentParser:
                      family=True,
                      tol=(_INNER_RTOL, "relative error target of each weight value (default "
                                        "1e-11, the target moments holds its weights to)"))
-    sp.add_argument("--family", choices=WEIGHT_FAMILIES, required=True)
+    sp.add_argument("--family", choices=WEIGHT_FAMILY_NAMES, required=True)
     sp.add_argument("--x", required=True, help="grid: value, list, or lo:hi:count")
 
     sp = _subcommand(sub, "moments", cmd_moments,
                      "verify the moment equation for a weight family", family=True)
-    sp.add_argument("--family", choices=WEIGHT_FAMILIES, required=True)
+    sp.add_argument("--family", choices=WEIGHT_FAMILY_NAMES, required=True)
     sp.add_argument("--nmax", type=int, required=True)
     sp.add_argument("--threshold", type=float, default=1e-5,
                     help="max allowed relative moment error (exit 4 above it)")
@@ -478,6 +489,11 @@ def main(argv=None) -> int:
             return exc.code if isinstance(exc.code, int) else 2
         if args.gnuplot and (args.format != "csv" or not args.out):
             raise ParameterError("--gnuplot requires --format csv and --out")
+        if args.gnuplot and ("\n" in args.out or "\r" in args.out):
+            # no gnuplot quoting spans lines
+            raise ParameterError(
+                f"--gnuplot cannot quote an --out name that holds a line break, got {args.out!r}"
+            )
         return args.func(args)
     except ParameterError as exc:
         print(f"wcs: invalid configuration: {exc}", file=sys.stderr)

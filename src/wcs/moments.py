@@ -55,7 +55,7 @@ import numpy as np
 from .errors import NumericalRangeError, ParameterError
 from .factorials import _log_factorials
 from .gammafn import _MAX_FINITE_LOG, _exp_each, gamma_signed, log_gamma
-from .params import DeformationParams, check_count, check_real
+from .params import _INNER_RTOL, WEIGHT_FAMILY_NAMES, DeformationParams, check_count, check_real
 from .quadrature import _DE_DROP, integrate_shared_de, integrate_zero_inf_de
 from .series import log_n_function
 
@@ -306,9 +306,7 @@ def _one_minus_beta_weights(p: DeformationParams, rtol: float):
     return _kernel_weights(log_f, log_pref, rtol, beta, 1.0 - nu / beta)
 
 
-# the relative target of each weight value, in verify_moments and by default
-# in the scalar weight functions
-_INNER_RTOL = 1e-11
+_WRIGHT, _ONE_MINUS_BETA, _ML_CLOSED_FORM = WEIGHT_FAMILY_NAMES
 
 
 def _one_row(family: str, x: float, beta: float, nu: float, rtol: float) -> tuple[float, float]:
@@ -327,7 +325,7 @@ def weight_wright(x: float, beta: float, nu: float, rtol: float = _INNER_RTOL) -
     when nu/b < 1 (flagged), but the essential damping exp(-x/(b t))
     regularizes it for every x > 0."""
     x = check_real(x, "x", above=0.0)
-    u, err = _one_row("wright", x, beta, nu, rtol)
+    u, err = _one_row(_WRIGHT, x, beta, nu, rtol)
     return WeightSample(
         x=x, u_tilde=u, abs_err_est=err, endpoint_singular=nu / beta < 1.0
     )
@@ -343,7 +341,7 @@ def weight_one_minus_beta(
     negative there and the two signs cancel, as the n = 0 moment check
     confirms; the weight is computed as a logarithm and is positive."""
     x = check_real(x, "x", above=0.0)
-    u, err = _one_row("one-minus-beta", x, beta, nu, rtol)
+    u, err = _one_row(_ONE_MINUS_BETA, x, beta, nu, rtol)
     return WeightSample(x=x, u_tilde=u, abs_err_est=err, endpoint_singular=True)
 
 
@@ -396,17 +394,17 @@ class _Family(NamedTuple):
     sample: Callable  # (x, beta, nu, rtol) -> WeightSample
 
 
-# the registry of weight families, keyed by the names the CLI accepts
+# the registry of weight families, keyed in the order of params.WEIGHT_FAMILY_NAMES
 WEIGHT_FAMILIES = {
-    "wright": _Family(
+    _WRIGHT: _Family(
         lambda beta, nu: DeformationParams(1.0, beta, nu), _wright_weights, weight_wright
     ),
-    "one-minus-beta": _Family(
+    _ONE_MINUS_BETA: _Family(
         lambda beta, nu: DeformationParams(1.0 - check_real(beta, "beta"), beta, nu),
         _one_minus_beta_weights,
         weight_one_minus_beta,
     ),
-    "ml-closed-form": _Family(
+    _ML_CLOSED_FORM: _Family(
         _ml_params,
         _ml_weights,
         lambda x, beta, nu, rtol=_INNER_RTOL: weight_ml_closed_form(x, nu),

@@ -27,6 +27,15 @@ __all__ = ["DeformationParams", "PhysicalScales"]
 _REALS = (int, float, np.integer, np.floating)
 _COMPLEXES = (*_REALS, complex, np.complexfloating)
 
+# the weight families' names, in the order moments.WEIGHT_FAMILIES holds
+# them and the CLI's --family offers them: declared here so that the CLI
+# can build its parser without importing moments
+WEIGHT_FAMILY_NAMES = ("wright", "one-minus-beta", "ml-closed-form")
+
+# the relative target of each weight value, in moments.verify_moments and
+# by default in the scalar weight functions and `wcs weight --tol`
+_INNER_RTOL = 1e-11
+
 
 def check_count(value, name: str, low: int = 0) -> int:
     """value as an int, after checking it is an integer >= low."""

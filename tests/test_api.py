@@ -2,6 +2,12 @@
 each comes from, and what stays out."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
 
 import wcs
 from wcs import quadrature
@@ -48,3 +54,59 @@ def test_each_name_is_its_home_modules_object():
 def test_quadrature_stays_out():
     assert not set(quadrature.__all__) & set(wcs.__all__)
     assert not [name for name in quadrature.__all__ if hasattr(wcs, name)]
+
+
+def run_child(code: str) -> str:
+    """The stdout of code run in a fresh interpreter that imports this wcs."""
+    src = os.path.dirname(os.path.dirname(wcs.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_dir_holds_every_exported_name():
+    assert set(EXPORTED) <= set(dir(wcs))
+
+
+def test_star_import_binds_each_home_modules_object():
+    code = f"""
+import importlib, json
+ns = {{}}
+exec("from wcs import *", ns)
+del ns["__builtins__"]
+homes = {{}}
+for name in {MODULES!r}:
+    module = importlib.import_module("wcs." + name)
+    homes.update((attr, getattr(module, attr)) for attr in module.__all__)
+print(json.dumps([sorted(ns), sorted(a for a in homes if ns.get(a) is not homes[a])]))
+"""
+    names, strangers = json.loads(run_child(code))
+    assert names == EXPORTED
+    assert strangers == []
+
+
+def test_an_unknown_name_is_an_attribute_error_naming_it():
+    message = "module 'wcs' has no attribute 'no_such_name'"
+    # the first read, through the lazy hook, and one after it
+    code = "import wcs\ntry:\n    wcs.no_such_name\nexcept AttributeError as exc:\n    print(exc)"
+    assert run_child(code) == message + "\n"
+    with pytest.raises(AttributeError, match=message):
+        wcs.no_such_name  # noqa: B018
+
+
+def test_the_hooks_are_dropped_once_loaded():
+    # a module without __getattr__ keeps CPython's fast path for wcs.name reads
+    assert wcs.box is not None
+    assert "__getattr__" not in vars(wcs)
+    assert "__dir__" not in vars(wcs)
+
+
+def test_import_and_dunder_probes_load_nothing():
+    code = (
+        "import sys, wcs\n"
+        "assert not hasattr(wcs, '__wrapped__')\n"
+        "print(sorted(m for m in sys.modules if m.startswith('wcs')), wcs.__version__)"
+    )
+    assert run_child(code) == "['wcs'] 0.1.0\n"

@@ -373,6 +373,30 @@ class TestOutputFiles:
         assert "spec.csv.gp" in err
 
 
+class TestGnuplotNames:
+    def test_a_quote_in_the_name_is_doubled(self, tmp_path):
+        target = tmp_path / "it's.csv"
+        code, out, _ = run_cli(["factorial", "--n", "0..2", "--out", str(target), "--gnuplot"])
+        assert (code, out) == (0, "")
+        lines = (tmp_path / "it's.csv.gp").read_text().splitlines()
+        assert lines[0] == "# plot script for it's.csv"
+        assert lines[-2:] == [
+            "plot 'it''s.csv' using 1:2 with lines, \\",
+            "     'it''s.csv' using 1:3 with lines",
+        ]
+
+    @pytest.mark.parametrize("name", ["a\nb.csv", "a\rb.csv"])
+    def test_a_line_break_in_the_name_is_refused_before_writing(self, tmp_path, name):
+        target = tmp_path / name
+        code, out, err = run_cli(["factorial", "--n", "0..2", "--out", str(target), "--gnuplot"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "wcs: invalid configuration: --gnuplot cannot quote an --out name that holds"
+            f" a line break, got {str(target)!r}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestDeterminismAndLogging:
     def test_repeat_runs_identical(self):
         a = run_cli(["mandel", "--nu", "0.5", "--x", "0.5:2:4"])
@@ -386,6 +410,26 @@ class TestDeterminismAndLogging:
         assert out == out2
         assert "DEBUG" in err
         assert err2 == ""
+
+    def test_diagnostic_lines(self, tmp_path):
+        target = tmp_path / "s.csv"
+        argv = ["spectrum", "--n", "0..3", "--out", str(target), "--gnuplot"]
+        # each run writes to the stderr current at the time, not the first one's
+        for _ in range(2):
+            code, out, err = run_cli(argv, env={"WCS_LOG": "debug"})
+            assert (code, out) == (0, "")
+            assert err.splitlines() == [
+                "wcs:DEBUG: command=spectrum rows=4 columns=n,alpha,beta,nu,energy format=csv",
+                f"wcs:INFO: wrote 4 rows to {target}",
+                f"wcs:INFO: wrote gnuplot script {target}.gp",
+            ]
+        assert run_cli(argv, env={"WCS_LOG": "error"})[2] == ""
+        code, _, err = run_cli(
+            ["moments", "--family", "ml-closed-form", "--nu", "0.5", "--nmax", "4",
+             "--threshold", "-1"], env={"WCS_LOG": "error"}
+        )
+        assert code == 4
+        assert err.startswith("wcs:ERROR: moment verification failed: max rel error ")
 
     def test_invalid_log_level(self):
         code, _, _ = run_cli(["factorial", "--n", "1"], env={"WCS_LOG": "nonsense"})
@@ -546,6 +590,43 @@ class TestOptionsPerSubcommand:
 
 
 class TestImportHygiene:
+    """Which modules a child interpreter holds after an import or a
+    command: a count read from sys.modules, the same on every machine."""
+
+    @staticmethod
+    def loaded(code):
+        """The wcs modules, and logging if loaded, after code runs."""
+        code += (
+            "\nimport json, sys\nprint(json.dumps([m for m in sys.modules"
+            " if m == 'logging' or m.startswith('wcs')]))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        return set(json.loads(proc.stdout.splitlines()[-1]))
+
+    def test_cli_import_loads_errors_and_params_only(self):
+        assert self.loaded("import wcs.cli") == {"wcs", "wcs.cli", "wcs.errors", "wcs.params"}
+
+    @pytest.mark.parametrize(
+        "argv, absent",
+        [
+            (["factorial", "--n", "0..2"], {"series", "coherent", "moments", "quadrature"}),
+            (["mandel", "--nu", "0.5", "--x", "1"], {"moments", "quadrature"}),
+            (["moments", "--family", "ml-closed-form", "--nu", "0.5", "--nmax", "4"],
+             {"coherent"}),
+        ],
+    )
+    def test_a_command_loads_only_what_it_calls(self, argv, absent):
+        mods = self.loaded(f"from wcs.cli import main\nassert main({argv!r}) == 0")
+        assert not mods & ({f"wcs.{name}" for name in absent} | {"logging"})
+
+    def test_factorials_leave_series_unloaded(self):
+        mods = self.loaded("import wcs.factorials")
+        assert "wcs.factorials" in mods
+        assert "wcs.series" not in mods
+
     def test_oracles_stay_out_of_the_runtime(self):
         # scipy, mpmath and hypothesis are test oracles; importing the
         # library and its CLI must not load them

@@ -27,8 +27,19 @@ and whether the outputs agree.  A last line gives the median of the
 ratios and the number of seeds on which the second tree had the higher
 rate: the benchmark's rule of a gain in nine pairs of ten, in one process.
 
-Workloads that run each op in a fresh interpreter (`cli-readme`) are
-refused: time them with perfbench/run.py.
+A workload that runs each op in a fresh interpreter (`cli-readme`) is
+timed the same way, one child at a time:
+
+    python tools/ab.py OTHER/src src --workload cli-readme --rounds 8
+
+Each round runs every line of README_COMMANDS (read from
+`perfbench/workloads.py`, never written) as `python -m wcs.cli ...` once
+per tree, with PYTHONPATH set to that tree's src, the tree that runs first
+alternating from line to line and round to round.  Its wall time includes
+the interpreter's start-up and the imports.  It prints each tree's median
+ms per command, their ratio, and whether the two trees' exit statuses and
+stdout bytes agree on every run; the exit status is 1 when they differ.  --seed and --seeds
+do not apply to it.
 """
 
 from __future__ import annotations
@@ -40,6 +51,7 @@ import importlib.util
 import os
 import pickle
 import statistics
+import subprocess
 import sys
 import time
 
@@ -121,6 +133,49 @@ def compare(cls, seed: int, rounds: int, packages) -> tuple[list, list, list]:
     return ops, seconds, differ
 
 
+def run_cli(line: str, src: str) -> tuple[float, tuple[int, bytes]]:
+    """Seconds, exit status and stdout of `python -m wcs.cli` on line, in a
+    fresh interpreter that imports the tree under src."""
+    env = dict(os.environ)
+    env.pop("WCS_LOG", None)
+    path = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = os.path.abspath(src) + (os.pathsep + path if path else "")
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "wcs.cli", *line.split()],
+                          env=env, capture_output=True, check=False)
+    return time.perf_counter() - t0, (proc.returncode, proc.stdout)
+
+
+def compare_cli(lines, rounds: int, srcs) -> int:
+    """Time each command line on both trees, print the medians, and return
+    1 if some run's exit status or stdout differs between the trees."""
+    seconds = {line: ([], []) for line in lines}
+    differ = set()
+    for r in range(rounds):
+        for i, line in enumerate(lines):
+            out = [None, None]
+            for side in ((0, 1) if (r + i) % 2 == 0 else (1, 0)):
+                dt, out[side] = run_cli(line, srcs[side])
+                seconds[line][side].append(dt)
+            if out[0] != out[1]:
+                differ.add(line)
+    width = max(map(len, lines))
+    print(f"{'command':{width}s}      a ms      b ms     b/a  stdout")
+    totals = [0.0, 0.0]
+    for line in lines:
+        ms = [1e3 * statistics.median(s) for s in seconds[line]]
+        totals = [t + m for t, m in zip(totals, ms)]
+        print(f"{line:{width}s}  {ms[0]:8.1f}  {ms[1]:8.1f}  {ms[1] / ms[0]:6.3f}  "
+              f"{'differs' if line in differ else 'equal'}")
+    print(f"{'sum of the medians':{width}s}  {totals[0]:8.1f}  {totals[1]:8.1f}  "
+          f"{totals[1] / totals[0]:6.3f}")
+    if differ:
+        print(f"stdout differs on {len(differ)} of {len(lines)} commands")
+        return 1
+    print(f"stdout: equal bytes on all {len(lines)} commands in every round")
+    return 0
+
+
 def seed_range(text: str) -> range:
     """A-B, or one seed A."""
     lo, _, hi = text.partition("-")
@@ -139,15 +194,17 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     sys.path.insert(0, PERFBENCH)
-    from workloads import WORKLOADS
+    from workloads import README_COMMANDS, WORKLOADS
 
     if args.workload not in WORKLOADS:
         raise SystemExit(f"unknown workload {args.workload!r}; one of {sorted(WORKLOADS)}")
     cls = WORKLOADS[args.workload]
     if cls.probe_code is not None:
-        raise SystemExit(
-            f"{args.workload} runs each op in a fresh interpreter; use perfbench/run.py"
-        )
+        if args.seeds is not None:
+            raise SystemExit(f"{args.workload} takes --rounds; --seeds does not apply to it")
+        print(f"{args.workload}, {args.rounds} round(s), each command in a fresh interpreter; "
+              f"a {args.a}, b {args.b}")
+        return compare_cli([line for line, _ in README_COMMANDS], args.rounds, (args.a, args.b))
     packages = [load_tree(args.a, "wcs_a"), load_tree(args.b, "wcs_b")]
 
     if args.seeds is not None:

@@ -58,10 +58,10 @@ import numpy as np
 from .algebra import commutator_diagonal
 from .errors import NumericalRangeError, ParameterError
 from .factorials import _brackets, _log_double_run, _table, box, log_gen_factorial
+from .gammafn import _MAX_FINITE_LOG
 from .params import DeformationParams, PhysicalScales, check_complex, check_count, check_real
 from .series import (
     _BEYOND,
-    _LOG_MAX,
     _SQUARES,
     _exact_sum,
     _lattice_sum,
@@ -422,8 +422,8 @@ def _sized_levels(k: int, x: float, log_y: float, p: DeformationParams) -> tuple
         evens = tab.box_view[2:m:2]  # log [2], log [4], ... below slot m
         peak = bisect.bisect_left(evens, log_y)
         # the peak's log-term, the sum of log y - log [2i], is <= peak (log y - log [2])
-        if peak < len(evens) and peak * (log_y - evens[0]) > _LOG_MAX and (
-                peak * log_y - _log_double_run(tab.log_box, 0, 2 * peak)[-1] > _LOG_MAX):
+        if peak < len(evens) and peak * (log_y - evens[0]) > _MAX_FINITE_LOG and (
+                peak * log_y - _log_double_run(tab.log_box, 0, 2 * peak)[-1] > _MAX_FINITE_LOG):
             why = "the ground terms peak past double range"
             break
         if 2 * peak + 2 * k + 4 <= m:

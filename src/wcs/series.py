@@ -22,9 +22,10 @@ elementwise from the factorial table's log [n]! column, so no log-term
 depends on where a block starts.  F is 0, the falling factorial
 F_r(n) = log n!/(n-r)!, or Q_M's 2 log [n] off the table's log [n]
 column.  F_r(n) - F_r(r) depends on neither the triple nor x, so a block
-slices it off a read-only column per order r (_column), grown at least
-twofold and replaced whole, and dropped by clear_caches.  A pass's first
-block reaches past where its terms can stop (about the mode of t_n plus eight
+slices it off a read-only column (_column), a functools.lru_cache entry
+keyed by the order r and a doubled length, the least power of two that
+reaches past the block, and dropped by clear_caches.  A pass's first block
+reaches past where its terms can stop (about the mode of t_n plus eight
 widths, or where the term ratio falls below 0.9), so most series are one
 block, returned as a slice of it; later blocks double.  The first term
 is normalised to 1.  One stopping rule, written once: stop after three
@@ -73,7 +74,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NumericalRangeError, ParameterError
 from .factorials import _brackets, _clear_tables, _table, log_gen_factorial
-from .gammafn import log_gamma
+from .gammafn import _MAX_FINITE_LOG, log_gamma
 from .params import _REALS, DeformationParams, check_complex, check_count, check_real
 
 __all__ = [
@@ -91,7 +92,6 @@ __all__ = [
 
 # only stop once the term ratio is safely inside the geometric regime
 _LOG_RATIO_CEILING = math.log(0.9)
-_LOG_MAX = math.log(sys.float_info.max)
 # block sizes: a pass's first block reaches past the terms' mode
 # (_first_block), and at least _FIRST_BLOCK terms, which cover most small-x
 # sums; later blocks double, so a pass whose mode estimate falls short takes
@@ -153,20 +153,13 @@ class _LogSeries(NamedTuple):
     log_ratio: float  # log|t_(n+1) / t_n| after the last kept term
 
 
-# +1, -1, +1, ...: the signs of a block of at most _MAX_BLOCK terms, or of
-# a longer sum's first terms, sliced at its parity
-_SIGNS = np.resize(np.array([1.0, -1.0]), _MAX_BLOCK + 2)
-_SIGNS.flags.writeable = False
-
-
 def _phases(phase: complex, k0: int, n: int):
     """phase**k, k = k0..k0+n-1, for a unit phase; exact signs on the real
     axis."""
     if phase == 1.0:
         return 1.0
     if phase == -1.0:
-        signs = _SIGNS[k0 & 1 :]
-        return signs[:n] if n <= len(signs) else np.resize(signs[:2], n)
+        return np.where(np.arange(k0, k0 + n) & 1, -1.0, 1.0)
     return np.exp(1j * cmath.phase(phase) * np.arange(k0, k0 + n))
 
 
@@ -182,7 +175,7 @@ def _no_convergence(
     """The Fock series' ConvergenceError, naming about where its terms peak:
     n*, or the first term's n where n* is within one of it or below."""
     log_mode = _log_mode(lx, p)
-    if log_mode >= _LOG_MAX:
+    if log_mode >= _MAX_FINITE_LOG:
         peak = f"10^{log_mode / math.log(10.0):.0f}"
     elif math.exp(log_mode) >= start + 1:
         peak = f"{math.exp(log_mode):.3g}"
@@ -278,16 +271,17 @@ def _lattice_sum(
     term is infinite or NaN only where a power or a coefficient is, and
     _exact_sum raises then, so numpy's overflow and invalid warnings are
     silenced where (n - 1) max(log y, 0) + max(log_top, 0) reaches
-    _LOG_MAX - 1.  Below that every power and term is finite, with a factor
-    e to spare for the rounding of the powers, and the same calls run
-    without np.errstate, which sets how numpy reports floating-point
+    _MAX_FINITE_LOG - 1.  Below that every power and term is finite, with
+    a factor e to spare for the rounding of the powers, and the same calls
+    run without np.errstate, which sets how numpy reports floating-point
     errors, not the results."""
     n = len(coeffs)
     terms = np.empty(n)  # y^0, y^1, ..., then the terms in place
     terms.fill(y)
     terms[0] = 1.0
     # NaN (y = inf at n = 1) takes the silenced path too
-    if max(log_top, 0.0) + ((n - 1) * math.log(y) if y > 1.0 else 0.0) < _LOG_MAX - 1.0:
+    log_reach = max(log_top, 0.0) + ((n - 1) * math.log(y) if y > 1.0 else 0.0)
+    if log_reach < _MAX_FINITE_LOG - 1.0:
         np.multiply(coeffs, np.multiply.accumulate(terms, out=terms), out=terms)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -300,7 +294,7 @@ def _log_falling(r: int, n: np.ndarray) -> np.ndarray:
     """F_r(n) = log n!/(n-r)!, the factor of the r-th derivative term: the
     logs of n - j summed along a row over j < r, and 0 for r = 0.  Each
     entry is a function of its n alone, so the kernel reads the r-th
-    derivative's series, from n = r, off one column per order (_column).
+    derivative's series, from n = r, off a column of the order (_column).
     The rows are summed _FALLING_CHUNK logs at a time, at least one row;
     each row's sum is the same reduction as in one (len(n), r) array."""
     j = np.arange(r)
@@ -312,36 +306,17 @@ def _log_falling(r: int, n: np.ndarray) -> np.ndarray:
     return out
 
 
-# read-only columns the kernel slices per block, each replaced whole by a
-# longer one: under an order r the r-th derivative's factor
-# F_r(r + k) - F_r(r), k = 0, 1, 2, ...  Building or replacing one takes
-# the lock; reads take none
-_COLUMNS: dict[int, np.ndarray] = {}
-_COLUMNS_LOCK = threading.Lock()
-
-
-def _column(r: int, n: int, cap: int) -> np.ndarray:
-    """r's column, at least n <= cap entries long.  A shorter one is
-    replaced by one at least twice as long, up to cap, so a column is no
-    longer than twice the furthest read of it, nor than the longest budget
-    that grew it.  F_r is made by _log_falling's own ufunc ops over n, so
-    each entry has the bits of a block's F(n) - F(start) made afresh.  Beyond
-    _MAX_ORDERS orders every column is dropped; a caller keeps using the
-    column it was handed."""
-    col = _COLUMNS.get(r)
-    if col is not None and len(col) >= n:
-        return col
-    with _COLUMNS_LOCK:
-        col = _COLUMNS.get(r)
-        if col is not None and len(col) >= n:  # built by another thread
-            return col
-        k = np.arange(n if col is None else max(n, min(2 * len(col), cap)), dtype=float)
-        col = _log_falling(r, k + r)
-        col -= col[0]
-        col.flags.writeable = False
-        if len(_COLUMNS) > _MAX_ORDERS:
-            _COLUMNS.clear()
-        _COLUMNS[r] = col
+@functools.lru_cache(maxsize=_MAX_ORDERS)
+def _column(r: int, n: int) -> np.ndarray:
+    """The read-only column the kernel slices an r-th derivative's blocks
+    off: F_r(r + k) - F_r(r), k = 0..n-1.  The kernel asks for the least
+    power of two n at least a block's reach, so a column is no longer than
+    twice the furthest read of it.  F_r is made by _log_falling's own ufunc
+    ops over n, so each entry has the bits of a block's F(n) - F(start)
+    made afresh, whatever the column's length."""
+    col = _log_falling(r, np.arange(n, dtype=float) + r)
+    col -= col[0]
+    col.flags.writeable = False
     return col
 
 
@@ -422,7 +397,7 @@ def _log_series(
         if kind == _SQUARES:
             logs += 2.0 * tab.log_box[lo : hi + 1] - 2.0 * tab.log_box[1]
         elif type(kind) is int:
-            logs += _column(kind, k_hi, max_terms + 1)[k_lo:k_hi]
+            logs += _column(kind, 1 << (k_hi - 1).bit_length())[k_lo:k_hi]
         log_t = logs[:-1]
         top = max(scale, float(np.maximum.reduce(log_t)))
         # terms and partial sums in units of e^top
@@ -495,12 +470,12 @@ def _memo_read(
 
 
 def clear_caches() -> None:
-    """Drop the series memo, the kernel's columns, the factorial tables and
-    the wavefunction level tables."""
+    """Drop the series memo, the kernel's falling-factor columns, the
+    factorial tables and the wavefunction level tables."""
     from .coherent import _raised_levels  # coherent imports this module
 
     _series_memo.cache_clear()
-    _COLUMNS.clear()
+    _column.cache_clear()
     _raised_levels.cache_clear()
     _clear_tables()
 

@@ -39,7 +39,7 @@ from wcs import (
     vacuum_uncertainty,
     wavefunction_sample,
 )
-from wcs import coherent, series
+from wcs import coherent, gammafn, series
 from wcs.errors import ConvergenceError, NumericalRangeError, ParameterError
 from wcs.factorials import _brackets, log_box, log_gen_factorial
 
@@ -686,7 +686,7 @@ class TestWavefunctions:
 
         def gated(c, y, label, log_top):
             reach = max(log_top, 0.0) + (len(c) - 1) * max(math.log(y) if y else 0.0, 0.0)
-            sides.add(reach < series._LOG_MAX - 1.0)
+            sides.add(reach < gammafn._MAX_FINITE_LOG - 1.0)
             return lattice_sum(c, y, label, log_top)
 
         monkeypatch.setattr(coherent, "_lattice_sum", gated)

@@ -233,38 +233,43 @@ class TestColumns:
         # F_r(n) - F_r(r) as a block from lo to hi made it: the factor over
         # its own n, less the first block's first entry
         f_start = _log_falling(r, np.arange(r, r + 5, dtype=float))[0]
-        col = series._column(r, 3000, 10**5)
+        col = series._column(r, 4096)
         for lo, hi in [(r, r + 1), (r, r + 64), (r + 1, r + 9), (r + 63, r + 191),
                        (r + 700, r + 2999)]:
             block = _log_falling(r, np.arange(lo, hi + 1, dtype=float)) - f_start
             assert col[lo - r : hi - r + 1].tobytes() == block.tobytes(), (lo, hi)
 
     def test_columns_are_read_only_and_grow(self):
-        first = series._column(3, 10, 10**5)
-        assert len(first) == 10 and not first.flags.writeable
-        kept = first.tobytes()
-        longer = series._column(3, 11, 10**5)
-        assert len(longer) == 20  # at least doubled, and replaced whole
-        assert first.tobytes() == kept and longer[:10].tobytes() == kept
-        assert series._column(3, 15, 10**5) is longer
-        assert len(series._column(3, 21, 30)) == 30  # no longer than the budget allows
-        assert len(series._column(3, 200, 10**5)) == 200
+        first = series._column(3, 16)
+        assert len(first) == 16 and not first.flags.writeable
+        assert series._column(3, 16) is first
+        longer = series._column(3, 32)
+        assert len(longer) == 32 and not longer.flags.writeable
+        assert longer[:16].tobytes() == first.tobytes()
 
     def test_a_pass_grows_its_columns_to_its_reach(self):
+        # one block of the first block's length, read off the least power
+        # of two past its last index
         p = DeformationParams(0.5, 0.7, 0.2)
         s = series._memo_read(math.log(3.0), p, 1e-12, 10000, "", 2)
-        assert len(series._COLUMNS[2]) > len(s.log_terms)
-        assert len(series._COLUMNS[2]) <= 2 * series._first_block(math.log(3.0), p, 2) + 1
+        reach = series._first_block(math.log(3.0), p, 2) + 1
+        assert len(s.log_terms) < reach
+        info = series._column.cache_info()
+        assert info.misses == 1 and info.currsize == 1
+        col = series._column(2, 1 << (reach - 1).bit_length())
+        assert series._column.cache_info().hits == info.hits + 1
+        assert reach <= len(col) < 2 * reach
 
     def test_clear_caches_drops_them(self):
-        series._column(4, 10, 100)
+        series._column(4, 16)
         wcs.clear_caches()
-        assert series._COLUMNS == {}
+        assert series._column.cache_info().currsize == 0
 
     def test_orders_are_bounded(self):
+        assert series._column.cache_info().maxsize == series._MAX_ORDERS
         for r in range(3 * series._MAX_ORDERS):
-            series._column(r, 4, 100)
-            assert len(series._COLUMNS) <= series._MAX_ORDERS + 1
+            series._column(r, 4)
+            assert series._column.cache_info().currsize <= series._MAX_ORDERS
 
     def test_threads_read_single_threaded_bits(self):
         # four threads, each summing its own order's series at rising x, so

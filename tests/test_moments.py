@@ -397,8 +397,21 @@ class TestClosedFormWeight:
             math.exp(-1.0) / math.sqrt(math.pi), rel=1e-13
         )
 
-    def test_no_quadrature_error(self):
-        assert weight_ml_closed_form(3.0, 0.5).abs_err_est == 0.0
+    def test_error_estimate_holds_against_mpmath(self):
+        # the rounding bound on a seeded grid, nu up to 700, x from 1e-8 to
+        # 700, and two points thousands and tens of ulps off mpmath
+        rng = np.random.default_rng(40)
+        xs = 10.0 ** rng.uniform(-8.0, math.log10(700.0), 3000)
+        nus = np.where(rng.random(3000) < 0.5, rng.uniform(-0.999, 4.0, 3000),
+                       rng.uniform(-0.999, 700.0, 3000))
+        points = [(171.6, 648.2), (30.0, 2.5), *zip(xs.tolist(), nus.tolist())]
+        with mpmath.workdps(40):
+            for x, nu in points:
+                got = weight_ml_closed_form(x, nu)
+                mx, mnu = mpmath.mpf(x), mpmath.mpf(nu)
+                ref = mpmath.exp(mnu * mpmath.log(mx) - mx - mpmath.loggamma(1 + mnu))
+                assert got.abs_err_est >= math.ulp(got.u_tilde)
+                assert abs(mpmath.mpf(got.u_tilde) - ref) <= got.abs_err_est, (x, nu)
 
     @pytest.mark.parametrize("x", [0.0, math.inf, math.nan])
     def test_invalid_x(self, x):
@@ -705,11 +718,15 @@ class TestArrayWeights:
         assert abs(mpmath.mpf(got.u_tilde) - ref) <= got.abs_err_est
 
     def test_closed_form_matches_scalar(self):
+        # the sampler is a one-row call of the array evaluator; both are
+        # held to the formula evaluated in math
         xs = np.array([0.01, 1.0, 30.0])
         u, points, _ = _array_weights("ml-closed-form", 1.0, 0.5)(xs)
         assert points == len(xs)
-        for x, v in zip(xs, u):
-            assert v == pytest.approx(weight_ml_closed_form(x, 0.5).u_tilde, rel=1e-14, abs=0)
+        for x, v in zip(xs.tolist(), u.tolist()):
+            want = math.exp(0.5 * math.log(x) - x - math.lgamma(1.5))
+            assert v == pytest.approx(want, rel=1e-14, abs=0)
+            assert weight_ml_closed_form(x, 0.5).u_tilde == v
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ParameterError):

@@ -28,7 +28,7 @@ from wcs import (
 from wcs import series
 from wcs.errors import ConvergenceError, NumericalRangeError, ParameterError
 from wcs.factorials import _log_factorials, _table
-from wcs.gammafn import log_gamma
+from wcs.gammafn import _MAX_FINITE_LOG, log_gamma
 from wcs.series import (
     _FSUM_MAX,
     _exact_sum,
@@ -225,19 +225,18 @@ class TestSeriesKernel:
 
     @pytest.mark.parametrize("k0", [0, 1, 2, 7])
     def test_signs_at_either_parity(self, k0):
-        # the alternating constant sliced at k0's parity, and past its end
-        # the pair of signs repeated
-        size = len(series._SIGNS)
-        for n in (0, 1, 2, 5, size - 1, size, size + 3):
+        # (-1)^k from k0's parity, as floats, at lengths up to past a block
+        block = series._MAX_BLOCK
+        for n in (0, 1, 2, 5, block - 1, block, block + 3):
             got = series._phases(-1.0, k0, n)
-            assert got.tobytes() == np.where(np.arange(k0, k0 + n) & 1, -1.0, 1.0).tobytes()
-        assert not series._phases(-1.0, k0, 5).flags.writeable
+            want = [(-1.0) ** k for k in range(k0, k0 + n)]
+            assert got.dtype == np.float64 and got.tolist() == want
         assert series._phases(1.0, k0, 5) == 1.0
-        # N(-1.3) at beta = 0.05 keeps 31 257 terms, past the constant
+        # N(-1.3) at beta = 0.05 keeps 31 257 terms, in more than one block
         p = DeformationParams(0.0, 0.05, 0.0)
         res = n_function(-1.3, p, max_terms=10**6)
         log_t = series._memo_read(math.log(1.3), p, 1e-12, 10**6, "", phase=-1.0).log_terms
-        assert res.terms_used == len(log_t) > size
+        assert res.terms_used == len(log_t) > block
         signs = np.where(np.arange(len(log_t)) & 1, -1.0, 1.0)
         assert res.value.real == math.fsum((np.exp(log_t) * signs).tolist())
 
@@ -495,9 +494,9 @@ class TestPowerSeries:
          ((1.0, math.nan), 0.5),
          ((1.0, 2.0, 3.0), 1e200),  # a power overflows
          ((1.0, -2.0), 1e300),  # within range by a bound of 691.5
-         ((1.0, 1.0, 1.0), math.exp((series._LOG_MAX - 1.0001) / 2.0)),
+         ((1.0, 1.0, 1.0), math.exp((_MAX_FINITE_LOG - 1.0001) / 2.0)),
          ((1.0, 1.0, 1.0), 1e154),  # 1e308 fits, past the bound
-         ((1.0, 1.0, 1.0), math.exp((series._LOG_MAX + 0.5) / 2.0)),  # y^2 just past range
+         ((1.0, 1.0, 1.0), math.exp((_MAX_FINITE_LOG + 0.5) / 2.0)),  # y^2 just past range
          ((5.0,), math.inf), ((5.0, 1.0), math.inf), ((0.5, 0.25), 1.0)],
     )
     def test_bounded_lattice_sum_equals_the_silenced_sum(self, coeffs, y):

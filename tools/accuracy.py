@@ -1,12 +1,12 @@
-"""Ulp ledger of the wavefunction samples of one or two `wcs` trees against
-mpmath.
+"""Error ledger of the wavefunction samples and the Mandel parameters of
+one or two `wcs` trees against mpmath.
 
     python tools/accuracy.py src
     python tools/accuracy.py OTHER/src src
 
 Each tree is imported as tools/ab.py imports it, as its own package.  The
-groups are the wavefunction samples of tools/fingerprint.py's groups, from
-tools/groups.py:
+wavefunction groups are the wavefunction samples of tools/fingerprint.py's
+groups, from tools/groups.py:
 
 readme        `wcs wavefunction` as README.md runs it, parsed by the tree's
               own CLI parser (the last tree's, where there are two)
@@ -29,6 +29,27 @@ prints, per group, on how many samples that both return as plain values
 the second tree is closer to the reference, farther and equal, and each
 sample whose class (value, flagged or the error type raised) differs
 between the trees.
+
+The Mandel groups are Q_M (mandel_qm) and Q_z (mandel_qz):
+
+mandel-readme  `wcs mandel` as README.md runs it, parsed by the tree's own
+               CLI parser (the last tree's, where there are two): Q_z at
+               its --tol, Q_M at the library's default
+mandel         the photon-statistics grid of tools/fingerprint.py, its four
+               triples at x = 0.1, 1, 7.5 and 40, at library defaults
+
+The reference is a 50-digit mpmath Fock sum at the intensity the label
+carries, |sqrt(x)|^2, from the exact double inputs: the weights x^n / [n]!
+with brackets from mpmath's log-gamma (beta n formed in mpmath), the sums
+of w_n, n w_n, n (n-1) w_n, [n] w_n and [n]^2 w_n run until 8 terms in a
+row of each are below 10^-50 of its sum.  The error is scaled as the
+photon-stats benchmark's check scales it: |value - ref| / (1 + x) for Q_M
+and |value - ref| / (1 + m1) for Q_z, m1 the reference's mean number.  For
+each tree and group it prints the samples raised and the median, p99 and
+largest error of each parameter, with the sample where the largest is.
+With two trees it prints, per group and parameter, on how many samples
+that both return the second tree is closer to the reference, farther and
+equal, and each sample where it is closer or farther.
 """
 
 from __future__ import annotations
@@ -41,9 +62,18 @@ import sys
 
 import mpmath
 from ab import load_tree
-from groups import cold_sweep_rows, readme_commands, wavefunction_rows
+from groups import PHOTON_TRIPLES, PHOTON_XS, cold_sweep_rows, readme_commands, wavefunction_rows
 
 DIGITS = 60  # the reference's correct digits
+MANDEL_DIGITS = 50  # the Mandel reference's working digits
+MANDEL_RUN = 8  # terms in a row below 10^-MANDEL_DIGITS of each sum that stop it
+
+
+def bracket(a, b, v, i: int):
+    """[i] at mpf (alpha, beta, nu), at the working precision."""
+    lg = mpmath.loggamma
+    return mpmath.exp(lg(b * i + 1) - lg(b * i + 1 - a)
+                      + lg(b * i + 1 - a + v) - lg(b * (i - 1) + 1 - a + v))
 
 
 class Oracle:
@@ -57,12 +87,7 @@ class Oracle:
 
     def _brackets(self, n: int) -> list:
         a, b, v = (mpmath.mpf(t) for t in self.triple)
-        lg = mpmath.loggamma
-        out = [mpmath.mpf(0)]
-        for i in range(1, n + 1):
-            out.append(mpmath.exp(lg(b * i + 1) - lg(b * i + 1 - a)
-                                  + lg(b * i + 1 - a + v) - lg(b * (i - 1) + 1 - a + v)))
-        return out
+        return [mpmath.mpf(0)] + [bracket(a, b, v, i) for i in range(1, n + 1)]
 
     def _raised(self, dps: int, length: int) -> tuple[list, list]:
         """The brackets [0..] and rows 0..12, row 12 at least length long."""
@@ -184,6 +209,75 @@ def ledger(name: str, outcomes_, refs) -> None:
     print(line)
 
 
+def mandel_reference(triple, x: float) -> tuple:
+    """(Q_M, Q_z, m1) at the triple and x from the Fock sum, as mpf."""
+    with mpmath.workdps(MANDEL_DIGITS):
+        a, b, v = (mpmath.mpf(t) for t in triple)
+        mx, eps = mpmath.mpf(x), mpmath.mpf(10) ** -MANDEL_DIGITS
+        w = mpmath.mpf(1)  # x^n / [n]!
+        sums = [w, 0, 0, 0, 0]  # w, n w, n (n-1) w, [n] w, [n]^2 w
+        n = run = 0
+        while run < MANDEL_RUN:
+            n += 1
+            box = bracket(a, b, v, n)
+            w = w * mx / box
+            terms = (w, n * w, n * (n - 1) * w, box * w, box * box * w)
+            sums = [s + t for s, t in zip(sums, terms)]
+            run = run + 1 if all(t <= eps * s for t, s in zip(terms, sums)) else 0
+        n0, m1, m2, e1, e2 = sums
+        m1, m2, e1, e2 = m1 / n0, m2 / n0, e1 / n0, e2 / n0
+        return (e2 - e1 * e1) / e1 - 1, (m2 - m1 * m1) / m1, m1
+
+
+def mandel_rows(package, readme: bool) -> list[tuple]:
+    """(triple, x, Q_z's tol or None) per sample: the README's `wcs mandel`
+    command parsed by the package's CLI, or the photon-statistics grid."""
+    if not readme:
+        return [(triple, x, None) for triple in PHOTON_TRIPLES for x in PHOTON_XS]
+    cli = importlib.import_module(f"{package.__name__}.cli")
+    (argv,) = [args for args in readme_commands() if args[0] == "mandel"]
+    args = cli.build_parser().parse_args(argv)
+    return [((args.alpha, args.beta, args.nu), x, args.tol) for x in cli._parse_grid(args.x)]
+
+
+def mandel_outcomes(package, rows) -> list:
+    """(label x, Q_M, Q_z) per sample, or the error type's name."""
+    out = []
+    for triple, x, tol in rows:
+        p = package.DeformationParams(*triple)
+        label = package.CoherentLabel.from_intensity(x)
+        kwargs = {} if tol is None else {"tol": tol}
+        try:
+            out.append((label.x, package.mandel_qm(label, p), package.mandel_qz(label, p, **kwargs)))
+        except (package.errors.NumericalRangeError, package.errors.ConvergenceError) as exc:
+            out.append(type(exc).__name__)
+    return out
+
+
+def mandel_errors(outcome, ref) -> tuple[float, float] | None:
+    """The scaled errors of Q_M and Q_z, or None for a raised sample."""
+    if isinstance(outcome, str):
+        return None
+    x, qm, qz = outcome
+    ref_qm, ref_qz, m1 = ref
+    return (float(abs(mpmath.mpf(qm) - ref_qm) / (1 + x)),
+            float(abs(mpmath.mpf(qz) - ref_qz) / (1 + m1)))
+
+
+def mandel_ledger(name: str, rows, errs) -> None:
+    kept = [(row, e) for row, e in zip(rows, errs) if e is not None]
+    line = f"  {name:13s} values {len(kept):4d}  raised {len(rows) - len(kept):3d}"
+    for i, what in enumerate(("Q_M", "Q_z")):
+        ordered = sorted(e[i] for _, e in kept)
+        if not ordered:
+            continue
+        p99 = ordered[min(len(ordered) - 1, math.ceil(0.99 * len(ordered)) - 1)]
+        (triple, x, _), _ = max(kept, key=lambda k: k[1][i])
+        line += (f"\n    {what}: median {statistics.median(ordered):.3g}  p99 {p99:.3g}  "
+                 f"max {ordered[-1]:.3g} at {triple} x {x!r}")
+    print(line)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("trees", nargs="+", help="one or two src directories")
@@ -201,10 +295,22 @@ def main(argv=None) -> int:
         outs = [outcomes(package, rows) for package in packages]
         wanted = [any(label(o) == "value" for o in sample) for sample in zip(*outs)]
         results[name] = outs, references(rows, wanted), rows
+    mandel = {}
+    for name, readme in (("mandel-readme", True), ("mandel", False)):
+        rows = mandel_rows(packages[-1], readme)
+        outs = [mandel_outcomes(package, rows) for package in packages]
+        # every tree's label carries the same x, |sqrt(x)|^2
+        xs = [next((o[0] for o in sample if not isinstance(o, str)), None)
+              for sample in zip(*outs)]
+        refs = [None if x is None else mandel_reference(triple, x)
+                for (triple, _, _), x in zip(rows, xs)]
+        mandel[name] = rows, [[mandel_errors(o, r) for o, r in zip(out, refs)] for out in outs]
     for i, src in enumerate(args.trees):
         print(f"tree {src}")
         for name, (outs, refs, _) in results.items():
             ledger(name, outs[i], refs)
+        for name, (rows, errs) in mandel.items():
+            mandel_ledger(name, rows, errs[i])
     if len(packages) == 1:
         return 0
     print(f"{args.trees[1]} against {args.trees[0]}")
@@ -224,6 +330,18 @@ def main(argv=None) -> int:
             if label(a) != label(b):
                 print(f"    class moved: {triple} scales {scales} k {k} x {x!r}: "
                       f"{label(a)} -> {label(b)}")
+    for name, (rows, (errs_a, errs_b)) in mandel.items():
+        for i, what in enumerate(("Q_M", "Q_z")):
+            pairs = [(row, ea[i], eb[i]) for row, ea, eb in zip(rows, errs_a, errs_b)
+                     if ea is not None and eb is not None]
+            closer = sum(eb < ea for _, ea, eb in pairs)
+            farther = sum(eb > ea for _, ea, eb in pairs)
+            print(f"  {name:13s} {what} closer {closer}  farther {farther}  "
+                  f"equal {len(pairs) - closer - farther}")
+            for (triple, x, _), ea, eb in pairs:
+                if ea != eb:
+                    print(f"    {triple} x {x!r}: {'closer' if eb < ea else 'farther'} "
+                          f"({ea:.3g} -> {eb:.3g})")
     return 0
 
 

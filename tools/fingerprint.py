@@ -80,7 +80,8 @@ import sys
 import warnings
 
 import wcs
-from groups import COLD_SWEEP_GRID, COLD_SWEEP_TRIPLES, cold_sweep_rows, readme_commands, wavefunction_rows
+from groups import (COLD_SWEEP_GRID, COLD_SWEEP_TRIPLES, PHOTON_TRIPLES, PHOTON_XS,
+                    cold_sweep_rows, readme_commands, wavefunction_rows)
 from wcs.factorials import _TABLES, _first_series_entry
 
 
@@ -158,11 +159,10 @@ def _wright_w() -> list:
 
 
 def _photon_stats() -> dict:
-    triples = [(0.0, 1.0, 0.0), (0.0, 0.5, 0.5), (1.0, 0.5, 1.0), (0.3, 0.7, 0.2)]
     out: dict = {}
-    for triple in triples:
+    for triple in PHOTON_TRIPLES:
         p = wcs.DeformationParams(*triple)
-        for x in (0.1, 1.0, 7.5, 40.0):
+        for x in PHOTON_XS:
             lab = wcs.CoherentLabel.from_intensity(x)
             for name, result in [
                 ("log_n_function", _call(wcs.log_n_function, x, p)),

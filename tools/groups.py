@@ -1,6 +1,6 @@
-"""Inputs of the wavefunction samples that tools/fingerprint.py hashes and
-tools/accuracy.py checks against mpmath.  Plain data: importing this module
-imports no `wcs` tree.
+"""Inputs of the wavefunction samples and the photon-statistics grid that
+tools/fingerprint.py hashes and tools/accuracy.py checks against mpmath.
+Plain data: importing this module imports no `wcs` tree.
 
 A sample row is (triple, scales, points): DeformationParams and
 PhysicalScales arguments as tuples, scales None for the defaults, and the
@@ -29,6 +29,10 @@ WAVE_XS = [0.0, 0.3, 1.0, 2.2, 8.0, 4.0, 1.7, 0.05]
 SI = (1.05e-34, 1e-27, 1e14)
 SI_LENGTHS = [0.0, 0.5, 2.0, 5.0, 12.0]
 SI_LEVELS = (0, 1, 5, 12)
+
+# the photon-statistics groups' triples and intensities
+PHOTON_TRIPLES = [(0.0, 1.0, 0.0), (0.0, 0.5, 0.5), (1.0, 0.5, 1.0), (0.3, 0.7, 0.2)]
+PHOTON_XS = (0.1, 1.0, 7.5, 40.0)
 
 
 def readme_commands() -> list[list[str]]:

@@ -9,12 +9,14 @@ power lattice.
 
 Every Fock-series sum here (photon distribution, Fock moments, Q_M, the
 continuity defect) reads a record of one memo through series._memo_read:
-N's series, the r-th derivative's or Q_M's [n]^2 series, each summed once
-by series._log_series with its single stopping rule: three consecutive terms
+N's series or the r-th derivative's, each summed once by
+series._log_series with its single stopping rule: three consecutive terms
 |t_n| <= tol * max(1, |S_n|) while the term ratio is below 0.9.  So at one
-(p, x, tol) log N, the photon distribution, Q_M's normaliser and the
-continuity defect share one pass of N's series, and every later call gets
-the same bits.  normally_ordered_moment and
+(p, x, tol) log N, the photon distribution, Q_M and the continuity defect
+share one pass of N's series, and every later call gets the same bits:
+Q_M = <[A, A+]> - 1, the commutator's diagonal [n+1] - [n] averaged over
+N's terms, since <[N]> = x and <[N]^2> = x <[N+1]> in |z>.
+normally_ordered_moment and
 fock_moment_sum read one record too, the r-th derivative's series from
 n = r: the first takes the kernel's running log-scale sum, the second sums
 the same terms with math.fsum, so the two agree to rounding by
@@ -62,7 +64,6 @@ from .gammafn import _MAX_FINITE_LOG
 from .params import DeformationParams, PhysicalScales, check_complex, check_count, check_real
 from .series import (
     _BEYOND,
-    _SQUARES,
     _exact_sum,
     _lattice_sum,
     _log_abs,
@@ -322,6 +323,8 @@ def mandel_qm(
 ) -> float:
     """(<[N]^2> - <[N]>^2) / <[N]> - 1 with <[N]^k> = sum [n]^k p(n).
 
+    In |z>, <[N]> = x and <[N]^2> = x <[N+1]>, so this is
+    <[N+1] - [N]> - 1 = <z|[A, A+]|z> - 1, summed over N's own terms.
     The x -> 0 limit is [1] - 1 and is returned below the guard threshold.
     """
     check_real(tol, "tol", above=0.0)
@@ -329,16 +332,11 @@ def mandel_qm(
     x = label.x
     if x < _SMALL_X_GUARD:
         return box(1, p) - 1.0
-    lx = math.log(x)
-    s = _memo_read(lx, p, tol, max_terms, "mandel_qm", _SQUARES)
-    log_norm = log_n_function(x, p, tol=tol, max_terms=max_terms)
-    log_b = _table(p, len(s.log_terms)).log_box[1 : len(s.log_terms) + 1]
-    # the first term is [1]^2 p(1) = x [1] / N
-    log_e2 = s.log_terms + (lx + log_b[0] - log_norm)
+    log_t = _memo_read(math.log(x), p, tol, max_terms, "mandel_qm").log_terms
+    b = np.exp(_table(p, len(log_t)).log_box[: len(log_t) + 1])  # [0] to [len(log_t)]
+    t = np.exp(log_t - log_t.max())
     label = ("mandel_qm at x = {}: {}", x, _BEYOND)
-    e1 = _positive_fsum(np.exp(log_e2 - log_b), label)
-    e2 = _positive_fsum(np.exp(log_e2), label)
-    return (e2 - e1 * e1) / e1 - 1.0
+    return _positive_fsum((b[1:] - b[:-1]) * t, label) / _positive_fsum(t, label) - 1.0
 
 
 def quadrature_stats(

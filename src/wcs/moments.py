@@ -246,9 +246,13 @@ def _kernel_weights(log_f, log_pref: float, rtol: float, beta: float, power: flo
     w(y)), and from there it runs like t^power in d(log t) up to a cut-off
     near t = 1.  Each row is scaled so that this edge lies on the linear
     side of the kernel's map, unless the power has already made the
-    integrand negligible there."""
+    integrand negligible there.  Where x/b leaves double range at the
+    largest x, the call is refused before any node is evaluated."""
 
     def evaluate(xs: np.ndarray):
+        top = float(xs.max())
+        if top / beta == math.inf:  # Python's division does not warn
+            raise NumericalRangeError(f"x / beta = {top} / {beta} passes the largest double")
         cut = np.log(xs / beta)
         log_scale = np.where(power * cut > -_DE_DROP, np.minimum(cut + 1.0, 0.0), 0.0)
         res = integrate_zero_inf_de(log_f, xs, rtol=rtol, log_scale=log_scale)

@@ -11,37 +11,36 @@ D x^(beta n) = [n] x^(beta (n-1)).
 
 Every Fock-series sum in the package (N and its derivatives here; the
 photon distribution, Fock moments, Mandel Q_M and continuity defect in
-coherent.py) is one of three series, named by a key, that one private
-kernel, _log_series, sums: N's (None, from n = 0), the r-th derivative's
-(r, from n = r) and Q_M's [n]^2 series (_SQUARES, from n = 1).  It reads
-the log-terms
+coherent.py) is one of two series, named by a key, that one private
+kernel, _log_series, sums: N's (None, from n = 0) and the r-th
+derivative's (r, from n = r).  It reads the log-terms
 
     log t_n = (n - start) log|x| - (log [n]! - log [start]!) + F(n) - F(start)
 
 elementwise from the factorial table's log [n]! column, so no log-term
-depends on where a block starts.  F is 0, the falling factorial
-F_r(n) = log n!/(n-r)!, or Q_M's 2 log [n] off the table's log [n]
-column.  F_r(n) - F_r(r) depends on neither the triple nor x, so a block
-slices it off a read-only column (_column), a functools.lru_cache entry
-keyed by the order r and a doubled length, the least power of two that
-reaches past the block, and dropped by clear_caches.  A pass's first block
-reaches past where its terms can stop (about the mode of t_n plus eight
-widths, or where the term ratio falls below 0.9), so most series are one
-block, returned as a slice of it; later blocks double.  The first term
-is normalised to 1.  One stopping rule, written once: stop after three
-consecutive terms with |t_n| <= tol * max(1, |S_n|), S_n the partial sum,
-while the next-term ratio |t_(n+1) / t_n| is below 0.9.  A block flags
-its small terms in two array passes, and _stop scans the flagged indices
-in Python for three in a row, counting the run of small terms that ended
-the previous block (0 to 2).  The kernel sums in units of the largest
-term so far, never overflows and raises only ConvergenceError.  Every
-linear-scale sum goes through _exact_sum, the one helper that raises
+depends on where a block starts.  F is 0 or the falling factorial
+F_r(n) = log n!/(n-r)!, which depends on neither the triple nor x, so a
+block slices F_r(n) - F_r(r) off a read-only column (_column), a
+functools.lru_cache entry keyed by the order r and a doubled length, the
+least power of two that reaches past the block, and dropped by
+clear_caches.  A pass's first block reaches past where its terms can
+stop (about the mode of t_n plus eight widths, or where the term ratio
+falls below 0.9), so most series are one block, returned as a slice of
+it; later blocks double.  The first term is normalised to 1.  One
+stopping rule, written once: stop after three consecutive terms with
+|t_n| <= tol * max(1, |S_n|), S_n the partial sum, while the next-term
+ratio |t_(n+1) / t_n| is below 0.9.  A block flags its small terms in
+two array passes, and _stop scans the flagged indices in Python for
+three in a row, counting the run of small terms that ended the previous
+block (0 to 2).  The kernel sums in units of the largest term so far,
+never overflows and raises only ConvergenceError.  Every linear-scale
+sum goes through _exact_sum, the one helper that raises
 NumericalRangeError, where a term or the sum leaves double range, with
-the label its caller passes as one tuple, formatted only then: N and
-its derivatives (_linear_sum, with a geometric tail bound and the one
+the label its caller passes as one tuple, formatted only then: N and its
+derivatives (_linear_sum, with a geometric tail bound and the one
 cancellation rule, _cancels, as diagnostics), sums c_j y^j on the x^beta
-lattice (_lattice_sum, which silences numpy's warnings only where a bound
-on its coefficients and y allow a term past double range), and
+lattice (_lattice_sum, which silences numpy's warnings only where a
+bound on its coefficients and y allow a term past double range), and
 coherent's Fock moments, Q_M and continuity defect.
 Where a positive series is summed on the linear scale, _positive_fsum
 sums exactly only the terms of at least 2^-106 / len of the largest, plus
@@ -115,7 +114,7 @@ _NEGLIGIBLE = 2.0**-106
 _FSUM_MAX = 300
 
 # Fock series the memo keeps, each whole: a photon-stats op, like `wcs
-# mandel` at each x, reads 5 (N's at two tolerances, r = 1, 2 and Q_M's).
+# mandel` at each x, reads 4 (N's at two tolerances, r = 1 and 2).
 # It holds at most 64 times the longest kept series: about 1.05e4 terms in
 # the benchmark, up to max_n + 1 for a photon_distribution call
 _MAX_SERIES = 64
@@ -126,8 +125,6 @@ _MAX_ORDERS = 32
 
 # logs of n - j a falling factor holds at a time: 8 MB of float64
 _FALLING_CHUNK = 2**20
-
-_SQUARES = "[n]^2"  # the key of Q_M's series
 
 _LOSS_THRESHOLD = 1e8  # |largest term| / |sum| beyond which float cancellation
 # has eaten more than half the significand
@@ -361,7 +358,7 @@ def _first_block(lx: float, p: DeformationParams, start: int) -> int:
 
 def _log_series(
     lx: float, p: DeformationParams, tol: float, max_terms: int, what: str,
-    kind: int | str | None = None, phase: complex | None = None,
+    kind: int | None = None, phase: complex | None = None,
 ) -> _LogSeries:
     """Sum the terms t_n, n >= start, of the series keyed kind (start and F
     as the module docstring gives them), with t_start = 1 and
@@ -374,7 +371,7 @@ def _log_series(
     what.  The callers check tol and max_terms."""
     if lx == -math.inf:  # x = 0: every term after the first vanishes
         return _LogSeries(np.zeros(1), 0.0, -math.inf)
-    start = 1 if kind == _SQUARES else kind or 0
+    start = kind or 0
     end = start + max_terms  # first index past the budget
     kept: list[np.ndarray] = []
     # running sum S = e^scale * partial; scale >= 0 since the first term is 1
@@ -394,9 +391,7 @@ def _log_series(
         logs = np.arange(k_lo, k_hi, dtype=float)
         logs *= lx
         logs -= log_fact - l_start if l_start else log_fact  # log [0]! is 0
-        if kind == _SQUARES:
-            logs += 2.0 * tab.log_box[lo : hi + 1] - 2.0 * tab.log_box[1]
-        elif type(kind) is int:
+        if kind is not None:
             logs += _column(kind, 1 << (k_hi - 1).bit_length())[k_lo:k_hi]
         log_t = logs[:-1]
         top = max(scale, float(np.maximum.reduce(log_t)))
@@ -430,11 +425,10 @@ def _log_series(
 
 # One bounded least-recently-used memo of kernel records, each with its
 # read-only log-terms: N's plain series (log N, the photon distribution,
-# Q_M's normaliser and the continuity defect read its terms), the
-# derivatives' series (both moment functions read their terms), the
-# series n_function, wright_w and n_function_derivative sum at each phase
-# of x, and Q_M's [n]^2 series.  It is keyed by the
-# series alone: log|x|, the triple, tol, kind and phase, passed
+# Q_M and the continuity defect read its terms), the derivatives' series
+# (both moment functions read their terms), and the series n_function,
+# wright_w and n_function_derivative sum at each phase of x.  It is keyed
+# by the series alone: log|x|, the triple, tol, kind and phase, passed
 # positionally.  The term budget and the error label only matter when a
 # call fails, so _memo_read leaves them in a thread-local for a miss to run
 # the kernel with, and the memo stores what it returns, never an error.
@@ -455,17 +449,17 @@ def _series_memo(lx, p, tol, kind, phase) -> _LogSeries:
 
 def _memo_read(
     lx: float, p: DeformationParams, tol: float, max_terms: int, what: str,
-    kind: int | str | None = None, phase: complex | None = None,
+    kind: int | None = None, phase: complex | None = None,
 ) -> _LogSeries:
     """The kernel's record of the series keyed kind (None for N's, an
-    order r for the r-th derivative's, or _SQUARES) with phase, its
-    log_terms read-only."""
+    order r for the r-th derivative's) with phase, its log_terms
+    read-only."""
     tol = check_real(tol, "tol", above=0.0)
     max_terms = check_count(max_terms, "max_terms", 1)
     _caller.budget_and_label = max_terms, what
     s = _series_memo(lx, p, tol, kind, phase)
     if len(s.log_terms) > max_terms:
-        raise _no_convergence(what, tol, max_terms, lx, p, 1 if kind == _SQUARES else kind or 0)
+        raise _no_convergence(what, tol, max_terms, lx, p, kind or 0)
     return s
 
 

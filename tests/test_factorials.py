@@ -564,7 +564,7 @@ class TestArrayTable:
             _brackets(p, n)
             _log_factorials(p, n)
             log_gen_double_factorial(n, p)
-            series._log_series(math.log(n + 1.0), p, 1e-12, 10**6, "test", series._SQUARES)
+            series._log_series(math.log(n + 1.0), p, 1e-12, 10**6, "test")
             log_box(n, p)
             log_gen_factorial(n, p)
             tab = _TABLES[p]
@@ -796,12 +796,12 @@ class TestRecall:
     def test_record_is_the_kernels(self, p, x):
         clear_caches()
         lx = math.log(x)
-        for kind in (None, 0, 1, 2, series._SQUARES):
+        for kind in (None, 0, 1, 2):
             s = series._log_series(lx, p, 1e-12, 10000, "", kind)
             got = _read(lx, p, 1e-12, 10000, kind=kind)
             assert _record_bits(got) == _record_bits(s)
             assert _read(lx, p, 1e-12, 10000, kind=kind) is got
-        assert _memo_info() == (5, 5, 5)
+        assert _memo_info() == (4, 4, 4)
 
     def test_error_raised_again_and_not_stored(self):
         p = TABLE_TRIPLES[0]
@@ -843,21 +843,21 @@ class TestRecall:
         assert _memo_info() == (0, 0, 0)
         assert p not in _TABLES
 
-    def test_photon_stats_op_sums_five_series(self, monkeypatch):
+    def test_photon_stats_op_sums_four_series(self, monkeypatch):
         # log N at tol 1e-12 (log N, both moment functions) and at 1e-13
-        # (p(n), Q_M's normaliser), the derivatives r = 1, 2 (read by both
-        # moment functions), and Q_M's [n]^2 series
+        # (p(n) and Q_M), and the derivatives r = 1, 2 (read by both moment
+        # functions)
         p, x = DeformationParams(0.5, 0.7, 0.2), 3.7
         clear_caches()
         calls = _count_kernel_calls(monkeypatch)
         _photon_stats_op(p, x)
-        assert len(calls) == 5
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("triple, x", [((0.5, 0.7, 0.2), 3.7), ((0.0, 1.0, 0.0), 60.0),
                                            ((0.0, 0.3, 0.5), 9.0), ((1.0, 0.5, 1.0), 0.2)])
     def test_a_repeated_photon_stats_op_sums_no_series(self, monkeypatch, triple, x):
-        # every series the op reads, Q_M's [n]^2 series too, is a memo
-        # record: the op run again sums none and returns the same bits
+        # every series the op reads is a memo record: the op run again sums
+        # none and returns the same bits
         p = DeformationParams(*triple)
         clear_caches()
         first = _photon_stats_op(p, x)
@@ -874,7 +874,7 @@ class TestRecall:
         assert calls == []
 
     def test_wavefunction_grid_and_photon_stats_op_share_the_memo(self, monkeypatch, capsys):
-        # the grid leaves the memo alone: the op sums its 5 series, and the
+        # the grid leaves the memo alone: the op sums its 4 series, and the
         # op again after a second grid sums none
         argv = ["wavefunction", "--k", "0..3", "--x", "0:3:31"]
         args = build_parser().parse_args(argv)
@@ -883,11 +883,11 @@ class TestRecall:
         calls = _count_kernel_calls(monkeypatch)
         assert main(argv) == 0
         first = _photon_stats_op(p, 3.7)
-        assert len(calls) == 5
+        assert len(calls) == 4
         assert main(argv) == 0
         assert _photon_stats_op(p, 3.7) == first
         capsys.readouterr()
-        assert len(calls) == 5
+        assert len(calls) == 4
 
     def test_threads_match_a_serial_run(self):
         # the reads of log [n]! at growing n race table replacement the most,
@@ -1035,15 +1035,17 @@ class TestSeriesMemo:
 
     @pytest.mark.parametrize("p, x", [*POINTS, (DeformationParams(0.5, 0.7, 0.2), 0.05)])
     def test_qm_hit_beyond_the_budget_raises_a_cold_runs_error(self, p, x):
-        # Q_M's [n]^2 series, memoised at the default budget, read again
-        # under a smaller one: the text of a cold call with that budget,
-        # at x = 0.05 naming its first index, n = 1, as where terms peak
+        # the N record Q_M reads, memoised at the default budget, read
+        # again under a smaller one: the text of a cold call with that
+        # budget, at x = 0.05 naming its first index, n = 0, as where terms
+        # peak
         label = CoherentLabel.from_intensity(x)
-        n = len(series._log_series(math.log(x), p, 1e-13, 10**5, "", series._SQUARES).log_terms)
+        n = len(series._log_series(math.log(x), p, 1e-13, 10**5, "").log_terms)
         for budget in (1, n // 2, n - 1):
             clear_caches()
             cold = _outcome(mandel_qm, label, p, max_terms=budget)
             assert cold[0] == "ConvergenceError" and f"within {budget} terms" in cold[1]
+            assert x > 1.0 or cold[1].endswith("its terms peak near n ~ 0")
             mandel_qm(label, p)  # fill the memo
             misses = _memo_info()[1]
             assert _outcome(mandel_qm, label, p, max_terms=budget) == cold
@@ -1092,7 +1094,6 @@ class TestSeriesMemo:
         [
             (math.log(3.7), {}),  # N's series
             (math.log(3.7), {"kind": 2}),  # a derivative's
-            (math.log(3.7), {"kind": series._SQUARES}),  # Q_M's [n]^2 series
             (-math.inf, {}),  # x = 0, one term
         ],
     )

@@ -7,7 +7,7 @@ three flags in a row, and the falling factor made afresh from np.arange.
 It reads the module's shared helpers (tables, block sizes, phases, error
 messages) through `series`, so a monkeypatched _first_block sizes both
 kernels' blocks alike.  It keeps its own (start, log_factor) arguments,
-and _frozen_args spells out what each of the kernel's three series keys
+and _frozen_args spells out what each of the kernel's two series keys
 stands for.  The rewritten kernel must return the same bits,
 or raise the same error with the same message, on every input.
 """
@@ -23,7 +23,7 @@ import pytest
 
 import wcs
 from wcs import DeformationParams, series
-from wcs.series import _SQUARES, _log_falling, _LogSeries, _log_series
+from wcs.series import _log_falling, _LogSeries, _log_series
 
 
 def _frozen_log_series(lx, p, tol, max_terms, what, start=0, log_factor=None, phase=None):
@@ -85,19 +85,12 @@ def _falling(r, n, log_b):
     return _log_falling(r, n)
 
 
-def _squares(n, log_b):
-    return 2.0 * log_b
-
-
 def _frozen_args(call):
     """The frozen loop's arguments for the kernel's (lx, p, tol, budget,
-    what, kind, phase): kind None is N's series (start 0), an int r the r-th
-    derivative's (start r, the falling factor) and _SQUARES Q_M's (start 1,
-    2 log [n])."""
+    what, kind, phase): kind None is N's series (start 0) and an int r the
+    r-th derivative's (start r, the falling factor)."""
     *head, kind, phase = call
-    if kind == _SQUARES:
-        shape = 1, _squares
-    elif kind is None:
+    if kind is None:
         shape = 0, None
     else:
         shape = kind, functools.partial(_falling, kind)
@@ -120,10 +113,10 @@ def _random_triple(rng):
 
 
 def _random_calls(rng, count):
-    """Kernel arguments over the three series keys: positive, alternating
-    and complex series of N, of orders r = 0..10 and of Q_M's [n]^2;
-    tolerances from 1e-6 to 1e-16; budgets from 1 term
-    to past the stop, so some end in the middle of a block."""
+    """Kernel arguments over the two series keys: positive, alternating
+    and complex series of N and of orders r = 0..10; tolerances from 1e-6
+    to 1e-16; budgets from 1 term to past the stop, so some end in the
+    middle of a block."""
     calls = []
     for _ in range(count):
         p = _random_triple(rng)
@@ -131,7 +124,7 @@ def _random_calls(rng, count):
         phase = rng.choice([None, -1.0, complex(math.cos(0.7), math.sin(0.7))])
         tol = 10.0 ** -rng.uniform(6.0, 16.0)
         budget = rng.choice([1, 2, 3, 5, 9, 17, 40, 100, 333, 20000])
-        kind = rng.choice([_SQUARES, None, rng.randrange(11)])
+        kind = rng.choice([None, rng.randrange(11)])
         calls.append((lx, p, tol, budget, "replay", kind, phase))
     return calls
 
@@ -156,25 +149,11 @@ def test_kernel_replays_the_frozen_block_loop(monkeypatch, first):
         want = _outcome(_frozen_log_series, *_frozen_args(call))
         assert _outcome(_log_series, *call) == want, call
         kinds.add(want[0] if isinstance(want[0], str) else "record")
-        keys.add(call[5] if isinstance(call[5], str) or call[5] is None else "r")
+        keys.add(None if call[5] is None else "r")
     assert kinds == {"record", "ConvergenceError"}
-    assert keys == {None, "r", _SQUARES}
+    assert keys == {None, "r"}
     if first is not None:
         assert carried == {0, 1, 2}  # each carry reaches a later block
-
-
-def test_mandel_qm_factor_replays(monkeypatch):
-    # Q_M's bracket-squared factor, 2 log [n] - 2 log [1], against the
-    # frozen loop's callable factor made per block, at Q_M's intensities
-    rng = random.Random(7)
-    for first in (1, 3, None):
-        if first is not None:
-            monkeypatch.setattr(series, "_first_block", lambda lx, p, start: first)
-        for _ in range(40):
-            call = (rng.uniform(-4.0, 5.0), _random_triple(rng), 10.0 ** -rng.uniform(8, 15),
-                    rng.choice([4, 50, 100000]), "mandel_qm", _SQUARES, None)
-            want = _outcome(_frozen_log_series, *_frozen_args(call))
-            assert _outcome(_log_series, *call) == want
 
 
 def _frozen_first_block(lx, p, start):

@@ -4,6 +4,7 @@ Hankel-Hadamard determinants, weight functions, and moment verification."""
 import itertools
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -379,6 +380,16 @@ class TestOneMinusBetaWeight:
         for x in (-1.0, math.inf):
             with pytest.raises(ParameterError):
                 weight_one_minus_beta(x, 0.5, 0.25)
+
+
+@pytest.mark.parametrize("fn", [weight_wright, weight_one_minus_beta])
+def test_ratio_past_double_range_is_refused_without_a_warning(fn):
+    # x / beta overflows: refused before any node, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, beta in ((1e300, 1e-9), (1.0, 1e-310)):
+            with pytest.raises(NumericalRangeError, match="passes the largest double"):
+                fn(x, beta, 0.5)
 
 
 class TestClosedFormWeight:

@@ -338,7 +338,7 @@ class TestBlockCount:
                     except ConvergenceError:
                         pass
         wcs.clear_caches()
-        assert len(passes) == 1984
+        assert len(passes) == 1612
         for blocks, terms in passes:
             assert blocks <= max(2, math.ceil(terms / series._MAX_BLOCK)), (blocks, terms)
         assert sum(blocks for blocks, _ in passes) <= 1.05 * len(passes)

@@ -1,5 +1,5 @@
-"""Error ledger of the wavefunction samples and the Mandel parameters of
-one or two `wcs` trees against mpmath.
+"""Error ledger of the factorial tables, the wavefunction samples and the
+Mandel parameters of one or two `wcs` trees against mpmath.
 
     python tools/accuracy.py src
     python tools/accuracy.py OTHER/src src
@@ -50,6 +50,26 @@ largest error of each parameter, with the sample where the largest is.
 With two trees it prints, per group and parameter, on how many samples
 that both return the second tree is closer to the reference, farther and
 equal, and each sample where it is closer or farther.
+
+The table groups are log [n] (log_box) and log [n]! (log_gen_factorial):
+
+tables        the tables group of tools/fingerprint.py: n = 0..k0+2, at
+              most to 4100, on its five triples, then the last entry of
+              the table those reads left and the one past it, read in the
+              fingerprint's order on each tree
+edges         the domain's edges: alpha in {0, 0.3, 1/2, 1 - 1e-6, 1},
+              beta in {1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.05}, nu with
+              1 - alpha + nu = 1e-12, 1e-3, 1 and 2 (nu formed as
+              alpha - 1 + that in doubles), at n = 1, 2, 10 and 100
+
+The reference is a 50-digit mpmath running sum of log [k], k = 1..n, each
+from four log-gammas at the same double inputs (beta k formed in mpmath).
+The error is |value - ref| in ulps of max(|ref|, 1) as a double.  For
+each tree and group it prints the samples raised and the median, p99 and
+largest error of each, with the sample where the largest is; for edges
+also the largest absolute error of log [n]! per (beta, alpha) cell, over
+nu and n.  With two trees it prints, per group and function, on how many
+samples that both return the second tree is closer, farther and equal.
 """
 
 from __future__ import annotations
@@ -62,18 +82,30 @@ import sys
 
 import mpmath
 from ab import load_tree
-from groups import PHOTON_TRIPLES, PHOTON_XS, cold_sweep_rows, readme_commands, wavefunction_rows
+from groups import (PHOTON_TRIPLES, PHOTON_XS, TABLE_END, TABLE_TRIPLES, cold_sweep_rows,
+                    readme_commands, wavefunction_rows)
 
 DIGITS = 60  # the reference's correct digits
 MANDEL_DIGITS = 50  # the Mandel reference's working digits
 MANDEL_RUN = 8  # terms in a row below 10^-MANDEL_DIGITS of each sum that stop it
+TABLE_DIGITS = 50  # the table reference's working digits
+
+# the edges group: alpha, beta, 1 - alpha + nu and n
+EDGE_ALPHAS = (0.0, 0.3, 0.5, 1.0 - 1e-6, 1.0)
+EDGE_BETAS = (1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.05)
+EDGE_GAPS = (1e-12, 1e-3, 1.0, 2.0)
+EDGE_NS = (1, 2, 10, 100)
+
+
+def log_bracket(a, b, v, i: int):
+    """log [i] at mpf (alpha, beta, nu), at the working precision."""
+    lg = mpmath.loggamma
+    return lg(b * i + 1) - lg(b * i + 1 - a) + lg(b * i + 1 - a + v) - lg(b * (i - 1) + 1 - a + v)
 
 
 def bracket(a, b, v, i: int):
     """[i] at mpf (alpha, beta, nu), at the working precision."""
-    lg = mpmath.loggamma
-    return mpmath.exp(lg(b * i + 1) - lg(b * i + 1 - a)
-                      + lg(b * i + 1 - a + v) - lg(b * (i - 1) + 1 - a + v))
+    return mpmath.exp(log_bracket(a, b, v, i))
 
 
 class Oracle:
@@ -278,6 +310,92 @@ def mandel_ledger(name: str, rows, errs) -> None:
     print(line)
 
 
+def table_outcomes(package, edges: bool) -> dict:
+    """{(triple, n): (log [n], log [n]!)} of the group, or the error type's
+    name where the triple or a read raises, read in the group's order."""
+    out = {}
+    if edges:
+        for a in EDGE_ALPHAS:
+            for b in EDGE_BETAS:
+                for gap in EDGE_GAPS:
+                    triple = (a, b, a - 1.0 + gap)
+                    for n in EDGE_NS:
+                        out[triple, n] = table_read(package, triple, n)
+        return out
+    for triple in TABLE_TRIPLES:
+        p = package.DeformationParams(*triple)
+        end = min(package.factorials._first_series_entry(p) + 2, TABLE_END)
+        for n in range(end + 1):
+            out[triple, n] = table_read(package, triple, n)
+        last = len(package.factorials._TABLES[p].log_box) - 1
+        for n in (last, last + 1):
+            out[triple, n] = table_read(package, triple, n)
+    return out
+
+
+def table_read(package, triple, n: int):
+    try:
+        p = package.DeformationParams(*triple)
+        return package.log_box(n, p), package.log_gen_factorial(n, p)
+    except (package.errors.ParameterError, package.errors.NumericalRangeError) as exc:
+        return type(exc).__name__
+
+
+def table_references(samples) -> dict:
+    """{(triple, n): (log [n], log [n]!)} as mpf, from one running sum per
+    triple up to its largest n."""
+    top: dict = {}
+    for triple, n in samples:
+        top[triple] = max(top.get(triple, 0), n)
+    out = {}
+    with mpmath.workdps(TABLE_DIGITS):
+        for triple, n_max in top.items():
+            a, b, v = (mpmath.mpf(t) for t in triple)
+            log_fact, rows = mpmath.mpf(0), [(-mpmath.inf, mpmath.mpf(0))]
+            for i in range(1, n_max + 1):
+                lb = log_bracket(a, b, v, i)
+                log_fact += lb
+                rows.append((lb, log_fact))
+            out.update({(t, n): rows[n] for t, n in samples if t == triple})
+    return out
+
+
+def table_error(value: float, ref) -> float:
+    """|value - ref| in ulps of max(|ref|, 1) as a double; 0 where both are
+    -inf (log [0])."""
+    if ref == -mpmath.inf:
+        return 0.0 if value == -math.inf else math.inf
+    return float(abs(mpmath.mpf(value) - ref) / math.ulp(max(abs(float(ref)), 1.0)))
+
+
+def table_ledger(name: str, outs: dict, refs: dict) -> None:
+    kept = {key: o for key, o in outs.items() if not isinstance(o, str)}
+    line = f"  {name:13s} values {len(kept):4d}  raised {len(outs) - len(kept):3d}"
+    for i, what in enumerate(("log [n]", "log [n]!")):
+        errs = sorted((table_error(o[i], refs[key][i]), key) for key, o in kept.items())
+        if not errs:
+            continue
+        ordered = [e for e, _ in errs]
+        p99 = ordered[min(len(ordered) - 1, math.ceil(0.99 * len(ordered)) - 1)]
+        (triple, n) = errs[-1][1]
+        line += (f"\n    {what}: ulps median {statistics.median(ordered):.3g}  p99 {p99:.3g}  "
+                 f"max {ordered[-1]:.3g} at {triple} n {n}")
+    print(line)
+
+
+def edge_cells(outs: dict, refs: dict) -> None:
+    """The largest |error| of log [n]! per (beta, alpha) cell of the edges."""
+    print("    largest |error| of log [n]!, beta down, alpha across")
+    print("    " + "".join(f"{a:>10.6g}" for a in EDGE_ALPHAS))
+    for b in EDGE_BETAS:
+        cells = []
+        for a in EDGE_ALPHAS:
+            errs = [abs(mpmath.mpf(o[1]) - refs[key][1]) for key, o in outs.items()
+                    if key[0][:2] == (a, b) and not isinstance(o, str)]
+            cells.append(f"{float(max(errs)):10.2g}" if errs else f"{'raised':>10s}")
+        print(f"    {b:<7.0e}" + "".join(cells))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("trees", nargs="+", help="one or two src directories")
@@ -305,12 +423,21 @@ def main(argv=None) -> int:
         refs = [None if x is None else mandel_reference(triple, x)
                 for (triple, _, _), x in zip(rows, xs)]
         mandel[name] = rows, [[mandel_errors(o, r) for o, r in zip(out, refs)] for out in outs]
+    tables = {}
+    for name, edges in (("tables", False), ("edges", True)):
+        outs = [table_outcomes(package, edges) for package in packages]
+        samples = {key for out in outs for key, o in out.items() if not isinstance(o, str)}
+        tables[name] = outs, table_references(samples)
     for i, src in enumerate(args.trees):
         print(f"tree {src}")
         for name, (outs, refs, _) in results.items():
             ledger(name, outs[i], refs)
         for name, (rows, errs) in mandel.items():
             mandel_ledger(name, rows, errs[i])
+        for name, (outs, refs) in tables.items():
+            table_ledger(name, outs[i], refs)
+            if name == "edges":
+                edge_cells(outs[i], refs)
     if len(packages) == 1:
         return 0
     print(f"{args.trees[1]} against {args.trees[0]}")
@@ -342,6 +469,16 @@ def main(argv=None) -> int:
                 if ea != eb:
                     print(f"    {triple} x {x!r}: {'closer' if eb < ea else 'farther'} "
                           f"({ea:.3g} -> {eb:.3g})")
+    for name, ((outs_a, outs_b), refs) in tables.items():
+        both = [key for key in outs_b
+                if not isinstance(outs_a.get(key, ""), str) and not isinstance(outs_b[key], str)]
+        for i, what in enumerate(("log [n]", "log [n]!")):
+            errs = [(table_error(outs_a[key][i], refs[key][i]),
+                     table_error(outs_b[key][i], refs[key][i])) for key in both]
+            closer = sum(eb < ea for ea, eb in errs)
+            farther = sum(eb > ea for ea, eb in errs)
+            print(f"  {name:13s} {what} closer {closer}  farther {farther}  "
+                  f"equal {len(errs) - closer - farther}")
     return 0
 
 

@@ -81,7 +81,8 @@ import warnings
 
 import wcs
 from groups import (COLD_SWEEP_GRID, COLD_SWEEP_TRIPLES, PHOTON_TRIPLES, PHOTON_XS,
-                    cold_sweep_rows, readme_commands, wavefunction_rows)
+                    TABLE_END, TABLE_TRIPLES, cold_sweep_rows, readme_commands,
+                    wavefunction_rows)
 from wcs.factorials import _TABLES, _first_series_entry
 
 
@@ -106,12 +107,10 @@ def _call(fn, *args, **kwargs):
 
 
 def _tables() -> list:
-    triples = [(1.0, 0.1, 0.5), (0.9, 0.05, 0.0), (0.0, 1.0, 0.0), (0.5, 0.5, -0.3),
-               (0.5, 1e-9, 0.5)]
     out = []
-    for triple in triples:
+    for triple in TABLE_TRIPLES:
         p = wcs.DeformationParams(*triple)
-        end = min(_first_series_entry(p) + 2, 4100)
+        end = min(_first_series_entry(p) + 2, TABLE_END)
         rows = [(wcs.log_box(n, p), wcs.log_gen_factorial(n, p)) for n in range(end + 1)]
         # the table's last entry, a hit, and the one past it, which the
         # fallback reads from the table that replaces it

@@ -1,6 +1,7 @@
-"""Inputs of the wavefunction samples and the photon-statistics grid that
-tools/fingerprint.py hashes and tools/accuracy.py checks against mpmath.
-Plain data: importing this module imports no `wcs` tree.
+"""Inputs of the factorial tables, the wavefunction samples and the
+photon-statistics grid that tools/fingerprint.py hashes and
+tools/accuracy.py checks against mpmath.  Plain data: importing this module
+imports no `wcs` tree.
 
 A sample row is (triple, scales, points): DeformationParams and
 PhysicalScales arguments as tuples, scales None for the defaults, and the
@@ -13,6 +14,12 @@ import os
 import re
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+
+# the tables group's triples, each read at n = 0..k0+2 (k0 its first
+# closed-form entry) but at most to TABLE_END
+TABLE_TRIPLES = [(1.0, 0.1, 0.5), (0.9, 0.05, 0.0), (0.0, 1.0, 0.0), (0.5, 0.5, -0.3),
+                 (0.5, 1e-9, 0.5)]
+TABLE_END = 4100
 
 # the cold-sweep group's triples, and its wavefunction grid: the README grid
 # 0:3:31 at k = 0..5

@@ -44,7 +44,7 @@ The table also holds the log of each row's largest |coefficient| (+inf
 where a slot is not finite): a sample's sum silences numpy's overflow and
 invalid warnings only where that bound and u^(n-1) allow a power or a
 term past double range.  The r-th moments scale their
-series by log r!, read once per order from series._log_order_factorial.
+series by log r! = log_gamma(r + 1.0).
 """
 
 from __future__ import annotations
@@ -60,14 +60,13 @@ import numpy as np
 from .algebra import commutator_diagonal
 from .errors import NumericalRangeError, ParameterError
 from .factorials import _brackets, _log_double_run, _table, box, log_gen_factorial
-from .gammafn import _MAX_FINITE_LOG
+from .gammafn import _MAX_FINITE_LOG, log_gamma
 from .params import DeformationParams, PhysicalScales, check_complex, check_count, check_real
 from .series import (
     _BEYOND,
     _exact_sum,
     _lattice_sum,
     _log_abs,
-    _log_order_factorial,
     _memo_read,
     _positive_fsum,
     log_n_derivative,
@@ -290,7 +289,7 @@ def fock_moment_sum(
     s = _memo_read(lx, p, tol, max_terms, "fock_moment_sum", r)
     log_n = _memo_read(lx, p, tol, max_terms, "fock_moment_sum").log_sum
     # t_r = x^r r! / ([r]! N), and the kernel's terms are t_n / t_r
-    log_first = r * lx + _log_order_factorial(r) - log_gen_factorial(r, p) - log_n
+    log_first = r * lx + log_gamma(r + 1.0) - log_gen_factorial(r, p) - log_n
     with np.errstate(over="ignore"):  # _positive_fsum refuses an infinite term
         terms = np.exp(s.log_terms + log_first)
     return _positive_fsum(terms, (_MOMENT_OVERFLOW, "fock_moment_sum", r, x))

@@ -180,13 +180,18 @@ def _series_entries(box: np.ndarray, fact: np.ndarray, lo: int, hi: int,
                    + lg(bn+1-a+v) - lg(1-a+v)
 
     with r(k) = D(bk+1-a; a) - a log(bk) = O(1/k), so the running sum run,
-    continued here and returned at hi-1, adds only small numbers."""
+    continued here and returned at hi-1, adds only small numbers.  The two
+    large parts are added by TwoSum, and their sum's rounding error goes in
+    with the small ones, so the entry is rounded once fewer."""
     a, b, v = p.alpha, p.beta, p.nu
     k = np.arange(lo, hi, dtype=float)
     box[lo:hi], rho = _log_brackets(k, p)
     sums = _running(run, _r(b * k, a, rho))
     closed = a * _stirling_log_gamma(k + 1.0, b)  # a (n log b + lg(n+1))
-    fact[lo:hi] = closed + sums + (_stirling_log_gamma(b * k + 1.0 - a + v) - tail0)
+    tail = _stirling_log_gamma(b * k + 1.0 - a + v)
+    big = closed + tail
+    t = big - closed
+    fact[lo:hi] = big + (((closed - (big - t)) + (tail - t)) + (sums - tail0))
     return sums.item(-1)
 
 

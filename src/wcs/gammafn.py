@@ -4,15 +4,16 @@ Everything downstream (deformed factorials, series weights, photon
 statistics) is built from ratios of gamma functions whose linear values
 overflow early, so the base layer works in log space throughout.
 
-The public scalar `log_gamma` is a Lanczos approximation.  The factorial
-tables call it once per table; every entry comes from two numpy series,
-with coefficients from a literal table of Bernoulli numbers: Stirling's
-series for log Gamma (`_stirling_log_gamma`), and its difference for the
-ratio log Gamma(w + d) - log Gamma(w) (`_ratio_coefficients`,
-`_ratio_series`), which has no large values to cancel.  Both are summed
-where every argument is at least _SERIES_MIN_ARG; the ratio series reaches
-smaller arguments by shifting them up, one step of order d (1 - d) / x^2
-at a time, all steps of an array on one grid.
+The public scalar `log_gamma` is the C library's lgamma, checked.  The
+factorial tables call it once per table; every entry comes from two numpy
+series, with coefficients from a literal table of Bernoulli numbers:
+Stirling's series for log Gamma (`_stirling_log_gamma`), and its
+difference for the ratio log Gamma(w + d) - log Gamma(w)
+(`_ratio_coefficients`, `_ratio_series`), which has no large values to
+cancel.  Both are summed where every argument is at least
+_SERIES_MIN_ARG; the ratio series reaches smaller arguments by shifting
+them up, one step of order d (1 - d) / x^2 at a time, all steps of an
+array on one grid.
 """
 
 from __future__ import annotations
@@ -28,25 +29,7 @@ from .params import check_real
 
 __all__ = ["LogValue", "log_gamma", "gamma_signed"]
 
-# Lanczos approximation, g = 7 with 9 coefficients.  This variant keeps the
-# relative error of exp(log_gamma) near 1e-15 across the positive axis,
-# which is what the factorial layer needs; see the tests for the measured
-# agreement against the C library implementation.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 _LN_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-_LN_PI = math.log(math.pi)
 
 # exp overflows just above this, so log-scale values beyond it have no
 # finite linear representation
@@ -57,33 +40,17 @@ _TINY = sys.float_info.min  # the least normal double
 def log_gamma(x: float) -> float:
     """Natural log of Gamma(x) for real x > 0, and +inf at x = +inf.
 
-    Uses the Lanczos series directly for x >= 0.5 and the reflection
-    formula below that, where the series alone degrades; at a subnormal x,
-    where pi x loses bits, -log x, which log Gamma(x) equals to double
-    precision.  Above about
-    2.5e305, where log Gamma itself overflows, raises NumericalRangeError.
+    The C library's lgamma, which is -log x to double precision at a
+    subnormal x.  Above about 2.5e305, where log Gamma itself overflows,
+    raises NumericalRangeError.
     """
     if isinstance(x, float) and x == math.inf:
         return math.inf
     x = check_real(x, "x", above=0.0)
-    if x < _TINY:  # log Gamma(x) = -log x - gamma x + O(x^2), and gamma x < 2^-1022
-        return -math.log(x)
-    if x < 0.5:
-        # Gamma(x) Gamma(1-x) = pi / sin(pi x); both factors positive here
-        return _LN_PI - math.log(math.sin(math.pi * x)) - _lanczos_log_gamma(1.0 - x)
-    log_abs = _lanczos_log_gamma(x)
-    if log_abs == math.inf:
-        raise NumericalRangeError(f"log Gamma({x}) overflows double precision")
-    return log_abs
-
-
-def _lanczos_log_gamma(x: float) -> float:
-    # valid for x >= 0.5
-    acc = _LANCZOS_COEFFS[0]
-    for k in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[k] / (x - 1.0 + k)
-    t = x + _LANCZOS_G - 0.5
-    return _LN_SQRT_TWO_PI + (x - 0.5) * math.log(t) - t + math.log(acc)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise NumericalRangeError(f"log Gamma({x}) overflows double precision") from None
 
 
 def _exp_each(a: np.ndarray) -> np.ndarray:
@@ -200,18 +167,18 @@ def _horner(coeffs: tuple[float, ...], y: np.ndarray) -> np.ndarray:
 def gamma_signed(x: float) -> tuple[float, float]:
     """(sign, log|Gamma(x)|) for real non-pole x, including x < 0.
 
-    Negative arguments go through the reflection formula; integers <= 0 are
-    poles and raise ParameterError.  Above about 2.5e305, where log|Gamma|
-    itself overflows, raises NumericalRangeError, as log_gamma does.
+    Integers <= 0 are poles and raise ParameterError.  At a negative
+    non-integer x, Gamma(x) is negative where floor(x) is odd, and
+    log|Gamma(x)| is the C library's lgamma.  Above about 2.5e305, where
+    log|Gamma| itself overflows, raises NumericalRangeError, as log_gamma
+    does.
     """
     x = check_real(x, "x")
     if x > 0.0:
         return 1.0, log_gamma(x)
     if x == math.floor(x):
         raise ParameterError(f"Gamma has a pole at non-positive integer {x}")
-    s = math.sin(math.pi * x)
-    sign = 1.0 if s > 0.0 else -1.0
-    return sign, _LN_PI - math.log(abs(s)) - log_gamma(1.0 - x)
+    return (-1.0 if math.floor(x) % 2 else 1.0), math.lgamma(x)
 
 
 @dataclass(frozen=True)

@@ -119,8 +119,8 @@ _FSUM_MAX = 300
 # the benchmark, up to max_n + 1 for a photon_distribution call
 _MAX_SERIES = 64
 
-# orders r whose log r! and falling-factor column are kept: a
-# photon-statistics call reads r = 1, 2
+# orders r whose falling-factor column is kept: a photon-statistics call
+# reads r = 1, 2
 _MAX_ORDERS = 32
 
 # logs of n - j a falling factor holds at a time: 8 MB of float64
@@ -474,13 +474,6 @@ def clear_caches() -> None:
     _clear_tables()
 
 
-@functools.lru_cache(maxsize=_MAX_ORDERS)
-def _log_order_factorial(r: int) -> float:
-    """log r! = log_gamma(r + 1.0), its bits, computed once per order r:
-    each derivative and Fock moment of order r scales its series by it."""
-    return log_gamma(r + 1.0)
-
-
 def _linear_sum(
     x: complex,
     p: DeformationParams,
@@ -544,7 +537,7 @@ def n_function_derivative(
     r = check_count(r, "r")
     return _linear_sum(
         x, p, tol, max_terms, f"n_function_derivative(r={r})", r=r,
-        log_first=_log_order_factorial(r) - log_gen_factorial(r, p),
+        log_first=log_gamma(r + 1.0) - log_gen_factorial(r, p),
     )
 
 
@@ -586,7 +579,7 @@ def log_n_derivative(
     """log of the r-th derivative of N at real x >= 0 (all terms positive)."""
     x = check_real(x, "x", at_least=0.0)
     r = check_count(r, "r")
-    log_first = _log_order_factorial(r) - log_gen_factorial(r, p)
+    log_first = log_gamma(r + 1.0) - log_gen_factorial(r, p)
     s = _memo_read(_log_abs(x), p, tol, max_terms, f"log_n_derivative(r={r})", r)
     return log_first + s.log_sum
 

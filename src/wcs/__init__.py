@@ -11,8 +11,6 @@ binds the names in each one's __all__ here, so `import wcs.cli` or
 `import wcs.factorials` loads only what that module imports.
 """
 
-import importlib
-
 __version__ = "0.1.0"
 
 # the modules whose __all__ the root re-exports, in the order of its __all__
@@ -24,7 +22,10 @@ def _load() -> None:
 
     The hooks are then dropped: CPython does not specialise attribute reads
     on a module that defines __getattr__, and would charge every later
-    `wcs.name` read about 15 ns for it."""
+    `wcs.name` read about 15 ns for it.  importlib is imported here, so
+    that dir(wcs) lists no module of the root's own."""
+    import importlib
+
     names = []
     for name in _MODULES:
         module = importlib.import_module(f"{__name__}.{name}")

@@ -20,14 +20,21 @@ normally_ordered_moment and
 fock_moment_sum read one record too, the r-th derivative's series from
 n = r: the first takes the kernel's running log-scale sum, the second sums
 the same terms with math.fsum, so the two agree to rounding by
-construction and neither checks the other.  Positive sums stay in log
+construction and neither checks the other.  A series whose terms still
+rise at its budget's end is refused before it is summed, with the
+ConvergenceError the exhausted budget gives.  Positive sums stay in log
 space so large n and x never overflow, and the linear Fock sums
 (fock_moment_sum, both sums of Q_M) go through series._positive_fsum,
-which sums the terms that can reach the result exactly and passes the rest
-as one float sum.  Those sums, and the continuity defect's direct sum, are
-math.fsum's double bit for bit through series._exact_sum, which raises
-NumericalRangeError, with the label each passes, past double range; a sum
-of more than series._FSUM_MAX terms costs a few numpy passes there.
+which hands up to series._FSUM_MAX terms to fsum whole and, of a longer
+series, sums the terms that can reach the result exactly and passes the
+rest as one float sum.  Both read the record's largest log-term, log_top,
+rather than a max over the terms: Q_M scales its terms by it, and
+fock_moment_sum silences numpy's overflow warning only where it and the
+first term's log reach double range.  Those sums, and the continuity
+defect's direct sum, are math.fsum's double bit for bit through
+series._exact_sum, which raises NumericalRangeError, with the label each
+passes, past double range; a sum of more than series._FSUM_MAX terms
+costs a few numpy passes there.
 Brackets and factorials are read as slices of the factorial table.  A
 wavefunction is an alternating series on the dimensionless
 u = sqrt(m omega / hbar) x^beta, summed by series._lattice_sum with its
@@ -171,7 +178,8 @@ def photon_distribution(
     max_n = check_count(max_n, "max_n")
     s = _memo_read(_log_abs(label.x), p, tol, max_n + 1, "photon_distribution")
     probs = np.exp(s.log_terms - s.log_sum)
-    beyond = np.append(np.cumsum(probs[:0:-1])[::-1], 0.0)  # mass above each n
+    beyond = np.zeros(len(probs))  # mass above each n, summed from the tail
+    np.cumsum(probs[:0:-1], out=beyond[-2::-1])
     cutoff = int(np.argmax(beyond <= tail_tol))
     return PhotonDistribution(
         probabilities=tuple(probs[: cutoff + 1].tolist()),
@@ -290,8 +298,12 @@ def fock_moment_sum(
     log_n = _memo_read(lx, p, tol, max_terms, "fock_moment_sum").log_sum
     # t_r = x^r r! / ([r]! N), and the kernel's terms are t_n / t_r
     log_first = r * lx + log_gamma(r + 1.0) - log_gen_factorial(r, p) - log_n
-    with np.errstate(over="ignore"):  # _positive_fsum refuses an infinite term
-        terms = np.exp(s.log_terms + log_first)
+    log_t = s.log_terms + log_first  # its largest is s.log_top + log_first, rounded
+    if s.log_top + log_first < _MAX_FINITE_LOG:
+        terms = np.exp(log_t)
+    else:
+        with np.errstate(over="ignore"):  # _positive_fsum refuses an infinite term
+            terms = np.exp(log_t)
     return _positive_fsum(terms, (_MOMENT_OVERFLOW, "fock_moment_sum", r, x))
 
 
@@ -331,9 +343,10 @@ def mandel_qm(
     x = label.x
     if x < _SMALL_X_GUARD:
         return box(1, p) - 1.0
-    log_t = _memo_read(math.log(x), p, tol, max_terms, "mandel_qm").log_terms
+    s = _memo_read(math.log(x), p, tol, max_terms, "mandel_qm")
+    log_t = s.log_terms
     b = np.exp(_table(p, len(log_t)).log_box[: len(log_t) + 1])  # [0] to [len(log_t)]
-    t = np.exp(log_t - log_t.max())
+    t = np.exp(log_t - s.log_top)
     label = ("mandel_qm at x = {}: {}", x, _BEYOND)
     return _positive_fsum((b[1:] - b[:-1]) * t, label) / _positive_fsum(t, label) - 1.0
 

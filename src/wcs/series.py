@@ -33,8 +33,16 @@ ratio |t_(n+1) / t_n| is below 0.9.  A block flags its small terms in
 two array passes, and _stop scans the flagged indices in Python for
 three in a row, counting the run of small terms that ended the previous
 block (0 to 2).  The kernel sums in units of the largest term so far,
-never overflows and raises only ConvergenceError.  Every linear-scale
-sum goes through _exact_sum, the one helper that raises
+never overflows and raises only ConvergenceError.  A term is small only
+where its ratio is below 0.9, and N's ratio x / [n+1] bounds every
+kind's from below, so a block that reaches the budget's end is refused
+before it is summed where every log [n+1] in it stays below lx - log 0.9
+by more than a rounding margin (_hopeless): the same ConvergenceError,
+in a few scalar reads and one max, that the exhausted pass raises.  The
+record carries log_top, the largest log-term, which is the kernel's top
+at the stop, since the rule stops only past the terms' peak; readers take
+it instead of a max over the terms.  Every linear-scale sum goes
+through _exact_sum, the one helper that raises
 NumericalRangeError, where a term or the sum leaves double range, with
 the label its caller passes as one tuple, formatted only then: N and its
 derivatives (_linear_sum, with a geometric tail bound and the one
@@ -43,11 +51,12 @@ lattice (_lattice_sum, which silences numpy's warnings only where a
 bound on its coefficients and y allow a term past double range), and
 coherent's Fock moments, Q_M and continuity defect.
 Where a positive series is summed on the linear scale, _positive_fsum
-sums exactly only the terms of at least 2^-106 / len of the largest, plus
-the float sum of the rest: those weigh under 2^-106 of the total, so they
-can only decide a rounding tie, and that sum decides it as they would;
-where no term is negligible the terms go on whole, since their exact sum
-with 0.0 is theirs.  _exact_sum returns math.fsum's double, bit for bit:
+hands up to _FSUM_MAX terms to _exact_sum whole, fsum of them all; of a
+longer array it sums exactly only the terms of at least 2^-106 / len of
+the largest, plus the float sum of the rest: those weigh under 2^-106 of
+the total, so they can only decide a rounding tie, and that sum decides
+it as they would; where no term is negligible the terms go on whole,
+since their exact sum with 0.0 is theirs.  _exact_sum returns math.fsum's double, bit for bit:
 an array of up to _FSUM_MAX = 300 terms goes to fsum as it is; a longer
 one is first cut by extraction rounds (Rump, Ogita and Oishi's
 ExtractVector) into a few doubles whose exact sum is the exact sum of the
@@ -148,6 +157,7 @@ class _LogSeries(NamedTuple):
     log_terms: np.ndarray  # log|t_n| of the kept terms, n = start, start+1, ...
     log_sum: float  # log|S| of the kept terms
     log_ratio: float  # log|t_(n+1) / t_n| after the last kept term
+    log_top: float  # log_terms.max(): the rule stops only past the terms' peak
 
 
 def _phases(phase: complex, k0: int, n: int):
@@ -234,15 +244,18 @@ def _exact_sum(terms: np.ndarray, label: tuple) -> float:
 
 
 def _positive_fsum(terms: np.ndarray, label: tuple) -> float:
-    """math.fsum of non-negative terms, with the negligible ones passed as
-    one float sum; its range error is _range_error(label).  A long
-    decaying series spans hundreds of binary exponents, and each of
-    _exact_sum's rounds covers about 40 of them; the negligible terms'
-    rounded sum still decides a tie in the rounding of the rest.  An
-    infinite or NaN largest term is refused first, as fsum's sum would be,
-    so the float sum of the negligible terms cannot overflow."""
-    if len(terms) == 0:
-        return 0.0
+    """math.fsum of non-negative terms, those of a long array with the
+    negligible ones passed as one float sum; its range error is
+    _range_error(label).  Up to _FSUM_MAX terms go to _exact_sum as they
+    are, fsum of them all, the correctly rounded sum the split stands for,
+    without its max, mask and copies.  A long decaying series spans
+    hundreds of binary exponents, and each of _exact_sum's rounds covers
+    about 40 of them; the negligible terms' rounded sum still decides a tie
+    in the rounding of the rest.  There an infinite or NaN largest term is
+    refused first, as fsum's sum would be, so the float sum of the
+    negligible terms cannot overflow."""
+    if len(terms) <= _FSUM_MAX:
+        return _exact_sum(terms, label)
     top = terms.max()
     if not math.isfinite(top):
         raise _range_error(label)
@@ -356,6 +369,32 @@ def _first_block(lx: float, p: DeformationParams, start: int) -> int:
     return _FIRST_BLOCK if size <= _FIRST_BLOCK else _MAX_BLOCK if size >= _MAX_BLOCK else int(size)
 
 
+def _hopeless(tab, lo: int, end: int, lx: float, kind: int | None) -> bool:
+    """Whether no term n = lo..end-1 of a pass can be flagged small, so the
+    pass cannot stop within its budget.  A term is small only where its
+    ratio is below 0.9, and N's ratio x / [n+1] bounds every kind's from
+    below: a derivative's carries (n+1) / (n+1-r) >= 1, and a phase leaves
+    |t_n| as it is.  So the pass is hopeless where every log [n+1] is below
+    lx - log 0.9 by more than
+
+        margin = 2^-40 (1 + end (|lx| + |log [1]| + |log [end]|) + r log end),
+
+    r the derivative's order.  Brackets rise with n, so end times the
+    larger of |log [1]| and |log [end]| bounds every log [n]! and the sum
+    of the |log [k]| it adds; F_r(n) <= r log n.  A ratio the kernel forms,
+    the difference of two log-terms, is a few roundings of such parts, and
+    the table's log [n+1]! - log [n]! is its log [n+1] to a few ulps of
+    them, so it errs by far less than the margin, 4096 ulps of their sum.
+    The last bracket is tried first: where it reaches the bound, as in a
+    pass that can stop, no slice is read."""
+    log_box = tab.log_box
+    margin = math.ldexp(
+        1.0 + end * (abs(lx) + abs(log_box.item(1)) + abs(log_box.item(end)))
+        + (kind or 0) * math.log(end), -40)
+    bound = lx - _LOG_RATIO_CEILING - margin  # NaN at an infinite lx or bracket: no refusal
+    return log_box.item(end) < bound and float(np.maximum.reduce(log_box[lo + 1 : end + 1])) < bound
+
+
 def _log_series(
     lx: float, p: DeformationParams, tol: float, max_terms: int, what: str,
     kind: int | None = None, phase: complex | None = None,
@@ -370,7 +409,7 @@ def _log_series(
     terms peak, when max_terms terms do not meet the rule; the error names
     what.  The callers check tol and max_terms."""
     if lx == -math.inf:  # x = 0: every term after the first vanishes
-        return _LogSeries(np.zeros(1), 0.0, -math.inf)
+        return _LogSeries(np.zeros(1), 0.0, -math.inf, 0.0)
     start = kind or 0
     end = start + max_terms  # first index past the budget
     kept: list[np.ndarray] = []
@@ -381,6 +420,8 @@ def _log_series(
     while lo < end:
         hi = min(lo + size, end)  # terms lo..hi-1, plus hi for the ratio
         tab = _table(p, hi)
+        if hi == end and _hopeless(tab, lo, end, lx, kind):
+            break  # refused before summing: no term left can be small
         log_fact = tab.log_fact[lo : hi + 1]  # log [n]!, n = lo..hi
         if lo == start:
             l_start = log_fact[0]
@@ -416,7 +457,7 @@ def _log_series(
         if hit:
             log_terms = np.concatenate((*kept, log_t[:k])) if kept else log_t[:k]
             log_sum = top + _log_abs(sums[k - 1])
-            return _LogSeries(log_terms, log_sum, float(logs[k] - logs[k - 1]))
+            return _LogSeries(log_terms, log_sum, float(logs[k] - logs[k - 1]), top)
         kept.append(log_t)
         scale, partial = top, sums[-1]
         lo, size = hi, min(2 * size, _MAX_BLOCK)
@@ -507,7 +548,8 @@ def _linear_sum(
         value=value,
         terms_used=len(log_t),
         tail_bound=last * ratio / (1.0 - ratio),
-        cancellation=_cancels(value, math.exp(log_t.max())),
+        # log_t.max(): adding log_first rounds monotonically
+        cancellation=_cancels(value, math.exp(s.log_top + log_first)),
     )
 
 

@@ -70,6 +70,17 @@ def test_dir_holds_every_exported_name():
     assert set(EXPORTED) <= set(dir(wcs))
 
 
+def test_dir_holds_no_module_private_import():
+    # beside the exported names: dunders, the root's private helpers, and
+    # the package's own submodules, bound as they load
+    strangers = [
+        name for name in dir(wcs)
+        if name not in wcs.__all__ and not name.startswith("_")
+        and getattr(getattr(wcs, name), "__name__", None) != f"wcs.{name}"
+    ]
+    assert strangers == []
+
+
 def test_star_import_binds_each_home_modules_object():
     code = f"""
 import importlib, json

@@ -8,8 +8,10 @@ It reads the module's shared helpers (tables, block sizes, phases, error
 messages) through `series`, so a monkeypatched _first_block sizes both
 kernels' blocks alike.  It keeps its own (start, log_factor) arguments,
 and _frozen_args spells out what each of the kernel's two series keys
-stands for.  The rewritten kernel must return the same bits,
-or raise the same error with the same message, on every input.
+stands for.  It sums every pass that cannot stop to the budget's end,
+where the kernel refuses some before summing.  The rewritten kernel must
+return the same bits, or raise the same error with the same message, on
+every input; the record's log_top is the frozen loop's running top.
 """
 
 import functools
@@ -28,7 +30,7 @@ from wcs.series import _log_falling, _LogSeries, _log_series
 
 def _frozen_log_series(lx, p, tol, max_terms, what, start=0, log_factor=None, phase=None):
     if lx == -math.inf:
-        return _LogSeries(np.zeros(1), 0.0, -math.inf)
+        return _LogSeries(np.zeros(1), 0.0, -math.inf, 0.0)
     end = start + max_terms
     kept = []
     l_start = f_start = 0.0
@@ -74,7 +76,7 @@ def _frozen_log_series(lx, p, tol, max_terms, what, start=0, log_factor=None, ph
         if hit:
             log_terms = np.concatenate(kept)
             log_sum = top + series._log_abs(sums[k - 1])
-            return _LogSeries(log_terms, log_sum, float(logs[k] - logs[k - 1]))
+            return _LogSeries(log_terms, log_sum, float(logs[k] - logs[k - 1]), top)
         scale, partial = top, sums[-1]
         carry = flags[-2:]
         lo, size = hi, min(2 * size, series._MAX_BLOCK)
@@ -129,6 +131,24 @@ def _random_calls(rng, count):
     return calls
 
 
+def _exhausting_calls(rng, count):
+    """Calls that spend much of their budget or run out of it: large x at
+    beta <= 0.5, budgets of 50 to 10^4 terms, both series keys, positive
+    and signed.  The kernel refuses some of them before summing; the frozen
+    loop sums each to the budget's end."""
+    calls = []
+    for _ in range(count):
+        a = rng.choice([0.0, 1.0, rng.random()])
+        b = rng.choice([0.5, 0.3, rng.uniform(0.1, 0.5)])
+        p = DeformationParams(a, b, a - 1.0 + rng.uniform(1e-3, 4.0))
+        lx = rng.uniform(1.0, 7.0)
+        phase = rng.choice([None, -1.0, complex(math.cos(0.7), math.sin(0.7))])
+        budget = rng.choice([50, 200, 1000, 3000, 10000])
+        kind = rng.choice([None, rng.randrange(1, 4)])
+        calls.append((lx, p, 10.0 ** -rng.uniform(8.0, 16.0), budget, "replay", kind, phase))
+    return calls
+
+
 @pytest.mark.parametrize("first", [1, 2, 3, 5, 8, None])
 def test_kernel_replays_the_frozen_block_loop(monkeypatch, first):
     # first blocks of 1 to 8 terms put runs of small terms across block
@@ -142,16 +162,25 @@ def test_kernel_replays_the_frozen_block_loop(monkeypatch, first):
         carried.add(run)
         return stop(small, run)
 
+    refused = []
+    hopeless = series._hopeless
+
+    def counting(*args):
+        refused.append(hopeless(*args))
+        return refused[-1]
+
     monkeypatch.setattr(series, "_stop", recording)
+    monkeypatch.setattr(series, "_hopeless", counting)
     rng = random.Random(31 + (first or 0))
     kinds, keys = set(), set()
-    for call in _random_calls(rng, 200):
+    for call in _random_calls(rng, 200) + _exhausting_calls(rng, 40):
         want = _outcome(_frozen_log_series, *_frozen_args(call))
         assert _outcome(_log_series, *call) == want, call
         kinds.add(want[0] if isinstance(want[0], str) else "record")
         keys.add(None if call[5] is None else "r")
     assert kinds == {"record", "ConvergenceError"}
     assert keys == {None, "r"}
+    assert True in refused and False in refused  # passes refused before summing
     if first is not None:
         assert carried == {0, 1, 2}  # each carry reaches a later block
 

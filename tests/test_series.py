@@ -343,6 +343,77 @@ class TestBlockCount:
             assert blocks <= max(2, math.ceil(terms / series._MAX_BLOCK)), (blocks, terms)
         assert sum(blocks for blocks, _ in passes) <= 1.05 * len(passes)
 
+    def test_records_carry_their_peak(self, monkeypatch):
+        # the same sweep: every record the kernel returns holds the largest
+        # of its log-terms as log_top, the kernel's running top at the stop
+        records, kernel = [], series._log_series
+
+        def recording_kernel(*args, **kwargs):
+            records.append(kernel(*args, **kwargs))
+            return records[-1]
+
+        monkeypatch.setattr(series, "_log_series", recording_kernel)
+        wcs.clear_caches()
+        for triple in self.TRIPLES:
+            p = DeformationParams(*triple)
+            for x in np.geomspace(0.1, 100.0, 48).tolist():
+                label = wcs.CoherentLabel.from_intensity(x)
+                for call in (
+                    lambda: log_n_function(x, p),
+                    lambda: wcs.photon_distribution(label, p),
+                    lambda: wcs.mandel_qz(label, p),
+                    lambda: wcs.mandel_qm(label, p),
+                    lambda: [wcs.normally_ordered_moment(r, label, p) for r in (1, 2)],
+                    lambda: [wcs.fock_moment_sum(r, label, p) for r in (1, 2)],
+                ):
+                    try:
+                        call()
+                    except ConvergenceError:
+                        pass
+        wcs.clear_caches()
+        assert len(records) == 1612
+        for s in records:
+            assert s.log_top == s.log_terms.max(), (len(s.log_terms), s.log_top)
+
+
+class TestRefusal:
+    # the photon-stats benchmark's failing intensities: the terms still rise
+    # at the 10^4-term budget's end, so no term there can be small
+    CASES = [((0.0, 0.3, 0.5), 10.4), ((0.0, 0.3, 0.5), 20.0), ((0.0, 0.3, 0.5), 95.6),
+             ((0.0, 0.5, 0.0), 68.1), ((0.0, 0.5, 0.0), 95.9)]
+
+    @staticmethod
+    def _message(call):
+        wcs.clear_caches()
+        with pytest.raises(ConvergenceError) as info:
+            call()
+        return str(info.value)
+
+    @pytest.mark.parametrize("triple, x", CASES)
+    @pytest.mark.parametrize("r", [None, 1, 2])
+    def test_refused_before_any_stop_search(self, monkeypatch, triple, x, r):
+        # a deterministic counter: the refused pass reaches _stop zero
+        # times, and raises what the pass summed to the budget's end raises
+        p = DeformationParams(*triple)
+        if r is None:
+            call = lambda: log_n_function(x, p)  # noqa: E731
+        else:
+            call = lambda: log_n_derivative(x, r, p)  # noqa: E731
+        stops, stop = [0], series._stop
+
+        def counted_stop(*args):
+            stops[0] += 1
+            return stop(*args)
+
+        monkeypatch.setattr(series, "_stop", counted_stop)
+        refused = self._message(call)
+        assert stops[0] == 0
+        assert "no convergence to tol=1e-12 within 10000 terms" in refused
+        monkeypatch.setattr(series, "_hopeless", lambda *args: False)
+        assert self._message(call) == refused
+        assert stops[0] > 0
+        wcs.clear_caches()
+
 
 class TestDerivativeSeries:
     def test_classical_derivatives_are_exp(self):

@@ -12,8 +12,11 @@ one op at a time, the tree that runs first alternating from op to op, so
 drift in machine speed falls on both sides alike.  Only `run(op)` is timed;
 the workloads' reference checks are not run.
 
-It prints each tree's ops/s, the share of ops on which the second tree was
-faster, and whether the md5s of the two trees' outputs agree on every op.
+It prints each tree's ops/s, with its per-op median and tail in ms beside
+it (the tail by `perfbench/run.py`'s own rule: the highest of the 99.9th,
+99th, 90th, 75th and 50th percentiles with at least ten samples above it),
+the share of ops on which the second tree was faster, and whether the md5s
+of the two trees' outputs agree on every op.
 An op that raises contributes its exception's type name and message, so a
 typed error that one tree raises and the other does not is a difference.
 Outputs are compared as plain data: dataclasses and named tuples by their
@@ -23,7 +26,8 @@ bits.  The exit status is 1 when some op's outputs differ.
 With --seeds A-B each seed from A to B runs in turn, as above, in the same
 process (the trees are imported once, so later seeds find warm caches), and
 prints one line: the two rates, their ratio, the ops the second tree won
-and whether the outputs agree.  A last line gives the median of the
+and whether the outputs agree, then each tree's median and tail.  A last
+line gives the median of the
 ratios and the number of seeds on which the second tree had the higher
 rate: the benchmark's rule of a gain in nine pairs of ten, in one process.
 
@@ -106,6 +110,14 @@ def make_side(cls, seed: int, package):
         else:
             sys.modules["wcs"] = saved
     return workload
+
+
+def latency(seconds: list[float]) -> str:
+    """The per-op median and tail of one tree's op times, in ms."""
+    from run import tail  # perfbench/run.py, read, never written
+
+    value, pct, _ = tail(seconds)
+    return f"p50 {1e3 * statistics.median(seconds):.3f} ms  tail p{pct:g} {1e3 * value:.3f} ms"
 
 
 def timed(workload, op) -> tuple[float, str]:
@@ -220,6 +232,7 @@ def main(argv=None) -> int:
             outputs = f"outputs differ on {len(differ)}" if differ else "outputs equal"
             print(f"seed {seed:4d}  a {rates[0]:10.2f}  b {rates[1]:10.2f} ops/s  "
                   f"({ratios[-1]:.3f}x a)  b faster on {faster} of {n} ops  {outputs}")
+            print(f"           a {latency(seconds[0])}  b {latency(seconds[1])}")
             any_differ = any_differ or bool(differ)
         won = sum(r > 1.0 for r in ratios)
         print(f"median {statistics.median(ratios):.3f}x a; b faster on {won} of "
@@ -231,8 +244,9 @@ def main(argv=None) -> int:
     rates = [n / sum(s) for s in seconds]
     faster = sum(b < a for a, b in zip(*seconds))
     print(f"{args.workload}, seed {args.seed}, {args.rounds} round(s), {n} ops")
-    print(f"a {rates[0]:10.2f} ops/s  {args.a}")
-    print(f"b {rates[1]:10.2f} ops/s  {args.b}  ({rates[1] / rates[0]:.3f}x a)")
+    print(f"a {rates[0]:10.2f} ops/s  {latency(seconds[0])}  {args.a}")
+    print(f"b {rates[1]:10.2f} ops/s  {latency(seconds[1])}  {args.b}  "
+          f"({rates[1] / rates[0]:.3f}x a)")
     print(f"b faster on {faster} of {n} ops ({100.0 * faster / n:.1f}%)")
     if differ:
         print(f"outputs differ on {len(differ)} of {n} ops; first: {differ[0]!r}")

@@ -5,8 +5,9 @@
 
 Two trees that print the same line for a group return the same bits there.
 With --against, it then prints each group whose md5 differs from the one
-in that file's fingerprint.groups, or that the file lacks, and exits 1 if
-there is any.
+in that file's fingerprint.groups (or fingerprint.change_groups, where the
+file records both trees), or that the file lacks, and exits 1 if there is
+any.
 Each group pickles a fixed list of results; a call that raises contributes
 its exception type and message instead, so a value that turns into an error
 moves its group.  A RuntimeWarning is an error, as under the tests' pytest
@@ -312,7 +313,9 @@ def main(argv=None) -> int:
     if args.against is None:
         return 0
     with open(args.against, encoding="utf-8") as fh:
-        want = json.load(fh)["fingerprint"]["groups"]
+        fingerprint = json.load(fh)["fingerprint"]
+    # a BENCH file that records both trees names the change's groups change_groups
+    want = fingerprint.get("groups") or fingerprint["change_groups"]
     moved = [name for name, md5 in md5s.items() if want.get(name) != md5]
     for name in moved:
         print(f"differs from {args.against}: {name} {want.get(name, '(missing)')} -> {md5s[name]}")

@@ -294,7 +294,7 @@ def cmd_wavefunction(args) -> int:
     rows = []
     for k in ks:
         for x in xs:
-            value, cancel = wavefunction_sample(k, x, p, s, tol=args.tol)
+            value, cancel = wavefunction_sample(k, x, p, s)
             rows.append((k, x, value, cancel))
     _emit(args, ["k", "x", "psi", "cancellation"], rows)
     return 0
@@ -449,8 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = _subcommand(sub, "wavefunction", cmd_wavefunction,
                      "oscillator wavefunctions on an x grid",
-                     scales=("hbar", "mass", "omega"),
-                     tol=(1e-8, "accepted and unused (default 1e-8)"))
+                     scales=("hbar", "mass", "omega"))
     sp.add_argument("--k", required=True, help="level index or range, e.g. 0..2")
     sp.add_argument("--x", required=True, help="grid: value, list, or lo:hi:count")
 

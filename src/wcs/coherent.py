@@ -384,7 +384,6 @@ def wavefunction_sample(
     x: float,
     p: DeformationParams,
     s: PhysicalScales = PhysicalScales(),
-    tol: float = 1e-12,
 ) -> tuple[float, bool]:
     """Value of psi_k(x) and a cancellation flag.
 
@@ -395,9 +394,9 @@ def wavefunction_sample(
     the number state |k>; at a deformed triple not the algebra's: (u + D) /
     sqrt(2) psi_k misses sqrt([k]) psi_(k-1), at k = 1 by 3% to 1000% of it
     for u = 0.5 to 2.  The coefficients are the first n slots of the
-    untruncated raise, from the triple's level table.  tol is checked and
-    sets nothing.  Raises NumericalRangeError where a lattice term is not
-    finite, as when u^j overflows at large x, or _sized_levels refuses x.
+    untruncated raise, from the triple's level table.  Raises
+    NumericalRangeError where a lattice term is not finite, as when u^j
+    overflows at large x, or _sized_levels refuses x.
     Numpy's warnings are silenced only where the bound on level k's
     coefficients lets a term be non-finite.
     """
@@ -405,7 +404,6 @@ def wavefunction_sample(
     if k > _LEVEL_CAP:
         raise ParameterError(f"level index k = {k} exceeds the cap {_LEVEL_CAP}")
     x = check_real(x, "x", at_least=0.0)
-    check_real(tol, "tol", above=0.0)
     # the ground series sums (-y)^j / [2j]!!, y = u^2 = (m omega / hbar) x^(2 beta)
     inv_length_sq = s.mass * s.omega / s.hbar
     log_y = -math.inf
@@ -488,13 +486,12 @@ def ground_wavefunction(
     x: float,
     p: DeformationParams,
     s: PhysicalScales = PhysicalScales(),
-    tol: float = 1e-12,
 ) -> float:
     """<x|0> = (m omega / pi hbar)^(1/4) sum (-m omega/hbar)^n x^(2 beta n) / [2n]!!.
 
     Raises NumericalRangeError where the series cancels past double
     precision, as excited_wavefunction does."""
-    return excited_wavefunction(0, x, p, s, tol=tol)
+    return excited_wavefunction(0, x, p, s)
 
 
 def excited_wavefunction(
@@ -502,13 +499,12 @@ def excited_wavefunction(
     x: float,
     p: DeformationParams,
     s: PhysicalScales = PhysicalScales(),
-    tol: float = 1e-12,
 ) -> float:
     """<x|k> via k exact raising-operator applications to the ground state.
 
     Raises NumericalRangeError where wavefunction_sample flags cancellation:
     the lattice terms then dwarf their sum and its digits are rounding."""
-    value, cancel = wavefunction_sample(k, x, p, s, tol=tol)
+    value, cancel = wavefunction_sample(k, x, p, s)
     if cancel:
         raise NumericalRangeError(
             f"wavefunction of level {k} at x = {x} for {p}: the lattice series"

@@ -141,7 +141,9 @@ _HANKEL_MAX_SIZE = 1000
 _HANKEL_RTOL = 1e-6  # the relative error allowed in a returned determinant
 # the smallest leading block checked before a larger matrix is built; its
 # own bound exceeds the tolerance on a grid of 288 (triple, offset) pairs,
-# by 41 times at least, at (1, 1, 0.01)
+# by 41 times at least, at (1, 1, 0.01).  It passes at alpha = 1 and
+# beta <= 1e-12, whose tables are off in their first brackets (ROADMAP
+# item 18), and there the size-32 block refuses every size above 32
 _HANKEL_FIRST_BLOCK = 16
 
 

@@ -526,7 +526,7 @@ ACCEPTS = {
     "pdist": (["--x", "1"], {"x", "tail"}),
     "mandel": (["--x", "1"], {"tol", "x"}),
     "uncertainty": ([], {"hbar", "units"}),
-    "wavefunction": (["--k", "0", "--x", "0"], {"hbar", "mass", "omega", "tol", "k", "x"}),
+    "wavefunction": (["--k", "0", "--x", "0"], {"hbar", "mass", "omega", "k", "x"}),
     "weight": (["--family", "ml-closed-form", "--x", "1"], {"tol", "family", "x"}),
     "moments": (["--family", "ml-closed-form", "--nmax", "2"], {"family", "nmax", "threshold"}),
     "carleman": ([], set()),
@@ -547,7 +547,7 @@ UNREAD = [
 
 class TestOptionsPerSubcommand:
     def test_settable_values(self):
-        assert sum(len(COMMON | own) for _, own in ACCEPTS.values()) == 84
+        assert sum(len(COMMON | own) for _, own in ACCEPTS.values()) == 83
 
     @pytest.mark.parametrize("command, flag", UNREAD, ids=[f"{c}--{f}" for c, f in UNREAD])
     def test_unread_flag_exits_two(self, command, flag):
@@ -569,9 +569,8 @@ class TestOptionsPerSubcommand:
         assert config["command"] == command
 
     def test_defaults_are_recorded(self):
-        for command in ("mandel", "wavefunction"):
-            _, out, _ = run_cli([command, *ACCEPTS[command][0], "--format", "json"])
-            assert json.loads(out)["config"]["tol"] == 1e-8
+        _, out, _ = run_cli(["mandel", *ACCEPTS["mandel"][0], "--format", "json"])
+        assert json.loads(out)["config"]["tol"] == 1e-8
         _, out, _ = run_cli(["pdist", "--x", "1", "--format", "json"])
         assert json.loads(out)["config"]["tail"] == 1e-10
         # the family fixes alpha; none was given

@@ -557,7 +557,7 @@ class TestWavefunctions:
                             lambda c, *args: read.append(c.copy()) or lattice_sum(c, *args))
         series.clear_caches()
         for k, x in samples:
-            wavefunction_sample(k, x, CLASSICAL, S1, tol=1e-8)
+            wavefunction_sample(k, x, CLASSICAL, S1)
         info = coherent._raised_levels.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
         assert max(len(c) + k for (k, _), c in zip(samples, read)) <= coherent._MIN_LENGTH
@@ -711,11 +711,11 @@ def _at(u, s):
     return u * math.sqrt(s.hbar / (s.mass * s.omega))
 
 
-def _wavefunction_slot_loop(k, x, p, s=S1, tol=1e-12):
+def _wavefunction_slot_loop(k, x, p, s=S1):
     """Reference for wavefunction_sample: one bracket lookup per slot, its own
     lattice sizing and ground-state lattice loop, and the raising operator
     applied slot by slot in oscillator units, on n + k slots of which the
-    first n, those the lattice sums, see no truncation.  tol sets nothing."""
+    first n, those the lattice sums, see no truncation."""
     inv_length_sq = s.mass * s.omega / s.hbar
     log_y = -math.inf
     if x > 0.0:

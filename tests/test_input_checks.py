@@ -139,7 +139,6 @@ ENTRIES = [
     ("quadrature_stats", "n", lambda v: quadrature_stats(v, P)),
     ("wavefunction_sample", "k", lambda v: wavefunction_sample(v, 1.0, P)),
     ("wavefunction_sample", "x", lambda v: wavefunction_sample(0, v, P)),
-    ("wavefunction_sample", "tol", lambda v: wavefunction_sample(0, 1.0, P, tol=v)),
     ("ground_wavefunction", "x", lambda v: ground_wavefunction(v, P)),
     ("excited_wavefunction", "k", lambda v: excited_wavefunction(v, 1.0, P)),
     ("classify_exponent", "exponent", classify_exponent),

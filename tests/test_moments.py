@@ -268,6 +268,20 @@ class TestHankel:
                 hankel_hadamard(CLASSICAL, 1000, off)
         assert asked and max(asked) <= 31
 
+    def test_leading_block_doubles_where_the_first_passes(self, monkeypatch):
+        # on ROADMAP item 18's edge grid, (1, 1e-12, 1)'s size-16 block
+        # passes, through its table's tiny-beta brackets; the size-32 block
+        # is checked next and refuses
+        built = []
+        rescaled = wcs.moments._rescaled_hankel
+        monkeypatch.setattr(wcs.moments, "_rescaled_hankel",
+                            lambda p, size, off: built.append(size) or rescaled(p, size, off))
+        with pytest.raises(NumericalRangeError,
+                           match=r"^rescaled Hankel determinant of size 33: rounding bound at"
+                                 r" least \S+ from its leading block of size 32,"):
+            hankel_hadamard(DeformationParams(1.0, 1e-12, 1.0), 33)
+        assert built == [16, 32]
+
     def test_size_ceiling_before_any_allocation(self):
         with pytest.raises(ParameterError, match="^size must be an integer <= 1000, got 100000$"):
             hankel_hadamard(CLASSICAL, 100_000)
@@ -373,6 +387,14 @@ class TestOneMinusBetaWeight:
         # beta + nu = 0 lies outside the admissible parameter wedge
         with pytest.raises(ParameterError):
             weight_one_minus_beta(1.0, 0.5, -0.5)
+
+    def test_beta_plus_nu_rounding_to_zero_rejected(self):
+        # 1 - 0.3 rounds down, so nu = -0.3 passes DeformationParams at
+        # beta = 0.3, but beta + nu is 0.0 in doubles
+        with pytest.raises(ParameterError, match=r"^need beta \+ nu > 0, got 0\.0$"):
+            weight_one_minus_beta(1.0, 0.3, -0.3)
+        with pytest.raises(ParameterError, match=r"^need beta \+ nu > 0, got 0\.0$"):
+            verify_moments("one-minus-beta", 0.3, -0.3, 2)
 
     def test_small_beta_near_the_origin(self):
         got = weight_one_minus_beta(1e-3, 0.05, 0.05)

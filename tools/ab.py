@@ -1,35 +1,33 @@
 """Time two `wcs` source trees on the same benchmark ops, in one process.
 
-    python tools/ab.py OTHER/src src --workload cold-sweep --seed 1 --rounds 3
+    python tools/ab.py OTHER/src src --workload cold-sweep --rounds 3
     python tools/ab.py OTHER/src src --workload photon-stats --seeds 1-10 --rounds 2
 
 Both trees are imported side by side as separate packages, `wcs_a` from the
-first path and `wcs_b` from the second, each with its own caches.  One
-workload object per tree is built from `perfbench/workloads.py` (read, never
-written) with the same seed, and its `setup` runs with `import wcs` bound to
-that tree's package.  The ops of the first object's rounds then run on both,
-one op at a time, the tree that runs first alternating from op to op, so
-drift in machine speed falls on both sides alike.  Only `run(op)` is timed;
-the workloads' reference checks are not run.
+first path and `wcs_b` from the second, each with its own caches.  Each
+seed of --seeds (a range A-B, or one seed A; 1 by default) runs in turn,
+in the same process (the trees are imported once, so later seeds find warm
+caches).  For a seed, one workload object per tree is built from
+`perfbench/workloads.py` (read, never written) with that seed, and its
+`setup` runs with `import wcs` bound to that tree's package.  The ops of
+the first object's rounds then run on both, one op at a time, the tree that
+runs first alternating from op to op, so drift in machine speed falls on
+both sides alike.  Only `run(op)` is timed; the workloads' reference checks
+are not run.
 
-It prints each tree's ops/s, with its per-op median and tail in ms beside
-it (the tail by `perfbench/run.py`'s own rule: the highest of the 99.9th,
-99th, 90th, 75th and 50th percentiles with at least ten samples above it),
-the share of ops on which the second tree was faster, and whether the md5s
-of the two trees' outputs agree on every op.
+Per seed it prints the share of ops on which the second tree was faster,
+each tree's ops/s with its per-op median and tail in ms beside it (the tail
+by `perfbench/run.py`'s own rule: the highest of the 99.9th, 99th, 90th,
+75th and 50th percentiles with at least ten samples above it), the ratio of
+the rates, and whether the md5s of the two trees' outputs agree on every
+op, naming the first op where they do not.  A last line gives the median of
+the ratios and the number of seeds on which the second tree had the higher
+rate: the benchmark's rule of a gain in nine pairs of ten, in one process.
 An op that raises contributes its exception's type name and message, so a
 typed error that one tree raises and the other does not is a difference.
 Outputs are compared as plain data: dataclasses and named tuples by their
 class name and fields, arrays by dtype, shape and bytes, floats by their
 bits.  The exit status is 1 when some op's outputs differ.
-
-With --seeds A-B each seed from A to B runs in turn, as above, in the same
-process (the trees are imported once, so later seeds find warm caches), and
-prints one line: the two rates, their ratio, the ops the second tree won
-and whether the outputs agree, then each tree's median and tail.  A last
-line gives the median of the
-ratios and the number of seeds on which the second tree had the higher
-rate: the benchmark's rule of a gain in nine pairs of ten, in one process.
 
 A workload that runs each op in a fresh interpreter (`cli-readme`) is
 timed the same way, one child at a time:
@@ -42,8 +40,8 @@ per tree, with PYTHONPATH set to that tree's src, the tree that runs first
 alternating from line to line and round to round.  Its wall time includes
 the interpreter's start-up and the imports.  It prints each tree's median
 ms per command, their ratio, and whether the two trees' exit statuses and
-stdout bytes agree on every run; the exit status is 1 when they differ.  --seed and --seeds
-do not apply to it.
+stdout bytes agree on every run; the exit status is 1 when they differ.
+--seeds does not apply to it.
 """
 
 from __future__ import annotations
@@ -199,9 +197,8 @@ def main(argv=None) -> int:
     ap.add_argument("a", help="the first tree's src directory")
     ap.add_argument("b", help="the second tree's src directory")
     ap.add_argument("--workload", required=True)
-    seeds = ap.add_mutually_exclusive_group()
-    seeds.add_argument("--seed", type=int, default=1)
-    seeds.add_argument("--seeds", type=seed_range, help="a range A-B of seeds, run in turn")
+    ap.add_argument("--seeds", type=seed_range,
+                    help="a range A-B of seeds, run in turn, or one seed A (default 1)")
     ap.add_argument("--rounds", type=int, default=1)
     args = ap.parse_args(argv)
 
@@ -217,42 +214,26 @@ def main(argv=None) -> int:
         print(f"{args.workload}, {args.rounds} round(s), each command in a fresh interpreter; "
               f"a {args.a}, b {args.b}")
         return compare_cli([line for line, _ in README_COMMANDS], args.rounds, (args.a, args.b))
+    seeds = args.seeds or seed_range("1")
     packages = [load_tree(args.a, "wcs_a"), load_tree(args.b, "wcs_b")]
-
-    if args.seeds is not None:
-        print(f"{args.workload}, seeds {args.seeds.start}-{args.seeds.stop - 1}, "
-              f"{args.rounds} round(s) each; a {args.a}, b {args.b}")
-        ratios, any_differ = [], False
-        for seed in args.seeds:
-            ops, seconds, differ = compare(cls, seed, args.rounds, packages)
-            n = len(ops)
-            rates = [n / sum(s) for s in seconds]
-            ratios.append(rates[1] / rates[0])
-            faster = sum(b < a for a, b in zip(*seconds))
-            outputs = f"outputs differ on {len(differ)}" if differ else "outputs equal"
-            print(f"seed {seed:4d}  a {rates[0]:10.2f}  b {rates[1]:10.2f} ops/s  "
-                  f"({ratios[-1]:.3f}x a)  b faster on {faster} of {n} ops  {outputs}")
-            print(f"           a {latency(seconds[0])}  b {latency(seconds[1])}")
-            any_differ = any_differ or bool(differ)
-        won = sum(r > 1.0 for r in ratios)
-        print(f"median {statistics.median(ratios):.3f}x a; b faster on {won} of "
-              f"{len(ratios)} seeds")
-        return 1 if any_differ else 0
-
-    ops, seconds, differ = compare(cls, args.seed, args.rounds, packages)
-    n = len(ops)
-    rates = [n / sum(s) for s in seconds]
-    faster = sum(b < a for a, b in zip(*seconds))
-    print(f"{args.workload}, seed {args.seed}, {args.rounds} round(s), {n} ops")
-    print(f"a {rates[0]:10.2f} ops/s  {latency(seconds[0])}  {args.a}")
-    print(f"b {rates[1]:10.2f} ops/s  {latency(seconds[1])}  {args.b}  "
-          f"({rates[1] / rates[0]:.3f}x a)")
-    print(f"b faster on {faster} of {n} ops ({100.0 * faster / n:.1f}%)")
-    if differ:
-        print(f"outputs differ on {len(differ)} of {n} ops; first: {differ[0]!r}")
-        return 1
-    print(f"outputs: equal md5 on all {n} ops")
-    return 0
+    print(f"{args.workload}, seeds {seeds.start}-{seeds.stop - 1}, {args.rounds} round(s) each; "
+          f"a {args.a}, b {args.b}")
+    ratios, any_differ = [], False
+    for seed in seeds:
+        ops, seconds, differ = compare(cls, seed, args.rounds, packages)
+        n = len(ops)
+        rates = [n / sum(s) for s in seconds]
+        ratios.append(rates[1] / rates[0])
+        faster = sum(b < a for a, b in zip(*seconds))
+        print(f"seed {seed}: b faster on {faster} of {n} ops ({100.0 * faster / n:.1f}%)")
+        print(f"  a {rates[0]:10.2f} ops/s  {latency(seconds[0])}")
+        print(f"  b {rates[1]:10.2f} ops/s  {latency(seconds[1])}  ({ratios[-1]:.3f}x a)")
+        print(f"  outputs differ on {len(differ)} of {n} ops; first: {differ[0]!r}" if differ
+              else f"  outputs: equal md5 on all {n} ops")
+        any_differ = any_differ or bool(differ)
+    won = sum(r > 1.0 for r in ratios)
+    print(f"median {statistics.median(ratios):.3f}x a; b faster on {won} of {len(ratios)} seeds")
+    return 1 if any_differ else 0
 
 
 if __name__ == "__main__":

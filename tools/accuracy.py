@@ -5,8 +5,23 @@ Mandel parameters of one or two `wcs` trees against mpmath.
     python tools/accuracy.py OTHER/src src
 
 Each tree is imported as tools/ab.py imports it, as its own package.  The
-wavefunction groups are the wavefunction samples of tools/fingerprint.py's
-groups, from tools/groups.py:
+ledger is eight groups, each one `Group` entry: the parts it measures, its
+samples, the call that reads a sample on a tree (the parts' values, or the
+type of the error raised), a batched mpmath reference and an error per
+part.  A sample is a key, its triple first.  One routine summarizes a group
+on a tree and one compares two trees on it.
+
+For each tree and group it prints the samples returned as values, flagged
+(a wavefunction returned with the cancellation flag) and raised, then per
+part the median, p99 and largest error over the values, with the sample
+where the largest is.  With two trees it then prints, per group and part,
+on how many samples that both return as values the second tree is closer
+to the reference, farther and equal, each sample that moved where at most
+MAX_LISTED did, and each sample whose class (value, flagged or the error
+type raised) differs between the trees.
+
+The wavefunction groups (part psi) are the wavefunction samples of
+tools/fingerprint.py's groups, from tools/groups.py:
 
 readme        `wcs wavefunction` as README.md runs it, parsed by the tree's
               own CLI parser (the last tree's, where there are two)
@@ -22,14 +37,6 @@ precision is 60 digits plus those the sum cancels, its largest term over
 its value.  A value's error is |value - ref| in ulps of ref rounded to a
 double, or relative to ref where that double is 0 or subnormal.
 
-For each tree and group it prints the samples returned as plain values,
-flagged (returned with the cancellation flag) and raised, and the median,
-p99 and largest error over the plain values.  With two trees it then
-prints, per group, on how many samples that both return as plain values
-the second tree is closer to the reference, farther and equal, and each
-sample whose class (value, flagged or the error type raised) differs
-between the trees.
-
 The Mandel groups are Q_M (mandel_qm) and Q_z (mandel_qz):
 
 mandel-readme  `wcs mandel` as README.md runs it, parsed by the tree's own
@@ -44,12 +51,7 @@ with brackets from mpmath's log-gamma (beta n formed in mpmath), the sums
 of w_n, n w_n, n (n-1) w_n, [n] w_n and [n]^2 w_n run until 8 terms in a
 row of each are below 10^-50 of its sum.  The error is scaled as the
 photon-stats benchmark's check scales it: |value - ref| / (1 + x) for Q_M
-and |value - ref| / (1 + m1) for Q_z, m1 the reference's mean number.  For
-each tree and group it prints the samples raised and the median, p99 and
-largest error of each parameter, with the sample where the largest is.
-With two trees it prints, per group and parameter, on how many samples
-that both return the second tree is closer to the reference, farther and
-equal, and each sample where it is closer or farther.
+and |value - ref| / (1 + m1) for Q_z, m1 the reference's mean number.
 
 The table groups are log [n] (log_box) and log [n]! (log_gen_factorial):
 
@@ -60,28 +62,27 @@ tables        the tables group of tools/fingerprint.py: n = 0..k0+2, at
 edges         the domain's edges: alpha in {0, 0.3, 1/2, 1 - 1e-6, 1},
               beta in {1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.05}, nu with
               1 - alpha + nu = 1e-12, 1e-3, 1 and 2 (nu formed as
-              alpha - 1 + that in doubles), at n = 1, 2, 10 and 100
+              alpha - 1 + that in doubles), at n = 1, 2, 10 and 100;
+              also the largest absolute error of log [n]! per
+              (beta, alpha) cell, over nu and n
 past-k0       n = k0..3000 on eight triples, the entries the closed
-              form gives, which the other two groups barely reach
+              form gives, which the other two groups barely reach; also
+              the median, p99 and largest error of log [n]! per triple
 
 The reference is a 50-digit mpmath running sum of log [k], k = 1..n, each
 from four log-gammas at the same double inputs (beta k formed in mpmath).
-The error is |value - ref| in ulps of max(|ref|, 1) as a double.  For
-each tree and group it prints the samples raised and the median, p99 and
-largest error of each, with the sample where the largest is; for edges
-also the largest absolute error of log [n]! per (beta, alpha) cell, over
-nu and n, and for past-k0 the median, p99 and largest error of log [n]!
-per triple.  With two trees it prints, per group and function, on how many
-samples that both return the second tree is closer, farther and equal.
+The error is |value - ref| in ulps of max(|ref|, 1) as a double.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import math
 import statistics
 import sys
+from typing import Callable, NamedTuple
 
 import mpmath
 from ab import load_tree
@@ -92,6 +93,8 @@ DIGITS = 60  # the reference's correct digits
 MANDEL_DIGITS = 50  # the Mandel reference's working digits
 MANDEL_RUN = 8  # terms in a row below 10^-MANDEL_DIGITS of each sum that stop it
 TABLE_DIGITS = 50  # the table reference's working digits
+MAX_LISTED = 20  # a comparison lists a part's moved samples where at most this many moved
+RAISED = ("ParameterError", "NumericalRangeError", "ConvergenceError")  # recorded, not raised
 
 # the edges group: alpha, beta, 1 - alpha + nu and n
 EDGE_ALPHAS = (0.0, 0.3, 0.5, 1.0 - 1e-6, 1.0)
@@ -191,64 +194,6 @@ def error(value: float, ref) -> float:
     return 0.0 if diff == 0 else math.inf if ref == 0 else float(diff / abs(ref))
 
 
-def readme_rows(package) -> list[tuple]:
-    """The README's `wcs wavefunction` command as a groups.py row."""
-    cli = importlib.import_module(f"{package.__name__}.cli")
-    (argv,) = [args for args in readme_commands() if args[0] == "wavefunction"]
-    args = cli.build_parser().parse_args(argv)
-    points = [(k, x) for k in cli._parse_int_range(args.k) for x in cli._parse_grid(args.x)]
-    return [((args.alpha, args.beta, args.nu), (args.hbar, args.mass, args.omega), points,
-             args.tol)]
-
-
-def outcomes(package, rows) -> list:
-    """(value, flag), or the error type's name, per sample."""
-    out = []
-    for row in rows:
-        triple, scales, points, *tol = row
-        p = package.DeformationParams(*triple)
-        s = package.PhysicalScales(*(scales or ()))
-        kwargs = {"tol": tol[0]} if tol else {}
-        for k, x in points:
-            try:
-                out.append(package.wavefunction_sample(k, x, p, s, **kwargs))
-            except (package.errors.NumericalRangeError, package.errors.ConvergenceError) as exc:
-                out.append(type(exc).__name__)
-    return out
-
-
-def references(rows, wanted) -> list:
-    """The mpmath value of each sample some tree returned as a plain
-    value, else None."""
-    out, i = [], 0
-    for triple, scales, points, *_ in rows:
-        oracle = Oracle(triple, scales)
-        for k, x in points:
-            out.append(oracle.value(k, x) if wanted[i] else None)
-            i += 1
-    return out
-
-
-def label(outcome) -> str:
-    if isinstance(outcome, str):
-        return outcome
-    return "flagged" if outcome[1] else "value"
-
-
-def ledger(name: str, outcomes_, refs) -> None:
-    labels = [label(o) for o in outcomes_]
-    errs = [error(o[0], r) for o, r, lab in zip(outcomes_, refs, labels) if lab == "value"]
-    flagged = labels.count("flagged")
-    raised = len(labels) - len(errs) - flagged
-    line = f"  {name:13s} values {len(errs):4d}  flagged {flagged:3d}  raised {raised:3d}"
-    if errs:
-        ordered = sorted(errs)
-        p99 = ordered[min(len(ordered) - 1, math.ceil(0.99 * len(ordered)) - 1)]
-        line += (f"  ulps: median {statistics.median(ordered):.4g}  p99 {p99:.4g}  "
-                 f"max {ordered[-1]:.4g}")
-    print(line)
-
-
 def mandel_reference(triple, x: float) -> tuple:
     """(Q_M, Q_z, m1) at the triple and x from the Fock sum, as mpf."""
     with mpmath.workdps(MANDEL_DIGITS):
@@ -267,92 +212,6 @@ def mandel_reference(triple, x: float) -> tuple:
         n0, m1, m2, e1, e2 = sums
         m1, m2, e1, e2 = m1 / n0, m2 / n0, e1 / n0, e2 / n0
         return (e2 - e1 * e1) / e1 - 1, (m2 - m1 * m1) / m1, m1
-
-
-def mandel_rows(package, readme: bool) -> list[tuple]:
-    """(triple, x, Q_z's tol or None) per sample: the README's `wcs mandel`
-    command parsed by the package's CLI, or the photon-statistics grid."""
-    if not readme:
-        return [(triple, x, None) for triple in PHOTON_TRIPLES for x in PHOTON_XS]
-    cli = importlib.import_module(f"{package.__name__}.cli")
-    (argv,) = [args for args in readme_commands() if args[0] == "mandel"]
-    args = cli.build_parser().parse_args(argv)
-    return [((args.alpha, args.beta, args.nu), x, args.tol) for x in cli._parse_grid(args.x)]
-
-
-def mandel_outcomes(package, rows) -> list:
-    """(label x, Q_M, Q_z) per sample, or the error type's name."""
-    out = []
-    for triple, x, tol in rows:
-        p = package.DeformationParams(*triple)
-        label = package.CoherentLabel.from_intensity(x)
-        kwargs = {} if tol is None else {"tol": tol}
-        try:
-            out.append((label.x, package.mandel_qm(label, p), package.mandel_qz(label, p, **kwargs)))
-        except (package.errors.NumericalRangeError, package.errors.ConvergenceError) as exc:
-            out.append(type(exc).__name__)
-    return out
-
-
-def mandel_errors(outcome, ref) -> tuple[float, float] | None:
-    """The scaled errors of Q_M and Q_z, or None for a raised sample."""
-    if isinstance(outcome, str):
-        return None
-    x, qm, qz = outcome
-    ref_qm, ref_qz, m1 = ref
-    return (float(abs(mpmath.mpf(qm) - ref_qm) / (1 + x)),
-            float(abs(mpmath.mpf(qz) - ref_qz) / (1 + m1)))
-
-
-def mandel_ledger(name: str, rows, errs) -> None:
-    kept = [(row, e) for row, e in zip(rows, errs) if e is not None]
-    line = f"  {name:13s} values {len(kept):4d}  raised {len(rows) - len(kept):3d}"
-    for i, what in enumerate(("Q_M", "Q_z")):
-        ordered = sorted(e[i] for _, e in kept)
-        if not ordered:
-            continue
-        p99 = ordered[min(len(ordered) - 1, math.ceil(0.99 * len(ordered)) - 1)]
-        (triple, x, _), _ = max(kept, key=lambda k: k[1][i])
-        line += (f"\n    {what}: median {statistics.median(ordered):.3g}  p99 {p99:.3g}  "
-                 f"max {ordered[-1]:.3g} at {triple} x {x!r}")
-    print(line)
-
-
-def table_outcomes(package, group: str) -> dict:
-    """{(triple, n): (log [n], log [n]!)} of the group, or the error type's
-    name where the triple or a read raises, read in the group's order."""
-    out = {}
-    if group == "past-k0":
-        for triple in PAST_K0_TRIPLES:
-            k0 = package.factorials._first_series_entry(package.DeformationParams(*triple))
-            for n in range(k0, PAST_K0_END + 1):
-                out[triple, n] = table_read(package, triple, n)
-        return out
-    if group == "edges":
-        for a in EDGE_ALPHAS:
-            for b in EDGE_BETAS:
-                for gap in EDGE_GAPS:
-                    triple = (a, b, a - 1.0 + gap)
-                    for n in EDGE_NS:
-                        out[triple, n] = table_read(package, triple, n)
-        return out
-    for triple in TABLE_TRIPLES:
-        p = package.DeformationParams(*triple)
-        end = min(package.factorials._first_series_entry(p) + 2, TABLE_END)
-        for n in range(end + 1):
-            out[triple, n] = table_read(package, triple, n)
-        last = len(package.factorials._TABLES[p].log_box) - 1
-        for n in (last, last + 1):
-            out[triple, n] = table_read(package, triple, n)
-    return out
-
-
-def table_read(package, triple, n: int):
-    try:
-        p = package.DeformationParams(*triple)
-        return package.log_box(n, p), package.log_gen_factorial(n, p)
-    except (package.errors.ParameterError, package.errors.NumericalRangeError) as exc:
-        return type(exc).__name__
 
 
 def table_references(samples) -> dict:
@@ -382,45 +241,251 @@ def table_error(value: float, ref) -> float:
     return float(abs(mpmath.mpf(value) - ref) / math.ulp(max(abs(float(ref)), 1.0)))
 
 
-def table_ledger(name: str, outs: dict, refs: dict) -> None:
-    kept = {key: o for key, o in outs.items() if not isinstance(o, str)}
-    line = f"  {name:13s} values {len(kept):4d}  raised {len(outs) - len(kept):3d}"
-    for i, what in enumerate(("log [n]", "log [n]!")):
-        errs = sorted((table_error(o[i], refs[key][i]), key) for key, o in kept.items())
-        if not errs:
-            continue
-        ordered = [e for e, _ in errs]
-        p99 = ordered[min(len(ordered) - 1, math.ceil(0.99 * len(ordered)) - 1)]
-        (triple, n) = errs[-1][1]
-        line += (f"\n    {what}: ulps median {statistics.median(ordered):.3g}  p99 {p99:.3g}  "
-                 f"max {ordered[-1]:.3g} at {triple} n {n}")
-    print(line)
+class Group(NamedTuple):
+    """One ledger group.  An outcome, a sample read on a tree, is a tuple
+    holding the parts' values first (any context after them), "flagged",
+    or the name of the typed error raised."""
+
+    name: str
+    parts: tuple[str, ...]
+    fields: tuple[str, ...]  # the names of a key's entries after its triple
+    samples: Callable  # package -> keys, each drawn after the last one is read
+    call: Callable  # (package, key) -> outcome
+    references: Callable  # {key: an outcome with values} -> {key: reference}
+    errors: Callable  # (outcome with values, reference) -> one error per part
+    unit: str = "ulps"
+    extra: Callable | None = None  # (group, outcomes, references) -> lines after the summary
 
 
-def edge_cells(outs: dict, refs: dict) -> None:
+class Summary(NamedTuple):
+    values: int
+    flagged: int
+    raised: int
+    parts: list  # per part (median, p99, max, key at the max), or None without values
+
+
+class Comparison(NamedTuple):
+    parts: list  # per part (closer, farther, equal, [(key, error a, error b)] that moved)
+    moves: list  # (key, class a, class b) where the classes differ
+
+
+def label(outcome) -> str:
+    return outcome if isinstance(outcome, str) else "value"
+
+
+def outcomes(group: Group, package) -> dict:
+    """{key: outcome} of the group on the tree, read in sample order."""
+    raised = tuple(getattr(package.errors, name) for name in RAISED)
+    out = {}
+    for key in group.samples(package):
+        try:
+            out[key] = group.call(package, key)
+        except raised as exc:
+            out[key] = type(exc).__name__
+    return out
+
+
+def wanted(outs: list[dict]) -> dict:
+    """{key: the first tree's outcome with values} where some tree has one."""
+    first = {}
+    for out in outs:
+        for key, outcome in out.items():
+            if label(outcome) == "value":
+                first.setdefault(key, outcome)
+    return first
+
+
+def part_errors(group: Group, outs: dict, refs: dict) -> dict:
+    """{key: the parts' errors} over the samples returned as values."""
+    return {key: group.errors(o, refs[key]) for key, o in outs.items() if label(o) == "value"}
+
+
+def spread(errs) -> tuple[float, float, float]:
+    """The median, nearest-rank 99th percentile and largest of errs."""
+    ordered = sorted(errs)
+    return statistics.median(ordered), ordered[math.ceil(0.99 * len(ordered)) - 1], ordered[-1]
+
+
+def summarize(group: Group, outs: dict, refs: dict) -> Summary:
+    errs = part_errors(group, outs, refs)
+    flagged = sum(o == "flagged" for o in outs.values())
+    parts = []
+    for i in range(len(group.parts)):
+        top = max(errs, key=lambda key: errs[key][i], default=None)
+        parts.append(None if top is None else (*spread(e[i] for e in errs.values()), top))
+    return Summary(len(errs), flagged, len(outs) - len(errs) - flagged, parts)
+
+
+def compare(group: Group, outs_a: dict, outs_b: dict, refs: dict) -> Comparison:
+    """The second tree against the first, on the samples both read."""
+    errs_a, errs_b = part_errors(group, outs_a, refs), part_errors(group, outs_b, refs)
+    both = [key for key in errs_b if key in errs_a]
+    parts = []
+    for i in range(len(group.parts)):
+        pairs = [(key, errs_a[key][i], errs_b[key][i]) for key in both]
+        closer = sum(eb < ea for _, ea, eb in pairs)
+        farther = sum(eb > ea for _, ea, eb in pairs)
+        parts.append((closer, farther, len(pairs) - closer - farther,
+                      [pair for pair in pairs if pair[1] != pair[2]]))
+    moves = [(key, label(outs_a[key]), label(o)) for key, o in outs_b.items()
+             if key in outs_a and label(outs_a[key]) != label(o)]
+    return Comparison(parts, moves)
+
+
+def describe(group: Group, key) -> str:
+    return " ".join([repr(key[0])] + [f"{f} {v!r}" for f, v in zip(group.fields, key[1:])])
+
+
+def print_summary(group: Group, outs: dict, refs: dict) -> None:
+    s = summarize(group, outs, refs)
+    print(f"  {group.name:13s} values {s.values:5d}  flagged {s.flagged:3d}  raised {s.raised:3d}")
+    for part, stats in zip(group.parts, s.parts):
+        if stats:
+            median, p99, top, key = stats
+            print(f"    {part}: {group.unit} median {median:.4g}  p99 {p99:.4g}  max {top:.4g} "
+                  f"at {describe(group, key)}")
+    for line in group.extra(group, outs, refs) if group.extra else ():
+        print(f"    {line}")
+
+
+def print_comparison(group: Group, outs_a: dict, outs_b: dict, refs: dict) -> None:
+    c = compare(group, outs_a, outs_b, refs)
+    for part, (closer, farther, equal, moved) in zip(group.parts, c.parts):
+        print(f"  {group.name:13s} {part} closer {closer}  farther {farther}  equal {equal}")
+        for key, ea, eb in moved if len(moved) <= MAX_LISTED else ():
+            print(f"    {describe(group, key)}: {'closer' if eb < ea else 'farther'} "
+                  f"({ea:.3g} -> {eb:.3g})")
+    for key, a, b in c.moves:
+        print(f"    class moved: {describe(group, key)}: {a} -> {b}")
+
+
+def readme_command(package, command: str):
+    """The tree's CLI module and the README's `wcs command` line parsed by it."""
+    cli = importlib.import_module(f"{package.__name__}.cli")
+    (argv,) = [args for args in readme_commands() if args[0] == command]
+    return cli, cli.build_parser().parse_args(argv)
+
+
+def wave_keys(rows) -> list:
+    return [(triple, scales, k, x) for triple, scales, points in rows for k, x in points]
+
+
+def wave_call(package, key):
+    triple, scales, k, x = key
+    value, flag = package.wavefunction_sample(k, x, package.DeformationParams(*triple),
+                                              package.PhysicalScales(*(scales or ())))
+    return "flagged" if flag else (value,)
+
+
+def wave_references(samples: dict) -> dict:
+    """One Oracle per (triple, scales)."""
+    oracles, out = {}, {}
+    for triple, scales, k, x in samples:
+        if (triple, scales) not in oracles:
+            oracles[triple, scales] = Oracle(triple, scales)
+        out[triple, scales, k, x] = oracles[triple, scales].value(k, x)
+    return out
+
+
+def mandel_call(package, key, tol=None):
+    """(Q_M, Q_z, the label's x); Q_z at tol where given."""
+    triple, x = key
+    p = package.DeformationParams(*triple)
+    lab = package.CoherentLabel.from_intensity(x)
+    kwargs = {} if tol is None else {"tol": tol}
+    return package.mandel_qm(lab, p), package.mandel_qz(lab, p, **kwargs), lab.x
+
+
+def mandel_errors(outcome, ref) -> tuple[float, float]:
+    qm, qz, x = outcome
+    ref_qm, ref_qz, m1 = ref
+    return (float(abs(mpmath.mpf(qm) - ref_qm) / (1 + x)),
+            float(abs(mpmath.mpf(qz) - ref_qz) / (1 + m1)))
+
+
+def table_call(package, key):
+    triple, n = key
+    p = package.DeformationParams(*triple)
+    return package.log_box(n, p), package.log_gen_factorial(n, p)
+
+
+def first_series_entry(package, triple) -> int:
+    return package.factorials._first_series_entry(package.DeformationParams(*triple))
+
+
+def table_samples(package):
+    """Each triple's n = 0..k0+2, then the last entry of the table those
+    reads left and the one past it."""
+    for triple in TABLE_TRIPLES:
+        end = min(first_series_entry(package, triple) + 2, TABLE_END)
+        yield from ((triple, n) for n in range(end + 1))
+        last = len(package.factorials._TABLES[package.DeformationParams(*triple)].log_box) - 1
+        yield from ((triple, last), (triple, last + 1))
+
+
+def edge_samples(package) -> list:
+    return [((a, b, a - 1.0 + gap), n) for a in EDGE_ALPHAS for b in EDGE_BETAS
+            for gap in EDGE_GAPS for n in EDGE_NS]
+
+
+def past_k0_samples(package):
+    for triple in PAST_K0_TRIPLES:
+        yield from ((triple, n) for n in range(first_series_entry(package, triple),
+                                               PAST_K0_END + 1))
+
+
+def edge_cells(group: Group, outs: dict, refs: dict) -> list[str]:
     """The largest |error| of log [n]! per (beta, alpha) cell of the edges."""
-    print("    largest |error| of log [n]!, beta down, alpha across")
-    print("    " + "".join(f"{a:>10.6g}" for a in EDGE_ALPHAS))
+    lines = ["largest |error| of log [n]!, beta down, alpha across",
+             "".join(f"{a:>10.6g}" for a in EDGE_ALPHAS)]
     for b in EDGE_BETAS:
         cells = []
         for a in EDGE_ALPHAS:
             errs = [abs(mpmath.mpf(o[1]) - refs[key][1]) for key, o in outs.items()
-                    if key[0][:2] == (a, b) and not isinstance(o, str)]
+                    if key[0][:2] == (a, b) and label(o) == "value"]
             cells.append(f"{float(max(errs)):10.2g}" if errs else f"{'raised':>10s}")
-        print(f"    {b:<7.0e}" + "".join(cells))
+        lines.append(f"{b:<7.0e}" + "".join(cells))
+    return lines
 
 
-def triple_stats(outs: dict, refs: dict) -> None:
-    """The median, p99 and largest error of log [n]! per triple, in ulps."""
+def triple_spreads(group: Group, outs: dict, refs: dict) -> list[str]:
+    """The median, p99 and largest error of log [n]! per triple."""
+    lines = []
     for triple in PAST_K0_TRIPLES:
-        ordered = sorted(table_error(o[1], refs[key][1]) for key, o in outs.items()
-                         if key[0] == triple and not isinstance(o, str))
-        if not ordered:
-            print(f"    {triple}: raised")
-            continue
-        p99 = ordered[min(len(ordered) - 1, math.ceil(0.99 * len(ordered)) - 1)]
-        print(f"    {triple}: ulps median {statistics.median(ordered):.4g}  p99 {p99:.4g}  "
-              f"max {ordered[-1]:.4g}")
+        stats = summarize(group, {key: o for key, o in outs.items() if key[0] == triple},
+                          refs).parts[1]
+        lines.append(f"{triple}: raised" if stats is None else
+                     f"{triple}: ulps median {stats[0]:.4g}  p99 {stats[1]:.4g}  max {stats[2]:.4g}")
+    return lines
+
+
+def ledger_groups(package) -> list[Group]:
+    """The eight groups, README commands parsed by the package's CLI."""
+    cli, wave = readme_command(package, "wavefunction")
+    readme = [((wave.alpha, wave.beta, wave.nu), (wave.hbar, wave.mass, wave.omega), k, x)
+              for k in cli._parse_int_range(wave.k) for x in cli._parse_grid(wave.x)]
+    cli, mandel = readme_command(package, "mandel")
+    mandel_readme = [((mandel.alpha, mandel.beta, mandel.nu), x) for x in cli._parse_grid(mandel.x)]
+    psi = dict(parts=("psi",), fields=("scales", "k", "x"), call=wave_call,
+               references=wave_references, errors=lambda o, ref: (error(o[0], ref),))
+    qs = dict(parts=("Q_M", "Q_z"), fields=("x",), unit="scaled", errors=mandel_errors,
+              references=lambda samples: {key: mandel_reference(key[0], o[2])
+                                          for key, o in samples.items()})
+    logs = dict(parts=("log [n]", "log [n]!"), fields=("n",), call=table_call,
+                references=table_references,
+                errors=lambda o, ref: (table_error(o[0], ref[0]), table_error(o[1], ref[1])))
+    return [
+        Group("readme", samples=lambda _: readme, **psi),
+        Group("cold-sweep", samples=lambda _: wave_keys(cold_sweep_rows()), **psi),
+        Group("wavefunction", samples=lambda _: wave_keys(wavefunction_rows()), **psi),
+        Group("mandel-readme", samples=lambda _: mandel_readme,
+              call=functools.partial(mandel_call, tol=mandel.tol), **qs),
+        Group("mandel", samples=lambda _: [(t, x) for t in PHOTON_TRIPLES for x in PHOTON_XS],
+              call=mandel_call, **qs),
+        Group("tables", samples=table_samples, **logs),
+        Group("edges", samples=edge_samples, extra=edge_cells, **logs),
+        Group("past-k0", samples=past_k0_samples, extra=triple_spreads, **logs),
+    ]
 
 
 def main(argv=None) -> int:
@@ -430,84 +495,19 @@ def main(argv=None) -> int:
     if len(args.trees) > 2:
         ap.error("at most two trees")
     packages = [load_tree(src, f"wcs_{i}") for i, src in enumerate(args.trees)]
-    groups = {
-        "readme": readme_rows(packages[-1]),
-        "cold-sweep": cold_sweep_rows(),
-        "wavefunction": wavefunction_rows(),
-    }
-    results = {}
-    for name, rows in groups.items():
-        outs = [outcomes(package, rows) for package in packages]
-        wanted = [any(label(o) == "value" for o in sample) for sample in zip(*outs)]
-        results[name] = outs, references(rows, wanted), rows
-    mandel = {}
-    for name, readme in (("mandel-readme", True), ("mandel", False)):
-        rows = mandel_rows(packages[-1], readme)
-        outs = [mandel_outcomes(package, rows) for package in packages]
-        # every tree's label carries the same x, |sqrt(x)|^2
-        xs = [next((o[0] for o in sample if not isinstance(o, str)), None)
-              for sample in zip(*outs)]
-        refs = [None if x is None else mandel_reference(triple, x)
-                for (triple, _, _), x in zip(rows, xs)]
-        mandel[name] = rows, [[mandel_errors(o, r) for o, r in zip(out, refs)] for out in outs]
-    tables = {}
-    for name in ("tables", "edges", "past-k0"):
-        outs = [table_outcomes(package, name) for package in packages]
-        samples = {key for out in outs for key, o in out.items() if not isinstance(o, str)}
-        tables[name] = outs, table_references(samples)
+    groups = ledger_groups(packages[-1])
+    # each group is read on every tree before the next, so each tree's
+    # tables hold what its earlier groups left
+    outs = [[outcomes(group, package) for package in packages] for group in groups]
+    refs = [group.references(wanted(out)) for group, out in zip(groups, outs)]
     for i, src in enumerate(args.trees):
         print(f"tree {src}")
-        for name, (outs, refs, _) in results.items():
-            ledger(name, outs[i], refs)
-        for name, (rows, errs) in mandel.items():
-            mandel_ledger(name, rows, errs[i])
-        for name, (outs, refs) in tables.items():
-            table_ledger(name, outs[i], refs)
-            if name == "edges":
-                edge_cells(outs[i], refs)
-            if name == "past-k0":
-                triple_stats(outs[i], refs)
-    if len(packages) == 1:
-        return 0
-    print(f"{args.trees[1]} against {args.trees[0]}")
-    for name, (outs, refs, rows) in results.items():
-        closer = farther = equal = 0
-        for a, b, r in zip(*outs, refs):
-            if label(a) != "value" or label(b) != "value":
-                continue
-            ea, eb = abs(mpmath.mpf(a[0]) - r), abs(mpmath.mpf(b[0]) - r)
-            closer += eb < ea
-            farther += eb > ea
-            equal += eb == ea
-        print(f"  {name:13s} closer {closer}  farther {farther}  equal {equal}")
-        samples = [(triple, scales, k, x) for triple, scales, points, *_ in rows
-                   for k, x in points]
-        for (triple, scales, k, x), a, b in zip(samples, *outs):
-            if label(a) != label(b):
-                print(f"    class moved: {triple} scales {scales} k {k} x {x!r}: "
-                      f"{label(a)} -> {label(b)}")
-    for name, (rows, (errs_a, errs_b)) in mandel.items():
-        for i, what in enumerate(("Q_M", "Q_z")):
-            pairs = [(row, ea[i], eb[i]) for row, ea, eb in zip(rows, errs_a, errs_b)
-                     if ea is not None and eb is not None]
-            closer = sum(eb < ea for _, ea, eb in pairs)
-            farther = sum(eb > ea for _, ea, eb in pairs)
-            print(f"  {name:13s} {what} closer {closer}  farther {farther}  "
-                  f"equal {len(pairs) - closer - farther}")
-            for (triple, x, _), ea, eb in pairs:
-                if ea != eb:
-                    print(f"    {triple} x {x!r}: {'closer' if eb < ea else 'farther'} "
-                          f"({ea:.3g} -> {eb:.3g})")
-    for name, ((outs_a, outs_b), refs) in tables.items():
-        both = [key for key in outs_b
-                if not isinstance(outs_a.get(key, ""), str) and not isinstance(outs_b[key], str)]
-        for i, what in enumerate(("log [n]", "log [n]!")):
-            errs = [(table_error(outs_a[key][i], refs[key][i]),
-                     table_error(outs_b[key][i], refs[key][i])) for key in both]
-            closer = sum(eb < ea for ea, eb in errs)
-            farther = sum(eb > ea for ea, eb in errs)
-            print(f"  {name:13s} {what} closer {closer}  farther {farther}  "
-                  f"equal {len(errs) - closer - farther}")
+        for group, out, ref in zip(groups, outs, refs):
+            print_summary(group, out[i], ref)
+    if len(packages) == 2:
+        print(f"{args.trees[1]} against {args.trees[0]}")
+        for group, out, ref in zip(groups, outs, refs):
+            print_comparison(group, *out, ref)
     return 0
 
 
